@@ -1140,8 +1140,8 @@ let heartbeat_ns_opt =
         ~doc:
           "kona only: lease-based membership — memory nodes heartbeat the \
            failure detector every $(docv) virtual nanoseconds, and failover \
-           is triggered by lease expiry instead of the synchronous crash \
-           hook (default: off, legacy detection)")
+           is triggered by lease expiry (default: off — no leases, crashes \
+           are detected instantly; both detectors feed one recovery queue)")
 
 let lease_ns_opt =
   Arg.(

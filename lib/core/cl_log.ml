@@ -107,7 +107,6 @@ let set_on_flip t f = t.on_flip <- Some f
 let set_gate t f = t.gate <- Some f
 let set_stale_filter t f = t.stale_filter <- Some f
 let stale_lines t = t.stale_lines
-let bump_epoch t = Sequencer.Tx.bump_epoch t.seq_tx
 let advance_epoch t ~to_ = Sequencer.Tx.advance_epoch t.seq_tx ~to_
 let epoch t = Sequencer.Tx.epoch t.seq_tx
 

@@ -90,10 +90,6 @@ val set_stale_filter : t -> (node:int -> addr:int -> data:string -> bool) -> uni
 val stale_lines : t -> int
 (** Cache-lines dropped by the stale-writeback filter. *)
 
-val bump_epoch : t -> unit
-(** Start a new delivery epoch (called after failover): stragglers
-    stamped with the old epoch are rejected as stale by receivers. *)
-
 val advance_epoch : t -> to_:int -> unit
 (** Adopt the rack-global fencing epoch (monotone no-op when already at
     or past it): a membership-triggered failover anywhere in the rack

@@ -688,10 +688,11 @@ let enqueue_re_replication t ~replication ~logical =
                    ];
                  if last then `Done else `Again)))
 
-(* Membership declared the store with physical id [phys] dead: run the
-   failover control exchange with the rack controller, fence the
-   displaced store at a fresh rack-global epoch, broadcast the epoch,
-   and queue re-replication.  One bounded attempt per recovery step —
+(* A detector (instant or lease) declared the store with physical id
+   [phys] dead: run the failover control exchange with the rack
+   controller, fence the displaced store at a fresh rack-global epoch,
+   broadcast the epoch, and queue re-replication.  One bounded attempt
+   per recovery step —
    an unreachable controller retries next step instead of burying the
    engine in a synchronous retry loop. *)
 let run_failover_attempt t ~logical ~phys =
@@ -763,6 +764,13 @@ let schedule_failover t ~phys =
                    end
                    else `Again))
       end
+
+(* Drive the recovery queue to idle: the instant detector's crash path
+   and [drain]'s final msync. *)
+let rec pump_recovery t =
+  match Recovery.step t.recovery ~now:(elapsed_ns t) with
+  | `Idle -> ()
+  | `Stepped _ | `Finished _ -> pump_recovery t
 
 let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
     ~controller ~read_local () =
@@ -1023,73 +1031,32 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   (match hub with Some h -> register_metrics t (Hub.registry h) | None -> ());
   t
 
-(* Restore the replication degree after a promotion (or a mirror loss):
-   clone the current primary onto a fresh mirror in 1 MiB chunks over the
-   eviction QP.  The copy is asynchronous background traffic — it completes
-   as the background clock advances past each chunk — and the final chunk's
-   delivery stamps the recovery-latency histogram.  Mirrors store data at
-   primary offsets, so the clone is a straight prefix copy of the primary's
-   reserved range. *)
-let re_replicate t ~replication ~node =
-  match Rack_controller.node t.controller ~id:node with
-  | exception Invalid_argument _ -> ()
-  | primary when not (Memory_node.alive primary) -> ()
-  | primary ->
-      let used = Memory_node.used primary in
-      let mirror =
-        Memory_node.create
-          ~id:(Replication.fresh_replica_id replication)
-          ~capacity:(Memory_node.capacity primary)
-      in
-      Memory_node.adopt_reservations mirror ~brk:used;
-      Replication.add_mirror replication ~node mirror;
-      let t0 = Clock.now t.bg_clock in
-      if used = 0 then Histogram.add t.recovery_latency 0
-      else begin
-        let chunk = 1 lsl 20 in
-        let nchunks = (used + chunk - 1) / chunk in
-        let wqes =
-          List.init nchunks (fun i ->
-              let off = i * chunk in
-              let len = min chunk (used - off) in
-              let last = i = nchunks - 1 in
-              Qp.wqe ~signaled:last
-                ~deliver:(fun () ->
-                  (* The source may crash again before the copy lands;
-                     that abandons this clone (the next failover will
-                     re-replicate from whichever primary survives). *)
-                  (try
-                     Memory_node.write mirror ~addr:off
-                       ~data:(Memory_node.peek primary ~addr:off ~len);
-                     t.recovery_bytes <- t.recovery_bytes + len
-                   with Memory_node.Crashed _ -> ());
-                  if last then begin
-                    Histogram.add t.recovery_latency (Clock.now t.bg_clock - t0);
-                    match t.tracer with
-                    | Some tr ->
-                        Tracer.instant tr
-                          ~args:[ ("node", node); ("bytes", used) ]
-                          "faults.re_replicated"
-                    | None -> ()
-                  end)
-                Qp.Write ~len)
-        in
-        Qp.post t.evict_qp wqes
-      end
-
-(* Membership mode: a crash is only a fail-stop — failover waits for the
-   lease to expire, exactly like a partition, because the detector cannot
-   tell the two apart.  Mirror crashes still queue re-replication
-   directly: mirrors hold no leases. *)
-let handle_node_crash_leased t ~id =
+(* A node crash fired (a due fault-plan clause or a scenario op).  [id]
+   resolves one way for both failure detectors: a logical id whose
+   current backing is alive crashes that backing; any other id names a
+   physical store — a displaced former backing or a mirror.  Failover
+   then runs on the recovery queue in both modes.  With membership, the
+   lease detector schedules it once the lease expires: it cannot tell a
+   crash from a partition.  Without, the crash is detected instantly:
+   the failover is scheduled here and the queue pumped to idle.  Mirrors
+   hold no leases, so a mirror crash queues re-replication directly. *)
+let crash_node t ~id =
   t.node_crashes <- t.node_crashes + 1;
   let emit name args =
     match t.tracer with Some tr -> Tracer.instant tr ~args name | None -> ()
   in
-  match Rack_controller.find_physical t.controller ~id with
+  let store =
+    match Rack_controller.node t.controller ~id with
+    | backing when Memory_node.alive backing -> Some backing
+    | _ | (exception Invalid_argument _) ->
+        Rack_controller.find_physical t.controller ~id
+  in
+  (match store with
   | Some store ->
       Memory_node.crash store;
-      emit "faults.node_crash" [ ("node", id) ]
+      emit "faults.node_crash" [ ("node", id) ];
+      if t.membership = None then
+        schedule_failover t ~phys:(Memory_node.id store)
   | None -> (
       match t.replication with
       | Some r -> (
@@ -1102,85 +1069,8 @@ let handle_node_crash_leased t ~id =
                 (Printf.sprintf "fault plan crashed unknown memory node %d" id))
       | None ->
           note_degraded t
-            (Printf.sprintf "fault plan crashed unknown memory node %d" id))
-
-(* A scheduled node crash fired.  Without membership (legacy omniscient
-   detection): fail-stop the target, then run the control-plane failover
-   exchange with the rack controller synchronously — promote a live
-   mirror (§4.5, failure mode 3) and start background re-replication.
-   Without a live mirror the runtime degrades — the node's data is lost,
-   and subsequent CL-log deliveries to it are counted, not raised. *)
-let rec handle_node_crash t ~id =
-  match t.membership with
-  | Some _ -> handle_node_crash_leased t ~id
-  | None -> handle_node_crash_legacy t ~id
-
-and handle_node_crash_legacy t ~id =
-  t.node_crashes <- t.node_crashes + 1;
-  let note_degraded reason = note_degraded t reason in
-  let emit name args =
-    match t.tracer with Some tr -> Tracer.instant tr ~args name | None -> ()
-  in
-  match Rack_controller.node t.controller ~id with
-  | primary -> (
-      Memory_node.crash primary;
-      emit "faults.node_crash" [ ("node", id) ];
-      match t.replication with
-      | None ->
-          note_degraded
-            (Printf.sprintf
-               "memory node %d crashed with no replicas configured" id)
-      | Some r -> (
-          let t0 = Clock.now t.app_clock in
-          match
-            Rpc.call t.rpc ~request_bytes:64 ~response_bytes:64
-              (fun () -> Replication.failover r ~controller:t.controller ~node:id)
-              ()
-          with
-          | exception Rpc.Timeout_exhausted { attempts } ->
-              note_degraded
-                (Printf.sprintf
-                   "failover of memory node %d failed: rack controller \
-                    unreachable after %d attempts"
-                   id attempts)
-          | exception Qp.Retry_exhausted { attempts } ->
-              (* The Rpc wrapper surfaced the transport's own death
-                 instead of masking it as a timeout. *)
-              note_degraded
-                (Printf.sprintf
-                   "failover of memory node %d failed: control-path send \
-                    dead after %d transmission attempts"
-                   id attempts)
-          | promoted -> (
-              Histogram.add t.failover_latency (Clock.now t.app_clock - t0);
-              match promoted with
-              | Some p ->
-                  emit "faults.failover"
-                    [ ("node", id); ("promoted", Memory_node.id p) ];
-                  (* New configuration, new delivery epoch: stragglers
-                     stamped before the failover are rejected as stale. *)
-                  Cl_log.bump_epoch t.log;
-                  re_replicate t ~replication:r ~node:id
-              | None ->
-                  note_degraded
-                    (Printf.sprintf
-                       "memory node %d crashed with no live mirror to promote"
-                       id))))
-  | exception Invalid_argument _ -> (
-      (* Not a registered primary — the plan may target a mirror. *)
-      match t.replication with
-      | Some r -> (
-          match Replication.crash_mirror r ~id with
-          | Some primary_id ->
-              emit "faults.mirror_crash"
-                [ ("node", id); ("primary", primary_id) ];
-              re_replicate t ~replication:r ~node:primary_id
-          | None ->
-              note_degraded
-                (Printf.sprintf "fault plan crashed unknown memory node %d" id))
-      | None ->
-          note_degraded
-            (Printf.sprintf "fault plan crashed unknown memory node %d" id))
+            (Printf.sprintf "fault plan crashed unknown memory node %d" id)));
+  if t.membership = None then pump_recovery t
 
 (* Polled as the clocks advance (every access sink and drain): fire node
    crashes and partitions whose scheduled virtual time has been reached,
@@ -1193,7 +1083,7 @@ let poll_faults t =
   | None -> ()
   | Some inj ->
       if Injector.crashes_pending inj > 0 then
-        List.iter (fun id -> handle_node_crash t ~id) (Injector.due_node_crashes inj ~now);
+        List.iter (fun id -> crash_node t ~id) (Injector.due_node_crashes inj ~now);
       if Injector.partitions_pending inj > 0 then
         List.iter
           (fun (dur_ns, ids) -> start_partition t ~dur_ns ~ids)
@@ -1252,12 +1142,7 @@ let drain t =
      completion: queued failovers fence their displaced stores before
      the deferred (partition-captured) deliveries below land on them. *)
   (match t.membership with Some m -> Membership.tick m ~now:(elapsed_ns t) | None -> ());
-  let rec pump () =
-    match Recovery.step t.recovery ~now:(elapsed_ns t) with
-    | `Idle -> ()
-    | `Stepped _ | `Finished _ -> pump ()
-  in
-  pump ();
+  pump_recovery t;
   Qp.wait_idle t.evict_qp;
   (* Every partition heals by msync: land all deferred deliveries —
      fenced targets reject theirs as stale (the split-brain writes). *)
@@ -1493,11 +1378,9 @@ let post_bg_message t ~node ~len ~deliver =
 let replication t = t.replication
 let injector t = t.injector
 
-(* Scenario-engine adapters: immediate fail-stop crash, on-demand scrub
-   sweep, and mid-run fault arming (the injector must exist — create the
-   runtime with [arm_injector = true] or a non-empty plan). *)
-let crash_node t ~id = handle_node_crash t ~id
-
+(* Scenario-engine adapters: on-demand scrub sweep and mid-run fault
+   arming (the injector must exist — create the runtime with
+   [arm_injector = true] or a non-empty plan). *)
 let force_scrub t =
   match t.scrubber with Some s -> Scrubber.force_sweep s | None -> ()
 

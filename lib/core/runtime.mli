@@ -93,8 +93,9 @@ type config = {
           {e declared dead} — and only then does failover run, so a
           partitioned-but-alive node can be declared dead wrongly (the
           false-positive path that fencing must absorb).  [None]
-          (default) = legacy omniscient detection: only an actual crash
-          triggers failover, synchronously *)
+          (default) = no leases: an actual crash is detected instantly.
+          Either way there is one recovery queue — only the detector
+          differs *)
   lease_ns : int;
       (** lease duration: a node is suspected when its last heartbeat is
           older than this, and declared dead at twice this age (default
@@ -166,10 +167,13 @@ val stats : t -> (string * int) list
     Fault handling is driven by the virtual clocks: [sink] and [drain]
     poll the injector for due node crashes.  A crashed primary is failed
     over to its first live mirror through a rack-controller RPC exchange
-    (latency recorded in [failover.latency_ns]); the replication degree is
-    then restored by an asynchronous background copy onto a fresh mirror
-    ([recovery.latency_ns], [recovery.bytes]).  Without replicas the crash
-    degrades the run instead of raising: lost CL-log deliveries are
+    (latency recorded in [failover.latency_ns]), which fences the
+    displaced store at a fresh rack-global epoch; the replication degree
+    is then restored by a background copy onto a fresh mirror
+    ([recovery.latency_ns], [recovery.bytes]).  Both run as tasks on one
+    recovery queue, whichever detector declares the crash (instant
+    without [heartbeat_ns], lease expiry with it).  Without replicas the
+    crash degrades the run instead of raising: lost CL-log deliveries are
     counted and {!degraded} reports the reason. *)
 
 val recover_heap :
@@ -231,8 +235,8 @@ val step_recovery :
     engine's step loop drives recovery through this between ops. *)
 
 val set_on_fence : t -> (epoch:int -> unit) -> unit
-(** Observe every fencing epoch this runtime mints (one per membership
-    failover): the rack broadcasts it to all tenants via
+(** Observe every fencing epoch this runtime mints (one per failover,
+    with or without membership): the rack broadcasts it to all tenants via
     {!adopt_fencing_epoch}. *)
 
 val adopt_fencing_epoch : t -> epoch:int -> unit
@@ -353,9 +357,14 @@ val injector : t -> Kona_faults.Injector.t option
     as immediate, deterministic actions. *)
 
 val crash_node : t -> id:int -> unit
-(** Fail-stop [id] now: mark it crashed, run the failover control
-    exchange for affected pages, re-replicate or degrade — exactly what
-    a due [node-crash] plan clause does. *)
+(** Fail-stop [id] now — exactly what a due [node-crash] plan clause
+    does.  A logical id whose current backing is alive crashes that
+    backing; any other id is a physical store (a displaced former
+    backing, found via {!Rack_controller.find_physical}, or a mirror).
+    Without membership the crash is detected instantly: failover and
+    re-replication are queued and the recovery queue is pumped to idle
+    before this returns.  With membership, failover waits for the lease
+    to expire.  A mirror crash queues re-replication in both modes. *)
 
 val force_scrub : t -> unit
 (** Run one complete scrub sweep immediately (no-op when the runtime has

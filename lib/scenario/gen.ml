@@ -68,7 +68,7 @@ let corruption_op rng ~published =
 let ops_setup rng =
   let tenants = 1 + Rng.int rng 3 in
   let nodes = 2 + Rng.int rng 3 in
-  (* Membership on a grid: off (legacy detection) or a short lease so
+  (* Membership on a grid: off (instant detection) or a short lease so
      generated partitions actually expire leases within an episode.
      With membership on, crashes are excluded (ops_op) — failover waits
      for lease expiry, and a too-short episode would leave pages homed

@@ -99,13 +99,11 @@ let placement_coherence ctx =
      finished — mid-lease (or mid-recovery) boundaries legitimately see
      pages homed on a dead store. *)
   let converged_dead n =
-    if ctx.spec.Spec.setup.Spec.heartbeat_ns = 0 then true
-    else
-      match Runtime.membership (Rack.runtime e ~tenant:0) with
-      | None -> true
-      | Some m ->
-          Membership.state m ~id:(Memory_node.id n) = Some Membership.Dead
-          && Rack.recovery_idle e
+    match Runtime.membership (Rack.runtime e ~tenant:0) with
+    | None -> true
+    | Some m ->
+        Membership.state m ~id:(Memory_node.id n) = Some Membership.Dead
+        && Rack.recovery_idle e
   in
   for i = 0 to Rack.tenant_count e - 1 do
     let rm = Runtime.resource_manager (Rack.runtime e ~tenant:i) in

@@ -80,8 +80,9 @@ type setup = {
   fast_nodes : int;
   slow_extra_ns : int;
   heartbeat_ns : int;
-      (** [hb=]: membership heartbeat interval; 0 (default) = legacy
-          omniscient failure detection, no lease machinery *)
+      (** [hb=]: membership heartbeat interval; 0 (default) = no leases,
+          crashes are detected instantly.  Either way failover runs on
+          one recovery queue — only the detector differs *)
   lease_ns : int;
       (** [lease=]: membership lease; must be >= [hb] when [hb > 0] *)
   writers : int;

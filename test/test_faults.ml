@@ -457,7 +457,7 @@ let test_divergent_mirrors () =
 (* Runtime-level recovery *)
 
 let make_runtime ?(fmem_pages = 16) ?(replicas = 0) ?(faults = [])
-    ?(fault_seed = 42) ?(check_replicas = false) () =
+    ?(fault_seed = 42) ?(check_replicas = false) ?(arm_injector = false) () =
   let controller = Rack_controller.create ~slab_size:(Units.kib 64) () in
   Rack_controller.register_node controller
     (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
@@ -473,6 +473,7 @@ let make_runtime ?(fmem_pages = 16) ?(replicas = 0) ?(faults = [])
       faults;
       fault_seed;
       check_replicas;
+      arm_injector;
     }
   in
   let runtime = Runtime.create ~config ~controller ~read_local () in
@@ -530,6 +531,42 @@ let test_runtime_crash_without_replicas_degrades () =
   Runtime.drain runtime;
   (* No exception escaped; the run reports the damage instead. *)
   check_bool "degraded" true (Runtime.degraded runtime <> None)
+
+(* Without leases the crash is detected instantly, but recovery still
+   runs on the queue: failover and re-replication both complete before
+   [crash_node] returns, and the failover mints a rack-global epoch. *)
+let test_runtime_instant_detector () =
+  let runtime, heap, controller = make_runtime ~replicas:1 () in
+  scribble heap;
+  Runtime.crash_node runtime ~id:1;
+  check_bool "recovery queue idle on return" true (Runtime.recovery_idle runtime);
+  check_int "failover + re-replication completed" 2
+    (List.assoc "completed" (Runtime.recovery_counters runtime));
+  check_int "rack-global fencing epoch" 1
+    (Rack_controller.fencing_epoch controller);
+  Runtime.drain runtime;
+  check_bool "not degraded" true (Runtime.degraded runtime = None);
+  check_bool "remote equals heap after failover" true
+    (integrity_ok runtime heap controller)
+
+(* The failover's controller RPC exhausts its retries on every attempt:
+   the queued task gives up after its bounded steps and degrades. *)
+let test_runtime_failover_rpc_exhausted () =
+  let runtime, heap, _ = make_runtime ~replicas:1 ~arm_injector:true () in
+  scribble heap;
+  Runtime.arm_fault runtime (Fault_spec.Rpc_timeout { p = 1.0 });
+  Runtime.crash_node runtime ~id:1;
+  check_bool "recovery queue idle" true (Runtime.recovery_idle runtime);
+  let expected = "unreachable after 3 recovery steps" in
+  match Runtime.degraded runtime with
+  | Some reason ->
+      let n = String.length expected in
+      let found = ref false in
+      for i = 0 to String.length reason - n do
+        if String.sub reason i n = expected then found := true
+      done;
+      check_bool (Printf.sprintf "%S names %S" reason expected) true !found
+  | None -> Alcotest.fail "expected a degraded run"
 
 let test_runtime_check_replicas_invariant () =
   let faults = Fault_spec.parse_exn "node-crash@50us:id=1;wqe-drop:p=0.02" in
@@ -668,6 +705,10 @@ let () =
             test_runtime_crash_failover_end_to_end;
           Alcotest.test_case "no replicas degrades" `Quick
             test_runtime_crash_without_replicas_degrades;
+          Alcotest.test_case "instant detector pumps the queue" `Quick
+            test_runtime_instant_detector;
+          Alcotest.test_case "failover rpc exhausted degrades" `Quick
+            test_runtime_failover_rpc_exhausted;
           Alcotest.test_case "check-replicas invariant" `Quick
             test_runtime_check_replicas_invariant;
           Alcotest.test_case "recover heap" `Quick test_runtime_recover_heap;

@@ -318,8 +318,8 @@ let test_crash_promoted_mirror_mid_re_replication () =
       Runtime.default_config with
       fmem_pages = 64;
       replicas = 2;
-      (* leased detection: failover and re-replication run as resumable
-         recovery tasks instead of the synchronous legacy crash hook *)
+      (* leased detection: failover waits for lease expiry, so the
+         resumable recovery tasks are observable between polls *)
       heartbeat_ns = Some 10_000;
       lease_ns = 50_000;
     }
