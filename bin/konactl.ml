@@ -779,7 +779,6 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
       migrate_budget;
       migrate_share;
       ops;
-      extra_node_slots = 0;
       runtime;
     }
   in
@@ -798,9 +797,12 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
     in
     (Rack.finish e, rpc)
   in
+  (* unknown slugs exit here with the 'konactl workloads' hint; any other
+     configuration error surfaces below as its own message *)
+  List.iter (fun tc -> ignore (specs_of (Some tc.Rack.workload))) tenant_cfgs;
   match run_once () with
   | exception Invalid_argument msg ->
-      Fmt.epr "%s (try 'konactl workloads')@." msg;
+      Fmt.epr "%s@." msg;
       1
   | exception Rack_controller.Quota_exceeded q ->
       Fmt.epr

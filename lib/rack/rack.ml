@@ -42,7 +42,6 @@ type config = {
   migrate_budget : int;
   migrate_share : int;
   ops : Rack_ops.t;
-  extra_node_slots : int;
   runtime : Runtime.config;
 }
 
@@ -67,7 +66,6 @@ let default_config =
     migrate_budget = 32;
     migrate_share = 1;
     ops = [];
-    extra_node_slots = 0;
     runtime = Runtime.default_config;
   }
 
@@ -120,42 +118,79 @@ type result = {
 (* The published segment lives at 1 GiB: far above any scaled-down heap
    (tens of MiB) and aligned for every slab size in use. *)
 let shared_base = 1 lsl 30
+let page = Units.page_size
+let seg_first = shared_base / page
 
 (* One replay step: a recorded application access, or a synthetic
    shared-segment operation (the publisher writes, readers read). *)
 type step = App of Access.t | Shared_write of int | Shared_read of int
 
-(* A paused rack simulation: [start] builds the fabric and recorded
-   traces, [e_step] advances one scheduling slice, [e_finish] drains and
-   runs the oracles.  The op closures are the scenario engine's adapters;
-   the data fields are its invariant accessors. *)
+(* A paused rack simulation: [start] builds this record, [step] advances
+   one scheduling slice, [finish] drains and runs the oracles.  Every
+   piece of rack state lives here; the runtime and migrator hooks are
+   closures over it. *)
 type engine = {
-  e_tenants : tenant_cfg array;
-  e_controller : Rack_controller.t;
-  e_runtimes : Runtime.t array;
-  e_wfq : Wfq.t array;
-  e_weights : int array;
-  e_node_count : int ref;
-  e_fast_nodes : int;
-  e_drained_pages : int ref;
-  e_drain_failures : int ref;
-  e_recovery : Recovery.t;
-  e_now : unit -> int;
-  e_step : unit -> int;
-  e_finish : unit -> result;
-  e_apply : Rack_ops.op -> unit;
-  e_publish : pages:int -> unit;
-  e_shared_round : unit -> unit;
-  e_shared_access :
-    tenant:int -> line:int -> write:bool -> payload:char option -> unit;
-  e_mw_round : unit -> unit;
-  e_enable_mw : unit -> unit;
-  e_mw_dir : Directory.t;
-  e_coherence_audit : unit -> string list;
-  e_shared_divergence : unit -> int;
-  e_flush : unit -> unit;
-  e_migrate : unit -> unit;
+  cfg : config;
+  tenants : tenant_cfg array;
+  controller : Rack_controller.t;
+  replication : Replication.t option;
+  placement : Placement_policy.t;
+  hub : Hub.t;
+  (* Tenant WFQ weights plus the migrator's slot at index [n]. *)
+  weights : int array;
+  (* One scheduler per registered node, indexed by node id. *)
+  mutable wfq : Wfq.t array;
+  heaps : Heap.t array;
+  steps : step array array;
+  pos : int array;
+  (* Filled right after the record is built: each runtime's hooks close
+     over the engine. *)
+  mutable runtimes : Runtime.t array;
+  heats : Heat.t array;
+  (* Lazy because its environment closes over the record itself. *)
+  migrator : Migrator.t Lazy.t;
+  (* Rack-level recovery queue: drain re-homing runs here as a resumable
+     task (a bounded batch of pages per engine step), so a crash or
+     partition landing mid-drain interleaves with it instead of waiting
+     behind a synchronous copy loop.  [finish] pumps it to idle. *)
+  recovery : Recovery.t;
+  mutable partitions_over : bool;
+  (* Shared segment: published up front ([cfg.shared_pages > 0]) or
+     later through [publish] (scenario ops). *)
+  mutable seg_pages : int;
+  mutable seg : Bytes.t;
+  (* Read-mostly sharer tracking, driven by demand fetches. *)
+  rack_dir : Directory.t;
+  (* Multi-writer MSI home at cache-line granularity: it tracks granted
+     permissions (not residency), so it is driven only by explicit
+     shared-line accesses, never by demand fetches. *)
+  mw_dir : Directory.t;
+  mw_w : int;  (* tenants that write the segment *)
+  recall_hist : Histogram.t;
+  mutable mw_filter : bool;
+  (* Synthetic shared-op ids past the woven ones: payload bytes never
+     repeat. *)
+  mutable shared_k : int;
+  mutable invalidations_sent : int;
+  mutable shared_writes : int;
+  mutable shared_reads : int;
+  mutable sharer_fills : int;
+  mutable fetch_total : int;
+  mutable fetch_fast : int;
+  mutable hot_total : int;
+  mutable hot_fast : int;
+  mutable op_moves : int;
+  mutable op_failed : int;
+  mutable drained_pages : int;
+  mutable drain_failures : int;
+  mutable ops_applied : int;
+  mutable pending_ops : Rack_ops.t;
+  mutable finished : result option;
 }
+
+(* Firing order of scheduled ops: by time, ties in spec order. *)
+let by_time ops =
+  List.stable_sort (fun a b -> compare a.Rack_ops.at_ns b.Rack_ops.at_ns) ops
 
 let validate cfg tenants =
   if tenants = [] then invalid_arg "Rack.run: no tenants";
@@ -168,26 +203,29 @@ let validate cfg tenants =
   (match Placement_policy.find cfg.policy with
   | (_ : Placement_policy.t) -> ()
   | exception Invalid_argument msg -> invalid_arg ("Rack.run: " ^ msg));
-  let adds =
-    List.length
-      (List.filter
-         (fun c -> match c.Rack_ops.op with Rack_ops.Add_node _ -> true | _ -> false)
-         cfg.ops)
+  (* Walk the ops in firing order: a drain may only name a node that
+     exists by then — an original one or an earlier add. *)
+  let nodes =
+    List.fold_left
+      (fun nodes { Rack_ops.at_ns; op } ->
+        match op with
+        | Rack_ops.Add_node _ -> nodes + 1
+        | Rack_ops.Drain { id } when id < 0 || id >= nodes ->
+            invalid_arg
+              (Printf.sprintf
+                 "Rack.run: drain at %d ns of node %d, which no earlier add \
+                  has created"
+                 at_ns id)
+        | Rack_ops.Drain _ | Rack_ops.Rebalance -> nodes)
+      cfg.nodes (by_time cfg.ops)
   in
-  if cfg.fast_nodes < 0 || cfg.fast_nodes > cfg.nodes + adds then
+  if cfg.fast_nodes < 0 || cfg.fast_nodes > nodes then
     invalid_arg "Rack.run: fast_nodes out of range";
   if cfg.slow_extra_ns < 0 then invalid_arg "Rack.run: negative slow_extra_ns";
-  if cfg.hot_threshold < 1 then invalid_arg "Rack.run: hot_threshold must be >= 1";
+  if cfg.hot_threshold < 1 then
+    invalid_arg "Rack.run: hot_threshold must be >= 1";
   if cfg.migrate_epoch_ns < 1 || cfg.migrate_budget < 1 || cfg.migrate_share < 1
   then invalid_arg "Rack.run: migration parameters must be positive";
-  List.iter
-    (fun c ->
-      match c.Rack_ops.op with
-      | Rack_ops.Drain { id } ->
-          if id < 0 || id >= cfg.nodes + adds then
-            invalid_arg (Printf.sprintf "Rack.run: drain of unknown node %d" id)
-      | Rack_ops.Add_node _ | Rack_ops.Rebalance -> ())
-    cfg.ops;
   let seen = Hashtbl.create 8 in
   List.iter
     (fun tc ->
@@ -205,21 +243,623 @@ let validate cfg tenants =
                tc.workload))
     tenants
 
-let start cfg tenants =
-  validate cfg tenants;
-  let tenants = Array.of_list tenants in
-  let n = Array.length tenants in
-  let page = Units.page_size in
-  (* Shared-segment state is mutable so publication can happen either up
-     front ([cfg.shared_pages > 0], the historical path) or later through
-     the [publish] engine adapter (scenario ops). *)
-  let seg_pages = ref 0 in
-  let seg = ref Bytes.empty in
-  let seg_first = shared_base / page in
-  let in_seg vpage =
-    !seg_pages > 0 && vpage >= seg_first && vpage < seg_first + !seg_pages
+let tenant_count e = Array.length e.tenants
+let node_count e = Array.length e.wfq
+let migrator e = Lazy.force e.migrator
+let rm0 e = Runtime.resource_manager e.runtimes.(0)
+
+let in_seg e vpage =
+  e.seg_pages > 0 && vpage >= seg_first && vpage < seg_first + e.seg_pages
+
+(* Anything at or above the shared base belongs to the published
+   segment's slabs (including slab-rounding slack that readers map
+   foreign); the migrator leaves that whole range alone — only drain
+   re-homes it, remapping owner and readers together. *)
+let in_seg_range e vpage = e.seg_pages > 0 && vpage >= seg_first
+
+let now_ns e =
+  Array.fold_left (fun a rt -> max a (Runtime.elapsed_ns rt)) 0 e.runtimes
+
+let flush_logs e = Array.iter Runtime.flush_log e.runtimes
+
+(* -------- rack fabric: node schedulers and placement -------- *)
+
+(* Every registered node gets its WFQ scheduler and [rack.node.*] series
+   at registration; the new node's id is the current node count. *)
+let add_scheduler e =
+  let w = Wfq.create ~gbps:e.cfg.node_gbps ~weights:e.weights in
+  let labels = [ ("node", string_of_int (node_count e)) ] in
+  e.wfq <- Array.append e.wfq [| w |];
+  let reg = Hub.registry e.hub in
+  Registry.counter_fn reg ~labels "rack.node.admits" (fun () ->
+      Wfq.total_admits w);
+  Registry.counter_fn reg ~labels "rack.node.saturated_admits" (fun () ->
+      Wfq.saturated_admits w);
+  Registry.gauge_fn reg ~labels "rack.node.peak_backlog_ns" (fun () ->
+      Wfq.peak_backlog_ns w)
+
+let add_node e ~capacity =
+  let id = node_count e in
+  Rack_controller.register_node e.controller (Memory_node.create ~id ~capacity);
+  add_scheduler e;
+  (* ids are minted by the controller's registry (disjoint from
+     failover's fresh-mirror ids, minted via
+     [Rack_controller.mint_backing_id]); the membership authority starts
+     leasing the new node immediately *)
+  Runtime.track_node e.runtimes.(0) ~id
+
+(* Live nodes, ascending by id. *)
+let node_infos e =
+  List.init (node_count e) Fun.id
+  |> List.filter_map (fun id ->
+         let store = Rack_controller.node e.controller ~id in
+         if not (Memory_node.alive store) then None
+         else
+           Some
+             {
+               Placement_policy.ni_node = id;
+               ni_fast = id < e.cfg.fast_nodes;
+               ni_free = Memory_node.free_bytes store;
+               ni_capacity = Memory_node.capacity store;
+               ni_draining = Rack_controller.draining e.controller ~id;
+             })
+
+(* An allocation with no known tenant is placed as tenant 0's. *)
+let choose_node e ~tenant =
+  let named tc = Some tc.name = tenant in
+  let ti = Option.value (Array.find_index named e.tenants) ~default:0 in
+  e.placement.Placement_policy.choose_node ~nodes:(node_infos e) ~tenant:ti
+
+(* Two latency tiers: nodes past [fast_nodes] pay a fixed fabric penalty
+   on top of WFQ queueing — what the heat policy optimizes against. *)
+let arbitrate e i ~node ~op:_ ~len ~now =
+  match node with
+  | Some id when id >= 0 && id < node_count e ->
+      Wfq.admit e.wfq.(id) ~tenant:i ~bytes:len ~now
+      + if id >= e.cfg.fast_nodes then e.cfg.slow_extra_ns else 0
+  | _ -> 0
+
+let read_local e i ~addr ~len =
+  if e.seg_pages > 0 && addr >= shared_base then
+    Bytes.sub_string e.seg (addr - shared_base) len
+  else Heap.peek_bytes e.heaps.(i) addr len
+
+let create_runtime e i =
+  let cfg = e.cfg in
+  let config =
+    {
+      cfg.runtime with
+      Runtime.tenant = Some e.tenants.(i).name;
+      stream_base = i * 1024;
+      replicas = cfg.replicas;
+      faults = (if i = 0 then cfg.faults else []);
+      fault_seed = cfg.fault_seed;
+      (* Exactly one membership authority per rack: tenant 0 leases the
+         nodes and triggers failover; the others learn of it through the
+         fencing-epoch broadcast.  Two detectors would race to promote
+         different mirrors for one slot. *)
+      heartbeat_ns = (if i = 0 then cfg.runtime.Runtime.heartbeat_ns else None);
+    }
   in
-  (* -------- rack fabric: controller, nodes, quotas, schedulers -------- *)
+  Runtime.create ~config
+    ~hub:(Hub.scoped e.hub ~prefix:(Printf.sprintf "tenant.%d." i))
+    ~arbitrate:(arbitrate e i) ?replication:e.replication
+    ~controller:e.controller ~read_local:(read_local e i) ()
+
+(* -------- shared segment: tenant 0 publishes, the rest map -------- *)
+
+(* Publish a shared segment: tenant 0 backs it, everyone else maps it
+   foreign.  Runs at start when [cfg.shared_pages > 0], or mid-run via
+   the engine adapter; a second publication is a no-op. *)
+let publish e ~pages =
+  if pages > 0 && e.seg_pages = 0 then begin
+    e.seg_pages <- pages;
+    (* Segment store: rounded up to slab granularity so the publisher's
+       backing slabs are fully representable in the buffer.  Zero-filled,
+       matching the memory nodes' stores: the divergence oracle compares
+       whole pages, including bytes no woven op ever writes. *)
+    let slab = Rack_controller.slab_size e.controller in
+    let seg_len = ((pages * page) + slab - 1) / slab * slab in
+    e.seg <- Bytes.make seg_len '\000';
+    Resource_manager.ensure_backed (rm0 e) ~addr:shared_base
+      ~len:(pages * page);
+    let seg_slabs =
+      Resource_manager.slabs (rm0 e)
+      |> List.filter (fun s ->
+             s.Slab.vaddr >= shared_base
+             && s.Slab.vaddr < shared_base + seg_len)
+      |> List.sort (fun a b -> compare a.Slab.vaddr b.Slab.vaddr)
+    in
+    for i = 1 to tenant_count e - 1 do
+      Resource_manager.map_foreign
+        (Runtime.resource_manager e.runtimes.(i))
+        ~at:shared_base seg_slabs
+    done
+  end
+
+(* Demand fetches of segment pages register the fetching tenant as a
+   sharer with the rack directory. *)
+let seg_fill e i vpage =
+  if in_seg e vpage then begin
+    e.sharer_fills <- e.sharer_fills + 1;
+    Directory.on_fill ~sharer:i e.rack_dir ~line:(vpage - seg_first)
+      ~write:false
+  end
+
+(* Recall [target]'s copy of segment page [vpage]: a background control
+   message posted on [rt]'s QP that contends at the page's home node.
+   [timed] recalls feed [coherence.recall_ns]. *)
+let recall e rt ~vpage ~target ~timed =
+  e.invalidations_sent <- e.invalidations_sent + 1;
+  match Resource_manager.translate (rm0 e) ~vaddr:(vpage * page) with
+  | Some (node, _) ->
+      let t0 = Runtime.elapsed_ns rt in
+      Runtime.post_bg_message rt ~node ~len:Units.cache_line ~deliver:(fun () ->
+          if timed then
+            Histogram.add e.recall_hist (max 0 (Runtime.elapsed_ns rt - t0));
+          Runtime.invalidate_page e.runtimes.(target) ~vpage)
+  | None -> ()
+
+(* The publisher's dirty evictions recall every remote reader. *)
+let seg_recall e vpage =
+  if in_seg e vpage then
+    List.iter
+      (fun s ->
+        if s <> 0 then
+          recall e e.runtimes.(0) ~vpage ~target:s ~timed:false)
+      (Directory.snoop_sharers e.rack_dir ~line:(vpage - seg_first))
+
+(* -------- multi-writer MSI over the shared segment -------- *)
+
+let payload_char k = Char.chr (((k * 37) + 1) land 0xff)
+
+(* Writeback-race resolution: with several writers, two tenants' CL logs
+   can carry entries for the same segment line, and cross-log delivery
+   order is not capture order — a capacity-evicted copy lingering in one
+   log could land {e after} the line's next owner already wrote back a
+   newer value.  The home drops exactly those stale lines: [e.seg] is the
+   coherence-ordered value sequence (every capture reads it), so a
+   delivered line is stale iff its bytes no longer match.  Installed only
+   in multi-writer mode — the single-publisher path never races and stays
+   byte-identical. *)
+let seg_home_off e ~node ~addr =
+  let rec scan p =
+    if p >= e.seg_pages then None
+    else
+      match Resource_manager.translate (rm0 e) ~vaddr:((seg_first + p) * page)
+      with
+      | Some (n', raddr) when n' = node && addr >= raddr && addr < raddr + page
+        ->
+          Some ((p * page) + (addr - raddr))
+      | _ -> scan (p + 1)
+  in
+  scan 0
+
+let enable_multi_writer e =
+  if not e.mw_filter then begin
+    e.mw_filter <- true;
+    Array.iter
+      (fun rt ->
+        Runtime.set_writeback_filter rt (fun ~node ~addr ~data ->
+            match seg_home_off e ~node ~addr with
+            | Some off ->
+                Bytes.sub_string e.seg off (String.length data) <> data
+            | None -> false))
+      e.runtimes
+  end
+
+(* One coherent access to shared-segment line [line] by [tenant]: the
+   home directory grants it, and every copy the grant had to kill is
+   recalled as a background control message through the requester's QP —
+   it contends at the line's home node's WFQ link, so ownership
+   ping-pong shows up in completion latencies.  The recalled holder's
+   dirty data rides its own eviction/CL-log path (priced there).
+   [false] when the access falls outside the published segment. *)
+let shared_access e ~tenant ~line ~write ~payload =
+  e.seg_pages > 0 && tenant >= 0 && tenant < tenant_count e && line >= 0
+  && line < e.seg_pages * Units.lines_per_page
+  && begin
+       let off = line * Units.cache_line in
+       let vpage = seg_first + (line / Units.lines_per_page) in
+       let g = Directory.acquire e.mw_dir ~line ~tenant ~write in
+       let rt = e.runtimes.(tenant) in
+       let recall ~target = recall e rt ~vpage ~target ~timed:true in
+       (match g.Directory.g_peer with
+       | Some o when o <> tenant -> recall ~target:o
+       | Some _ | None -> ());
+       List.iter
+         (fun s -> if s <> tenant then recall ~target:s)
+         g.Directory.g_invalidated;
+       (match payload with
+       | Some c -> Bytes.fill e.seg off Units.cache_line c
+       | None -> ());
+       let addr = shared_base + off in
+       Runtime.sink rt
+         (if write then Access.write ~addr ~len:Units.cache_line
+          else Access.read ~addr ~len:Units.cache_line);
+       true
+     end
+
+(* -------- heat feed and fetch attribution -------- *)
+
+let on_fetch e i ~vpage =
+  let rt = e.runtimes.(i) in
+  let now = Runtime.elapsed_ns rt in
+  Heat.touch e.heats.(i) ~vpage ~weight:2 ~now;
+  e.fetch_total <- e.fetch_total + 1;
+  let hot = Heat.heat e.heats.(i) ~vpage ~now >= e.cfg.hot_threshold in
+  if hot then e.hot_total <- e.hot_total + 1;
+  (match
+     Resource_manager.translate (Runtime.resource_manager rt)
+       ~vaddr:(vpage * page)
+   with
+  | Some (node, _) when node < e.cfg.fast_nodes ->
+      e.fetch_fast <- e.fetch_fast + 1;
+      if hot then e.hot_fast <- e.hot_fast + 1
+  | _ -> ());
+  seg_fill e i vpage
+
+let on_evict e i ~vpage ~dirty =
+  Heat.touch e.heats.(i) ~vpage ~weight:1
+    ~now:(Runtime.elapsed_ns e.runtimes.(i));
+  if i = 0 && dirty then seg_recall e vpage
+
+(* -------- migration machinery -------- *)
+
+(* Read one page, preferring the (possibly failed-over) primary and
+   falling back to any live replica; a copy whose lines fail their
+   at-rest CRCs is not a migration source — the scrubber owns it. *)
+let read_page_bytes e ~node ~addr =
+  let try_store s =
+    if not (Memory_node.alive s) then None
+    else if Memory_node.verify_range s ~addr ~len:page <> [] then None
+    else
+      match Memory_node.peek s ~addr ~len:page with
+      | data -> Some data
+      | exception Memory_node.Crashed _ -> None
+  in
+  match try_store (Rack_controller.node e.controller ~id:node) with
+  | Some data -> Some data
+  | None -> (
+      match e.replication with
+      | None -> None
+      | Some r ->
+          List.find_map try_store
+            (Replication.live_copies r ~controller:e.controller ~node))
+
+(* Land the page at its new home: primary plus the home's mirrors (at the
+   same offset), so post-move CL-log replication stays coherent.
+   Reserves bypass the controller's quota path on purpose — migration
+   relocates a tenant's bytes, it doesn't grant more. *)
+let place_page e ~dst ~data =
+  let store = Rack_controller.node e.controller ~id:dst in
+  if (not (Memory_node.alive store)) || Memory_node.free_bytes store < page
+  then None
+  else begin
+    let addr = Memory_node.reserve store ~size:page in
+    Memory_node.write store ~addr ~data;
+    (match e.replication with
+    | Some r ->
+        List.iter
+          (fun m -> if Memory_node.alive m then Memory_node.write m ~addr ~data)
+          (Replication.targets r ~node:dst)
+    | None -> ());
+    Some addr
+  end
+
+let page_infos e ~now =
+  let acc = ref [] in
+  Array.iteri
+    (fun i rt ->
+      Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
+        (fun ~vpage ~node ~remote_addr:_ ->
+          if not (in_seg_range e vpage) then
+            acc :=
+              {
+                Placement_policy.pi_vpage = vpage;
+                pi_tenant = i;
+                pi_node = node;
+                pi_heat = Heat.heat e.heats.(i) ~vpage ~now;
+              }
+              :: !acc))
+    e.runtimes;
+  List.sort
+    (fun a b ->
+      if a.Placement_policy.pi_heat <> b.Placement_policy.pi_heat then
+        compare b.Placement_policy.pi_heat a.Placement_policy.pi_heat
+      else
+        compare
+          (a.Placement_policy.pi_tenant, a.Placement_policy.pi_vpage)
+          (b.Placement_policy.pi_tenant, b.Placement_policy.pi_vpage))
+    !acc
+
+(* Migration traffic is the migrator's WFQ weight slot (index [n]) at
+   every node: its copies queue behind tenant traffic and tenant traffic
+   queues behind its copies.  Idle slots never back-log, so a policy that
+   never migrates leaves the schedule bit-identical. *)
+let charge e ~node ~bytes ~now =
+  Wfq.admit e.wfq.(node) ~tenant:(tenant_count e) ~bytes ~now
+
+let move_page e mv =
+  let { Placement_policy.mv_tenant = ti; mv_vpage = vpage; mv_dst = dst } =
+    mv
+  in
+  if in_seg_range e vpage then None
+  else
+    let rt = e.runtimes.(ti) in
+    match
+      Resource_manager.translate (Runtime.resource_manager rt)
+        ~vaddr:(vpage * page)
+    with
+    | None -> None
+    | Some (src, _) when src = dst -> None
+    | Some (src, src_addr) -> (
+        match read_page_bytes e ~node:src ~addr:src_addr with
+        | None -> None
+        | Some data -> (
+            match place_page e ~dst ~data with
+            | None -> None
+            | Some dst_addr ->
+                Runtime.remap_page rt ~vpage ~node:dst ~remote_addr:dst_addr;
+                Some src))
+
+let create_migrator e =
+  Migrator.create ~policy:e.placement ~epoch_ns:e.cfg.migrate_epoch_ns
+    ~budget:e.cfg.migrate_budget ~page_bytes:page
+    {
+      Migrator.nodes = (fun () -> node_infos e);
+      pages = page_infos e;
+      flush_logs = (fun () -> flush_logs e);
+      move_page = move_page e;
+      charge = charge e;
+    }
+
+(* -------- rack ops: add / drain / rebalance -------- *)
+
+(* Most-free live non-draining node (node_infos ascending: ties break
+   toward the lower id). *)
+let choose_rehome e =
+  List.fold_left
+    (fun best ni ->
+      if ni.Placement_policy.ni_draining || ni.Placement_policy.ni_free < page
+      then best
+      else
+        match best with
+        | Some b when ni.Placement_policy.ni_free <= b.Placement_policy.ni_free
+          ->
+            best
+        | _ -> Some ni)
+    None (node_infos e)
+
+let homed_at rt ~vpage ~id ~addr =
+  match
+    Resource_manager.translate (Runtime.resource_manager rt)
+      ~vaddr:(vpage * page)
+  with
+  | Some (node', addr') -> node' = id && addr' = addr
+  | None -> false
+
+(* Re-home one drain victim now.  A victim already moved out from under
+   us (migration or an earlier overlapping drain) is neither a drained
+   page nor a failure. *)
+let drain_one e ~now id (_, vpage, addr) =
+  if Array.exists (homed_at ~vpage ~id ~addr) e.runtimes then
+    let fail () = e.drain_failures <- e.drain_failures + 1 in
+    match read_page_bytes e ~node:id ~addr with
+    | None -> fail ()
+    | Some data -> (
+        match choose_rehome e with
+        | None -> fail ()
+        | Some ni -> (
+            let dst = ni.Placement_policy.ni_node in
+            match place_page e ~dst ~data with
+            | None -> fail ()
+            | Some dst_addr ->
+                (* retarget the owner and every foreign mapping that
+                   still points at the drained copy *)
+                Array.iter
+                  (fun rt ->
+                    if homed_at rt ~vpage ~id ~addr then
+                      Resource_manager.remap_page
+                        (Runtime.resource_manager rt)
+                        ~vpage ~node:dst ~remote_addr:dst_addr)
+                  e.runtimes;
+                e.drained_pages <- e.drained_pages + 1;
+                ignore (charge e ~node:id ~bytes:page ~now);
+                ignore (charge e ~node:dst ~bytes:page ~now)))
+
+let drain_pages_per_step = 16
+
+let exec_drain e id =
+  let name = Printf.sprintf "drain:%d" id in
+  (* an overlapping drain of the same node would double-move the pages
+     the pending task hasn't reached yet *)
+  if not (List.mem name (Recovery.pending e.recovery)) then begin
+    Rack_controller.set_draining e.controller ~id true;
+    flush_logs e;
+    (* Every owned page still homed on the node; a crashed-and-failed-
+       over node drains from its promoted mirror (the controller's
+       backing for [id]), or any live replica.  Victims are frozen now;
+       each step revalidates its batch against the live translations. *)
+    let victims = ref [] in
+    Array.iteri
+      (fun i rt ->
+        Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
+          (fun ~vpage ~node ~remote_addr ->
+            if node = id then victims := (i, vpage, remote_addr) :: !victims))
+      e.runtimes;
+    let todo = ref (List.sort compare !victims) in
+    ignore
+      (Recovery.enqueue e.recovery ~name (fun ~now ->
+           if !todo = [] then `Done
+           else if
+             (* the drained node is inside a partition window: its pages
+                are unreadable until the links heal, so the task parks
+                (resumable, not failed) — [finish] lifts the block along
+                with the runtimes' own deferred-delivery flush *)
+             (not e.partitions_over)
+             && Runtime.partition_active e.runtimes.(0) ~id
+           then `Again
+           else begin
+             (* fence before copying: lines staged since the previous
+                step (slices interleave with drain) still target the old
+                home — ship them so the batch reads fresh bytes, while
+                evictions of already-re-homed pages translate to the new
+                home on their own *)
+             flush_logs e;
+             let rec batch budget =
+               match !todo with
+               | v :: rest when budget > 0 ->
+                   todo := rest;
+                   drain_one e ~now id v;
+                   batch (budget - 1)
+               | _ -> ()
+             in
+             batch drain_pages_per_step;
+             if !todo = [] then `Done else `Again
+           end))
+  end
+
+let exec_rebalance e ~now =
+  flush_logs e;
+  let balance = Placement_policy.centralized () in
+  List.iter
+    (fun mv ->
+      match move_page e mv with
+      | None -> e.op_failed <- e.op_failed + 1
+      | Some src ->
+          e.op_moves <- e.op_moves + 1;
+          ignore (charge e ~node:src ~bytes:page ~now);
+          ignore (charge e ~node:mv.Placement_policy.mv_dst ~bytes:page ~now))
+    (balance.Placement_policy.plan ~nodes:(node_infos e)
+       ~pages:(page_infos e ~now) ~budget:e.cfg.migrate_budget)
+
+(* The one op executor, for the scheduled-op calendar and [apply_op]
+   alike.  A drain of a node no add has created is refused ([validate]
+   rules it out for scheduled ops), so generated sequences stay total. *)
+let exec_op e ~now op =
+  match op with
+  | Rack_ops.Drain { id } when id < 0 || id >= node_count e -> ()
+  | _ -> (
+      e.ops_applied <- e.ops_applied + 1;
+      match op with
+      | Rack_ops.Add_node { capacity } ->
+          add_node e
+            ~capacity:(Option.value capacity ~default:e.cfg.node_capacity)
+      | Rack_ops.Drain { id } -> exec_drain e id
+      | Rack_ops.Rebalance -> exec_rebalance e ~now)
+
+let fire_ops e ~now =
+  if e.pending_ops <> [] then begin
+    let due, rest =
+      List.partition (fun c -> c.Rack_ops.at_ns <= now) e.pending_ops
+    in
+    e.pending_ops <- rest;
+    List.iter (fun c -> exec_op e ~now c.Rack_ops.op) due
+  end
+
+(* -------- rack-level telemetry -------- *)
+
+let total_moves e = Migrator.migrations (migrator e) + e.op_moves
+
+let bytes_moved e =
+  Migrator.bytes_moved (migrator e) + ((e.op_moves + e.drained_pages) * page)
+
+let failed_moves e = Migrator.failed (migrator e) + e.op_failed
+let permille num den = if den = 0 then 0 else num * 1000 / den
+
+let wfq_sum e f = Array.fold_left (fun a w -> a + f w) 0 e.wfq
+
+(* Tenant [i]'s WFQ statistic [f], summed over every node. *)
+let tenant_sum e i f = wfq_sum e (fun w -> f (Wfq.tenant_stats w ~tenant:i))
+
+let register_telemetry e =
+  let reg = Hub.registry e.hub in
+  let counter name f = Registry.counter_fn reg name (fun () -> f e) in
+  let gauge name f = Registry.gauge_fn reg name (fun () -> f e) in
+  Array.iteri
+    (fun i tc ->
+      let labels = [ ("tenant", tc.name) ] in
+      let sum = tenant_sum e i in
+      Registry.gauge_fn reg ~labels "rack.tenant.bw_share" (fun () ->
+          tc.bw_share);
+      Registry.counter_fn reg ~labels "rack.tenant.bytes" (fun () ->
+          sum (fun s -> s.Wfq.bytes));
+      Registry.counter_fn reg ~labels "rack.tenant.contended_bytes" (fun () ->
+          sum (fun s -> s.Wfq.contended_bytes));
+      Registry.counter_fn reg ~labels "rack.tenant.delay_ns" (fun () ->
+          sum (fun s -> s.Wfq.delay_ns)))
+    e.tenants;
+  counter "rack.dir.fills" (fun e -> Directory.fills e.rack_dir);
+  counter "rack.dir.snoops" (fun e -> Directory.snoops e.rack_dir);
+  counter "rack.sharer_fills" (fun e -> e.sharer_fills);
+  counter "rack.invalidations_sent" (fun e -> e.invalidations_sent);
+  counter "rack.shared.writes" (fun e -> e.shared_writes);
+  counter "rack.shared.reads" (fun e -> e.shared_reads);
+  counter "coherence.handoffs" (fun e -> Directory.handoffs e.mw_dir);
+  counter "coherence.invalidations" (fun e -> Directory.invalidations e.mw_dir);
+  counter "coherence.owner_changes" (fun e -> Directory.owner_changes e.mw_dir);
+  Registry.histogram_ref reg "coherence.recall_ns" e.recall_hist;
+  counter "placement.migrations" total_moves;
+  counter "placement.bytes_moved" bytes_moved;
+  counter "placement.failed_moves" failed_moves;
+  counter "placement.remaps" (fun e ->
+      Array.fold_left
+        (fun a rt -> a + Resource_manager.remaps (Runtime.resource_manager rt))
+        0 e.runtimes);
+  counter "placement.fetches" (fun e -> e.fetch_total);
+  counter "placement.fetches_fast" (fun e -> e.fetch_fast);
+  (* permille of demand fetches served by the slow tier — the number the
+     heat policy exists to push down *)
+  gauge "placement.remote_hit_ratio" (fun e ->
+      permille (e.fetch_total - e.fetch_fast) e.fetch_total);
+  gauge "placement.hot_hit_ratio" (fun e -> permille e.hot_fast e.hot_total);
+  counter "placement.drained_pages" (fun e -> e.drained_pages);
+  counter "placement.drain_failures" (fun e -> e.drain_failures);
+  counter "placement.ops_applied" (fun e -> e.ops_applied)
+
+(* -------- record and weave -------- *)
+
+(* Record a tenant's workload against its own heap. *)
+let record cfg tc =
+  let spec = Workloads.find tc.workload in
+  let acc = ref [] in
+  let heap =
+    Heap.create
+      ~capacity:(spec.Workloads.heap_capacity cfg.scale)
+      ~sink:(fun ev -> acc := ev :: !acc)
+      ()
+  in
+  spec.Workloads.run cfg.scale ~heap ~seed:tc.seed;
+  (heap, Array.of_list (List.rev !acc))
+
+(* Weave synthetic shared ops into tenant [i]'s trace: op k's writer
+   rotates over the first [mw_w] tenants; with one writer this is
+   exactly the historical publisher/reader weave. *)
+let weave cfg ~n ~mw_w i trace =
+  let len = Array.length trace in
+  if cfg.shared_pages = 0 || cfg.shared_ops = 0 || len = 0 || n < 2 then
+    Array.map (fun e -> App e) trace
+  else begin
+    let stride = max 1 (len / cfg.shared_ops) in
+    let out = ref [] and k = ref 0 in
+    Array.iteri
+      (fun j e ->
+        out := App e :: !out;
+        if (j + 1) mod stride = 0 && !k < cfg.shared_ops then begin
+          out :=
+            (if !k mod mw_w = i then Shared_write !k else Shared_read !k)
+            :: !out;
+          incr k
+        end)
+      trace;
+    Array.of_list (List.rev !out)
+  end
+
+let start cfg tenant_list =
+  validate cfg tenant_list;
+  let tenants = Array.of_list tenant_list in
+  let n = Array.length tenants in
   let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
   for id = 0 to cfg.nodes - 1 do
     Rack_controller.register_node controller
@@ -228,138 +868,69 @@ let start cfg tenants =
   Array.iter
     (fun tc ->
       match tc.mem_quota with
-      | Some bytes -> Rack_controller.set_quota controller ~tenant:tc.name ~bytes
+      | Some bytes ->
+          Rack_controller.set_quota controller ~tenant:tc.name ~bytes
       | None -> ())
     tenants;
-  (* The migrator is an extra WFQ weight slot (index [n]) at every node:
-     its copies queue behind tenant traffic and tenant traffic queues
-     behind its copies.  Idle slots never back-log, so a policy that
-     never migrates leaves the schedule bit-identical. *)
-  let weights =
-    Array.append (Array.map (fun tc -> tc.bw_share) tenants)
-      [| cfg.migrate_share |]
-  in
-  (* Nodes added by scheduled ops get ids [cfg.nodes ..]; their
-     schedulers exist from the start (idle until registration). *)
-  let adds =
-    List.length
-      (List.filter
-         (fun c -> match c.Rack_ops.op with Rack_ops.Add_node _ -> true | _ -> false)
-         cfg.ops)
-  in
-  let max_nodes = cfg.nodes + adds + max 0 cfg.extra_node_slots in
-  let wfq =
-    Array.init max_nodes (fun _ -> Wfq.create ~gbps:cfg.node_gbps ~weights)
-  in
-  let node_count = ref cfg.nodes in
-  let policy =
-    match cfg.policy with
-    | "heat" -> Placement_policy.heat_aware ~hot_threshold:cfg.hot_threshold ()
-    | name -> Placement_policy.find name
-  in
-  let node_infos () =
-    let rec go id acc =
-      if id < 0 then acc
-      else
-        let store = Rack_controller.node controller ~id in
-        let acc =
-          if Memory_node.alive store then
-            {
-              Placement_policy.ni_node = id;
-              ni_fast = id < cfg.fast_nodes;
-              ni_free = Memory_node.free_bytes store;
-              ni_capacity = Memory_node.capacity store;
-              ni_draining = Rack_controller.draining controller ~id;
-            }
-            :: acc
-          else acc
-        in
-        go (id - 1) acc
-    in
-    go (!node_count - 1) []
-  in
-  let tenant_index = Hashtbl.create 8 in
-  Array.iteri (fun i tc -> Hashtbl.add tenant_index tc.name i) tenants;
-  (* first-fit must reproduce the pre-placement allocator exactly, so
-     only the other policies install the controller hook. *)
-  if policy.Placement_policy.name <> "first-fit" then
-    Rack_controller.set_placement controller (fun ~vaddr:_ ~tenant ->
-        let ti =
-          match tenant with
-          | Some name -> (
-              match Hashtbl.find_opt tenant_index name with
-              | Some i -> i
-              | None -> 0)
-          | None -> 0
-        in
-        policy.Placement_policy.choose_node ~nodes:(node_infos ()) ~tenant:ti);
-  let hub = Hub.create () in
-  (* -------- record every tenant's workload against its own heap -------- *)
-  let recorded =
-    Array.map
-      (fun tc ->
-        let spec = Workloads.find tc.workload in
-        let acc = ref [] in
-        let heap =
-          Heap.create
-            ~capacity:(spec.Workloads.heap_capacity cfg.scale)
-            ~sink:(fun ev -> acc := ev :: !acc)
-            ()
-        in
-        spec.Workloads.run cfg.scale ~heap ~seed:tc.seed;
-        (heap, Array.of_list (List.rev !acc)))
-      tenants
-  in
-  let heaps = Array.map fst recorded in
-  let traces = Array.map snd recorded in
-  let slab = Rack_controller.slab_size controller in
-  let read_locals =
-    Array.init n (fun i ->
-        fun ~addr ~len ->
-          if !seg_pages > 0 && addr >= shared_base then
-            Bytes.sub_string !seg (addr - shared_base) len
-          else Heap.peek_bytes heaps.(i) addr len)
-  in
-  (* -------- per-tenant runtimes over the shared fabric -------- *)
+  let recorded = Array.map (record cfg) tenants in
+  let mw_w = max 1 (min n cfg.shared_writers) in
+  let steps = Array.mapi (weave cfg ~n ~mw_w) (Array.map snd recorded) in
   let replication =
     if cfg.replicas > 0 then
       Some (Replication.create ~degree:cfg.replicas ~controller)
     else None
   in
-  let runtimes =
-    Array.init n (fun i ->
-        let tc = tenants.(i) in
-        let config =
-          {
-            cfg.runtime with
-            Runtime.tenant = Some tc.name;
-            stream_base = i * 1024;
-            replicas = cfg.replicas;
-            faults = (if i = 0 then cfg.faults else []);
-            fault_seed = cfg.fault_seed;
-            (* Exactly one membership authority per rack: tenant 0 leases
-               the nodes and triggers failover; the others learn of it
-               through the fencing-epoch broadcast below.  Two detectors
-               would race to promote different mirrors for one slot. *)
-            heartbeat_ns =
-              (if i = 0 then cfg.runtime.Runtime.heartbeat_ns else None);
-          }
-        in
-        let arbitrate ~node ~op:_ ~len ~now =
-          match node with
-          | Some id when id >= 0 && id < max_nodes ->
-              (* Two latency tiers: nodes past [fast_nodes] pay a fixed
-                 fabric penalty on top of WFQ queueing — what the heat
-                 policy optimizes against. *)
-              Wfq.admit wfq.(id) ~tenant:i ~bytes:len ~now
-              + (if id >= cfg.fast_nodes then cfg.slow_extra_ns else 0)
-          | _ -> 0
-        in
-        Runtime.create ~config
-          ~hub:(Hub.scoped hub ~prefix:(Printf.sprintf "tenant.%d." i))
-          ~arbitrate ?replication ~controller
-          ~read_local:read_locals.(i) ())
+  let rec e =
+    {
+      cfg;
+      tenants;
+      controller;
+      replication;
+      placement =
+        (match cfg.policy with
+        | "heat" ->
+            Placement_policy.heat_aware ~hot_threshold:cfg.hot_threshold ()
+        | name -> Placement_policy.find name);
+      hub = Hub.create ();
+      weights =
+        Array.append
+          (Array.map (fun tc -> tc.bw_share) tenants)
+          [| cfg.migrate_share |];
+      wfq = [||];
+      heaps = Array.map fst recorded;
+      steps;
+      pos = Array.make n 0;
+      runtimes = [||];
+      heats =
+        Array.init n (fun _ -> Heat.create ~epoch_ns:cfg.migrate_epoch_ns);
+      migrator = lazy (create_migrator e);
+      recovery = Recovery.create ();
+      partitions_over = false;
+      seg_pages = 0;
+      seg = Bytes.empty;
+      rack_dir = Directory.create ();
+      mw_dir = Directory.create ();
+      mw_w;
+      recall_hist = Histogram.create ();
+      mw_filter = false;
+      shared_k = cfg.shared_ops;
+      invalidations_sent = 0; shared_writes = 0; shared_reads = 0;
+      sharer_fills = 0; fetch_total = 0; fetch_fast = 0;
+      hot_total = 0; hot_fast = 0; op_moves = 0; op_failed = 0;
+      drained_pages = 0; drain_failures = 0; ops_applied = 0;
+      pending_ops = by_time cfg.ops;
+      finished = None;
+    }
   in
+  for _ = 1 to cfg.nodes do
+    add_scheduler e
+  done;
+  (* first-fit must reproduce the pre-placement allocator exactly, so
+     only the other policies install the controller hook. *)
+  if e.placement.Placement_policy.name <> "first-fit" then
+    Rack_controller.set_placement controller (fun ~vaddr:_ ~tenant ->
+        choose_node e ~tenant);
+  e.runtimes <- Array.init n (create_runtime e);
   (* A fencing epoch minted by any tenant's failover is rack-global: every
      tenant's CL-log sender must restamp at the new epoch, or its next
      flush to the displaced store would be applied rather than rejected.
@@ -367,933 +938,311 @@ let start cfg tenants =
   Array.iter
     (fun rt ->
       Runtime.set_on_fence rt (fun ~epoch ->
-          Array.iter
-            (fun rt' -> Runtime.adopt_fencing_epoch rt' ~epoch)
-            runtimes))
-    runtimes;
-  (* Rack-level recovery queue: drain re-homing runs here as a resumable
-     task (a bounded batch of pages per engine step), so a crash or
-     partition landing mid-drain interleaves with it instead of waiting
-     behind a synchronous copy loop.  [finish] pumps it to idle. *)
-  let rack_recovery = Recovery.create () in
-  let partitions_over = ref false in
-  (* -------- shared segment: tenant 0 publishes, the rest map -------- *)
-  let rack_dir = Directory.create () in
-  let invalidations_sent = ref 0 in
-  let shared_writes = ref 0 in
-  let shared_reads = ref 0 in
-  let sharer_fills = ref 0 in
-  let seg_fill = ref (fun (_ : int) (_ : int) -> ()) in
-  let seg_recall = ref (fun (_ : int) -> ()) in
-  (* Publish a shared segment: tenant 0 backs it, everyone else maps it
-     foreign.  Runs at start when [cfg.shared_pages > 0], or mid-run via
-     the engine adapter; a second publication is a no-op. *)
-  let publish ~pages =
-    if pages > 0 && !seg_pages = 0 then begin
-      seg_pages := pages;
-      (* Segment store: rounded up to slab granularity so the publisher's
-         backing slabs are fully representable in the buffer.  Zero-
-         filled, matching the memory nodes' stores: the divergence oracle
-         compares whole pages, including bytes no woven op ever writes. *)
-      let seg_len = ((pages * page) + slab - 1) / slab * slab in
-      seg := Bytes.make seg_len '\000';
-      let rm0 = Runtime.resource_manager runtimes.(0) in
-      Resource_manager.ensure_backed rm0 ~addr:shared_base ~len:(pages * page);
-      let seg_slabs =
-        Resource_manager.slabs rm0
-        |> List.filter (fun s ->
-               s.Slab.vaddr >= shared_base && s.Slab.vaddr < shared_base + seg_len)
-        |> List.sort (fun a b -> compare a.Slab.vaddr b.Slab.vaddr)
-      in
-      for i = 1 to n - 1 do
-        Resource_manager.map_foreign
-          (Runtime.resource_manager runtimes.(i))
-          ~at:shared_base seg_slabs
-      done;
-      (* demand fetches of segment pages register the fetching tenant as a
-         sharer with the rack directory *)
-      seg_fill :=
-        (fun i vpage ->
-          if in_seg vpage then begin
-            incr sharer_fills;
-            Directory.on_fill ~sharer:i rack_dir ~line:(vpage - seg_first)
-              ~write:false
-          end);
-      (* the publisher's dirty evictions recall every remote reader; the
-         recall is priced as a background control message that contends at
-         the page's home node *)
-      seg_recall :=
-        (fun vpage ->
-          if in_seg vpage then
-            let line = vpage - seg_first in
-            let sharers = Directory.snoop_sharers rack_dir ~line in
-            List.iter
-              (fun s ->
-                if s <> 0 then begin
-                  incr invalidations_sent;
-                  match Resource_manager.translate rm0 ~vaddr:(vpage * page) with
-                  | Some (node, _) ->
-                      Runtime.post_bg_message runtimes.(0) ~node ~len:Units.cache_line
-                        ~deliver:(fun () ->
-                          Runtime.invalidate_page runtimes.(s) ~vpage)
-                  | None -> ()
-                end)
-              sharers)
-    end
-  in
-  if cfg.shared_pages > 0 then publish ~pages:cfg.shared_pages;
-  (* -------- multi-writer MSI over the shared segment -------- *)
-  (* A second directory at cache-line granularity mediates concurrent
-     writers: [mw_dir] tracks granted permissions (not residency), so it
-     is driven only by explicit shared-line accesses, never by demand
-     fetches.  The read-mostly [rack_dir] above keeps its historical
-     byte-identical behavior for single-publisher segments. *)
-  let mw_dir = Directory.create () in
-  let mw_w = max 1 (min n cfg.shared_writers) in
-  let recall_hist = Histogram.create () in
-  let payload_char k = Char.chr (((k * 37) + 1) land 0xff) in
-  (* Writeback-race resolution: with several writers, two tenants' CL
-     logs can carry entries for the same segment line, and cross-log
-     delivery order is not capture order — a capacity-evicted copy
-     lingering in one log could land {e after} the line's next owner
-     already wrote back a newer value.  The home drops exactly those
-     stale lines: [!seg] is the coherence-ordered value sequence (every
-     capture reads it), so a delivered line is stale iff its bytes no
-     longer match.  Installed only in multi-writer mode — the
-     single-publisher path never races and stays byte-identical. *)
-  let seg_home_off ~node ~addr =
-    let rm0 = Runtime.resource_manager runtimes.(0) in
-    let rec scan p =
-      if p >= !seg_pages then None
-      else
-        match
-          Resource_manager.translate rm0 ~vaddr:((seg_first + p) * page)
-        with
-        | Some (n', raddr) when n' = node && addr >= raddr && addr < raddr + page
-          ->
-            Some ((p * page) + (addr - raddr))
-        | _ -> scan (p + 1)
-    in
-    scan 0
-  in
-  let mw_filter_installed = ref false in
-  let enable_mw_coherence () =
-    if not !mw_filter_installed then begin
-      mw_filter_installed := true;
-      Array.iter
-        (fun rt ->
-          Runtime.set_writeback_filter rt (fun ~node ~addr ~data ->
-              match seg_home_off ~node ~addr with
-              | Some off ->
-                  Bytes.sub_string !seg off (String.length data) <> data
-              | None -> false))
-        runtimes
-    end
-  in
-  if mw_w > 1 then enable_mw_coherence ();
-  (* One coherent access to shared-segment line [line] by [tenant]: the
-     home directory grants it, and every copy the grant had to kill is
-     recalled as a background control message through the requester's QP —
-     it contends at the line's home node's WFQ link, so ownership
-     ping-pong shows up in completion latencies.  The recalled holder's
-     dirty data rides its own eviction/CL-log path (priced there). *)
-  let shared_access ~tenant ~line ~write ~payload =
-    if
-      !seg_pages > 0 && tenant >= 0 && tenant < n && line >= 0
-      && line < !seg_pages * Units.lines_per_page
-    then begin
-      let off = line * Units.cache_line in
-      let vpage = seg_first + (line / Units.lines_per_page) in
-      let g = Directory.acquire mw_dir ~line ~tenant ~write in
-      let rt = runtimes.(tenant) in
-      let rm0 = Runtime.resource_manager runtimes.(0) in
-      let recall ~target =
-        incr invalidations_sent;
-        match Resource_manager.translate rm0 ~vaddr:(vpage * page) with
-        | Some (node, _) ->
-            let t0 = Runtime.elapsed_ns rt in
-            Runtime.post_bg_message rt ~node ~len:Units.cache_line
-              ~deliver:(fun () ->
-                Histogram.add recall_hist (max 0 (Runtime.elapsed_ns rt - t0));
-                Runtime.invalidate_page runtimes.(target) ~vpage)
-        | None -> ()
-      in
-      (match g.Directory.g_peer with
-      | Some o when o <> tenant -> recall ~target:o
-      | Some _ | None -> ());
-      List.iter
-        (fun s -> if s <> tenant then recall ~target:s)
-        g.Directory.g_invalidated;
-      (match payload with
-      | Some c -> Bytes.fill !seg off Units.cache_line c
-      | None -> ());
-      Runtime.sink rt
-        (if write then Access.write ~addr:(shared_base + off) ~len:Units.cache_line
-         else Access.read ~addr:(shared_base + off) ~len:Units.cache_line);
-      true
-    end
-    else false
-  in
-  (* -------- heat feed and fetch attribution -------- *)
-  (* Anything at or above the shared base belongs to the published
-     segment's slabs (including slab-rounding slack that readers map
-     foreign); the migrator leaves that whole range alone — only drain
-     re-homes it, remapping owner and readers together. *)
-  let in_seg_range vpage = !seg_pages > 0 && vpage >= seg_first in
-  let heats = Array.init n (fun _ -> Heat.create ~epoch_ns:cfg.migrate_epoch_ns) in
-  let fetch_total = ref 0 and fetch_fast = ref 0 in
-  let hot_total = ref 0 and hot_fast = ref 0 in
+          Array.iter (fun rt' -> Runtime.adopt_fencing_epoch rt' ~epoch)
+            e.runtimes))
+    e.runtimes;
+  if cfg.shared_pages > 0 then publish e ~pages:cfg.shared_pages;
+  if mw_w > 1 then enable_multi_writer e;
   Array.iteri
     (fun i rt ->
-      let rm = Runtime.resource_manager rt in
-      Runtime.set_on_fetch rt (fun ~vpage ->
-          let now = Runtime.elapsed_ns rt in
-          Heat.touch heats.(i) ~vpage ~weight:2 ~now;
-          incr fetch_total;
-          let hot = Heat.heat heats.(i) ~vpage ~now >= cfg.hot_threshold in
-          if hot then incr hot_total;
-          (match Resource_manager.translate rm ~vaddr:(vpage * page) with
-          | Some (node, _) when node < cfg.fast_nodes ->
-              incr fetch_fast;
-              if hot then incr hot_fast
-          | _ -> ());
-          !seg_fill i vpage);
-      Runtime.set_on_evict rt (fun ~vpage ~dirty ->
-          Heat.touch heats.(i) ~vpage ~weight:1 ~now:(Runtime.elapsed_ns rt);
-          if i = 0 && dirty then !seg_recall vpage))
-    runtimes;
-  (* -------- migration machinery -------- *)
-  let flush_all_logs () = Array.iter Runtime.flush_log runtimes in
-  (* Read one page, preferring the (possibly failed-over) primary and
-     falling back to any live replica; a copy whose lines fail their
-     at-rest CRCs is not a migration source — the scrubber owns it. *)
-  let read_page_bytes ~node ~addr =
-    let try_store s =
-      if not (Memory_node.alive s) then None
-      else if Memory_node.verify_range s ~addr ~len:page <> [] then None
+      Runtime.set_on_fetch rt (on_fetch e i);
+      Runtime.set_on_evict rt (on_evict e i))
+    e.runtimes;
+  register_telemetry e;
+  e
+
+(* -------- deterministic interleaved replay -------- *)
+
+let exec_step e i = function
+  | App ev -> Runtime.sink e.runtimes.(i) ev
+  | Shared_write k ->
+      e.shared_writes <- e.shared_writes + 1;
+      let p = k mod e.seg_pages in
+      if e.mw_w > 1 then
+        ignore
+          (shared_access e ~tenant:i ~line:(p * Units.lines_per_page)
+             ~write:true ~payload:(Some (payload_char k)))
+      else begin
+        Bytes.fill e.seg (p * page) Units.cache_line (payload_char k);
+        Runtime.sink e.runtimes.(i)
+          (Access.write ~addr:(shared_base + (p * page)) ~len:Units.cache_line);
+        Directory.on_fill ~sharer:0 e.rack_dir ~line:p ~write:true
+      end
+  | Shared_read k ->
+      e.shared_reads <- e.shared_reads + 1;
+      let p = k mod e.seg_pages in
+      if e.mw_w > 1 then
+        ignore
+          (shared_access e ~tenant:i ~line:(p * Units.lines_per_page)
+             ~write:false ~payload:None)
       else
-        match Memory_node.peek s ~addr ~len:page with
-        | data -> Some data
-        | exception Memory_node.Crashed _ -> None
-    in
-    match try_store (Rack_controller.node controller ~id:node) with
-    | Some data -> Some data
-    | None -> (
-        match replication with
-        | None -> None
-        | Some r ->
-            List.fold_left
-              (fun acc s -> match acc with Some _ -> acc | None -> try_store s)
-              None
-              (Replication.live_copies r ~controller ~node))
-  in
-  (* Land the page at its new home: primary plus the home's mirrors (at
-     the same offset), so post-move CL-log replication stays coherent.
-     Reserves bypass the controller's quota path on purpose — migration
-     relocates a tenant's bytes, it doesn't grant more. *)
-  let place_page ~dst ~data =
-    let store = Rack_controller.node controller ~id:dst in
-    if (not (Memory_node.alive store)) || Memory_node.free_bytes store < page
-    then None
-    else begin
-      let addr = Memory_node.reserve store ~size:page in
-      Memory_node.write store ~addr ~data;
-      (match replication with
-      | Some r ->
-          List.iter
-            (fun m -> if Memory_node.alive m then Memory_node.write m ~addr ~data)
-            (Replication.targets r ~node:dst)
-      | None -> ());
-      Some addr
-    end
-  in
-  let page_infos ~now =
-    let acc = ref [] in
-    Array.iteri
-      (fun i rt ->
-        Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-          (fun ~vpage ~node ~remote_addr:_ ->
-            if not (in_seg_range vpage) then
-              acc :=
-                {
-                  Placement_policy.pi_vpage = vpage;
-                  pi_tenant = i;
-                  pi_node = node;
-                  pi_heat = Heat.heat heats.(i) ~vpage ~now;
-                }
-                :: !acc))
-      runtimes;
-    List.sort
-      (fun a b ->
-        if a.Placement_policy.pi_heat <> b.Placement_policy.pi_heat then
-          compare b.Placement_policy.pi_heat a.Placement_policy.pi_heat
-        else
-          compare
-            (a.Placement_policy.pi_tenant, a.Placement_policy.pi_vpage)
-            (b.Placement_policy.pi_tenant, b.Placement_policy.pi_vpage))
-      !acc
-  in
-  let charge ~node ~bytes ~now = Wfq.admit wfq.(node) ~tenant:n ~bytes ~now in
-  let move_page mv =
-    let { Placement_policy.mv_tenant = ti; mv_vpage = vpage; mv_dst = dst } =
-      mv
-    in
-    if in_seg_range vpage then None
-    else
-      let rt = runtimes.(ti) in
-      let rm = Runtime.resource_manager rt in
-      match Resource_manager.translate rm ~vaddr:(vpage * page) with
-      | None -> None
-      | Some (src, _) when src = dst -> None
-      | Some (src, src_addr) -> (
-          match read_page_bytes ~node:src ~addr:src_addr with
-          | None -> None
-          | Some data -> (
-              match place_page ~dst ~data with
-              | None -> None
-              | Some dst_addr ->
-                  Runtime.remap_page rt ~vpage ~node:dst ~remote_addr:dst_addr;
-                  Some src))
-  in
-  let migrator =
-    Migrator.create ~policy ~epoch_ns:cfg.migrate_epoch_ns
-      ~budget:cfg.migrate_budget ~page_bytes:page
-      {
-        Migrator.nodes = node_infos;
-        pages = page_infos;
-        flush_logs = flush_all_logs;
-        move_page;
-        charge;
-      }
-  in
-  (* -------- scheduled rack ops: add / drain / rebalance -------- *)
-  let op_moves = ref 0 and op_failed = ref 0 in
-  let drained_pages = ref 0 and drain_failures = ref 0 in
-  let ops_applied = ref 0 in
-  let exec_add ~capacity =
-    (* Every node id needs its WFQ slot (pre-created from [cfg.ops] adds
-       plus [extra_node_slots]); an add past the last slot is refused. *)
-    if !node_count < max_nodes then begin
-      let id = !node_count in
-      Rack_controller.register_node controller
-        (Memory_node.create ~id ~capacity);
-      incr node_count;
-      (* satellite 1: ids are minted by the controller's registry (this
-         [id] is [!node_count], disjoint from failover's fresh-mirror ids
-         minted via [Rack_controller.mint_backing_id]); the membership
-         authority starts leasing the new node immediately *)
-      Runtime.track_node runtimes.(0) ~id
-    end
-  in
-  (* Most-free live non-draining node (node_infos ascending: ties break
-     toward the lower id). *)
-  let choose_rehome () =
-    List.fold_left
-      (fun best ni ->
-        if ni.Placement_policy.ni_draining || ni.Placement_policy.ni_free < page
-        then best
-        else
-          match best with
-          | None -> Some ni
-          | Some b ->
-              if ni.Placement_policy.ni_free > b.Placement_policy.ni_free then
-                Some ni
-              else best)
-      None (node_infos ())
-  in
-  (* Re-home one drain victim now; [false] only when the victim was
-     already moved out from under us (migration or an earlier overlapping
-     drain) — neither a drained page nor a failure. *)
-  let drain_one ~now id (_, vpage, addr) =
-    let still_homed =
-      Array.exists
-        (fun rt ->
-          match
-            Resource_manager.translate
-              (Runtime.resource_manager rt)
-              ~vaddr:(vpage * page)
-          with
-          | Some (node', addr') -> node' = id && addr' = addr
-          | None -> false)
-        runtimes
-    in
-    if not still_homed then false
-    else begin
-      (match read_page_bytes ~node:id ~addr with
-      | None -> incr drain_failures
-      | Some data -> (
-          match choose_rehome () with
-          | None -> incr drain_failures
-          | Some ni -> (
-              let dst = ni.Placement_policy.ni_node in
-              match place_page ~dst ~data with
-              | None -> incr drain_failures
-              | Some dst_addr ->
-                  (* retarget the owner and every foreign mapping that
-                     still points at the drained copy *)
-                  Array.iter
-                    (fun rt ->
-                      let rm = Runtime.resource_manager rt in
-                      match
-                        Resource_manager.translate rm ~vaddr:(vpage * page)
-                      with
-                      | Some (node', addr') when node' = id && addr' = addr ->
-                          Resource_manager.remap_page rm ~vpage ~node:dst
-                            ~remote_addr:dst_addr
-                      | _ -> ())
-                    runtimes;
-                  incr drained_pages;
-                  ignore (charge ~node:id ~bytes:page ~now);
-                  ignore (charge ~node:dst ~bytes:page ~now))));
-      true
-    end
-  in
-  let drain_pages_per_step = 16 in
-  let exec_drain ~now:_ id =
-    let name = Printf.sprintf "drain:%d" id in
-    (* an overlapping drain of the same node would double-move the pages
-       the pending task hasn't reached yet *)
-    if not (List.mem name (Recovery.pending rack_recovery)) then begin
-      Rack_controller.set_draining controller ~id true;
-      flush_all_logs ();
-      (* Every owned page still homed on the node; a crashed-and-failed-
-         over node drains from its promoted mirror (the controller's
-         backing for [id]), or any live replica.  Victims are frozen now;
-         each step revalidates its batch against the live translations. *)
-      let victims = ref [] in
-      Array.iteri
-        (fun i rt ->
-          Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-            (fun ~vpage ~node ~remote_addr ->
-              if node = id then victims := (i, vpage, remote_addr) :: !victims))
-        runtimes;
-      let todo = ref (List.sort compare !victims) in
-      ignore
-        (Recovery.enqueue rack_recovery ~name (fun ~now ->
-             if !todo = [] then `Done
-             else if
-               (* the drained node is inside a partition window: its pages
-                  are unreadable until the links heal, so the task parks
-                  (resumable, not failed) — [finish] lifts the block along
-                  with the runtimes' own deferred-delivery flush *)
-               (not !partitions_over)
-               && Runtime.partition_active runtimes.(0) ~id
-             then `Again
-             else begin
-               (* fence before copying: lines staged since the previous
-                  step (slices interleave with drain) still target the
-                  old home — ship them so the batch reads fresh bytes,
-                  while evictions of already-re-homed pages translate to
-                  the new home on their own *)
-               flush_all_logs ();
-               let budget = ref drain_pages_per_step in
-               while !budget > 0 && !todo <> [] do
-                 (match !todo with
-                 | [] -> ()
-                 | v :: rest ->
-                     todo := rest;
-                     ignore (drain_one ~now id v));
-                 decr budget
-               done;
-               if !todo = [] then `Done else `Again
-             end))
-    end
-  in
-  let exec_rebalance ~now =
-    flush_all_logs ();
-    let balance = Placement_policy.centralized () in
-    List.iter
-      (fun mv ->
-        match move_page mv with
-        | None -> incr op_failed
-        | Some src ->
-            incr op_moves;
-            ignore (charge ~node:src ~bytes:page ~now);
-            ignore
-              (charge ~node:mv.Placement_policy.mv_dst ~bytes:page ~now))
-      (balance.Placement_policy.plan ~nodes:(node_infos ())
-         ~pages:(page_infos ~now) ~budget:cfg.migrate_budget)
-  in
-  let pending_ops =
-    ref
-      (List.stable_sort
-         (fun a b -> compare a.Rack_ops.at_ns b.Rack_ops.at_ns)
-         cfg.ops)
-  in
-  let fire_ops ~now =
-    match !pending_ops with
-    | [] -> ()
-    | _ ->
-        let due, rest =
-          List.partition (fun c -> c.Rack_ops.at_ns <= now) !pending_ops
-        in
-        pending_ops := rest;
-        List.iter
-          (fun c ->
-            incr ops_applied;
-            match c.Rack_ops.op with
-            | Rack_ops.Add_node { capacity } ->
-                exec_add
-                  ~capacity:(Option.value capacity ~default:cfg.node_capacity)
-            | Rack_ops.Drain { id } -> exec_drain ~now id
-            | Rack_ops.Rebalance -> exec_rebalance ~now)
-          due
-  in
-  (* -------- rack-level telemetry -------- *)
-  let reg = Hub.registry hub in
+        Runtime.sink e.runtimes.(i)
+          (Access.read ~addr:(shared_base + (p * page)) ~len:Units.cache_line)
+
+(* One bounded step of the rack drain queue and of every tenant's
+   recovery queue. *)
+let step_recovery_at e ~now =
+  ignore (Recovery.step e.recovery ~now);
+  Array.iter (fun rt -> ignore (Runtime.step_recovery rt)) e.runtimes
+
+(* One scheduling slice: step the tenant whose virtual clock is furthest
+   behind for up to one quantum, then fire due rack ops and tick the
+   migrator on that tenant's clock — fully deterministic.  Returns the
+   number of accesses consumed; 0 = replay exhausted. *)
+let step e =
+  let best = ref (-1) and best_ns = ref max_int in
   Array.iteri
-    (fun j w ->
-      let labels = [ ("node", string_of_int j) ] in
-      Registry.counter_fn reg ~labels "rack.node.admits" (fun () ->
-          Wfq.total_admits w);
-      Registry.counter_fn reg ~labels "rack.node.saturated_admits" (fun () ->
-          Wfq.saturated_admits w);
-      Registry.gauge_fn reg ~labels "rack.node.peak_backlog_ns" (fun () ->
-          Wfq.peak_backlog_ns w))
-    wfq;
-  Array.iteri
-    (fun i tc ->
-      let labels = [ ("tenant", tc.name) ] in
-      let sum f = Array.fold_left (fun a w -> a + f (Wfq.tenant_stats w ~tenant:i)) 0 wfq in
-      Registry.gauge_fn reg ~labels "rack.tenant.bw_share" (fun () -> tc.bw_share);
-      Registry.counter_fn reg ~labels "rack.tenant.bytes" (fun () ->
-          sum (fun s -> s.Wfq.bytes));
-      Registry.counter_fn reg ~labels "rack.tenant.contended_bytes" (fun () ->
-          sum (fun s -> s.Wfq.contended_bytes));
-      Registry.counter_fn reg ~labels "rack.tenant.delay_ns" (fun () ->
-          sum (fun s -> s.Wfq.delay_ns)))
-    tenants;
-  Registry.counter_fn reg "rack.dir.fills" (fun () -> Directory.fills rack_dir);
-  Registry.counter_fn reg "rack.dir.snoops" (fun () -> Directory.snoops rack_dir);
-  Registry.counter_fn reg "rack.sharer_fills" (fun () -> !sharer_fills);
-  Registry.counter_fn reg "rack.invalidations_sent" (fun () -> !invalidations_sent);
-  Registry.counter_fn reg "rack.shared.writes" (fun () -> !shared_writes);
-  Registry.counter_fn reg "rack.shared.reads" (fun () -> !shared_reads);
-  Registry.counter_fn reg "coherence.handoffs" (fun () ->
-      Directory.handoffs mw_dir);
-  Registry.counter_fn reg "coherence.invalidations" (fun () ->
-      Directory.invalidations mw_dir);
-  Registry.counter_fn reg "coherence.owner_changes" (fun () ->
-      Directory.owner_changes mw_dir);
-  Registry.histogram_ref reg "coherence.recall_ns" recall_hist;
-  let total_moves () = Migrator.migrations migrator + !op_moves in
-  let permille num den = if den = 0 then 0 else num * 1000 / den in
-  Registry.counter_fn reg "placement.migrations" (fun () -> total_moves ());
-  Registry.counter_fn reg "placement.bytes_moved" (fun () ->
-      Migrator.bytes_moved migrator + ((!op_moves + !drained_pages) * page));
-  Registry.counter_fn reg "placement.failed_moves" (fun () ->
-      Migrator.failed migrator + !op_failed);
-  Registry.counter_fn reg "placement.remaps" (fun () ->
-      Array.fold_left
-        (fun a rt -> a + Resource_manager.remaps (Runtime.resource_manager rt))
-        0 runtimes);
-  Registry.counter_fn reg "placement.fetches" (fun () -> !fetch_total);
-  Registry.counter_fn reg "placement.fetches_fast" (fun () -> !fetch_fast);
-  (* permille of demand fetches served by the slow tier — the number the
-     heat policy exists to push down *)
-  Registry.gauge_fn reg "placement.remote_hit_ratio" (fun () ->
-      permille (!fetch_total - !fetch_fast) !fetch_total);
-  Registry.gauge_fn reg "placement.hot_hit_ratio" (fun () ->
-      permille !hot_fast !hot_total);
-  Registry.counter_fn reg "placement.drained_pages" (fun () -> !drained_pages);
-  Registry.counter_fn reg "placement.drain_failures" (fun () ->
-      !drain_failures);
-  Registry.counter_fn reg "placement.ops_applied" (fun () -> !ops_applied);
-  (* -------- weave synthetic shared ops into each tenant's trace -------- *)
-  let steps =
-    Array.mapi
-      (fun i trace ->
-        let len = Array.length trace in
-        if cfg.shared_pages = 0 || cfg.shared_ops = 0 || len = 0 || n < 2 then
-          Array.map (fun e -> App e) trace
-        else begin
-          let stride = max 1 (len / cfg.shared_ops) in
-          let out = ref [] and k = ref 0 in
-          Array.iteri
-            (fun j e ->
-              out := App e :: !out;
-              if (j + 1) mod stride = 0 && !k < cfg.shared_ops then begin
-                (* op k's writer rotates over the first [mw_w] tenants;
-                   with one writer this is exactly the historical
-                   publisher/reader weave *)
-                out :=
-                  (if !k mod mw_w = i then Shared_write !k else Shared_read !k)
-                  :: !out;
-                incr k
-              end)
-            trace;
-          Array.of_list (List.rev !out)
-        end)
-      traces
-  in
-  (* -------- deterministic interleaved replay -------- *)
-  let exec_step i = function
-    | App ev -> Runtime.sink runtimes.(i) ev
-    | Shared_write k ->
-        incr shared_writes;
-        let p = k mod !seg_pages in
-        if mw_w > 1 then
-          ignore
-            (shared_access ~tenant:i ~line:(p * Units.lines_per_page)
-               ~write:true ~payload:(Some (payload_char k)))
-        else begin
-          Bytes.fill !seg (p * page) Units.cache_line (payload_char k);
-          Runtime.sink runtimes.(i)
-            (Access.write ~addr:(shared_base + (p * page)) ~len:Units.cache_line);
-          Directory.on_fill ~sharer:0 rack_dir ~line:p ~write:true
+    (fun i rt ->
+      if e.pos.(i) < Array.length e.steps.(i) then begin
+        let ns = Runtime.elapsed_ns rt in
+        if ns < !best_ns then begin
+          best := i;
+          best_ns := ns
         end
-    | Shared_read k ->
-        incr shared_reads;
-        let p = k mod !seg_pages in
-        if mw_w > 1 then
-          ignore
-            (shared_access ~tenant:i ~line:(p * Units.lines_per_page)
-               ~write:false ~payload:None)
-        else
-          Runtime.sink runtimes.(i)
-            (Access.read ~addr:(shared_base + (p * page)) ~len:Units.cache_line)
-  in
-  let lens = Array.map Array.length steps in
-  let pos = Array.make n 0 in
-  let remaining = ref (Array.fold_left ( + ) 0 lens) in
-  (* One scheduling slice: step the tenant whose virtual clock is
-     furthest behind for up to one quantum, then fire due rack ops and
-     tick the migrator on that tenant's clock — fully deterministic.
-     Returns the number of accesses consumed; 0 = replay exhausted. *)
-  let step () =
-    if !remaining <= 0 then 0
-    else begin
-      let best = ref (-1) and best_ns = ref max_int in
-      for i = 0 to n - 1 do
-        if pos.(i) < lens.(i) then begin
-          let e = Runtime.elapsed_ns runtimes.(i) in
-          if e < !best_ns then begin
-            best := i;
-            best_ns := e
-          end
-        end
-      done;
-      let i = !best in
-      let budget = ref cfg.quantum in
-      let consumed = ref 0 in
-      while !budget > 0 && pos.(i) < lens.(i) do
-        exec_step i steps.(i).(pos.(i));
-        pos.(i) <- pos.(i) + 1;
-        decr budget;
-        decr remaining;
-        incr consumed
-      done;
-      let now = Runtime.elapsed_ns runtimes.(i) in
-      fire_ops ~now;
-      Migrator.tick migrator ~now;
-      (* one bounded recovery step per slice: the rack's drain re-homing
-         and each tenant's failover/re-replication tasks make progress
-         even for tenants whose replay is already exhausted (their own
-         fault polls have stopped) *)
-      ignore (Recovery.step rack_recovery ~now);
-      Array.iter (fun rt -> ignore (Runtime.step_recovery rt)) runtimes;
-      !consumed
-    end
-  in
-  (* -------- per-tenant divergence oracle and results -------- *)
-  let tenant_result i =
-    let tc = tenants.(i) in
-    let rt = runtimes.(i) in
-    let heap = heaps.(i) in
-    let unrepairable = Runtime.unrepairable_pages rt in
-    let mismatches = ref 0 and lost = ref 0 in
-    Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-      (fun ~vpage ~node ~remote_addr ->
-        let base = vpage * page in
-        let private_page =
-          base + page <= Heap.capacity heap
-          && not (Heap.page_poked heap ~page:vpage)
-        in
-        if (private_page || in_seg vpage) && not (List.mem vpage unrepairable)
-        then
-          match
-            Memory_node.peek
-              (Rack_controller.node controller ~id:node)
-              ~addr:remote_addr ~len:page
-          with
-          | remote ->
-              if remote <> read_locals.(i) ~addr:base ~len:page then
-                incr mismatches
-          | exception Memory_node.Crashed _ -> incr lost);
-    let stats_sum f =
-      Array.fold_left (fun a w -> a + f (Wfq.tenant_stats w ~tenant:i)) 0 wfq
+      end)
+    e.runtimes;
+  let i = !best in
+  if i < 0 then 0
+  else begin
+    let consumed =
+      min e.cfg.quantum (Array.length e.steps.(i) - e.pos.(i))
     in
-    let contended_bytes = stats_sum (fun s -> s.Wfq.contended_bytes) in
-    let contended_ns = stats_sum (fun s -> s.Wfq.contended_ns) in
-    let snap =
-      Registry.snapshot
-        (Registry.scoped (Hub.registry hub)
-           ~prefix:(Printf.sprintf "tenant.%d." i))
-    in
-    {
-      t_cfg = tc;
-      t_accesses = lens.(i);
-      t_app_ns = Runtime.app_ns rt;
-      t_bg_ns = Runtime.bg_ns rt;
-      t_elapsed_ns = Runtime.elapsed_ns rt;
-      t_admitted_bytes = stats_sum (fun s -> s.Wfq.bytes);
-      t_contended_bytes = contended_bytes;
-      t_delay_ns = stats_sum (fun s -> s.Wfq.delay_ns);
-      t_achieved_gbps =
-        (if contended_ns = 0 then 0.0
-         else 8.0 *. float_of_int contended_bytes /. float_of_int contended_ns);
-      t_invalidations = Runtime.invalidations_received rt;
-      t_mismatches = !mismatches;
-      t_lost_pages = !lost;
-      t_degraded = Runtime.degraded rt;
-      t_fingerprint = Json.to_string (Snapshot.to_json snap);
-      t_snapshot = snap;
-    }
-  in
-  let finished = ref None in
-  let finish () =
-    match !finished with
-    | Some r -> r
-    | None ->
-        (* every partition window is over by msync time: the runtimes'
-           drains flush their deferred deliveries, and the rack drain
-           tasks stop parking on partitioned sources *)
-        partitions_over := true;
-        Array.iter Runtime.drain runtimes;
-        (* ops scheduled past the last replayed access still run (a drain
-           must re-home its pages no matter how short the workload was) *)
-        fire_ops ~now:max_int;
-        (* pump the rack recovery queue dry: a drain interrupted by a
-           crash or partition mid-run completes here, after the fault *)
-        let final_now =
-          Array.fold_left (fun a rt -> max a (Runtime.elapsed_ns rt)) 0 runtimes
-        in
-        let rec pump () =
-          match Recovery.step rack_recovery ~now:final_now with
-          | `Idle -> ()
-          | `Stepped _ | `Finished _ -> pump ()
-        in
-        pump ();
-        let r_tenants = Array.init n tenant_result in
-        let r =
-          {
-            r_tenants;
-            r_elapsed_ns =
-              Array.fold_left (fun a r -> max a r.t_elapsed_ns) 0 r_tenants;
-            r_total_admits =
-              Array.fold_left (fun a w -> a + Wfq.total_admits w) 0 wfq;
-            r_saturated_admits =
-              Array.fold_left (fun a w -> a + Wfq.saturated_admits w) 0 wfq;
-            r_snoops = Directory.snoops rack_dir;
-            r_invalidations_sent = !invalidations_sent;
-            r_shared_writes = !shared_writes;
-            r_shared_reads = !shared_reads;
-            r_handoffs = Directory.handoffs mw_dir;
-            r_owner_changes = Directory.owner_changes mw_dir;
-            r_coh_invalidations = Directory.invalidations mw_dir;
-            r_node_crashes =
-              Array.fold_left (fun a rt -> a + Runtime.node_crashes rt) 0 runtimes;
-            r_policy = policy.Placement_policy.name;
-            r_migrations = Migrator.migrations migrator + !op_moves;
-            r_bytes_moved =
-              Migrator.bytes_moved migrator + ((!op_moves + !drained_pages) * page);
-            r_failed_moves = Migrator.failed migrator + !op_failed;
-            r_migrator_delay_ns = Migrator.charged_ns migrator;
-            r_fetches = !fetch_total;
-            r_fetches_fast = !fetch_fast;
-            r_remote_hit_pml =
-              (if !fetch_total = 0 then 0
-               else (!fetch_total - !fetch_fast) * 1000 / !fetch_total);
-            r_hot_hit_pml =
-              (if !hot_total = 0 then 0 else !hot_fast * 1000 / !hot_total);
-            r_drained_pages = !drained_pages;
-            r_drain_failures = !drain_failures;
-            r_ops_applied = !ops_applied;
-            r_snapshot = Hub.snapshot hub;
-          }
-        in
-        finished := Some r;
-        r
-  in
-  let engine_now () =
-    Array.fold_left (fun a rt -> max a (Runtime.elapsed_ns rt)) 0 runtimes
-  in
-  (* Immediate op application for the scenario engine: same executors the
-     scheduled-op calendar uses, run at the rack's current virtual time.
-     Invalid targets (unknown drain id, add past the last WFQ slot) are
-     quietly refused so randomly generated sequences stay total. *)
-  let apply_now op =
-    let now = engine_now () in
-    match op with
-    | Rack_ops.Add_node { capacity } ->
-        if !node_count < max_nodes then begin
-          incr ops_applied;
-          exec_add ~capacity:(Option.value capacity ~default:cfg.node_capacity)
-        end
-    | Rack_ops.Drain { id } ->
-        if id >= 0 && id < !node_count then begin
-          incr ops_applied;
-          exec_drain ~now id
-        end
-    | Rack_ops.Rebalance ->
-        incr ops_applied;
-        exec_rebalance ~now
-  in
-  (* Synthetic shared-segment rounds past the woven ones: ids continue
-     where the weave stopped so payload bytes never repeat. *)
-  let shared_k = ref cfg.shared_ops in
-  let shared_round () =
-    if !seg_pages > 0 then begin
-      let k = !shared_k in
-      incr shared_k;
-      exec_step 0 (Shared_write k);
-      for i = 1 to n - 1 do
-        exec_step i (Shared_read k)
-      done
-    end
-  in
-  (* One multi-writer round: op ids share the [shared_k] sequence so
-     payload bytes never collide with woven or single-writer rounds; the
-     writer rotates over the first [mw_w] tenants, everyone else reads the
-     same line — by construction an ownership ping-pong. *)
-  let mw_round () =
-    if !seg_pages > 0 then begin
-      let k = !shared_k in
-      incr shared_k;
-      let writer = k mod mw_w in
-      let line = k mod !seg_pages * Units.lines_per_page in
-      incr shared_writes;
-      ignore
-        (shared_access ~tenant:writer ~line ~write:true
-           ~payload:(Some (payload_char k)));
-      for i = 0 to n - 1 do
-        if i <> writer then begin
-          incr shared_reads;
-          ignore (shared_access ~tenant:i ~line ~write:false ~payload:None)
-        end
-      done
-    end
-  in
-  (* The single-owner-per-line invariant: the MSI home table must be
-     internally coherent and never grant ownership to a non-tenant. *)
-  let coherence_audit () =
-    let bad = ref (Directory.audit mw_dir) in
-    for line = 0 to (!seg_pages * Units.lines_per_page) - 1 do
-      match Directory.owner mw_dir ~line with
-      | Some o when o < 0 || o >= n ->
-          bad :=
-            Printf.sprintf "line %d: owner %d is not a tenant" line o :: !bad
-      | _ -> ()
+    for _ = 1 to consumed do
+      exec_step e i e.steps.(i).(e.pos.(i));
+      e.pos.(i) <- e.pos.(i) + 1
     done;
-    List.sort compare !bad
-  in
-  (* readers-observe-last-write: after draining, every readable shared
-     page's remote bytes must equal the last-writer-wins image ([!seg],
-     maintained under the deterministic replay's total order).  Pages made
-     unrepairable by an armed bit-flip, or homed on a crashed node with no
-     live copy, are the integrity/fault oracles' business, not this one's. *)
-  let shared_divergence () =
-    if !seg_pages = 0 then 0
-    else begin
-      let unrepairable =
-        Array.fold_left
-          (fun acc rt -> Runtime.unrepairable_pages rt @ acc)
-          [] runtimes
+    let now = Runtime.elapsed_ns e.runtimes.(i) in
+    fire_ops e ~now;
+    Migrator.tick (migrator e) ~now;
+    (* one bounded recovery step per slice: the rack's drain re-homing
+       and each tenant's failover/re-replication tasks make progress even
+       for tenants whose replay is already exhausted (their own fault
+       polls have stopped) *)
+    step_recovery_at e ~now;
+    consumed
+  end
+
+(* -------- per-tenant divergence oracle and results -------- *)
+
+let tenant_result e i =
+  let rt = e.runtimes.(i) in
+  let heap = e.heaps.(i) in
+  let unrepairable = Runtime.unrepairable_pages rt in
+  let mismatches = ref 0 and lost = ref 0 in
+  Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
+    (fun ~vpage ~node ~remote_addr ->
+      let base = vpage * page in
+      let private_page =
+        base + page <= Heap.capacity heap
+        && not (Heap.page_poked heap ~page:vpage)
       in
-      let rm0 = Runtime.resource_manager runtimes.(0) in
-      let bad = ref 0 in
-      for p = 0 to !seg_pages - 1 do
-        let vpage = seg_first + p in
-        if not (List.mem vpage unrepairable) then
-          match Resource_manager.translate rm0 ~vaddr:(vpage * page) with
-          | None -> ()
-          | Some (node, addr) -> (
-              match
-                Memory_node.peek
-                  (Rack_controller.node controller ~id:node)
-                  ~addr ~len:page
-              with
-              | remote ->
-                  if remote <> Bytes.sub_string !seg (p * page) page then
-                    incr bad
-              | exception Memory_node.Crashed _ -> ())
-      done;
-      !bad
-    end
+      if (private_page || in_seg e vpage) && not (List.mem vpage unrepairable)
+      then
+        match
+          Memory_node.peek
+            (Rack_controller.node e.controller ~id:node)
+            ~addr:remote_addr ~len:page
+        with
+        | remote ->
+            if remote <> read_local e i ~addr:base ~len:page then
+              incr mismatches
+        | exception Memory_node.Crashed _ -> incr lost);
+  let stats_sum = tenant_sum e i in
+  let contended_bytes = stats_sum (fun s -> s.Wfq.contended_bytes) in
+  let contended_ns = stats_sum (fun s -> s.Wfq.contended_ns) in
+  let snap =
+    Registry.snapshot
+      (Registry.scoped (Hub.registry e.hub)
+         ~prefix:(Printf.sprintf "tenant.%d." i))
   in
   {
-    e_tenants = tenants;
-    e_controller = controller;
-    e_runtimes = runtimes;
-    e_wfq = wfq;
-    e_weights = weights;
-    e_node_count = node_count;
-    e_fast_nodes = cfg.fast_nodes;
-    e_drained_pages = drained_pages;
-    e_drain_failures = drain_failures;
-    e_recovery = rack_recovery;
-    e_now = engine_now;
-    e_step = step;
-    e_finish = finish;
-    e_apply = apply_now;
-    e_publish = publish;
-    e_shared_round = shared_round;
-    e_shared_access =
-      (fun ~tenant ~line ~write ~payload ->
-        if shared_access ~tenant ~line ~write ~payload then
-          if write then incr shared_writes else incr shared_reads);
-    e_mw_round = mw_round;
-    e_enable_mw = enable_mw_coherence;
-    e_mw_dir = mw_dir;
-    e_coherence_audit = coherence_audit;
-    e_shared_divergence = shared_divergence;
-    e_flush = flush_all_logs;
-    e_migrate = (fun () -> Migrator.force migrator ~now:(engine_now ()));
+    t_cfg = e.tenants.(i);
+    t_accesses = Array.length e.steps.(i);
+    t_app_ns = Runtime.app_ns rt;
+    t_bg_ns = Runtime.bg_ns rt;
+    t_elapsed_ns = Runtime.elapsed_ns rt;
+    t_admitted_bytes = stats_sum (fun s -> s.Wfq.bytes);
+    t_contended_bytes = contended_bytes;
+    t_delay_ns = stats_sum (fun s -> s.Wfq.delay_ns);
+    t_achieved_gbps =
+      (if contended_ns = 0 then 0.0
+       else 8.0 *. float_of_int contended_bytes /. float_of_int contended_ns);
+    t_invalidations = Runtime.invalidations_received rt;
+    t_mismatches = !mismatches;
+    t_lost_pages = !lost;
+    t_degraded = Runtime.degraded rt;
+    t_fingerprint = Json.to_string (Snapshot.to_json snap);
+    t_snapshot = snap;
   }
 
-let step e = e.e_step ()
-let finish e = e.e_finish ()
-let now_ns e = e.e_now ()
-let apply_op e op = e.e_apply op
-let publish e ~pages = e.e_publish ~pages
-let shared_round e = e.e_shared_round ()
+let finish e =
+  match e.finished with
+  | Some r -> r
+  | None ->
+      (* every partition window is over by msync time: the runtimes'
+         drains flush their deferred deliveries, and the rack drain tasks
+         stop parking on partitioned sources *)
+      e.partitions_over <- true;
+      Array.iter Runtime.drain e.runtimes;
+      (* ops scheduled past the last replayed access still run (a drain
+         must re-home its pages no matter how short the workload was) *)
+      fire_ops e ~now:max_int;
+      (* pump the rack recovery queue dry: a drain interrupted by a crash
+         or partition mid-run completes here, after the fault *)
+      let final_now = now_ns e in
+      let rec pump () =
+        match Recovery.step e.recovery ~now:final_now with
+        | `Idle -> ()
+        | `Stepped _ | `Finished _ -> pump ()
+      in
+      pump ();
+      let r_tenants = Array.init (tenant_count e) (tenant_result e) in
+      let m = migrator e in
+      let r =
+        {
+          r_tenants;
+          r_elapsed_ns =
+            Array.fold_left (fun a r -> max a r.t_elapsed_ns) 0 r_tenants;
+          r_total_admits = wfq_sum e Wfq.total_admits;
+          r_saturated_admits = wfq_sum e Wfq.saturated_admits;
+          r_snoops = Directory.snoops e.rack_dir;
+          r_invalidations_sent = e.invalidations_sent;
+          r_shared_writes = e.shared_writes;
+          r_shared_reads = e.shared_reads;
+          r_handoffs = Directory.handoffs e.mw_dir;
+          r_owner_changes = Directory.owner_changes e.mw_dir;
+          r_coh_invalidations = Directory.invalidations e.mw_dir;
+          r_node_crashes =
+            Array.fold_left
+              (fun a rt -> a + Runtime.node_crashes rt)
+              0 e.runtimes;
+          r_policy = e.placement.Placement_policy.name;
+          r_migrations = total_moves e;
+          r_bytes_moved = bytes_moved e;
+          r_failed_moves = failed_moves e;
+          r_migrator_delay_ns = Migrator.charged_ns m;
+          r_fetches = e.fetch_total;
+          r_fetches_fast = e.fetch_fast;
+          r_remote_hit_pml =
+            permille (e.fetch_total - e.fetch_fast) e.fetch_total;
+          r_hot_hit_pml = permille e.hot_fast e.hot_total;
+          r_drained_pages = e.drained_pages;
+          r_drain_failures = e.drain_failures;
+          r_ops_applied = e.ops_applied;
+          r_snapshot = Hub.snapshot e.hub;
+        }
+      in
+      e.finished <- Some r;
+      r
+
+(* -------- op adapters -------- *)
+
+(* Immediate op application for the scenario engine, at the rack's
+   current virtual time. *)
+let apply_op e op = exec_op e ~now:(now_ns e) op
+
+(* Synthetic shared-segment rounds past the woven ones: ids continue
+   where the weave stopped so payload bytes never repeat. *)
+let next_shared_k e =
+  let k = e.shared_k in
+  e.shared_k <- k + 1;
+  k
+
+let shared_round e =
+  if e.seg_pages > 0 then begin
+    let k = next_shared_k e in
+    exec_step e 0 (Shared_write k);
+    for i = 1 to tenant_count e - 1 do
+      exec_step e i (Shared_read k)
+    done
+  end
+
+(* One multi-writer round: op ids share the [shared_k] sequence so
+   payload bytes never collide with woven or single-writer rounds; the
+   writer rotates over the first [mw_w] tenants, everyone else reads the
+   same line — by construction an ownership ping-pong. *)
+let multi_writer_round e =
+  if e.seg_pages > 0 then begin
+    let k = next_shared_k e in
+    let writer = k mod e.mw_w in
+    let line = k mod e.seg_pages * Units.lines_per_page in
+    e.shared_writes <- e.shared_writes + 1;
+    ignore
+      (shared_access e ~tenant:writer ~line ~write:true
+         ~payload:(Some (payload_char k)));
+    for i = 0 to tenant_count e - 1 do
+      if i <> writer then begin
+        e.shared_reads <- e.shared_reads + 1;
+        ignore (shared_access e ~tenant:i ~line ~write:false ~payload:None)
+      end
+    done
+  end
 
 let shared_line_write e ~tenant ~line ~payload =
-  e.e_shared_access ~tenant ~line ~write:true ~payload:(Some payload)
+  if shared_access e ~tenant ~line ~write:true ~payload:(Some payload) then
+    e.shared_writes <- e.shared_writes + 1
 
 let shared_line_read e ~tenant ~line =
-  e.e_shared_access ~tenant ~line ~write:false ~payload:None
+  if shared_access e ~tenant ~line ~write:false ~payload:None then
+    e.shared_reads <- e.shared_reads + 1
 
-let multi_writer_round e = e.e_mw_round ()
-let enable_multi_writer e = e.e_enable_mw ()
-let coherence_audit e = e.e_coherence_audit ()
-let shared_divergence e = e.e_shared_divergence ()
-let shared_owner e ~line = Directory.owner e.e_mw_dir ~line
-let shared_handoffs e = Directory.handoffs e.e_mw_dir
-let shared_owner_changes e = Directory.owner_changes e.e_mw_dir
-let shared_invalidations e = Directory.invalidations e.e_mw_dir
-let flush_logs e = e.e_flush ()
-let force_migration e = e.e_migrate ()
-let tenant_count e = Array.length e.e_tenants
-let tenant_cfgs e = e.e_tenants
-let runtime e ~tenant = e.e_runtimes.(tenant)
-let controller e = e.e_controller
-let node_count e = !(e.e_node_count)
-let fast_node_count e = e.e_fast_nodes
-let scheduler e ~node = e.e_wfq.(node)
-let scheduler_weights e = e.e_weights
-let drained_pages e = !(e.e_drained_pages)
-let drain_failures e = !(e.e_drain_failures)
+(* The single-owner-per-line invariant: the MSI home table must be
+   internally coherent and never grant ownership to a non-tenant. *)
+let coherence_audit e =
+  let bad = ref (Directory.audit e.mw_dir) in
+  for line = 0 to (e.seg_pages * Units.lines_per_page) - 1 do
+    match Directory.owner e.mw_dir ~line with
+    | Some o when o < 0 || o >= tenant_count e ->
+        bad := Printf.sprintf "line %d: owner %d is not a tenant" line o :: !bad
+    | _ -> ()
+  done;
+  List.sort compare !bad
+
+(* readers-observe-last-write: after draining, every readable shared
+   page's remote bytes must equal the last-writer-wins image ([e.seg],
+   maintained under the deterministic replay's total order).  Pages made
+   unrepairable by an armed bit-flip, or homed on a crashed node with no
+   live copy, are the integrity/fault oracles' business, not this one's. *)
+let shared_divergence e =
+  let unrepairable =
+    List.concat_map Runtime.unrepairable_pages (Array.to_list e.runtimes)
+  in
+  let bad = ref 0 in
+  for p = 0 to e.seg_pages - 1 do
+    let vpage = seg_first + p in
+    if not (List.mem vpage unrepairable) then
+      match Resource_manager.translate (rm0 e) ~vaddr:(vpage * page) with
+      | None -> ()
+      | Some (node, addr) -> (
+          match
+            Memory_node.peek
+              (Rack_controller.node e.controller ~id:node)
+              ~addr ~len:page
+          with
+          | remote ->
+              if remote <> Bytes.sub_string e.seg (p * page) page then incr bad
+          | exception Memory_node.Crashed _ -> ())
+  done;
+  !bad
+
+let shared_owner e ~line = Directory.owner e.mw_dir ~line
+let shared_handoffs e = Directory.handoffs e.mw_dir
+let shared_invalidations e = Directory.invalidations e.mw_dir
+let force_migration e = Migrator.force (migrator e) ~now:(now_ns e)
+let tenant_cfgs e = e.tenants
+let runtime e ~tenant = e.runtimes.(tenant)
+let controller e = e.controller
+let fast_node_count e = e.cfg.fast_nodes
+let drain_failures e = e.drain_failures
 
 let crash_node e ~id =
   (* The crash rides tenant 0's runtime (same as fault plans): fail-stop
      is rack-global through the shared controller, and tenant 0 runs the
      failover control exchange.  The other tenants' translations retarget
      lazily through the controller's promoted backing. *)
-  if id >= 0 && id < !(e.e_node_count) then
-    Runtime.crash_node e.e_runtimes.(0) ~id
+  if id >= 0 && id < node_count e then Runtime.crash_node e.runtimes.(0) ~id
 
-let arm_fault e clause = Runtime.arm_fault e.e_runtimes.(0) clause
+let arm_fault e clause = Runtime.arm_fault e.runtimes.(0) clause
 
 let flap_links e ~dur_ns =
   (* Every tenant owns a NIC port; a rack-level flap outages them all. *)
@@ -1302,7 +1251,7 @@ let flap_links e ~dur_ns =
       Runtime.arm_fault rt
         (Kona_faults.Fault_spec.Link_flap
            { at_ns = Runtime.elapsed_ns rt; dur_ns }))
-    e.e_runtimes
+    e.runtimes
 
 let partition_nodes e ~dur_ns ~ids =
   (* An asymmetric partition cuts the listed nodes' links to the whole
@@ -1316,33 +1265,29 @@ let partition_nodes e ~dur_ns ~ids =
         Runtime.arm_fault rt
           (Kona_faults.Fault_spec.Partition
              { at_ns = Runtime.elapsed_ns rt; dur_ns; ids }))
-      e.e_runtimes
+      e.runtimes
 
 let recovery_pending e =
-  Recovery.pending e.e_recovery
-  @ List.concat_map Runtime.recovery_pending (Array.to_list e.e_runtimes)
+  Recovery.pending e.recovery
+  @ List.concat_map Runtime.recovery_pending (Array.to_list e.runtimes)
 
 let recovery_idle e = recovery_pending e = []
-
-let step_recovery e =
-  ignore (Recovery.step e.e_recovery ~now:(e.e_now ()));
-  Array.iter (fun rt -> ignore (Runtime.step_recovery rt)) e.e_runtimes
-
-let force_scrub e = Array.iter Runtime.force_scrub e.e_runtimes
+let step_recovery e = step_recovery_at e ~now:(now_ns e)
+let force_scrub e = Array.iter Runtime.force_scrub e.runtimes
 
 let set_tenant_quota e ~tenant ~bytes =
-  if tenant >= 0 && tenant < Array.length e.e_tenants then
-    Rack_controller.set_quota e.e_controller
-      ~tenant:e.e_tenants.(tenant).name ~bytes
+  if tenant >= 0 && tenant < tenant_count e then
+    Rack_controller.set_quota e.controller ~tenant:e.tenants.(tenant).name
+      ~bytes
 
 let tenant_used e ~tenant =
-  if tenant >= 0 && tenant < Array.length e.e_tenants then
-    Rack_controller.tenant_used e.e_controller ~tenant:e.e_tenants.(tenant).name
+  if tenant >= 0 && tenant < tenant_count e then
+    Rack_controller.tenant_used e.controller ~tenant:e.tenants.(tenant).name
   else 0
 
 let run cfg tenants =
   let e = start cfg tenants in
-  while e.e_step () > 0 do
+  while step e > 0 do
     ()
   done;
-  e.e_finish ()
+  finish e

@@ -71,11 +71,9 @@ type config = {
   migrate_share : int;
       (** the migrator's WFQ weight at every node — its copies contend
           with tenant traffic like any other sender *)
-  ops : Rack_ops.t;  (** scheduled add/drain/rebalance operations *)
-  extra_node_slots : int;
-      (** extra pre-created WFQ slots beyond [nodes] plus the adds in
-          [ops], for nodes added mid-run through {!apply_op}; an add with
-          no free slot is refused.  0 (default) for scheduled-ops runs *)
+  ops : Rack_ops.t;
+      (** scheduled add/drain/rebalance operations; a drain must name a
+          node that exists by its firing time *)
   runtime : Kona.Runtime.config;
       (** per-tenant base; the rack overrides [tenant], [stream_base],
           [replicas], [faults] and [fault_seed] per tenant.
@@ -159,9 +157,11 @@ val run : config -> tenant_cfg list -> result
     remote memory must equal the tenant's heap on every backed private
     page, and the shared segment must equal the publisher's view.
 
-    Raises [Invalid_argument] on an empty or misconfigured tenant list
-    and lets {!Kona.Rack_controller.Quota_exceeded} propagate when a
-    tenant overruns its cap.
+    Raises [Invalid_argument] on an empty or misconfigured tenant list,
+    or when a scheduled drain names a node that neither the initial
+    rack nor an earlier add has created.  Lets
+    {!Kona.Rack_controller.Quota_exceeded} propagate when a tenant
+    overruns its cap.
 
     [run] is exactly [start] + [step] to exhaustion + [finish]. *)
 
@@ -174,6 +174,9 @@ val run : config -> tenant_cfg list -> result
     telemetry bit for bit. *)
 
 type engine
+(** The rack's whole state as one record: fabric, runtimes, shared
+    segment, migrator and counters.  Every operation below is a plain
+    function over it. *)
 
 val start : config -> tenant_cfg list -> engine
 (** Build the fabric, record every workload, and pause before the first
@@ -194,9 +197,10 @@ val now_ns : engine -> int
 (** {3 Op adapters} *)
 
 val apply_op : engine -> Rack_ops.op -> unit
-(** Apply an add/drain/rebalance now.  Invalid targets (unknown drain
-    id, add past the last pre-created WFQ slot) are quietly refused so
-    generated op sequences stay total. *)
+(** Apply an add/drain/rebalance now.  An added node gets its WFQ
+    scheduler and [rack.node.*] series at registration.  Only a drain of
+    an unknown node id is refused, quietly, so generated op sequences
+    stay total. *)
 
 val crash_node : engine -> id:int -> unit
 (** Fail-stop node [id] now via tenant 0's runtime — the same failover
@@ -294,7 +298,6 @@ val shared_owner : engine -> line:int -> int option
 (** Current exclusive owner of a shared-segment line, if any. *)
 
 val shared_handoffs : engine -> int
-val shared_owner_changes : engine -> int
 val shared_invalidations : engine -> int
 (** Live MSI-home counters (also exported as [coherence.handoffs] /
     [coherence.owner_changes] / [coherence.invalidations] and the
@@ -318,9 +321,4 @@ val fast_node_count : engine -> int
 val tenant_used : engine -> tenant:int -> int
 (** Bytes currently charged to the tenant at the rack controller. *)
 
-val scheduler : engine -> node:int -> Wfq.t
-val scheduler_weights : engine -> int array
-(** Tenant WFQ weights plus the migrator's slot at index [tenant_count]. *)
-
-val drained_pages : engine -> int
 val drain_failures : engine -> int

@@ -20,7 +20,7 @@ type outcome = {
 let nth_cyclic l i default =
   match l with [] -> default | _ -> List.nth l (i mod List.length l)
 
-let config_of_setup (s : Spec.setup) ~extra_node_slots =
+let config_of_setup (s : Spec.setup) =
   {
     Rack.default_config with
     scale = Workloads.Smoke;
@@ -38,7 +38,6 @@ let config_of_setup (s : Spec.setup) ~extra_node_slots =
     fast_nodes = min s.Spec.fast_nodes s.Spec.nodes;
     slow_extra_ns = s.Spec.slow_extra_ns;
     ops = [];
-    extra_node_slots;
     runtime =
       {
         Runtime.default_config with
@@ -113,11 +112,7 @@ let fingerprint (r : Rack.result) =
   |> Digest.to_hex
 
 let execute ?plant ?(check_end = true) (spec : Spec.t) =
-  let extra_node_slots =
-    List.length
-      (List.filter (function Spec.Add_node _ -> true | _ -> false) spec.Spec.ops)
-  in
-  let config = config_of_setup spec.Spec.setup ~extra_node_slots in
+  let config = config_of_setup spec.Spec.setup in
   let tenants = tenants_of_setup spec.Spec.setup in
   let violations = ref [] in
   let aborted = ref None in

@@ -46,7 +46,8 @@ val execute :
 val passed : outcome -> bool
 (** No invariant violations (aborts still count as passed). *)
 
-val config_of_setup :
-  Spec.setup -> extra_node_slots:int -> Kona_rack.Rack.config
+val config_of_setup : Spec.setup -> Kona_rack.Rack.config
+(** The rack configuration a spec's setup clause describes.  Its [ops]
+    stay empty: {!execute} applies the spec's ops one by one. *)
 
 val tenants_of_setup : Spec.setup -> Kona_rack.Rack.tenant_cfg list

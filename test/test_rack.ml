@@ -341,6 +341,38 @@ let test_placement_add_then_drain () =
   check_int "no drain failures" 0 r.Rack.r_drain_failures;
   check_int "no divergence" 0 (total_mismatches r)
 
+let test_apply_op_add_registers_node () =
+  (* An add with no scheduled ops behind it still registers the node,
+     with its scheduler and rack.node.* series. *)
+  let e = Rack.start (cfg ()) (tenants ()) in
+  Rack.apply_op e (Rack_ops.Add_node { capacity = None });
+  check_int "node 2 registered" 3 (Rack.node_count e);
+  let store = Rack_controller.node (Rack.controller e) ~id:2 in
+  check_int "controller knows node 2"
+    Rack.default_config.Rack.node_capacity
+    (Kona.Memory_node.capacity store);
+  while Rack.step e > 0 do () done;
+  let r = Rack.finish e in
+  check_int "one op applied" 1 r.Rack.r_ops_applied;
+  check_bool "rack.node.admits{node=2} exported" true
+    (Kona_telemetry.Snapshot.counter_value r.Rack.r_snapshot
+       "rack.node.admits{node=2}"
+     <> None);
+  check_int "no divergence" 0 (total_mismatches r)
+
+let test_drain_before_add_rejected () =
+  let start ops =
+    Rack.start { (cfg ()) with Rack.ops = Rack_ops.parse_exn ops } (tenants ())
+  in
+  (match start "drain@1ms:id=2;add@3ms" with
+  | _ -> Alcotest.fail "a drain of node 2 before its add must be rejected"
+  | exception Invalid_argument msg ->
+      check_bool ("names the drain: " ^ msg) true
+        (String.starts_with ~prefix:"Rack.run: drain at 1000000 ns of node 2"
+           msg));
+  (* the same two ops in the other order are fine *)
+  ignore (start "add@1ms;drain@3ms:id=2")
+
 let test_placement_drain_composes_with_failover () =
   (* Node 1 crashes at 2ms (replica failover promotes its mirror), then
      a drain of the same node at 4ms re-homes every page off the
@@ -444,6 +476,10 @@ let () =
             test_placement_determinism_per_policy;
           Alcotest.test_case "drain re-homes" `Quick test_placement_drain_rehomes;
           Alcotest.test_case "add then drain" `Quick test_placement_add_then_drain;
+          Alcotest.test_case "apply_op add registers a node" `Quick
+            test_apply_op_add_registers_node;
+          Alcotest.test_case "drain before its add rejected" `Quick
+            test_drain_before_add_rejected;
           Alcotest.test_case "drain composes with failover" `Quick
             test_placement_drain_composes_with_failover;
           Alcotest.test_case "migration conserves quota" `Quick
