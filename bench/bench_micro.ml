@@ -8,6 +8,8 @@ open Bechamel
 open Toolkit
 module Units = Kona_util.Units
 module Bitmap = Kona_util.Bitmap
+module Crc32c = Kona_util.Crc32c
+module Checksums = Kona_integrity.Checksums
 module Rng = Kona_util.Rng
 module Cache = Kona_cachesim.Cache
 module Heap = Kona_workloads.Heap
@@ -54,9 +56,33 @@ let test_fmem_lookup =
     (Staged.stage (fun () ->
          ignore (Kona_coherence.Fmem.lookup fmem ~vpage:(Rng.int rng 2048) : bool)))
 
+(* The integrity CRC on its two paths: every CL-log wire CRC and line
+   check digests one 64B line, and a verified fetch or scrub checks a
+   page with [Checksums.corrupt_lines] (64 line digests when every line
+   of the page is recorded). *)
+let page_store =
+  Bytes.init Units.page_size (fun i -> Char.chr ((i * 31) land 0xff))
+
+let test_crc32c_line =
+  Test.make ~name:"crc32c.digest_bytes (64B line)"
+    (Staged.stage (fun () ->
+         ignore
+           (Crc32c.digest_bytes page_store ~pos:0 ~len:Units.cache_line
+             : int)))
+
+let test_corrupt_lines =
+  let sums = Checksums.create ~capacity:Units.page_size in
+  Checksums.record sums ~store:page_store ~addr:0 ~len:Units.page_size;
+  Test.make ~name:"checksums.corrupt_lines (4KiB page)"
+    (Staged.stage (fun () ->
+         ignore
+           (Checksums.corrupt_lines sums ~store:page_store ~addr:0
+              ~len:Units.page_size
+             : int list)))
+
 let tests =
   [ test_bitmap_segments; test_cache_access; test_heap_write; test_kv_set;
-    test_fmem_lookup ]
+    test_fmem_lookup; test_crc32c_line; test_corrupt_lines ]
 
 let run () =
   Report.section "Microbenchmarks (host wall-clock, bechamel)";

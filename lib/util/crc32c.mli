@@ -4,15 +4,19 @@
     detects any single-bit error in its input, so every injected
     [bit-flip] fault is guaranteed-detectable by construction.
 
-    Table-driven software implementation; one 256-entry table, no
-    external dependencies. *)
+    Slicing-by-8 software kernel: each step reads eight bytes as one
+    little-endian word and folds them through eight 256-entry tables
+    (16 KiB, built at module initialisation); a bytewise tail handles
+    the last [len mod 8] bytes.  Pure OCaml, no external dependencies. *)
 
 val digest : string -> int
-(** CRC32C of a whole string (initial value 0, final xor 0xFFFFFFFF,
-    i.e. the standard reflected CRC32C). Result fits in 32 bits. *)
+(** CRC32C of a whole string (initial value 0xFFFFFFFF, final xor
+    0xFFFFFFFF, i.e. the standard reflected CRC32C of RFC 3720).
+    Result fits in 32 bits. *)
 
 val digest_sub : string -> pos:int -> len:int -> int
 (** CRC32C of a substring. Raises [Invalid_argument] when out of range. *)
 
 val digest_bytes : Bytes.t -> pos:int -> len:int -> int
-(** CRC32C of a byte-buffer slice, without copying. *)
+(** CRC32C of a byte-buffer slice, without copying. Raises
+    [Invalid_argument] when out of range. *)

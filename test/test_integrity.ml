@@ -45,6 +45,56 @@ let test_crc32c_bit_sensitivity () =
       Alcotest.failf "bit %d flip left the CRC unchanged" bit
   done
 
+(* Bit-at-a-time CRC32C straight from the polynomial: the specification
+   the table-driven kernel must match. *)
+let reference_crc32c b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      crc :=
+        if !crc land 1 = 1 then (!crc lsr 1) lxor 0x82F63B78 else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+(* Unaligned starts and every tail length mod 8, with slack bytes after
+   the slice so it does not always end at the buffer's end. *)
+let prop_crc32c_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_bound 15 >>= fun pos ->
+      int_bound 300 >>= fun len ->
+      int_bound 7 >>= fun slack ->
+      map (fun s -> (pos, len, s)) (string_size (return (pos + len + slack))))
+  in
+  QCheck.Test.make ~name:"slices match bitwise reference" ~count:500
+    (QCheck.make
+       ~print:(fun (pos, len, s) ->
+         Printf.sprintf "pos=%d len=%d %S" pos len s)
+       gen)
+    (fun (pos, len, s) ->
+      let expect = reference_crc32c (Bytes.of_string s) ~pos ~len in
+      Crc32c.digest_bytes (Bytes.of_string s) ~pos ~len = expect
+      && Crc32c.digest_sub s ~pos ~len = expect)
+
+let test_crc32c_out_of_range () =
+  let s = String.make 32 'x' in
+  let raises name f =
+    check_bool name true
+      (try
+         ignore (f () : int);
+         false
+       with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun (pos, len) ->
+      raises (Printf.sprintf "digest_sub pos=%d len=%d" pos len) (fun () ->
+          Crc32c.digest_sub s ~pos ~len);
+      raises (Printf.sprintf "digest_bytes pos=%d len=%d" pos len) (fun () ->
+          Crc32c.digest_bytes (Bytes.of_string s) ~pos ~len))
+    [ (-1, 4); (0, -1); (0, 33); (29, 4); (33, 0); (max_int, 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Checksums *)
 
@@ -72,6 +122,44 @@ let test_checksums_record_verify () =
   Checksums.record chk ~store ~addr:128 ~len:64;
   check_int "re-record clears" 0
     (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512))
+
+(* corrupt_lines against a per-line oracle on a 64-line store, with
+   sparse recorded sets and query ranges at arbitrary byte offsets (so
+   they start and end inside a line).  The oracle list is ascending and
+   line-aligned by construction. *)
+let prop_corrupt_lines_matches_oracle =
+  let store_bytes = 64 * Units.cache_line in
+  QCheck.Test.make ~name:"corrupt_lines = per-line oracle" ~count:300
+    QCheck.(
+      quad
+        (list_of_size Gen.(0 -- 24) (int_bound 63))
+        (list_of_size
+           Gen.(0 -- 8)
+           (pair (int_bound (store_bytes - 1)) (int_bound 255)))
+        (int_bound (store_bytes - 1))
+        (int_bound (store_bytes - 1)))
+    (fun (recorded, writes, addr, len) ->
+      let len = 1 + (len mod (store_bytes - addr)) in
+      let store =
+        Bytes.init store_bytes (fun i -> Char.chr (((i * 131) + 17) land 0xff))
+      in
+      let chk = Checksums.create ~capacity:store_bytes in
+      List.iter
+        (fun line ->
+          Checksums.record chk ~store ~addr:(line * Units.cache_line)
+            ~len:Units.cache_line)
+        recorded;
+      List.iter (fun (pos, c) -> Bytes.set store pos (Char.chr c)) writes;
+      let first = addr / Units.cache_line
+      and last = (addr + len - 1) / Units.cache_line in
+      let oracle =
+        List.init (last - first + 1) (fun i -> first + i)
+        |> List.filter (fun line ->
+               Checksums.recorded chk ~line
+               && not (Checksums.line_ok chk ~store ~line))
+        |> List.map (fun line -> line * Units.cache_line)
+      in
+      Checksums.corrupt_lines chk ~store ~addr ~len = oracle)
 
 (* ------------------------------------------------------------------ *)
 (* Sequencer *)
@@ -300,6 +388,8 @@ let test_integrity_counters_reproducible () =
 
 (* ------------------------------------------------------------------ *)
 
+let prop = QCheck_alcotest.to_alcotest ~long:false
+
 let () =
   Alcotest.run "kona_integrity"
     [
@@ -308,11 +398,15 @@ let () =
           Alcotest.test_case "reference vectors" `Quick test_crc32c_vectors;
           Alcotest.test_case "single-bit sensitivity" `Quick
             test_crc32c_bit_sensitivity;
+          Alcotest.test_case "out-of-range slices raise" `Quick
+            test_crc32c_out_of_range;
+          prop prop_crc32c_matches_reference;
         ] );
       ( "checksums",
         [
           Alcotest.test_case "record and verify" `Quick
             test_checksums_record_verify;
+          prop prop_corrupt_lines_matches_oracle;
         ] );
       ( "sequencer",
         [ Alcotest.test_case "verdicts" `Quick test_sequencer_verdicts ] );
