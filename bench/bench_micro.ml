@@ -12,6 +12,7 @@ module Crc32c = Kona_util.Crc32c
 module Checksums = Kona_integrity.Checksums
 module Rng = Kona_util.Rng
 module Cache = Kona_cachesim.Cache
+module Hierarchy = Kona_cachesim.Hierarchy
 module Heap = Kona_workloads.Heap
 
 let test_bitmap_segments =
@@ -29,6 +30,20 @@ let test_cache_access =
   Test.make ~name:"cache.access (32KB/8-way)"
     (Staged.stage (fun () ->
          ignore (Cache.access cache ~addr:(Rng.int rng 1_000_000) ~write:false)))
+
+(* The eviction snoop on a page with 4 of its 64 lines in the LLC (about
+   what an evicted Redis-Rand page holds): each run writes the 4 lines back
+   in from memory, then [flush_page] recalls them. *)
+let test_flush_page =
+  let h = Hierarchy.create () in
+  let page = 7 in
+  Test.make ~name:"hierarchy: 4 writes + flush_page"
+    (Staged.stage (fun () ->
+         for i = 0 to 3 do
+           let addr = (page * Units.page_size) + (i * Units.cache_line) in
+           ignore (Hierarchy.access_line h ~addr ~write:true : int)
+         done;
+         ignore (Hierarchy.flush_page h ~page : int list)))
 
 let test_heap_write =
   let heap = Heap.create ~capacity:(Units.mib 1) ~sink:Kona_trace.Access.Tap.ignore () in
@@ -81,8 +96,8 @@ let test_corrupt_lines =
              : int list)))
 
 let tests =
-  [ test_bitmap_segments; test_cache_access; test_heap_write; test_kv_set;
-    test_fmem_lookup; test_crc32c_line; test_corrupt_lines ]
+  [ test_bitmap_segments; test_cache_access; test_flush_page; test_heap_write;
+    test_kv_set; test_fmem_lookup; test_crc32c_line; test_corrupt_lines ]
 
 let run () =
   Report.section "Microbenchmarks (host wall-clock, bechamel)";

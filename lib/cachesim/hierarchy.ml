@@ -87,22 +87,19 @@ let access t event =
   Access.iter_lines event (fun line ->
       ignore (access_line t ~addr:(line * Units.cache_line) ~write : int))
 
+(* By inclusion a line the LLC does not hold is in no upper level either, so
+   only the LLC's lines need L1 and L2 flushed.  Walking the page downwards
+   leaves the consed list ascending. *)
 let flush_page t ~page =
   let dirty = ref [] in
-  for i = 0 to Units.lines_per_page - 1 do
+  for i = Units.lines_per_page - 1 downto 0 do
     let addr = (page * Units.page_size) + (i * Units.cache_line) in
-    let d1 =
-      match Cache.flush_block t.l1 ~addr with Some v -> v.Cache.dirty | None -> false
-    in
-    let d2 =
-      match Cache.flush_block t.l2 ~addr with Some v -> v.Cache.dirty | None -> false
-    in
-    let d3 =
-      match Cache.flush_block t.llc ~addr with Some v -> v.Cache.dirty | None -> false
-    in
-    if d1 || d2 || d3 then dirty := addr :: !dirty
+    match Cache.flush_block t.llc ~addr with
+    | None -> ()
+    | Some v ->
+        if (back_invalidate [ t.l2; t.l1 ] v).Cache.dirty then dirty := addr :: !dirty
   done;
-  List.rev !dirty
+  !dirty
 
 let resident_dirty_lines t ~page =
   let dirty = ref [] in

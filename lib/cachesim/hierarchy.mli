@@ -44,8 +44,11 @@ val access_line : t -> addr:int -> write:bool -> int
 val flush_page : t -> page:int -> int list
 (** Invalidate every line of 4KB page index [page] from all levels; returns
     the (64B-aligned) addresses of lines that were dirty anywhere in the
-    hierarchy.  Does NOT invoke [on_writeback]: the caller receives the
-    dirty data directly, as a snoop does. *)
+    hierarchy, in ascending order.  Each line is probed in the LLC first
+    and L1/L2 are searched only when the LLC held it: by inclusion a line
+    absent from the LLC is absent everywhere.  Does NOT invoke
+    [on_writeback]: the caller receives the dirty data directly, as a
+    snoop does. *)
 
 val resident_dirty_lines : t -> page:int -> int list
 (** Dirty lines of [page] without invalidating (diagnostics/tests). *)

@@ -19,7 +19,14 @@
     Shared grant, the Exclusive state of the per-agent MESI reference is
     unreachable here and the directory is exactly the home-side projection
     of {!Protocol} onto MSI (checked by the qcheck property in
-    [test_coherence]). *)
+    [test_coherence]).
+
+    Its users are the rack's: the shared-segment sharer directory
+    ([on_fill ~sharer], [snoop_sharers]) and the multi-writer MSI home
+    ([acquire]).  The single-tenant runtime keeps no instance, since
+    nothing there reads per-line state: its [directory.*] counters are the
+    hierarchy's LLC fills and writebacks and the evictor's snooped dirty
+    lines. *)
 
 type state =
   | Invalid  (** not at the CPU, as far as the agent knows *)

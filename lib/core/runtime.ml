@@ -2,7 +2,6 @@ open Kona_util
 module Access = Kona_trace.Access
 module Hierarchy = Kona_cachesim.Hierarchy
 module Fmem = Kona_coherence.Fmem
-module Directory = Kona_coherence.Directory
 module Nic = Kona_rdma.Nic
 module Qp = Kona_rdma.Qp
 module Rpc = Kona_rdma.Rpc
@@ -125,7 +124,6 @@ type t = {
   controller : Rack_controller.t;
   hierarchy : Hierarchy.t;
   fmem : Fmem.t;
-  directory : Directory.t;
   rm : Resource_manager.t;
   rpc : Rpc.t;
   log : Cl_log.t;
@@ -232,9 +230,9 @@ let register_metrics t reg =
     ];
   c "hierarchy.memory_accesses" (fun () -> Hierarchy.memory_accesses t.hierarchy);
   c "hierarchy.writebacks" (fun () -> Hierarchy.writebacks t.hierarchy);
-  c "directory.fills" (fun () -> Directory.fills t.directory);
-  c "directory.writebacks" (fun () -> Directory.writebacks t.directory);
-  c "directory.snoops" (fun () -> Directory.snoops t.directory);
+  c "directory.fills" (fun () -> Hierarchy.memory_accesses t.hierarchy);
+  c "directory.writebacks" (fun () -> Hierarchy.writebacks t.hierarchy);
+  c "directory.snoops" (fun () -> Eviction_handler.snooped_dirty_lines t.evictor);
   c "coherence.invalidations" (fun () -> t.invalidations_received);
   (* Dirty tracking and eviction *)
   g "tracker.lines" (fun () -> Dirty_tracker.lines_tracked t.tracker);
@@ -821,7 +819,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
     Fmem.create ~assoc:config.fmem_assoc ~policy:config.fmem_policy
       ~pages:config.fmem_pages ()
   in
-  let directory = Directory.create () in
   let replication =
     (* A shared instance (multi-tenant rack) takes precedence: mirrors must
        hold every tenant's writes for a failover to be whole-node. *)
@@ -848,24 +845,16 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   let tracker_ref = ref None in
   let hierarchy =
     Hierarchy.create ~config:config.cache_config
-      ~on_fill:(fun ~addr ~write ->
-        Directory.on_fill directory ~line:(Units.line_of_addr addr) ~write;
+      ~on_fill:(fun ~addr ~write:_ ->
         match !caching_ref with Some c -> Caching_handler.on_fill c ~addr | None -> ())
       ~on_writeback:(fun ~addr ->
-        Directory.on_writeback directory ~line:(Units.line_of_addr addr);
         match !tracker_ref with Some d -> Dirty_tracker.on_writeback d ~addr | None -> ())
       ()
   in
-  let snoop ~page =
-    let dirty = Hierarchy.flush_page hierarchy ~page in
-    List.iter
-      (fun line_addr ->
-        ignore (Directory.snoop directory ~line:(Units.line_of_addr line_addr)
-                 : [ `Clean | `Dirty ]))
-      dirty;
-    dirty
+  let evictor =
+    Eviction_handler.create ?tracer ~log ~rm ~read_local
+      ~snoop:(Hierarchy.flush_page hierarchy) ()
   in
-  let evictor = Eviction_handler.create ?tracer ~log ~rm ~read_local ~snoop () in
   let tracker =
     Dirty_tracker.create ~fmem
       ~on_orphan:(fun ~line_addr -> Eviction_handler.write_line_through evictor ~line_addr)
@@ -906,7 +895,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       controller;
       hierarchy;
       fmem;
-      directory;
       rm;
       rpc;
       log;
@@ -1262,9 +1250,9 @@ let stats t =
       ("log.doorbell_batches", Cl_log.doorbell_batches t.log);
       ("evict.window_stalls", Qp.window_stalls t.evict_qp);
       ("rdma.fetch_wire_bytes", Qp.wire_bytes t.fetch_qp);
-      ("directory.fills", Directory.fills t.directory);
-      ("directory.writebacks", Directory.writebacks t.directory);
-      ("directory.snoops", Directory.snoops t.directory);
+      ("directory.fills", Hierarchy.memory_accesses t.hierarchy);
+      ("directory.writebacks", Hierarchy.writebacks t.hierarchy);
+      ("directory.snoops", Eviction_handler.snooped_dirty_lines t.evictor);
       ("slabs", List.length (Resource_manager.slabs t.rm));
       ("controller.round_trips", Resource_manager.controller_round_trips t.rm);
       ( "faults.injected",
@@ -1427,4 +1415,3 @@ let resource_manager t = t.rm
 let fmem t = t.fmem
 let hierarchy t = t.hierarchy
 let cl_log t = t.log
-let directory t = t.directory

@@ -387,4 +387,3 @@ val resource_manager : t -> Resource_manager.t
 val fmem : t -> Kona_coherence.Fmem.t
 val hierarchy : t -> Kona_cachesim.Hierarchy.t
 val cl_log : t -> Cl_log.t
-val directory : t -> Kona_coherence.Directory.t

@@ -178,6 +178,74 @@ let prop_no_lost_writes =
       done;
       Hashtbl.fold (fun addr () acc -> acc && Hashtbl.mem writebacks addr) written true)
 
+(* 3, 9 and 15 sets: set indexing by [mod] rather than by a power-of-two
+   mask, with an odd LLC associativity. *)
+let odd_sets_config =
+  {
+    Hierarchy.l1 = { Hierarchy.size = 384; assoc = 2 };
+    l2 = { Hierarchy.size = 1152; assoc = 2 };
+    llc = { Hierarchy.size = 2880; assoc = 3 };
+  }
+
+type hierarchy_op = Line of int * bool | Flush of int
+
+let arb_hierarchy_ops =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map2 (fun addr write -> Line (addr, write)) (int_bound 16_383) bool);
+          (1, map (fun page -> Flush page) (int_bound 3));
+        ])
+  in
+  let print = function
+    | Line (addr, write) -> Printf.sprintf "%c%d" (if write then 'W' else 'R') addr
+    | Flush page -> Printf.sprintf "F%d" page
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print)
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (1 -- 300) op)
+
+(* Every block of [upper] is resident in [lower]. *)
+let contained upper lower =
+  let ok = ref true in
+  Cache.iter_resident upper (fun ~block_addr ~dirty:_ ->
+      if not (Cache.probe lower ~addr:block_addr) then ok := false);
+  !ok
+
+let prop_inclusion_and_snoop =
+  (* [flush_page] only searches L1/L2 for lines the LLC holds, which is
+     exact only while L1 ⊆ L2 ⊆ LLC: check inclusion after every op, and
+     that each flush returns the dirty lines resident just before it and
+     leaves none of the page anywhere. *)
+  QCheck.Test.make ~name:"inclusive, flush = resident dirty" ~count:100
+    arb_hierarchy_ops (fun ops ->
+      List.for_all
+        (fun config ->
+          let h = Hierarchy.create ~config () in
+          let levels = [ Hierarchy.l1 h; Hierarchy.l2 h; Hierarchy.llc h ] in
+          let gone page =
+            List.for_all
+              (fun i ->
+                let addr = (page * Kona_util.Units.page_size) + (i * 64) in
+                List.for_all (fun cache -> not (Cache.probe cache ~addr)) levels)
+              (List.init Kona_util.Units.lines_per_page Fun.id)
+          in
+          List.for_all
+            (fun op ->
+              (match op with
+              | Line (addr, write) ->
+                  ignore (Hierarchy.access_line h ~addr ~write : int);
+                  true
+              | Flush page ->
+                  let expected = Hierarchy.resident_dirty_lines h ~page in
+                  Hierarchy.flush_page h ~page = expected && gone page)
+              && contained (Hierarchy.l1 h) (Hierarchy.l2 h)
+              && contained (Hierarchy.l2 h) (Hierarchy.llc h))
+            ops)
+        [ tiny_config; odd_sets_config ])
+
 (* A reference model: fully-associative LRU as a plain list.  A Cache
    configured with a single set must agree with it exactly. *)
 let prop_cache_matches_lru_model =
@@ -231,5 +299,5 @@ let () =
           Alcotest.test_case "flush page" `Quick test_hierarchy_flush_page;
           Alcotest.test_case "resident dirty lines" `Quick test_hierarchy_resident_dirty;
         ] );
-      qsuite "hierarchy-props" [ prop_no_lost_writes ];
+      qsuite "hierarchy-props" [ prop_no_lost_writes; prop_inclusion_and_snoop ];
     ]
