@@ -104,8 +104,8 @@ let check_digests name ~what ~tenant ~hub (r : Rack.result) =
   check "tenant" tenant (tenant_digest r);
   check "hub" hub (hub_digest r)
 
-let check_entry (name, spec, tenant, hub) () =
-  let o = Episode.execute (Spec.parse_exn spec) in
+let check_episode name ~what ~tenant ~hub spec =
+  let o = Episode.execute spec in
   (match o.Episode.oc_violations with
   | [] -> ()
   | v :: _ ->
@@ -113,7 +113,59 @@ let check_entry (name, spec, tenant, hub) () =
         v.Invariants.detail);
   match o.Episode.oc_result with
   | None -> Alcotest.failf "%s: episode did not finish" name
-  | Some r -> check_digests name ~what:("spec: " ^ spec) ~tenant ~hub r
+  | Some r -> check_digests name ~what ~tenant ~hub r
+
+let check_entry (name, spec, tenant, hub) () =
+  check_episode name ~what:("spec: " ^ spec) ~tenant ~hub (Spec.parse_exn spec)
+
+(* One generated episode per [Gen] family: (family, seed, rendered spec,
+   tenant digest, hub digest) for [Gen.generate ~seed ~ops:10].  The
+   whole rendered line is compared, so a rendering change names the
+   clause that moved.  The ops seed renders every rack op. *)
+let gen_corpus =
+  [
+    ( "corruption",
+      260047,
+      "setup:tenants=1,nodes=2,cap=134217728,gbps=0.5,replicas=1,fmem=256,\
+       quantum=256,seed=544471,fseed=981813,scrub=100us,verify=1,\
+       workloads=kv-zipf,shares=1,quotas=0,policy=first-fit,fast=1,\
+       slowns=0ns,hb=0ns,lease=200us,writers=1;run:n=256;publish:pages=27;\
+       dup-deliver:p=0.0954;quota:t=0,bytes=49283072;run:n=2048;run:n=512;\
+       torn-write:p=0.0225;dup-deliver:p=0.0633;run:n=768;\
+       stale-read:p=0.0717",
+      "812a71a35458f4bfebd2d0c9f825d02c",
+      "ce7df64c1c0203dbdcf9dde3e38c720c" );
+    ( "ops",
+      28,
+      "setup:tenants=2,nodes=3,cap=134217728,gbps=0.5,replicas=1,fmem=256,\
+       quantum=256,seed=534301,fseed=266499,scrub=200us,verify=1,\
+       workloads=kv-uniform|kv-uniform,shares=3|4,quotas=0,policy=heat,\
+       fast=2,slowns=500ns,hb=0ns,lease=50us,writers=1;run:n=512;\
+       partition:dur=128us,nodes=2;rebalance;run:n=1792;migrate-epoch;\
+       run:n=1024;drain:id=0;run:n=1024;add:cap=67108864;run:n=768",
+      "67fe04fb3c5a5357f2ebb5674264921d",
+      "3dab6cfd24805c28f680df836192b6de" );
+    ( "shmem",
+      692496,
+      "setup:tenants=3,nodes=2,cap=134217728,gbps=0.5,replicas=1,fmem=128,\
+       quantum=128,seed=278545,fseed=127149,scrub=200us,verify=1,\
+       workloads=kv-zipf|kv-zipf|kv-uniform,shares=3|3|3,quotas=0,\
+       policy=first-fit,fast=1,slowns=0ns,hb=0ns,lease=200us,writers=2;\
+       run:n=1024;publish:pages=27;partition:dur=25us,nodes=0;\
+       mwrite:rounds=27;run:n=1024;shared:rounds=15;run:n=1536;\
+       mwrite:rounds=25;shmrpc:calls=12;mwrite:rounds=20",
+      "cc4f0d3a3c496a9d8b3a6722a55f1f99",
+      "d39fafe5ddad87c25e714a56ddd41346" );
+  ]
+
+let check_gen (family, seed, line, tenant, hub) () =
+  let spec = Gen.generate ~seed ~ops:10 in
+  Alcotest.(check string)
+    (Printf.sprintf "%s seed %d renders" family seed)
+    line (Spec.to_string spec);
+  check_episode family
+    ~what:(Printf.sprintf "Gen.generate ~seed:%d ~ops:10" seed)
+    ~tenant ~hub spec
 
 (* Stepwise rack runs: the woven shared segment and scheduled rack ops
    are reachable only through a [Rack.config], never through a spec. *)
@@ -192,6 +244,13 @@ let () =
           (fun ((name, _, _, _) as entry) ->
             Alcotest.test_case name `Quick (check_entry entry))
           corpus );
+      ( "golden-gen",
+        List.map
+          (fun ((family, seed, _, _, _) as entry) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s family, seed %d" family seed)
+              `Quick (check_gen entry))
+          gen_corpus );
       ( "golden-rack",
         List.map
           (fun ((name, _, _, _) as entry) ->
