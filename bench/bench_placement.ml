@@ -17,8 +17,8 @@
    re-homed, zero divergence, and the drain traffic visible as WFQ
    queueing.
 
-   Artifact: BENCH_placement.json (one row per policy, commit/seed and
-   sim_accesses_per_sec stamped by Report). *)
+   Artifact: BENCH_placement.json (one row per policy, commit and seed
+   stamped by Report). *)
 
 module Rack = Kona_rack.Rack
 module Rack_ops = Kona_rack.Rack_ops

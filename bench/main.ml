@@ -70,35 +70,6 @@ let telemetry_run system =
   drain ();
   (hub, elapsed ())
 
-(* How fast does the simulator itself run?  One smoke Redis-Rand pass on
-   the Kona runtime, timed in host seconds: the resulting
-   accesses-per-second rate is stamped into every artifact header so a
-   BENCH_*.json also records what it cost to produce. *)
-let calibrate_sim_rate () =
-  let controller = Kona.Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Kona.Rack_controller.register_node controller
-    (Kona.Memory_node.create ~id:0 ~capacity:(Units.mib 128));
-  Kona.Rack_controller.register_node controller
-    (Kona.Memory_node.create ~id:1 ~capacity:(Units.mib 128));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let rt = Kona.Runtime.create ~controller ~read_local () in
-  let accesses = ref 0 in
-  let sink ev =
-    incr accesses;
-    Kona.Runtime.sink rt ev
-  in
-  let spec = Workloads.redis_rand in
-  let heap =
-    Heap.create ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke) ~sink ()
-  in
-  heap_ref := Some heap;
-  let t0 = Sys.time () in
-  spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
-  Kona.Runtime.drain rt;
-  let dt = Sys.time () -. t0 in
-  if dt > 0.0 then float_of_int !accesses /. dt else 0.0
-
 let emit_telemetry () =
   Report.section "telemetry";
   List.iter
@@ -131,7 +102,6 @@ let () =
   let scale = if quick then Workloads.Smoke else Workloads.Full in
   Format.printf "Kona reproduction benchmarks (%s scale)@."
     (if quick then "smoke" else "full");
-  Report.set_sim_rate (calibrate_sim_rate ());
   Report.open_json ~path:artifact_path
     ~meta:
       [

@@ -300,7 +300,9 @@ let exit_status results =
   else if List.exists (fun r -> r.rr_degraded <> None) results then 2
   else 0
 
-let cmd_run workload systems fmem_pages replicas prefetch sq_depth
+(* [run] and [stats] share every flag and this whole body; they differ
+   only in what [print] shows for each result. *)
+let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
     signal_interval fault_spec fault_seed check_replicas scrub_interval
     verify_checksums retry_max backoff_base_ns heartbeat_ns lease_ns seed
     metrics_json trace full =
@@ -319,43 +321,24 @@ let cmd_run workload systems fmem_pages replicas prefetch sq_depth
   in
   List.iter
     (fun r ->
-      Fmt.pr "%s on %s: %a virtual time, footprint %a@." spec.Workloads.name
-        r.rr_system Units.pp_ns r.rr_elapsed Units.pp_bytes r.rr_footprint;
-      List.iter (fun (k, v) -> Fmt.pr "  %-26s %d@." k v) r.rr_stats;
-      Fmt.pr "integrity: %s@."
-        (if r.rr_mismatches = 0 then "remote memory matches the heap"
-         else Printf.sprintf "%d PAGES DIVERGED" r.rr_mismatches);
+      print ~spec ~full ~seed r;
       report_faults r)
     results;
   export_results ~spec ~full ~seed ~metrics_json ~trace results;
   exit_status results
 
-let cmd_stats workload systems fmem_pages replicas prefetch sq_depth
-    signal_interval fault_spec fault_seed check_replicas scrub_interval
-    verify_checksums retry_max backoff_base_ns heartbeat_ns lease_ns seed
-    metrics_json trace full =
-  let scale = scale_of full in
-  let spec =
-    match specs_of (Some workload) with [ s ] -> s | _ -> assert false
-  in
-  let faults = parse_fault_spec fault_spec in
-  let backoff = backoff_of ~retry_max ~backoff_base_ns in
-  let results =
-    List.map
-      (run_one ~spec ~scale ~seed ~fmem_pages ~replicas ~prefetch ~sq_depth
-         ~signal_interval ~faults ~fault_seed ~check_replicas ~scrub_interval
-         ~verify_checksums ~backoff ~heartbeat_ns ~lease_ns)
-      (systems_of systems)
-  in
-  List.iter
-    (fun r ->
-      Fmt.pr "== %s on %s (%s, seed %d): %a ==@." spec.Workloads.name
-        r.rr_system (scale_name full) seed Units.pp_ns r.rr_elapsed;
-      Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.rr_hub);
-      report_faults r)
-    results;
-  export_results ~spec ~full ~seed ~metrics_json ~trace results;
-  exit_status results
+let print_run ~(spec : Workloads.spec) ~full:_ ~seed:_ r =
+  Fmt.pr "%s on %s: %a virtual time, footprint %a@." spec.Workloads.name
+    r.rr_system Units.pp_ns r.rr_elapsed Units.pp_bytes r.rr_footprint;
+  List.iter (fun (k, v) -> Fmt.pr "  %-26s %d@." k v) r.rr_stats;
+  Fmt.pr "integrity: %s@."
+    (if r.rr_mismatches = 0 then "remote memory matches the heap"
+     else Printf.sprintf "%d PAGES DIVERGED" r.rr_mismatches)
+
+let print_stats ~(spec : Workloads.spec) ~full ~seed r =
+  Fmt.pr "== %s on %s (%s, seed %d): %a ==@." spec.Workloads.name
+    r.rr_system (scale_name full) seed Units.pp_ns r.rr_elapsed;
+  Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.rr_hub)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: N randomized corruption episodes against the shadow-heap
@@ -708,10 +691,9 @@ let nth_cyclic l i default =
 
 let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
     shared_pages shared_ops shared_writers shm_rpc_calls quantum policy
-    fast_nodes slow_extra_ns hot_threshold migrate_epoch migrate_budget
-    migrate_share rack_ops rack_fmem_pages replicas fault_spec fault_seed
-    retry_max backoff_base_ns heartbeat_ns lease_ns seed full metrics_json
-    repro_check =
+    fast_nodes slow_extra_ns rack_ops rack_fmem_pages replicas fault_spec
+    fault_seed retry_max backoff_base_ns heartbeat_ns lease_ns seed full
+    metrics_json repro_check =
   if tenants_n < 1 then begin
     Fmt.epr "--tenants must be >= 1@.";
     exit 1
@@ -774,10 +756,6 @@ let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
       policy;
       fast_nodes;
       slow_extra_ns;
-      hot_threshold;
-      migrate_epoch_ns = migrate_epoch;
-      migrate_budget;
-      migrate_share;
       ops;
       runtime;
     }
@@ -1358,34 +1336,6 @@ let rack_slow_extra_ns =
           "fixed fabric penalty (ns) added to every message bound for a \
            slow-tier node; 0 disables tiering")
 
-let rack_hot_threshold =
-  Arg.(
-    value & opt int 2
-    & info [ "hot-threshold" ]
-        ~doc:
-          "decayed heat at/above which a page counts hot (>= 1); fetches \
-           add 2, evictions 1, and heat halves every migrate-epoch, so 2 \
-           means 'fetched again within the current epoch'")
-
-let rack_migrate_epoch =
-  Arg.(
-    value & opt int 1_000_000
-    & info [ "migrate-epoch-ns" ]
-        ~doc:"heat-decay and background-migrator epoch, virtual ns")
-
-let rack_migrate_budget =
-  Arg.(
-    value & opt int 32
-    & info [ "migrate-budget" ] ~doc:"max page moves per migrator epoch")
-
-let rack_migrate_share =
-  Arg.(
-    value & opt int 1
-    & info [ "migrate-share" ]
-        ~doc:
-          "WFQ weight of migration traffic at every node (it contends with \
-           tenants like any other sender)")
-
 let rack_ops_spec =
   Arg.(
     value & opt string ""
@@ -1404,6 +1354,14 @@ let rack_fmem_pages =
            values thrash FMem and generate the fetch traffic placement \
            feeds on")
 
+let run_term print =
+  Term.(
+    const (cmd_run print) $ workload_req $ system $ fmem_pages $ replicas
+    $ prefetch $ sq_depth $ signal_interval $ fault_spec $ fault_seed
+    $ check_replicas $ scrub_interval_opt $ verify_checksums $ retry_max_opt
+    $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
+    $ metrics_json $ trace_out $ full)
+
 let cmds =
   [
     Cmd.v (Cmd.info "workloads" ~doc:"list Table 2 workloads")
@@ -1415,21 +1373,11 @@ let cmds =
     Cmd.v (Cmd.info "amp" ~doc:"dirty-data amplification (Table 2)")
       Term.(const cmd_amp $ workload_opt $ seed $ full);
     Cmd.v (Cmd.info "run" ~doc:"run a workload on remote-memory runtimes")
-      Term.(
-        const cmd_run $ workload_req $ system $ fmem_pages $ replicas $ prefetch
-        $ sq_depth $ signal_interval $ fault_spec $ fault_seed $ check_replicas
-        $ scrub_interval_opt $ verify_checksums $ retry_max_opt
-        $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
-        $ metrics_json $ trace_out $ full);
+      (run_term print_run);
     Cmd.v
       (Cmd.info "stats"
          ~doc:"run a workload and print the full telemetry table per system")
-      Term.(
-        const cmd_stats $ workload_req $ system $ fmem_pages $ replicas
-        $ prefetch $ sq_depth $ signal_interval $ fault_spec $ fault_seed
-        $ check_replicas $ scrub_interval_opt $ verify_checksums $ retry_max_opt
-        $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
-        $ metrics_json $ trace_out $ full);
+      (run_term print_stats);
     Cmd.v
       (Cmd.info "rack"
          ~doc:
@@ -1440,11 +1388,9 @@ let cmds =
         const cmd_rack $ rack_tenants $ rack_workloads $ rack_bw_shares
         $ rack_mem_quotas $ rack_nodes $ rack_node_cap $ rack_node_gbps
         $ rack_shared_pages $ rack_shared_ops $ rack_shared_writers
-        $ rack_shm_rpc $ rack_quantum $ rack_policy
-        $ rack_fast_nodes $ rack_slow_extra_ns $ rack_hot_threshold
-        $ rack_migrate_epoch $ rack_migrate_budget $ rack_migrate_share
-        $ rack_ops_spec $ rack_fmem_pages $ replicas $ fault_spec
-        $ fault_seed $ retry_max_opt $ backoff_base_ns_opt $ heartbeat_ns_opt
+        $ rack_shm_rpc $ rack_quantum $ rack_policy $ rack_fast_nodes
+        $ rack_slow_extra_ns $ rack_ops_spec $ rack_fmem_pages $ replicas
+        $ fault_spec $ fault_seed $ retry_max_opt $ backoff_base_ns_opt $ heartbeat_ns_opt
         $ lease_ns_opt $ seed $ full $ metrics_json $ rack_repro_check);
     Cmd.v
       (Cmd.info "soak"

@@ -30,8 +30,9 @@ type config = {
   cost : Kona.Cost_model.t;
   rdma : Kona_rdma.Cost.t;
   cache_config : Kona_cachesim.Hierarchy.config;
-  cache_pages : int;  (** local DRAM page-cache capacity (in [page_bytes] units) *)
-  cache_assoc : int;
+  cache_pages : int;
+      (** local DRAM page-cache capacity (in [page_bytes] units), 4-way
+          set-associative like Kona's FMem *)
   write_protect : bool;
       (** [false] = the paper's NoWP variant: one fault per fetch, but no
           dirty tracking, so every evicted page must be written back. *)

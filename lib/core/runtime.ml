@@ -21,9 +21,7 @@ type config = {
   rdma : Kona_rdma.Cost.t;
   cache_config : Hierarchy.config;
   fmem_pages : int;
-  fmem_assoc : int;
   fmem_policy : Fmem.policy;
-  fetch_block : int;
   log_capacity : int;
   replicas : int;
   mce_threshold_ns : int option;
@@ -35,7 +33,6 @@ type config = {
   arm_injector : bool;
   check_replicas : bool;
   scrub_interval_ns : int option;
-  scrub_budget : int;
   verify_checksums : bool;
   tenant : string option;
   stream_base : int;
@@ -50,9 +47,7 @@ let default_config =
     rdma = Kona_rdma.Cost.default;
     cache_config = Hierarchy.default_config;
     fmem_pages = 1024;
-    fmem_assoc = 4;
     fmem_policy = Fmem.Lru;
-    fetch_block = Units.page_size;
     log_capacity = 512;
     replicas = 0;
     mce_threshold_ns = None;
@@ -64,7 +59,6 @@ let default_config =
     arm_injector = false;
     check_replicas = false;
     scrub_interval_ns = None;
-    scrub_budget = 8;
     verify_checksums = false;
     tenant = None;
     stream_base = 0;
@@ -815,10 +809,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       ?inject ~clock:app_clock ~nic ()
   in
   let rm = Resource_manager.create ~rpc ?tenant:config.tenant ~controller () in
-  let fmem =
-    Fmem.create ~assoc:config.fmem_assoc ~policy:config.fmem_policy
-      ~pages:config.fmem_pages ()
-  in
+  let fmem = Fmem.create ~policy:config.fmem_policy ~pages:config.fmem_pages () in
   let replication =
     (* A shared instance (multi-tenant rack) takes precedence: mirrors must
        hold every tenant's writes for a failover to be whole-node. *)
@@ -876,8 +867,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
     ref (fun ~vpage:_ ~dirty:_ -> ())
   in
   let caching =
-    Caching_handler.create ~cost:config.cost ~fetch_block:config.fetch_block
-      ?mce_threshold_ns:config.mce_threshold_ns ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp
+    Caching_handler.create ~cost:config.cost ?mce_threshold_ns:config.mce_threshold_ns
+      ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp
       ~on_victim:(fun ~vpage ~dirty ->
         let shipped = Eviction_handler.evict evictor ~vpage ~dirty in
         !on_evict ~vpage ~dirty:shipped;
@@ -981,7 +972,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
         verify_and_repair_page t ~vpage:page
       in
       t.scrubber <-
-        Some (Scrubber.create ~interval_ns:interval ~budget:config.scrub_budget ~scan ~check)
+        Some (Scrubber.create ~interval_ns:interval ~scan ~check)
   | None -> ());
   (* Partition gate: a delivery completing inside a partition window of
      its physical target is captured and deferred until heal time. *)

@@ -22,10 +22,10 @@ type config = {
   cost : Cost_model.t;
   rdma : Kona_rdma.Cost.t;
   cache_config : Kona_cachesim.Hierarchy.config;
-  fmem_pages : int;  (** local DRAM cache capacity, in 4KB frames *)
-  fmem_assoc : int;
+  fmem_pages : int;
+      (** local DRAM cache capacity, in 4KB frames; FMem is 4-way
+          set-associative and fetches one page per miss *)
   fmem_policy : Kona_coherence.Fmem.policy;
-  fetch_block : int;  (** bytes fetched per FMem miss (multiple of 4KB) *)
   log_capacity : int;  (** CL-log entries per memory node before auto-flush *)
   replicas : int;  (** eviction replication degree (§4.5); 0 = off *)
   mce_threshold_ns : int option;
@@ -62,10 +62,8 @@ type config = {
   scrub_interval_ns : int option;
       (** background scrub-and-repair: walk every backed FMem page's
           at-rest checksums once per interval (virtual background clock),
-          repairing corrupt lines from live replicas.  [None] = off *)
-  scrub_budget : int;
-      (** pages verified per scrubber tick once a sweep is due — bounds
-          the background-clock burst each poll (default 8) *)
+          repairing corrupt lines from live replicas, at most 8 pages
+          per poll.  [None] = off *)
   verify_checksums : bool;
       (** verify per-line checksums of the remote page on every
           synchronous demand fetch (and re-read once when a stale read is

@@ -15,128 +15,66 @@ type t = clause list
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-(* "200us" -> 200_000; bare integers are nanoseconds. *)
-let duration_of_string s =
-  let num, mult =
-    let n = String.length s in
-    let split k m = (String.sub s 0 (n - k), m) in
-    if n >= 2 && String.sub s (n - 2) 2 = "ns" then split 2 1
-    else if n >= 2 && String.sub s (n - 2) 2 = "us" then split 2 1_000
-    else if n >= 2 && String.sub s (n - 2) 2 = "ms" then split 2 1_000_000
-    else if n >= 1 && s.[n - 1] = 's' then split 1 1_000_000_000
-    else (s, 1)
-  in
-  match int_of_string_opt num with
-  | Some v when v >= 0 -> v * mult
-  | Some _ | None -> bad "bad duration %S (expected e.g. 500ns, 200us, 2ms, 1s)" s
+module Clause = Kona_util.Clause
 
 let prob_of_string s =
   match float_of_string_opt s with
   | Some p when p >= 0. && p <= 1. -> p
-  | Some _ | None -> bad "bad probability %S (expected a float in [0,1])" s
+  | Some _ | None -> Clause.bad "bad probability %S (expected a float in [0,1])" s
 
-let int_of_field ~key s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> bad "bad integer %S for %s" s key
-
-(* "kind[@time][:k=v,...]" -> (kind, time option, assoc). *)
-let split_clause s =
-  let head, params =
-    match String.index_opt s ':' with
-    | Some i ->
-        ( String.sub s 0 i,
-          String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)) )
-    | None -> (s, [])
-  in
-  let kind, at =
-    match String.index_opt head '@' with
-    | Some i ->
-        ( String.sub head 0 i,
-          Some (duration_of_string (String.sub head (i + 1) (String.length head - i - 1)))
-        )
-    | None -> (head, None)
-  in
-  let kv p =
-    match String.index_opt p '=' with
-    | Some i -> (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> bad "bad parameter %S (expected key=value)" p
-  in
-  (kind, at, List.map kv (List.filter (fun p -> p <> "") params))
-
-let field params key =
-  match List.assoc_opt key params with
-  | Some v -> v
-  | None -> bad "missing required parameter %s=" key
-
-let require_at kind = function
-  | Some t -> t
-  | None -> bad "%s needs a trigger time (e.g. %s@2ms)" kind kind
-
-let parse_clause s =
-  let kind, at, params = split_clause s in
-  let known ks =
-    List.iter
-      (fun (k, _) -> if not (List.mem k ks) then bad "unknown parameter %s for %s" k kind)
-      params
+let of_clause (c : Clause.t) =
+  let kind = c.Clause.kind in
+  (* A probabilistic kind is armed for the whole run: a trigger time on
+     it would be dropped silently, so it is refused. *)
+  let p () =
+    if c.Clause.at_ns <> None then
+      Clause.bad "%s is probabilistic and takes no trigger time (drop the @...)" kind;
+    prob_of_string (Clause.field c "p")
   in
   match kind with
   | "node-crash" ->
-      known [ "id" ];
+      Clause.known c [ "id" ];
       Node_crash
-        { at_ns = require_at kind at; id = int_of_field ~key:"id" (field params "id") }
+        { at_ns = Clause.trigger c; id = Clause.int ~key:"id" (Clause.field c "id") }
   | "link-flap" ->
-      known [ "dur" ];
+      Clause.known c [ "dur" ];
       Link_flap
-        { at_ns = require_at kind at; dur_ns = duration_of_string (field params "dur") }
+        { at_ns = Clause.trigger c; dur_ns = Clause.duration (Clause.field c "dur") }
   | "partition" ->
       (* Asymmetric partition: the named nodes stay alive but their links
          drop control + data traffic for the window — distinct from the
          fail-stop [node-crash]. *)
-      known [ "dur"; "nodes" ];
+      Clause.known c [ "dur"; "nodes" ];
       let ids =
-        String.split_on_char '|' (field params "nodes")
-        |> List.filter (fun x -> x <> "")
-        |> List.map (fun x ->
-               let id = int_of_field ~key:"nodes" x in
-               if id < 0 then bad "partition node ids must be >= 0 (got %d)" id;
-               id)
+        Clause.list ~key:"nodes" (Clause.nonneg ~key:"nodes") (Clause.field c "nodes")
       in
-      if ids = [] then bad "partition needs a non-empty nodes= list (e.g. nodes=0|1)";
-      let dur_ns = duration_of_string (field params "dur") in
-      if dur_ns < 1 then bad "partition dur must be positive";
-      Partition { at_ns = require_at kind at; dur_ns; ids }
+      let dur_ns = Clause.duration (Clause.field c "dur") in
+      if dur_ns < 1 then Clause.bad "partition dur must be positive";
+      Partition { at_ns = Clause.trigger c; dur_ns; ids }
   | "rpc-timeout" ->
-      known [ "p" ];
-      Rpc_timeout { p = prob_of_string (field params "p") }
+      Clause.known c [ "p" ];
+      Rpc_timeout { p = p () }
   | "wqe-drop" ->
-      known [ "p" ];
-      Wqe_drop { p = prob_of_string (field params "p") }
+      Clause.known c [ "p" ];
+      Wqe_drop { p = p () }
   | "wqe-delay" ->
-      known [ "p"; "ns" ];
-      Wqe_delay
-        {
-          p = prob_of_string (field params "p");
-          delay_ns = duration_of_string (field params "ns");
-        }
+      Clause.known c [ "p"; "ns" ];
+      let p = p () in
+      Wqe_delay { p; delay_ns = Clause.duration (Clause.field c "ns") }
   | "bit-flip" ->
-      known [ "p" ];
-      Bit_flip { p = prob_of_string (field params "p") }
+      Clause.known c [ "p" ];
+      Bit_flip { p = p () }
   | "torn-write" ->
-      known [ "p" ];
-      Torn_write { p = prob_of_string (field params "p") }
+      Clause.known c [ "p" ];
+      Torn_write { p = p () }
   | "stale-read" ->
-      known [ "p" ];
-      Stale_read { p = prob_of_string (field params "p") }
+      Clause.known c [ "p" ];
+      Stale_read { p = p () }
   | "dup-deliver" ->
-      known [ "p" ];
-      Dup_deliver { p = prob_of_string (field params "p") }
+      Clause.known c [ "p" ];
+      Dup_deliver { p = p () }
   | other ->
-      bad
+      Clause.bad
         "unknown fault kind %S (node-crash | link-flap | partition | rpc-timeout | \
          wqe-drop | wqe-delay | bit-flip | torn-write | stale-read | dup-deliver)"
         other
@@ -163,23 +101,16 @@ let check_duplicates plan =
       | None -> ()
       | Some kind ->
           if Hashtbl.mem seen kind then
-            bad "duplicate clause kind %S in one plan (each probabilistic kind \
-                 may appear at most once)" kind
+            Clause.bad "duplicate clause kind %S in one plan (each probabilistic kind \
+                        may appear at most once)" kind
           else Hashtbl.add seen kind ())
     plan
 
-let parse s =
-  let clauses =
-    String.split_on_char ';' s |> List.map String.trim
-    |> List.filter (fun c -> c <> "")
-  in
-  match
-    let plan = List.map parse_clause clauses in
-    check_duplicates plan;
-    plan
-  with
-  | plan -> Ok plan
-  | exception Bad msg -> Error msg
+let parse =
+  Clause.parse (fun s ->
+      let plan = List.map (fun c -> of_clause (Clause.of_string c)) (Clause.split s) in
+      check_duplicates plan;
+      plan)
 
 let parse_exn s =
   match parse s with Ok p -> p | Error msg -> invalid_arg ("Fault_spec: " ^ msg)
@@ -187,28 +118,25 @@ let parse_exn s =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let ns_to_string ns =
-  if ns mod 1_000_000_000 = 0 && ns > 0 then Printf.sprintf "%ds" (ns / 1_000_000_000)
-  else if ns mod 1_000_000 = 0 && ns > 0 then Printf.sprintf "%dms" (ns / 1_000_000)
-  else if ns mod 1_000 = 0 && ns > 0 then Printf.sprintf "%dus" (ns / 1_000)
-  else Printf.sprintf "%dns" ns
-
 let clause_to_string = function
-  | Node_crash { at_ns; id } -> Printf.sprintf "node-crash@%s:id=%d" (ns_to_string at_ns) id
+  | Node_crash { at_ns; id } ->
+      Printf.sprintf "node-crash@%s:id=%d" (Clause.duration_to_string at_ns) id
   | Link_flap { at_ns; dur_ns } ->
-      Printf.sprintf "link-flap@%s:dur=%s" (ns_to_string at_ns) (ns_to_string dur_ns)
+      Printf.sprintf "link-flap@%s:dur=%s"
+        (Clause.duration_to_string at_ns)
+        (Clause.duration_to_string dur_ns)
   | Partition { at_ns; dur_ns; ids } ->
-      Printf.sprintf "partition@%s:dur=%s,nodes=%s" (ns_to_string at_ns)
-        (ns_to_string dur_ns)
-        (String.concat "|" (List.map string_of_int ids))
+      Printf.sprintf "partition@%s:dur=%s,nodes=%s"
+        (Clause.duration_to_string at_ns)
+        (Clause.duration_to_string dur_ns)
+        (Clause.list_to_string string_of_int ids)
   | Rpc_timeout { p } -> Printf.sprintf "rpc-timeout:p=%g" p
   | Wqe_drop { p } -> Printf.sprintf "wqe-drop:p=%g" p
   | Wqe_delay { p; delay_ns } ->
-      Printf.sprintf "wqe-delay:p=%g,ns=%s" p (ns_to_string delay_ns)
+      Printf.sprintf "wqe-delay:p=%g,ns=%s" p (Clause.duration_to_string delay_ns)
   | Bit_flip { p } -> Printf.sprintf "bit-flip:p=%g" p
   | Torn_write { p } -> Printf.sprintf "torn-write:p=%g" p
   | Stale_read { p } -> Printf.sprintf "stale-read:p=%g" p
   | Dup_deliver { p } -> Printf.sprintf "dup-deliver:p=%g" p
 
 let to_string t = String.concat ";" (List.map clause_to_string t)
-let pp fmt t = Format.pp_print_string fmt (to_string t)

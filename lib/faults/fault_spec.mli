@@ -43,7 +43,13 @@
     A plan may not repeat a probabilistic kind (e.g. two [wqe-drop]
     clauses): [parse] rejects it with a named error rather than letting
     the last clause silently win.  Scheduled kinds ([node-crash],
-    [link-flap], [partition]) may appear any number of times. *)
+    [link-flap], [partition]) may appear any number of times, and only
+    they take a trigger time: [bit-flip@5s:p=0.5] is rejected, since a
+    probabilistic kind is armed from the start.
+
+    The lexing (clauses, durations, integer fields) is
+    {!Kona_util.Clause}'s, shared with the rack-op and scenario
+    grammars. *)
 
 type clause =
   | Node_crash of { at_ns : int; id : int }
@@ -59,6 +65,9 @@ type clause =
 
 type t = clause list
 
+val of_clause : Kona_util.Clause.t -> clause
+(** Read one lexed clause.  Raises {!Kona_util.Clause.Bad}. *)
+
 val parse : string -> (t, string) result
 (** Parse a [';']-separated plan; the empty string is the empty plan.
     [Error msg] pinpoints the offending clause. *)
@@ -68,5 +77,3 @@ val parse_exn : string -> t
 
 val to_string : t -> string
 (** Canonical round-trippable rendering ([parse (to_string p)] = [Ok p]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,11 @@
 type outcome = Clean | Repaired of int | Unrepairable of int
 
+(* Pages checked per [tick] once a sweep is due: bounds the
+   background-clock burst of one poll. *)
+let budget = 8
+
 type t = {
   interval_ns : int;
-  budget : int;
   scan : unit -> int array;
   check : page:int -> outcome;
   mutable next_due : int; (* virtual time the next sweep may start *)
@@ -14,12 +17,10 @@ type t = {
   mutable sweeps : int;
 }
 
-let create ~interval_ns ~budget ~scan ~check =
+let create ~interval_ns ~scan ~check =
   if interval_ns <= 0 then invalid_arg "Scrubber.create: interval_ns";
-  if budget < 1 then invalid_arg "Scrubber.create: budget";
   {
     interval_ns;
-    budget;
     scan;
     check;
     next_due = interval_ns;
@@ -52,7 +53,7 @@ let tick t ~now =
     start_sweep t;
     t.next_due <- now + t.interval_ns
   end;
-  let quota = ref t.budget in
+  let quota = ref budget in
   while sweep_in_flight t && !quota > 0 do
     check_one t;
     decr quota

@@ -13,22 +13,22 @@ type t
 
 val create :
   interval_ns:int ->
-  budget:int ->
   scan:(unit -> int array) ->
   check:(page:int -> outcome) ->
   t
 (** [interval_ns] paces full-sweep starts: a new sweep may begin once
-    per interval.  [budget] caps pages checked per [tick] (>= 1).
+    per interval.  Each [tick] checks at most 8 pages, which bounds the
+    background-clock burst of one poll.
     [scan] snapshots the worklist (page indices) at the start of each
     sweep; [check] verifies one page and reports what happened. *)
 
 val tick : t -> now:int -> unit
 (** Advance the scrubber to virtual time [now]: start a sweep if one is
-    due and none is in flight, then check up to [budget] pages. *)
+    due and none is in flight, then check up to 8 pages. *)
 
 val force_sweep : t -> unit
 (** Run one complete fresh sweep to the end immediately, ignoring
-    interval and budget.  Any in-flight sweep is abandoned — its cursor
+    interval and the per-tick budget.  Any in-flight sweep is abandoned — its cursor
     may already have passed pages corrupted after it started, so only a
     from-scratch sweep guarantees every page is verified before the
     end-of-run oracle.  Used at drain. *)

@@ -59,7 +59,9 @@ let best_dst slots ~pred =
     slots;
   !best
 
-let heat_aware ?(hot_threshold = 2) () =
+let hot_threshold = 2
+
+let heat_aware ?(hot_threshold = hot_threshold) () =
   if hot_threshold <= 0 then
     invalid_arg "Placement_policy.heat_aware: non-positive threshold";
   let promotions = ref 0 and demotions = ref 0 and no_room = ref 0 in

@@ -53,6 +53,12 @@ type t = {
       (** Policy-internal counters for telemetry/debugging. *)
 }
 
+val hot_threshold : int
+(** Decayed heat at or above which a page counts hot: 2.  Fetches add 2,
+    evictions 1, and heat halves every migrator epoch, so a page is hot
+    when it was fetched again within the current epoch.  [heat_aware]'s
+    default and the rack's hot-hit accounting both read it. *)
+
 val first_fit : unit -> t
 val heat_aware : ?hot_threshold:int -> unit -> t
 val centralized : unit -> t

@@ -37,10 +37,6 @@ type config = {
   policy : string;
   fast_nodes : int;
   slow_extra_ns : int;
-  hot_threshold : int;
-  migrate_epoch_ns : int;
-  migrate_budget : int;
-  migrate_share : int;
   ops : Rack_ops.t;
   runtime : Runtime.config;
 }
@@ -61,10 +57,6 @@ let default_config =
     policy = "first-fit";
     fast_nodes = 1;
     slow_extra_ns = 0;
-    hot_threshold = 2;
-    migrate_epoch_ns = 1_000_000;
-    migrate_budget = 32;
-    migrate_share = 1;
     ops = [];
     runtime = Runtime.default_config;
   }
@@ -120,6 +112,13 @@ type result = {
 let shared_base = 1 lsl 30
 let page = Units.page_size
 let seg_first = shared_base / page
+
+(* The placement migrator's fixed parameters: heat halves and the
+   migrator runs once per 1 ms epoch, moving at most 32 pages, and its
+   copies contend at every node's WFQ with weight 1. *)
+let migrate_epoch_ns = Units.ms 1
+let migrate_budget = 32
+let migrate_share = 1
 
 (* One replay step: a recorded application access, or a synthetic
    shared-segment operation (the publisher writes, readers read). *)
@@ -222,10 +221,6 @@ let validate cfg tenants =
   if cfg.fast_nodes < 0 || cfg.fast_nodes > nodes then
     invalid_arg "Rack.run: fast_nodes out of range";
   if cfg.slow_extra_ns < 0 then invalid_arg "Rack.run: negative slow_extra_ns";
-  if cfg.hot_threshold < 1 then
-    invalid_arg "Rack.run: hot_threshold must be >= 1";
-  if cfg.migrate_epoch_ns < 1 || cfg.migrate_budget < 1 || cfg.migrate_share < 1
-  then invalid_arg "Rack.run: migration parameters must be positive";
   let seen = Hashtbl.create 8 in
   List.iter
     (fun tc ->
@@ -487,7 +482,7 @@ let on_fetch e i ~vpage =
   let now = Runtime.elapsed_ns rt in
   Heat.touch e.heats.(i) ~vpage ~weight:2 ~now;
   e.fetch_total <- e.fetch_total + 1;
-  let hot = Heat.heat e.heats.(i) ~vpage ~now >= e.cfg.hot_threshold in
+  let hot = Heat.heat e.heats.(i) ~vpage ~now >= Placement_policy.hot_threshold in
   if hot then e.hot_total <- e.hot_total + 1;
   (match
      Resource_manager.translate (Runtime.resource_manager rt)
@@ -604,8 +599,8 @@ let move_page e mv =
                 Some src))
 
 let create_migrator e =
-  Migrator.create ~policy:e.placement ~epoch_ns:e.cfg.migrate_epoch_ns
-    ~budget:e.cfg.migrate_budget ~page_bytes:page
+  Migrator.create ~policy:e.placement ~epoch_ns:migrate_epoch_ns
+    ~budget:migrate_budget ~page_bytes:page
     {
       Migrator.nodes = (fun () -> node_infos e);
       pages = page_infos e;
@@ -732,7 +727,7 @@ let exec_rebalance e ~now =
           ignore (charge e ~node:src ~bytes:page ~now);
           ignore (charge e ~node:mv.Placement_policy.mv_dst ~bytes:page ~now))
     (balance.Placement_policy.plan ~nodes:(node_infos e)
-       ~pages:(page_infos e ~now) ~budget:e.cfg.migrate_budget)
+       ~pages:(page_infos e ~now) ~budget:migrate_budget)
 
 (* The one op executor, for the scheduled-op calendar and [apply_op]
    alike.  A drain of a node no add has created is refused ([validate]
@@ -886,23 +881,19 @@ let start cfg tenant_list =
       tenants;
       controller;
       replication;
-      placement =
-        (match cfg.policy with
-        | "heat" ->
-            Placement_policy.heat_aware ~hot_threshold:cfg.hot_threshold ()
-        | name -> Placement_policy.find name);
+      placement = Placement_policy.find cfg.policy;
       hub = Hub.create ();
       weights =
         Array.append
           (Array.map (fun tc -> tc.bw_share) tenants)
-          [| cfg.migrate_share |];
+          [| migrate_share |];
       wfq = [||];
       heaps = Array.map fst recorded;
       steps;
       pos = Array.make n 0;
       runtimes = [||];
       heats =
-        Array.init n (fun _ -> Heat.create ~epoch_ns:cfg.migrate_epoch_ns);
+        Array.init n (fun _ -> Heat.create ~epoch_ns:migrate_epoch_ns);
       migrator = lazy (create_migrator e);
       recovery = Recovery.create ();
       partitions_over = false;

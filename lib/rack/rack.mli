@@ -60,17 +60,15 @@ type config = {
   policy : string;
       (** placement policy slug ({!Kona_placement.Placement_policy.find}):
           "first-fit" reproduces the pre-placement allocator exactly and
-          never migrates *)
+          never migrates.  The migrator's parameters are fixed: heat
+          decays and the migrator runs once per 1 ms epoch, moving at
+          most 32 pages per epoch, and its copies contend at every
+          node's WFQ with weight 1, like any other sender.  A page
+          counts hot at {!Kona_placement.Placement_policy.hot_threshold} *)
   fast_nodes : int;  (** nodes [0, fast_nodes) form the low-latency tier *)
   slow_extra_ns : int;
       (** fixed fabric penalty added to every admit at a slow-tier node;
           0 (the default) disables tiering *)
-  hot_threshold : int;  (** decayed heat at/above which a page counts hot *)
-  migrate_epoch_ns : int;  (** heat-decay and migrator epoch *)
-  migrate_budget : int;  (** max page moves per migrator epoch *)
-  migrate_share : int;
-      (** the migrator's WFQ weight at every node — its copies contend
-          with tenant traffic like any other sender *)
   ops : Rack_ops.t;
       (** scheduled add/drain/rebalance operations; a drain must name a
           node that exists by its firing time *)

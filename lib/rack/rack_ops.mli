@@ -10,8 +10,10 @@
       drains from its promoted mirror);
     - [rebalance@T] — one forced capacity-balancing migration pass.
 
-    Times accept the fault-spec duration grammar (bare ns, [us], [ms],
-    [s]). *)
+    Every clause needs its trigger time.  The lexing (clauses,
+    durations, integer fields) is {!Kona_util.Clause}'s, and the
+    scenario grammar reads and renders its untimed rack ops through
+    {!op_of_clause} and {!op_to_string}. *)
 
 type op =
   | Add_node of { capacity : int option }
@@ -21,9 +23,16 @@ type op =
 type clause = { at_ns : int; op : op }
 type t = clause list
 
+val op_of_clause : Kona_util.Clause.t -> op
+(** Read one op from a lexed clause's kind and parameters; its trigger
+    time, if any, is left to the caller.  Raises {!Kona_util.Clause.Bad}. *)
+
+val op_to_string : ?at_ns:int -> op -> string
+(** [add:cap=N], [drain:id=N] or [rebalance], with [@T] after the kind
+    when [at_ns] is given. *)
+
 val parse : string -> (t, string) result
 val parse_exn : string -> t
 (** Raises [Invalid_argument] with the parse error. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -22,8 +22,7 @@ let nth_cyclic l i default =
 
 let config_of_setup (s : Spec.setup) =
   {
-    Rack.default_config with
-    scale = Workloads.Smoke;
+    Rack.scale = Workloads.Smoke;
     nodes = s.Spec.nodes;
     node_capacity = s.Spec.node_cap;
     node_gbps = s.Spec.gbps;
@@ -99,9 +98,7 @@ let apply_op e op =
   | Spec.Scrub ->
       Rack.flush_logs e;
       Rack.force_scrub e
-  | Spec.Add_node { capacity } -> Rack.apply_op e (Kona_rack.Rack_ops.Add_node { capacity })
-  | Spec.Drain { id } -> Rack.apply_op e (Kona_rack.Rack_ops.Drain { id })
-  | Spec.Rebalance -> Rack.apply_op e Kona_rack.Rack_ops.Rebalance
+  | Spec.Rack op -> Rack.apply_op e op
   | Spec.Migrate_epoch -> Rack.force_migration e
 
 let fingerprint (r : Rack.result) =

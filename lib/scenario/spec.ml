@@ -1,5 +1,7 @@
 module Units = Kona_util.Units
+module Clause = Kona_util.Clause
 module Fault_spec = Kona_faults.Fault_spec
+module Rack_ops = Kona_rack.Rack_ops
 
 type op =
   | Run of { n : int }
@@ -13,9 +15,7 @@ type op =
   | Mwrite of { rounds : int }
   | Shm_rpc of { calls : int }
   | Scrub
-  | Add_node of { capacity : int option }
-  | Drain of { id : int }
-  | Rebalance
+  | Rack of Rack_ops.op
   | Migrate_epoch
 
 type setup = {
@@ -68,236 +68,137 @@ let default_setup =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Parsing.  Same conventions as {!Kona_faults.Fault_spec}: clauses are
-   [';']-separated, each clause is [kind[:key=value,...]], durations take
-   ns/us/ms/s suffixes.  Lists use ['|'] so [','] stays the parameter
-   separator. *)
+(* Parsing: the clause lexer is {!Kona_util.Clause}, shared with
+   {!Kona_faults.Fault_spec} and {!Kona_rack.Rack_ops}.  Spec clauses take
+   no [@T]: ops apply at their position in the sequence. *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let duration_of_string s =
-  let num, mult =
-    let n = String.length s in
-    let split k m = (String.sub s 0 (n - k), m) in
-    if n >= 2 && String.sub s (n - 2) 2 = "ns" then split 2 1
-    else if n >= 2 && String.sub s (n - 2) 2 = "us" then split 2 1_000
-    else if n >= 2 && String.sub s (n - 2) 2 = "ms" then split 2 1_000_000
-    else if n >= 1 && s.[n - 1] = 's' then split 1 1_000_000_000
-    else (s, 1)
-  in
-  match int_of_string_opt num with
-  | Some v when v >= 0 -> v * mult
-  | Some _ | None -> bad "bad duration %S (expected e.g. 500ns, 200us, 2ms, 1s)" s
-
-let ns_to_string ns =
-  if ns mod 1_000_000_000 = 0 && ns > 0 then Printf.sprintf "%ds" (ns / 1_000_000_000)
-  else if ns mod 1_000_000 = 0 && ns > 0 then Printf.sprintf "%dms" (ns / 1_000_000)
-  else if ns mod 1_000 = 0 && ns > 0 then Printf.sprintf "%dus" (ns / 1_000)
-  else Printf.sprintf "%dns" ns
-
-let int_of_field ~key s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> bad "bad integer %S for %s" s key
-
-let pos_of_field ~key s =
-  let v = int_of_field ~key s in
-  if v < 1 then bad "%s must be >= 1 (got %d)" key v;
-  v
-
-let nonneg_of_field ~key s =
-  let v = int_of_field ~key s in
-  if v < 0 then bad "%s must be >= 0 (got %d)" key v;
-  v
-
-(* "kind[:k=v,...]" -> (kind, assoc, raw clause).  The raw clause is kept
-   so corrupt ops can be re-parsed by Fault_spec verbatim. *)
-let split_clause s =
-  let head, params =
-    match String.index_opt s ':' with
-    | Some i ->
-        ( String.sub s 0 i,
-          String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)) )
-    | None -> (s, [])
-  in
-  let kv p =
-    match String.index_opt p '=' with
-    | Some i -> (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> bad "bad parameter %S (expected key=value)" p
-  in
-  (head, List.map kv (List.filter (fun p -> p <> "") params))
-
-let field params key =
-  match List.assoc_opt key params with
-  | Some v -> v
-  | None -> bad "missing required parameter %s=" key
-
-let known kind params ks =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k ks) then bad "unknown parameter %s for %s" k kind)
-    params
-
-let int_list ~key s =
-  match
-    String.split_on_char '|' s
-    |> List.filter (fun x -> x <> "")
-    |> List.map (fun x -> nonneg_of_field ~key x)
-  with
-  | [] -> bad "%s: empty list" key
-  | l -> l
-
-let string_list ~key s =
-  match String.split_on_char '|' s |> List.filter (fun x -> x <> "") with
-  | [] -> bad "%s: empty list" key
-  | l -> l
-
-let parse_setup clause =
-  let kind, params = split_clause clause in
-  if kind <> "setup" then bad "spec must start with a setup: clause, got %S" kind;
-  known "setup" params
+let parse_setup raw =
+  let c = Clause.of_string raw in
+  if c.Clause.kind <> "setup" || c.Clause.at_ns <> None then
+    Clause.bad "spec must start with a setup: clause, got %S" raw;
+  Clause.known c
     [ "tenants"; "nodes"; "cap"; "gbps"; "replicas"; "fmem"; "quantum"; "seed";
       "fseed"; "scrub"; "verify"; "workloads"; "shares"; "quotas"; "policy";
       "fast"; "slowns"; "hb"; "lease"; "writers" ];
   let get key f default =
-    match List.assoc_opt key params with Some v -> f v | None -> default
+    match List.assoc_opt key c.Clause.params with Some v -> f v | None -> default
   in
   let s =
     {
-      tenants = get "tenants" (pos_of_field ~key:"tenants") default_setup.tenants;
-      nodes = get "nodes" (pos_of_field ~key:"nodes") default_setup.nodes;
-      node_cap = get "cap" (pos_of_field ~key:"cap") default_setup.node_cap;
+      tenants = get "tenants" (Clause.pos ~key:"tenants") default_setup.tenants;
+      nodes = get "nodes" (Clause.pos ~key:"nodes") default_setup.nodes;
+      node_cap = get "cap" (Clause.pos ~key:"cap") default_setup.node_cap;
       gbps =
         get "gbps"
           (fun v ->
             match float_of_string_opt v with
             | Some g when g > 0. -> g
-            | Some _ | None -> bad "bad gbps %S (expected a positive float)" v)
+            | Some _ | None -> Clause.bad "bad gbps %S (expected a positive float)" v)
           default_setup.gbps;
-      replicas = get "replicas" (nonneg_of_field ~key:"replicas") default_setup.replicas;
-      fmem = get "fmem" (pos_of_field ~key:"fmem") default_setup.fmem;
-      quantum = get "quantum" (pos_of_field ~key:"quantum") default_setup.quantum;
-      seed = get "seed" (nonneg_of_field ~key:"seed") default_setup.seed;
-      fault_seed = get "fseed" (nonneg_of_field ~key:"fseed") default_setup.fault_seed;
-      scrub_ns = get "scrub" duration_of_string default_setup.scrub_ns;
+      replicas = get "replicas" (Clause.nonneg ~key:"replicas") default_setup.replicas;
+      fmem = get "fmem" (Clause.pos ~key:"fmem") default_setup.fmem;
+      quantum = get "quantum" (Clause.pos ~key:"quantum") default_setup.quantum;
+      seed = get "seed" (Clause.nonneg ~key:"seed") default_setup.seed;
+      fault_seed = get "fseed" (Clause.nonneg ~key:"fseed") default_setup.fault_seed;
+      scrub_ns = get "scrub" Clause.duration default_setup.scrub_ns;
       verify =
         get "verify"
-          (fun v ->
-            match v with
+          (function
             | "0" -> false
             | "1" -> true
-            | _ -> bad "bad verify %S (expected 0 or 1)" v)
+            | v -> Clause.bad "bad verify %S (expected 0 or 1)" v)
           default_setup.verify;
-      workloads = get "workloads" (string_list ~key:"workloads") default_setup.workloads;
-      shares = get "shares" (int_list ~key:"shares") default_setup.shares;
-      quotas = get "quotas" (int_list ~key:"quotas") default_setup.quotas;
-      policy = get "policy" (fun v -> v) default_setup.policy;
-      fast_nodes = get "fast" (nonneg_of_field ~key:"fast") default_setup.fast_nodes;
-      slow_extra_ns = get "slowns" duration_of_string default_setup.slow_extra_ns;
-      heartbeat_ns = get "hb" duration_of_string default_setup.heartbeat_ns;
-      lease_ns = get "lease" duration_of_string default_setup.lease_ns;
-      writers = get "writers" (pos_of_field ~key:"writers") default_setup.writers;
+      workloads =
+        get "workloads" (Clause.list ~key:"workloads" Fun.id) default_setup.workloads;
+      shares =
+        get "shares"
+          (Clause.list ~key:"shares" (Clause.pos ~key:"shares"))
+          default_setup.shares;
+      quotas =
+        get "quotas"
+          (Clause.list ~key:"quotas" (Clause.nonneg ~key:"quotas"))
+          default_setup.quotas;
+      policy = get "policy" Fun.id default_setup.policy;
+      fast_nodes = get "fast" (Clause.nonneg ~key:"fast") default_setup.fast_nodes;
+      slow_extra_ns = get "slowns" Clause.duration default_setup.slow_extra_ns;
+      heartbeat_ns = get "hb" Clause.duration default_setup.heartbeat_ns;
+      lease_ns = get "lease" Clause.duration default_setup.lease_ns;
+      writers = get "writers" (Clause.pos ~key:"writers") default_setup.writers;
     }
   in
-  List.iter
-    (fun share -> if share < 1 then bad "shares entries must be >= 1 (got %d)" share)
-    s.shares;
   if s.heartbeat_ns > 0 && s.lease_ns < s.heartbeat_ns then
-    bad "lease (%d ns) must be >= hb (%d ns)" s.lease_ns s.heartbeat_ns;
+    Clause.bad "lease (%d ns) must be >= hb (%d ns)" s.lease_ns s.heartbeat_ns;
   s
 
-let parse_op clause =
-  let kind, params = split_clause clause in
-  match kind with
-  | "run" ->
-      known kind params [ "n" ];
-      Run { n = pos_of_field ~key:"n" (field params "n") }
-  | "crash" ->
-      known kind params [ "id" ];
-      Crash { id = nonneg_of_field ~key:"id" (field params "id") }
-  | "flap" ->
-      known kind params [ "dur" ];
-      let dur_ns = duration_of_string (field params "dur") in
-      if dur_ns < 1 then bad "flap dur must be positive";
+(* Not a scenario op: a fault clause in Fault_spec grammar, armed
+   mid-sequence.  Scheduled kinds have dedicated scenario ops (crash:,
+   flap:, partition:) that act at the op's position in the sequence
+   rather than at an absolute virtual time. *)
+let fault_op raw c =
+  match Fault_spec.of_clause c with
+  | Fault_spec.Node_crash _ | Fault_spec.Link_flap _ | Fault_spec.Partition _ ->
+      Clause.bad
+        "scheduled fault %S not allowed here (use \
+         crash:id=/flap:dur=/partition:dur=,nodes=)"
+        raw
+  | fc -> Corrupt fc
+  | exception Clause.Bad msg -> Clause.bad "unknown op %S (%s)" raw msg
+
+let parse_op raw =
+  let c = Clause.of_string raw in
+  match (c.Clause.at_ns, c.Clause.kind) with
+  | None, "run" ->
+      Clause.known c [ "n" ];
+      Run { n = Clause.pos ~key:"n" (Clause.field c "n") }
+  | None, "crash" ->
+      Clause.known c [ "id" ];
+      Crash { id = Clause.nonneg ~key:"id" (Clause.field c "id") }
+  | None, "flap" ->
+      Clause.known c [ "dur" ];
+      let dur_ns = Clause.duration (Clause.field c "dur") in
+      if dur_ns < 1 then Clause.bad "flap dur must be positive";
       Flap { dur_ns }
-  | "partition" ->
-      known kind params [ "dur"; "nodes" ];
-      let dur_ns = duration_of_string (field params "dur") in
-      if dur_ns < 1 then bad "partition dur must be positive";
-      Partition { dur_ns; ids = int_list ~key:"nodes" (field params "nodes") }
-  | "quota" ->
-      known kind params [ "t"; "bytes" ];
+  | None, "partition" ->
+      Clause.known c [ "dur"; "nodes" ];
+      let dur_ns = Clause.duration (Clause.field c "dur") in
+      if dur_ns < 1 then Clause.bad "partition dur must be positive";
+      let ids =
+        Clause.list ~key:"nodes" (Clause.nonneg ~key:"nodes") (Clause.field c "nodes")
+      in
+      Partition { dur_ns; ids }
+  | None, "quota" ->
+      Clause.known c [ "t"; "bytes" ];
       Quota
         {
-          tenant = nonneg_of_field ~key:"t" (field params "t");
-          bytes = nonneg_of_field ~key:"bytes" (field params "bytes");
+          tenant = Clause.nonneg ~key:"t" (Clause.field c "t");
+          bytes = Clause.nonneg ~key:"bytes" (Clause.field c "bytes");
         }
-  | "publish" ->
-      known kind params [ "pages" ];
-      Publish { pages = pos_of_field ~key:"pages" (field params "pages") }
-  | "shared" ->
-      known kind params [ "rounds" ];
-      Shared { rounds = pos_of_field ~key:"rounds" (field params "rounds") }
-  | "mwrite" ->
-      known kind params [ "rounds" ];
-      Mwrite { rounds = pos_of_field ~key:"rounds" (field params "rounds") }
-  | "shmrpc" ->
-      known kind params [ "calls" ];
-      Shm_rpc { calls = pos_of_field ~key:"calls" (field params "calls") }
-  | "scrub" ->
-      known kind params [];
+  | None, "publish" ->
+      Clause.known c [ "pages" ];
+      Publish { pages = Clause.pos ~key:"pages" (Clause.field c "pages") }
+  | None, "shared" ->
+      Clause.known c [ "rounds" ];
+      Shared { rounds = Clause.pos ~key:"rounds" (Clause.field c "rounds") }
+  | None, "mwrite" ->
+      Clause.known c [ "rounds" ];
+      Mwrite { rounds = Clause.pos ~key:"rounds" (Clause.field c "rounds") }
+  | None, "shmrpc" ->
+      Clause.known c [ "calls" ];
+      Shm_rpc { calls = Clause.pos ~key:"calls" (Clause.field c "calls") }
+  | None, "scrub" ->
+      Clause.known c [];
       Scrub
-  | "add" ->
-      known kind params [ "cap" ];
-      Add_node
-        {
-          capacity =
-            (match List.assoc_opt "cap" params with
-            | Some v -> Some (pos_of_field ~key:"cap" v)
-            | None -> None);
-        }
-  | "drain" ->
-      known kind params [ "id" ];
-      Drain { id = nonneg_of_field ~key:"id" (field params "id") }
-  | "rebalance" ->
-      known kind params [];
-      Rebalance
-  | "migrate-epoch" ->
-      known kind params [];
+  | None, ("add" | "drain" | "rebalance") -> Rack (Rack_ops.op_of_clause c)
+  | None, "migrate-epoch" ->
+      Clause.known c [];
       Migrate_epoch
-  | _ -> (
-      (* Not a scenario op: a fault clause in Fault_spec grammar, armed
-         mid-sequence.  Scheduled kinds have dedicated scenario ops
-         (crash:, flap:) that act at the op's position in the sequence
-         rather than at an absolute virtual time. *)
-      match Fault_spec.parse clause with
-      | Ok
-          [
-            ( Fault_spec.Node_crash _ | Fault_spec.Link_flap _
-            | Fault_spec.Partition _ );
-          ] ->
-          bad
-            "scheduled fault %S not allowed here (use \
-             crash:id=/flap:dur=/partition:dur=,nodes=)"
-            clause
-      | Ok [ c ] -> Corrupt c
-      | Ok _ -> bad "expected exactly one clause in %S" clause
-      | Error msg -> bad "unknown op %S (%s)" clause msg)
+  | _ -> fault_op raw c
 
-let parse s =
-  match
-    let clauses =
-      String.split_on_char ';' s |> List.map String.trim
-      |> List.filter (fun c -> c <> "")
-    in
-    match clauses with
-    | [] -> bad "empty spec (expected setup:...[;op...])"
-    | setup :: ops -> { setup = parse_setup setup; ops = List.map parse_op ops }
-  with
-  | spec -> Ok spec
-  | exception Bad msg -> Error msg
+let parse =
+  Clause.parse (fun s ->
+      match Clause.split s with
+      | [] -> Clause.bad "empty spec (expected setup:...[;op...])"
+      | setup :: ops -> { setup = parse_setup setup; ops = List.map parse_op ops })
 
 let parse_exn s =
   match parse s with Ok t -> t | Error msg -> invalid_arg ("Scenario spec: " ^ msg)
@@ -310,24 +211,26 @@ let setup_to_string s =
   Printf.sprintf
     "setup:tenants=%d,nodes=%d,cap=%d,gbps=%g,replicas=%d,fmem=%d,quantum=%d,seed=%d,fseed=%d,scrub=%s,verify=%d,workloads=%s,shares=%s,quotas=%s,policy=%s,fast=%d,slowns=%s,hb=%s,lease=%s,writers=%d"
     s.tenants s.nodes s.node_cap s.gbps s.replicas s.fmem s.quantum s.seed
-    s.fault_seed (ns_to_string s.scrub_ns)
+    s.fault_seed
+    (Clause.duration_to_string s.scrub_ns)
     (if s.verify then 1 else 0)
-    (String.concat "|" s.workloads)
-    (String.concat "|" (List.map string_of_int s.shares))
-    (String.concat "|" (List.map string_of_int s.quotas))
+    (Clause.list_to_string Fun.id s.workloads)
+    (Clause.list_to_string string_of_int s.shares)
+    (Clause.list_to_string string_of_int s.quotas)
     s.policy s.fast_nodes
-    (ns_to_string s.slow_extra_ns)
-    (ns_to_string s.heartbeat_ns)
-    (ns_to_string s.lease_ns)
+    (Clause.duration_to_string s.slow_extra_ns)
+    (Clause.duration_to_string s.heartbeat_ns)
+    (Clause.duration_to_string s.lease_ns)
     s.writers
 
 let op_to_string = function
   | Run { n } -> Printf.sprintf "run:n=%d" n
   | Crash { id } -> Printf.sprintf "crash:id=%d" id
-  | Flap { dur_ns } -> Printf.sprintf "flap:dur=%s" (ns_to_string dur_ns)
+  | Flap { dur_ns } -> Printf.sprintf "flap:dur=%s" (Clause.duration_to_string dur_ns)
   | Partition { dur_ns; ids } ->
-      Printf.sprintf "partition:dur=%s,nodes=%s" (ns_to_string dur_ns)
-        (String.concat "|" (List.map string_of_int ids))
+      Printf.sprintf "partition:dur=%s,nodes=%s"
+        (Clause.duration_to_string dur_ns)
+        (Clause.list_to_string string_of_int ids)
   | Corrupt c -> Fault_spec.to_string [ c ]
   | Quota { tenant; bytes } -> Printf.sprintf "quota:t=%d,bytes=%d" tenant bytes
   | Publish { pages } -> Printf.sprintf "publish:pages=%d" pages
@@ -335,13 +238,8 @@ let op_to_string = function
   | Mwrite { rounds } -> Printf.sprintf "mwrite:rounds=%d" rounds
   | Shm_rpc { calls } -> Printf.sprintf "shmrpc:calls=%d" calls
   | Scrub -> "scrub"
-  | Add_node { capacity = None } -> "add"
-  | Add_node { capacity = Some c } -> Printf.sprintf "add:cap=%d" c
-  | Drain { id } -> Printf.sprintf "drain:id=%d" id
-  | Rebalance -> "rebalance"
+  | Rack op -> Rack_ops.op_to_string op
   | Migrate_epoch -> "migrate-epoch"
 
 let to_string t =
   String.concat ";" (setup_to_string t.setup :: List.map op_to_string t.ops)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -36,13 +36,17 @@
       (client) and tenant 0 (server) over coherent ring lines; no-op
       with fewer than two tenants;
     - [scrub] — force one full scrub sweep on every runtime;
-    - [add[:cap=B]] / [drain:id=N] / [rebalance] — rack reconfiguration
-      ops applied immediately;
+    - [add[:cap=B]] / [drain:id=N] / [rebalance] — a
+      {!Kona_rack.Rack_ops} op, read and rendered by the same functions
+      as [konactl rack --rack-ops] but without the [@T]: it applies
+      immediately;
     - [migrate-epoch] — force one placement-migrator epoch.
 
-    Durations accept ns/us/ms/s suffixes; lists (workloads, shares,
-    quotas) use ['|'] so [','] stays the parameter separator.  Rendering
-    is canonical and total: [parse (to_string t) = Ok t]. *)
+    The lexing is {!Kona_util.Clause}'s, shared with the fault and
+    rack-op grammars: durations accept ns/us/ms/s suffixes; lists
+    (workloads, shares, quotas) use ['|'] so [','] stays the parameter
+    separator.  No clause takes an [@T].  Rendering is canonical and
+    total: [parse (to_string t) = Ok t]. *)
 
 type op =
   | Run of { n : int }
@@ -56,9 +60,7 @@ type op =
   | Mwrite of { rounds : int }
   | Shm_rpc of { calls : int }
   | Scrub
-  | Add_node of { capacity : int option }
-  | Drain of { id : int }
-  | Rebalance
+  | Rack of Kona_rack.Rack_ops.op
   | Migrate_epoch
 
 type setup = {
@@ -103,10 +105,3 @@ val parse_exn : string -> t
 
 val to_string : t -> string
 (** Canonical one-line rendering ([parse (to_string t) = Ok t]). *)
-
-val pp : Format.formatter -> t -> unit
-
-val ns_to_string : int -> string
-val duration_of_string : string -> int
-(** Shared duration helpers (same grammar as {!Kona_faults.Fault_spec}).
-    [duration_of_string] raises on malformed input. *)

@@ -123,6 +123,45 @@ let test_spec_duplicate_kinds () =
     | Ok [ _; _ ] -> true
     | _ -> false)
 
+(* A time whose nanoseconds overflow [int] is an error, not a wrapped
+   negative time that fires at the first access. *)
+let test_spec_duration_overflow () =
+  List.iter
+    (fun s ->
+      check_bool (s ^ " rejected") true
+        (match Fault_spec.parse s with Error _ -> true | Ok _ -> false))
+    [
+      "node-crash@5000000000s:id=1";
+      "link-flap@1ms:dur=9223372036854775us";
+      "wqe-delay:p=0.1,ns=4611686018427388ms";
+    ];
+  check_bool "max_int ns accepted" true
+    (match Fault_spec.parse (Printf.sprintf "node-crash@%dns:id=1" max_int) with
+    | Ok [ Fault_spec.Node_crash { at_ns; _ } ] -> at_ns = max_int
+    | _ -> false)
+
+(* A probabilistic kind is armed from the start: a trigger time on it
+   would be dropped, so it is refused with the kind named. *)
+let test_spec_probabilistic_untimed () =
+  List.iter
+    (fun (kind, params) ->
+      let s = Printf.sprintf "%s@5s:%s" kind params in
+      match Fault_spec.parse s with
+      | Error m ->
+          check_bool (s ^ ": error names the kind") true (contains ~sub:kind m);
+          check_bool (s ^ ": error names the trigger") true
+            (contains ~sub:"trigger time" m)
+      | Ok _ -> Alcotest.failf "accepted %s" s)
+    [
+      ("rpc-timeout", "p=0.5");
+      ("wqe-drop", "p=0.5");
+      ("wqe-delay", "p=0.5,ns=1us");
+      ("bit-flip", "p=0.5");
+      ("torn-write", "p=0.5");
+      ("stale-read", "p=0.5");
+      ("dup-deliver", "p=0.5");
+    ]
+
 (* Random well-formed plans survive a print/parse round trip.  The
    generator respects the grammar's shape: each probabilistic kind at
    most once (crashes and flaps may repeat), probabilities drawn as
@@ -655,6 +694,10 @@ let () =
           Alcotest.test_case "errors" `Quick test_spec_errors;
           Alcotest.test_case "duplicate kinds rejected" `Quick
             test_spec_duplicate_kinds;
+          Alcotest.test_case "overflowing duration rejected" `Quick
+            test_spec_duration_overflow;
+          Alcotest.test_case "timed probabilistic kind rejected" `Quick
+            test_spec_probabilistic_untimed;
           QCheck_alcotest.to_alcotest ~long:false prop_spec_roundtrip;
         ] );
       ( "injector",

@@ -257,6 +257,12 @@ let test_rack_ops_rejects_garbage () =
     [ "drain@5ms"; "drain@5ms:id=x"; "shrink@1ms"; "drain@bogus:id=1";
       "add@1ms:cap=-3" ]
 
+let test_rack_ops_duration_overflow () =
+  check_bool "drain@5000000000s rejected" true
+    (match Rack_ops.parse "drain@5000000000s:id=1" with
+    | Ok _ -> false
+    | Error _ -> true)
+
 let () =
   Alcotest.run "kona_placement"
     [
@@ -293,5 +299,7 @@ let () =
           Alcotest.test_case "parses schedules" `Quick test_rack_ops_parse;
           Alcotest.test_case "rejects garbage" `Quick
             test_rack_ops_rejects_garbage;
+          Alcotest.test_case "rejects an overflowing time" `Quick
+            test_rack_ops_duration_overflow;
         ] );
     ]

@@ -7,6 +7,7 @@
 open Kona_scenario
 module Rack = Kona_rack.Rack
 module Fault_spec = Kona_faults.Fault_spec
+module Rack_ops = Kona_rack.Rack_ops
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -46,9 +47,10 @@ let test_parse_kitchen_sink () =
       ()
   | _ -> Alcotest.fail "unexpected head ops");
   (match List.rev t.Spec.ops with
-  | Spec.Migrate_epoch :: Spec.Rebalance :: Spec.Drain { id = 2 }
-    :: Spec.Add_node { capacity = Some 4194304 }
-    :: Spec.Add_node { capacity = None } :: Spec.Scrub :: _ ->
+  | Spec.Migrate_epoch :: Spec.Rack Rack_ops.Rebalance
+    :: Spec.Rack (Rack_ops.Drain { id = 2 })
+    :: Spec.Rack (Rack_ops.Add_node { capacity = Some 4194304 })
+    :: Spec.Rack (Rack_ops.Add_node { capacity = None }) :: Spec.Scrub :: _ ->
       ()
   | _ -> Alcotest.fail "unexpected tail ops");
   (* canonical rendering re-parses to the same value *)
@@ -78,6 +80,33 @@ let test_parse_errors () =
   check_bool "bad duration" true (bad "setup:scrub=fast");
   check_bool "zero tenants" true (bad "setup:tenants=0");
   check_bool "empty share" true (bad "setup:shares=0")
+
+(* A duration whose nanoseconds overflow [int] is an error, not a
+   wrapped value: a wrapped scrub interval turned the scrubber off and
+   rendered as text that no longer parsed, and 10^10 s wrapped to a
+   positive flap of about 777 ms. *)
+let test_parse_duration_overflow () =
+  List.iter
+    (fun s ->
+      check_bool (s ^ " rejected") true
+        (match Spec.parse s with Error _ -> true | Ok _ -> false))
+    [
+      "setup:scrub=5000000000s";
+      "setup:;flap:dur=10000000000s";
+      "setup:;wqe-delay:p=0.1,ns=5000000000s";
+    ]
+
+(* Spec ops apply at their position in the sequence: one written with a
+   trigger time, as in a --rack-ops calendar, is an unknown op. *)
+let test_parse_timed_op_rejected () =
+  List.iter
+    (fun s ->
+      match Spec.parse s with
+      | Error m ->
+          check_bool (s ^ ": unknown op") true
+            (String.length m >= 10 && String.sub m 0 10 = "unknown op")
+      | Ok _ -> Alcotest.failf "accepted %s" s)
+    [ "setup:;drain@5ms:id=1"; "setup:;rebalance@1ms"; "setup:;run@1ms:n=5" ]
 
 (* Random well-formed specs survive a print/parse round trip.  Numeric
    fields are drawn from grids whose canonical rendering re-parses
@@ -118,10 +147,11 @@ let spec_gen =
         map (fun c -> Spec.Shm_rpc { calls = c + 1 }) (int_bound 100);
         pure Spec.Scrub;
         map
-          (fun c -> Spec.Add_node { capacity = Option.map (( + ) 1) c })
+          (fun c ->
+            Spec.Rack (Rack_ops.Add_node { capacity = Option.map (( + ) 1) c }))
           (opt (int_bound 100_000_000));
-        map (fun id -> Spec.Drain { id }) (int_bound 7);
-        pure Spec.Rebalance;
+        map (fun id -> Spec.Rack (Rack_ops.Drain { id })) (int_bound 7);
+        pure (Spec.Rack Rack_ops.Rebalance);
         pure Spec.Migrate_epoch;
       ]
   in
@@ -251,13 +281,13 @@ let test_execute_rack_ops () =
       ops =
         [
           Spec.Run { n = 512 };
-          Spec.Add_node { capacity = None };
+          Spec.Rack (Rack_ops.Add_node { capacity = None });
           Spec.Quota { tenant = 1; bytes = Kona_util.Units.mib 24 };
-          Spec.Drain { id = 0 };
+          Spec.Rack (Rack_ops.Drain { id = 0 });
           Spec.Run { n = 512 };
           Spec.Crash { id = 1 };
           Spec.Flap { dur_ns = 20_000 };
-          Spec.Rebalance;
+          Spec.Rack Rack_ops.Rebalance;
           Spec.Migrate_epoch;
         ];
     }
@@ -296,7 +326,7 @@ let test_partition_mid_drain () =
       ops =
         [
           Spec.Run { n = 1024 };
-          Spec.Drain { id = 1 };
+          Spec.Rack (Rack_ops.Drain { id = 1 });
           (* mid-drain: the drain task is pending when this window opens *)
           Spec.Partition { dur_ns = 300_000; ids = [ 0 ] };
           Spec.Run { n = 1024 };
@@ -346,7 +376,7 @@ let test_shrink_syntactic () =
       Spec.Crash { id = 0 };
       Spec.Run { n = 512 };
       Spec.Scrub;
-      Spec.Rebalance;
+      Spec.Rack Rack_ops.Rebalance;
       Spec.Scrub;
       Spec.Flap { dur_ns = 1_000_000 };
       Spec.Run { n = 256 };
@@ -457,6 +487,10 @@ let () =
           Alcotest.test_case "kitchen sink" `Quick test_parse_kitchen_sink;
           Alcotest.test_case "defaults" `Quick test_parse_defaults;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "overflowing duration rejected" `Quick
+            test_parse_duration_overflow;
+          Alcotest.test_case "timed op rejected" `Quick
+            test_parse_timed_op_rejected;
           QCheck_alcotest.to_alcotest ~long:false prop_spec_roundtrip;
         ] );
       ( "generator",

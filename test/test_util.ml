@@ -43,6 +43,61 @@ let test_units_time () =
   check_int "sec" 1_000_000_000 (Units.sec 1)
 
 (* ------------------------------------------------------------------ *)
+(* Clause *)
+
+let test_clause_lex () =
+  let c = Clause.of_string "drain@5ms:id=1,,cap=2" in
+  Alcotest.(check string) "kind" "drain" c.Clause.kind;
+  check_bool "trigger" true (c.Clause.at_ns = Some 5_000_000);
+  check_bool "params in order" true (c.Clause.params = [ ("id", "1"); ("cap", "2") ]);
+  Alcotest.(check (list string))
+    "split" [ "a"; "b:x=1" ] (Clause.split " a ;; b:x=1 ;");
+  check_bool "| list" true
+    (Clause.list ~key:"n" (Clause.nonneg ~key:"n") "0||2" = [ 0; 2 ]);
+  let rejects f = match f () with _ -> false | exception Clause.Bad _ -> true in
+  check_bool "parameter without =" true (rejects (fun () -> Clause.of_string "a:b"));
+  check_bool "empty list" true
+    (rejects (fun () -> Clause.list ~key:"n" (Clause.int ~key:"n") "|"));
+  check_bool "missing trigger" true
+    (rejects (fun () -> Clause.trigger (Clause.of_string "drain:id=1")))
+
+let test_clause_duration () =
+  check_int "bare ns" 7 (Clause.duration "7");
+  check_int "us" 200_000 (Clause.duration "200us");
+  check_int "ms" 2_000_000 (Clause.duration "2ms");
+  check_int "s" 1_000_000_000 (Clause.duration "1s");
+  Alcotest.(check string) "zero renders" "0ns" (Clause.duration_to_string 0);
+  Alcotest.(check string) "largest unit" "1500us" (Clause.duration_to_string 1_500_000);
+  check_int "max_int ns" max_int (Clause.duration (string_of_int max_int));
+  let rejects s = match Clause.duration s with _ -> false | exception Clause.Bad _ -> true in
+  check_bool "largest us accepted" false (rejects (Printf.sprintf "%dus" (max_int / 1_000)));
+  check_bool "one us more rejected" true
+    (rejects (Printf.sprintf "%dus" ((max_int / 1_000) + 1)));
+  check_bool "5000000000s rejected" true (rejects "5000000000s");
+  check_bool "negative rejected" true (rejects "-1ms");
+  check_bool "unit alone rejected" true (rejects "ms")
+
+(* Weighted towards what breaks a unit-suffix printer: multiples of each
+   unit and their neighbours, and the top of the range. *)
+let duration_gen =
+  let open QCheck.Gen in
+  let unit = oneofl [ 1_000; 1_000_000; 1_000_000_000 ] in
+  let near n = map (fun d -> max 0 (n + d)) (int_range (-2) 2) in
+  frequency
+    [
+      (2, int_bound 10_000);
+      (3, unit >>= fun u -> int_bound 1_000_000 >>= fun k -> near (k * u));
+      (2, map (fun d -> max_int - d) (int_bound 2));
+      (2, unit >>= fun u -> map (fun d -> (max_int / u * u) - d) (int_bound 2));
+      (1, int_range 0 max_int);
+    ]
+
+let prop_clause_duration_roundtrip =
+  QCheck.Test.make ~name:"duration round-trips through its rendering" ~count:500
+    (QCheck.make ~print:string_of_int duration_gen)
+    (fun n -> Clause.duration (Clause.duration_to_string n) = n)
+
+(* ------------------------------------------------------------------ *)
 (* Rng *)
 
 let test_rng_determinism () =
@@ -421,6 +476,12 @@ let () =
           Alcotest.test_case "time units" `Quick test_units_time;
           Alcotest.test_case "pretty printers" `Quick test_units_pp;
         ] );
+      ( "clause",
+        [
+          Alcotest.test_case "lexing" `Quick test_clause_lex;
+          Alcotest.test_case "durations" `Quick test_clause_duration;
+        ] );
+      qsuite "clause-props" [ prop_clause_duration_roundtrip ];
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
