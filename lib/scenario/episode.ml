@@ -53,9 +53,10 @@ let config_of_setup (s : Spec.setup) =
 
 let tenants_of_setup (s : Spec.setup) =
   List.init s.Spec.tenants (fun i ->
+      let workload = nth_cyclic s.Spec.workloads i "kv-seq" in
       {
-        Rack.name = Printf.sprintf "t%d" i;
-        workload = nth_cyclic s.Spec.workloads i "kv-seq";
+        Rack.name = Printf.sprintf "t%d-%s" i workload;
+        workload;
         bw_share = max 1 (nth_cyclic s.Spec.shares i 1);
         mem_quota =
           (match nth_cyclic s.Spec.quotas i 0 with 0 -> None | q -> Some q);

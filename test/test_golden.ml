@@ -28,61 +28,61 @@ let corpus =
     ( "kv-seq, one tenant",
       "setup:tenants=1,cap=33554432,fmem=64;run:n=4000",
       "31110cd75b6c78014ee45b5ac3772fa0",
-      "4c4bdf511767f92cf98b97b99e0edbc5" );
+      "73d25209ba1987c2c970b7cb3906743b" );
     ( "two-tenant heat-policy rack",
       "setup:tenants=2,nodes=3,cap=33554432,fmem=64,seed=7,scrub=0ns,\
        verify=0,workloads=kv-zipf|kv-uniform,policy=heat;run:n=3000;\
        migrate-epoch;run:n=1000",
       "7f33f7f764498ae5ab3f0fe02356dbab",
-      "72d2137eaeb5f8daeddab1feb21b82fb" );
+      "4baf71b0440d724d424826b630bfd8ef" );
     ( "corruption + scrub",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=1;run:n=512;\
        bit-flip:p=0.2;torn-write:p=0.05;run:n=512;scrub;run:n=512",
       "1735a90d4313abc3be2ea28540f54686",
-      "d787062be3914dc07a5c6f6388c25125" );
+      "e22cc3e0b7c8e8e7dce9b56510f16143" );
     ( "lease partition",
       "setup:tenants=1,cap=33554432,fmem=64,hb=10us,lease=50us;run:n=1000;\
        partition:dur=300us,nodes=1;run:n=3000",
       "ea56c67f85775c4c99cc81e2dbf9fe02",
-      "74f5772e450d1f43b309899c7536ffab" );
+      "cbadebf6f4fb97d402b53210cce6231d" );
     ( "lease crash",
       "setup:tenants=1,cap=33554432,fmem=64,hb=10us,lease=50us;run:n=1000;\
        crash:id=1;run:n=3000",
       "7a2a11bd014f9b66cd3c534a470f142a",
-      "663dca68041a82beed7e7f0d59882da1" );
+      "1de9bc4b86f3ba1a4a0e21d820ef25c9" );
     ( "multi-writer + shm-rpc",
       "setup:tenants=2,cap=33554432,fmem=64,scrub=0ns,writers=2;run:n=1000;\
        publish:pages=4;mwrite:rounds=8;shmrpc:calls=8;run:n=1000",
       "69972158aa97e32770a5c343e3fce4fa",
-      "43433ee7fd3317c9d10b42d4f5fa34c0" );
+      "5044dd40061ee34ee4add5d8a577e0be" );
     ( "no-lease crash, replicas=0",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=0;run:n=1000;\
        crash:id=1;run:n=2000",
       "7cadc4678b20a60da3104ed7ae83f6a5",
-      "5ee859da3fc7e29970bd79dc762233ee" );
+      "94c0d17c6af0dcd34ff210b1bf1e48d5" );
     ( "no-lease crash, replicas=1",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=1;run:n=1000;\
        crash:id=1;run:n=2000",
       "ef42ef1d57a9cea9a274515aa3309572",
-      "981c4c9b80554f8e991640820bd49258" );
+      "7705d71cc324c3cf1513ae3f8689f613" );
     ( "no-lease double crash, replicas=2",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=2;run:n=1000;\
        crash:id=1;run:n=1000;crash:id=1;run:n=1000",
       "85e8ad8fbbab0a75b41c7224c6c3c16f",
-      "67856d396e3c60bc8052bf6f15d884ab" );
+      "22aa271dc9584031c295270819b5645f" );
     ( "tiered rack ops: add, drain, rebalance",
       "setup:tenants=2,nodes=3,cap=33554432,fmem=64,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=heat,fast=1,slowns=2us;\
        run:n=1000;add:cap=16777216;run:n=1000;drain:id=1;run:n=1000;\
        rebalance;run:n=1000",
       "f4a90d3c970c4ca197912c623780c26f",
-      "bcffb1008e99fd8cc4b840a77db34b92" );
+      "6f0768506da46321bd3a7c37cccacb18" );
     ( "published segment + quota",
       "setup:tenants=2,cap=33554432,fmem=64,scrub=0ns;run:n=1000;\
        publish:pages=4;shared:rounds=8;run:n=1000;quota:t=1,bytes=1;\
        run:n=500",
       "5eb3c41aa5740c72d81975dfe89252d9",
-      "2b6b47ec00209c9a39150c7e6dbb1e67" );
+      "a6167767ff0eeb54f3eab629ecf70bb9" );
   ]
 
 let tenant_digest (r : Rack.result) =
@@ -134,7 +134,7 @@ let gen_corpus =
        torn-write:p=0.0225;dup-deliver:p=0.0633;run:n=768;\
        stale-read:p=0.0717",
       "812a71a35458f4bfebd2d0c9f825d02c",
-      "ce7df64c1c0203dbdcf9dde3e38c720c" );
+      "f56ccd75639a7b612f37bbab46335d3c" );
     ( "ops",
       28,
       "setup:tenants=2,nodes=3,cap=134217728,gbps=0.5,replicas=1,fmem=256,\
@@ -144,7 +144,7 @@ let gen_corpus =
        partition:dur=128us,nodes=2;rebalance;run:n=1792;migrate-epoch;\
        run:n=1024;drain:id=0;run:n=1024;add:cap=67108864;run:n=768",
       "67fe04fb3c5a5357f2ebb5674264921d",
-      "3dab6cfd24805c28f680df836192b6de" );
+      "92a433bb13ef1462ceee85bbfee703b8" );
     ( "shmem",
       692496,
       "setup:tenants=3,nodes=2,cap=134217728,gbps=0.5,replicas=1,fmem=128,\
@@ -155,7 +155,7 @@ let gen_corpus =
        mwrite:rounds=27;run:n=1024;shared:rounds=15;run:n=1536;\
        mwrite:rounds=25;shmrpc:calls=12;mwrite:rounds=20",
       "cc4f0d3a3c496a9d8b3a6722a55f1f99",
-      "d39fafe5ddad87c25e714a56ddd41346" );
+      "8bc75afff35203d26ecc25cc2a0c421b" );
   ]
 
 let check_gen (family, seed, line, tenant, hub) () =
