@@ -9,16 +9,17 @@
                                        runtimes and report time, traffic
                                        and integrity
      konactl stats -w NAME [...]       same runs, telemetry table output
-     konactl soak [--episodes N] [--seed S] [--metrics-json PATH]
-                                       randomized corruption episodes vs the
-                                       shadow-heap oracle; fail loudly on
-                                       undetected corruption
+     konactl rack [--tenants N] [-w SLUGS] [...]
+                                       multi-tenant rack: the flags lower to
+                                       one scenario spec, run under the
+                                       invariant registry
      konactl fuzz [--episodes N] [--ops K] [--seed S] [--replay SPEC]
                   [--repro-out PATH] [--metrics-json PATH]
                                        seeded whole-surface scenario fuzzing
                                        against the cross-subsystem invariant
                                        registry; failures shrink to minimal
-                                       replayable repro specs (exit 5) *)
+                                       replayable repro specs (exit 5)
+     konactl soak [same flags as fuzz] fuzz over the corruption family only *)
 
 open Kona
 module Workloads = Kona_workloads.Workloads
@@ -34,6 +35,14 @@ module Snapshot = Kona_telemetry.Snapshot
 
 let scale_of full = if full then Workloads.Full else Workloads.Smoke
 let scale_name full = if full then "full" else "smoke"
+
+(* Every JSON export is one document on one line. *)
+let write_json ~verb path doc =
+  let oc = open_out path in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Fmt.pr "%s: wrote %s@." verb path
 
 (* ------------------------------------------------------------------ *)
 
@@ -269,11 +278,7 @@ let export_results ~(spec : Workloads.spec) ~full ~seed ~metrics_json ~trace
             ("systems", Json.List docs);
           ]
       in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "metrics: wrote %s@." path);
+      write_json ~verb:"metrics" path doc);
   match trace with
   | None -> ()
   | Some path ->
@@ -341,15 +346,15 @@ let print_stats ~(spec : Workloads.spec) ~full ~seed r =
   Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.rr_hub)
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak: N randomized corruption episodes against the shadow-heap
-   oracle, driven through the scenario engine (lib/scenario).  Every
-   episode draws a crash-free corruption plan (bit flips, torn writes,
-   stale reads, duplicated deliveries) from the master seed, renders it
-   as a one-line scenario spec whose clauses are armed up front, and
-   checks the registry's shadow-heap and integrity-accounting invariants
-   plus reproducibility (re-running the same spec yields bit-for-bit
-   identical integrity counters).  The kona.soak.v1 report shape is
-   unchanged from the pre-scenario harness. *)
+(* Autonomous scenario fuzzing (lib/scenario): seeded op sequences over
+   the whole public surface — run slices, crashes, link flaps, corruption
+   clauses, quota changes, shared-segment publish/map traffic, scrub
+   sweeps, node adds/drains, rebalances and migration epochs — checked
+   against the cross-subsystem invariant registry at every op boundary
+   and at episode end.  Every episode is one replayable spec line;
+   failures are delta-debugged to minimal repro specs.  Exit 5 = a named
+   invariant was violated; exit 1 = replay fingerprint mismatch.  The
+   chaos soak is this loop over the generator's corruption family. *)
 
 module Rng = Kona_util.Rng
 module Fault_spec = Kona_faults.Fault_spec
@@ -359,200 +364,53 @@ module Episode = Kona_scenario.Episode
 module Invariants = Kona_scenario.Invariants
 module Shrink = Kona_scenario.Shrink
 
-(* One crash-free corruption plan: a random non-empty subset of the
-   probabilistic kinds.  Node crashes are deliberately excluded:
-   re-replication after failover heals corruption outside the detection
-   paths this harness is auditing.  (No episode is special-cased;
-   detection coverage across a seeded batch is asserted by CI over the
-   whole kona.soak.v1 report.) *)
-let soak_plan rng =
-  let p lo hi = lo +. Rng.float rng (hi -. lo) in
-  let clauses = ref [] in
-  let add c = clauses := c :: !clauses in
-  if Rng.bool rng then add (Printf.sprintf "bit-flip:p=%.4f" (p 0.05 0.3));
-  if Rng.bool rng then add (Printf.sprintf "torn-write:p=%.4f" (p 0.05 0.3));
-  if Rng.bool rng then add (Printf.sprintf "dup-deliver:p=%.4f" (p 0.05 0.3));
-  if Rng.bool rng then add (Printf.sprintf "stale-read:p=%.4f" (p 0.02 0.1));
-  if !clauses = [] then add (Printf.sprintf "torn-write:p=%.4f" (p 0.05 0.3));
-  String.concat ";" (List.rev !clauses)
-
-(* The soak setup as a scenario: one tenant on 2 x 128 MiB nodes, one
-   replica, a small cache (more eviction traffic to corrupt), on-fetch
-   verification and a background scrubber — all Scenario defaults — with
-   the plan's clauses armed before the replay starts. *)
-let soak_spec ~workload ~plan_str ~fault_seed ~seed ~scrub_interval =
-  let plan =
-    match Fault_spec.parse plan_str with
-    | Ok p -> p
-    | Error msg ->
-        Fmt.epr "internal: bad soak plan %S: %s@." plan_str msg;
-        exit 1
-  in
-  {
-    Scn.setup =
-      {
-        Scn.default_setup with
-        Scn.workloads = [ workload ];
-        seed;
-        fault_seed;
-        scrub_ns = scrub_interval;
-      };
-    ops = List.map (fun c -> Scn.Corrupt c) plan;
-  }
-
-let soak_failures (o : Episode.outcome) =
-  List.map
-    (fun v -> Printf.sprintf "%s: %s" v.Invariants.inv v.Invariants.detail)
-    o.Episode.oc_violations
-  @
-  match o.Episode.oc_aborted with
-  | Some a -> [ Printf.sprintf "episode aborted: %s" a ]
-  | None -> []
-
-let cmd_soak workload episodes master_seed scrub_interval repro_check
-    metrics_json =
-  let spec =
-    match specs_of (Some workload) with [ s ] -> s | _ -> assert false
-  in
-  let rng = Rng.create ~seed:master_seed in
-  let failed = ref false in
-  let docs = ref [] in
-  for episode = 0 to episodes - 1 do
-    let plan_str = soak_plan rng in
-    let fault_seed = Rng.int rng 1_000_000 in
-    let seed = Rng.int rng 1_000_000 in
-    Fmt.pr "episode %d: plan [%s] fault-seed %d seed %d@." episode plan_str
-      fault_seed seed;
-    let scenario =
-      soak_spec ~workload:spec.Workloads.name ~plan_str ~fault_seed ~seed
-        ~scrub_interval
-    in
-    let o = Episode.execute scenario in
-    let failures = soak_failures o in
-    List.iter
-      (fun (k, v) -> if v <> 0 then Fmt.pr "  %-28s %d@." k v)
-      o.Episode.oc_integrity;
-    (match o.Episode.oc_degraded with
-    | Some r -> Fmt.pr "  degraded (detected, declared): %s@." r
-    | None -> ());
-    if o.Episode.oc_unrepairable > 0 then
-      Fmt.pr "  unrepairable pages excluded from oracle: %d@."
-        o.Episode.oc_unrepairable;
-    (match failures with
-    | [] ->
-        Fmt.pr "  PASS: zero shadow-heap divergence, all injections accounted@."
-    | fs ->
-        failed := true;
-        List.iter (fun f -> Fmt.pr "  FAIL: %s@." f) fs);
-    if repro_check then begin
-      let o2 = Episode.execute scenario in
-      if
-        o2.Episode.oc_integrity <> o.Episode.oc_integrity
-        || o2.Episode.oc_fingerprint <> o.Episode.oc_fingerprint
-      then begin
-        failed := true;
-        Fmt.pr
-          "  FAIL: re-run of the same (plan, seed) changed integrity counters@."
-      end
-      else Fmt.pr "  repro: integrity counters identical across re-run@."
-    end;
-    docs :=
-      Json.Obj
-        [
-          ("episode", Json.Int episode);
-          ("plan", Json.String plan_str);
-          ("fault_seed", Json.Int fault_seed);
-          ("workload_seed", Json.Int seed);
-          ("divergent_pages", Json.Int o.Episode.oc_divergent);
-          ("unrepairable_pages", Json.Int o.Episode.oc_unrepairable);
-          ("failures", Json.List (List.map (fun f -> Json.String f) failures));
-          ( "integrity",
-            Json.Obj
-              (List.map (fun (k, v) -> (k, Json.Int v)) o.Episode.oc_integrity)
-          );
-          ( "injected",
-            Json.Obj
-              (List.map (fun (k, v) -> (k, Json.Int v)) o.Episode.oc_injected)
-          );
-        ]
-      :: !docs
-  done;
-  (match metrics_json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "kona.soak.v1");
-            ("workload", Json.String spec.Workloads.name);
-            ("master_seed", Json.Int master_seed);
-            ("passed", Json.Bool (not !failed));
-            ("episodes", Json.List (List.rev !docs));
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "soak: wrote %s@." path);
-  if !failed then begin
-    Fmt.pr "soak: FAILED@.";
-    1
-  end
-  else begin
-    Fmt.pr "soak: %d episode(s) passed@." episodes;
-    0
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Autonomous scenario fuzzing (lib/scenario): seeded op sequences over
-   the whole public surface — run slices, crashes, link flaps, corruption
-   clauses, quota changes, shared-segment publish/map traffic, scrub
-   sweeps, node adds/drains, rebalances and migration epochs — checked
-   against the cross-subsystem invariant registry at every op boundary
-   and at episode end.  Every episode is one replayable spec line;
-   failures are delta-debugged to minimal repro specs.  Exit 5 = a named
-   invariant was violated; exit 1 = replay fingerprint mismatch. *)
-
 let first_violation_name spec ~check_end =
   match (Episode.execute ~check_end spec).Episode.oc_violations with
   | [] -> None
   | v :: _ -> Some v.Invariants.inv
 
-let cmd_fuzz episodes ops master_seed replay repro_out metrics_json =
+let print_violations (o : Episode.outcome) =
+  List.iter
+    (fun v -> Fmt.pr "violation [%s] %s@." v.Invariants.inv v.Invariants.detail)
+    o.Episode.oc_violations
+
+(* [generate] draws episode [seed]'s spec: [Gen.generate] for fuzz, its
+   corruption family for soak. *)
+let cmd_fuzz generate episodes ops master_seed replay repro_out metrics_json =
   match replay with
   | Some line -> (
       match Scn.parse line with
       | Error msg ->
           Fmt.epr "bad scenario spec: %s@." msg;
           1
-      | Ok spec ->
-          let o = Episode.execute spec in
-          let o2 = Episode.execute spec in
-          List.iter
-            (fun v ->
-              Fmt.pr "violation [%s] %s@." v.Invariants.inv v.Invariants.detail)
-            o.Episode.oc_violations;
-          (match o.Episode.oc_aborted with
-          | Some a -> Fmt.pr "aborted: %s@." a
-          | None -> ());
-          if
-            o.Episode.oc_fingerprint <> o2.Episode.oc_fingerprint
-            || o.Episode.oc_integrity <> o2.Episode.oc_integrity
-          then begin
-            Fmt.pr
-              "replay: FAILED — two runs of the same spec diverged (broken \
-               determinism)@.";
-            1
-          end
-          else if o.Episode.oc_violations <> [] then begin
-            Fmt.pr "replay: reproduced the invariant violation@.";
-            5
-          end
-          else begin
-            Fmt.pr "replay: PASS fingerprint %s@." o.Episode.oc_fingerprint;
-            0
-          end)
+      | Ok spec -> (
+          match Episode.execute spec with
+          | exception Invalid_argument msg ->
+              Fmt.epr "%s@." msg;
+              1
+          | o ->
+              let o2 = Episode.execute spec in
+              print_violations o;
+              (match o.Episode.oc_aborted with
+              | Some a -> Fmt.pr "aborted: %s@." a
+              | None -> ());
+              if
+                o.Episode.oc_fingerprint <> o2.Episode.oc_fingerprint
+                || o.Episode.oc_integrity <> o2.Episode.oc_integrity
+              then begin
+                Fmt.pr
+                  "replay: FAILED — two runs of the same spec diverged \
+                   (broken determinism)@.";
+                1
+              end
+              else if o.Episode.oc_violations <> [] then begin
+                Fmt.pr "replay: reproduced the invariant violation@.";
+                5
+              end
+              else begin
+                Fmt.pr "replay: PASS fingerprint %s@." o.Episode.oc_fingerprint;
+                0
+              end))
   | None ->
       let rng = Rng.create ~seed:master_seed in
       let failed = ref false in
@@ -574,7 +432,7 @@ let cmd_fuzz episodes ops master_seed replay repro_out metrics_json =
       in
       for episode = 0 to episodes - 1 do
         let ep_seed = Rng.int rng 1_000_000 in
-        let spec = Scn_gen.generate ~seed:ep_seed ~ops in
+        let spec = generate ~seed:ep_seed ~ops in
         let line = Scn.to_string spec in
         Fmt.pr "episode %d: seed %d@.  %s@." episode ep_seed line;
         let o = Episode.execute spec in
@@ -655,11 +513,7 @@ let cmd_fuzz episodes ops master_seed replay repro_out metrics_json =
                 ("episodes", Json.List (List.rev !docs));
               ]
           in
-          let oc = open_out path in
-          output_string oc (Json.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "fuzz: wrote %s@." path);
+          write_json ~verb:"fuzz" path doc);
       if !failed then begin
         Fmt.pr "fuzz: FAILED (invariant violation)@.";
         5
@@ -672,7 +526,8 @@ let cmd_fuzz episodes ops master_seed replay repro_out metrics_json =
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant rack: N tenant runtimes interleaved over shared memory
    nodes with WFQ'd ingress bandwidth, per-tenant quotas and a
-   cross-tenant shared segment (see lib/rack). *)
+   cross-tenant shared segment (see lib/rack).  The flags lower to one
+   scenario spec, which Episode runs under the invariant registry. *)
 
 module Rack = Kona_rack.Rack
 module Shm_rpc = Kona_shmem.Shm_rpc
@@ -686,271 +541,265 @@ let parse_list ~what ~parse s =
            Fmt.epr "bad %s element %S@." what x;
            exit 1)
 
-let nth_cyclic l i default =
-  match l with [] -> default | _ -> List.nth l (i mod List.length l)
+let print_rack_report (setup : Scn.setup) (r : Rack.result) rpc =
+  Fmt.pr "rack: %d tenant(s), %d node(s) @ %.2f Gbit/s ingress, smoke, %a@."
+    setup.Scn.tenants setup.Scn.nodes setup.Scn.gbps Units.pp_ns
+    r.Rack.r_elapsed_ns;
+  Array.iter
+    (fun (t : Rack.tenant_result) ->
+      Fmt.pr
+        "  %-22s share %d  %a  %d accesses  %a admitted  achieved %.3f \
+         Gbit/s  queued %a  inval %d@."
+        t.Rack.t_cfg.Rack.name t.Rack.t_cfg.Rack.bw_share Units.pp_ns
+        t.Rack.t_elapsed_ns t.Rack.t_accesses Units.pp_bytes
+        t.Rack.t_admitted_bytes t.Rack.t_achieved_gbps Units.pp_ns
+        t.Rack.t_delay_ns t.Rack.t_invalidations)
+    r.Rack.r_tenants;
+  Fmt.pr
+    "contention: %d/%d admits saturated; shared segment: %d writes, %d \
+     reads, %d snoops, %d invalidations@."
+    r.Rack.r_saturated_admits r.Rack.r_total_admits r.Rack.r_shared_writes
+    r.Rack.r_shared_reads r.Rack.r_snoops r.Rack.r_invalidations_sent;
+  if r.Rack.r_owner_changes > 0 then
+    Fmt.pr
+      "coherence: %d writer handoff(s), %d owner change(s), %d \
+       invalidation(s)@."
+      r.Rack.r_handoffs r.Rack.r_owner_changes r.Rack.r_coh_invalidations;
+  (match rpc with
+  | Some s ->
+      Fmt.pr
+        "shm-rpc: %d call(s) over coherent lines (%d+%d per call)  mean \
+         %a/call  max %a  %d handoff(s)@."
+        s.Shm_rpc.s_calls s.Shm_rpc.s_req_lines s.Shm_rpc.s_resp_lines
+        Units.pp_ns (Shm_rpc.mean_ns s) Units.pp_ns s.Shm_rpc.s_max_ns
+        s.Shm_rpc.s_handoffs
+  | None -> ());
+  Fmt.pr
+    "placement: policy %s  %d migration(s) (%a moved, %d declined)  \
+     remote-hit %d.%d%%  hot-hit %d.%d%%@."
+    r.Rack.r_policy r.Rack.r_migrations Units.pp_bytes r.Rack.r_bytes_moved
+    r.Rack.r_failed_moves
+    (r.Rack.r_remote_hit_pml / 10)
+    (r.Rack.r_remote_hit_pml mod 10)
+    (r.Rack.r_hot_hit_pml / 10)
+    (r.Rack.r_hot_hit_pml mod 10);
+  if r.Rack.r_ops_applied > 0 then
+    Fmt.pr "ops: %d applied; drain re-homed %d page(s), %d failure(s)@."
+      r.Rack.r_ops_applied r.Rack.r_drained_pages r.Rack.r_drain_failures;
+  if r.Rack.r_node_crashes > 0 then
+    Fmt.pr "faults: %d node crash(es) handled@." r.Rack.r_node_crashes;
+  Array.iter
+    (fun (t : Rack.tenant_result) ->
+      if t.Rack.t_mismatches > 0 then
+        Fmt.pr "integrity: %s: %d PAGES DIVERGED@." t.Rack.t_cfg.Rack.name
+          t.Rack.t_mismatches;
+      if t.Rack.t_lost_pages > 0 then
+        Fmt.pr "integrity: %s: %d page(s) unreachable on crashed nodes@."
+          t.Rack.t_cfg.Rack.name t.Rack.t_lost_pages;
+      match t.Rack.t_degraded with
+      | Some reason -> Fmt.pr "degraded: %s: %s@." t.Rack.t_cfg.Rack.name reason
+      | None -> ())
+    r.Rack.r_tenants
 
+let rack_json (setup : Scn.setup) (r : Rack.result) rpc =
+  let tenant_doc (t : Rack.tenant_result) =
+    Json.Obj
+      [
+        ("name", Json.String t.Rack.t_cfg.Rack.name);
+        ("workload", Json.String t.Rack.t_cfg.Rack.workload);
+        ("bw_share", Json.Int t.Rack.t_cfg.Rack.bw_share);
+        ( "mem_quota",
+          match t.Rack.t_cfg.Rack.mem_quota with
+          | Some b -> Json.Int b
+          | None -> Json.Null );
+        ("seed", Json.Int t.Rack.t_cfg.Rack.seed);
+        ("accesses", Json.Int t.Rack.t_accesses);
+        ("elapsed_ns", Json.Int t.Rack.t_elapsed_ns);
+        ("admitted_bytes", Json.Int t.Rack.t_admitted_bytes);
+        ("contended_bytes", Json.Int t.Rack.t_contended_bytes);
+        ("delay_ns", Json.Int t.Rack.t_delay_ns);
+        ("achieved_gbps", Json.Float t.Rack.t_achieved_gbps);
+        ("invalidations", Json.Int t.Rack.t_invalidations);
+        ("mismatches", Json.Int t.Rack.t_mismatches);
+        ( "degraded",
+          match t.Rack.t_degraded with
+          | Some s -> Json.String s
+          | None -> Json.Null );
+      ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.String "kona.rack.v1");
+      ("scale", Json.String "smoke");
+      ("seed", Json.Int setup.Scn.seed);
+      ("nodes", Json.Int setup.Scn.nodes);
+      ("node_gbps", Json.Float setup.Scn.gbps);
+      ("total_admits", Json.Int r.Rack.r_total_admits);
+      ("saturated_admits", Json.Int r.Rack.r_saturated_admits);
+      ("snoops", Json.Int r.Rack.r_snoops);
+      ("invalidations_sent", Json.Int r.Rack.r_invalidations_sent);
+      ("shared_writers", Json.Int setup.Scn.writers);
+      ("handoffs", Json.Int r.Rack.r_handoffs);
+      ("owner_changes", Json.Int r.Rack.r_owner_changes);
+      ("coherence_invalidations", Json.Int r.Rack.r_coh_invalidations);
+      ( "shm_rpc",
+        match rpc with
+        | None -> Json.Null
+        | Some s ->
+            Json.Obj
+              [
+                ("calls", Json.Int s.Shm_rpc.s_calls);
+                ("total_ns", Json.Int s.Shm_rpc.s_total_ns);
+                ("mean_ns", Json.Int (Shm_rpc.mean_ns s));
+                ("max_ns", Json.Int s.Shm_rpc.s_max_ns);
+                ("req_lines", Json.Int s.Shm_rpc.s_req_lines);
+                ("resp_lines", Json.Int s.Shm_rpc.s_resp_lines);
+                ("handoffs", Json.Int s.Shm_rpc.s_handoffs);
+                ("invalidations", Json.Int s.Shm_rpc.s_invalidations);
+              ] );
+      ("policy", Json.String r.Rack.r_policy);
+      ("migrations", Json.Int r.Rack.r_migrations);
+      ("bytes_moved", Json.Int r.Rack.r_bytes_moved);
+      ("failed_moves", Json.Int r.Rack.r_failed_moves);
+      ("migrator_delay_ns", Json.Int r.Rack.r_migrator_delay_ns);
+      ("fetches", Json.Int r.Rack.r_fetches);
+      ("fetches_fast", Json.Int r.Rack.r_fetches_fast);
+      ("remote_hit_pml", Json.Int r.Rack.r_remote_hit_pml);
+      ("hot_hit_pml", Json.Int r.Rack.r_hot_hit_pml);
+      ("drained_pages", Json.Int r.Rack.r_drained_pages);
+      ("drain_failures", Json.Int r.Rack.r_drain_failures);
+      ("ops_applied", Json.Int r.Rack.r_ops_applied);
+      ( "tenants",
+        Json.List (Array.to_list (Array.map tenant_doc r.Rack.r_tenants)) );
+      ("metrics", Snapshot.to_json r.Rack.r_snapshot);
+    ]
+
+(* Exit precedence: 3 abort, 1 divergence or repro mismatch, 5 invariant
+   violation, 4 drain incomplete, 2 degraded, 0. *)
 let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
     shared_pages shared_ops shared_writers shm_rpc_calls quantum policy
     fast_nodes slow_extra_ns rack_ops rack_fmem_pages replicas fault_spec
-    fault_seed retry_max backoff_base_ns heartbeat_ns lease_ns seed full
-    metrics_json repro_check =
+    fault_seed heartbeat_ns lease_ns seed metrics_json repro_check =
   if tenants_n < 1 then begin
     Fmt.epr "--tenants must be >= 1@.";
     exit 1
   end;
-  let scale = scale_of full in
   let slugs = parse_list ~what:"workload" ~parse:(fun x -> x) workloads in
   let shares = parse_list ~what:"--bw-share" ~parse:int_of_string bw_shares in
   let quotas =
     match mem_quotas with
-    | None -> []
+    | None -> [ 0 ]
     | Some s -> parse_list ~what:"--mem-quota" ~parse:int_of_string s
   in
-  let ops =
+  let calendar =
     match Kona_rack.Rack_ops.parse rack_ops with
     | Ok ops -> ops
     | Error msg ->
         Fmt.epr "bad --rack-ops: %s@." msg;
         exit 1
   in
-  let tenant_cfgs =
-    List.init tenants_n (fun i ->
-        let slug = nth_cyclic slugs i "kv-uniform" in
-        {
-          Rack.name = Printf.sprintf "t%d-%s" i slug;
-          workload = slug;
-          bw_share = nth_cyclic shares i 1;
-          mem_quota =
-            (match nth_cyclic quotas i 0 with 0 -> None | b -> Some b);
-          seed = seed + i;
-        })
+  (* A probabilistic fault clause arms as an op right after start; a
+     scheduled one joins the rack ops on the start-time calendar. *)
+  let scheduled, armed =
+    List.partition
+      (function
+        | Fault_spec.Node_crash _ | Fault_spec.Link_flap _ | Fault_spec.Partition _ ->
+            true
+        | _ -> false)
+      (parse_fault_spec fault_spec)
   in
-  let runtime =
-    let base = Rack.default_config.Rack.runtime in
+  let workloads = if slugs = [] then [ "kv-uniform" ] else slugs in
+  let setup =
     {
-      base with
-      Runtime.fmem_pages =
-        (if rack_fmem_pages > 0 then rack_fmem_pages
-         else base.Runtime.fmem_pages);
-      backoff = backoff_of ~retry_max ~backoff_base_ns;
-      (* honoured on tenant 0 only — one membership authority per rack *)
-      heartbeat_ns;
-      lease_ns;
-    }
-  in
-  let cfg =
-    {
-      Rack.scale;
+      Scn.tenants = tenants_n;
       nodes;
-      node_capacity =
+      node_cap =
         (if node_cap > 0 then node_cap
          else Rack.default_config.Rack.node_capacity);
-      node_gbps;
+      gbps = node_gbps;
       replicas;
-      faults = parse_fault_spec fault_spec;
-      fault_seed;
-      shared_pages;
-      shared_ops;
-      shared_writers;
+      fmem =
+        (if rack_fmem_pages > 0 then rack_fmem_pages
+         else Runtime.default_config.Runtime.fmem_pages);
       quantum;
+      seed;
+      fault_seed;
+      scrub_ns = 0;
+      verify = false;
+      workloads;
+      shares;
+      quotas;
       policy;
       fast_nodes;
       slow_extra_ns;
-      ops;
-      runtime;
+      heartbeat_ns = Option.value heartbeat_ns ~default:0;
+      lease_ns;
+      writers = shared_writers;
+      shared_pages;
+      shared_ops;
     }
   in
-  (* --shm-rpc rides the same engine after replay: the ring's coherent
-     line traffic lands on the drained-but-live fabric, so its telemetry
-     folds into the run's fingerprints (and the repro re-run's). *)
-  let run_once () =
-    let e = Rack.start cfg tenant_cfgs in
-    while Rack.step e > 0 do
-      ()
-    done;
-    let rpc =
-      if shm_rpc_calls > 0 && tenants_n >= 2 then
-        Some (Shm_rpc.run e ~client:1 ~server:0 ~calls:shm_rpc_calls ())
-      else None
-    in
-    (Rack.finish e, rpc)
+  let spec =
+    {
+      Scn.setup;
+      ops =
+        List.map (fun c -> Scn.Corrupt c) armed
+        @ List.map (fun c -> Scn.Fault_at c) scheduled
+        @ List.map (fun c -> Scn.Rack_at c) calendar
+        (* the ring runs after the whole replay, on the drained-but-live
+           fabric, so its traffic folds into the fingerprints *)
+        @
+        if shm_rpc_calls > 0 && tenants_n >= 2 then
+          [ Scn.Run { n = max_int }; Scn.Shm_rpc { calls = shm_rpc_calls } ]
+        else [];
+    }
   in
   (* unknown slugs exit here with the 'konactl workloads' hint; any other
-     configuration error surfaces below as its own message *)
-  List.iter (fun tc -> ignore (specs_of (Some tc.Rack.workload))) tenant_cfgs;
-  match run_once () with
+     configuration error surfaces below as its own message.  Tenant i
+     runs slug i mod |slugs|, so the first [tenants_n] are the ones used. *)
+  List.iteri
+    (fun i slug -> if i < tenants_n then ignore (specs_of (Some slug)))
+    workloads;
+  match Episode.execute spec with
   | exception Invalid_argument msg ->
       Fmt.epr "%s@." msg;
       1
-  | exception Rack_controller.Quota_exceeded q ->
-      Fmt.epr
-        "quota exceeded: tenant %s requested %a with %a of its %a cap used@."
-        q.tenant Units.pp_bytes q.requested Units.pp_bytes q.used
-        Units.pp_bytes q.quota;
+  | { Episode.oc_aborted = Some why; _ } ->
+      Fmt.epr "aborted: %s@." why;
       3
-  | r, rpc ->
-      Fmt.pr "rack: %d tenant(s), %d node(s) @ %.2f Gbit/s ingress, %s, %a@."
-        tenants_n nodes node_gbps (scale_name full) Units.pp_ns r.Rack.r_elapsed_ns;
-      Array.iter
-        (fun (t : Rack.tenant_result) ->
-          Fmt.pr
-            "  %-22s share %d  %a  %d accesses  %a admitted  achieved %.3f \
-             Gbit/s  queued %a  inval %d@."
-            t.Rack.t_cfg.Rack.name t.Rack.t_cfg.Rack.bw_share Units.pp_ns
-            t.Rack.t_elapsed_ns t.Rack.t_accesses Units.pp_bytes
-            t.Rack.t_admitted_bytes t.Rack.t_achieved_gbps Units.pp_ns
-            t.Rack.t_delay_ns t.Rack.t_invalidations)
-        r.Rack.r_tenants;
-      Fmt.pr
-        "contention: %d/%d admits saturated; shared segment: %d writes, %d \
-         reads, %d snoops, %d invalidations@."
-        r.Rack.r_saturated_admits r.Rack.r_total_admits r.Rack.r_shared_writes
-        r.Rack.r_shared_reads r.Rack.r_snoops r.Rack.r_invalidations_sent;
-      if r.Rack.r_owner_changes > 0 then
-        Fmt.pr
-          "coherence: %d writer handoff(s), %d owner change(s), %d \
-           invalidation(s)@."
-          r.Rack.r_handoffs r.Rack.r_owner_changes r.Rack.r_coh_invalidations;
-      (match rpc with
-      | Some s ->
-          Fmt.pr
-            "shm-rpc: %d call(s) over coherent lines (%d+%d per call)  mean \
-             %a/call  max %a  %d handoff(s)@."
-            s.Shm_rpc.s_calls s.Shm_rpc.s_req_lines s.Shm_rpc.s_resp_lines
-            Units.pp_ns (Shm_rpc.mean_ns s) Units.pp_ns s.Shm_rpc.s_max_ns
-            s.Shm_rpc.s_handoffs
-      | None -> ());
-      Fmt.pr
-        "placement: policy %s  %d migration(s) (%a moved, %d declined)  \
-         remote-hit %d.%d%%  hot-hit %d.%d%%@."
-        r.Rack.r_policy r.Rack.r_migrations Units.pp_bytes r.Rack.r_bytes_moved
-        r.Rack.r_failed_moves
-        (r.Rack.r_remote_hit_pml / 10)
-        (r.Rack.r_remote_hit_pml mod 10)
-        (r.Rack.r_hot_hit_pml / 10)
-        (r.Rack.r_hot_hit_pml mod 10);
-      if r.Rack.r_ops_applied > 0 then
-        Fmt.pr "ops: %d applied; drain re-homed %d page(s), %d failure(s)@."
-          r.Rack.r_ops_applied r.Rack.r_drained_pages r.Rack.r_drain_failures;
-      if r.Rack.r_node_crashes > 0 then
-        Fmt.pr "faults: %d node crash(es) handled@." r.Rack.r_node_crashes;
-      let mismatches = ref 0 in
-      Array.iter
-        (fun (t : Rack.tenant_result) ->
-          mismatches := !mismatches + t.Rack.t_mismatches;
-          if t.Rack.t_mismatches > 0 then
-            Fmt.pr "integrity: %s: %d PAGES DIVERGED@." t.Rack.t_cfg.Rack.name
-              t.Rack.t_mismatches;
-          if t.Rack.t_lost_pages > 0 then
-            Fmt.pr "integrity: %s: %d page(s) unreachable on crashed nodes@."
-              t.Rack.t_cfg.Rack.name t.Rack.t_lost_pages;
-          match t.Rack.t_degraded with
-          | Some reason -> Fmt.pr "degraded: %s: %s@." t.Rack.t_cfg.Rack.name reason
-          | None -> ())
-        r.Rack.r_tenants;
-      if !mismatches = 0 then
+  | { Episode.oc_result = None; _ } as o ->
+      (* a boundary invariant stopped the run before its end *)
+      print_violations o;
+      5
+  | { Episode.oc_result = Some r; _ } as o ->
+      let rpc = o.Episode.oc_shm_rpc in
+      print_rack_report setup r rpc;
+      let diverged =
+        Array.exists (fun (t : Rack.tenant_result) -> t.Rack.t_mismatches > 0)
+          r.Rack.r_tenants
+      in
+      if not diverged then
         Fmt.pr "integrity: remote memory matches every tenant's view@.";
-      let repro_failed = ref false in
-      if repro_check then begin
-        let r2, rpc2 = run_once () in
+      print_violations o;
+      let repro_failed =
+        repro_check
+        &&
+        let o2 = Episode.execute spec in
         let same =
-          Array.for_all2
-            (fun (a : Rack.tenant_result) (b : Rack.tenant_result) ->
-              a.Rack.t_fingerprint = b.Rack.t_fingerprint)
-            r.Rack.r_tenants r2.Rack.r_tenants
-          && rpc = rpc2
+          o2.Episode.oc_fingerprint = o.Episode.oc_fingerprint
+          && o2.Episode.oc_shm_rpc = rpc
         in
         if same then
           Fmt.pr "repro: per-tenant counters bit-identical across re-run@."
-        else begin
-          repro_failed := true;
-          Fmt.pr "repro: FAIL: re-run changed per-tenant counters@."
-        end
-      end;
+        else Fmt.pr "repro: FAIL: re-run changed per-tenant counters@.";
+        not same
+      in
       (match metrics_json with
       | None -> ()
       | Some path ->
-          let tenant_doc (t : Rack.tenant_result) =
-            Json.Obj
-              [
-                ("name", Json.String t.Rack.t_cfg.Rack.name);
-                ("workload", Json.String t.Rack.t_cfg.Rack.workload);
-                ("bw_share", Json.Int t.Rack.t_cfg.Rack.bw_share);
-                ( "mem_quota",
-                  match t.Rack.t_cfg.Rack.mem_quota with
-                  | Some b -> Json.Int b
-                  | None -> Json.Null );
-                ("seed", Json.Int t.Rack.t_cfg.Rack.seed);
-                ("accesses", Json.Int t.Rack.t_accesses);
-                ("elapsed_ns", Json.Int t.Rack.t_elapsed_ns);
-                ("admitted_bytes", Json.Int t.Rack.t_admitted_bytes);
-                ("contended_bytes", Json.Int t.Rack.t_contended_bytes);
-                ("delay_ns", Json.Int t.Rack.t_delay_ns);
-                ("achieved_gbps", Json.Float t.Rack.t_achieved_gbps);
-                ("invalidations", Json.Int t.Rack.t_invalidations);
-                ("mismatches", Json.Int t.Rack.t_mismatches);
-                ( "degraded",
-                  match t.Rack.t_degraded with
-                  | Some s -> Json.String s
-                  | None -> Json.Null );
-              ]
-          in
-          let doc =
-            Json.Obj
-              [
-                ("schema", Json.String "kona.rack.v1");
-                ("scale", Json.String (scale_name full));
-                ("seed", Json.Int seed);
-                ("nodes", Json.Int nodes);
-                ("node_gbps", Json.Float node_gbps);
-                ("total_admits", Json.Int r.Rack.r_total_admits);
-                ("saturated_admits", Json.Int r.Rack.r_saturated_admits);
-                ("snoops", Json.Int r.Rack.r_snoops);
-                ("invalidations_sent", Json.Int r.Rack.r_invalidations_sent);
-                ("shared_writers", Json.Int shared_writers);
-                ("handoffs", Json.Int r.Rack.r_handoffs);
-                ("owner_changes", Json.Int r.Rack.r_owner_changes);
-                ( "coherence_invalidations",
-                  Json.Int r.Rack.r_coh_invalidations );
-                ( "shm_rpc",
-                  match rpc with
-                  | None -> Json.Null
-                  | Some s ->
-                      Json.Obj
-                        [
-                          ("calls", Json.Int s.Shm_rpc.s_calls);
-                          ("total_ns", Json.Int s.Shm_rpc.s_total_ns);
-                          ("mean_ns", Json.Int (Shm_rpc.mean_ns s));
-                          ("max_ns", Json.Int s.Shm_rpc.s_max_ns);
-                          ("req_lines", Json.Int s.Shm_rpc.s_req_lines);
-                          ("resp_lines", Json.Int s.Shm_rpc.s_resp_lines);
-                          ("handoffs", Json.Int s.Shm_rpc.s_handoffs);
-                          ( "invalidations",
-                            Json.Int s.Shm_rpc.s_invalidations );
-                        ] );
-                ("policy", Json.String r.Rack.r_policy);
-                ("migrations", Json.Int r.Rack.r_migrations);
-                ("bytes_moved", Json.Int r.Rack.r_bytes_moved);
-                ("failed_moves", Json.Int r.Rack.r_failed_moves);
-                ("migrator_delay_ns", Json.Int r.Rack.r_migrator_delay_ns);
-                ("fetches", Json.Int r.Rack.r_fetches);
-                ("fetches_fast", Json.Int r.Rack.r_fetches_fast);
-                ("remote_hit_pml", Json.Int r.Rack.r_remote_hit_pml);
-                ("hot_hit_pml", Json.Int r.Rack.r_hot_hit_pml);
-                ("drained_pages", Json.Int r.Rack.r_drained_pages);
-                ("drain_failures", Json.Int r.Rack.r_drain_failures);
-                ("ops_applied", Json.Int r.Rack.r_ops_applied);
-                ( "tenants",
-                  Json.List (Array.to_list (Array.map tenant_doc r.Rack.r_tenants)) );
-                ("metrics", Snapshot.to_json r.Rack.r_snapshot);
-              ]
-          in
-          let oc = open_out path in
-          output_string oc (Json.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "metrics: wrote %s@." path);
-      if !mismatches > 0 || !repro_failed then 1
+          write_json ~verb:"metrics" path (rack_json setup r rpc));
+      if diverged || repro_failed then 1
+      else if o.Episode.oc_violations <> [] then 5
       else if r.Rack.r_drain_failures > 0 then begin
         Fmt.pr "ops: DRAIN INCOMPLETE: %d page(s) not re-homed@."
           r.Rack.r_drain_failures;
@@ -1136,31 +985,6 @@ let lease_ns_opt =
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"workload RNG seed")
 
-let soak_workload =
-  Arg.(
-    value
-    & opt string "redis-rand"
-    & info [ "w"; "workload" ] ~doc:"workload driven during each episode")
-
-let episodes =
-  Arg.(
-    value & opt int 3
-    & info [ "episodes" ] ~doc:"number of randomized corruption episodes")
-
-let soak_scrub_interval =
-  Arg.(
-    value & opt int 200_000
-    & info [ "scrub-interval" ] ~docv:"NS"
-        ~doc:"scrub sweep period in virtual nanoseconds")
-
-let repro_check =
-  Arg.(
-    value & opt bool true
-    & info [ "repro-check" ]
-        ~doc:
-          "re-run every episode with the same (plan, seed) and fail unless \
-           the integrity counters are bit-for-bit identical")
-
 let fuzz_episodes =
   Arg.(
     value & opt int 10
@@ -1242,8 +1066,7 @@ let rack_mem_quotas =
     & info [ "mem-quota" ]
         ~doc:
           "comma-separated per-tenant slab-allocation caps in bytes (0 = \
-           unmetered); exceeding a cap fails with the named Quota_exceeded \
-           error (exit 3)")
+           unmetered); exceeding a cap aborts the run (exit 3)")
 
 let rack_nodes =
   Arg.(value & opt int 2 & info [ "nodes" ] ~doc:"memory nodes in the rack")
@@ -1362,6 +1185,11 @@ let run_term print =
     $ backoff_base_ns_opt $ heartbeat_ns_opt $ lease_ns_opt $ seed
     $ metrics_json $ trace_out $ full)
 
+let fuzz_term generate =
+  Term.(
+    const (cmd_fuzz generate) $ fuzz_episodes $ fuzz_ops $ seed $ fuzz_replay
+    $ fuzz_repro_out $ metrics_json)
+
 let cmds =
   [
     Cmd.v (Cmd.info "workloads" ~doc:"list Table 2 workloads")
@@ -1383,24 +1211,26 @@ let cmds =
          ~doc:
            "multi-tenant rack simulation: interleave N tenant runtimes over \
             shared memory nodes with weighted-fair ingress bandwidth, \
-            per-tenant memory quotas and a cross-tenant shared segment")
+            per-tenant memory quotas and a cross-tenant shared segment; the \
+            flags lower to one scenario spec, run under the invariant \
+            registry (exit 5 on a violation)")
       Term.(
         const cmd_rack $ rack_tenants $ rack_workloads $ rack_bw_shares
         $ rack_mem_quotas $ rack_nodes $ rack_node_cap $ rack_node_gbps
         $ rack_shared_pages $ rack_shared_ops $ rack_shared_writers
         $ rack_shm_rpc $ rack_quantum $ rack_policy $ rack_fast_nodes
         $ rack_slow_extra_ns $ rack_ops_spec $ rack_fmem_pages $ replicas
-        $ fault_spec $ fault_seed $ retry_max_opt $ backoff_base_ns_opt $ heartbeat_ns_opt
-        $ lease_ns_opt $ seed $ full $ metrics_json $ rack_repro_check);
+        $ fault_spec $ fault_seed $ heartbeat_ns_opt $ lease_ns_opt $ seed
+        $ metrics_json $ rack_repro_check);
     Cmd.v
       (Cmd.info "soak"
          ~doc:
-           "chaos soak: randomized corruption episodes against the \
-            shadow-heap divergence oracle; fails on any undetected \
-            corruption or accounting gap")
-      Term.(
-        const cmd_soak $ soak_workload $ episodes $ seed $ soak_scrub_interval
-        $ repro_check $ metrics_json);
+           "chaos soak: $(b,fuzz) over the generator's corruption family \
+            only — single-tenant episodes of bit flips, torn writes, \
+            duplicate deliveries and stale reads with scrubbing, checked \
+            against the invariant registry (shadow heap, integrity \
+            accounting)")
+      (fuzz_term (Scn_gen.generate_family Scn_gen.Corruption));
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
@@ -1410,9 +1240,7 @@ let cmds =
             cross-subsystem invariant registry; failing episodes are \
             delta-debugged to minimal replayable repro specs (exit 5 on \
             violation, exit 1 on replay mismatch)")
-      Term.(
-        const cmd_fuzz $ fuzz_episodes $ fuzz_ops $ seed $ fuzz_replay
-        $ fuzz_repro_out $ metrics_json);
+      (fuzz_term Scn_gen.generate);
   ]
 
 let () =

@@ -41,13 +41,16 @@ type config = {
       (** eviction replication degree, shared across tenants: all
           tenants' CL-log shipments target the same mirrors, so a
           node failover is whole — it preserves every tenant's data *)
-  faults : Kona_faults.Fault_spec.t;  (** injected via tenant 0's runtime *)
+  faults : Kona_faults.Fault_spec.t;
+      (** injected via tenant 0's runtime; a scenario spec's timed
+          [node-crash@T], [link-flap@T] and [partition@T] clauses *)
   fault_seed : int;
   shared_pages : int;
-      (** pages in tenant 0's published segment; 0 disables sharing *)
+      (** pages in tenant 0's published segment; 0 disables sharing
+          (a spec's [seg=]) *)
   shared_ops : int;
       (** synthetic shared-segment operations woven into each tenant's
-          replay (tenant 0 writes, the rest read) *)
+          replay (tenant 0 writes, the rest read; a spec's [segops=]) *)
   shared_writers : int;
       (** tenants allowed to write the shared segment: woven op [k]'s
           writer is tenant [k mod shared_writers].  1 (default) keeps the
@@ -70,8 +73,9 @@ type config = {
       (** fixed fabric penalty added to every admit at a slow-tier node;
           0 (the default) disables tiering *)
   ops : Rack_ops.t;
-      (** scheduled add/drain/rebalance operations; a drain must name a
-          node that exists by its firing time *)
+      (** scheduled add/drain/rebalance operations (a spec's timed
+          [add@T], [drain@T] and [rebalance@T] clauses); a drain must
+          name a node that exists by its firing time *)
   runtime : Kona.Runtime.config;
       (** per-tenant base; the rack overrides [tenant], [stream_base],
           [replicas], [faults] and [fault_seed] per tenant.
@@ -166,8 +170,10 @@ val run : config -> tenant_cfg list -> result
 (** {2 Stepwise engine}
 
     The same simulation as {!run}, paused between scheduling slices so a
-    driver (lib/scenario) can interleave rack operations, fault arming
-    and invariant checks with replay.  All adapters are deterministic:
+    caller can interleave rack operations, fault arming and invariant
+    checks with replay.  Outside the benchmarks the only caller is
+    [Kona_scenario.Episode], which runs one scenario spec; [konactl
+    rack] lowers its flags to such a spec.  All adapters are deterministic:
     the same [config], tenant list and op sequence reproduce the same
     telemetry bit for bit. *)
 

@@ -2,41 +2,43 @@ module Rack = Kona_rack.Rack
 module Rack_controller = Kona.Rack_controller
 module Runtime = Kona.Runtime
 module Workloads = Kona_workloads.Workloads
-module Injector = Kona_faults.Injector
+module Shm_rpc = Kona_shmem.Shm_rpc
 
 type outcome = {
-  oc_spec : Spec.t;
   oc_fingerprint : string;
   oc_violations : Invariants.violation list;
   oc_aborted : string option;
   oc_integrity : (string * int) list;
-  oc_injected : (string * int) list;
-  oc_divergent : int;
-  oc_unrepairable : int;
-  oc_degraded : string option;
+  oc_shm_rpc : Shm_rpc.stats option;
   oc_result : Rack.result option;
 }
 
 let nth_cyclic l i default =
   match l with [] -> default | _ -> List.nth l (i mod List.length l)
 
-let config_of_setup (s : Spec.setup) =
+(* The rack a spec describes.  Its timed clauses are hoisted into the
+   start-time calendar: they fire by virtual time, wherever they sit in
+   the op list.  Range checks are the grammar's and [Rack.start]'s. *)
+let config_of (spec : Spec.t) =
+  let s = spec.Spec.setup in
   {
     Rack.scale = Workloads.Smoke;
     nodes = s.Spec.nodes;
     node_capacity = s.Spec.node_cap;
     node_gbps = s.Spec.gbps;
     replicas = s.Spec.replicas;
-    faults = [];
+    faults =
+      List.filter_map (function Spec.Fault_at c -> Some c | _ -> None) spec.Spec.ops;
     fault_seed = s.Spec.fault_seed;
-    shared_pages = 0 (* published through ops, never at start *);
-    shared_ops = 0;
+    shared_pages = s.Spec.shared_pages;
+    shared_ops = s.Spec.shared_ops;
     shared_writers = s.Spec.writers;
     quantum = s.Spec.quantum;
     policy = s.Spec.policy;
-    fast_nodes = min s.Spec.fast_nodes s.Spec.nodes;
+    fast_nodes = s.Spec.fast_nodes;
     slow_extra_ns = s.Spec.slow_extra_ns;
-    ops = [];
+    ops =
+      List.filter_map (function Spec.Rack_at c -> Some c | _ -> None) spec.Spec.ops;
     runtime =
       {
         Runtime.default_config with
@@ -51,19 +53,20 @@ let config_of_setup (s : Spec.setup) =
       };
   }
 
-let tenants_of_setup (s : Spec.setup) =
+let tenants_of (s : Spec.setup) =
   List.init s.Spec.tenants (fun i ->
       let workload = nth_cyclic s.Spec.workloads i "kv-seq" in
       {
         Rack.name = Printf.sprintf "t%d-%s" i workload;
         workload;
-        bw_share = max 1 (nth_cyclic s.Spec.shares i 1);
+        bw_share = nth_cyclic s.Spec.shares i 1;
         mem_quota =
           (match nth_cyclic s.Spec.quotas i 0 with 0 -> None | q -> Some q);
         seed = s.Spec.seed + i;
       })
 
-let apply_op e op =
+(* [rpc] keeps the stats of the last shared-memory RPC ring. *)
+let apply_op ~rpc e op =
   match op with
   | Spec.Run { n } ->
       let consumed = ref 0 in
@@ -95,12 +98,13 @@ let apply_op e op =
       (* fixed roles: tenant 1 calls into tenant 0; a one-tenant rack has
          no peer to ring, so the op degenerates to a no-op *)
       if Rack.tenant_count e >= 2 then
-        ignore (Kona_shmem.Shm_rpc.run e ~client:1 ~server:0 ~calls ())
+        rpc := Some (Shm_rpc.run e ~client:1 ~server:0 ~calls ())
   | Spec.Scrub ->
       Rack.flush_logs e;
       Rack.force_scrub e
   | Spec.Rack op -> Rack.apply_op e op
   | Spec.Migrate_epoch -> Rack.force_migration e
+  | Spec.Fault_at _ | Spec.Rack_at _ -> () (* on the calendar since start *)
 
 let fingerprint (r : Rack.result) =
   Array.to_list r.Rack.r_tenants
@@ -110,9 +114,10 @@ let fingerprint (r : Rack.result) =
   |> Digest.to_hex
 
 let execute ?plant ?(check_end = true) (spec : Spec.t) =
-  let config = config_of_setup spec.Spec.setup in
-  let tenants = tenants_of_setup spec.Spec.setup in
+  let config = config_of spec in
+  let tenants = tenants_of spec.Spec.setup in
   let violations = ref [] in
+  let rpc = ref None in
   let aborted = ref None in
   let result = ref None in
   let engine = ref None in
@@ -131,7 +136,7 @@ let execute ?plant ?(check_end = true) (spec : Spec.t) =
        match ops with
        | [] -> true
        | op :: rest ->
-           apply_op e op;
+           apply_op ~rpc e op;
            (match plant with Some f -> f i op e | None -> ());
            boundary () && apply rest (i + 1)
      in
@@ -154,34 +159,16 @@ let execute ?plant ?(check_end = true) (spec : Spec.t) =
           (Printf.sprintf "quota-exceeded: tenant %s at %d/%d, requested %d"
              tenant used quota requested)
   | Out_of_memory -> aborted := Some "out-of-memory: a node's capacity ran out");
-  let rt0 = Option.map (fun e -> Rack.runtime e ~tenant:0) !engine in
   {
-    oc_spec = spec;
     oc_fingerprint =
       (match !result with Some r -> fingerprint r | None -> "");
     oc_violations = !violations;
     oc_aborted = !aborted;
     oc_integrity =
-      (match rt0 with Some rt -> Runtime.integrity_counters rt | None -> []);
-    oc_injected =
-      (match rt0 with
-      | Some rt -> (
-          match Runtime.injector rt with
-          | Some inj -> Injector.counters inj
-          | None -> [])
+      (match !engine with
+      | Some e -> Runtime.integrity_counters (Rack.runtime e ~tenant:0)
       | None -> []);
-    oc_divergent =
-      (match !result with
-      | Some r ->
-          Array.fold_left
-            (fun acc (tr : Rack.tenant_result) -> acc + tr.Rack.t_mismatches)
-            0 r.Rack.r_tenants
-      | None -> 0);
-    oc_unrepairable =
-      (match rt0 with
-      | Some rt -> List.length (Runtime.unrepairable_pages rt)
-      | None -> 0);
-    oc_degraded = Option.join (Option.map Runtime.degraded rt0);
+    oc_shm_rpc = !rpc;
     oc_result = !result;
   }
 

@@ -1,13 +1,14 @@
 (** Episode executor: run one {!Spec.t} through the stepwise rack engine,
     evaluating the {!Invariants} registry at every op boundary and (by
-    default) at the end of the episode.
+    default) at the end of the episode.  Outside the benchmarks it is the
+    only code that steps the rack engine: [konactl rack] lowers its flags
+    to a spec and runs it here.
 
     Execution is deterministic: the same spec yields the same telemetry,
     the same fingerprint and the same violations, bit for bit — which is
     what makes {!Shrink} sound and [konactl fuzz --replay] meaningful. *)
 
 type outcome = {
-  oc_spec : Spec.t;
   oc_fingerprint : string;
       (** digest over every tenant's telemetry fingerprint; [""] when the
           episode stopped early (boundary violation, abort or
@@ -21,10 +22,8 @@ type outcome = {
           — not a violation: the run is reported and replayable, but the
           end-state oracles were unreachable *)
   oc_integrity : (string * int) list;  (** tenant 0 integrity counters *)
-  oc_injected : (string * int) list;  (** tenant 0 injector counters *)
-  oc_divergent : int;  (** shadow-heap mismatches summed over tenants *)
-  oc_unrepairable : int;  (** tenant 0 pages declared unrepairable *)
-  oc_degraded : string option;  (** tenant 0 degraded-mode reason *)
+  oc_shm_rpc : Kona_shmem.Shm_rpc.stats option;
+      (** the last [shmrpc:] ring's stats; [None] if no ring ran *)
   oc_result : Kona_rack.Rack.result option;
 }
 
@@ -37,6 +36,13 @@ val execute :
     the replay to exhaustion, finishes, and runs the end-of-episode
     invariants.
 
+    The rack is named by the spec alone: tenant [i] is
+    [t<i>-<workload>], and the timed clauses go to {!Kona_rack.Rack.start}
+    as its fault plan and op calendar.  A configuration the rack rejects
+    (an unknown workload or policy, [fast] beyond the node count, a drain
+    of a node no earlier add creates) raises [Invalid_argument] from
+    [Rack.start]; nothing is clamped.
+
     [?plant] is a test hook called after each op is applied (with the op's
     index) — used to inject known bugs under the invariant registry.
     [?check_end:false] skips the drive-to-exhaustion, the finish and the
@@ -45,9 +51,3 @@ val execute :
 
 val passed : outcome -> bool
 (** No invariant violations (aborts still count as passed). *)
-
-val config_of_setup : Spec.setup -> Kona_rack.Rack.config
-(** The rack configuration a spec's setup clause describes.  Its [ops]
-    stay empty: {!execute} applies the spec's ops one by one. *)
-
-val tenants_of_setup : Spec.setup -> Kona_rack.Rack.tenant_cfg list

@@ -187,14 +187,19 @@ let shmem_op rng ~setup ~crashes ~published =
       if published then Spec.Shared { rounds = 4 + Rng.int rng 12 }
       else publish ()
 
-let generate ~seed ~ops =
+type family = Corruption | Ops | Shmem
+
+(* The seed's own family is drawn first even when [family] overrides
+   it, so the rest of the stream is the same either way. *)
+let generate_with family ~seed ~ops =
   let rng = Rng.create ~seed in
-  let family = Rng.int rng 3 in
+  let drawn = [| Corruption; Ops; Shmem |].(Rng.int rng 3) in
+  let family = Option.value family ~default:drawn in
   let setup =
     match family with
-    | 0 -> corruption_setup rng
-    | 1 -> ops_setup rng
-    | _ -> shmem_setup rng
+    | Corruption -> corruption_setup rng
+    | Ops -> ops_setup rng
+    | Shmem -> shmem_setup rng
   in
   let crashes = ref 0 and adds = ref 0 and published = ref false in
   let n = max 1 ops in
@@ -204,11 +209,14 @@ let generate ~seed ~ops =
           if i = 0 then Spec.Run { n = 256 * (1 + Rng.int rng 4) }
           else
             match family with
-            | 0 -> corruption_op rng ~published:!published
-            | 1 -> ops_op rng ~setup ~crashes ~adds ~published:!published
-            | _ -> shmem_op rng ~setup ~crashes ~published:!published
+            | Corruption -> corruption_op rng ~published:!published
+            | Ops -> ops_op rng ~setup ~crashes ~adds ~published:!published
+            | Shmem -> shmem_op rng ~setup ~crashes ~published:!published
         in
         (match op with Spec.Publish _ -> published := true | _ -> ());
         op)
   in
   { Spec.setup; ops = op_list }
+
+let generate = generate_with None
+let generate_family family = generate_with (Some family)

@@ -1,7 +1,7 @@
 (** Seeded whole-surface op-sequence generator.
 
     Every episode is drawn from one of three families, chosen by the
-    seed:
+    seed unless the caller names one:
 
     - the {e corruption} family — a single tenant with verification and a
       background scrubber on, exercising every probabilistic fault kind
@@ -21,6 +21,13 @@
     re-parses exactly, so [Spec.parse (Spec.to_string (generate ...))]
     reproduces the episode bit-for-bit. *)
 
+type family = Corruption | Ops | Shmem
+
 val generate : seed:int -> ops:int -> Spec.t
-(** [generate ~seed ~ops] draws a spec with [max 1 ops] ops; the first
-    op is always a [run:] slice.  Deterministic in [seed]. *)
+(** [generate ~seed ~ops] draws a spec with [max 1 ops] ops from the
+    seed's own family; the first op is always a [run:] slice.
+    Deterministic in [seed]. *)
+
+val generate_family : family -> seed:int -> ops:int -> Spec.t
+(** [generate] in the given family; equal to [generate] for a seed of
+    that family. *)

@@ -21,9 +21,14 @@ type t = { name : string; scope : scope; doc : string; check : ctx -> string lis
 
 let find k l = try List.assoc k l with Not_found -> 0
 
+(* Crashes the spec asks for, positional or timed. *)
 let crash_ops spec =
   List.length
-    (List.filter (function Spec.Crash _ -> true | _ -> false) spec.Spec.ops)
+    (List.filter
+       (function
+         | Spec.Crash _ | Spec.Fault_at (Kona_faults.Fault_spec.Node_crash _) -> true
+         | _ -> false)
+       spec.Spec.ops)
 
 (* ------------------------------------------------------------------ *)
 

@@ -24,7 +24,8 @@ let shrink_op (op : Spec.op) =
       List.map (fun pages -> Spec.Publish { pages }) (halve pages 1)
   | Spec.Quota { tenant; bytes } ->
       List.map (fun bytes -> Spec.Quota { tenant; bytes }) (halve bytes 0)
-  | Spec.Crash _ | Spec.Corrupt _ | Spec.Scrub | Spec.Rack _ | Spec.Migrate_epoch ->
+  | Spec.Crash _ | Spec.Corrupt _ | Spec.Scrub | Spec.Rack _ | Spec.Migrate_epoch
+  | Spec.Fault_at _ | Spec.Rack_at _ ->
       []
 
 let run ?(max_attempts = 400) ~oracle spec =

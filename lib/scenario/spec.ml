@@ -17,6 +17,8 @@ type op =
   | Scrub
   | Rack of Rack_ops.op
   | Migrate_epoch
+  | Fault_at of Fault_spec.clause
+  | Rack_at of Rack_ops.clause
 
 type setup = {
   tenants : int;
@@ -39,6 +41,8 @@ type setup = {
   heartbeat_ns : int;
   lease_ns : int;
   writers : int;
+  shared_pages : int;
+  shared_ops : int;
 }
 
 type t = { setup : setup; ops : op list }
@@ -65,12 +69,15 @@ let default_setup =
     heartbeat_ns = 0;
     lease_ns = 200_000;
     writers = 1;
+    shared_pages = 0;
+    shared_ops = 0;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: the clause lexer is {!Kona_util.Clause}, shared with
-   {!Kona_faults.Fault_spec} and {!Kona_rack.Rack_ops}.  Spec clauses take
-   no [@T]: ops apply at their position in the sequence. *)
+   {!Kona_faults.Fault_spec} and {!Kona_rack.Rack_ops}.  Ops apply at
+   their position in the sequence; the scheduled fault and rack-op kinds
+   also take an [@T] and then join the start-time calendar instead. *)
 
 let parse_setup raw =
   let c = Clause.of_string raw in
@@ -79,7 +86,7 @@ let parse_setup raw =
   Clause.known c
     [ "tenants"; "nodes"; "cap"; "gbps"; "replicas"; "fmem"; "quantum"; "seed";
       "fseed"; "scrub"; "verify"; "workloads"; "shares"; "quotas"; "policy";
-      "fast"; "slowns"; "hb"; "lease"; "writers" ];
+      "fast"; "slowns"; "hb"; "lease"; "writers"; "seg"; "segops" ];
   let get key f default =
     match List.assoc_opt key c.Clause.params with Some v -> f v | None -> default
   in
@@ -124,23 +131,19 @@ let parse_setup raw =
       heartbeat_ns = get "hb" Clause.duration default_setup.heartbeat_ns;
       lease_ns = get "lease" Clause.duration default_setup.lease_ns;
       writers = get "writers" (Clause.pos ~key:"writers") default_setup.writers;
+      shared_pages = get "seg" (Clause.nonneg ~key:"seg") default_setup.shared_pages;
+      shared_ops = get "segops" (Clause.nonneg ~key:"segops") default_setup.shared_ops;
     }
   in
   if s.heartbeat_ns > 0 && s.lease_ns < s.heartbeat_ns then
     Clause.bad "lease (%d ns) must be >= hb (%d ns)" s.lease_ns s.heartbeat_ns;
   s
 
-(* Not a scenario op: a fault clause in Fault_spec grammar, armed
-   mid-sequence.  Scheduled kinds have dedicated scenario ops (crash:,
-   flap:, partition:) that act at the op's position in the sequence
-   rather than at an absolute virtual time. *)
+(* Not a scenario op: a probabilistic fault clause in Fault_spec grammar,
+   armed mid-sequence.  A scheduled kind lands here only without its
+   [@T], which [Fault_spec.of_clause] rejects. *)
 let fault_op raw c =
   match Fault_spec.of_clause c with
-  | Fault_spec.Node_crash _ | Fault_spec.Link_flap _ | Fault_spec.Partition _ ->
-      Clause.bad
-        "scheduled fault %S not allowed here (use \
-         crash:id=/flap:dur=/partition:dur=,nodes=)"
-        raw
   | fc -> Corrupt fc
   | exception Clause.Bad msg -> Clause.bad "unknown op %S (%s)" raw msg
 
@@ -189,6 +192,10 @@ let parse_op raw =
       Clause.known c [];
       Scrub
   | None, ("add" | "drain" | "rebalance") -> Rack (Rack_ops.op_of_clause c)
+  | Some at_ns, ("add" | "drain" | "rebalance") ->
+      Rack_at { Rack_ops.at_ns; op = Rack_ops.op_of_clause c }
+  | Some _, ("node-crash" | "link-flap" | "partition") ->
+      Fault_at (Fault_spec.of_clause c)
   | None, "migrate-epoch" ->
       Clause.known c [];
       Migrate_epoch
@@ -204,8 +211,9 @@ let parse_exn s =
   match parse s with Ok t -> t | Error msg -> invalid_arg ("Scenario spec: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
-(* Rendering: canonical and total — every setup field is always emitted,
-   so [parse (to_string t) = Ok t] holds structurally. *)
+(* Rendering: canonical and total — every setup field is emitted (the
+   shared segment's two only when either is set), so
+   [parse (to_string t) = Ok t] holds structurally. *)
 
 let setup_to_string s =
   Printf.sprintf
@@ -222,6 +230,9 @@ let setup_to_string s =
     (Clause.duration_to_string s.heartbeat_ns)
     (Clause.duration_to_string s.lease_ns)
     s.writers
+  ^
+  if s.shared_pages = 0 && s.shared_ops = 0 then ""
+  else Printf.sprintf ",seg=%d,segops=%d" s.shared_pages s.shared_ops
 
 let op_to_string = function
   | Run { n } -> Printf.sprintf "run:n=%d" n
@@ -240,6 +251,8 @@ let op_to_string = function
   | Scrub -> "scrub"
   | Rack op -> Rack_ops.op_to_string op
   | Migrate_epoch -> "migrate-epoch"
+  | Fault_at c -> Fault_spec.to_string [ c ]
+  | Rack_at { Rack_ops.at_ns; op } -> Rack_ops.op_to_string ~at_ns op
 
 let to_string t =
   String.concat ";" (setup_to_string t.setup :: List.map op_to_string t.ops)

@@ -1,4 +1,6 @@
-(** Scenario grammar: one line describes one whole episode.
+(** Scenario grammar: one line describes one whole episode, and the one
+    surface that configures a rack ([konactl rack] lowers its flags to a
+    spec, and {!Episode} runs it).
 
     A spec is a [';']-separated clause list.  The first clause is the
     setup (rack shape, workloads, seeds); every following clause is one
@@ -42,11 +44,20 @@
       immediately;
     - [migrate-epoch] — force one placement-migrator epoch.
 
+    Timed clauses are a start-time calendar, not ops in sequence: they
+    fire at virtual time [T] wherever they sit in the list.
+    [node-crash@T:id=N], [link-flap@T:dur=D] and
+    [partition@T:dur=D,nodes=A|B] join tenant 0's fault plan
+    ({!Kona_rack.Rack.config.faults}); [add@T[:cap=B]], [drain@T:id=N]
+    and [rebalance@T] join the rack's op calendar
+    ({!Kona_rack.Rack.config.ops}).  Only these kinds take an [@T], and
+    [node-crash]/[link-flap] need one.
+
     The lexing is {!Kona_util.Clause}'s, shared with the fault and
     rack-op grammars: durations accept ns/us/ms/s suffixes; lists
     (workloads, shares, quotas) use ['|'] so [','] stays the parameter
-    separator.  No clause takes an [@T].  Rendering is canonical and
-    total: [parse (to_string t) = Ok t]. *)
+    separator.  Rendering is canonical and total:
+    [parse (to_string t) = Ok t]. *)
 
 type op =
   | Run of { n : int }
@@ -62,6 +73,9 @@ type op =
   | Scrub
   | Rack of Kona_rack.Rack_ops.op
   | Migrate_epoch
+  | Fault_at of Kona_faults.Fault_spec.clause
+      (** a timed [node-crash], [link-flap] or [partition] clause *)
+  | Rack_at of Kona_rack.Rack_ops.clause  (** a timed rack op *)
 
 type setup = {
   tenants : int;
@@ -91,13 +105,23 @@ type setup = {
       (** [writers=]: tenants allowed to write the shared segment
           ({!Kona_rack.Rack.config.shared_writers}); 1 (default) keeps
           the single-publisher read-mostly path *)
+  shared_pages : int;
+      (** [seg=]: pages of tenant 0's shared segment, published at start
+          ({!Kona_rack.Rack.config.shared_pages}); 0 (default) leaves it
+          to [publish:] ops.  Rendered, with [segops], only when either
+          is non-zero *)
+  shared_ops : int;
+      (** [segops=]: synthetic shared-segment ops woven into each
+          tenant's replay ({!Kona_rack.Rack.config.shared_ops}); 0 by
+          default *)
 }
 
 type t = { setup : setup; ops : op list }
 
 val default_setup : setup
 (** Single tenant on 2 x 128 MiB nodes, kv-seq, one replica, 256-page
-    cache, 200 us scrub, verification on, first-fit placement. *)
+    cache, 200 us scrub, verification on, first-fit placement, no shared
+    segment at start. *)
 
 val parse : string -> (t, string) result
 val parse_exn : string -> t

@@ -1,6 +1,6 @@
 (* Golden telemetry fingerprints: a small corpus of canonical scenario
-   specs and stepwise rack runs, each pinned to the digests it produced
-   when it was committed.  Runs are deterministic, so any change to
+   specs, each pinned to the digests it produced when it was
+   committed.  Runs are deterministic, so any change to
    simulated behaviour — a refactor that moves one counter or one
    virtual nanosecond — shows up here as an explicit digest diff.
 
@@ -15,14 +15,13 @@
 
 open Kona_scenario
 module Rack = Kona_rack.Rack
-module Rack_ops = Kona_rack.Rack_ops
-module Shm_rpc = Kona_shmem.Shm_rpc
 module Snapshot = Kona_telemetry.Snapshot
 module Json = Kona_telemetry.Json
 
 (* (name, spec, tenant digest, hub digest).  Specs stay small (32 MiB
    nodes, short run slices) so the whole corpus executes in a few
-   seconds. *)
+   seconds; the last three run whole smoke-scale workloads on the woven
+   shared segment ([seg], [segops]), as [konactl rack] does. *)
 let corpus =
   [
     ( "kv-seq, one tenant",
@@ -83,27 +82,32 @@ let corpus =
        run:n=500",
       "5eb3c41aa5740c72d81975dfe89252d9",
       "a6167767ff0eeb54f3eab629ecf70bb9" );
+    (* The bench/perf rack demo: heat policy over three nodes, one fast,
+       a +2 us slow tier, 64 FMem frames per tenant. *)
+    ( "rack demo",
+      "setup:tenants=2,nodes=3,fmem=64,replicas=0,seed=7,scrub=0ns,verify=0,\
+       workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256",
+      "edd1c9ae9a779cc075d5091342b50b96",
+      "8a95ab1eb447c0d3e370e88d1a525fea" );
+    ( "rack demo + replica crash and rack ops",
+      "setup:tenants=2,nodes=3,fmem=64,replicas=1,seed=7,scrub=0ns,verify=0,\
+       workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256;\
+       node-crash@3ms:id=1;add@2ms:cap=16777216;drain@4ms:id=2;rebalance@6ms",
+      "e502b1ece0101fc2a5281eaf69bf73b0",
+      "13b1153571c23d2115218df215cb5cc5" );
+    ( "two writers + shm-rpc",
+      "setup:tenants=2,fmem=1024,replicas=0,seed=7,scrub=0ns,verify=0,\
+       workloads=kv-seq|kv-uniform,writers=2,seg=64,segops=256;\
+       run:n=1000000000;shmrpc:calls=16",
+      "367f8ea6a8a2beca0a1004df68e9015d",
+      "3036bf6bb19f1c5a1dac9c73edcab545" );
   ]
-
-let tenant_digest (r : Rack.result) =
-  Array.to_list r.Rack.r_tenants
-  |> List.map (fun (tr : Rack.tenant_result) -> tr.Rack.t_fingerprint)
-  |> String.concat "|" |> Digest.string |> Digest.to_hex
 
 let hub_digest (r : Rack.result) =
   Digest.to_hex
     (Digest.string (Json.to_string (Snapshot.to_json r.Rack.r_snapshot)))
 
-let check_digests name ~what ~tenant ~hub (r : Rack.result) =
-  let check kind expected actual =
-    if actual <> expected then
-      Alcotest.failf
-        "golden %s digest mismatch for %s\n  %s\n  expected: %s\n  actual:   %s"
-        kind name what expected actual
-  in
-  check "tenant" tenant (tenant_digest r);
-  check "hub" hub (hub_digest r)
-
+(* The tenant digest is the episode's fingerprint. *)
 let check_episode name ~what ~tenant ~hub spec =
   let o = Episode.execute spec in
   (match o.Episode.oc_violations with
@@ -111,9 +115,17 @@ let check_episode name ~what ~tenant ~hub spec =
   | v :: _ ->
       Alcotest.failf "%s: violation [%s] %s" name v.Invariants.inv
         v.Invariants.detail);
+  let check kind expected actual =
+    if actual <> expected then
+      Alcotest.failf
+        "golden %s digest mismatch for %s\n  %s\n  expected: %s\n  actual:   %s"
+        kind name what expected actual
+  in
   match o.Episode.oc_result with
   | None -> Alcotest.failf "%s: episode did not finish" name
-  | Some r -> check_digests name ~what ~tenant ~hub r
+  | Some r ->
+      check "tenant" tenant o.Episode.oc_fingerprint;
+      check "hub" hub (hub_digest r)
 
 let check_entry (name, spec, tenant, hub) () =
   check_episode name ~what:("spec: " ^ spec) ~tenant ~hub (Spec.parse_exn spec)
@@ -167,75 +179,6 @@ let check_gen (family, seed, line, tenant, hub) () =
     ~what:(Printf.sprintf "Gen.generate ~seed:%d ~ops:10" seed)
     ~tenant ~hub spec
 
-(* Stepwise rack runs: the woven shared segment and scheduled rack ops
-   are reachable only through a [Rack.config], never through a spec. *)
-
-(* The bench/perf rack demo: heat policy over three nodes, one fast, a
-   +2 us slow tier, 64 FMem frames per tenant. *)
-let demo_config =
-  {
-    Rack.default_config with
-    Rack.nodes = 3;
-    policy = "heat";
-    fast_nodes = 1;
-    slow_extra_ns = 2000;
-    runtime =
-      { Rack.default_config.Rack.runtime with Kona.Runtime.fmem_pages = 64 };
-  }
-
-let rack_tenants slugs =
-  List.mapi
-    (fun i slug ->
-      {
-        Rack.name = Printf.sprintf "t%d-%s" i slug;
-        workload = slug;
-        bw_share = 1;
-        mem_quota = None;
-        seed = 7 + i;
-      })
-    slugs
-
-let run_rack ?(after_replay = ignore) cfg slugs () =
-  let e = Rack.start cfg (rack_tenants slugs) in
-  while Rack.step e > 0 do
-    ()
-  done;
-  after_replay e;
-  Rack.finish e
-
-(* (name, run, tenant digest, hub digest) *)
-let rack_corpus =
-  [
-    ( "rack demo",
-      run_rack demo_config [ "kv-zipf"; "kv-uniform" ],
-      "edd1c9ae9a779cc075d5091342b50b96",
-      "8a95ab1eb447c0d3e370e88d1a525fea" );
-    ( "rack demo + replica crash and rack ops",
-      run_rack
-        {
-          demo_config with
-          Rack.replicas = 1;
-          faults = Kona_faults.Fault_spec.parse_exn "node-crash@3ms:id=1";
-          ops =
-            Rack_ops.parse_exn
-              "add@2ms:cap=16777216;drain@4ms:id=2;rebalance@6ms";
-        }
-        [ "kv-zipf"; "kv-uniform" ],
-      "e502b1ece0101fc2a5281eaf69bf73b0",
-      "13b1153571c23d2115218df215cb5cc5" );
-    ( "two writers + shm-rpc",
-      run_rack
-        ~after_replay:(fun e ->
-          ignore (Shm_rpc.run e ~client:1 ~server:0 ~calls:16 ()))
-        { Rack.default_config with Rack.shared_writers = 2 }
-        [ "kv-seq"; "kv-uniform" ],
-      "367f8ea6a8a2beca0a1004df68e9015d",
-      "3036bf6bb19f1c5a1dac9c73edcab545" );
-  ]
-
-let check_rack (name, run, tenant, hub) () =
-  check_digests name ~what:"stepwise rack run" ~tenant ~hub (run ())
-
 let () =
   Alcotest.run "kona_golden"
     [
@@ -251,9 +194,4 @@ let () =
               (Printf.sprintf "%s family, seed %d" family seed)
               `Quick (check_gen entry))
           gen_corpus );
-      ( "golden-rack",
-        List.map
-          (fun ((name, _, _, _) as entry) ->
-            Alcotest.test_case name `Quick (check_rack entry))
-          rack_corpus );
     ]

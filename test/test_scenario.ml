@@ -66,12 +66,7 @@ let test_parse_errors () =
     match Spec.parse s with Ok _ -> false | Error _ -> true
   in
   check_bool "must start with setup" true (bad "run:n=5");
-  check_bool "scheduled crash clause rejected" true
-    (bad "setup:;node-crash@1ms:id=0");
-  check_bool "scheduled flap clause rejected" true
-    (bad "setup:;link-flap@1ms:dur=2ms");
-  check_bool "scheduled partition clause rejected" true
-    (bad "setup:;partition@1ms:dur=2ms,nodes=0");
+  check_bool "untimed node-crash rejected" true (bad "setup:;node-crash:id=0");
   check_bool "lease below heartbeat rejected" true
     (bad "setup:hb=100us,lease=50us");
   check_bool "partition needs nodes" true (bad "setup:;partition:dur=2ms");
@@ -96,8 +91,9 @@ let test_parse_duration_overflow () =
       "setup:;wqe-delay:p=0.1,ns=5000000000s";
     ]
 
-(* Spec ops apply at their position in the sequence: one written with a
-   trigger time, as in a --rack-ops calendar, is an unknown op. *)
+(* Spec ops apply at their position in the sequence: only the scheduled
+   fault and rack-op kinds take a trigger time, so any other op written
+   with one is an unknown op. *)
 let test_parse_timed_op_rejected () =
   List.iter
     (fun s ->
@@ -106,7 +102,7 @@ let test_parse_timed_op_rejected () =
           check_bool (s ^ ": unknown op") true
             (String.length m >= 10 && String.sub m 0 10 = "unknown op")
       | Ok _ -> Alcotest.failf "accepted %s" s)
-    [ "setup:;drain@5ms:id=1"; "setup:;rebalance@1ms"; "setup:;run@1ms:n=5" ]
+    [ "setup:;run@1ms:n=5" ]
 
 (* Random well-formed specs survive a print/parse round trip.  Numeric
    fields are drawn from grids whose canonical rendering re-parses
@@ -114,6 +110,7 @@ let test_parse_timed_op_rejected () =
 let spec_gen =
   let open QCheck.Gen in
   let prob = map (fun k -> float_of_int k /. 1000.) (int_range 1 999) in
+  let at = int_bound 10_000_000 in
   let corrupt =
     oneof
       [
@@ -153,6 +150,31 @@ let spec_gen =
         map (fun id -> Spec.Rack (Rack_ops.Drain { id })) (int_bound 7);
         pure (Spec.Rack Rack_ops.Rebalance);
         pure Spec.Migrate_epoch;
+        map2
+          (fun at_ns id -> Spec.Fault_at (Fault_spec.Node_crash { at_ns; id }))
+          at (int_bound 7);
+        map2
+          (fun at_ns d ->
+            Spec.Fault_at (Fault_spec.Link_flap { at_ns; dur_ns = d + 1 }))
+          at (int_bound 1_000_000);
+        map3
+          (fun at_ns d ids ->
+            Spec.Fault_at (Fault_spec.Partition { at_ns; dur_ns = d + 1; ids }))
+          at (int_bound 1_000_000)
+          (list_size (int_range 1 3) (int_bound 7));
+        map2
+          (fun at_ns c ->
+            let capacity = Option.map (( + ) 1) c in
+            Spec.Rack_at { Rack_ops.at_ns; op = Rack_ops.Add_node { capacity } })
+          at
+          (opt (int_bound 100_000_000));
+        map2
+          (fun at_ns id ->
+            Spec.Rack_at { Rack_ops.at_ns; op = Rack_ops.Drain { id } })
+          at (int_bound 7);
+        map
+          (fun at_ns -> Spec.Rack_at { Rack_ops.at_ns; op = Rack_ops.Rebalance })
+          at;
       ]
   in
   let setup =
@@ -176,7 +198,9 @@ let spec_gen =
     let* slow_extra_ns = int_bound 10_000 in
     let* heartbeat_ns = oneofl [ 0; 0; 10_000; 50_000 ] in
     let* lease_ns = oneofl [ 50_000; 100_000; 200_000 ] in
-    let+ writers = int_range 1 4 in
+    let* writers = int_range 1 4 in
+    let* shared_pages = oneof [ pure 0; int_bound 128 ] in
+    let+ shared_ops = oneof [ pure 0; int_bound 512 ] in
     {
       Spec.tenants;
       nodes;
@@ -198,6 +222,8 @@ let spec_gen =
       heartbeat_ns;
       lease_ns;
       writers;
+      shared_pages;
+      shared_ops;
     }
   in
   QCheck.Gen.map2
@@ -345,6 +371,43 @@ let test_partition_mid_drain () =
   let b = Episode.execute spec in
   check_string "bit-identical fingerprints" a.Episode.oc_fingerprint
     b.Episode.oc_fingerprint
+
+(* A timed clause joins the start-time calendar: it fires at its virtual
+   time wherever it sits in the op list. *)
+let test_timed_clause_fires_by_time () =
+  let setup = "setup:tenants=1,cap=33554432,fmem=64,replicas=1" in
+  let run line =
+    let o = Episode.execute (Spec.parse_exn line) in
+    (match o.Episode.oc_violations with
+    | [] -> ()
+    | v :: _ ->
+        Alcotest.failf "%s: violation [%s] %s" line v.Invariants.inv
+          v.Invariants.detail);
+    match o.Episode.oc_result with
+    | None -> Alcotest.failf "%s: episode did not finish" line
+    | Some r ->
+        check_int "faults.node_crashes" 1
+          (Option.get
+             (Kona_telemetry.Snapshot.counter_value r.Rack.r_snapshot
+                "tenant.0.faults.node_crashes"));
+        o.Episode.oc_fingerprint
+  in
+  let first = run (setup ^ ";node-crash@1ms:id=1;run:n=1000;run:n=1000") in
+  let last = run (setup ^ ";run:n=1000;run:n=1000;node-crash@1ms:id=1") in
+  check_string "same fingerprint first or last" first last
+
+let raises msg f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument %S" msg
+  | exception Invalid_argument m -> check_string "message" msg m
+
+(* The rack's own checks name a bad configuration; nothing is clamped. *)
+let test_rack_rejects_config () =
+  raises "Rack.run: fast_nodes out of range" (fun () ->
+      Episode.execute (Spec.parse_exn "setup:nodes=2,fast=5"));
+  raises
+    "Rack.run: drain at 1000000 ns of node 5, which no earlier add has created"
+    (fun () -> Episode.execute (Spec.parse_exn "setup:tenants=2;drain@1ms:id=5"))
 
 let test_registry_names () =
   List.iter
@@ -505,6 +568,10 @@ let () =
           Alcotest.test_case "rack ops" `Quick test_execute_rack_ops;
           Alcotest.test_case "partition mid-drain" `Quick
             test_partition_mid_drain;
+          Alcotest.test_case "timed clause fires by time" `Quick
+            test_timed_clause_fires_by_time;
+          Alcotest.test_case "rack rejects a bad config" `Quick
+            test_rack_rejects_config;
           Alcotest.test_case "registry names" `Quick test_registry_names;
         ] );
       ( "shrinker",
