@@ -95,9 +95,28 @@ let test_corrupt_lines =
               ~len:Units.page_size
              : int list)))
 
+(* A memory node's set-up cost: the page index only, since pages arrive
+   on first touch. *)
+let test_node_create =
+  Test.make ~name:"memory_node.create (128 MiB)"
+    (Staged.stage (fun () ->
+         ignore (Kona.Memory_node.create ~id:0 ~capacity:(Units.mib 128))))
+
+(* The CL-log apply path: a shipment of one 64-line entry covering a
+   whole page — 64 wire CRCs, 64 at-rest checks and 64 line stores. *)
+let test_receive_log =
+  let node = Kona.Memory_node.create ~id:0 ~capacity:Units.page_size in
+  let entries =
+    [ Kona.Memory_node.entry ~addr:0 ~data:(Bytes.to_string page_store) ]
+  in
+  Test.make ~name:"memory_node.receive_log (one 64-line page)"
+    (Staged.stage (fun () ->
+         ignore (Kona.Memory_node.receive_log node entries)))
+
 let tests =
   [ test_bitmap_segments; test_cache_access; test_flush_page; test_heap_write;
-    test_kv_set; test_fmem_lookup; test_crc32c_line; test_corrupt_lines ]
+    test_kv_set; test_fmem_lookup; test_crc32c_line; test_corrupt_lines;
+    test_node_create; test_receive_log ]
 
 let run () =
   Report.section "Microbenchmarks (host wall-clock, bechamel)";

@@ -290,9 +290,10 @@ let export_results ~(spec : Workloads.spec) ~full ~seed ~metrics_json ~trace
           Fmt.pr "trace: wrote %d events to %s@." n p)
         results
 
-(* Exit status shared by run/stats: 1 on divergence (a real bug), 2 on a
-   gracefully degraded run (data lost to an unrecovered fault — reported,
-   not raised), 0 otherwise. *)
+(* Exit status shared by run/stats: 3 on a resource abort (an exhausted
+   retry budget, printed as [aborted: ...]), 1 on divergence (a real bug),
+   2 on a gracefully degraded run (data lost to an unrecovered fault —
+   reported, not raised), 0 otherwise. *)
 let report_faults r =
   (match r.rr_degraded with
   | Some reason -> Fmt.pr "degraded: %s@." reason
@@ -318,11 +319,18 @@ let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
   let faults = parse_fault_spec fault_spec in
   let backoff = backoff_of ~retry_max ~backoff_base_ns in
   let results =
-    List.map
-      (run_one ~spec ~scale ~seed ~fmem_pages ~replicas ~prefetch ~sq_depth
-         ~signal_interval ~faults ~fault_seed ~check_replicas ~scrub_interval
-         ~verify_checksums ~backoff ~heartbeat_ns ~lease_ns)
-      (systems_of systems)
+    try
+      List.map
+        (run_one ~spec ~scale ~seed ~fmem_pages ~replicas ~prefetch ~sq_depth
+           ~signal_interval ~faults ~fault_seed ~check_replicas ~scrub_interval
+           ~verify_checksums ~backoff ~heartbeat_ns ~lease_ns)
+        (systems_of systems)
+    with e -> (
+      match Kona_scenario.Episode.abort_of_exn e with
+      | Some why ->
+          Fmt.epr "aborted: %s@." why;
+          exit 3
+      | None -> raise e)
   in
   List.iter
     (fun r ->

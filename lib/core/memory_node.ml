@@ -4,10 +4,15 @@ open Kona_integrity
 exception Crashed of int
 exception Fenced of int
 
+(* One page of the store and the CRC table of its 64 lines.  A page
+   exists only once a write, a log line or a bit flip has landed in it;
+   an absent page reads as zeros and has no recorded line. *)
+type page = { bytes : Bytes.t; chk : Checksums.t }
+
 type t = {
   node_id : int;
-  store : Bytes.t;
-  chk : Checksums.t;
+  capacity : int;
+  pages : page option array; (* one slot per (possibly partial) page *)
   seq_rx : Sequencer.Rx.t;
   mutable brk : int;
   mutable is_alive : bool;
@@ -24,11 +29,12 @@ type t = {
 }
 
 let create ~id ~capacity =
-  assert (capacity > 0);
+  if capacity <= 0 || capacity mod Units.cache_line <> 0 then
+    invalid_arg "Memory_node.create: capacity must be a positive multiple of 64";
   {
     node_id = id;
-    store = Bytes.make capacity '\000';
-    chk = Checksums.create ~capacity;
+    capacity;
+    pages = Array.make ((capacity + Units.page_size - 1) / Units.page_size) None;
     seq_rx = Sequencer.Rx.create ();
     brk = 0;
     is_alive = true;
@@ -40,7 +46,7 @@ let create ~id ~capacity =
   }
 
 let id t = t.node_id
-let capacity t = Bytes.length t.store
+let capacity t = t.capacity
 let used t = t.brk
 let free_bytes t = capacity t - t.brk
 let alive t = t.is_alive
@@ -76,19 +82,58 @@ let adopt_reservations t ~brk =
 
 let check t addr len =
   check_alive t;
-  if addr < 0 || addr + len > Bytes.length t.store then
+  if addr < 0 || addr + len > t.capacity then
     invalid_arg
       (Printf.sprintf "Memory_node %d: access [%#x,+%d) out of range" t.node_id addr len)
 
+let page_mask = Units.page_size - 1
+
+(* [f i off pos n] for each page [i] that [addr, addr+len) overlaps: the
+   [n] bytes at offset [off] of the page are bytes [pos, pos+n) of the
+   range. *)
+let iter_pages ~addr ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a land page_mask in
+    let n = min (len - !pos) (Units.page_size - off) in
+    f (Units.page_of_addr a) off !pos n;
+    pos := !pos + n
+  done
+
+(* Page [i], allocated zero-filled and unrecorded on first touch.  A
+   partial last page is allocated whole; [check] keeps accesses below
+   [capacity]. *)
+let touch t i =
+  match t.pages.(i) with
+  | Some p -> p
+  | None ->
+      let p =
+        {
+          bytes = Bytes.make Units.page_size '\000';
+          chk = Checksums.create ~capacity:Units.page_size;
+        }
+      in
+      t.pages.(i) <- Some p;
+      p
+
 let write t ~addr ~data =
-  check t addr (String.length data);
+  let len = String.length data in
+  check t addr len;
   check_fence t;
-  Bytes.blit_string data 0 t.store addr (String.length data);
-  Checksums.record t.chk ~store:t.store ~addr ~len:(String.length data)
+  iter_pages ~addr ~len (fun i off pos n ->
+      let p = touch t i in
+      Bytes.blit_string data pos p.bytes off n;
+      Checksums.record p.chk ~store:p.bytes ~addr:off ~len:n)
 
 let read t ~addr ~len =
   check t addr len;
-  Bytes.sub_string t.store addr len
+  let out = Bytes.create len in
+  iter_pages ~addr ~len (fun i off pos n ->
+      match t.pages.(i) with
+      | Some p -> Bytes.blit p.bytes off out pos n
+      | None -> Bytes.fill out pos n '\000');
+  Bytes.unsafe_to_string out
 
 type log_entry = { addr : int; data : string; crcs : int array }
 
@@ -161,14 +206,16 @@ let receive_log ?delivery t entries =
             if wire <> e.crcs.(i) then rejected := addr :: !rejected
             else begin
               check t addr Units.cache_line;
-              let line = addr / Units.cache_line in
+              let p = touch t (Units.page_of_addr addr) in
+              let off = addr land page_mask in
+              let line = off / Units.cache_line in
               if
-                Checksums.recorded t.chk ~line
-                && not (Checksums.line_ok t.chk ~store:t.store ~line)
+                Checksums.recorded p.chk ~line
+                && not (Checksums.line_ok p.chk ~store:p.bytes ~line)
               then healed := addr :: !healed;
-              Bytes.blit_string e.data (i * Units.cache_line) t.store addr
+              Bytes.blit_string e.data (i * Units.cache_line) p.bytes off
                 Units.cache_line;
-              Checksums.set_line t.chk ~line ~crc:wire;
+              Checksums.set_line p.chk ~line ~crc:wire;
               incr applied
             end
           done;
@@ -188,17 +235,34 @@ let lines_received t = t.lines_received
 let logs_received t = t.logs_received
 let peek = read
 
-let verify_range t ~addr ~len = Checksums.corrupt_lines t.chk ~store:t.store ~addr ~len
+let verify_range t ~addr ~len =
+  if len <= 0 then []
+  else begin
+    if addr < 0 || addr + len > t.capacity then
+      invalid_arg "Memory_node.verify_range";
+    let acc = ref [] in
+    iter_pages ~addr ~len (fun i off _ n ->
+        match t.pages.(i) with
+        | None -> ()
+        | Some p ->
+            List.iter
+              (fun l -> acc := ((i * Units.page_size) + l) :: !acc)
+              (Checksums.corrupt_lines p.chk ~store:p.bytes ~addr:off ~len:n));
+    List.rev !acc
+  end
 
 let corrupt_bit t ~addr ~bit =
-  if addr mod Units.cache_line <> 0 then invalid_arg "Memory_node.corrupt_bit: addr";
+  if addr < 0 || addr >= t.capacity || addr mod Units.cache_line <> 0 then
+    invalid_arg "Memory_node.corrupt_bit: addr";
   if bit < 0 || bit >= Units.cache_line * 8 then
     invalid_arg "Memory_node.corrupt_bit: bit";
-  let line = addr / Units.cache_line in
+  let p = touch t (Units.page_of_addr addr) in
+  let off = addr land page_mask in
+  let line = off / Units.cache_line in
   let was_clean =
-    Checksums.recorded t.chk ~line && Checksums.line_ok t.chk ~store:t.store ~line
+    Checksums.recorded p.chk ~line && Checksums.line_ok p.chk ~store:p.bytes ~line
   in
-  let byte = addr + (bit / 8) in
-  Bytes.set t.store byte
-    (Char.chr (Char.code (Bytes.get t.store byte) lxor (1 lsl (bit land 7))));
+  let byte = off + (bit / 8) in
+  Bytes.set p.bytes byte
+    (Char.chr (Char.code (Bytes.get p.bytes byte) lxor (1 lsl (bit land 7))));
   if was_clean then `Fresh else `Already_corrupt

@@ -8,7 +8,14 @@
     checksums, the log receiver verifies every delivered line against the
     CRC computed at staging before applying it, and deliveries carry
     (stream, epoch, seq) stamps so replays and gaps are classified
-    instead of applied blindly. *)
+    instead of applied blindly.
+
+    The store is page-sparse: an index of [capacity / 4096] slots
+    ([capacity / 512] bytes) is all [create] allocates.  A page gets its
+    4 KiB of bytes and its own 64-line CRC table on the first [write],
+    log line or [corrupt_bit] that lands in it, so a node costs host
+    memory only for the pages a run writes.  An untouched page reads as
+    zeros and has no recorded line. *)
 
 type t
 
@@ -21,6 +28,11 @@ exception Fenced of int
     store: a displaced ex-primary must not accept new bytes. *)
 
 val create : id:int -> capacity:int -> t
+(** A node of [capacity] bytes, all reading as zeros.  Allocates only
+    the page index ([capacity / 512] bytes), whatever the capacity.
+    Raises [Invalid_argument] unless [capacity] is a positive multiple
+    of 64. *)
+
 val id : t -> int
 val capacity : t -> int
 val used : t -> int

@@ -1,9 +1,10 @@
 (** Per-cache-line CRC32C table over a flat byte store.
 
-    A memory node keeps one of these alongside its backing bytes: every
-    trusted write recomputes the CRCs of the lines it touched and marks
-    them {e recorded}; verification only ever considers recorded lines,
-    so untouched (never-written) memory is never a false positive.
+    A memory node keeps one of these per touched page, alongside that
+    page's bytes: every trusted write recomputes the CRCs of the lines it
+    touched and marks them {e recorded}; verification only ever considers
+    recorded lines, so untouched (never-written) memory is never a false
+    positive.
 
     The table is the software stand-in for the per-line ECC the paper's
     FPGA memory node would provide in hardware. *)

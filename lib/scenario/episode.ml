@@ -113,6 +113,23 @@ let fingerprint (r : Rack.result) =
   |> Digest.string
   |> Digest.to_hex
 
+let abort_of_exn = function
+  | Rack_controller.Quota_exceeded { tenant; quota; used; requested } ->
+      Some
+        (Printf.sprintf "quota-exceeded: tenant %s at %d/%d, requested %d"
+           tenant used quota requested)
+  | Out_of_memory -> Some "out-of-memory: a node's capacity ran out"
+  | Kona_rdma.Rpc.Timeout_exhausted { attempts } ->
+      Some
+        (Printf.sprintf
+           "rpc-timeout: a control-plane call gave up after %d attempts"
+           attempts)
+  | Kona_rdma.Qp.Retry_exhausted { attempts } ->
+      Some
+        (Printf.sprintf "retry-exhausted: a queue pair gave up after %d attempts"
+           attempts)
+  | _ -> None
+
 let execute ?plant ?(check_end = true) (spec : Spec.t) =
   let config = config_of spec in
   let tenants = tenants_of spec.Spec.setup in
@@ -152,13 +169,8 @@ let execute ?plant ?(check_end = true) (spec : Spec.t) =
          Invariants.check Invariants.Boundary (ctx (Some r))
          @ Invariants.check Invariants.End (ctx (Some r))
      end
-   with
-  | Rack_controller.Quota_exceeded { tenant; quota; used; requested } ->
-      aborted :=
-        Some
-          (Printf.sprintf "quota-exceeded: tenant %s at %d/%d, requested %d"
-             tenant used quota requested)
-  | Out_of_memory -> aborted := Some "out-of-memory: a node's capacity ran out");
+   with e -> (
+     match abort_of_exn e with Some why -> aborted := Some why | None -> raise e));
   {
     oc_fingerprint =
       (match !result with Some r -> fingerprint r | None -> "");

@@ -18,14 +18,21 @@ type outcome = {
           violating boundary, so these all name the same boundary (or the
           episode end). *)
   oc_aborted : string option;
-      (** a deterministic resource abort (quota admission, node capacity)
-          — not a violation: the run is reported and replayable, but the
+      (** a deterministic resource abort (see {!abort_of_exn}) — not a
+          violation: the run is reported and replayable, but the
           end-state oracles were unreachable *)
   oc_integrity : (string * int) list;  (** tenant 0 integrity counters *)
   oc_shm_rpc : Kona_shmem.Shm_rpc.stats option;
       (** the last [shmrpc:] ring's stats; [None] if no ring ran *)
   oc_result : Kona_rack.Rack.result option;
 }
+
+val abort_of_exn : exn -> string option
+(** The one-line reason for a deterministic resource abort: a tenant's
+    quota admission ([quota-exceeded]), node capacity
+    ([out-of-memory]), or an exhausted retry budget — a control-plane
+    RPC ([rpc-timeout]) or a queue pair's retransmissions
+    ([retry-exhausted]).  [None] for any other exception. *)
 
 val execute :
   ?plant:(int -> Spec.op -> Kona_rack.Rack.engine -> unit) ->

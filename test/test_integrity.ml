@@ -250,6 +250,255 @@ let test_corrupt_bit_fresh_and_cancel () =
     (List.length (Memory_node.verify_range node ~addr:0 ~len:Units.cache_line))
 
 (* ------------------------------------------------------------------ *)
+(* Memory node: the page-sparse store against a flat reference *)
+
+(* The flat store a node used to be: one [Bytes.t] and one
+   whole-capacity CRC table, with the node's data-path semantics. *)
+module Flat = struct
+  type t = { store : Bytes.t; chk : Checksums.t }
+
+  let create ~capacity =
+    { store = Bytes.make capacity '\000'; chk = Checksums.create ~capacity }
+
+  let check t addr len =
+    if addr < 0 || addr + len > Bytes.length t.store then invalid_arg "Flat"
+
+  let write t ~addr ~data =
+    check t addr (String.length data);
+    Bytes.blit_string data 0 t.store addr (String.length data);
+    Checksums.record t.chk ~store:t.store ~addr ~len:(String.length data)
+
+  let read t ~addr ~len =
+    check t addr len;
+    Bytes.sub_string t.store addr len
+
+  (* (applied, rejected, healed) of an unstamped shipment *)
+  let receive_log t (entries : Memory_node.log_entry list) =
+    let applied = ref 0 and rejected = ref [] and healed = ref [] in
+    List.iter
+      (fun (e : Memory_node.log_entry) ->
+        for i = 0 to (String.length e.data / Units.cache_line) - 1 do
+          let addr = e.addr + (i * Units.cache_line) in
+          let wire =
+            Crc32c.digest_sub e.data ~pos:(i * Units.cache_line)
+              ~len:Units.cache_line
+          in
+          if wire <> e.crcs.(i) then rejected := addr :: !rejected
+          else begin
+            check t addr Units.cache_line;
+            let line = addr / Units.cache_line in
+            if
+              Checksums.recorded t.chk ~line
+              && not (Checksums.line_ok t.chk ~store:t.store ~line)
+            then healed := addr :: !healed;
+            Bytes.blit_string e.data (i * Units.cache_line) t.store addr
+              Units.cache_line;
+            Checksums.set_line t.chk ~line ~crc:wire;
+            incr applied
+          end
+        done)
+      entries;
+    (!applied, List.rev !rejected, List.rev !healed)
+
+  let verify_range t ~addr ~len =
+    Checksums.corrupt_lines t.chk ~store:t.store ~addr ~len
+
+  let corrupt_bit t ~addr ~bit =
+    if addr mod Units.cache_line <> 0 then invalid_arg "Flat.corrupt_bit";
+    let line = addr / Units.cache_line in
+    let was_clean =
+      Checksums.recorded t.chk ~line && Checksums.line_ok t.chk ~store:t.store ~line
+    in
+    let byte = addr + (bit / 8) in
+    Bytes.set t.store byte
+      (Char.chr (Char.code (Bytes.get t.store byte) lxor (1 lsl (bit land 7))));
+    if was_clean then `Fresh else `Already_corrupt
+end
+
+type node_op =
+  | Write of int * int * int  (** addr, len, fill seed *)
+  | Receive of (int * int * int * bool) list
+      (** per entry: line-aligned addr, lines, fill seed, torn *)
+  | Read of int * int
+  | Peek of int * int
+  | Corrupt of int * int  (** line-aligned addr, bit *)
+  | Verify of int * int
+
+let fill ~seed len = String.init len (fun i -> Char.chr ((seed + (i * 37)) land 0xff))
+
+let pp_node_op = function
+  | Write (a, l, s) -> Printf.sprintf "write %d+%d/%d" a l s
+  | Receive es ->
+      "receive ["
+      ^ String.concat "; "
+          (List.map
+             (fun (a, n, s, torn) ->
+               Printf.sprintf "%d x%d/%d%s" a n s (if torn then " torn" else ""))
+             es)
+      ^ "]"
+  | Read (a, l) -> Printf.sprintf "read %d+%d" a l
+  | Peek (a, l) -> Printf.sprintf "peek %d+%d" a l
+  | Corrupt (a, b) -> Printf.sprintf "corrupt %d bit %d" a b
+  | Verify (a, l) -> Printf.sprintf "verify %d+%d" a l
+
+(* Ranges cluster around page boundaries so they straddle them; a few
+   run past the end (both stores must raise), and zero-length reads at
+   [capacity] must return [""]. *)
+let gen_node_ops capacity =
+  let open QCheck.Gen in
+  let page = Units.page_size and lines = capacity / Units.cache_line in
+  let addr =
+    oneof
+      [
+        int_bound capacity;
+        map2
+          (fun k d -> max 0 (min capacity ((k * page) + d)))
+          (int_bound (capacity / page))
+          (int_range (-96) 96);
+      ]
+  in
+  let range =
+    addr >>= fun a ->
+    frequency
+      [
+        (8, map (fun l -> (a, l)) (int_bound (min (capacity - a) ((2 * page) + 64))));
+        (1, map (fun x -> (a, capacity - a + 1 + x)) (int_bound 64));
+        (1, return (capacity, 0));
+      ]
+  in
+  let entry =
+    int_bound (lines - 1) >>= fun line ->
+    map3
+      (fun n seed torn -> (line * Units.cache_line, n, seed, torn))
+      (int_range 1 (min 80 (lines - line)))
+      (int_bound 255)
+      (frequency [ (3, return false); (1, return true) ])
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun (a, l) seed -> Write (a, l, seed)) range (int_bound 255));
+        (3, map (fun es -> Receive es) (list_size (int_range 1 3) entry));
+        (2, map (fun (a, l) -> Read (a, l)) range);
+        (1, map (fun (a, l) -> Peek (a, l)) range);
+        ( 2,
+          map2
+            (fun l b -> Corrupt (l * Units.cache_line, b))
+            (int_bound lines) (int_bound 511) );
+        (2, map (fun (a, l) -> Verify (a, l)) range);
+      ]
+  in
+  list_size (int_range 1 30) op
+
+type node_outcome =
+  | Raised
+  | Bytes_of of string
+  | Applied of int * int list * int list
+  | Lines of int list
+  | Flip of [ `Fresh | `Already_corrupt ]
+
+let outcome f = try f () with Invalid_argument _ -> Raised
+
+let prop_sparse_node_matches_flat =
+  let page = Units.page_size in
+  let capacities = [ page; (3 * page) + 192; 2 * page; 3 * Units.cache_line ] in
+  let gen =
+    QCheck.Gen.(
+      oneofl capacities >>= fun c -> map (fun ops -> (c, ops)) (gen_node_ops c))
+  in
+  QCheck.Test.make ~name:"sparse node = flat reference" ~count:300
+    (QCheck.make
+       ~print:(fun (c, ops) ->
+         Printf.sprintf "capacity %d: %s" c
+           (String.concat "; " (List.map pp_node_op ops)))
+       gen)
+    (fun (capacity, ops) ->
+      let node = Memory_node.create ~id:0 ~capacity in
+      let flat = Flat.create ~capacity in
+      let entries es =
+        List.map
+          (fun (addr, n, seed, torn) ->
+            let e = Memory_node.entry ~addr ~data:(fill ~seed (n * Units.cache_line)) in
+            if not torn then e
+            else
+              let d = Bytes.of_string e.Memory_node.data in
+              Bytes.set d 5 (Char.chr (Char.code (Bytes.get d 5) lxor 0x10));
+              { e with Memory_node.data = Bytes.to_string d })
+          es
+      in
+      let step = function
+        | Write (addr, len, seed) ->
+            let data = fill ~seed len in
+            ( outcome (fun () -> Memory_node.write node ~addr ~data; Bytes_of ""),
+              outcome (fun () -> Flat.write flat ~addr ~data; Bytes_of "") )
+        | Receive es ->
+            let es = entries es in
+            ( outcome (fun () ->
+                  let r = Memory_node.receive_log node es in
+                  Applied (r.Memory_node.applied_lines, r.rejected, r.healed)),
+              outcome (fun () ->
+                  let applied, rejected, healed = Flat.receive_log flat es in
+                  Applied (applied, rejected, healed)) )
+        | Read (addr, len) ->
+            ( outcome (fun () -> Bytes_of (Memory_node.read node ~addr ~len)),
+              outcome (fun () -> Bytes_of (Flat.read flat ~addr ~len)) )
+        | Peek (addr, len) ->
+            ( outcome (fun () -> Bytes_of (Memory_node.peek node ~addr ~len)),
+              outcome (fun () -> Bytes_of (Flat.read flat ~addr ~len)) )
+        | Corrupt (addr, bit) ->
+            ( outcome (fun () -> Flip (Memory_node.corrupt_bit node ~addr ~bit)),
+              outcome (fun () -> Flip (Flat.corrupt_bit flat ~addr ~bit)) )
+        | Verify (addr, len) ->
+            ( outcome (fun () -> Lines (Memory_node.verify_range node ~addr ~len)),
+              outcome (fun () -> Lines (Flat.verify_range flat ~addr ~len)) )
+      in
+      List.for_all
+        (fun op ->
+          let a, b = step op in
+          a = b || QCheck.Test.fail_reportf "%s disagrees" (pp_node_op op))
+        ops
+      && Memory_node.read node ~addr:capacity ~len:0 = ""
+      && Memory_node.read node ~addr:0 ~len:capacity = Bytes.to_string flat.Flat.store
+      && Memory_node.verify_range node ~addr:0 ~len:capacity
+         = Flat.verify_range flat ~addr:0 ~len:capacity
+      (* a flip's verdict exposes every line's recorded state *)
+      && List.for_all
+           (fun l ->
+             let addr = l * Units.cache_line in
+             Memory_node.corrupt_bit node ~addr ~bit:0
+             = Flat.corrupt_bit flat ~addr ~bit:0)
+           (List.init (capacity / Units.cache_line) Fun.id))
+
+(* [create] allocates the page index and nothing else, so a node's
+   capacity costs no host memory up front. *)
+let test_create_allocates_only_the_index () =
+  let capacity = Units.gib 1 in
+  let before = Gc.allocated_bytes () in
+  let node = Memory_node.create ~id:0 ~capacity in
+  let allocated = Gc.allocated_bytes () -. before in
+  check_bool
+    (Printf.sprintf "allocated %.0f B <= capacity / 256" allocated)
+    true
+    (allocated <= float_of_int (capacity / 256));
+  let last = capacity - Units.cache_line in
+  Memory_node.write node ~addr:last ~data:(line 'z');
+  check_string "last line round-trips" (line 'z')
+    (Memory_node.read node ~addr:last ~len:Units.cache_line);
+  check_string "untouched page reads as zeros" (String.make 16 '\000')
+    (Memory_node.read node ~addr:(capacity / 2) ~len:16)
+
+let test_create_validates_capacity () =
+  List.iter
+    (fun capacity ->
+      check_bool
+        (Printf.sprintf "capacity %d rejected" capacity)
+        true
+        (match Memory_node.create ~id:0 ~capacity with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ 0; -Units.cache_line; 100; Units.page_size + 1 ]
+
+(* ------------------------------------------------------------------ *)
 (* Runtime: end-to-end corruption, scrub-and-repair *)
 
 let make_runtime ?(fmem_pages = 16) ?(replicas = 1) ?(faults = [])
@@ -418,6 +667,11 @@ let () =
             test_receive_log_duplicate_and_reorder;
           Alcotest.test_case "corrupt_bit arming" `Quick
             test_corrupt_bit_fresh_and_cancel;
+          prop prop_sparse_node_matches_flat;
+          Alcotest.test_case "create allocates only the index" `Quick
+            test_create_allocates_only_the_index;
+          Alcotest.test_case "create validates capacity" `Quick
+            test_create_validates_capacity;
         ] );
       ( "scrub",
         [

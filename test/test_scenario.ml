@@ -396,6 +396,22 @@ let test_timed_clause_fires_by_time () =
   let last = run (setup ^ ";run:n=1000;run:n=1000;node-crash@1ms:id=1") in
   check_string "same fingerprint first or last" first last
 
+(* An exhausted retry budget is a resource abort, like a quota overrun:
+   the episode reports it instead of raising. *)
+let test_retry_budget_aborts () =
+  List.iter
+    (fun (line, why) ->
+      let o = Episode.execute (Spec.parse_exn line) in
+      check_bool "no violations" true (Episode.passed o);
+      check_string "no fingerprint" "" o.Episode.oc_fingerprint;
+      check_string line why (Option.value o.Episode.oc_aborted ~default:""))
+    [
+      ( "setup:tenants=1;rpc-timeout:p=0.9;run:n=100000",
+        "rpc-timeout: a control-plane call gave up after 6 attempts" );
+      ( "setup:tenants=1;wqe-drop:p=0.9;run:n=100000",
+        "retry-exhausted: a queue pair gave up after 8 attempts" );
+    ]
+
 let raises msg f =
   match f () with
   | _ -> Alcotest.failf "expected Invalid_argument %S" msg
@@ -572,6 +588,8 @@ let () =
             test_timed_clause_fires_by_time;
           Alcotest.test_case "rack rejects a bad config" `Quick
             test_rack_rejects_config;
+          Alcotest.test_case "exhausted retry budget aborts" `Quick
+            test_retry_budget_aborts;
           Alcotest.test_case "registry names" `Quick test_registry_names;
         ] );
       ( "shrinker",
