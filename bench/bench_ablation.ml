@@ -18,6 +18,7 @@ module Workloads = Kona_workloads.Workloads
 module Units = Kona_util.Units
 module Rng = Kona_util.Rng
 module Vm_runtime = Kona_baselines.Vm_runtime
+module System = Kona_baselines.System
 
 let cost = Cost_model.default
 
@@ -44,18 +45,7 @@ let associativity ~scale () =
 (* ------------------------------------------------------------------ *)
 (* Common scaffolding: a Kona runtime over a fresh rack. *)
 
-let kona_runtime ?(config = Runtime.default_config) () =
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 64));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 64));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let rt = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 32) ~sink:(Runtime.sink rt) () in
-  heap_ref := Some heap;
-  (rt, heap, controller)
+let kona_runtime config = System.kona ~config ~heap_capacity:(Units.mib 32) ()
 
 (* ------------------------------------------------------------------ *)
 (* 2. Prefetching *)
@@ -64,7 +54,7 @@ let prefetch () =
   Report.section "Ablation: stream prefetching of remote pages";
   let run ~prefetch ~pattern =
     let config = { Runtime.default_config with fmem_pages = 512; prefetch } in
-    let rt, heap, _controller = kona_runtime ~config () in
+    let rt, heap = kona_runtime config in
     let region = Units.mib 16 in
     let base = Heap.alloc heap region in
     let rng = Rng.create ~seed:4 in
@@ -122,18 +112,13 @@ let huge_pages () =
   in
   (* Kona *)
   let config = { Runtime.default_config with fmem_pages = 1024 } in
-  let rt, heap, _controller = kona_runtime ~config () in
+  let rt, heap = kona_runtime config in
   let base = Heap.alloc heap region in
   touch heap base;
   Runtime.drain rt;
   let kona_bytes = List.assoc "log.lines" (Runtime.stats rt) * Cl_log.entry_bytes in
   (* VM at 4KB and 64KB pages *)
   let vm_run page_bytes =
-    let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-    Rack_controller.register_node controller
-      (Memory_node.create ~id:0 ~capacity:(Units.mib 64));
-    let heap_ref = ref None in
-    let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
     let profile = Vm_runtime.kona_vm_profile cost Kona_rdma.Cost.default in
     let config =
       {
@@ -142,9 +127,9 @@ let huge_pages () =
         page_bytes;
       }
     in
-    let vm = Vm_runtime.create ~config ~profile ~controller ~read_local () in
-    let heap = Heap.create ~capacity:(Units.mib 32) ~sink:(Vm_runtime.sink vm) () in
-    heap_ref := Some heap;
+    let vm, heap =
+      System.vm ~config ~profile ~heap_capacity:(Units.mib 32) ()
+    in
     let base = Heap.alloc heap region in
     touch heap base;
     Vm_runtime.drain vm;
@@ -179,7 +164,7 @@ let replication () =
   Report.section "Ablation: eviction replication (SS4.5)";
   let run replicas =
     let config = { Runtime.default_config with fmem_pages = 256; replicas } in
-    let rt, heap, controller = kona_runtime ~config () in
+    let rt, heap = kona_runtime config in
     let region = Units.mib 4 in
     let base = Heap.alloc heap region in
     let rng = Rng.create ~seed:9 in
@@ -188,7 +173,10 @@ let replication () =
     done;
     Runtime.drain rt;
     (match Runtime.replication rt with
-    | Some r -> assert (Replication.divergent_mirrors r ~controller = 0)
+    | Some r ->
+        assert (
+          Replication.divergent_mirrors r ~controller:(Runtime.controller rt)
+          = 0)
     | None -> ());
     let lines = List.assoc "log.lines" (Runtime.stats rt) in
     let replicated =
@@ -223,7 +211,7 @@ let batching () =
   Report.section "Ablation: CL-log capacity and slab batching";
   let log_row capacity =
     let config = { Runtime.default_config with fmem_pages = 256; log_capacity = capacity } in
-    let rt, heap, _controller = kona_runtime ~config () in
+    let rt, heap = kona_runtime config in
     let region = Units.mib 4 in
     let base = Heap.alloc heap region in
     let rng = Rng.create ~seed:3 in
@@ -265,7 +253,7 @@ let eviction_policy () =
     let config =
       { Runtime.default_config with fmem_pages = 256; fmem_policy = policy }
     in
-    let rt, heap, _controller = kona_runtime ~config () in
+    let rt, heap = kona_runtime config in
     let region = Units.mib 4 in
     let base = Heap.alloc heap region in
     let rng = Rng.create ~seed:21 in

@@ -8,6 +8,7 @@ open Kona
 module Heap = Kona_workloads.Heap
 module Units = Kona_util.Units
 module Vm_runtime = Kona_baselines.Vm_runtime
+module System = Kona_baselines.System
 
 let region = Units.mib 16 (* per thread; paper used 4 GB *)
 let passes = 2
@@ -31,19 +32,15 @@ let cache_pages ~evict = if evict then pages / 2 else 2 * pages
 type thread = { heap : Heap.t; base : int; elapsed : unit -> int; drain : unit -> unit }
 
 let make_thread ~nic variant =
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(2 * region));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let sink, elapsed, drain =
+  let heap_capacity = region + Units.mib 1 in
+  let heap, elapsed, drain =
     match variant with
     | Kona { evict } ->
         let config =
           { Runtime.default_config with fmem_pages = cache_pages ~evict }
         in
-        let rt = Runtime.create ~config ~nic ~controller ~read_local () in
-        (Runtime.sink rt, (fun () -> Runtime.elapsed_ns rt), fun () -> Runtime.drain rt)
+        let rt, heap = System.kona ~config ~nic ~heap_capacity () in
+        (heap, (fun () -> Runtime.elapsed_ns rt), fun () -> Runtime.drain rt)
     | Vm { evict; wp } ->
         let profile = Vm_runtime.kona_vm_profile Cost_model.default Kona_rdma.Cost.default in
         let config =
@@ -53,13 +50,9 @@ let make_thread ~nic variant =
             write_protect = wp;
           }
         in
-        let vm = Vm_runtime.create ~config ~nic ~profile ~controller ~read_local () in
-        ( Vm_runtime.sink vm,
-          (fun () -> Vm_runtime.elapsed_ns vm),
-          fun () -> Vm_runtime.drain vm )
+        let vm, heap = System.vm ~config ~nic ~profile ~heap_capacity () in
+        (heap, (fun () -> Vm_runtime.elapsed_ns vm), fun () -> Vm_runtime.drain vm)
   in
-  let heap = Heap.create ~capacity:(region + Units.mib 1) ~sink () in
-  heap_ref := Some heap;
   let base = Heap.alloc heap region in
   { heap; base; elapsed; drain }
 

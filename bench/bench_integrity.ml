@@ -14,6 +14,7 @@ module Units = Kona_util.Units
 module Histogram = Kona_util.Histogram
 module Rng = Kona_util.Rng
 module Fault_spec = Kona_faults.Fault_spec
+module System = Kona_baselines.System
 
 let artifact_path = "BENCH_integrity.json"
 
@@ -30,16 +31,7 @@ let run_one ~flip_p ~scrub_interval_ns =
       verify_checksums = true;
     }
   in
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 64));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 64));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let rt = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 32) ~sink:(Runtime.sink rt) () in
-  heap_ref := Some heap;
+  let rt, heap = System.kona ~config ~heap_capacity:(Units.mib 32) () in
   let region = Units.mib 4 in
   let base = Heap.alloc heap region in
   let rng = Rng.create ~seed:9 in

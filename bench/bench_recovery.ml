@@ -15,11 +15,10 @@
 
 open Kona
 module Workloads = Kona_workloads.Workloads
-module Heap = Kona_workloads.Heap
-module Units = Kona_util.Units
 module Histogram = Kona_util.Histogram
 module Membership = Kona_membership.Membership
 module Fault_spec = Kona_faults.Fault_spec
+module System = Kona_baselines.System
 
 let artifact_path = "BENCH_recovery.json"
 
@@ -43,25 +42,18 @@ let run_one ~heartbeat_ns ~lease_ns ~partition_us =
       lease_ns;
     }
   in
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 128));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 128));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let rt = Runtime.create ~config ~controller ~read_local () in
   let spec = Workloads.find "kv-uniform" in
-  let heap =
-    Heap.create
-      ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
-      ~sink:(Runtime.sink rt) ()
+  let rt, heap =
+    System.kona ~config
+      ~heap_capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
+      ()
   in
-  heap_ref := Some heap;
   spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
   Runtime.drain rt;
   (match Runtime.replication rt with
-  | Some r -> assert (Replication.divergent_mirrors r ~controller = 0)
+  | Some r ->
+      assert (
+        Replication.divergent_mirrors r ~controller:(Runtime.controller rt) = 0)
   | None -> ());
   rt
 

@@ -5,47 +5,23 @@
    This is the "does the whole machine hold together" table. *)
 
 open Kona
-module Heap = Kona_workloads.Heap
 module Workloads = Kona_workloads.Workloads
 module Units = Kona_util.Units
+module System = Kona_baselines.System
 
 let run_one ~scale (spec : Workloads.spec) =
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 128));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 128));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
   (* ~25% of the workload's arena as local cache. *)
   let fmem_pages =
     max 64 (spec.Workloads.heap_capacity scale / Units.page_size / 4)
   in
   let config = { Runtime.default_config with fmem_pages } in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap =
-    Heap.create ~capacity:(spec.Workloads.heap_capacity scale)
-      ~sink:(Runtime.sink runtime) ()
+  let runtime, heap =
+    System.kona ~config ~heap_capacity:(spec.Workloads.heap_capacity scale) ()
   in
-  heap_ref := Some heap;
   spec.Workloads.run scale ~heap ~seed:42;
   Runtime.drain runtime;
   let stats = Runtime.stats runtime in
-  let rm = Runtime.resource_manager runtime in
-  let mismatches = ref 0 in
-  Resource_manager.iter_backed_pages rm (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      (* Poked pages model read-only mmap'd input files: clean, never
-         written back, re-read from the file after any failure. *)
-      if base + Units.page_size <= Heap.capacity heap
-         && not (Heap.page_poked heap ~page:vpage)
-      then
-        let local = Heap.peek_bytes heap base Units.page_size in
-        let remote =
-          Memory_node.peek (Rack_controller.node controller ~id:node) ~addr:remote_addr
-            ~len:Units.page_size
-        in
-        if local <> remote then incr mismatches);
+  let check = System.check heap (Runtime.resource_manager runtime) in
   [
     spec.Workloads.name;
     Report.ns (Runtime.app_ns runtime);
@@ -54,7 +30,9 @@ let run_one ~scale (spec : Workloads.spec) =
     string_of_int (List.assoc "evict.lines" stats);
     Printf.sprintf "%dKB" (List.assoc "log.lines" stats * Cl_log.entry_bytes / 1024);
     string_of_int (List.assoc "mce.raised" stats);
-    (if !mismatches = 0 then "OK" else Printf.sprintf "%d DIVERGED" !mismatches);
+    (match check.System.mismatches with
+    | 0 -> "OK"
+    | n -> Printf.sprintf "%d DIVERGED" n);
   ]
 
 let run ~scale () =

@@ -19,8 +19,6 @@
    smoke Redis-Rand run on Kona and Kona-VM. *)
 
 module Workloads = Kona_workloads.Workloads
-module Heap = Kona_workloads.Heap
-module Units = Kona_util.Units
 module Hub = Kona_telemetry.Hub
 module Json = Kona_telemetry.Json
 module Snapshot = Kona_telemetry.Snapshot
@@ -31,62 +29,28 @@ let all_ids =
 
 let artifact_path = "BENCH_telemetry.json"
 
-(* One smoke Redis-Rand run on [system] with a telemetry hub attached;
-   returns the hub and the run's virtual time. *)
-let telemetry_run system =
-  let controller = Kona.Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Kona.Rack_controller.register_node controller
-    (Kona.Memory_node.create ~id:0 ~capacity:(Units.mib 128));
-  Kona.Rack_controller.register_node controller
-    (Kona.Memory_node.create ~id:1 ~capacity:(Units.mib 128));
-  let hub = Hub.create () in
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let sink, drain, elapsed =
-    match system with
-    | `Kona ->
-        let rt = Kona.Runtime.create ~hub ~controller ~read_local () in
-        ( Kona.Runtime.sink rt,
-          (fun () -> Kona.Runtime.drain rt),
-          fun () -> Kona.Runtime.elapsed_ns rt )
-    | `Vm ->
-        let profile =
-          Kona_baselines.Vm_runtime.kona_vm_profile Kona.Cost_model.default
-            Kona_rdma.Cost.default
-        in
-        let vm =
-          Kona_baselines.Vm_runtime.create ~hub ~profile ~controller ~read_local ()
-        in
-        ( Kona_baselines.Vm_runtime.sink vm,
-          (fun () -> Kona_baselines.Vm_runtime.drain vm),
-          fun () -> Kona_baselines.Vm_runtime.elapsed_ns vm )
-  in
-  let spec = Workloads.redis_rand in
-  let heap =
-    Heap.create ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke) ~sink ()
-  in
-  heap_ref := Some heap;
-  spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
-  drain ();
-  (hub, elapsed ())
-
 let emit_telemetry () =
   Report.section "telemetry";
   List.iter
-    (fun (name, sys) ->
-      let hub, elapsed = telemetry_run sys in
-      let snap = Hub.snapshot hub in
+    (fun name ->
+      (* one smoke Redis-Rand run with default configs *)
+      let r =
+        Kona_baselines.System.run ~kona:Kona.Runtime.default_config
+          ~vm:Kona_baselines.Vm_runtime.default_config Workloads.redis_rand
+          Workloads.Smoke ~seed:42 name
+      in
+      let snap = Hub.snapshot r.Kona_baselines.System.hub in
       Report.json_line
         [
           ("kind", Json.String "telemetry");
           ("system", Json.String name);
           ("workload", Json.String "Redis-Rand");
-          ("elapsed_ns", Json.Int elapsed);
+          ("elapsed_ns", Json.Int r.Kona_baselines.System.elapsed_ns);
           ("metrics", Snapshot.to_json snap);
         ];
       Report.note "%s: %d metrics appended to %s" name (List.length snap)
         artifact_path)
-    [ ("kona", `Kona); ("kona-vm", `Vm) ]
+    [ "kona"; "kona-vm" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -28,6 +28,7 @@ module Units = Kona_util.Units
 module Amp = Kona_trace.Amplification
 module Window = Kona_trace.Window
 module Vm_runtime = Kona_baselines.Vm_runtime
+module System = Kona_baselines.System
 module Backoff = Kona_util.Backoff
 module Hub = Kona_telemetry.Hub
 module Json = Kona_telemetry.Json
@@ -92,17 +93,6 @@ let cmd_amp workload seed full =
 
 (* ------------------------------------------------------------------ *)
 
-type run_result = {
-  rr_system : string;
-  rr_hub : Hub.t;
-  rr_elapsed : int;
-  rr_stats : (string * int) list;
-  rr_footprint : int;
-  rr_mismatches : int;
-  rr_lost_pages : int;  (** backed pages on a crashed, un-failed-over node *)
-  rr_degraded : string option;
-}
-
 let parse_fault_spec = function
   | None -> []
   | Some s -> (
@@ -124,121 +114,21 @@ let backoff_of ~retry_max ~backoff_base_ns =
   | Some b -> Backoff.with_base_ns c b
   | None -> c
 
-(* Execute [spec] on one runtime with a fresh rack and its own telemetry
-   hub; verifies remote-memory integrity after the final drain.  [faults]
-   (kona only) is the injection plan: node crashes trigger failover when
-   [replicas > 0], and integrity skips pages lost to un-failed-over
-   crashed nodes, reporting them as degradation instead of divergence. *)
-let run_one ~(spec : Workloads.spec) ~scale ~seed ~fmem_pages ~replicas
-    ~prefetch ~sq_depth ~signal_interval ~faults ~fault_seed ~check_replicas
-    ~scrub_interval ~verify_checksums ~backoff ~heartbeat_ns ~lease_ns system =
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 128));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 128));
-  let hub = Hub.create () in
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let sink, elapsed, drain, stats, rm, degraded =
-    match system with
-    | "kona" ->
-        let config =
-          {
-            Runtime.default_config with
-            fmem_pages;
-            replicas;
-            prefetch;
-            sq_depth;
-            signal_interval;
-            faults;
-            fault_seed;
-            check_replicas;
-            scrub_interval_ns = scrub_interval;
-            verify_checksums;
-            backoff;
-            heartbeat_ns;
-            lease_ns;
-          }
-        in
-        let rt = Runtime.create ~config ~hub ~controller ~read_local () in
-        ( Runtime.sink rt,
-          (fun () -> Runtime.elapsed_ns rt),
-          (fun () -> Runtime.drain rt),
-          (fun () -> Runtime.stats rt),
-          Runtime.resource_manager rt,
-          fun () -> Runtime.degraded rt )
-    | ("kona-vm" | "legoos" | "infiniswap") as sys ->
-        let cost = Cost_model.default in
-        let profile =
-          match sys with
-          | "legoos" -> Vm_runtime.legoos_profile cost
-          | "infiniswap" -> Vm_runtime.infiniswap_profile cost
-          | _ -> Vm_runtime.kona_vm_profile cost Kona_rdma.Cost.default
-        in
-        let config =
-          {
-            Vm_runtime.default_config with
-            cache_pages = fmem_pages;
-            sq_depth;
-            signal_interval;
-            backoff;
-          }
-        in
-        let vm = Vm_runtime.create ~config ~hub ~profile ~controller ~read_local () in
-        ( Vm_runtime.sink vm,
-          (fun () -> Vm_runtime.elapsed_ns vm),
-          (fun () -> Vm_runtime.drain vm),
-          (fun () -> Vm_runtime.stats vm),
-          Vm_runtime.resource_manager vm,
-          fun () -> None )
-    | other ->
-        Fmt.epr "unknown system %S (kona | kona-vm | legoos | infiniswap)@." other;
-        exit 1
-  in
-  let heap =
-    Heap.create ~capacity:(spec.Workloads.heap_capacity scale) ~sink ()
-  in
-  heap_ref := Some heap;
-  spec.Workloads.run scale ~heap ~seed;
-  drain ();
-  let mismatches = ref 0 and lost_pages = ref 0 in
-  Resource_manager.iter_backed_pages rm (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      (* skip pages holding mmap'd (poked) input: clean by construction *)
-      if base + Units.page_size <= Heap.capacity heap
-         && not (Heap.page_poked heap ~page:vpage)
-      then begin
-        let local = Heap.peek_bytes heap base Units.page_size in
-        match
-          Memory_node.peek (Rack_controller.node controller ~id:node)
-            ~addr:remote_addr ~len:Units.page_size
-        with
-        | remote -> if local <> remote then incr mismatches
-        | exception Memory_node.Crashed _ ->
-            (* crashed with no promoted replica: lost, not divergent *)
-            incr lost_pages
-      end);
-  {
-    rr_system = system;
-    rr_hub = hub;
-    rr_elapsed = elapsed ();
-    rr_stats = stats ();
-    rr_footprint = Heap.used heap;
-    rr_mismatches = !mismatches;
-    rr_lost_pages = !lost_pages;
-    rr_degraded = degraded ();
-  }
-
 let systems_of s =
   match
     String.split_on_char ',' s |> List.map String.trim
     |> List.filter (fun x -> x <> "")
   with
   | [] ->
-      Fmt.epr "no system given (kona | kona-vm | legoos | infiniswap)@.";
+      Fmt.epr "no system given (%s)@." (String.concat " | " System.names);
       exit 1
-  | l -> l
+  | l -> (
+      match List.find_opt (fun x -> not (List.mem x System.names)) l with
+      | Some other ->
+          Fmt.epr "unknown system %S (%s)@." other
+            (String.concat " | " System.names);
+          exit 1
+      | None -> l)
 
 (* "trace.jsonl" -> "trace.kona-vm.jsonl" when several systems share one
    --trace path. *)
@@ -259,14 +149,14 @@ let export_results ~(spec : Workloads.spec) ~full ~seed ~metrics_json ~trace
       let docs =
         List.map
           (fun r ->
-            Snapshot.document (Hub.snapshot r.rr_hub)
+            Snapshot.document (Hub.snapshot r.System.hub)
               ~meta:
                 [
-                  ("system", Json.String r.rr_system);
+                  ("system", Json.String r.System.system);
                   ("workload", Json.String spec.Workloads.name);
                   ("scale", Json.String (scale_name full));
                   ("seed", Json.Int seed);
-                  ("elapsed_ns", Json.Int r.rr_elapsed);
+                  ("elapsed_ns", Json.Int r.System.elapsed_ns);
                 ])
           results
       in
@@ -285,25 +175,27 @@ let export_results ~(spec : Workloads.spec) ~full ~seed ~metrics_json ~trace
       let single = List.length results = 1 in
       List.iter
         (fun r ->
-          let p = per_system_path path r.rr_system ~single in
-          let n = Hub.write_trace ~path:p r.rr_hub in
+          let p = per_system_path path r.System.system ~single in
+          let n = Hub.write_trace ~path:p r.System.hub in
           Fmt.pr "trace: wrote %d events to %s@." n p)
         results
 
 (* Exit status shared by run/stats: 3 on a resource abort (an exhausted
    retry budget, printed as [aborted: ...]), 1 on divergence (a real bug),
    2 on a gracefully degraded run (data lost to an unrecovered fault —
-   reported, not raised), 0 otherwise. *)
-let report_faults r =
-  (match r.rr_degraded with
+   reported, not raised, including pages the runtime declared
+   unrepairable), 0 otherwise. *)
+let report_faults (r : System.result) =
+  (match r.System.degraded with
   | Some reason -> Fmt.pr "degraded: %s@." reason
   | None -> ());
-  if r.rr_lost_pages > 0 then
-    Fmt.pr "integrity: %d page(s) unreachable on crashed nodes@." r.rr_lost_pages
+  if r.System.check.System.lost > 0 then
+    Fmt.pr "integrity: %d page(s) unreachable on crashed nodes@."
+      r.System.check.System.lost
 
-let exit_status results =
-  if List.exists (fun r -> r.rr_mismatches > 0) results then 1
-  else if List.exists (fun r -> r.rr_degraded <> None) results then 2
+let exit_status (results : System.result list) =
+  if List.exists (fun r -> r.System.check.System.mismatches > 0) results then 1
+  else if List.exists (fun r -> r.System.degraded <> None) results then 2
   else 0
 
 (* [run] and [stats] share every flag and this whole body; they differ
@@ -318,13 +210,36 @@ let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
   in
   let faults = parse_fault_spec fault_spec in
   let backoff = backoff_of ~retry_max ~backoff_base_ns in
+  let kona =
+    {
+      Runtime.default_config with
+      fmem_pages;
+      replicas;
+      prefetch;
+      sq_depth;
+      signal_interval;
+      faults;
+      fault_seed;
+      check_replicas;
+      scrub_interval_ns = scrub_interval;
+      verify_checksums;
+      backoff;
+      heartbeat_ns;
+      lease_ns;
+    }
+  in
+  (* faults, replicas, scrubbing and leases are Kona-only *)
+  let vm =
+    {
+      Vm_runtime.default_config with
+      cache_pages = fmem_pages;
+      sq_depth;
+      signal_interval;
+      backoff;
+    }
+  in
   let results =
-    try
-      List.map
-        (run_one ~spec ~scale ~seed ~fmem_pages ~replicas ~prefetch ~sq_depth
-           ~signal_interval ~faults ~fault_seed ~check_replicas ~scrub_interval
-           ~verify_checksums ~backoff ~heartbeat_ns ~lease_ns)
-        (systems_of systems)
+    try List.map (System.run ~kona ~vm spec scale ~seed) (systems_of systems)
     with e -> (
       match Kona_scenario.Episode.abort_of_exn e with
       | Some why ->
@@ -340,18 +255,20 @@ let cmd_run print workload systems fmem_pages replicas prefetch sq_depth
   export_results ~spec ~full ~seed ~metrics_json ~trace results;
   exit_status results
 
-let print_run ~(spec : Workloads.spec) ~full:_ ~seed:_ r =
+let print_run ~(spec : Workloads.spec) ~full:_ ~seed:_ (r : System.result) =
   Fmt.pr "%s on %s: %a virtual time, footprint %a@." spec.Workloads.name
-    r.rr_system Units.pp_ns r.rr_elapsed Units.pp_bytes r.rr_footprint;
-  List.iter (fun (k, v) -> Fmt.pr "  %-26s %d@." k v) r.rr_stats;
+    r.System.system Units.pp_ns r.System.elapsed_ns Units.pp_bytes
+    r.System.footprint;
+  List.iter (fun (k, v) -> Fmt.pr "  %-26s %d@." k v) r.System.stats;
   Fmt.pr "integrity: %s@."
-    (if r.rr_mismatches = 0 then "remote memory matches the heap"
-     else Printf.sprintf "%d PAGES DIVERGED" r.rr_mismatches)
+    (match r.System.check.System.mismatches with
+    | 0 -> "remote memory matches the heap"
+    | n -> Printf.sprintf "%d PAGES DIVERGED" n)
 
-let print_stats ~(spec : Workloads.spec) ~full ~seed r =
+let print_stats ~(spec : Workloads.spec) ~full ~seed (r : System.result) =
   Fmt.pr "== %s on %s (%s, seed %d): %a ==@." spec.Workloads.name
-    r.rr_system (scale_name full) seed Units.pp_ns r.rr_elapsed;
-  Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.rr_hub)
+    r.System.system (scale_name full) seed Units.pp_ns r.System.elapsed_ns;
+  Fmt.pr "%a@." Snapshot.pp_table (Hub.snapshot r.System.hub)
 
 (* ------------------------------------------------------------------ *)
 (* Autonomous scenario fuzzing (lib/scenario): seeded op sequences over

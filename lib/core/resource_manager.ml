@@ -124,3 +124,23 @@ let iter_backed_pages t f =
         f ~vpage ~node ~remote_addr
       done)
     (slabs t)
+
+type check = { checked : int; mismatches : int; lost : int }
+
+let compare_remote t ~keep ~read_local =
+  let page = Units.page_size in
+  let checked = ref 0 and mismatches = ref 0 and lost = ref 0 in
+  iter_backed_pages t (fun ~vpage ~node ~remote_addr ->
+      if keep vpage then begin
+        incr checked;
+        match
+          Memory_node.peek
+            (Rack_controller.node t.controller ~id:node)
+            ~addr:remote_addr ~len:page
+        with
+        | remote ->
+            if remote <> read_local ~addr:(vpage * page) ~len:page then
+              incr mismatches
+        | exception Memory_node.Crashed _ -> incr lost
+      end);
+  { checked = !checked; mismatches = !mismatches; lost = !lost }

@@ -60,3 +60,17 @@ val controller_round_trips : t -> int
 
 val iter_backed_pages : t -> (vpage:int -> node:int -> remote_addr:int -> unit) -> unit
 (** Every backed page with its remote location (integrity checks). *)
+
+type check = {
+  checked : int;  (** backed pages [keep] accepted *)
+  mismatches : int;  (** of those, pages whose remote bytes differ *)
+  lost : int;  (** of those, pages whose home node has crashed *)
+}
+
+val compare_remote :
+  t -> keep:(int -> bool) -> read_local:(addr:int -> len:int -> string) -> check
+(** The remote-memory oracle: for every backed page [vpage] (own slabs
+    only, at its current home) with [keep vpage], compare the page's
+    remote bytes with [read_local] over the same virtual range.  A home
+    that has crashed with no promoted replica raises nothing: the page
+    counts as [lost], not as a mismatch. *)

@@ -30,7 +30,6 @@ type config = {
   signal_interval : int;
   faults : Fault_spec.t;
   fault_seed : int;
-  arm_injector : bool;
   check_replicas : bool;
   scrub_interval_ns : int option;
   verify_checksums : bool;
@@ -56,7 +55,6 @@ let default_config =
     signal_interval = 1;
     faults = [];
     fault_seed = 42;
-    arm_injector = false;
     check_replicas = false;
     scrub_interval_ns = None;
     verify_checksums = false;
@@ -77,6 +75,11 @@ type integrity_state = {
   armed : (int * int, int) Hashtbl.t; (* -> virtual time the flip landed *)
   detect_latency : Histogram.t;
   unrepairable_pages : (int, unit) Hashtbl.t; (* vpage -> declared lost *)
+  (* (copy id, line) pairs declared unrepairable: they stay corrupt, so
+     later verifications must neither count nor repair them again.  A
+     pair is forgotten when an overwrite heals the line or a fresh flip
+     re-arms it. *)
+  declared : (int * int, unit) Hashtbl.t;
   mutable flips_armed : int;
   mutable flips_found : int;
   mutable flips_healed : int;
@@ -97,6 +100,7 @@ let create_integrity_state () =
     armed = Hashtbl.create 32;
     detect_latency = Histogram.create ();
     unrepairable_pages = Hashtbl.create 8;
+    declared = Hashtbl.create 8;
     flips_armed = 0;
     flips_found = 0;
     flips_healed = 0;
@@ -122,7 +126,7 @@ type t = {
   rpc : Rpc.t;
   log : Cl_log.t;
   replication : Replication.t option;
-  injector : Injector.t option;
+  injector : Injector.t;
   caching : Caching_handler.t;
   tracker : Dirty_tracker.t;
   evictor : Eviction_handler.t;
@@ -294,15 +298,12 @@ let register_metrics t reg =
   c "rpc.timeouts" (fun () -> Rpc.timeouts t.rpc);
   c "rpc.retries" (fun () -> Rpc.retries t.rpc);
   (* Fault injection, failover and recovery (§4.5) *)
-  c "faults.injected" (fun () ->
-      match t.injector with Some inj -> Injector.injected inj | None -> 0);
+  c "faults.injected" (fun () -> Injector.injected t.injector);
   List.iter
     (fun category ->
       c ("faults." ^ category) (fun () ->
-          match t.injector with
-          | Some inj ->
-              Option.value ~default:0 (List.assoc_opt category (Injector.counters inj))
-          | None -> 0))
+          Option.value ~default:0
+            (List.assoc_opt category (Injector.counters t.injector))))
     [
       "node_crashes"; "link_flaps"; "rpc_timeouts"; "wqe_drops"; "wqe_delays";
       "bit_flips"; "torn_writes"; "stale_reads"; "dup_delivers"; "partitions";
@@ -436,6 +437,7 @@ let on_delivery_report t ~node:_ ~target (report : Memory_node.report) =
      verified data: the corruption healed before the scrubber saw it. *)
   List.iter
     (fun l ->
+      Hashtbl.remove ist.declared (tid, l);
       if Hashtbl.mem ist.armed (tid, l) then begin
         Hashtbl.remove ist.armed (tid, l);
         ist.flips_healed <- ist.flips_healed + 1
@@ -452,6 +454,7 @@ let on_flip_armed t ~target ~addr ~fresh =
   let key = (Memory_node.id target, addr) in
   if fresh then begin
     ist.flips_armed <- ist.flips_armed + 1;
+    Hashtbl.remove ist.declared key;
     Hashtbl.replace ist.armed key (Clock.now t.bg_clock)
   end
   else if
@@ -465,8 +468,10 @@ let on_flip_armed t ~target ~addr ~fresh =
 
 (* Verify one remote page across every live copy and repair each corrupt
    or quarantined line from a copy whose line is clean.  Corruption with
-   no clean source anywhere is declared unrepairable: counted, the page
-   recorded as lost, and the run degraded. *)
+   no clean source anywhere is declared unrepairable: counted once, the
+   page recorded as lost, and the run degraded.  A declared line is
+   neither found nor counted again, and never serves as a repair
+   source. *)
 let verify_and_repair_page t ~vpage =
   let ist = t.integrity in
   let page = Units.page_size in
@@ -485,11 +490,16 @@ let verify_and_repair_page t ~vpage =
       if copies = [] then Scrubber.Clean
       else begin
         let now = elapsed_ns t in
+        let declared tid l = Hashtbl.mem ist.declared (tid, l) in
         let infos =
           List.map
             (fun copy ->
               let tid = Memory_node.id copy in
-              let at_rest = Memory_node.verify_range copy ~addr:raddr ~len:page in
+              let at_rest =
+                List.filter
+                  (fun l -> not (declared tid l))
+                  (Memory_node.verify_range copy ~addr:raddr ~len:page)
+              in
               let bad =
                 List.sort_uniq compare
                   (at_rest @ quarantined_lines t ~tid ~raddr ~len:page)
@@ -518,10 +528,11 @@ let verify_and_repair_page t ~vpage =
               (fun l ->
                 (match
                    List.find_opt
-                     (fun (src, _, _, src_bad) ->
+                     (fun (src, src_tid, _, src_bad) ->
                        src != copy
                        && Memory_node.alive src
-                       && not (List.mem l src_bad))
+                       && (not (List.mem l src_bad))
+                       && not (declared src_tid l))
                      infos
                  with
                 | Some (src, _, _, _) ->
@@ -540,6 +551,7 @@ let verify_and_repair_page t ~vpage =
                 | None ->
                     incr unrepairable;
                     ist.unrepairable_lines <- ist.unrepairable_lines + 1;
+                    Hashtbl.replace ist.declared (tid, l) ();
                     Hashtbl.replace ist.unrepairable_pages vpage ();
                     note_degraded t
                       (Printf.sprintf
@@ -774,30 +786,26 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       Tracer.set_clock tr (fun () -> (Clock.now app_clock, Clock.now bg_clock))
   | None -> ());
   let nic = match nic with Some n -> n | None -> Kona_rdma.Nic.create () in
-  let injector =
-    match config.faults with
-    | [] when not config.arm_injector -> None
-    | plan -> Some (Injector.create ~seed:config.fault_seed ~plan)
-  in
-  (* Link flaps become NIC outage windows up front; per-WQE and per-RPC
-     decisions are drawn through the hooks below as traffic flows. *)
-  (match injector with
-  | Some inj ->
-      List.iter
-        (fun (at, dur) -> Nic.inject_outage nic ~at ~duration:dur)
-        (Injector.link_flaps inj)
-  | None -> ());
-  let inject = Option.map Injector.qp_inject injector in
+  (* The injector always exists, so clauses can be armed mid-run with
+     [arm_fault]; its hooks draw nothing while their categories are
+     unarmed.  Link flaps become NIC outage windows up front; per-WQE and
+     per-RPC decisions are drawn through the hooks below as traffic
+     flows. *)
+  let injector = Injector.create ~seed:config.fault_seed ~plan:config.faults in
+  List.iter
+    (fun (at, dur) -> Nic.inject_outage nic ~at ~duration:dur)
+    (Injector.link_flaps injector);
+  let inject = Injector.qp_inject injector in
   (* Demand fetches stay signal-every-WQE (they are synchronous); the
      background paths take both the send-queue window and selective
      signaling. *)
   let retry = Qp.retry_of config.backoff in
   let fetch_qp =
-    Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ?inject
+    Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ~inject
       ?arbitrate ~retry ~clock:app_clock ()
   in
   let evict_qp =
-    Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ?inject
+    Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ~inject
       ?arbitrate ~retry ~signal_interval:config.signal_interval ~clock:bg_clock ()
   in
   let rpc =
@@ -805,8 +813,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
        data QPs, so wqe-drop plans can kill a control exchange outright
        (surfaced as the underlying transport error, not a timeout). *)
     Kona_rdma.Rpc.create ~cost:config.rdma ~backoff:config.backoff
-      ?fail:(Option.map Injector.rpc_timeout injector)
-      ?inject ~clock:app_clock ~nic ()
+      ~fail:(Injector.rpc_timeout injector)
+      ~inject ~clock:app_clock ~nic ()
   in
   let rm = Resource_manager.create ~rpc ?tenant:config.tenant ~controller () in
   let fmem = Fmem.create ~policy:config.fmem_policy ~pages:config.fmem_pages () in
@@ -831,7 +839,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   in
   (* The hierarchy is created first without hooks, then hooks close over the
      record; OCaml needs the recursive knot tied by a forward reference. *)
-  let evictor_ref = ref None in
   let caching_ref = ref None in
   let tracker_ref = ref None in
   let hierarchy =
@@ -854,7 +861,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   let prefetch_qp =
     if config.prefetch then
       Some
-        (Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ?inject
+        (Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ~inject
            ~retry ~signal_interval:config.signal_interval ~clock:bg_clock ())
     else None
   in
@@ -875,7 +882,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
         !post_evict_ref ())
       ()
   in
-  evictor_ref := Some evictor;
   caching_ref := Some caching;
   tracker_ref := Some tracker;
   let t =
@@ -928,29 +934,26 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   Cl_log.set_on_report log (fun ~node ~target report ->
       on_delivery_report t ~node ~target report);
   Cl_log.set_on_flip log (fun ~target ~addr ~fresh -> on_flip_armed t ~target ~addr ~fresh);
-  (* Wired whenever an injector exists, not just when corruption is in
-     the create-time plan: [delivery_inject] draws nothing while
-     unarmed, and clauses can now be armed mid-run via [arm_fault]. *)
-  (match injector with
-  | Some inj ->
-      Cl_log.set_inject log (fun ~targets -> Injector.delivery_inject inj ~targets)
-  | None -> ());
+  (* Wired even when no corruption clause is in the create-time plan:
+     [delivery_inject] draws nothing while unarmed, and clauses can be
+     armed mid-run via [arm_fault]. *)
+  Cl_log.set_inject log (fun ~targets -> Injector.delivery_inject injector ~targets);
   (* On-fetch verification: every synchronous demand fetch re-checks the
      remote page's checksums (and repairs on the spot), after the
      stale-read fault decides whether this fetch must burn a retry. *)
   if config.verify_checksums then
     Caching_handler.set_on_fetch_verify caching (fun ~vpage ->
-        (match injector with
-        | Some inj when Injector.stale_reads_armed inj && Injector.read_inject inj () ->
-            t.integrity.stale_reads_detected <-
-              t.integrity.stale_reads_detected + 1;
-            (match tracer with
-            | Some tr -> Tracer.instant tr "integrity.stale_read" ~args:[ ("vpage", vpage) ]
-            | None -> ());
-            (* The stale image fails verification; re-read the page. *)
-            Qp.post fetch_qp [ Qp.wqe ~signaled:true Qp.Read ~len:Units.page_size ];
-            Qp.wait_idle fetch_qp
-        | Some _ | None -> ());
+        if Injector.stale_reads_armed injector && Injector.read_inject injector ()
+        then begin
+          t.integrity.stale_reads_detected <-
+            t.integrity.stale_reads_detected + 1;
+          (match tracer with
+          | Some tr -> Tracer.instant tr "integrity.stale_read" ~args:[ ("vpage", vpage) ]
+          | None -> ());
+          (* The stale image fails verification; re-read the page. *)
+          Qp.post fetch_qp [ Qp.wqe ~signaled:true Qp.Read ~len:Units.page_size ];
+          Qp.wait_idle fetch_qp
+        end;
         (* The CRC pass over the fetched page is demand-path CPU work. *)
         Clock.advance app_clock
           (Kona_rdma.Cost.memcpy_ns config.rdma ~bytes:Units.page_size);
@@ -1058,15 +1061,13 @@ let crash_node t ~id =
    nothing is pending. *)
 let poll_faults t =
   let now = elapsed_ns t in
-  (match t.injector with
-  | None -> ()
-  | Some inj ->
-      if Injector.crashes_pending inj > 0 then
-        List.iter (fun id -> crash_node t ~id) (Injector.due_node_crashes inj ~now);
-      if Injector.partitions_pending inj > 0 then
-        List.iter
-          (fun (dur_ns, ids) -> start_partition t ~dur_ns ~ids)
-          (Injector.due_partitions inj ~now));
+  let inj = t.injector in
+  if Injector.crashes_pending inj > 0 then
+    List.iter (fun id -> crash_node t ~id) (Injector.due_node_crashes inj ~now);
+  if Injector.partitions_pending inj > 0 then
+    List.iter
+      (fun (dur_ns, ids) -> start_partition t ~dur_ns ~ids)
+      (Injector.due_partitions inj ~now);
   flush_healed_deferred t ~now;
   (match t.membership with Some m -> Membership.tick m ~now | None -> ());
   (match Recovery.step t.recovery ~now with
@@ -1246,8 +1247,7 @@ let stats t =
       ("directory.snoops", Eviction_handler.snooped_dirty_lines t.evictor);
       ("slabs", List.length (Resource_manager.slabs t.rm));
       ("controller.round_trips", Resource_manager.controller_round_trips t.rm);
-      ( "faults.injected",
-        match t.injector with Some i -> Injector.injected i | None -> 0 );
+      ("faults.injected", Injector.injected t.injector);
       ("faults.node_crashes", t.node_crashes);
       ( "failover.count",
         match t.replication with Some r -> Replication.failovers r | None -> 0 );
@@ -1336,7 +1336,6 @@ let invalidations_received t = t.invalidations_received
    which delivered writeback lines are stale (ownership revoked, newer
    value already home) — see {!Cl_log.set_stale_filter}. *)
 let set_writeback_filter t f = Cl_log.set_stale_filter t.log f
-let stale_writebacks t = Cl_log.stale_lines t.log
 
 (* Page migration support.  Staged CL-log entries resolve (node, raddr)
    at append time, so the migrator flushes before any remap; the remap
@@ -1358,22 +1357,19 @@ let replication t = t.replication
 let injector t = t.injector
 
 (* Scenario-engine adapters: on-demand scrub sweep and mid-run fault
-   arming (the injector must exist — create the runtime with
-   [arm_injector = true] or a non-empty plan). *)
+   arming. *)
 let force_scrub t =
   match t.scrubber with Some s -> Scrubber.force_sweep s | None -> ()
 
 let arm_fault t clause =
-  match t.injector with
-  | None -> invalid_arg "Runtime.arm_fault: runtime created without an injector"
-  | Some inj ->
-      (match clause with
-      | Fault_spec.Link_flap { dur_ns; _ } ->
-          (* The [at_ns] in the clause is relative spec text; a mid-run
-             flap starts now on this runtime's NIC. *)
-          Nic.inject_outage t.nic ~at:(elapsed_ns t) ~duration:dur_ns
-      | _ -> ());
-      Injector.arm inj clause
+  (match clause with
+  | Fault_spec.Link_flap { dur_ns; _ } ->
+      (* The [at_ns] in the clause is relative spec text; a mid-run flap
+         starts now on this runtime's NIC. *)
+      Nic.inject_outage t.nic ~at:(elapsed_ns t) ~duration:dur_ns
+  | _ -> ());
+  Injector.arm t.injector clause
+
 let controller t = t.controller
 let node_crashes t = t.node_crashes
 let failover_latency t = t.failover_latency

@@ -46,15 +46,13 @@ type config = {
   faults : Kona_faults.Fault_spec.t;
       (** fault-injection plan (§4.5): scheduled node crashes and link
           flaps plus probabilistic WQE loss/delay and RPC timeouts.  [[]]
-          (default) = no injector, zero overhead *)
+          (default) = no faults: every injection hook returns without
+          drawing, and more clauses can still be armed mid-run with
+          {!arm_fault} *)
   fault_seed : int;
       (** seed for the injector's splitmix streams; the same seed and plan
-          reproduce bit-identical fault sequences *)
-  arm_injector : bool;
-      (** create the injector even when [faults = []], so clauses can be
-          armed mid-run with {!arm_fault} (scenario engine).  The decision
-          streams are seeded at create, independent of what gets armed, so
-          determinism is preserved.  Off by default *)
+          reproduce bit-identical fault sequences.  The streams are seeded
+          at create, independent of what gets armed later *)
   check_replicas : bool;
       (** debug invariant: after every eviction batch (and after [drain]),
           fence the eviction QP and [failwith] if any live mirror diverges
@@ -275,7 +273,10 @@ val recovery_latency : t -> Kona_util.Histogram.t
     ([scrub_interval_ns]).  Corrupt lines are quarantined and repaired
     from the first live replica holding a clean copy; a line with no
     clean copy anywhere marks the run {!degraded} and its page is
-    excluded from byte-level oracles via {!unrepairable_pages}. *)
+    excluded from byte-level oracles via {!unrepairable_pages}.  Such a
+    line is declared (and counted) once: later sweeps and verified
+    fetches skip it until an overwrite heals it or a fresh bit flip
+    re-arms it. *)
 
 val integrity_counters : t -> (string * int) list
 (** Canonical ordered dump of every [integrity.*], [seq.*] and [scrub.*]
@@ -319,9 +320,6 @@ val set_writeback_filter : t -> (node:int -> addr:int -> data:string -> bool) ->
     deliver after the line's next owner already wrote back a newer
     value, and the home drops exactly those lines. *)
 
-val stale_writebacks : t -> int
-(** Cache-lines the stale-writeback filter dropped at delivery. *)
-
 val flush_log : t -> unit
 (** Flush the CL log's staged buffers.  The migrator calls this before
     remapping: staged entries resolve (node, raddr) at append time and
@@ -345,8 +343,9 @@ val replication : t -> Replication.t option
 (** Present when [config.replicas > 0]; mirrors can then be checked for
     divergence after [drain]. *)
 
-val injector : t -> Kona_faults.Injector.t option
-(** Present when [config.faults] is non-empty or [config.arm_injector]. *)
+val injector : t -> Kona_faults.Injector.t
+(** The fault injector, created from [config.faults] and
+    [config.fault_seed]; its counters report every fault injected. *)
 
 (** {2 Scenario-engine adapters}
 
@@ -371,8 +370,7 @@ val force_scrub : t -> unit
 val arm_fault : t -> Kona_faults.Fault_spec.clause -> unit
 (** Arm one more fault clause mid-run.  Probabilistic kinds combine with
     already-armed probabilities; [Link_flap] starts a NIC outage of the
-    clause's duration now; [Node_crash] joins the crash calendar.
-    @raise Invalid_argument when the runtime has no injector. *)
+    clause's duration now; [Node_crash] joins the crash calendar. *)
 
 val controller : t -> Rack_controller.t
 (** The rack controller passed at [create] (failover retargets logical

@@ -1019,25 +1019,16 @@ let tenant_result e i =
   let rt = e.runtimes.(i) in
   let heap = e.heaps.(i) in
   let unrepairable = Runtime.unrepairable_pages rt in
-  let mismatches = ref 0 and lost = ref 0 in
-  Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-    (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * page in
-      let private_page =
-        base + page <= Heap.capacity heap
-        && not (Heap.page_poked heap ~page:vpage)
-      in
-      if (private_page || in_seg e vpage) && not (List.mem vpage unrepairable)
-      then
-        match
-          Memory_node.peek
-            (Rack_controller.node e.controller ~id:node)
-            ~addr:remote_addr ~len:page
-        with
-        | remote ->
-            if remote <> read_local e i ~addr:base ~len:page then
-              incr mismatches
-        | exception Memory_node.Crashed _ -> incr lost);
+  let check =
+    Resource_manager.compare_remote (Runtime.resource_manager rt)
+      ~read_local:(read_local e i)
+      ~keep:(fun vpage ->
+        let private_page =
+          (vpage + 1) * page <= Heap.capacity heap
+          && not (Heap.page_poked heap ~page:vpage)
+        in
+        (private_page || in_seg e vpage) && not (List.mem vpage unrepairable))
+  in
   let stats_sum = tenant_sum e i in
   let contended_bytes = stats_sum (fun s -> s.Wfq.contended_bytes) in
   let contended_ns = stats_sum (fun s -> s.Wfq.contended_ns) in
@@ -1059,8 +1050,8 @@ let tenant_result e i =
       (if contended_ns = 0 then 0.0
        else 8.0 *. float_of_int contended_bytes /. float_of_int contended_ns);
     t_invalidations = Runtime.invalidations_received rt;
-    t_mismatches = !mismatches;
-    t_lost_pages = !lost;
+    t_mismatches = check.Resource_manager.mismatches;
+    t_lost_pages = check.Resource_manager.lost;
     t_degraded = Runtime.degraded rt;
     t_fingerprint = Json.to_string (Snapshot.to_json snap);
     t_snapshot = snap;
@@ -1198,23 +1189,11 @@ let shared_divergence e =
   let unrepairable =
     List.concat_map Runtime.unrepairable_pages (Array.to_list e.runtimes)
   in
-  let bad = ref 0 in
-  for p = 0 to e.seg_pages - 1 do
-    let vpage = seg_first + p in
-    if not (List.mem vpage unrepairable) then
-      match Resource_manager.translate (rm0 e) ~vaddr:(vpage * page) with
-      | None -> ()
-      | Some (node, addr) -> (
-          match
-            Memory_node.peek
-              (Rack_controller.node e.controller ~id:node)
-              ~addr ~len:page
-          with
-          | remote ->
-              if remote <> Bytes.sub_string e.seg (p * page) page then incr bad
-          | exception Memory_node.Crashed _ -> ())
-  done;
-  !bad
+  let c =
+    Resource_manager.compare_remote (rm0 e) ~read_local:(read_local e 0)
+      ~keep:(fun vpage -> in_seg e vpage && not (List.mem vpage unrepairable))
+  in
+  c.Resource_manager.mismatches
 
 let shared_owner e ~line = Directory.owner e.mw_dir ~line
 let shared_handoffs e = Directory.handoffs e.mw_dir

@@ -213,8 +213,7 @@ val crash_node : engine -> id:int -> unit
 
 val arm_fault : engine -> Kona_faults.Fault_spec.clause -> unit
 (** Arm a probabilistic fault clause on tenant 0 (the corruption-target
-    tenant, as in fault plans).  Requires the runtimes to carry an
-    injector ([runtime.arm_injector] or a non-empty plan). *)
+    tenant, as in fault plans), through {!Kona.Runtime.arm_fault}. *)
 
 val flap_links : engine -> dur_ns:int -> unit
 (** Outage every tenant's NIC port for [dur_ns] starting at each

@@ -46,7 +46,6 @@ let config_of (spec : Spec.t) =
         scrub_interval_ns =
           (if s.Spec.scrub_ns > 0 then Some s.Spec.scrub_ns else None);
         verify_checksums = s.Spec.verify;
-        arm_injector = true (* fault clauses arrive as ops, mid-replay *);
         heartbeat_ns =
           (if s.Spec.heartbeat_ns > 0 then Some s.Spec.heartbeat_ns else None);
         lease_ns = s.Spec.lease_ns;

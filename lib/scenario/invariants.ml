@@ -162,45 +162,42 @@ let integrity_accounting ctx =
   | Some r -> (
       let e = ctx.engine in
       let rt = Rack.runtime e ~tenant:0 in
-      match Runtime.injector rt with
-      | None -> []
-      | Some inj ->
-          let injected = Injector.counters inj in
-          let exact =
-            r.Rack.r_node_crashes = 0
-            && r.Rack.r_migrations = 0
-            && r.Rack.r_drained_pages = 0
-            && Rack.drain_failures e = 0
-            && find "log.lost_writes" (Runtime.stats rt) = 0
-            (* a partition defers deliveries across the detectors' replay
-               and a membership failover re-copies pages wholesale — both
-               heal or reject corruption outside the detection ledger *)
-            && find "partitions" injected = 0
-            && Runtime.declared_dead rt = 0
-          in
-          if not exact then []
-          else begin
-            let counters = Runtime.integrity_counters rt in
-            let bad = ref [] in
-            let expect what got want =
-              if got <> want then
-                bad := Printf.sprintf "%s: %d, expected %d" what got want :: !bad
-            in
-            expect "torn events detected vs injected"
-              (find "integrity.torn_events" counters)
-              (find "torn_writes" injected);
-            expect "duplicate deliveries detected vs injected"
-              (find "seq.duplicates" counters)
-              (find "dup_delivers" injected);
-            expect "stale reads detected vs injected"
-              (find "integrity.stale_reads" counters)
-              (find "stale_reads" injected);
-            expect "armed bit-flips accounted (found + healed)"
-              (find "integrity.flips_armed" counters)
-              (find "integrity.flips_found" counters
-              + find "integrity.healed_overwrite" counters);
-            List.rev !bad
-          end)
+      let injected = Injector.counters (Runtime.injector rt) in
+      let exact =
+        r.Rack.r_node_crashes = 0
+        && r.Rack.r_migrations = 0
+        && r.Rack.r_drained_pages = 0
+        && Rack.drain_failures e = 0
+        && find "log.lost_writes" (Runtime.stats rt) = 0
+        (* a partition defers deliveries across the detectors' replay
+           and a membership failover re-copies pages wholesale — both
+           heal or reject corruption outside the detection ledger *)
+        && find "partitions" injected = 0
+        && Runtime.declared_dead rt = 0
+      in
+      if not exact then []
+      else begin
+        let counters = Runtime.integrity_counters rt in
+        let bad = ref [] in
+        let expect what got want =
+          if got <> want then
+            bad := Printf.sprintf "%s: %d, expected %d" what got want :: !bad
+        in
+        expect "torn events detected vs injected"
+          (find "integrity.torn_events" counters)
+          (find "torn_writes" injected);
+        expect "duplicate deliveries detected vs injected"
+          (find "seq.duplicates" counters)
+          (find "dup_delivers" injected);
+        expect "stale reads detected vs injected"
+          (find "integrity.stale_reads" counters)
+          (find "stale_reads" injected);
+        expect "armed bit-flips accounted (found + healed)"
+          (find "integrity.flips_armed" counters)
+          (find "integrity.flips_found" counters
+          + find "integrity.healed_overwrite" counters);
+        List.rev !bad
+      end)
 
 (* Split-brain exclusion: for every logical slot, the store currently
    backing it is the only one allowed to be alive and unfenced.  Every

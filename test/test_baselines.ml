@@ -6,34 +6,39 @@ open Kona_baselines
 module Units = Kona_util.Units
 module Rng = Kona_util.Rng
 module Heap = Kona_workloads.Heap
+module Workloads = Kona_workloads.Workloads
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let cost = Cost_model.default
 
-let make_vm ?(cache_pages = 64) ?(write_protect = true) ?profile () =
+(* One 16 MiB memory node behind 256 KiB slabs. *)
+let small_fabric () =
   let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
   Rack_controller.register_node controller
     (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let profile =
-    match profile with
-    | Some p -> p
-    | None -> Vm_runtime.kona_vm_profile cost Kona_rdma.Cost.default
+  controller
+
+let kona_vm_profile = Vm_runtime.kona_vm_profile cost Kona_rdma.Cost.default
+
+let make_vm ?(cache_pages = 64) ?(write_protect = true) ?(page_bytes = Units.page_size)
+    ?(profile = kona_vm_profile) () =
+  let config =
+    { Vm_runtime.default_config with cache_pages; write_protect; page_bytes }
   in
-  let config = { Vm_runtime.default_config with cache_pages; write_protect } in
-  let vm = Vm_runtime.create ~config ~profile ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Vm_runtime.sink vm) () in
-  heap_ref := Some heap;
-  (vm, heap, controller)
+  System.vm ~config ~profile ~controller:(small_fabric ())
+    ~heap_capacity:(Units.mib 4) ()
+
+let make_kona () =
+  let config = { Runtime.default_config with fmem_pages = 64 } in
+  System.kona ~config ~controller:(small_fabric ()) ~heap_capacity:(Units.mib 4) ()
 
 (* ------------------------------------------------------------------ *)
 (* Fault semantics *)
 
 let test_vm_two_faults_on_first_write () =
-  let vm, heap, _ = make_vm () in
+  let vm, heap = make_vm () in
   let a = Heap.alloc heap 4096 in
   Heap.write_u64 heap a 1;
   let stats = Vm_runtime.stats vm in
@@ -44,7 +49,7 @@ let test_vm_two_faults_on_first_write () =
     (List.assoc "wp_faults" (Vm_runtime.stats vm))
 
 let test_vm_read_then_write () =
-  let vm, heap, _ = make_vm () in
+  let vm, heap = make_vm () in
   let a = Heap.alloc heap 4096 in
   ignore (Heap.read_u64 heap a);
   check_int "read takes no wp fault" 0 (List.assoc "wp_faults" (Vm_runtime.stats vm));
@@ -52,7 +57,7 @@ let test_vm_read_then_write () =
   check_int "first write faults" 1 (List.assoc "wp_faults" (Vm_runtime.stats vm))
 
 let test_vm_no_write_protect_mode () =
-  let vm, heap, _ = make_vm ~write_protect:false () in
+  let vm, heap = make_vm ~write_protect:false () in
   let a = Heap.alloc heap 4096 in
   Heap.write_u64 heap a 1;
   let stats = Vm_runtime.stats vm in
@@ -62,7 +67,7 @@ let test_vm_no_write_protect_mode () =
 let test_vm_refault_after_eviction () =
   (* assoc 4: five pages mapping to the same set force an eviction; the
      evicted page faults again on re-touch and its TLB entry is shot down. *)
-  let vm, heap, _ = make_vm ~cache_pages:4 () in
+  let vm, heap = make_vm ~cache_pages:4 () in
   let base = Heap.alloc heap (Units.kib 64) in
   for p = 0 to 4 do
     Heap.write_u64 heap (base + (p * Units.page_size)) p
@@ -79,72 +84,49 @@ let test_vm_refault_after_eviction () =
 (* ------------------------------------------------------------------ *)
 (* Integrity *)
 
-let vm_integrity vm heap controller =
+let vm_integrity vm heap =
   Vm_runtime.drain vm;
-  let rm = Vm_runtime.resource_manager vm in
-  let mismatches = ref 0 in
-  let pages = ref 0 in
-  Resource_manager.iter_backed_pages rm (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      if base + Units.page_size <= Heap.capacity heap then begin
-        incr pages;
-        let local = Heap.peek_bytes heap base Units.page_size in
-        let remote =
-          Memory_node.peek (Rack_controller.node controller ~id:node) ~addr:remote_addr
-            ~len:Units.page_size
-        in
-        if local <> remote then incr mismatches
-      end);
-  check_bool "pages backed" true (!pages > 0);
-  check_int "remote identical to heap" 0 !mismatches
+  let c = System.check heap (Vm_runtime.resource_manager vm) in
+  check_bool "pages backed" true (c.System.checked > 0);
+  check_int "remote identical to heap" 0 c.System.mismatches;
+  check_int "no page lost" 0 c.System.lost
 
 let test_vm_integrity_under_pressure () =
-  let vm, heap, controller = make_vm ~cache_pages:16 () in
+  let vm, heap = make_vm ~cache_pages:16 () in
   let rng = Rng.create ~seed:5 in
   let base = Heap.alloc heap (Units.kib 256) in
   for _ = 1 to 10_000 do
     let offset = Rng.int rng (Units.kib 256 - 8) in
     Heap.write_u64 heap (base + offset) (Rng.int rng 1_000_000)
   done;
-  vm_integrity vm heap controller
+  vm_integrity vm heap
 
 let test_vm_nowp_integrity () =
   (* NoWP cannot track dirtiness, so it writes every victim back; data must
      still be correct. *)
-  let vm, heap, controller = make_vm ~cache_pages:8 ~write_protect:false () in
+  let vm, heap = make_vm ~cache_pages:8 ~write_protect:false () in
   let base = Heap.alloc heap (Units.kib 128) in
   for p = 0 to 31 do
     Heap.write_u64 heap (base + (p * Units.page_size)) (p * 31)
   done;
-  vm_integrity vm heap controller
+  vm_integrity vm heap
 
 let test_vm_huge_pages () =
   (* 64KB pages: 16x fewer faults on a sequential sweep, 16x more bytes per
      dirty eviction, and integrity still holds. *)
   let make page_bytes =
-    let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-    Rack_controller.register_node controller
-      (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
-    let heap_ref = ref None in
-    let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-    let profile = Vm_runtime.kona_vm_profile cost Kona_rdma.Cost.default in
-    let config =
-      { Vm_runtime.default_config with cache_pages = 8; page_bytes }
-    in
-    let vm = Vm_runtime.create ~config ~profile ~controller ~read_local () in
-    let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Vm_runtime.sink vm) () in
-    heap_ref := Some heap;
+    let vm, heap = make_vm ~cache_pages:8 ~page_bytes () in
     let base = Heap.alloc heap (Units.mib 1) in
     for p = 0 to (Units.mib 1 / Units.page_size) - 1 do
       Heap.write_u64 heap (base + (p * Units.page_size)) p
     done;
-    (vm, heap, controller)
+    (vm, heap)
   in
-  let vm4, _, _ = make Units.page_size in
-  let vm64, heap64, controller64 = make (Units.kib 64) in
+  let vm4, _ = make Units.page_size in
+  let vm64, heap64 = make (Units.kib 64) in
   let faults v = List.assoc "remote_faults" (Vm_runtime.stats v) in
   check_bool "huge pages take ~16x fewer faults" true (faults vm4 > 10 * faults vm64);
-  vm_integrity vm64 heap64 controller64;
+  vm_integrity vm64 heap64;
   let bytes v pb = List.assoc "dirty_pages_written" (Vm_runtime.stats v) * pb in
   check_bool "huge pages ship more bytes" true
     (bytes vm64 (Units.kib 64) > bytes vm4 Units.page_size)
@@ -181,21 +163,12 @@ let run_fig7_pattern ~sink ~heap ~region =
 
 let test_kona_faster_than_vm () =
   let region = Units.kib 512 in
-  (* Kona runtime *)
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let config = { Runtime.default_config with fmem_pages = 64 } in
-  let kona = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink kona) () in
-  heap_ref := Some heap;
+  let kona, heap = make_kona () in
   run_fig7_pattern ~sink:() ~heap ~region;
   Runtime.drain kona;
   let kona_ns = Runtime.elapsed_ns kona in
   (* Kona-VM *)
-  let vm, vm_heap, _ = make_vm ~cache_pages:64 () in
+  let vm, vm_heap = make_vm ~cache_pages:64 () in
   run_fig7_pattern ~sink:() ~heap:vm_heap ~region;
   Vm_runtime.drain vm;
   let vm_ns = Vm_runtime.elapsed_ns vm in
@@ -208,19 +181,11 @@ let test_kona_faster_than_vm () =
 let test_vm_writes_more_bytes () =
   (* Page-granularity eviction ships whole pages; Kona ships dirty lines. *)
   let region = Units.kib 512 in
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let config = { Runtime.default_config with fmem_pages = 64 } in
-  let kona = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink kona) () in
-  heap_ref := Some heap;
+  let kona, heap = make_kona () in
   run_fig7_pattern ~sink:() ~heap ~region;
   Runtime.drain kona;
   let kona_lines = List.assoc "log.lines" (Runtime.stats kona) in
-  let vm, vm_heap, _ = make_vm ~cache_pages:64 () in
+  let vm, vm_heap = make_vm ~cache_pages:64 () in
   run_fig7_pattern ~sink:() ~heap:vm_heap ~region;
   Vm_runtime.drain vm;
   let vm_pages = List.assoc "dirty_pages_written" (Vm_runtime.stats vm) in
@@ -248,7 +213,7 @@ let prop_vm_integrity_random_ops =
   QCheck.Test.make ~name:"vm runtime integrity under random op sequences" ~count:25
     QCheck.(list_of_size Gen.(20 -- 200) (pair (int_bound (Units.kib 128 - 9)) bool))
     (fun ops ->
-      let vm, heap, controller = make_vm ~cache_pages:8 () in
+      let vm, heap = make_vm ~cache_pages:8 () in
       let base = Heap.alloc heap (Units.kib 128) in
       List.iteri
         (fun i (off, write) ->
@@ -256,35 +221,103 @@ let prop_vm_integrity_random_ops =
           else ignore (Heap.read_u64 heap (base + off)))
         ops;
       Vm_runtime.drain vm;
-      let rm = Vm_runtime.resource_manager vm in
-      let ok = ref true in
-      Resource_manager.iter_backed_pages rm (fun ~vpage ~node ~remote_addr ->
-          let page_base = vpage * Units.page_size in
-          if page_base + Units.page_size <= Heap.capacity heap then begin
-            let local = Heap.peek_bytes heap page_base Units.page_size in
-            let remote =
-              Memory_node.peek (Rack_controller.node controller ~id:node)
-                ~addr:remote_addr ~len:Units.page_size
-            in
-            if local <> remote then ok := false
-          end);
-      !ok)
+      let c = System.check heap (Vm_runtime.resource_manager vm) in
+      c.System.mismatches = 0 && c.System.lost = 0)
 
 let test_legoos_infiniswap_runtimes () =
   (* The cost profiles drive real runtimes, and fault latency ordering
      carries through to end-to-end time. *)
   let run profile =
-    let vm, heap, controller = make_vm ~cache_pages:16 ~profile () in
+    let vm, heap = make_vm ~cache_pages:16 ~profile () in
     let base = Heap.alloc heap (Units.kib 128) in
     for p = 0 to 31 do
       Heap.write_u64 heap (base + (p * Units.page_size)) p
     done;
-    vm_integrity vm heap controller;
+    vm_integrity vm heap;
     Vm_runtime.elapsed_ns vm
   in
   let lego = run (Vm_runtime.legoos_profile cost) in
   let inf = run (Vm_runtime.infiniswap_profile cost) in
   check_bool "infiniswap slower than legoos end-to-end" true (inf > lego)
+
+(* ------------------------------------------------------------------ *)
+(* System: the single-runtime driver and its oracle rule *)
+
+let test_system_check_skips () =
+  let controller = small_fabric () in
+  let vm, heap =
+    System.vm
+      ~config:{ Vm_runtime.default_config with cache_pages = 8 }
+      ~profile:kona_vm_profile ~controller ~heap_capacity:(Units.mib 4) ()
+  in
+  let base = Heap.alloc heap (Units.kib 64) in
+  for p = 0 to 15 do
+    Heap.write_u64 heap (base + (p * Units.page_size)) (p + 1)
+  done;
+  Vm_runtime.drain vm;
+  let rm = Vm_runtime.resource_manager vm in
+  let all = System.check heap rm in
+  check_int "remote equals the heap" 0 all.System.mismatches;
+  (* a poke lands bytes the runtime never saw: mmap'd input, skipped *)
+  Heap.poke_u64 heap base 0xdead;
+  let poked = System.check heap rm in
+  check_int "poked page skipped" (all.System.checked - 1) poked.System.checked;
+  check_int "poked page not a mismatch" 0 poked.System.mismatches;
+  (* a page the runtime declared unrepairable is skipped too *)
+  let vaddr = base + Units.page_size in
+  (match Resource_manager.translate rm ~vaddr with
+  | Some (node, raddr) ->
+      Memory_node.write (Rack_controller.node controller ~id:node) ~addr:raddr
+        ~data:"corrupt"
+  | None -> Alcotest.fail "page must be backed");
+  check_int "corrupted page diverges" 1 (System.check heap rm).System.mismatches;
+  let declared =
+    System.check ~unrepairable:[ vaddr / Units.page_size ] heap rm
+  in
+  check_int "declared page skipped" (all.System.checked - 2)
+    declared.System.checked;
+  check_int "declared page not a mismatch" 0 declared.System.mismatches
+
+let test_system_unknown_name () =
+  check_bool "unknown system rejected" true
+    (match
+       System.run ~kona:Runtime.default_config ~vm:Vm_runtime.default_config
+         Workloads.redis_seq Workloads.Smoke ~seed:7 "kona-nvm"
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A scrubbed bit flip with no replica to repair from: the runtime
+   declares the page unrepairable, so the run is degraded, not divergent
+   ([konactl run] exits 2, not 1). *)
+let test_system_unrepairable_is_degraded () =
+  let kona =
+    {
+      Runtime.default_config with
+      fmem_pages = 64;
+      faults = Kona_faults.Fault_spec.parse_exn "bit-flip:p=0.3";
+      scrub_interval_ns = Some 50_000;
+    }
+  in
+  let spec = Workloads.find "kv-uniform" in
+  let r =
+    System.run ~kona ~vm:Vm_runtime.default_config spec Workloads.Smoke ~seed:42
+      "kona"
+  in
+  check_int "no page diverged" 0 r.System.check.System.mismatches;
+  check_bool "degraded" true (r.System.degraded <> None);
+  (* the same run by hand: the declared page is the one that differs *)
+  let rt, heap =
+    System.kona ~config:kona
+      ~heap_capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
+      ()
+  in
+  spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
+  Runtime.drain rt;
+  check_bool "pages declared unrepairable" true
+    (Runtime.unrepairable_pages rt <> []);
+  check_bool "they differ from the heap" true
+    ((System.check heap (Runtime.resource_manager rt)).System.mismatches > 0)
 
 let () =
   Alcotest.run "kona_baselines"
@@ -317,5 +350,13 @@ let () =
           Alcotest.test_case "profile ordering" `Quick test_profiles_ordering;
           Alcotest.test_case "legoos/infiniswap runtimes" `Quick
             test_legoos_infiniswap_runtimes;
+        ] );
+      ( "system",
+        [
+          Alcotest.test_case "check skips poked and declared pages" `Quick
+            test_system_check_skips;
+          Alcotest.test_case "unknown system name" `Quick test_system_unknown_name;
+          Alcotest.test_case "unrepairable page is degradation" `Quick
+            test_system_unrepairable_is_degraded;
         ] );
     ]

@@ -10,6 +10,7 @@ module Units = Kona_util.Units
 module Heap = Kona_workloads.Heap
 module Workloads = Kona_workloads.Workloads
 module Qp = Kona_rdma.Qp
+module System = Kona_baselines.System
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -146,6 +147,38 @@ let test_resource_manager_spanning () =
   Resource_manager.ensure_backed rm ~addr:(Units.kib 64 - 8) ~len:16;
   check_bool "first slab" true (Resource_manager.translate rm ~vaddr:0 <> None);
   check_bool "second slab" true (Resource_manager.translate rm ~vaddr:(Units.kib 64) <> None)
+
+(* The remote-memory oracle over two slabs, one on each node. *)
+let test_resource_manager_compare_remote () =
+  let c = controller_with_nodes () in
+  let rm = Resource_manager.create ~batch:2 ~controller:c () in
+  Resource_manager.ensure_backed rm ~addr:0 ~len:8;
+  let page = Units.page_size in
+  let pages = 2 * Units.kib 64 / page in
+  (* untouched remote pages read as zeros, like this local image *)
+  let local = Bytes.make (pages * page) '\000' in
+  let compare ?(keep = fun _ -> true) () =
+    let r =
+      Resource_manager.compare_remote rm ~keep ~read_local:(fun ~addr ~len ->
+          Bytes.sub_string local addr len)
+    in
+    Resource_manager.(r.checked, r.mismatches, r.lost)
+  in
+  let check_result what expected actual =
+    Alcotest.(check (triple int int int)) what expected actual
+  in
+  check_result "all equal" (pages, 0, 0) (compare ());
+  (match Resource_manager.translate rm ~vaddr:(3 * page) with
+  | Some (node, raddr) ->
+      Memory_node.write (Rack_controller.node c ~id:node) ~addr:(raddr + 5)
+        ~data:"x"
+  | None -> Alcotest.fail "page 3 must be backed");
+  check_result "planted remote byte" (pages, 1, 0) (compare ());
+  check_result "rejected page skipped" (pages - 1, 0, 0)
+    (compare ~keep:(fun vpage -> vpage <> 3) ());
+  Memory_node.crash (Rack_controller.node c ~id:1);
+  check_result "a crashed home is lost, not a mismatch" (pages, 1, pages / 2)
+    (compare ())
 
 (* ------------------------------------------------------------------ *)
 (* Memory node + CL log *)
@@ -334,54 +367,36 @@ let test_memory_node_validation () =
 (* ------------------------------------------------------------------ *)
 (* Runtime: end-to-end *)
 
-let make_runtime ?(fmem_pages = 64) ?(capacity = Units.mib 4) () =
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 8));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let config = { Runtime.default_config with fmem_pages } in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity ~sink:(Runtime.sink runtime) () in
-  heap_ref := Some heap;
-  (runtime, heap, controller)
+(* Memory nodes of 8 MiB behind 256 KiB slabs. *)
+let fabric ?(capacity = Units.mib 8) nodes =
+  controller_with_nodes ~slab_size:(Units.kib 256) ~nodes ~capacity ()
 
-let check_integrity runtime heap controller =
+let make_runtime ?(fmem_pages = 64) ?(capacity = Units.mib 4) () =
+  let config = { Runtime.default_config with fmem_pages } in
+  System.kona ~config ~controller:(fabric 2) ~heap_capacity:capacity ()
+
+let check_integrity runtime heap =
   (* After drain, every backed page within the arena matches the heap. *)
-  let rm = Runtime.resource_manager runtime in
-  let mismatches = ref 0 in
-  let pages = ref 0 in
-  Resource_manager.iter_backed_pages rm (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      if base + Units.page_size <= Heap.capacity heap then begin
-        incr pages;
-        let local = Heap.peek_bytes heap base Units.page_size in
-        let remote =
-          Memory_node.peek (Rack_controller.node controller ~id:node) ~addr:remote_addr
-            ~len:Units.page_size
-        in
-        if local <> remote then incr mismatches
-      end);
-  check_bool "some pages backed" true (!pages > 0);
-  check_int "remote memory identical to heap" 0 !mismatches
+  let c = System.check heap (Runtime.resource_manager runtime) in
+  check_bool "some pages backed" true (c.System.checked > 0);
+  check_int "remote memory identical to heap" 0 c.System.mismatches;
+  check_int "no page lost" 0 c.System.lost
 
 let test_runtime_basic_flow () =
-  let runtime, heap, controller = make_runtime () in
+  let runtime, heap = make_runtime () in
   let a = Heap.alloc heap (Units.kib 8) in
   Heap.write_u64 heap a 42;
   Heap.write_u64 heap (a + 4096) 43;
   check_int "reads back through runtime" 42 (Heap.read_u64 heap a);
   Runtime.drain runtime;
-  check_integrity runtime heap controller;
+  check_integrity runtime heap;
   let stats = Runtime.stats runtime in
   check_bool "fetched pages" true (List.assoc "fetch.pages" stats > 0);
   check_bool "tracked or evicted lines" true (List.assoc "log.lines" stats > 0)
 
 let test_runtime_integrity_under_pressure () =
   (* Tiny FMem (16 pages) forces heavy eviction; data must survive. *)
-  let runtime, heap, controller = make_runtime ~fmem_pages:16 () in
+  let runtime, heap = make_runtime ~fmem_pages:16 () in
   let rng = Kona_util.Rng.create ~seed:7 in
   let base = Heap.alloc heap (Units.kib 512) in
   for _ = 1 to 20_000 do
@@ -389,28 +404,23 @@ let test_runtime_integrity_under_pressure () =
     Heap.write_u64 heap (base + offset) (Kona_util.Rng.int rng 1_000_000)
   done;
   Runtime.drain runtime;
-  check_integrity runtime heap controller;
+  check_integrity runtime heap;
   let stats = Runtime.stats runtime in
   check_bool "evictions happened" true (List.assoc "evict.pages" stats > 50)
 
 let test_runtime_workload_integrity () =
   (* Full workload (Redis-Rand smoke) under eviction pressure. *)
   let spec = Workloads.redis_rand in
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
   let config = { Runtime.default_config with fmem_pages = 128 } in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap =
-    Heap.create ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
-      ~sink:(Runtime.sink runtime) ()
+  let runtime, heap =
+    System.kona ~config
+      ~controller:(fabric ~capacity:(Units.mib 16) 1)
+      ~heap_capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
+      ()
   in
-  heap_ref := Some heap;
   spec.Workloads.run Workloads.Smoke ~heap ~seed:3;
   Runtime.drain runtime;
-  check_integrity runtime heap controller;
+  check_integrity runtime heap;
   (* Cache-line eviction must ship far fewer bytes than page-grain would:
      evicted lines vs evicted pages * 64 lines. *)
   let stats = Runtime.stats runtime in
@@ -419,7 +429,7 @@ let test_runtime_workload_integrity () =
   check_bool "line granularity saves traffic" true (lines < pages * Units.lines_per_page)
 
 let test_runtime_clean_pages_silent () =
-  let runtime, heap, _controller = make_runtime ~fmem_pages:16 () in
+  let runtime, heap = make_runtime ~fmem_pages:16 () in
   let base = Heap.alloc heap (Units.kib 512) in
   (* Touch many pages read-only; they must evict silently. *)
   for p = 0 to 127 do
@@ -431,7 +441,7 @@ let test_runtime_clean_pages_silent () =
   check_int "nothing written over the wire for reads" 0 (List.assoc "log.lines" stats)
 
 let test_runtime_clocks_advance () =
-  let runtime, heap, _ = make_runtime () in
+  let runtime, heap = make_runtime () in
   let a = Heap.alloc heap 4096 in
   Heap.write_u64 heap a 1;
   check_bool "app clock advanced" true (Runtime.app_ns runtime > 0);
@@ -447,7 +457,7 @@ let prop_runtime_integrity_random_ops =
   QCheck.Test.make ~name:"runtime integrity under random op sequences" ~count:25
     QCheck.(list_of_size Gen.(20 -- 200) (pair (int_bound (Units.kib 128 - 9)) bool))
     (fun ops ->
-      let runtime, heap, controller = make_runtime ~fmem_pages:8 () in
+      let runtime, heap = make_runtime ~fmem_pages:8 () in
       let base = Heap.alloc heap (Units.kib 128) in
       List.iteri
         (fun i (off, write) ->
@@ -455,19 +465,8 @@ let prop_runtime_integrity_random_ops =
           else ignore (Heap.read_u64 heap (base + off)))
         ops;
       Runtime.drain runtime;
-      let rm = Runtime.resource_manager runtime in
-      let ok = ref true in
-      Resource_manager.iter_backed_pages rm (fun ~vpage ~node ~remote_addr ->
-          let page_base = vpage * Units.page_size in
-          if page_base + Units.page_size <= Heap.capacity heap then begin
-            let local = Heap.peek_bytes heap page_base Units.page_size in
-            let remote =
-              Memory_node.peek (Rack_controller.node controller ~id:node)
-                ~addr:remote_addr ~len:Units.page_size
-            in
-            if local <> remote then ok := false
-          end);
-      !ok)
+      let c = System.check heap (Runtime.resource_manager runtime) in
+      c.System.mismatches = 0 && c.System.lost = 0)
 
 let test_drain_invariant_with_windowed_qp () =
   (* The end-to-end integrity invariant must be insensitive to the timing
@@ -475,19 +474,12 @@ let test_drain_invariant_with_windowed_qp () =
      QPs reorder nothing, only reshape when time passes. *)
   List.iter
     (fun sq_depth ->
-      let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-      Rack_controller.register_node controller
-        (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
-      Rack_controller.register_node controller
-        (Memory_node.create ~id:1 ~capacity:(Units.mib 8));
-      let heap_ref = ref None in
-      let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
       let config =
         { Runtime.default_config with fmem_pages = 16; sq_depth; signal_interval = 4 }
       in
-      let runtime = Runtime.create ~config ~controller ~read_local () in
-      let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink runtime) () in
-      heap_ref := Some heap;
+      let runtime, heap =
+        System.kona ~config ~controller:(fabric 2) ~heap_capacity:(Units.mib 4) ()
+      in
       let rng = Kona_util.Rng.create ~seed:13 in
       let base = Heap.alloc heap (Units.kib 256) in
       for _ = 1 to 10_000 do
@@ -496,7 +488,7 @@ let test_drain_invariant_with_windowed_qp () =
           (Kona_util.Rng.int rng 1_000_000)
       done;
       Runtime.drain runtime;
-      check_integrity runtime heap controller;
+      check_integrity runtime heap;
       match sq_depth with
       | Some 1 ->
           check_bool "depth-1 window stalled the evictor" true
@@ -509,18 +501,13 @@ let test_runtime_breakdown_matches_bg_clock () =
      the background clock, so the Fig. 11c phases must add up to it —
      within 1% to allow rounding, in practice exactly. *)
   let spec = Workloads.find "kv-uniform" in
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
   let config = { Runtime.default_config with fmem_pages = 128 } in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap =
-    Heap.create ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
-      ~sink:(Runtime.sink runtime) ()
+  let runtime, heap =
+    System.kona ~config
+      ~controller:(fabric ~capacity:(Units.mib 16) 1)
+      ~heap_capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
+      ()
   in
-  heap_ref := Some heap;
   spec.Workloads.run Workloads.Smoke ~heap ~seed:3;
   Runtime.drain runtime;
   let breakdown = Cl_log.breakdown_ns (Runtime.cl_log runtime) in
@@ -533,48 +520,41 @@ let test_runtime_breakdown_matches_bg_clock () =
 let test_runtime_multi_node_distribution () =
   (* Small slabs across two nodes: eviction logs must split per node and
      both nodes must receive their share. *)
-  let controller = Rack_controller.create ~slab_size:(Units.kib 64) () in
-  let n0 = Memory_node.create ~id:0 ~capacity:(Units.mib 8) in
-  let n1 = Memory_node.create ~id:1 ~capacity:(Units.mib 8) in
-  Rack_controller.register_node controller n0;
-  Rack_controller.register_node controller n1;
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
+  let controller = controller_with_nodes ~capacity:(Units.mib 8) () in
   let config = { Runtime.default_config with fmem_pages = 16 } in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink runtime) () in
-  heap_ref := Some heap;
+  let runtime, heap =
+    System.kona ~config ~controller ~heap_capacity:(Units.mib 4) ()
+  in
   let base = Heap.alloc heap (Units.mib 1) in
   for p = 0 to (Units.mib 1 / Units.page_size) - 1 do
     Heap.write_u64 heap (base + (p * Units.page_size)) p
   done;
   Runtime.drain runtime;
-  check_bool "node 0 received lines" true (Memory_node.lines_received n0 > 0);
-  check_bool "node 1 received lines" true (Memory_node.lines_received n1 > 0);
-  check_integrity runtime heap controller
+  List.iter
+    (fun id ->
+      check_bool
+        (Printf.sprintf "node %d received lines" id)
+        true
+        (Memory_node.lines_received (Rack_controller.node controller ~id) > 0))
+    [ 0; 1 ];
+  check_integrity runtime heap
 
 (* ------------------------------------------------------------------ *)
 (* Replication *)
 
 let test_replication_mirrors_identical () =
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 8));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
+  let controller = fabric 2 in
   let config = { Runtime.default_config with fmem_pages = 16; replicas = 2 } in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink runtime) () in
-  heap_ref := Some heap;
+  let runtime, heap =
+    System.kona ~config ~controller ~heap_capacity:(Units.mib 4) ()
+  in
   let base = Heap.alloc heap (Units.kib 256) in
   let rng = Kona_util.Rng.create ~seed:11 in
   for _ = 1 to 5_000 do
     Heap.write_u64 heap (base + (Kona_util.Rng.int rng (Units.kib 256 - 8))) 7
   done;
   Runtime.drain runtime;
-  check_integrity runtime heap controller;
+  check_integrity runtime heap;
   match Runtime.replication runtime with
   | None -> Alcotest.fail "replication must be active"
   | Some r ->
@@ -604,15 +584,7 @@ let test_outage_delays_traffic () =
   check_bool "completion after outage lifts" true (Clock.now clock > 1_000_000)
 
 let make_runtime_with_nic ?(config = Runtime.default_config) nic =
-  let controller = Rack_controller.create ~slab_size:(Units.kib 256) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let runtime = Runtime.create ~config ~nic ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink runtime) () in
-  heap_ref := Some heap;
-  (runtime, heap, controller)
+  System.kona ~config ~nic ~controller:(fabric 1) ~heap_capacity:(Units.mib 4) ()
 
 let test_mce_on_outage () =
   let nic = Kona_rdma.Nic.create () in
@@ -622,7 +594,7 @@ let test_mce_on_outage () =
   let config =
     { Runtime.default_config with fmem_pages = 16; mce_threshold_ns = Some (Units.us 100) }
   in
-  let runtime, heap, controller = make_runtime_with_nic ~config nic in
+  let runtime, heap = make_runtime_with_nic ~config nic in
   let base = Heap.alloc heap (Units.kib 128) in
   for p = 0 to 31 do
     Heap.write_u64 heap (base + (p * Units.page_size)) p
@@ -633,14 +605,14 @@ let test_mce_on_outage () =
   check_bool "but not on every fetch" true
     (List.assoc "mce.raised" stats < List.assoc "fetch.pages" stats);
   (* The application recovered and data is intact. *)
-  check_integrity runtime heap controller
+  check_integrity runtime heap
 
 let test_no_mce_without_outage () =
   let nic = Kona_rdma.Nic.create () in
   let config =
     { Runtime.default_config with fmem_pages = 16; mce_threshold_ns = Some (Units.us 100) }
   in
-  let runtime, heap, _ = make_runtime_with_nic ~config nic in
+  let runtime, heap = make_runtime_with_nic ~config nic in
   let base = Heap.alloc heap (Units.kib 64) in
   for p = 0 to 15 do
     Heap.write_u64 heap (base + (p * Units.page_size)) p
@@ -739,7 +711,7 @@ let test_ktracker_pml_model () =
 let test_runtime_prefetch_integrity () =
   let nic = Kona_rdma.Nic.create () in
   let config = { Runtime.default_config with fmem_pages = 32; prefetch = true } in
-  let runtime, heap, controller = make_runtime_with_nic ~config nic in
+  let runtime, heap = make_runtime_with_nic ~config nic in
   let base = Heap.alloc heap (Units.kib 512) in
   (* Sequential write sweep: prefetches fire, evictions happen, data must
      survive. *)
@@ -747,7 +719,7 @@ let test_runtime_prefetch_integrity () =
     Heap.write_u64 heap (base + (p * Units.page_size)) (p * 3)
   done;
   Runtime.drain runtime;
-  check_integrity runtime heap controller;
+  check_integrity runtime heap;
   let stats = Runtime.stats runtime in
   check_bool "prefetches issued" true (List.assoc "prefetch.issued" stats > 10);
   check_bool "some useful" true (List.assoc "prefetch.useful" stats > 0)
@@ -819,7 +791,7 @@ let test_kcachesim_block_size_tradeoff () =
      with Invalid_argument _ -> true)
 
 let test_runtime_fetch_latency_stats () =
-  let runtime, heap, _ = make_runtime () in
+  let runtime, heap = make_runtime () in
   let a = Heap.alloc heap (Units.kib 64) in
   for p = 0 to 15 do
     Heap.write_u64 heap (a + (p * Units.page_size)) p
@@ -909,6 +881,8 @@ let () =
         [
           Alcotest.test_case "batching" `Quick test_resource_manager_batching;
           Alcotest.test_case "spanning ranges" `Quick test_resource_manager_spanning;
+          Alcotest.test_case "compare remote" `Quick
+            test_resource_manager_compare_remote;
         ] );
       ( "cl_log",
         [

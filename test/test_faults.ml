@@ -15,6 +15,7 @@ module Rpc = Kona_rdma.Rpc
 module Nic = Kona_rdma.Nic
 module Fault_spec = Kona_faults.Fault_spec
 module Injector = Kona_faults.Injector
+module System = Kona_baselines.System
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -496,14 +497,12 @@ let test_divergent_mirrors () =
 (* Runtime-level recovery *)
 
 let make_runtime ?(fmem_pages = 16) ?(replicas = 0) ?(faults = [])
-    ?(fault_seed = 42) ?(check_replicas = false) ?(arm_injector = false) () =
+    ?(fault_seed = 42) ?(check_replicas = false) () =
   let controller = Rack_controller.create ~slab_size:(Units.kib 64) () in
   Rack_controller.register_node controller
     (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
   Rack_controller.register_node controller
     (Memory_node.create ~id:1 ~capacity:(Units.mib 8));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
   let config =
     {
       Runtime.default_config with
@@ -512,12 +511,11 @@ let make_runtime ?(fmem_pages = 16) ?(replicas = 0) ?(faults = [])
       faults;
       fault_seed;
       check_replicas;
-      arm_injector;
     }
   in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink runtime) () in
-  heap_ref := Some heap;
+  let runtime, heap =
+    System.kona ~config ~controller ~heap_capacity:(Units.mib 4) ()
+  in
   (runtime, heap, controller)
 
 let scribble ?(writes = 8_000) ?(region = Units.kib 512) heap =
@@ -527,22 +525,9 @@ let scribble ?(writes = 8_000) ?(region = Units.kib 512) heap =
     Heap.write_u64 heap (base + (Rng.int rng ((region - 8) / 8) * 8)) (Rng.int rng 1_000_000)
   done
 
-let integrity_ok runtime heap controller =
-  let ok = ref true in
-  let pages = ref 0 in
-  Resource_manager.iter_backed_pages (Runtime.resource_manager runtime)
-    (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      if base + Units.page_size <= Heap.capacity heap then begin
-        incr pages;
-        let local = Heap.peek_bytes heap base Units.page_size in
-        let remote =
-          Memory_node.peek (Rack_controller.node controller ~id:node)
-            ~addr:remote_addr ~len:Units.page_size
-        in
-        if local <> remote then ok := false
-      end);
-  !ok && !pages > 0
+let integrity_ok runtime heap =
+  let c = System.check heap (Runtime.resource_manager runtime) in
+  c.System.checked > 0 && c.System.mismatches = 0 && c.System.lost = 0
 
 let test_runtime_crash_failover_end_to_end () =
   let faults = Fault_spec.parse_exn "node-crash@50us:id=1;wqe-drop:p=0.01" in
@@ -554,7 +539,7 @@ let test_runtime_crash_failover_end_to_end () =
     (Kona_util.Histogram.count (Runtime.failover_latency runtime) = 1);
   check_bool "not degraded" true (Runtime.degraded runtime = None);
   check_bool "remote equals heap after failover" true
-    (integrity_ok runtime heap controller);
+    (integrity_ok runtime heap);
   match Runtime.replication runtime with
   | Some r ->
       check_int "no divergent mirror" 0
@@ -586,12 +571,12 @@ let test_runtime_instant_detector () =
   Runtime.drain runtime;
   check_bool "not degraded" true (Runtime.degraded runtime = None);
   check_bool "remote equals heap after failover" true
-    (integrity_ok runtime heap controller)
+    (integrity_ok runtime heap)
 
 (* The failover's controller RPC exhausts its retries on every attempt:
    the queued task gives up after its bounded steps and degrades. *)
 let test_runtime_failover_rpc_exhausted () =
-  let runtime, heap, _ = make_runtime ~replicas:1 ~arm_injector:true () in
+  let runtime, heap, _ = make_runtime ~replicas:1 () in
   scribble heap;
   Runtime.arm_fault runtime (Fault_spec.Rpc_timeout { p = 1.0 });
   Runtime.crash_node runtime ~id:1;
@@ -654,12 +639,12 @@ let prop_readable_after_failover =
           (Printf.sprintf "node-crash@%dns:id=1;wqe-drop:p=0.01"
              (10_000 + crash_offset_ns))
       in
-      let runtime, heap, controller =
+      let runtime, heap, _ =
         make_runtime ~replicas ~faults ~fault_seed ()
       in
       scribble ~writes:4_000 heap;
       Runtime.drain runtime;
-      Runtime.degraded runtime = None && integrity_ok runtime heap controller)
+      Runtime.degraded runtime = None && integrity_ok runtime heap)
 
 let prop_seeded_plans_reproducible =
   (* The same plan and seed produce bit-identical runs: every counter and
@@ -678,7 +663,7 @@ let prop_seeded_plans_reproducible =
         ( Runtime.stats runtime,
           Runtime.app_ns runtime,
           Runtime.bg_ns runtime,
-          Option.map Injector.counters (Runtime.injector runtime) )
+          Injector.counters (Runtime.injector runtime) )
       in
       run () = run ())
 

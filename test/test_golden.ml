@@ -9,6 +9,10 @@
    including the rack-scoped [rack.*], [placement.*] and [coherence.*]
    series that tenant fingerprints never see.
 
+   The golden-run group pins single-runtime runs the same way: each
+   [konactl run] of a paper workload on each system, to its hub digest,
+   its virtual time and its remote-memory check.
+
    When a change is meant to alter behaviour, the failure message prints
    the entry with its expected and actual digests; review the diff and
    update the digests beside the entry. *)
@@ -17,6 +21,9 @@ open Kona_scenario
 module Rack = Kona_rack.Rack
 module Snapshot = Kona_telemetry.Snapshot
 module Json = Kona_telemetry.Json
+module Hub = Kona_telemetry.Hub
+module System = Kona_baselines.System
+module Workloads = Kona_workloads.Workloads
 
 (* (name, spec, tenant digest, hub digest).  Specs stay small (32 MiB
    nodes, short run slices) so the whole corpus executes in a few
@@ -179,6 +186,77 @@ let check_gen (family, seed, line, tenant, hub) () =
     ~what:(Printf.sprintf "Gen.generate ~seed:%d ~ops:10" seed)
     ~tenant ~hub spec
 
+(* [konactl run -w W --system kona,kona-vm,legoos,infiniswap --seed 7] for
+   every paper workload (smoke scale, default configs): (workload, system,
+   hub digest, virtual time, (checked, mismatches, lost) pages). *)
+let run_corpus =
+  [
+    ("redis-rand", "kona", "eec4a567e357181dc2686db24fb2e185", 1776554, (1024, 0, 0));
+    ("redis-rand", "kona-vm", "e886c0494e7a563ce514f021aa752e2e", 2746854, (1024, 0, 0));
+    ("redis-rand", "legoos", "16cdf24872d420a8d5e83d0ce18254e7", 2645529, (1024, 0, 0));
+    ("redis-rand", "infiniswap", "975b2f274338a12903457f5db19d62a8", 4895529, (1024, 0, 0));
+    ("redis-seq", "kona", "7c1f070548011d1c161ca05b98c340d7", 1868601, (1024, 0, 0));
+    ("redis-seq", "kona-vm", "1aec00b4f13304e1027fb3d616432212", 2660901, (1024, 0, 0));
+    ("redis-seq", "legoos", "4bff56e9a0c33f999317d12df162f445", 2559576, (1024, 0, 0));
+    ("redis-seq", "infiniswap", "17c650e90c3729ec631ec0b16130ed9b", 4809576, (1024, 0, 0));
+    ("linear-regression", "kona", "2f0d93d4e7be8207a35784bdf837a312", 1366530, (945, 0, 0));
+    ("linear-regression", "kona-vm", "182f0a69ece2b1c01b7c261bc4821861", 1830780, (945, 0, 0));
+    ("linear-regression", "legoos", "0644fd1b26a81901668d0edbe1158961", 1724051, (945, 0, 0));
+    ("linear-regression", "infiniswap", "89cfeb0c387b18bd70b8b83a70ff02e3", 4094051, (945, 0, 0));
+    ("histogram", "kona", "af67bbbed182b4656b912ec02c9c7cb2", 633303, (984, 0, 0));
+    ("histogram", "kona-vm", "bbb284661c269b3d916e4f5d857da33b", 871203, (984, 0, 0));
+    ("histogram", "legoos", "da2a838518cc63d2670b41852f3a29f7", 817163, (984, 0, 0));
+    ("histogram", "infiniswap", "5ff0b440e4ea159032e785f5e3b36de2", 2017163, (984, 0, 0));
+    ("page-rank", "kona", "f0432b7db4fc3d7c2cc1f392b6be603d", 431304, (512, 0, 0));
+    ("page-rank", "kona-vm", "ddd5592a01a96e79d754ba20daa09b7d", 874504, (512, 0, 0));
+    ("page-rank", "legoos", "d52345a5f03214fff3c46df7a57fe3f4", 824517, (512, 0, 0));
+    ("page-rank", "infiniswap", "954e11a9f519ac6cc49f8e23031cfa9a", 1934517, (512, 0, 0));
+    ("graph-coloring", "kona", "22ae90d172921b5ad46e24b9d351f797", 354814, (512, 0, 0));
+    ("graph-coloring", "kona-vm", "375acd69c229c465091023296d1be5fd", 798014, (512, 0, 0));
+    ("graph-coloring", "legoos", "d3e2c1cf84396744a1c983c0335447de", 748027, (512, 0, 0));
+    ("graph-coloring", "infiniswap", "efd0097e6e1cf20bfc5d78c4536fe64d", 1858027, (512, 0, 0));
+    ("connected-components", "kona", "85fd66b3f99076528766d1e870676f50", 417889, (512, 0, 0));
+    ("connected-components", "kona-vm", "37f36533b2d0dc527a6c8e6a21050b41", 861089, (512, 0, 0));
+    ("connected-components", "legoos", "3a959b788e4bc14422db349b3b643151", 811102, (512, 0, 0));
+    ("connected-components", "infiniswap", "f7813c6ce8ffe7499d0845d697f4ca42", 1921102, (512, 0, 0));
+    ("label-propagation", "kona", "5c916f8d9c0552d7aee0dba67f6887b1", 557213, (512, 0, 0));
+    ("label-propagation", "kona-vm", "f7c243b980e61604fed05b50d5f16b21", 1121913, (512, 0, 0));
+    ("label-propagation", "legoos", "0acf42d0c7a30f73b8e4d570a036538f", 1059767, (512, 0, 0));
+    ("label-propagation", "infiniswap", "7263dc569cb447078ab071db7030a033", 2439767, (512, 0, 0));
+    ("voltdb", "kona", "dddc993bd6211789abcd11f56585ddcc", 954367, (1024, 0, 0));
+    ("voltdb", "kona-vm", "b7268e1bcaa9d009efd3d03696e0f2ad", 1600417, (1024, 0, 0));
+    ("voltdb", "legoos", "102e0b31478587f19a4c7265277d329e", 1518006, (1024, 0, 0));
+    ("voltdb", "infiniswap", "5c2f321ddf72548b8a50681c265228a3", 3348006, (1024, 0, 0));
+    ("redis-zipf", "kona", "4c5754fe0a479e6d175393d7697f171e", 1476916, (1024, 0, 0));
+    ("redis-zipf", "kona-vm", "57fa953744597549eaca8271df10164f", 2322116, (1024, 0, 0));
+    ("redis-zipf", "legoos", "ab2d5343d597cd46a503d1ea6ca981a6", 2220791, (1024, 0, 0));
+    ("redis-zipf", "infiniswap", "bfae74e401bbce7cb6ab54b1f7f37ac0", 4470791, (1024, 0, 0));
+  ]
+
+let render_run (workload, system, hub, elapsed_ns, (checked, mismatches, lost)) =
+  Printf.sprintf "(%S, %S, %S, %d, (%d, %d, %d))" workload system hub elapsed_ns
+    checked mismatches lost
+
+let check_run ((workload, system, _, _, _) as expected) () =
+  let r =
+    System.run ~kona:Kona.Runtime.default_config
+      ~vm:Kona_baselines.Vm_runtime.default_config (Workloads.find workload)
+      Workloads.Smoke ~seed:7 system
+  in
+  let c = r.System.check in
+  let actual =
+    ( workload,
+      system,
+      Digest.to_hex
+        (Digest.string
+           (Json.to_string (Snapshot.to_json (Hub.snapshot r.System.hub)))),
+      r.System.elapsed_ns,
+      System.(c.checked, c.mismatches, c.lost) )
+  in
+  if actual <> expected then
+    Alcotest.failf "golden run moved\n  expected: %s\n  actual:   %s"
+      (render_run expected) (render_run actual)
+
 let () =
   Alcotest.run "kona_golden"
     [
@@ -194,4 +272,11 @@ let () =
               (Printf.sprintf "%s family, seed %d" family seed)
               `Quick (check_gen entry))
           gen_corpus );
+      ( "golden-run",
+        List.map
+          (fun ((workload, system, _, _, _) as entry) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s on %s" workload system)
+              `Quick (check_run entry))
+          run_corpus );
     ]

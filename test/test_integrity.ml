@@ -12,6 +12,7 @@ module Checksums = Kona_integrity.Checksums
 module Sequencer = Kona_integrity.Sequencer
 module Scrubber = Kona_integrity.Scrubber
 module Fault_spec = Kona_faults.Fault_spec
+module System = Kona_baselines.System
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -508,8 +509,6 @@ let make_runtime ?(fmem_pages = 16) ?(replicas = 1) ?(faults = [])
     (Memory_node.create ~id:0 ~capacity:(Units.mib 8));
   Rack_controller.register_node controller
     (Memory_node.create ~id:1 ~capacity:(Units.mib 8));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
   let config =
     {
       Runtime.default_config with
@@ -521,10 +520,7 @@ let make_runtime ?(fmem_pages = 16) ?(replicas = 1) ?(faults = [])
       verify_checksums;
     }
   in
-  let runtime = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 4) ~sink:(Runtime.sink runtime) () in
-  heap_ref := Some heap;
-  (runtime, heap, controller)
+  System.kona ~config ~controller ~heap_capacity:(Units.mib 4) ()
 
 let scribble ?(writes = 8_000) ?(region = Units.kib 512) ?(seed = 5) heap =
   let rng = Rng.create ~seed in
@@ -542,25 +538,15 @@ let counter runtime name =
 
 (* Remote memory equals the heap on every backed page (none may be
    excluded: these tests expect full repair). *)
-let assert_no_divergence runtime heap controller =
+let assert_no_divergence runtime heap =
   check_bool "nothing unrepairable" true (Runtime.unrepairable_pages runtime = []);
-  let diverged = ref 0 in
-  Resource_manager.iter_backed_pages (Runtime.resource_manager runtime)
-    (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      if base + Units.page_size <= Heap.capacity heap then begin
-        let local = Heap.peek_bytes heap base Units.page_size in
-        let remote =
-          Memory_node.peek (Rack_controller.node controller ~id:node)
-            ~addr:remote_addr ~len:Units.page_size
-        in
-        if local <> remote then incr diverged
-      end);
-  check_int "no page diverged from the heap" 0 !diverged
+  let c = System.check heap (Runtime.resource_manager runtime) in
+  check_int "no page diverged from the heap" 0 c.System.mismatches;
+  check_int "no page lost" 0 c.System.lost
 
 let test_scrub_repairs_bit_flips () =
   let faults = Fault_spec.parse_exn "bit-flip:p=1" in
-  let runtime, heap, controller =
+  let runtime, heap =
     make_runtime ~faults ~scrub_interval_ns:50_000 ()
   in
   scribble heap;
@@ -575,11 +561,45 @@ let test_scrub_repairs_bit_flips () =
   check_int "nothing unrepairable" 0 (counter runtime "integrity.unrepairable");
   check_int "quarantine drained" 0 (counter runtime "integrity.quarantined");
   (* The repair is bit-for-bit: remote bytes equal the heap everywhere. *)
-  assert_no_divergence runtime heap controller
+  assert_no_divergence runtime heap
+
+(* Without a replica no flipped line has a clean copy: each is declared
+   unrepairable once, and the later sweeps that find it still corrupt
+   count it neither as a new flip nor as a new unrepairable line. *)
+let test_unrepairable_lines_counted_once () =
+  let faults = Fault_spec.parse_exn "bit-flip:p=1" in
+  let runtime, heap =
+    make_runtime ~replicas:0 ~faults ~scrub_interval_ns:50_000 ()
+  in
+  scribble heap;
+  Runtime.drain runtime;
+  let armed = counter runtime "integrity.flips_armed" in
+  let found = counter runtime "integrity.flips_found" in
+  let unrepairable = counter runtime "integrity.unrepairable" in
+  check_bool "flips were injected" true (armed > 0);
+  check_int "every armed flip found or healed" armed
+    (found + counter runtime "integrity.healed_overwrite");
+  check_int "each found flip declared once" found unrepairable;
+  (* Every line still corrupt at rest was declared; a declared line the
+     workload overwrote since then healed. *)
+  let corrupt =
+    List.fold_left
+      (fun acc id ->
+        let node = Rack_controller.node (Runtime.controller runtime) ~id in
+        acc
+        + List.length
+            (Memory_node.verify_range node ~addr:0 ~len:(Memory_node.used node)))
+      0 [ 0; 1 ]
+  in
+  check_bool "corrupt lines were all declared" true
+    (corrupt > 0 && corrupt <= unrepairable);
+  check_bool "pages declared lost" true
+    (Runtime.unrepairable_pages runtime <> []);
+  check_bool "the run is degraded" true (Runtime.degraded runtime <> None)
 
 let test_torn_writes_rejected_and_repaired () =
   let faults = Fault_spec.parse_exn "torn-write:p=1" in
-  let runtime, heap, controller =
+  let runtime, heap =
     make_runtime ~faults ~scrub_interval_ns:50_000 ()
   in
   scribble heap;
@@ -589,39 +609,37 @@ let test_torn_writes_rejected_and_repaired () =
   check_bool "torn lines rejected by wire CRC" true
     (counter runtime "integrity.crc_rejects" > 0);
   check_int "quarantine drained" 0 (counter runtime "integrity.quarantined");
-  assert_no_divergence runtime heap controller
+  assert_no_divergence runtime heap
 
 let test_dup_deliveries_dropped () =
   let faults = Fault_spec.parse_exn "dup-deliver:p=1" in
-  let runtime, heap, controller = make_runtime ~faults () in
+  let runtime, heap = make_runtime ~faults () in
   scribble heap;
   Runtime.drain runtime;
   check_bool "duplicates detected" true (counter runtime "seq.duplicates" > 0);
-  assert_no_divergence runtime heap controller
+  assert_no_divergence runtime heap
 
 let test_stale_reads_detected () =
   let faults = Fault_spec.parse_exn "stale-read:p=0.5" in
-  let runtime, heap, controller =
+  let runtime, heap =
     make_runtime ~faults ~verify_checksums:true ()
   in
   scribble heap;
   Runtime.drain runtime;
   check_bool "stale reads detected" true
     (counter runtime "integrity.stale_reads" > 0);
-  (match Runtime.injector runtime with
-  | Some i ->
-      check_int "every injected stale read detected"
-        (List.assoc "stale_reads" (Kona_faults.Injector.counters i))
-        (counter runtime "integrity.stale_reads")
-  | None -> Alcotest.fail "injector expected");
-  assert_no_divergence runtime heap controller
+  check_int "every injected stale read detected"
+    (List.assoc "stale_reads"
+       (Kona_faults.Injector.counters (Runtime.injector runtime)))
+    (counter runtime "integrity.stale_reads");
+  assert_no_divergence runtime heap
 
 let test_integrity_counters_reproducible () =
   let run () =
     let faults =
       Fault_spec.parse_exn "bit-flip:p=0.3;torn-write:p=0.2;dup-deliver:p=0.2"
     in
-    let runtime, heap, _ =
+    let runtime, heap =
       make_runtime ~faults ~fault_seed:7 ~scrub_interval_ns:50_000
         ~verify_checksums:true ()
     in
@@ -677,6 +695,8 @@ let () =
         [
           Alcotest.test_case "repairs seeded bit-flips bit-for-bit" `Quick
             test_scrub_repairs_bit_flips;
+          Alcotest.test_case "unrepairable lines counted once" `Quick
+            test_unrepairable_lines_counted_once;
           Alcotest.test_case "torn writes rejected and repaired" `Quick
             test_torn_writes_rejected_and_repaired;
           Alcotest.test_case "duplicate deliveries dropped" `Quick

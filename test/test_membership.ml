@@ -14,6 +14,7 @@ module Rng = Kona_util.Rng
 module Heap = Kona_workloads.Heap
 module Workloads = Kona_workloads.Workloads
 module Fault_spec = Kona_faults.Fault_spec
+module System = Kona_baselines.System
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -227,41 +228,19 @@ let run_partitioned ?(heartbeat_ns = 100_000) ?(lease_ns = 1_000_000)
       lease_ns;
     }
   in
-  let controller = Rack_controller.create ~slab_size:(Units.mib 1) () in
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:0 ~capacity:(Units.mib 128));
-  Rack_controller.register_node controller
-    (Memory_node.create ~id:1 ~capacity:(Units.mib 128));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
-  let rt = Runtime.create ~config ~controller ~read_local () in
   let spec = Workloads.find "kv-uniform" in
-  let heap =
-    Heap.create
-      ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
-      ~sink:(Runtime.sink rt) ()
+  let rt, heap =
+    System.kona ~config
+      ~heap_capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
+      ()
   in
-  heap_ref := Some heap;
   spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
   Runtime.drain rt;
-  (rt, heap, controller)
+  (rt, heap, Runtime.controller rt)
 
-let integrity_ok rt heap controller =
-  let ok = ref true and pages = ref 0 in
-  Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-    (fun ~vpage ~node ~remote_addr ->
-      let base = vpage * Units.page_size in
-      if base + Units.page_size <= Heap.capacity heap then begin
-        incr pages;
-        let local = Heap.peek_bytes heap base Units.page_size in
-        let remote =
-          Memory_node.peek
-            (Rack_controller.node controller ~id:node)
-            ~addr:remote_addr ~len:Units.page_size
-        in
-        if local <> remote then ok := false
-      end);
-  !ok && !pages > 0
+let integrity_ok rt heap =
+  let c = System.check heap (Runtime.resource_manager rt) in
+  c.System.checked > 0 && c.System.mismatches = 0 && c.System.lost = 0
 
 let test_false_positive_fencing_end_to_end () =
   let rt, heap, controller = run_partitioned () in
@@ -279,7 +258,7 @@ let test_false_positive_fencing_end_to_end () =
   check_int "no write landed past the fence" 0 (Runtime.post_fence_writes rt);
   check_bool "run not degraded" true (Runtime.degraded rt = None);
   check_bool "recovery converged" true (Runtime.recovery_idle rt);
-  check_bool "remote memory matches the heap" true (integrity_ok rt heap controller);
+  check_bool "remote memory matches the heap" true (integrity_ok rt heap);
   match Runtime.replication rt with
   | Some r -> check_int "zero divergence" 0 (Replication.divergent_mirrors r ~controller)
   | None -> Alcotest.fail "replication expected"
@@ -292,7 +271,7 @@ let test_short_partition_is_tolerated () =
   check_int "nobody declared dead" 0 (Runtime.declared_dead rt);
   check_int "no fencing epoch minted" 0
     (Rack_controller.fencing_epoch controller);
-  check_bool "remote memory matches the heap" true (integrity_ok rt heap controller)
+  check_bool "remote memory matches the heap" true (integrity_ok rt heap)
 
 let test_partitioned_run_reproducible () =
   let fingerprint () =
@@ -311,8 +290,6 @@ let test_crash_promoted_mirror_mid_re_replication () =
     (Memory_node.create ~id:0 ~capacity:(Units.mib 16));
   Rack_controller.register_node controller
     (Memory_node.create ~id:1 ~capacity:(Units.mib 16));
-  let heap_ref = ref None in
-  let read_local ~addr ~len = Heap.peek_bytes (Option.get !heap_ref) addr len in
   let config =
     {
       Runtime.default_config with
@@ -324,9 +301,9 @@ let test_crash_promoted_mirror_mid_re_replication () =
       lease_ns = 50_000;
     }
   in
-  let rt = Runtime.create ~config ~controller ~read_local () in
-  let heap = Heap.create ~capacity:(Units.mib 8) ~sink:(Runtime.sink rt) () in
-  heap_ref := Some heap;
+  let rt, heap =
+    System.kona ~config ~controller ~heap_capacity:(Units.mib 8) ()
+  in
   let region = Units.mib 4 in
   let base = Heap.alloc heap region in
   let rng = Rng.create ~seed:5 in
@@ -380,7 +357,7 @@ let test_crash_promoted_mirror_mid_re_replication () =
     (Histogram.count (Runtime.failover_latency rt));
   Runtime.drain rt;
   check_bool "run survived both faults" true (Runtime.degraded rt = None);
-  check_bool "remote memory matches the heap" true (integrity_ok rt heap controller);
+  check_bool "remote memory matches the heap" true (integrity_ok rt heap);
   match Runtime.replication rt with
   | Some r ->
       check_int "zero divergence after overlapping faults" 0

@@ -412,6 +412,25 @@ let test_retry_budget_aborts () =
         "retry-exhausted: a queue pair gave up after 8 attempts" );
     ]
 
+(* Without a replica a flipped line has no clean copy: it is declared
+   unrepairable once, and the scrub sweeps after that neither find nor
+   count it again, so the integrity ledger stays exact. *)
+let test_unrepairable_flips_accounted () =
+  let o =
+    Episode.execute
+      (Spec.parse_exn
+         "setup:tenants=1,replicas=0,fmem=64,scrub=50us,verify=0,\
+          workloads=kv-uniform;bit-flip:p=0.3")
+  in
+  List.iter
+    (fun v -> Alcotest.failf "violation [%s] %s" v.Invariants.inv v.Invariants.detail)
+    o.Episode.oc_violations;
+  match o.Episode.oc_result with
+  | Some r ->
+      check_bool "a line was declared unrepairable" true
+        (r.Rack.r_tenants.(0).Rack.t_degraded <> None)
+  | None -> Alcotest.fail "episode did not finish"
+
 let raises msg f =
   match f () with
   | _ -> Alcotest.failf "expected Invalid_argument %S" msg
@@ -590,6 +609,8 @@ let () =
             test_rack_rejects_config;
           Alcotest.test_case "exhausted retry budget aborts" `Quick
             test_retry_budget_aborts;
+          Alcotest.test_case "unreplicated flips accounted once" `Quick
+            test_unrepairable_flips_accounted;
           Alcotest.test_case "registry names" `Quick test_registry_names;
         ] );
       ( "shrinker",
