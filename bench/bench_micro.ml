@@ -113,6 +113,26 @@ let test_receive_log =
     (Staged.stage (fun () ->
          ignore (Kona.Memory_node.receive_log node entries)))
 
+(* One placement-migrator epoch on the rack demo (the placement bench's
+   heat-policy rack: one fast node of three, 64 FMem frames per tenant)
+   after its whole replay: the page view over both tenants' heat
+   counters, then the plan.  Virtual time stands still between runs, so
+   after the first few the plan moves nothing: the figure is what an
+   epoch costs to decide.  A function, since the replay takes a second:
+   only a [micro] run pays for it. *)
+let test_migrate_epoch () =
+  let engine =
+    Kona_rack.Rack.start
+      (Bench_placement.config ~scale:Kona_workloads.Workloads.Smoke
+         ~policy:"heat" ~ops:[])
+      Bench_placement.tenants
+  in
+  while Kona_rack.Rack.step engine > 0 do
+    ()
+  done;
+  Test.make ~name:"rack.migrate_epoch (rack demo)"
+    (Staged.stage (fun () -> Kona_rack.Rack.force_migration engine))
+
 let tests =
   [ test_bitmap_segments; test_cache_access; test_flush_page; test_heap_write;
     test_kv_set; test_fmem_lookup; test_crc32c_line; test_corrupt_lines;
@@ -139,4 +159,4 @@ let run () =
           | Some [ est ] -> Format.printf "  %-36s %8.1f ns/op@." name est
           | _ -> Format.printf "  %-36s (no estimate)@." name)
         analyzed)
-    tests
+    (tests @ [ test_migrate_epoch () ])

@@ -40,28 +40,14 @@ let heat t ~vpage ~now =
       settle t cell ~now;
       cell.value
 
-let iter t ~now f =
-  let pages =
-    Hashtbl.fold (fun vpage _ acc -> vpage :: acc) t.cells []
-    |> List.sort compare
-  in
-  List.iter
-    (fun vpage ->
-      match Hashtbl.find_opt t.cells vpage with
-      | None -> ()
-      | Some cell ->
-          settle t cell ~now;
-          if cell.value = 0 then Hashtbl.remove t.cells vpage
-          else f ~vpage ~heat:cell.value)
-    pages
+let fold t ~now ~only f init =
+  Hashtbl.fold
+    (fun vpage cell acc ->
+      if only vpage then begin
+        settle t cell ~now;
+        f ~vpage ~heat:cell.value acc
+      end
+      else acc)
+    t.cells init
 
-let ranked t ~now =
-  let acc = ref [] in
-  iter t ~now (fun ~vpage ~heat -> acc := (vpage, heat) :: !acc);
-  List.sort
-    (fun (p1, h1) (p2, h2) ->
-      if h1 <> h2 then compare h2 h1 else compare p1 p2)
-    !acc
-
-let tracked t = Hashtbl.length t.cells
 let touches t = t.touches

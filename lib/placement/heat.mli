@@ -2,12 +2,20 @@
 
     Every demand fetch and eviction of a page bumps its counter; counters
     decay by halving once per elapsed [epoch_ns] of virtual time.  Decay
-    is lazy — a counter is brought current only when touched or read — so
-    tracking cost is O(1) per event and the table never needs a sweep.
+    is lazy — a counter is brought current ({e settled}) only when
+    touched or read — so a touch costs O(1).  A read settles the counter
+    it reads: the migrator's epoch reads every counter of its pages
+    through {!fold}, so an epoch costs O(tracked counters).
 
-    Determinism: heat is a pure function of the (event, virtual-time)
-    stream, so the same seeds produce the same heat and hence the same
-    migration plans. *)
+    A counter is never dropped, not even once it has decayed to 0.  A
+    read at a later [now] than the page's own clock (another tenant's,
+    say) moves the counter's epoch ahead; a later touch at an earlier
+    [now] then adds undecayed weight at that epoch.  Dropping the counter
+    would forget that epoch and change every later read.
+
+    Determinism: heat is a pure function of the (event, read,
+    virtual-time) stream, so the same seeds produce the same heat and
+    hence the same migration plans. *)
 
 type t
 
@@ -21,19 +29,16 @@ val touch : t -> vpage:int -> weight:int -> now:int -> unit
     time [now] (decaying it first). *)
 
 val heat : t -> vpage:int -> now:int -> int
-(** [vpage]'s counter decayed to [now]; 0 for untracked pages. *)
+(** [vpage]'s counter settled to [now]; 0 for untracked pages. *)
 
-val iter : t -> now:int -> (vpage:int -> heat:int -> unit) -> unit
-(** Every tracked page with its decayed counter, in increasing [vpage]
-    order (deterministic).  Pages whose counter decayed to 0 are dropped
-    from the table as a side effect. *)
-
-val ranked : t -> now:int -> (int * int) list
-(** [(vpage, heat)] pairs sorted hottest first (ties broken by lower
-    [vpage]) — the migrator's working set. *)
-
-val tracked : t -> int
-(** Pages currently tracked. *)
+val fold :
+  t -> now:int -> only:(int -> bool) -> (vpage:int -> heat:int -> 'a -> 'a) ->
+  'a -> 'a
+(** [fold t ~now ~only f init] settles to [now] every tracked counter
+    whose page [only] accepts and folds [f] over them with their settled
+    heat, 0 included, in unspecified order.  Counters [only] rejects are
+    neither read nor settled.  No allocation per counter beyond what [f]
+    does. *)
 
 val touches : t -> int
 (** Total events folded in. *)

@@ -1,6 +1,6 @@
 type env = {
   nodes : unit -> Placement_policy.node_info list;
-  pages : now:int -> Placement_policy.page_info list;
+  pages : now:int -> Placement_policy.view;
   flush_logs : unit -> unit;
   move_page : Placement_policy.move -> int option;
   charge : node:int -> bytes:int -> now:int -> int;

@@ -1,7 +1,7 @@
 (** Background page migrator.
 
     Once per virtual-clock epoch the migrator snapshots the rack (node
-    free space, per-page heat), asks the policy for a plan, flushes the
+    free space, the page view), asks the policy for a plan, flushes the
     tenants' CL logs (staged entries carry pre-move addresses), and
     executes the moves.  Every executed move is charged through the
     source and destination nodes' WFQ schedulers so migration traffic
@@ -14,9 +14,9 @@
 type env = {
   nodes : unit -> Placement_policy.node_info list;
       (** Live rack topology snapshot. *)
-  pages : now:int -> Placement_policy.page_info list;
-      (** Every migratable page with its decayed heat, hottest first
-          (deterministic tie-break). *)
+  pages : now:int -> Placement_policy.view;
+      (** The epoch's page view: the pages with nonzero heat settled to
+          [now], and every migratable page on demand. *)
   flush_logs : unit -> unit;
       (** Flush all tenants' CL logs.  Must run before any remap:
           staged log entries resolve (node, raddr) at append time. *)

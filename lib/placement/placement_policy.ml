@@ -13,13 +13,13 @@ type page_info = {
   pi_heat : int;
 }
 
+type view = { hot : page_info list; all : page_info list Lazy.t }
 type move = { mv_tenant : int; mv_vpage : int; mv_dst : int }
 
 type t = {
   name : string;
   choose_node : nodes:node_info list -> tenant:int -> int option;
-  plan : nodes:node_info list -> pages:page_info list -> budget:int -> move list;
-  stats : unit -> (string * int) list;
+  plan : nodes:node_info list -> pages:view -> budget:int -> move list;
 }
 
 (* Policies plan in units of one page; the migrator re-checks capacity at
@@ -34,7 +34,6 @@ let first_fit () =
     name = "first-fit";
     choose_node = (fun ~nodes:_ ~tenant:_ -> None);
     plan = (fun ~nodes:_ ~pages:_ ~budget:_ -> []);
-    stats = (fun () -> []);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -64,7 +63,6 @@ let hot_threshold = 2
 let heat_aware ?(hot_threshold = hot_threshold) () =
   if hot_threshold <= 0 then
     invalid_arg "Placement_policy.heat_aware: non-positive threshold";
-  let promotions = ref 0 and demotions = ref 0 and no_room = ref 0 in
   let plan ~nodes ~pages ~budget =
     let slots = List.map (fun info -> { info; free = info.ni_free }) nodes in
     let is_fast id =
@@ -78,20 +76,22 @@ let heat_aware ?(hot_threshold = hot_threshold) () =
                :: !moves;
       decr left
     in
-    (* Hot pages stranded on the slow tier come first ([pages] arrives
-       hottest-first). *)
+    (* Hot pages stranded on the slow tier come first, hottest first.  A
+       zero-heat page is never hot, so [pages.hot] holds them all. *)
     List.iter
       (fun p ->
         if !left > 0 && p.pi_heat >= hot_threshold && not (is_fast p.pi_node)
         then
           match best_dst slots ~pred:(fun n -> n.ni_fast) with
-          | Some dst -> incr promotions; emit p dst
-          | None -> incr no_room)
-      pages;
+          | Some dst -> emit p dst
+          | None -> ())
+      pages.hot;
     (* Demote cold residue off the fast tier only under pressure — when
        its headroom has fallen below 1/8 of its capacity — so a tier
-       with room left doesn't churn. *)
-    let fast_free () =
+       with room left doesn't churn.  Demotions land on slow nodes, so
+       the fast headroom stays what the promotions left; only under
+       pressure are the cold pages read, coldest first. *)
+    let fast_free =
       List.fold_left
         (fun a s -> if s.info.ni_fast then a + s.free else a)
         0 slots
@@ -101,17 +101,14 @@ let heat_aware ?(hot_threshold = hot_threshold) () =
         (fun a n -> if n.ni_fast then a + n.ni_capacity else a)
         0 nodes
     in
-    List.iter
-      (fun p ->
-        if
-          !left > 0
-          && fast_free () < fast_cap / 8
-          && p.pi_heat < hot_threshold && is_fast p.pi_node
-        then
-          match best_dst slots ~pred:(fun n -> not n.ni_fast) with
-          | Some dst -> incr demotions; emit p dst
-          | None -> incr no_room)
-      (List.rev pages);
+    if !left > 0 && fast_free < fast_cap / 8 then
+      List.iter
+        (fun p ->
+          if !left > 0 && p.pi_heat < hot_threshold && is_fast p.pi_node then
+            match best_dst slots ~pred:(fun n -> not n.ni_fast) with
+            | Some dst -> emit p dst
+            | None -> ())
+        (List.rev (Lazy.force pages.all));
     List.rev !moves
   in
   {
@@ -121,10 +118,6 @@ let heat_aware ?(hot_threshold = hot_threshold) () =
        moves pages, so first-fit vs heat isolates what migration buys. *)
     choose_node = (fun ~nodes:_ ~tenant:_ -> None);
     plan;
-    stats =
-      (fun () ->
-        [ ("promotions", !promotions); ("demotions", !demotions);
-          ("no_room", !no_room) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +126,6 @@ let heat_aware ?(hot_threshold = hot_threshold) () =
 (* balancing moves off overfull nodes.                                 *)
 
 let centralized () =
-  let lookups = ref 0 and rebalances = ref 0 in
   let used n = n.ni_capacity - n.ni_free in
   let plan ~nodes ~pages ~budget =
     let live = List.filter (fun n -> not n.ni_draining) nodes in
@@ -144,13 +136,18 @@ let centralized () =
         let mean = total_used / List.length live in
         (* A node is overfull once it exceeds the mean by more than one
            slab's worth of slack; shed its coldest pages to the node
-           with the most headroom. *)
+           with the most headroom.  A balanced rack reads no pages. *)
         let slack = 64 * page in
         let slots = List.map (fun info -> { info; free = info.ni_free }) live in
         let over id =
           List.exists
             (fun n -> n.ni_node = id && used n > mean + slack)
             live
+        in
+        let coldest_first =
+          if List.exists (fun n -> used n > mean + slack) live then
+            List.rev (Lazy.force pages.all)
+          else []
         in
         let moves = ref [] and left = ref budget in
         List.iter
@@ -160,7 +157,6 @@ let centralized () =
                 best_dst slots ~pred:(fun n -> n.ni_node <> p.pi_node)
               with
               | Some dst when used dst.info < mean + slack ->
-                  incr rebalances;
                   dst.free <- dst.free - page;
                   moves :=
                     { mv_tenant = p.pi_tenant; mv_vpage = p.pi_vpage;
@@ -168,14 +164,13 @@ let centralized () =
                     :: !moves;
                   decr left
               | _ -> ())
-          (List.rev pages) (* coldest first: balance with cheap pages *);
+          coldest_first (* balance with cheap pages *);
         List.rev !moves
   in
   {
     name = "centralized";
     choose_node =
       (fun ~nodes ~tenant:_ ->
-        incr lookups;
         match
           best_dst
             (List.map (fun info -> { info; free = info.ni_free }) nodes)
@@ -184,8 +179,6 @@ let centralized () =
         | Some s -> Some s.info.ni_node
         | None -> None);
     plan;
-    stats =
-      (fun () -> [ ("lookups", !lookups); ("rebalances", !rebalances) ]);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,7 @@
     - {e where does a fresh slab go?} ([choose_node], consulted before the
       controller's round-robin fallback), and
     - {e which pages should move this epoch?} ([plan], consulted by the
-      background migrator with the current heat ranking).
+      background migrator with the epoch's page {!view}).
 
     Three implementations ship with the runtime:
 
@@ -35,6 +35,18 @@ type page_info = {
   pi_heat : int;  (** decayed heat counter *)
 }
 
+(** The migrator's view of the rack's migratable pages in one epoch.
+    [hot] is cheap: it holds only the pages with nonzero heat.  [all]
+    adds every cold page, so a policy forces it only when it acts on
+    cold pages. *)
+type view = {
+  hot : page_info list;
+      (** Pages with heat > 0, hottest first; ties by tenant, then
+          vpage. *)
+  all : page_info list Lazy.t;
+      (** [hot], then every zero-heat page in (tenant, vpage) order. *)
+}
+
 type move = {
   mv_tenant : int;
   mv_vpage : int;
@@ -46,11 +58,9 @@ type t = {
   choose_node : nodes:node_info list -> tenant:int -> int option;
       (** Pick a node for a fresh slab; [None] defers to the
           controller's round-robin. Never returns a draining node. *)
-  plan : nodes:node_info list -> pages:page_info list -> budget:int -> move list;
-      (** Up to [budget] moves for this epoch. [pages] arrives hottest
-          first. Returned moves must target live, non-draining nodes. *)
-  stats : unit -> (string * int) list;
-      (** Policy-internal counters for telemetry/debugging. *)
+  plan : nodes:node_info list -> pages:view -> budget:int -> move list;
+      (** Up to [budget] moves for this epoch.  Returned moves must
+          target live, non-draining nodes. *)
 }
 
 val hot_threshold : int

@@ -542,31 +542,59 @@ let place_page e ~dst ~data =
     Some addr
   end
 
-let page_infos e ~now =
-  let acc = ref [] in
+(* A heat counter is born only from a fetch or an eviction of a page its
+   tenant backs, and a backed page stays backed, so every counter outside
+   the shared segment belongs to a backed page: folding over the counters
+   settles exactly the ones a scan of the backed pages would, and builds
+   a record only for a page with heat.  The full scan runs only when a
+   policy reads cold pages; its heat reads at the same [now] settle
+   nothing further. *)
+let page_view ~heats ~rms ~shared ~now =
+  let migratable vpage = not (shared vpage) in
+  let hot = ref [] in
   Array.iteri
-    (fun i rt ->
-      Resource_manager.iter_backed_pages (Runtime.resource_manager rt)
-        (fun ~vpage ~node ~remote_addr:_ ->
-          if not (in_seg_range e vpage) then
-            acc :=
-              {
-                Placement_policy.pi_vpage = vpage;
-                pi_tenant = i;
-                pi_node = node;
-                pi_heat = Heat.heat e.heats.(i) ~vpage ~now;
-              }
-              :: !acc))
-    e.runtimes;
-  List.sort
-    (fun a b ->
-      if a.Placement_policy.pi_heat <> b.Placement_policy.pi_heat then
-        compare b.Placement_policy.pi_heat a.Placement_policy.pi_heat
-      else
-        compare
-          (a.Placement_policy.pi_tenant, a.Placement_policy.pi_vpage)
-          (b.Placement_policy.pi_tenant, b.Placement_policy.pi_vpage))
-    !acc
+    (fun i rm ->
+      hot :=
+        Heat.fold heats.(i) ~now ~only:migratable
+          (fun ~vpage ~heat acc ->
+            if heat = 0 then acc
+            else
+              match Resource_manager.translate rm ~vaddr:(vpage * page) with
+              | Some (node, _) ->
+                  { Placement_policy.pi_vpage = vpage; pi_tenant = i;
+                    pi_node = node; pi_heat = heat }
+                  :: acc
+              | None -> invalid_arg "Rack.page_view: heat on an unbacked page")
+          !hot)
+    rms;
+  let hottest a b =
+    let open Placement_policy in
+    if a.pi_heat <> b.pi_heat then Int.compare b.pi_heat a.pi_heat
+    else if a.pi_tenant <> b.pi_tenant then Int.compare a.pi_tenant b.pi_tenant
+    else Int.compare a.pi_vpage b.pi_vpage
+  in
+  let hot = List.sort hottest !hot in
+  let all =
+    lazy
+      (let cold = ref [] in
+       Array.iteri
+         (fun i rm ->
+           Resource_manager.iter_backed_pages rm
+             (fun ~vpage ~node ~remote_addr:_ ->
+               if migratable vpage && Heat.heat heats.(i) ~vpage ~now = 0 then
+                 cold :=
+                   { Placement_policy.pi_vpage = vpage; pi_tenant = i;
+                     pi_node = node; pi_heat = 0 }
+                   :: !cold))
+         rms;
+       hot @ List.sort hottest !cold)
+  in
+  { Placement_policy.hot; all }
+
+let epoch_pages e ~now =
+  page_view ~heats:e.heats
+    ~rms:(Array.map Runtime.resource_manager e.runtimes)
+    ~shared:(in_seg_range e) ~now
 
 (* Migration traffic is the migrator's WFQ weight slot (index [n]) at
    every node: its copies queue behind tenant traffic and tenant traffic
@@ -603,7 +631,7 @@ let create_migrator e =
     ~budget:migrate_budget ~page_bytes:page
     {
       Migrator.nodes = (fun () -> node_infos e);
-      pages = page_infos e;
+      pages = epoch_pages e;
       flush_logs = (fun () -> flush_logs e);
       move_page = move_page e;
       charge = charge e;
@@ -727,7 +755,7 @@ let exec_rebalance e ~now =
           ignore (charge e ~node:src ~bytes:page ~now);
           ignore (charge e ~node:mv.Placement_policy.mv_dst ~bytes:page ~now))
     (balance.Placement_policy.plan ~nodes:(node_infos e)
-       ~pages:(page_infos e ~now) ~budget:migrate_budget)
+       ~pages:(epoch_pages e ~now) ~budget:migrate_budget)
 
 (* The one op executor, for the scheduled-op calendar and [apply_op]
    alike.  A drain of a node no add has created is refused ([validate]

@@ -312,6 +312,22 @@ val flush_logs : engine -> unit
 val set_tenant_quota : engine -> tenant:int -> bytes:int -> unit
 (** Set tenant [tenant]'s memory quota at the rack controller. *)
 
+val page_view :
+  heats:Kona_placement.Heat.t array ->
+  rms:Kona.Resource_manager.t array ->
+  shared:(int -> bool) ->
+  now:int ->
+  Kona_placement.Placement_policy.view
+(** The migrator's page view of tenants whose heat counters are
+    [heats.(i)] and whose address spaces are [rms.(i)]: every backed page
+    outside the [shared] segment, with its heat settled to [now].
+    Settles every counter of such a page and no other, which is what a
+    scan of the backed pages would; it reads the counters, not the
+    pages, and scans the pages only when [all] is forced.  Requires
+    that heat is tracked only for backed pages (the rack's fetch and
+    eviction feed guarantees it); raises [Invalid_argument] on nonzero
+    heat for an unbacked page. *)
+
 (** {3 Invariant accessors} *)
 
 val tenant_count : engine -> int

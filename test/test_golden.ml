@@ -108,6 +108,20 @@ let corpus =
        run:n=1000000000;shmrpc:calls=16",
       "367f8ea6a8a2beca0a1004df68e9015d",
       "3036bf6bb19f1c5a1dac9c73edcab545" );
+    (* The two migrator-epoch paths that read cold pages.  A 3.5 MiB fast
+       node fills up, so the heat policy demotes as well as promotes
+       (100 promotions, 512 demotions); with 4 MiB nodes the centralized
+       policy runs as the epoch policy and rebalances every epoch. *)
+    ( "heat demotions under fast-tier pressure",
+      "setup:tenants=2,nodes=3,cap=3670016,fmem=64,seed=7,scrub=0ns,verify=0,\
+       workloads=kv-zipf|kv-uniform,policy=heat,fast=1,slowns=2us",
+      "005824b3eca9f8e1074865018fec95d7",
+      "24decfa3f59a973a36cd298daa3e22b3" );
+    ( "centralized epoch policy",
+      "setup:tenants=2,nodes=3,cap=4194304,fmem=64,seed=7,scrub=0ns,verify=0,\
+       workloads=kv-zipf|kv-uniform,policy=centralized,fast=1,slowns=2us",
+      "6e3c6f9524ac660202147c165ef09fb5",
+      "30defd5b97317ffdc1f307e75f656850" );
   ]
 
 let hub_digest (r : Rack.result) =
