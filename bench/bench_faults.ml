@@ -47,8 +47,8 @@ let run () =
         List.map
           (fun crash_us ->
             let rt = run_one ~replicas ~crash_us in
-            let fo = Runtime.failover_latency rt in
-            let rc = Runtime.recovery_latency rt in
+            let fo = Runtime.histogram rt "failover.latency_ns" in
+            let rc = Runtime.histogram rt "recovery.latency_ns" in
             let stats = Runtime.stats rt in
             [
               string_of_int replicas;

@@ -52,7 +52,7 @@ let run () =
                 let rt = run_one ~flip_p ~scrub_interval_ns in
                 let c = Runtime.integrity_counters rt in
                 let get k = List.assoc k c in
-                let lat = Runtime.detect_latency rt in
+                let lat = Runtime.histogram rt "integrity.detect_latency_ns" in
                 [
                   Printf.sprintf "%g" flip_p;
                   Report.ns scrub_interval_ns;

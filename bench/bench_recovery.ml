@@ -68,20 +68,20 @@ let run () =
                 let rt = run_one ~heartbeat_ns ~lease_ns ~partition_us in
                 let m = Option.get (Runtime.membership rt) in
                 let detect = Membership.detect_latency m in
-                let fo = Runtime.failover_latency rt in
+                let fo = Runtime.histogram rt "failover.latency_ns" in
                 [
                   Report.ns heartbeat_ns;
                   Report.ns lease_ns;
                   Printf.sprintf "%dus" partition_us;
-                  string_of_int (Runtime.partitions_started rt);
-                  string_of_int (Runtime.declared_dead rt);
-                  string_of_int (Runtime.false_positives rt);
+                  string_of_int (Runtime.count rt "partition.started");
+                  string_of_int (Runtime.count rt "membership.declared_dead");
+                  string_of_int (Runtime.count rt "membership.false_positives");
                   (if Histogram.count detect = 0 then "-"
                    else Report.ns (Histogram.percentile detect 50.));
                   (if Histogram.count fo = 0 then "-"
                    else Report.ns (Histogram.percentile fo 50.));
-                  string_of_int (Runtime.fencing_rejects rt);
-                  string_of_int (Runtime.post_fence_writes rt);
+                  string_of_int (Runtime.count rt "fencing.rejects");
+                  string_of_int (Runtime.count rt "fencing.post_fence_writes");
                   (match Runtime.degraded rt with
                   | Some _ -> "degraded"
                   | None -> "ok");

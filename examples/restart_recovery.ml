@@ -57,7 +57,9 @@ let () =
     restored lost
     (Fmt.str "%.1fus"
        (float_of_int
-          (Kona_util.Histogram.percentile (Runtime.recovery_latency runtime1) 50.)
+          (Kona_util.Histogram.percentile
+             (Runtime.histogram runtime1 "recovery.latency_ns")
+             50.)
        /. 1e3));
 
   (* Re-attach to the table through the recovered root pointer. *)

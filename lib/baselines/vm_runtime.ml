@@ -8,6 +8,7 @@ module Nic = Kona_rdma.Nic
 module Qp = Kona_rdma.Qp
 module Hub = Kona_telemetry.Hub
 module Registry = Kona_telemetry.Registry
+module Snapshot = Kona_telemetry.Snapshot
 module Tracer = Kona_telemetry.Tracer
 module Cost_model = Kona.Cost_model
 module Resource_manager = Kona.Resource_manager
@@ -82,6 +83,7 @@ type t = {
   controller : Rack_controller.t;
   nic : Nic.t;
   evict_qp : Qp.t;
+  registry : Registry.t; (* the hub's registry, or a private one *)
   tracer : Tracer.t option;
   fetch_latency : Histogram.t;
   read_local : addr:int -> len:int -> string;
@@ -188,6 +190,8 @@ let create ?(config = default_config) ?nic ?hub ~profile ~controller ~read_local
         Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth
           ~retry:(Qp.retry_of config.backoff)
           ~signal_interval:config.signal_interval ~clock:bg_clock ();
+      registry =
+        (match hub with Some h -> Hub.registry h | None -> Registry.create ());
       tracer;
       fetch_latency = Histogram.create ();
       read_local;
@@ -200,7 +204,7 @@ let create ?(config = default_config) ?nic ?hub ~profile ~controller ~read_local
       shootdowns = 0;
     }
   in
-  (match hub with Some h -> register_metrics t (Hub.registry h) | None -> ());
+  register_metrics t t.registry;
   t
 
 let charge_app t ns = Clock.advance t.app_clock ns
@@ -350,20 +354,30 @@ let app_ns t = Clock.now t.app_clock
 let bg_ns t = Clock.now t.bg_clock
 let elapsed_ns t = max (app_ns t) (bg_ns t)
 
-let stats t =
+(* A fixed view over the registry, under this runtime's older undotted
+   names; names and order are a contract like {!Kona.Runtime.stats}'s. *)
+let stats_view =
   [
-    ("accesses", t.accesses);
-    ("remote_faults", t.remote_faults);
-    ("wp_faults", t.wp_faults);
-    ("pages_evicted", t.pages_evicted);
-    ("dirty_pages_written", t.dirty_pages_written);
-    ("shootdowns", t.shootdowns);
-    ("tlb_misses", Tlb.misses t.tlb);
-    ("evict_wire_bytes", Qp.wire_bytes t.evict_qp);
-    ("resident_pages", Fmem.resident t.page_cache);
-    ("page_hits", t.page_hits);
+    ("accesses", "runtime.accesses");
+    ("remote_faults", "vm.remote_faults");
+    ("wp_faults", "vm.wp_faults");
+    ("pages_evicted", "evict.pages");
+    ("dirty_pages_written", "wb.pages");
+    ("shootdowns", "vm.shootdowns");
+    ("tlb_misses", "vm.tlb_misses");
+    ("evict_wire_bytes", "qp.wire_bytes{qp=evict}");
+    ("resident_pages", "fmem.resident");
+    ("page_hits", "fmem.hits");
   ]
 
-let page_table t = t.pt
-let tlb t = t.tlb
+let stats t =
+  List.map
+    (fun (name, metric) ->
+      match Registry.read t.registry metric with
+      | Some (Snapshot.Counter v | Snapshot.Gauge v) -> (name, v)
+      | _ -> invalid_arg ("Vm_runtime: no count registered as " ^ metric))
+    stats_view
+
+let registry t = t.registry
+
 let resource_manager t = t.rm

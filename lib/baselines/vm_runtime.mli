@@ -64,21 +64,28 @@ val create :
   read_local:(addr:int -> len:int -> string) ->
   unit ->
   t
-(** [hub] attaches telemetry through the same pipeline as Kona's runtime:
-    the shared metric names ([fetch.latency_ns], [fmem.hits]/[fmem.misses],
-    [nic.wire_bytes], [cache.*{level=...}], ...) are registered alongside
-    the fault-specific [vm.*] counters, and the tracer receives
-    [fetch.page]/[evict.page] spans and [vm.wp_fault] instants.  One hub per
-    runtime instance. *)
+(** Every runtime registers its metrics in its {!registry} — the attached
+    [hub]'s, or a private one — through the same pipeline as Kona's
+    runtime: the shared metric names ([fetch.latency_ns],
+    [fmem.hits]/[fmem.misses], [nic.wire_bytes], [cache.*{level=...}],
+    ...) alongside the fault-specific [vm.*] counters.  With a hub, the
+    tracer receives [fetch.page]/[evict.page] spans and [vm.wp_fault]
+    instants.  One hub per runtime instance. *)
 
 val sink : t -> Kona_trace.Access.t -> unit
 val drain : t -> unit
 
-val app_ns : t -> int
-val bg_ns : t -> int
 val elapsed_ns : t -> int
-val stats : t -> (string * int) list
 
-val page_table : t -> Kona_vm.Page_table.t
-val tlb : t -> Kona_vm.Tlb.t
+val registry : t -> Kona_telemetry.Registry.t
+(** The runtime's metrics, every count it keeps. *)
+
+val stats : t -> (string * int) list
+(** A fixed view over {!registry} under undotted names: [accesses]
+    ([runtime.accesses]), [remote_faults] ([vm.remote_faults]),
+    [wp_faults], [pages_evicted] ([evict.pages]), [dirty_pages_written]
+    ([wb.pages]), [shootdowns], [tlb_misses], [evict_wire_bytes]
+    ([qp.wire_bytes{qp=evict}]), [resident_pages] ([fmem.resident]),
+    [page_hits] ([fmem.hits]).  Names and order are a contract. *)
+
 val resource_manager : t -> Kona.Resource_manager.t

@@ -46,9 +46,6 @@ let create ~name ~size ~assoc ~block =
     dirty_evictions = 0;
   }
 
-let name t = t.cache_name
-let block_size t = t.block
-let sets t = t.nsets
 (* lsl/lsr are right-associative in OCaml: parenthesize the align-down. *)
 let block_addr_of t addr = (addr lsr t.block_bits) lsl t.block_bits
 let set_of t block_addr = (block_addr lsr t.block_bits) mod t.nsets
@@ -145,14 +142,6 @@ let iter_resident t f =
     if t.tags.(i) <> -1 then f ~block_addr:t.tags.(i) ~dirty:t.dirty.(i)
   done
 
-let reset_stats t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.read_misses <- 0;
-  t.write_misses <- 0;
-  t.evictions <- 0;
-  t.dirty_evictions <- 0
-
 type stats = {
   reads : int;
   writes : int;
@@ -171,8 +160,3 @@ let stats (t : t) =
     evictions = t.evictions;
     dirty_evictions = t.dirty_evictions;
   }
-
-let miss_rate s =
-  let total = s.reads + s.writes in
-  if total = 0 then 0.
-  else float_of_int (s.read_misses + s.write_misses) /. float_of_int total

@@ -12,10 +12,6 @@ val create : name:string -> size:int -> assoc:int -> block:int -> t
 (** [size] and [block] in bytes; [assoc] ways.  All three must be positive,
     [block] a power of two, and [size] a multiple of [assoc * block]. *)
 
-val name : t -> string
-val block_size : t -> int
-val sets : t -> int
-
 type evicted = { block_addr : int; dirty : bool }
 (** A victim block: [block_addr] is the byte address of the block start. *)
 
@@ -59,7 +55,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val miss_rate : stats -> float
-(** Total misses over total accesses; 0 when idle. *)
-
-val reset_stats : t -> unit

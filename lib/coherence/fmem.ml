@@ -40,9 +40,6 @@ let create ?(assoc = 4) ?(policy = Lru) ~pages () =
     set_evictions = Array.make nsets 0;
   }
 
-let pages t = Array.length t.frames
-let assoc t = t.assoc
-
 let resident t =
   Array.fold_left (fun acc f -> if f.vpage >= 0 then acc + 1 else acc) 0 t.frames
 

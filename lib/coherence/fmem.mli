@@ -18,8 +18,6 @@ val create : ?assoc:int -> ?policy:policy -> pages:int -> unit -> t
 (** Capacity of [pages] frames (must be a positive multiple of [assoc],
     default associativity 4, default policy [Lru]). *)
 
-val pages : t -> int
-val assoc : t -> int
 val resident : t -> int
 
 type victim = {

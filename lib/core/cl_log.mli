@@ -13,12 +13,9 @@
 
 type t
 
-val header_bytes : int
-(** 8: per-entry destination address. *)
-
 val entry_bytes : int
-(** Wire size of a single-line entry (72); longer runs cost
-    [header_bytes + 64 * lines]. *)
+(** Wire size of a single-line entry (72): an 8-byte destination header
+    and the line; longer runs cost [8 + 64 * lines]. *)
 
 val create :
   ?capacity:int ->
@@ -94,8 +91,6 @@ val advance_epoch : t -> to_:int -> unit
 (** Adopt the rack-global fencing epoch (monotone no-op when already at
     or past it): a membership-triggered failover anywhere in the rack
     broadcasts its epoch to every tenant's sender. *)
-
-val epoch : t -> int
 
 val append_run : t -> node:int -> raddr:int -> data:string -> unit
 (** Stage one run of contiguous dirty cache-lines ([data] length must be a

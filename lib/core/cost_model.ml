@@ -44,15 +44,6 @@ let kona ?(rdma = Kona_rdma.Cost.default) t =
 let kona_main ?(rdma = Kona_rdma.Cost.default) t =
   { system = "Kona-main"; dram_cache_ns = t.cmem_ns; remote_ns = rdma_page_read_ns rdma }
 
-let kona_vm ?(rdma = Kona_rdma.Cost.default) t =
-  {
-    system = "Kona-VM";
-    dram_cache_ns = t.cmem_ns;
-    remote_ns =
-      rdma_page_read_ns rdma
-      +. float_of_int (t.minor_fault_ns + t.userfault_extra_ns + t.tlb_walk_ns);
-  }
-
 let legoos t =
   {
     system = "LegoOS";

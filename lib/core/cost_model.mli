@@ -45,8 +45,5 @@ val kona : ?rdma:Kona_rdma.Cost.t -> t -> system_profile
 val kona_main : ?rdma:Kona_rdma.Cost.t -> t -> system_profile
 (** Kona if it could track CMem (no NUMA penalty) — upper bound (§6.2). *)
 
-val kona_vm : ?rdma:Kona_rdma.Cost.t -> t -> system_profile
-(** Page faults handled in user space; similar remote latency to LegoOS. *)
-
 val legoos : t -> system_profile
 val infiniswap : t -> system_profile

@@ -58,7 +58,6 @@ let set_fence t ~epoch =
   | _ -> t.fence <- Some epoch
 
 let fenced t = t.fence <> None
-let fence_epoch t = t.fence
 let fenced_rejects t = t.fenced_rejects
 let post_fence_writes t = t.post_fence_writes
 

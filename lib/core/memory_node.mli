@@ -64,7 +64,6 @@ val set_fence : t -> epoch:int -> unit
 (** Fence at [epoch]; monotone (a lower epoch never unfences). *)
 
 val fenced : t -> bool
-val fence_epoch : t -> int option
 val fenced_rejects : t -> int
 (** Stale shipments rejected by the fence — one per delivery attempt. *)
 

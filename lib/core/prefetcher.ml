@@ -116,5 +116,3 @@ let forget t ~vpage = Kona_util.Lru.remove t.requested vpage
 let requested_pending t = Kona_util.Lru.length t.requested
 
 let issued t = t.issued
-let streams_active t =
-  Array.fold_left (fun acc s -> if s.last >= 0 then acc + 1 else acc) 0 t.streams

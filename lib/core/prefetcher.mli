@@ -49,5 +49,3 @@ val requested_pending : t -> int
 
 val issued : t -> int
 (** Prefetch requests emitted. *)
-
-val streams_active : t -> int

@@ -235,10 +235,5 @@ let allocate_slab ?tenant t ~vaddr =
       in
       try_node 0
 
-let total_free t =
-  Dynarray.fold_left
-    (fun acc s ->
-      if Memory_node.alive s.backing then acc + Memory_node.free_bytes s.backing else acc)
-    0 t.slots
 
 let slabs_allocated t = t.next_slab_id

@@ -121,7 +121,4 @@ val allocate_slab : ?tenant:string -> t -> vaddr:int -> Slab.t
     {!Quota_exceeded} — before reserving anything — once the cap would be
     crossed. *)
 
-val total_free : t -> int
-(** Free bytes across live nodes. *)
-
 val slabs_allocated : t -> int

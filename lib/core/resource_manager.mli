@@ -51,8 +51,6 @@ val map_foreign : t -> at:int -> Slab.t list -> unit
     [Invalid_argument] on misalignment, a size mismatch, or an index that
     is already mapped. *)
 
-val slab_of : t -> vaddr:int -> Slab.t option
-
 (** [slabs] lists what this manager allocated for its own tenant (foreign
     mappings excluded), oldest first. *)
 val slabs : t -> Slab.t list

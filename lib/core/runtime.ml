@@ -8,6 +8,7 @@ module Rpc = Kona_rdma.Rpc
 module Cache = Kona_cachesim.Cache
 module Hub = Kona_telemetry.Hub
 module Registry = Kona_telemetry.Registry
+module Snapshot = Kona_telemetry.Snapshot
 module Tracer = Kona_telemetry.Tracer
 module Fault_spec = Kona_faults.Fault_spec
 module Injector = Kona_faults.Injector
@@ -134,7 +135,7 @@ type t = {
   fetch_qp : Qp.t;
   evict_qp : Qp.t;
   prefetch_qp : Qp.t option;
-  hub : Hub.t option;
+  registry : Registry.t; (* the hub's (scoped) registry, or a private one *)
   tracer : Tracer.t option;
   failover_latency : Histogram.t;
   recovery_latency : Histogram.t;
@@ -163,25 +164,11 @@ type t = {
   mutable invalidations_received : int;
 }
 
-(* Fencing counters are summed over every store the controller knows of
-   (current and former backings): rejects land on displaced ex-primaries,
-   which only the former lists still reach. *)
-let fencing_rejects t =
-  List.fold_left
-    (fun acc n -> acc + Memory_node.fenced_rejects n)
-    0
-    (Rack_controller.all_physical t.controller)
-
-let post_fence_writes t =
-  List.fold_left
-    (fun acc n -> acc + Memory_node.post_fence_writes n)
-    0
-    (Rack_controller.all_physical t.controller)
-
 (* Publish the whole runtime namespace into [reg].  Everything is pull-style
-   ([counter_fn]/[gauge_fn] over existing component tallies) except the fetch
-   latency distribution, which is the caching handler's own histogram
-   registered by reference — components stay telemetry-free. *)
+   ([counter_fn]/[gauge_fn] over existing component tallies) except the
+   latency distributions, which are the components' own histograms
+   registered by reference — components stay telemetry-free.  A closure
+   costs nothing until a snapshot or a report view reads it. *)
 let register_metrics t reg =
   let c ?labels name f = Registry.counter_fn reg ?labels name f in
   let g ?labels name f = Registry.gauge_fn reg ?labels name f in
@@ -321,8 +308,17 @@ let register_metrics t reg =
         (Membership.detect_latency m)
   | None -> ());
   g "fencing.epoch" (fun () -> Rack_controller.fencing_epoch t.controller);
-  c "fencing.rejects" (fun () -> fencing_rejects t);
-  c "fencing.post_fence_writes" (fun () -> post_fence_writes t);
+  (* Summed over every store the controller knows of (current and former
+     backings): rejects land on displaced ex-primaries, which only the
+     former lists still reach. *)
+  let stores f () =
+    List.fold_left
+      (fun acc n -> acc + f n)
+      0
+      (Rack_controller.all_physical t.controller)
+  in
+  c "fencing.rejects" (stores Memory_node.fenced_rejects);
+  c "fencing.post_fence_writes" (stores Memory_node.post_fence_writes);
   c "partition.started" (fun () -> t.partitions_started);
   c "partition.deferred" (fun () -> t.deferred_deliveries);
   c "partition.flushed" (fun () -> t.deferred_flushed);
@@ -785,6 +781,9 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   | Some tr ->
       Tracer.set_clock tr (fun () -> (Clock.now app_clock, Clock.now bg_clock))
   | None -> ());
+  let registry =
+    match hub with Some h -> Hub.registry h | None -> Registry.create ()
+  in
   let nic = match nic with Some n -> n | None -> Kona_rdma.Nic.create () in
   (* The injector always exists, so clauses can be armed mid-run with
      [arm_fault]; its hooks draw nothing while their categories are
@@ -904,7 +903,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       fetch_qp;
       evict_qp;
       prefetch_qp;
-      hub;
+      registry;
       tracer;
       failover_latency = Histogram.create ();
       recovery_latency = Histogram.create ();
@@ -1010,7 +1009,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
         (fun id -> Membership.track m ~id ~now:0)
         (Rack_controller.logical_ids controller);
       t.membership <- Some m);
-  (match hub with Some h -> register_metrics t (Hub.registry h) | None -> ());
+  register_metrics t registry;
   t
 
 (* A node crash fired (a due fault-plan clause or a scenario op).  [id]
@@ -1202,112 +1201,122 @@ let degraded t =
                  lost (Cl_log.lost_lines t.log))
           else None)
 
-let stats t =
-  let h = t.hierarchy in
-  let level name cache =
-    let s = Cache.stats cache in
-    [
-      (name ^ ".accesses", s.Cache.reads + s.Cache.writes);
-      (name ^ ".misses", s.Cache.read_misses + s.Cache.write_misses);
-    ]
-  in
-  level "l1" (Hierarchy.l1 h)
-  @ level "l2" (Hierarchy.l2 h)
-  @ level "llc" (Hierarchy.llc h)
-  @ [
-      ("accesses", t.accesses);
-      ("fmem.hits", Caching_handler.fmem_hits t.caching);
-      ("fmem.misses", Caching_handler.fmem_misses t.caching);
-      ("fetch.pages", Caching_handler.pages_fetched t.caching);
-      ("fetch.bytes", Caching_handler.bytes_fetched t.caching);
-      ("mce.raised", Caching_handler.mce_raised t.caching);
-      ("prefetch.issued", Caching_handler.prefetches_issued t.caching);
-      ("prefetch.useful", Caching_handler.prefetches_useful t.caching);
-      ( "fetch.p50_ns",
-        (let h = Caching_handler.fetch_latency t.caching in
-         if Kona_util.Histogram.count h = 0 then 0
-         else Kona_util.Histogram.percentile h 50.) );
-      ( "fetch.p99_ns",
-        (let h = Caching_handler.fetch_latency t.caching in
-         if Kona_util.Histogram.count h = 0 then 0
-         else Kona_util.Histogram.percentile h 99.) );
-      ("tracker.lines", Dirty_tracker.lines_tracked t.tracker);
-      ("tracker.orphans", Dirty_tracker.orphans t.tracker);
-      ("evict.pages", Eviction_handler.pages_evicted t.evictor);
-      ("evict.clean_pages", Eviction_handler.clean_pages t.evictor);
-      ("evict.lines", Eviction_handler.lines_evicted t.evictor);
-      ("evict.snooped", Eviction_handler.snooped_dirty_lines t.evictor);
-      ("log.lines", Cl_log.lines_logged t.log);
-      ("log.flushes", Cl_log.flushes t.log);
-      ("log.doorbell_batches", Cl_log.doorbell_batches t.log);
-      ("evict.window_stalls", Qp.window_stalls t.evict_qp);
-      ("rdma.fetch_wire_bytes", Qp.wire_bytes t.fetch_qp);
-      ("directory.fills", Hierarchy.memory_accesses t.hierarchy);
-      ("directory.writebacks", Hierarchy.writebacks t.hierarchy);
-      ("directory.snoops", Eviction_handler.snooped_dirty_lines t.evictor);
-      ("slabs", List.length (Resource_manager.slabs t.rm));
-      ("controller.round_trips", Resource_manager.controller_round_trips t.rm);
-      ("faults.injected", Injector.injected t.injector);
-      ("faults.node_crashes", t.node_crashes);
-      ( "failover.count",
-        match t.replication with Some r -> Replication.failovers r | None -> 0 );
-      ("log.lost_writes", Cl_log.lost_deliveries t.log);
-      ("faults.partitions", t.partitions_started);
-      ( "membership.false_positives",
-        match t.membership with
-        | Some m -> Membership.false_positives m
-        | None -> 0 );
-      ("fencing.rejects", fencing_rejects t);
-    ]
+(* ------------------------------------------------------------------ *)
+(* Report views over the registry: fixed lists of names, each read from
+   one registered metric.  Names and order are a contract — perf's
+   sim_digest hashes [stats @ integrity_counters] and [fuzz --replay]
+   compares [integrity_counters] — so [stats] keeps its own spellings
+   ([log.lines] is [cllog.lines]).  A name the registry does not hold
+   raises: a misspelt entry never reads as 0. *)
 
-(* Canonical ordered integrity counters — the soak harness compares two
-   runs of the same (plan, seed) for bit-for-bit equality over this list,
-   so the order and names are part of the reproducibility contract. *)
-let integrity_counters t =
-  let ist = t.integrity in
-  let scrub f = match t.scrubber with Some s -> f s | None -> 0 in
-  let mem f = match t.membership with Some m -> f m | None -> 0 in
+let count t metric =
+  match Registry.read t.registry metric with
+  | Some (Snapshot.Counter v | Snapshot.Gauge v) -> v
+  (* [replication.*] is registered only with replicas *)
+  | None
+    when t.replication = None
+         && String.starts_with ~prefix:"replication." metric ->
+      0
+  | Some (Snapshot.Hist _ | Snapshot.Summary _) | None ->
+      invalid_arg ("Runtime: no count registered as " ^ metric)
+
+let histogram t metric =
+  match Registry.read t.registry metric with
+  | Some (Snapshot.Hist h) -> h
+  | _ -> invalid_arg ("Runtime: no histogram registered as " ^ metric)
+
+let fetch_percentile t p =
+  let h = histogram t "fetch.latency_ns" in
+  if Histogram.count h = 0 then 0 else Histogram.percentile h p
+
+let stats_view =
+  let alias name metric = (name, fun t -> count t metric) in
+  let same metric = alias metric metric in
   [
-    ("integrity.flips_armed", ist.flips_armed);
-    ("integrity.flips_found", ist.flips_found);
-    ("integrity.healed_overwrite", ist.flips_healed);
-    ("integrity.torn_events", ist.torn_events);
-    ("integrity.crc_rejects", ist.crc_rejected_lines);
-    ("seq.duplicates", ist.seq_duplicates);
-    ("seq.gaps", ist.seq_gaps);
-    ("seq.stale_epochs", ist.seq_stale);
-    ("integrity.stale_reads", ist.stale_reads_detected);
-    ("integrity.repaired", ist.repaired_lines);
-    ("integrity.repair_bytes", ist.repair_bytes);
-    ("integrity.unrepairable", ist.unrepairable_lines);
-    ("integrity.quarantined", Hashtbl.length ist.quarantine);
-    ("scrub.pages", scrub Scrubber.pages_scrubbed);
-    ("scrub.repairs", scrub Scrubber.repairs);
-    ("scrub.sweeps", scrub Scrubber.sweeps);
-    (* PR 9: partitions, membership, fencing, interruptible recovery —
-       appended so the pre-existing prefix order is untouched. *)
-    ("partition.started", t.partitions_started);
-    ("partition.deferred", t.deferred_deliveries);
-    ("partition.flushed", t.deferred_flushed);
-    ("membership.heartbeats", mem Membership.heartbeats);
-    ("membership.suspicions", mem Membership.suspicions);
-    ("membership.suspicions_cleared", mem Membership.suspicions_cleared);
-    ("membership.declared_dead", mem Membership.declared_dead);
-    ("membership.false_positives", mem Membership.false_positives);
-    ("fencing.epoch", Rack_controller.fencing_epoch t.controller);
-    ("fencing.rejects", fencing_rejects t);
-    ("fencing.post_fence_writes", post_fence_writes t);
-    ("recovery.steps", Recovery.steps t.recovery);
-    ("recovery.tasks_completed", Recovery.completed t.recovery);
-    ("recovery.tasks_cancelled", Recovery.cancelled t.recovery);
+    alias "l1.accesses" "cache.accesses{level=l1}";
+    alias "l1.misses" "cache.misses{level=l1}";
+    alias "l2.accesses" "cache.accesses{level=l2}";
+    alias "l2.misses" "cache.misses{level=l2}";
+    alias "llc.accesses" "cache.accesses{level=llc}";
+    alias "llc.misses" "cache.misses{level=llc}";
+    alias "accesses" "runtime.accesses";
+    same "fmem.hits";
+    same "fmem.misses";
+    same "fetch.pages";
+    same "fetch.bytes";
+    alias "mce.raised" "fetch.mce_raised";
+    same "prefetch.issued";
+    same "prefetch.useful";
+    ("fetch.p50_ns", fun t -> fetch_percentile t 50.);
+    ("fetch.p99_ns", fun t -> fetch_percentile t 99.);
+    same "tracker.lines";
+    same "tracker.orphans";
+    same "evict.pages";
+    same "evict.clean_pages";
+    same "evict.lines";
+    alias "evict.snooped" "evict.snooped_lines";
+    alias "log.lines" "cllog.lines";
+    alias "log.flushes" "cllog.flushes";
+    alias "log.doorbell_batches" "cllog.doorbell_batches";
+    alias "evict.window_stalls" "qp.window_stalls{qp=evict}";
+    alias "rdma.fetch_wire_bytes" "qp.wire_bytes{qp=fetch}";
+    alias "directory.fills" "hierarchy.memory_accesses";
+    alias "directory.writebacks" "hierarchy.writebacks";
+    alias "directory.snoops" "evict.snooped_lines";
+    alias "slabs" "rm.slabs";
+    alias "controller.round_trips" "rm.controller_round_trips";
+    same "faults.injected";
+    ("faults.node_crashes", fun t -> t.node_crashes);
+    alias "failover.count" "replication.failovers";
+    alias "log.lost_writes" "cllog.lost_writes";
+    alias "faults.partitions" "partition.started";
+    same "membership.false_positives";
+    same "fencing.rejects";
   ]
+
+let stats t = List.map (fun (name, get) -> (name, get t)) stats_view
+
+let integrity_names =
+  [
+    "integrity.flips_armed";
+    "integrity.flips_found";
+    "integrity.healed_overwrite";
+    "integrity.torn_events";
+    "integrity.crc_rejects";
+    "seq.duplicates";
+    "seq.gaps";
+    "seq.stale_epochs";
+    "integrity.stale_reads";
+    "integrity.repaired";
+    "integrity.repair_bytes";
+    "integrity.unrepairable";
+    "integrity.quarantined";
+    "scrub.pages";
+    "scrub.repairs";
+    "scrub.sweeps";
+    "partition.started";
+    "partition.deferred";
+    "partition.flushed";
+    "membership.heartbeats";
+    "membership.suspicions";
+    "membership.suspicions_cleared";
+    "membership.declared_dead";
+    "membership.false_positives";
+    "fencing.epoch";
+    "fencing.rejects";
+    "fencing.post_fence_writes";
+    "recovery.steps";
+    "recovery.tasks_completed";
+    "recovery.tasks_cancelled";
+  ]
+
+let integrity_counters t =
+  List.map (fun metric -> (metric, count t metric)) integrity_names
 
 let unrepairable_pages t =
   Hashtbl.fold (fun vpage () acc -> vpage :: acc) t.integrity.unrepairable_pages
     []
   |> List.sort compare
-
-let detect_latency t = t.integrity.detect_latency
 
 (* ------------------------------------------------------------------ *)
 (* Rack hooks: tenant-level observation and cross-tenant coherence.    *)
@@ -1329,8 +1338,6 @@ let invalidate_page t ~vpage =
   in
   let (_ : bool) = Eviction_handler.evict t.evictor ~vpage ~dirty in
   Clock.advance t.bg_clock (int_of_float t.config.cost.Cost_model.fmem_ns)
-
-let invalidations_received t = t.invalidations_received
 
 (* Multi-writer coherence: the rack installs the home-side judgment of
    which delivered writeback lines are stale (ownership revoked, newer
@@ -1372,17 +1379,13 @@ let arm_fault t clause =
 
 let controller t = t.controller
 let node_crashes t = t.node_crashes
-let failover_latency t = t.failover_latency
-let recovery_latency t = t.recovery_latency
 
 (* Membership / partition / recovery surface (PR 9). *)
 let membership t = t.membership
 let partition_active t ~id = partitioned t ~id ~at:(elapsed_ns t)
-let partitions_started t = t.partitions_started
 let deferred_pending t = List.length t.deferred
 let recovery_pending t = Recovery.pending t.recovery
 let recovery_idle t = Recovery.idle t.recovery
-let recovery_counters t = Recovery.counters t.recovery
 let step_recovery t = Recovery.step t.recovery ~now:(elapsed_ns t)
 let set_on_fence t f = t.on_fence := f
 let adopt_fencing_epoch t ~epoch = Cl_log.advance_epoch t.log ~to_:epoch
@@ -1392,13 +1395,6 @@ let track_node t ~id =
   | Some m -> Membership.track m ~id ~now:(elapsed_ns t)
   | None -> ()
 
-let false_positives t =
-  match t.membership with Some m -> Membership.false_positives m | None -> 0
-
-let declared_dead t =
-  match t.membership with Some m -> Membership.declared_dead m | None -> 0
-let hub t = t.hub
+let registry t = t.registry
 let resource_manager t = t.rm
-let fmem t = t.fmem
-let hierarchy t = t.hierarchy
 let cl_log t = t.log

@@ -119,13 +119,15 @@ val create :
     the eviction data path.  Pass a shared [nic] to model multiple runtime
     threads contending for one adapter.
 
-    [hub] attaches telemetry: the runtime installs its virtual clocks on the
-    hub's tracer, hands the tracer to the fetch/eviction/log components, and
-    registers the full metric namespace ([fetch.*], [fmem.*], [cllog.*],
-    [qp.*{qp=...}], [cache.*{level=...}], [nic.*], ...) in the hub's
-    registry.  Use one hub per runtime instance — registering two runtimes
-    in one registry raises on the duplicate names (the rack passes each
-    tenant a {!Kona_telemetry.Hub.scoped} view instead).
+    Every runtime registers its full metric namespace ([fetch.*],
+    [fmem.*], [cllog.*], [qp.*{qp=...}], [cache.*{level=...}], [nic.*],
+    ...) in its {!registry}: the attached [hub]'s registry, or a private
+    one without a hub.  [hub] also installs the runtime's virtual clocks
+    on the hub's tracer and hands the tracer to the fetch/eviction/log
+    components.  Attaching a hub changes no count and no clock.  Use one
+    hub per runtime instance — registering two runtimes in one registry
+    raises on the duplicate names (the rack passes each tenant a
+    {!Kona_telemetry.Hub.scoped} view instead).
 
     [arbitrate] is installed on every queue pair this runtime creates (see
     {!Kona_rdma.Qp.create}): the rack's per-memory-node ingress schedulers
@@ -154,9 +156,29 @@ val bg_ns : t -> int
 val elapsed_ns : t -> int
 (** max(app, bg): the run's wall-clock analogue. *)
 
+val registry : t -> Kona_telemetry.Registry.t
+(** The runtime's metrics: every count it keeps, registered once. *)
+
+val count : t -> string -> int
+(** [count t name] reads the counter or gauge registered as [name] (full
+    name, e.g. ["qp.wire_bytes{qp=fetch}"]) in {!registry}.
+    [replication.*] reads 0 on a runtime without replicas.
+    @raise Invalid_argument for any other name the registry does not
+    hold as a count: a misspelt name never reads as 0. *)
+
+val histogram : t -> string -> Kona_util.Histogram.t
+(** [histogram t name] is a copy of the histogram registered as [name]
+    ([fetch.latency_ns], [failover.latency_ns], [recovery.latency_ns],
+    [integrity.detect_latency_ns], ...).
+    @raise Invalid_argument when {!registry} holds no histogram [name]. *)
+
 val stats : t -> (string * int) list
-(** Flat counter dump across all components (fetches, FMem hit/miss,
-    tracked lines, evicted pages/lines, log flushes, RDMA bytes, ...). *)
+(** A fixed view over {!registry}: cache levels, fetches, FMem hit/miss,
+    tracked lines, evictions, log flushes, RDMA bytes, faults.  Each entry
+    reads one registered metric, some under an older spelling
+    ([log.lines] is [cllog.lines]); [fetch.p50_ns]/[fetch.p99_ns] are
+    percentiles of [fetch.latency_ns].  Names and order are a contract:
+    perf's [sim_digest] hashes [stats @ integrity_counters]. *)
 
 (** {2 Failure recovery (§4.5)}
 
@@ -212,9 +234,6 @@ val membership : t -> Kona_membership.Membership.t option
 val partition_active : t -> id:int -> bool
 (** Is physical node [id] currently inside a partition window? *)
 
-val partitions_started : t -> int
-(** Partition windows opened so far. *)
-
 val deferred_pending : t -> int
 (** Deliveries captured by the partition gate and not yet replayed. *)
 
@@ -222,8 +241,6 @@ val recovery_pending : t -> string list
 (** Names of queued recovery tasks, in-flight head first. *)
 
 val recovery_idle : t -> bool
-
-val recovery_counters : t -> (string * int) list
 
 val step_recovery :
   t -> [ `Idle | `Stepped of string | `Finished of string ]
@@ -244,24 +261,6 @@ val track_node : t -> id:int -> unit
 (** Start leasing physical node [id] (no-op without membership) — rack
     node-add ops register fresh nodes here. *)
 
-val false_positives : t -> int
-(** Nodes declared dead that later proved alive (0 without membership). *)
-
-val declared_dead : t -> int
-
-val fencing_rejects : t -> int
-(** Stale shipments rejected by fenced stores, summed rack-wide. *)
-
-val post_fence_writes : t -> int
-(** Lines applied to fenced stores (the no-post-fence-write invariant
-    requires 0), summed rack-wide. *)
-
-val failover_latency : t -> Kona_util.Histogram.t
-(** App-clock latency of each failover control-plane exchange. *)
-
-val recovery_latency : t -> Kona_util.Histogram.t
-(** Latency of each re-replication copy and each {!recover_heap} call. *)
-
 (** {2 End-to-end data integrity (PR 4)}
 
     Every FMem page carries per-cache-line CRC32C checksums at the memory
@@ -279,19 +278,17 @@ val recovery_latency : t -> Kona_util.Histogram.t
     re-arms it. *)
 
 val integrity_counters : t -> (string * int) list
-(** Canonical ordered dump of every [integrity.*], [seq.*] and [scrub.*]
-    counter.  Two runs of the same (plan, seed) must produce identical
-    lists — the soak harness's reproducibility check compares these
-    bit-for-bit. *)
+(** A fixed view over {!registry}: every [integrity.*], [seq.*] and
+    [scrub.*] count, then the partition, membership, fencing and recovery
+    counts, each under its registered name.  Names and order are a
+    contract: two runs of the same (plan, seed) must produce identical
+    lists — the soak harness's reproducibility check and [fuzz --replay]
+    compare these bit-for-bit. *)
 
 val unrepairable_pages : t -> int list
 (** Virtual pages declared unrepairable (sorted, deduplicated): a corrupt
     line was found there and no live copy had a clean version.  Byte-level
     divergence oracles must exclude these pages. *)
-
-val detect_latency : t -> Kona_util.Histogram.t
-(** Virtual-time lag between a bit-flip landing and its detection
-    ([integrity.detect_latency_ns]). *)
 
 (** {2 Rack hooks (multi-tenant simulation)} *)
 
@@ -310,8 +307,6 @@ val invalidate_page : t -> vpage:int -> unit
     this tenant's local copy — CPU-cached lines are snooped and any dirty
     lines written back — so the next access re-fetches.  Counted in
     [coherence.invalidations]. *)
-
-val invalidations_received : t -> int
 
 val set_writeback_filter : t -> (node:int -> addr:int -> data:string -> bool) -> unit
 (** Install the home-side stale-writeback judgment on this tenant's CL
@@ -376,10 +371,5 @@ val controller : t -> Rack_controller.t
 (** The rack controller passed at [create] (failover retargets logical
     node ids inside it). *)
 
-val hub : t -> Kona_telemetry.Hub.t option
-(** The telemetry hub passed at [create], if any. *)
-
 val resource_manager : t -> Resource_manager.t
-val fmem : t -> Kona_coherence.Fmem.t
-val hierarchy : t -> Kona_cachesim.Hierarchy.t
 val cl_log : t -> Cl_log.t

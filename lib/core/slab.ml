@@ -7,5 +7,3 @@ let remote_of_vaddr t ~vaddr =
     invalid_arg (Printf.sprintf "Slab.remote_of_vaddr: %#x outside slab %d" vaddr t.id);
   t.remote_addr + (vaddr - t.vaddr)
 
-let pp fmt t =
-  Format.fprintf fmt "slab%d@@node%d[%#x..%#x)" t.id t.node t.vaddr (t.vaddr + t.size)

@@ -16,5 +16,3 @@ val contains : t -> addr:int -> bool
 val remote_of_vaddr : t -> vaddr:int -> int
 (** Translate an application address inside this slab to the node-local
     offset.  Raises [Invalid_argument] if outside the slab. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,6 @@ type delivery_fault = {
 }
 
 type t = {
-  plan_ : Fault_spec.t;
   qp_rng : Rng.t;
   rpc_rng : Rng.t;
   dlv_rng : Rng.t;
@@ -76,7 +75,6 @@ let create ~seed ~plan =
       | Fault_spec.Dup_deliver { p } -> p_dup := combine !p_dup p)
     plan;
   {
-    plan_ = plan;
     qp_rng;
     rpc_rng;
     dlv_rng;
@@ -103,8 +101,6 @@ let create ~seed ~plan =
     dup_delivers = 0;
     partitions_applied = 0;
   }
-
-let plan t = t.plan_
 
 let arm t clause =
   match clause with

@@ -16,8 +16,6 @@ type t
 
 val create : seed:int -> plan:Fault_spec.t -> t
 
-val plan : t -> Fault_spec.t
-
 val arm : t -> Fault_spec.clause -> unit
 (** Arm one more clause mid-run.  Probabilistic kinds combine with any
     already-armed probability as independent events (same rule as
@@ -55,9 +53,6 @@ val delivery_inject : t -> targets:int -> delivery_fault option
     tampered per category per shipment, so a clean replica always
     exists for repair when replicas are configured.  No draws happen
     when no corruption clause is armed. *)
-
-val corruption_armed : t -> bool
-(** True when the plan contains bit-flip, torn-write or dup-deliver. *)
 
 val read_inject : t -> unit -> bool
 (** Per-verified-demand-fetch decision: [true] means this fetch

@@ -13,7 +13,6 @@ type t = {
   mutable cursor : int; (* next index into [worklist] *)
   mutable pages_scrubbed : int;
   mutable repairs : int;
-  mutable unrepairable : int;
   mutable sweeps : int;
 }
 
@@ -28,7 +27,6 @@ let create ~interval_ns ~scan ~check =
     cursor = 0;
     pages_scrubbed = 0;
     repairs = 0;
-    unrepairable = 0;
     sweeps = 0;
   }
 
@@ -44,9 +42,8 @@ let check_one t =
   t.cursor <- t.cursor + 1;
   t.pages_scrubbed <- t.pages_scrubbed + 1;
   match t.check ~page with
-  | Clean -> ()
+  | Clean | Unrepairable _ -> ()
   | Repaired n -> t.repairs <- t.repairs + n
-  | Unrepairable n -> t.unrepairable <- t.unrepairable + n
 
 let tick t ~now =
   if (not (sweep_in_flight t)) && now >= t.next_due then begin
@@ -71,5 +68,4 @@ let force_sweep t =
 
 let pages_scrubbed t = t.pages_scrubbed
 let repairs t = t.repairs
-let unrepairable t = t.unrepairable
 let sweeps t = t.sweeps

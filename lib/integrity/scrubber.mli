@@ -35,5 +35,4 @@ val force_sweep : t -> unit
 
 val pages_scrubbed : t -> int
 val repairs : t -> int
-val unrepairable : t -> int
 val sweeps : t -> int

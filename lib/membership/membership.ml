@@ -15,11 +15,6 @@ open Kona_util
 
 type state = Alive | Suspected | Dead
 
-let state_to_string = function
-  | Alive -> "alive"
-  | Suspected -> "suspected"
-  | Dead -> "dead"
-
 type entry = {
   id : int;
   mutable st : state;

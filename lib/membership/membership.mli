@@ -20,8 +20,6 @@ type t
 
 type state = Alive | Suspected | Dead
 
-val state_to_string : state -> string
-
 val create :
   heartbeat_ns:int ->
   lease_ns:int ->

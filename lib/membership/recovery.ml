@@ -66,11 +66,3 @@ let enqueued t = t.enqueued
 let completed t = t.completed
 let cancelled t = t.cancelled
 let steps t = t.steps
-
-let counters t =
-  [
-    ("enqueued", t.enqueued);
-    ("completed", t.completed);
-    ("cancelled", t.cancelled);
-    ("steps", t.steps);
-  ]

@@ -33,6 +33,3 @@ val enqueued : t -> int
 val completed : t -> int
 val cancelled : t -> int
 val steps : t -> int
-
-val counters : t -> (string * int) list
-(** Stable-order counter list for fingerprints and metrics. *)

@@ -10,8 +10,6 @@ let create ~epoch_ns =
   if epoch_ns <= 0 then invalid_arg "Heat.create: non-positive epoch";
   { epoch_ns; cells = Hashtbl.create 256; touches = 0 }
 
-let epoch_ns t = t.epoch_ns
-
 (* Lazy decay: halve once per epoch elapsed since the cell was last
    brought current.  A shift by >= 63 would be undefined; past that the
    counter is simply gone. *)

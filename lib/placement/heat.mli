@@ -22,8 +22,6 @@ type t
 val create : epoch_ns:int -> t
 (** Raises [Invalid_argument] on a non-positive epoch. *)
 
-val epoch_ns : t -> int
-
 val touch : t -> vpage:int -> weight:int -> now:int -> unit
 (** Fold one access event of [weight] into [vpage]'s counter at virtual
     time [now] (decaying it first). *)

@@ -76,4 +76,3 @@ let bytes_moved t = t.bytes_moved
 let failed t = t.failed
 let charged_ns t = t.charged_ns
 let epochs t = t.epochs
-let policy t = t.policy

@@ -65,5 +65,3 @@ val charged_ns : t -> int
 
 val epochs : t -> int
 (** Epoch boundaries at which the migrator actually ran. *)
-
-val policy : t -> Placement_policy.t

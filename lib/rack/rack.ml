@@ -1077,7 +1077,7 @@ let tenant_result e i =
     t_achieved_gbps =
       (if contended_ns = 0 then 0.0
        else 8.0 *. float_of_int contended_bytes /. float_of_int contended_ns);
-    t_invalidations = Runtime.invalidations_received rt;
+    t_invalidations = Runtime.count rt "coherence.invalidations";
     t_mismatches = check.Resource_manager.mismatches;
     t_lost_pages = check.Resource_manager.lost;
     t_degraded = Runtime.degraded rt;

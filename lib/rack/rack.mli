@@ -195,9 +195,6 @@ val finish : engine -> result
 (** Drain every runtime, fire remaining scheduled ops, run the
     divergence oracles and freeze the result.  Idempotent. *)
 
-val now_ns : engine -> int
-(** The rack's virtual time: max over the tenants' clocks. *)
-
 (** {3 Op adapters} *)
 
 val apply_op : engine -> Rack_ops.op -> unit

@@ -30,8 +30,6 @@ let occupy t ~start ~duration =
   t.stall_ns <- t.stall_ns + (actual - start);
   actual
 
-let free_at t = t.busy_until
-
 let outage_total t = List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 t.outages
 
 let ops t = t.ops

@@ -13,8 +13,6 @@ val occupy : t -> start:int -> duration:int -> int
     earlier occupancy and outside any injected outage) and records the port
     busy until start + duration. *)
 
-val free_at : t -> int
-
 (** {2 Failure injection (§4.5, failure mode 2)}
 
     An outage stalls all traffic for its duration: transfers that would

@@ -262,11 +262,9 @@ let posts t = t.posts
 let verbs t = t.verbs
 let signaled t = t.signaled
 let completed t = t.completed
-let outstanding t = t.signaled - t.completed
 let window_stalls t = t.window_stalls
 let window_stall_ns t = t.window_stall_ns
 let outstanding_peak t = t.outstanding_peak
-let sq_depth t = t.sq_depth
 let retransmits t = t.retransmits
 let fault_delay_ns t = t.fault_delay_ns
 let arb_delay_ns t = t.arb_delay_ns

@@ -129,9 +129,6 @@ val completed : t -> int
 (** CQEs drained by [poll] or [wait_idle]; [signaled - completed -
     outstanding = 0] always holds. *)
 
-val outstanding : t -> int
-(** Signaled WQEs whose CQE has not been reaped yet. *)
-
 val window_stalls : t -> int
 (** Posts that blocked on a full send-queue window. *)
 
@@ -140,9 +137,6 @@ val window_stall_ns : t -> int
 
 val outstanding_peak : t -> int
 (** Peak send-queue occupancy (WQEs in flight at once). *)
-
-val sq_depth : t -> int option
-(** The configured window, if any. *)
 
 val retransmits : t -> int
 (** Transmission attempts lost to injected faults and resent. *)

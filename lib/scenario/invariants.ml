@@ -173,7 +173,7 @@ let integrity_accounting ctx =
            and a membership failover re-copies pages wholesale — both
            heal or reject corruption outside the detection ledger *)
         && find "partitions" injected = 0
-        && Runtime.declared_dead rt = 0
+        && Runtime.count rt "membership.declared_dead" = 0
       in
       if not exact then []
       else begin
@@ -226,7 +226,8 @@ let at_most_one_primary ctx =
 (* Fences are absolute: a fenced store never absorbs another line, not
    even from a delivery stamped at the current epoch. *)
 let no_post_fence_write ctx =
-  let n = Runtime.post_fence_writes (Rack.runtime ctx.engine ~tenant:0) in
+  let rt = Rack.runtime ctx.engine ~tenant:0 in
+  let n = Runtime.count rt "fencing.post_fence_writes" in
   if n > 0 then
     [ Printf.sprintf "%d line(s) were applied to fenced stores" n ]
   else []

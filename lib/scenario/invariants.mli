@@ -24,14 +24,12 @@ type t = {
   check : ctx -> string list;  (** one string per violation, empty = holds *)
 }
 
-val registry : t list
-(** node-accounting, quota-conservation, placement-coherence,
-    at-most-one-primary, no-post-fence-write and single-owner-per-line
-    at every boundary; shadow-heap, integrity-accounting,
-    recovery-convergence, wfq-bounds and readers-observe-last-write at
-    the end of the episode. *)
-
 val names : string list
+(** Every registered invariant: node-accounting, quota-conservation,
+    placement-coherence, at-most-one-primary, no-post-fence-write and
+    single-owner-per-line at every boundary; shadow-heap,
+    integrity-accounting, recovery-convergence, wfq-bounds and
+    readers-observe-last-write at the end of the episode. *)
 
 val check : scope -> ctx -> violation list
 (** Evaluate every registered invariant of [scope] against [ctx]. *)

@@ -13,9 +13,6 @@ type result = {
   attempts : int;  (** oracle evaluations spent *)
 }
 
-val shrink_op : Spec.op -> Spec.op list
-(** Numeric-field shrink candidates for one op (empty if none). *)
-
 val run :
   ?max_attempts:int ->
   oracle:(Spec.t -> string option) ->

@@ -235,5 +235,4 @@ let member key = function
   | _ -> None
 
 let to_list_opt = function List items -> Some items | _ -> None
-let to_int_opt = function Int i -> Some i | Float f -> Some (int_of_float f) | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None

@@ -23,5 +23,4 @@ val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] otherwise. *)
 
 val to_list_opt : t -> t list option
-val to_int_opt : t -> int option
 val to_string_opt : t -> string option

@@ -88,28 +88,24 @@ let summary t ?(labels = []) name =
   register t name labels (S_summary s);
   s
 
-let mem t ?(labels = []) name =
-  Hashtbl.mem t.tbl (t.prefix ^ full_name name labels)
-
 let in_scope t name = t.prefix = "" || String.starts_with ~prefix:t.prefix name
 
 let size t =
   Hashtbl.fold (fun name _ n -> if in_scope t name then n + 1 else n) t.tbl 0
 
+let value = function
+  | S_counter c -> Snapshot.Counter (Counter.value c)
+  | S_counter_fn f -> Snapshot.Counter (f ())
+  | S_gauge g -> Snapshot.Gauge (Gauge.value g)
+  | S_gauge_fn f -> Snapshot.Gauge (f ())
+  | S_hist h -> Snapshot.Hist (Histogram.copy h)
+  | S_summary s -> Snapshot.Summary (Stats.copy s)
+
+let read t name = Option.map value (Hashtbl.find_opt t.tbl (t.prefix ^ name))
+
 let snapshot t : Snapshot.t =
   Hashtbl.fold
     (fun name source acc ->
-      if not (in_scope t name) then acc
-      else
-        let value =
-          match source with
-          | S_counter c -> Snapshot.Counter (Counter.value c)
-          | S_counter_fn f -> Snapshot.Counter (f ())
-          | S_gauge g -> Snapshot.Gauge (Gauge.value g)
-          | S_gauge_fn f -> Snapshot.Gauge (f ())
-          | S_hist h -> Snapshot.Hist (Histogram.copy h)
-          | S_summary s -> Snapshot.Summary (Stats.copy s)
-        in
-        (name, value) :: acc)
+      if in_scope t name then (name, value source) :: acc else acc)
     t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

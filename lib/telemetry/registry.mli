@@ -10,7 +10,8 @@
     - {e push}: [counter]/[gauge]/[histogram]/[summary] return live handles
       the hot path mutates directly (a counter bump is one store);
     - {e pull}: [counter_fn]/[gauge_fn] register a closure read only at
-      [snapshot] time, for components that already keep their own tallies.
+      [snapshot]/[read] time, for components that already keep their own
+      tallies.
 
     Not thread-safe; the simulator is single-threaded by design. *)
 
@@ -36,7 +37,7 @@ val create : unit -> t
 
 val scoped : t -> prefix:string -> t
 (** A view onto the same table that prepends [prefix] to every name it
-    registers and restricts [mem]/[size]/[snapshot] to names under that
+    registers or reads and restricts [size]/[snapshot] to names under that
     prefix.  Used for per-tenant scoping ([tenant.0.] etc.): components
     keep registering their usual names, the rack hands them a scoped view.
     Prefixes compose ([scoped (scoped r "a.") "b."] registers under
@@ -58,8 +59,13 @@ val histogram_ref :
 
 val summary : t -> ?labels:(string * string) list -> string -> Kona_util.Stats.t
 
-val mem : t -> ?labels:(string * string) list -> string -> bool
 val size : t -> int
+
+val read : t -> string -> Snapshot.value option
+(** [read t name] is what {!snapshot} would report for the one metric
+    whose full name is [name] under [t]'s scope — labels rendered as in
+    snapshots, e.g. ["cache.misses{level=l1}"] — evaluating no other
+    metric.  [None] when [t] holds no such metric. *)
 
 val snapshot : t -> Snapshot.t
 (** Immutable view: pull closures are evaluated, histograms and summaries

@@ -56,7 +56,6 @@ let events t =
   List.rev !out
 
 let length t = Ring_buffer.length t.ring
-let capacity t = Ring_buffer.capacity t.ring
 let offered t = t.offered
 let accepted t = t.accepted
 let overwritten t = t.overwritten

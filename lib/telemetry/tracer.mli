@@ -34,7 +34,6 @@ val events : t -> event list
 (** Oldest to newest. *)
 
 val length : t -> int
-val capacity : t -> int
 
 val offered : t -> int
 (** Events presented, before sampling. *)
@@ -44,8 +43,6 @@ val accepted : t -> int
 
 val overwritten : t -> int
 (** Accepted events later displaced by newer ones. *)
-
-val event_to_json : event -> Json.t
 
 val write_jsonl : path:string -> t -> int
 (** One JSON object per line, oldest first; returns the number written. *)

@@ -37,11 +37,6 @@ let split_at_lines t =
   in
   loop [] t.addr t.len
 
-let pp fmt t =
-  Format.fprintf fmt "%s[%#x,+%d]"
-    (match t.kind with Read -> "R" | Write -> "W")
-    t.addr t.len
-
 module Tap = struct
   let tee sinks event = List.iter (fun sink -> sink event) sinks
   let filter pred sink event = if pred event then sink event

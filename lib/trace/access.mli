@@ -33,8 +33,6 @@ val split_at_lines : t -> t list
 (** Split into per-cache-line sub-accesses (used when feeding line-grain
     consumers such as the cache simulator). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Sink combinators. *)
 module Tap : sig
   val tee : sink list -> sink

@@ -10,8 +10,6 @@ let create n =
   assert (n >= 0);
   { words = Array.make ((n + bits_per_word - 1) / bits_per_word) 0; length = n }
 
-let length t = t.length
-
 let check t i =
   if i < 0 || i >= t.length then
     invalid_arg (Printf.sprintf "Bitmap: index %d out of bounds [0,%d)" i t.length)
@@ -56,11 +54,6 @@ let iter_set t f =
     done
   done
 
-let fold_set t ~init ~f =
-  let acc = ref init in
-  iter_set t (fun i -> acc := f !acc i);
-  !acc
-
 let segments t =
   let segs = ref [] in
   let start = ref (-1) in
@@ -82,15 +75,3 @@ let union_into ~dst ~src =
   done
 
 let copy t = { words = Array.copy t.words; length = t.length }
-let equal a b = a.length = b.length && a.words = b.words
-
-let pp fmt t =
-  Format.fprintf fmt "{";
-  let first = ref true in
-  List.iter
-    (fun (s, l) ->
-      if not !first then Format.fprintf fmt ",";
-      first := false;
-      if l = 1 then Format.fprintf fmt "%d" s else Format.fprintf fmt "%d-%d" s (s + l - 1))
-    (segments t);
-  Format.fprintf fmt "}"

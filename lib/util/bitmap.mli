@@ -9,7 +9,6 @@ type t
 val create : int -> t
 (** [create n] is an all-zeros bitmap of capacity [n] bits. *)
 
-val length : t -> int
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val get : t -> int -> bool
@@ -26,8 +25,6 @@ val count : t -> int
 val iter_set : t -> (int -> unit) -> unit
 (** Iterate set-bit indices in increasing order. *)
 
-val fold_set : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 val segments : t -> (int * int) list
 (** Maximal runs of consecutive set bits as [(start, length)] pairs in
     increasing order of [start]. *)
@@ -37,5 +34,3 @@ val union_into : dst:t -> src:t -> unit
     match. *)
 
 val copy : t -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

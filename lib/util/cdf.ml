@@ -51,9 +51,3 @@ let series t ~max_value =
       loop (v + 1) ((v, p) :: acc) below remaining
   in
   loop 0 [] 0 t.n
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.2f" t.n (mean t);
-  if t.n > 0 then
-    Format.fprintf fmt " p50=%d p90=%d p99=%d" (quantile t 0.5) (quantile t 0.9)
-      (quantile t 0.99)

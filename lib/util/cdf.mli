@@ -24,5 +24,3 @@ val mean : t -> float
 
 val series : t -> max_value:int -> (int * float) list
 (** [(v, P(X <= v))] for v = 0 .. max_value — the plottable CDF curve. *)
-
-val pp : Format.formatter -> t -> unit

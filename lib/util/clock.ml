@@ -9,4 +9,3 @@ let advance t ns =
 
 let advance_to t ns = if ns > t.now then t.now <- ns
 let reset t = t.now <- 0
-let pp fmt t = Units.pp_ns fmt t.now

@@ -18,5 +18,3 @@ val advance_to : t -> int -> unit
 (** [advance_to t ns] sets the clock to [max (now t) ns]. *)
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

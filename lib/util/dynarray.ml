@@ -21,15 +21,6 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let fold_left f acc t =
   let acc = ref acc in
   for i = 0 to t.len - 1 do
@@ -38,7 +29,3 @@ let fold_left f acc t =
   !acc
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
-
-let find_index p t =
-  let rec loop i = if i >= t.len then None else if p t.data.(i) then Some i else loop (i + 1) in
-  loop 0

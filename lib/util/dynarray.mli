@@ -16,10 +16,5 @@ val add_last : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** Raises [Invalid_argument] out of bounds. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val find_index : ('a -> bool) -> 'a t -> int option

@@ -10,7 +10,6 @@ let create ~capacity =
 
 let capacity t = Array.length t.slots
 let length t = t.len
-let is_empty t = t.len = 0
 let is_full t = t.len = capacity t
 
 let push t x =

@@ -9,10 +9,7 @@ type 'a t
 val create : capacity:int -> 'a t
 (** [capacity] must be positive. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** [push t x] enqueues [x]; returns [false] (and does nothing) if full. *)

@@ -24,9 +24,6 @@ let unmap t ~page =
 
 let lookup t ~page = Hashtbl.find_opt t page
 
-let is_present t ~page =
-  match Hashtbl.find_opt t page with Some pte -> pte.present | None -> false
-
 let write_protect t ~page =
   match Hashtbl.find_opt t page with
   | Some pte -> pte.protection <- Read_only

@@ -27,8 +27,6 @@ val unmap : t -> page:int -> unit
 val lookup : t -> page:int -> pte option
 (** The entry, present or not; [None] if never mapped. *)
 
-val is_present : t -> page:int -> bool
-
 val write_protect : t -> page:int -> unit
 (** Downgrade to read-only (no-op if unmapped).  The caller is responsible
     for the corresponding TLB invalidation. *)

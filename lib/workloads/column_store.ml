@@ -23,7 +23,6 @@ type t = {
   history : int; (* payment history append column *)
   mutable orders : int;
   mutable history_rows : int;
-  initial_stock_total : int;
 }
 
 let initial_quantity = 100
@@ -47,7 +46,6 @@ let create heap ~warehouses ~items ~customers ~max_orders =
       history = col max_orders 8;
       orders = 0;
       history_rows = 0;
-      initial_stock_total = warehouses * items * initial_quantity;
     }
   in
   for i = 0 to (warehouses * items) - 1 do
@@ -155,11 +153,3 @@ let run_mix t ~rng ~transactions =
 
 let order_count t = t.orders
 
-let stock_total t =
-  let total = ref 0 in
-  for i = 0 to (t.warehouses * t.items) - 1 do
-    total := !total + Heap.peek_u64 t.heap (t.stock + (stock_row * i))
-  done;
-  !total
-
-let initial_stock_total t = t.initial_stock_total

@@ -21,8 +21,3 @@ val run_mix : t -> rng:Kona_util.Rng.t -> transactions:int -> txn_stats
     memory but appending nothing. *)
 
 val order_count : t -> int
-val stock_total : t -> int
-(** Uninstrumented sum over the stock column; with the initial quantity
-    known, tests can verify conservation of decremented stock. *)
-
-val initial_stock_total : t -> int

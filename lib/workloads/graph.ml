@@ -63,8 +63,6 @@ let iter_neighbors t v f =
     f (Heap.read_u64 t.heap (t.adjacency + (8 * i)))
   done
 
-let alloc_vertex_array t = Heap.alloc t.heap (8 * t.vertices)
-
 let alloc_vertex_records t ~stride =
   assert (stride > 0 && stride mod Units.cache_line = 0);
   Heap.alloc t.heap ~align:Units.cache_line (stride * t.vertices)

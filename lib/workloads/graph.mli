@@ -24,10 +24,6 @@ val degree : t -> int -> int
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Reads offsets then scans the edge slice (instrumented). *)
 
-val alloc_vertex_array : t -> int
-(** Allocate an 8-bytes-per-vertex array in the same arena; returns its
-    address. *)
-
 val alloc_vertex_records : t -> stride:int -> int
 (** Allocate one [stride]-byte, cache-line-aligned record per vertex.
     GraphLab-class frameworks keep a substantial per-vertex structure

@@ -23,7 +23,6 @@ let create ?(capacity = Units.mib 64) ~sink () =
 
 let capacity t = Bytes.length t.mem
 let used t = t.brk - t.base
-let base t = t.base
 let set_sink t sink = t.sink <- sink
 
 let check t addr len =

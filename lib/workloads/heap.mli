@@ -18,9 +18,6 @@ val capacity : t -> int
 val used : t -> int
 (** High-water mark of allocated bytes (brk - base). *)
 
-val base : t -> int
-(** First valid address. *)
-
 val set_sink : t -> Kona_trace.Access.sink -> unit
 (** Swap the consumer; used to splice analyses in and out around phases. *)
 

@@ -31,16 +31,14 @@ type spec = {
 val all : spec list
 (** In Table 2 row order. *)
 
-val extensions : spec list
-(** Workloads beyond the paper's set (e.g. Redis-Zipf, a skewed-key driver
-    between the paper's Rand/Seq extremes).  Runnable through every tool
-    but excluded from Table 2 reproduction. *)
-
 val find : string -> spec
-(** Searches [all] then [extensions]; raises [Not_found] on unknown names.
-    Besides the exact Table 2 labels, accepts lowercase dashed slugs
-    ([page-rank], [linear-regression]) and the aliases [kv-uniform] /
-    [kv-seq] / [kv-zipf] for Redis-Rand / Redis-Seq / Redis-Zipf. *)
+(** Searches [all], then the workloads beyond the paper's set (Redis-Zipf,
+    a skewed-key driver between the paper's Rand/Seq extremes: runnable
+    through every tool but excluded from Table 2 reproduction); raises
+    [Not_found] on unknown names.  Besides the exact Table 2 labels,
+    accepts lowercase dashed slugs ([page-rank], [linear-regression]) and
+    the aliases [kv-uniform] / [kv-seq] / [kv-zipf] for Redis-Rand /
+    Redis-Seq / Redis-Zipf. *)
 
 val redis_rand : spec
 val redis_seq : spec

@@ -802,6 +802,103 @@ let test_runtime_fetch_latency_stats () =
   check_bool "p99 >= p50" true (p99 >= p50)
 
 (* ------------------------------------------------------------------ *)
+(* Counter surface: every runtime keeps its counts in one registry, with
+   or without a hub, and [stats]/[integrity_counters] are views over it. *)
+
+(* Every optional component on: replicas, verified fetches, leases,
+   scrubbing, prefetch and a crash plus bit-flip plan. *)
+let full_config =
+  {
+    Runtime.default_config with
+    fmem_pages = 64;
+    replicas = 1;
+    prefetch = true;
+    verify_checksums = true;
+    scrub_interval_ns = Some 500_000;
+    heartbeat_ns = Some 10_000;
+    lease_ns = 50_000;
+    faults =
+      Kona_faults.Fault_spec.parse_exn "node-crash@300us:id=0;bit-flip:p=0.2";
+    fault_seed = 5;
+  }
+
+let run_kv_uniform ?hub config =
+  let spec = Workloads.find "kv-uniform" in
+  let rt, heap =
+    System.kona ~config ?hub
+      ~heap_capacity:(spec.Workloads.heap_capacity Workloads.Smoke)
+      ()
+  in
+  spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
+  Runtime.drain rt;
+  rt
+
+let test_hub_never_changes_stats () =
+  let view rt =
+    (Runtime.stats rt, Runtime.integrity_counters rt, Runtime.elapsed_ns rt)
+  in
+  let bare = run_kv_uniform full_config in
+  let hub = Kona_telemetry.Hub.create () in
+  let traced = run_kv_uniform ~hub full_config in
+  check_bool "same stats, integrity counters and clock" true
+    (view bare = view traced);
+  check_bool "the hub's registry is the runtime's" true
+    (Runtime.registry traced == Kona_telemetry.Hub.registry hub);
+  (* The run exercised what it configured. *)
+  List.iter
+    (fun (metric, floor) ->
+      check_bool (metric ^ " moved") true (Runtime.count bare metric >= floor))
+    [
+      ("faults.node_crashes", 1); ("replication.failovers", 1);
+      ("integrity.flips_armed", 1); ("integrity.repaired", 1);
+      ("scrub.sweeps", 1); ("membership.heartbeats", 1);
+      ("prefetch.issued", 1);
+    ]
+
+(* A view entry whose metric is not registered raises rather than
+   reading 0: [stats] and [integrity_counters] evaluate on a runtime
+   with every component and on a bare one, where the one [replication.*]
+   entry reads 0. *)
+let test_views_name_registered_metrics () =
+  let rt, _ = System.kona ~heap_capacity:(Units.mib 1) () in
+  let full = run_kv_uniform full_config in
+  List.iter
+    (fun rt ->
+      check_int "stats entries" 39 (List.length (Runtime.stats rt));
+      check_int "integrity entries" 30
+        (List.length (Runtime.integrity_counters rt)))
+    [ rt; full ];
+  check_int "failover.count without replicas" 0
+    (List.assoc "failover.count" (Runtime.stats rt));
+  check_int "failover.count reads replication.failovers"
+    (Runtime.count full "replication.failovers")
+    (List.assoc "failover.count" (Runtime.stats full));
+  check_int "log.lines reads cllog.lines"
+    (Runtime.count full "cllog.lines")
+    (List.assoc "log.lines" (Runtime.stats full));
+  check_bool "unregistered name raises" true
+    (match Runtime.count rt "log.lines" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_bool "replication.* on a runtime with replicas must exist" true
+    (match Runtime.count full "replication.nothing" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let profile =
+    Kona_baselines.Vm_runtime.kona_vm_profile Cost_model.default
+      Kona_rdma.Cost.default
+  in
+  let vm, heap = System.vm ~profile ~heap_capacity:(Units.mib 1) () in
+  Heap.write_u64 heap (Heap.alloc heap (Units.kib 64)) 1;
+  let stats = Kona_baselines.Vm_runtime.stats vm in
+  check_int "Vm_runtime.stats entries" 10 (List.length stats);
+  check_bool "remote_faults reads vm.remote_faults" true
+    (Kona_telemetry.Registry.read
+       (Kona_baselines.Vm_runtime.registry vm)
+       "vm.remote_faults"
+     = Some (Kona_telemetry.Snapshot.Counter (List.assoc "remote_faults" stats)))
+
+(* ------------------------------------------------------------------ *)
 (* KTracker *)
 
 let test_ktracker_diff () =
@@ -952,4 +1049,11 @@ let () =
         ] );
       ( "cost_model",
         [ Alcotest.test_case "profiles" `Quick test_cost_model_profiles ] );
+      ( "counter-surface",
+        [
+          Alcotest.test_case "attaching a hub never changes stats" `Quick
+            test_hub_never_changes_stats;
+          Alcotest.test_case "views name registered metrics" `Quick
+            test_views_name_registered_metrics;
+        ] );
     ]

@@ -536,7 +536,8 @@ let test_runtime_crash_failover_end_to_end () =
   Runtime.drain runtime;
   check_int "crash handled" 1 (Runtime.node_crashes runtime);
   check_bool "failover latency recorded" true
-    (Kona_util.Histogram.count (Runtime.failover_latency runtime) = 1);
+    (Kona_util.Histogram.count (Runtime.histogram runtime "failover.latency_ns")
+    = 1);
   check_bool "not degraded" true (Runtime.degraded runtime = None);
   check_bool "remote equals heap after failover" true
     (integrity_ok runtime heap);
@@ -565,7 +566,7 @@ let test_runtime_instant_detector () =
   Runtime.crash_node runtime ~id:1;
   check_bool "recovery queue idle on return" true (Runtime.recovery_idle runtime);
   check_int "failover + re-replication completed" 2
-    (List.assoc "completed" (Runtime.recovery_counters runtime));
+    (Runtime.count runtime "recovery.tasks_completed");
   check_int "rack-global fencing epoch" 1
     (Rack_controller.fencing_epoch controller);
   Runtime.drain runtime;

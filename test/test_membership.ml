@@ -244,18 +244,21 @@ let integrity_ok rt heap =
 
 let test_false_positive_fencing_end_to_end () =
   let rt, heap, controller = run_partitioned () in
-  check_int "one partition window" 1 (Runtime.partitions_started rt);
-  check_int "the healthy node was declared dead" 1 (Runtime.declared_dead rt);
-  check_int "and came back: false positive" 1 (Runtime.false_positives rt);
+  check_int "one partition window" 1 (Runtime.count rt "partition.started");
+  check_int "the healthy node was declared dead" 1
+    (Runtime.count rt "membership.declared_dead");
+  check_int "and came back: false positive" 1
+    (Runtime.count rt "membership.false_positives");
   check_bool "failover ran on lease expiry" true
-    (Histogram.count (Runtime.failover_latency rt) = 1);
+    (Histogram.count (Runtime.histogram rt "failover.latency_ns") = 1);
   (* Every stale delivery the returning node attempts is rejected by the
      fence — and nothing else is (attempts = receiver stale verdicts). *)
-  let rejects = Runtime.fencing_rejects rt in
+  let rejects = Runtime.count rt "fencing.rejects" in
   check_bool "fence rejected the returning node's stale writes" true (rejects > 0);
   check_int "rejects = stale-epoch attempts" rejects
     (List.assoc "seq.stale_epochs" (Runtime.integrity_counters rt));
-  check_int "no write landed past the fence" 0 (Runtime.post_fence_writes rt);
+  check_int "no write landed past the fence" 0
+    (Runtime.count rt "fencing.post_fence_writes");
   check_bool "run not degraded" true (Runtime.degraded rt = None);
   check_bool "recovery converged" true (Runtime.recovery_idle rt);
   check_bool "remote memory matches the heap" true (integrity_ok rt heap);
@@ -267,8 +270,9 @@ let test_short_partition_is_tolerated () =
   (* A window shorter than the lease never reaches suspicion expiry:
      no declaration, no failover, no fencing — and no data loss. *)
   let rt, heap, controller = run_partitioned ~dur:"150us" () in
-  check_int "window seen" 1 (Runtime.partitions_started rt);
-  check_int "nobody declared dead" 0 (Runtime.declared_dead rt);
+  check_int "window seen" 1 (Runtime.count rt "partition.started");
+  check_int "nobody declared dead" 0
+    (Runtime.count rt "membership.declared_dead");
   check_int "no fencing epoch minted" 0
     (Rack_controller.fencing_epoch controller);
   check_bool "remote memory matches the heap" true (integrity_ok rt heap)
@@ -333,7 +337,7 @@ let test_crash_promoted_mirror_mid_re_replication () =
     (pump_until (fun () ->
          List.mem "re-replicate:1" (Runtime.recovery_pending rt)));
   check_int "a real failure, not a false positive" 0
-    (Runtime.false_positives rt);
+    (Runtime.count rt "membership.false_positives");
   let promoted = Memory_node.id (Rack_controller.node controller ~id:1) in
   check_bool "a minted mirror took over" true (promoted >= 1_000);
   (* Second fault, mid-recovery: the promoted store crashes while the
@@ -342,7 +346,7 @@ let test_crash_promoted_mirror_mid_re_replication () =
   Runtime.crash_node rt ~id:promoted;
   check_bool "second declaration and promotion" true
     (pump_until (fun () ->
-         Runtime.declared_dead rt = 2
+         Runtime.count rt "membership.declared_dead" = 2
          && Memory_node.id (Rack_controller.node controller ~id:1) <> promoted));
   let promoted2 = Memory_node.id (Rack_controller.node controller ~id:1) in
   check_bool "the surviving mirror was promoted" true (promoted2 >= 1_000);
@@ -354,7 +358,7 @@ let test_crash_promoted_mirror_mid_re_replication () =
   done;
   check_bool "recovery converged" true (Runtime.recovery_idle rt);
   check_int "both failovers stamped" 2
-    (Histogram.count (Runtime.failover_latency rt));
+    (Histogram.count (Runtime.histogram rt "failover.latency_ns"));
   Runtime.drain rt;
   check_bool "run survived both faults" true (Runtime.degraded rt = None);
   check_bool "remote memory matches the heap" true (integrity_ok rt heap);

@@ -75,6 +75,36 @@ let test_registry_pull () =
   Alcotest.(check (option int)) "gauge_fn" (Some 84)
     (Snapshot.counter_value snap "pull.level")
 
+let test_registry_read () =
+  let reg = Registry.create () in
+  let v = ref 3 in
+  Registry.counter_fn reg ~labels:[ ("qp", "fetch") ] "qp.posts" (fun () -> !v);
+  Registry.Gauge.set (Registry.gauge reg "level") 7;
+  let h = Registry.histogram reg "lat_ns" in
+  Histogram.add h 100;
+  v := 5;
+  let read name = Registry.read reg name in
+  check_bool "labelled counter by full name" true
+    (read "qp.posts{qp=fetch}" = Some (Snapshot.Counter 5));
+  check_bool "gauge" true (read "level" = Some (Snapshot.Gauge 7));
+  check_bool "base name of a labelled metric is not a metric" true
+    (read "qp.posts" = None);
+  check_bool "unknown name" true (read "no.such" = None);
+  (match read "lat_ns" with
+  | Some (Snapshot.Hist copy) ->
+      Histogram.add h 200;
+      check_int "histogram read is a copy" 1 (Histogram.count copy)
+  | _ -> Alcotest.fail "expected a histogram");
+  (* A scoped view reads relative to its prefix, like it registers. *)
+  let tenant = Registry.scoped reg ~prefix:"tenant.0." in
+  Registry.counter_fn tenant "hits" (fun () -> 11);
+  check_bool "scoped read" true
+    (Registry.read tenant "hits" = Some (Snapshot.Counter 11));
+  check_bool "full name from the root" true
+    (read "tenant.0.hits" = Some (Snapshot.Counter 11));
+  check_bool "scope hides names outside it" true
+    (Registry.read tenant "level" = None)
+
 (* ------------------------------------------------------------------ *)
 (* Tracer *)
 
@@ -306,6 +336,7 @@ let () =
           Alcotest.test_case "invalid names" `Quick test_registry_invalid_name;
           Alcotest.test_case "label order" `Quick test_registry_labels_sorted;
           Alcotest.test_case "pull closures" `Quick test_registry_pull;
+          Alcotest.test_case "read by full name" `Quick test_registry_read;
         ] );
       ( "tracer",
         [
