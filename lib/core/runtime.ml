@@ -215,9 +215,6 @@ let register_metrics t reg =
     ];
   c "hierarchy.memory_accesses" (fun () -> Hierarchy.memory_accesses t.hierarchy);
   c "hierarchy.writebacks" (fun () -> Hierarchy.writebacks t.hierarchy);
-  c "directory.fills" (fun () -> Hierarchy.memory_accesses t.hierarchy);
-  c "directory.writebacks" (fun () -> Hierarchy.writebacks t.hierarchy);
-  c "directory.snoops" (fun () -> Eviction_handler.snooped_dirty_lines t.evictor);
   c "coherence.invalidations" (fun () -> t.invalidations_received);
   (* Dirty tracking and eviction *)
   g "tracker.lines" (fun () -> Dirty_tracker.lines_tracked t.tracker);
@@ -1260,9 +1257,6 @@ let stats_view =
     alias "log.doorbell_batches" "cllog.doorbell_batches";
     alias "evict.window_stalls" "qp.window_stalls{qp=evict}";
     alias "rdma.fetch_wire_bytes" "qp.wire_bytes{qp=fetch}";
-    alias "directory.fills" "hierarchy.memory_accesses";
-    alias "directory.writebacks" "hierarchy.writebacks";
-    alias "directory.snoops" "evict.snooped_lines";
     alias "slabs" "rm.slabs";
     alias "controller.round_trips" "rm.controller_round_trips";
     same "faults.injected";

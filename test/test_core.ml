@@ -864,7 +864,7 @@ let test_views_name_registered_metrics () =
   let full = run_kv_uniform full_config in
   List.iter
     (fun rt ->
-      check_int "stats entries" 39 (List.length (Runtime.stats rt));
+      check_int "stats entries" 36 (List.length (Runtime.stats rt));
       check_int "integrity entries" 30
         (List.length (Runtime.integrity_counters rt)))
     [ rt; full ];

@@ -33,81 +33,81 @@ let corpus =
   [
     ( "kv-seq, one tenant",
       "setup:tenants=1,cap=33554432,fmem=64;run:n=4000",
-      "31110cd75b6c78014ee45b5ac3772fa0",
-      "73d25209ba1987c2c970b7cb3906743b" );
+      "56699dcccad8dfd9e0f2dd84007d4d88",
+      "e1aa05516dc4f01df4313357cb86847b" );
     ( "two-tenant heat-policy rack",
       "setup:tenants=2,nodes=3,cap=33554432,fmem=64,seed=7,scrub=0ns,\
        verify=0,workloads=kv-zipf|kv-uniform,policy=heat;run:n=3000;\
        migrate-epoch;run:n=1000",
-      "7f33f7f764498ae5ab3f0fe02356dbab",
-      "4baf71b0440d724d424826b630bfd8ef" );
+      "e37a16e8da8d57afda7d270384a4823b",
+      "5588fee26adaaceca8e96a296c0413da" );
     ( "corruption + scrub",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=1;run:n=512;\
        bit-flip:p=0.2;torn-write:p=0.05;run:n=512;scrub;run:n=512",
-      "1735a90d4313abc3be2ea28540f54686",
-      "e22cc3e0b7c8e8e7dce9b56510f16143" );
+      "3eaae4fbb064a91008fd6b89e78f64a5",
+      "fa2877873774e6dde848b9c0db0c5289" );
     ( "lease partition",
       "setup:tenants=1,cap=33554432,fmem=64,hb=10us,lease=50us;run:n=1000;\
        partition:dur=300us,nodes=1;run:n=3000",
-      "ea56c67f85775c4c99cc81e2dbf9fe02",
-      "cbadebf6f4fb97d402b53210cce6231d" );
+      "6e340476245a13b5887dddd6e51aa61d",
+      "53729a821d3457f511d5cac58c3eac76" );
     ( "lease crash",
       "setup:tenants=1,cap=33554432,fmem=64,hb=10us,lease=50us;run:n=1000;\
        crash:id=1;run:n=3000",
-      "7a2a11bd014f9b66cd3c534a470f142a",
-      "1de9bc4b86f3ba1a4a0e21d820ef25c9" );
+      "050da1c77718a1e13d68a76ce5f6a404",
+      "1820e9cb99ab7921aea66d031d352fb7" );
     ( "multi-writer + shm-rpc",
       "setup:tenants=2,cap=33554432,fmem=64,scrub=0ns,writers=2;run:n=1000;\
        publish:pages=4;mwrite:rounds=8;shmrpc:calls=8;run:n=1000",
-      "69972158aa97e32770a5c343e3fce4fa",
-      "5044dd40061ee34ee4add5d8a577e0be" );
+      "dac8de802484acd3e7303ffc2985b59f",
+      "1da322bd504eceebfac7e692b8a1be5f" );
     ( "no-lease crash, replicas=0",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=0;run:n=1000;\
        crash:id=1;run:n=2000",
-      "7cadc4678b20a60da3104ed7ae83f6a5",
-      "94c0d17c6af0dcd34ff210b1bf1e48d5" );
+      "52b3bf25b8e26868577a2353a524ab2e",
+      "823f4e8f52c6f8da7703c310ac22f0d5" );
     ( "no-lease crash, replicas=1",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=1;run:n=1000;\
        crash:id=1;run:n=2000",
-      "ef42ef1d57a9cea9a274515aa3309572",
-      "7705d71cc324c3cf1513ae3f8689f613" );
+      "54983ab1ac1dd14036861cfaf68ef3de",
+      "52720ede70cccfa615146ce1a4f7e842" );
     ( "no-lease double crash, replicas=2",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=2;run:n=1000;\
        crash:id=1;run:n=1000;crash:id=1;run:n=1000",
-      "85e8ad8fbbab0a75b41c7224c6c3c16f",
-      "22aa271dc9584031c295270819b5645f" );
+      "898c27f4b3e080e8aa30ec21df3b379b",
+      "12e1f2215fe2af2aab166ea30d3ce294" );
     ( "tiered rack ops: add, drain, rebalance",
       "setup:tenants=2,nodes=3,cap=33554432,fmem=64,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=heat,fast=1,slowns=2us;\
        run:n=1000;add:cap=16777216;run:n=1000;drain:id=1;run:n=1000;\
        rebalance;run:n=1000",
-      "f4a90d3c970c4ca197912c623780c26f",
-      "6f0768506da46321bd3a7c37cccacb18" );
+      "46a5cf6477d7fd755b21837caa7b01ce",
+      "9c7b31212079ffac1afaad8cd835f259" );
     ( "published segment + quota",
       "setup:tenants=2,cap=33554432,fmem=64,scrub=0ns;run:n=1000;\
        publish:pages=4;shared:rounds=8;run:n=1000;quota:t=1,bytes=1;\
        run:n=500",
-      "5eb3c41aa5740c72d81975dfe89252d9",
-      "a6167767ff0eeb54f3eab629ecf70bb9" );
+      "d5189f6f02927cf014f4b0f43362c800",
+      "177bac33fed512bea7af3b6e0448bcce" );
     (* The bench/perf rack demo: heat policy over three nodes, one fast,
        a +2 us slow tier, 64 FMem frames per tenant. *)
     ( "rack demo",
       "setup:tenants=2,nodes=3,fmem=64,replicas=0,seed=7,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256",
-      "edd1c9ae9a779cc075d5091342b50b96",
-      "8a95ab1eb447c0d3e370e88d1a525fea" );
+      "08e058b3a3a0e23004a874037501f810",
+      "73cfb64a40aea95361a08d7fc1e93dbc" );
     ( "rack demo + replica crash and rack ops",
       "setup:tenants=2,nodes=3,fmem=64,replicas=1,seed=7,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256;\
        node-crash@3ms:id=1;add@2ms:cap=16777216;drain@4ms:id=2;rebalance@6ms",
-      "e502b1ece0101fc2a5281eaf69bf73b0",
-      "13b1153571c23d2115218df215cb5cc5" );
+      "0697e69125977a32371e95f44891ae0b",
+      "991b9ed78dc18ceecd89f25a55005955" );
     ( "two writers + shm-rpc",
       "setup:tenants=2,fmem=1024,replicas=0,seed=7,scrub=0ns,verify=0,\
        workloads=kv-seq|kv-uniform,writers=2,seg=64,segops=256;\
        run:n=1000000000;shmrpc:calls=16",
-      "367f8ea6a8a2beca0a1004df68e9015d",
-      "3036bf6bb19f1c5a1dac9c73edcab545" );
+      "a8aa53831473bae0e7b9c3de25a5e715",
+      "2f22aed5fdaf9e74ab6ef7e7f6a92119" );
     (* The two migrator-epoch paths that read cold pages.  A 3.5 MiB fast
        node fills up, so the heat policy demotes as well as promotes
        (100 promotions, 512 demotions); with 4 MiB nodes the centralized
@@ -115,13 +115,13 @@ let corpus =
     ( "heat demotions under fast-tier pressure",
       "setup:tenants=2,nodes=3,cap=3670016,fmem=64,seed=7,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=heat,fast=1,slowns=2us",
-      "005824b3eca9f8e1074865018fec95d7",
-      "24decfa3f59a973a36cd298daa3e22b3" );
+      "c6d8dc7f7430f428df5bbf72f03c5c12",
+      "c5d3b6316b6351de1d375f56d4de1de3" );
     ( "centralized epoch policy",
       "setup:tenants=2,nodes=3,cap=4194304,fmem=64,seed=7,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=centralized,fast=1,slowns=2us",
-      "6e3c6f9524ac660202147c165ef09fb5",
-      "30defd5b97317ffdc1f307e75f656850" );
+      "3490cdad0ee235d5a2ea3aa2b37abe74",
+      "4b1812aca19c08075bc93857c9815fdb" );
   ]
 
 let hub_digest (r : Rack.result) =
@@ -166,8 +166,8 @@ let gen_corpus =
        dup-deliver:p=0.0954;quota:t=0,bytes=49283072;run:n=2048;run:n=512;\
        torn-write:p=0.0225;dup-deliver:p=0.0633;run:n=768;\
        stale-read:p=0.0717",
-      "812a71a35458f4bfebd2d0c9f825d02c",
-      "f56ccd75639a7b612f37bbab46335d3c" );
+      "98108dd34be2b0c2c7ef49a10275ae06",
+      "90ace28d61686164114089d2bbfa3061" );
     ( "ops",
       28,
       "setup:tenants=2,nodes=3,cap=134217728,gbps=0.5,replicas=1,fmem=256,\
@@ -176,8 +176,8 @@ let gen_corpus =
        fast=2,slowns=500ns,hb=0ns,lease=50us,writers=1;run:n=512;\
        partition:dur=128us,nodes=2;rebalance;run:n=1792;migrate-epoch;\
        run:n=1024;drain:id=0;run:n=1024;add:cap=67108864;run:n=768",
-      "67fe04fb3c5a5357f2ebb5674264921d",
-      "92a433bb13ef1462ceee85bbfee703b8" );
+      "3f564170b7f27162adb8f13f521edadf",
+      "49912ab872a55ca95212c3140df6384d" );
     ( "shmem",
       692496,
       "setup:tenants=3,nodes=2,cap=134217728,gbps=0.5,replicas=1,fmem=128,\
@@ -187,8 +187,8 @@ let gen_corpus =
        run:n=1024;publish:pages=27;partition:dur=25us,nodes=0;\
        mwrite:rounds=27;run:n=1024;shared:rounds=15;run:n=1536;\
        mwrite:rounds=25;shmrpc:calls=12;mwrite:rounds=20",
-      "cc4f0d3a3c496a9d8b3a6722a55f1f99",
-      "8bc75afff35203d26ecc25cc2a0c421b" );
+      "9a78de601c449712f60383aa60e7e3e3",
+      "a0c88b1736c84ac665b5552f846936a6" );
   ]
 
 let check_gen (family, seed, line, tenant, hub) () =
@@ -205,43 +205,43 @@ let check_gen (family, seed, line, tenant, hub) () =
    hub digest, virtual time, (checked, mismatches, lost) pages). *)
 let run_corpus =
   [
-    ("redis-rand", "kona", "eec4a567e357181dc2686db24fb2e185", 1776554, (1024, 0, 0));
+    ("redis-rand", "kona", "578a8d89732a91d0be18564000a1cfd1", 1776554, (1024, 0, 0));
     ("redis-rand", "kona-vm", "e886c0494e7a563ce514f021aa752e2e", 2746854, (1024, 0, 0));
     ("redis-rand", "legoos", "16cdf24872d420a8d5e83d0ce18254e7", 2645529, (1024, 0, 0));
     ("redis-rand", "infiniswap", "975b2f274338a12903457f5db19d62a8", 4895529, (1024, 0, 0));
-    ("redis-seq", "kona", "7c1f070548011d1c161ca05b98c340d7", 1868601, (1024, 0, 0));
+    ("redis-seq", "kona", "7f40b4f43a448d901daebdbd50007f1c", 1868601, (1024, 0, 0));
     ("redis-seq", "kona-vm", "1aec00b4f13304e1027fb3d616432212", 2660901, (1024, 0, 0));
     ("redis-seq", "legoos", "4bff56e9a0c33f999317d12df162f445", 2559576, (1024, 0, 0));
     ("redis-seq", "infiniswap", "17c650e90c3729ec631ec0b16130ed9b", 4809576, (1024, 0, 0));
-    ("linear-regression", "kona", "2f0d93d4e7be8207a35784bdf837a312", 1366530, (945, 0, 0));
+    ("linear-regression", "kona", "b6004c024f2ee8070ed191abd030bd84", 1366530, (945, 0, 0));
     ("linear-regression", "kona-vm", "182f0a69ece2b1c01b7c261bc4821861", 1830780, (945, 0, 0));
     ("linear-regression", "legoos", "0644fd1b26a81901668d0edbe1158961", 1724051, (945, 0, 0));
     ("linear-regression", "infiniswap", "89cfeb0c387b18bd70b8b83a70ff02e3", 4094051, (945, 0, 0));
-    ("histogram", "kona", "af67bbbed182b4656b912ec02c9c7cb2", 633303, (984, 0, 0));
+    ("histogram", "kona", "fdd088cc93142d4c1f9a8e9cb0c06370", 633303, (984, 0, 0));
     ("histogram", "kona-vm", "bbb284661c269b3d916e4f5d857da33b", 871203, (984, 0, 0));
     ("histogram", "legoos", "da2a838518cc63d2670b41852f3a29f7", 817163, (984, 0, 0));
     ("histogram", "infiniswap", "5ff0b440e4ea159032e785f5e3b36de2", 2017163, (984, 0, 0));
-    ("page-rank", "kona", "f0432b7db4fc3d7c2cc1f392b6be603d", 431304, (512, 0, 0));
+    ("page-rank", "kona", "58bacbb32ecf587b9ff70c8c63a70182", 431304, (512, 0, 0));
     ("page-rank", "kona-vm", "ddd5592a01a96e79d754ba20daa09b7d", 874504, (512, 0, 0));
     ("page-rank", "legoos", "d52345a5f03214fff3c46df7a57fe3f4", 824517, (512, 0, 0));
     ("page-rank", "infiniswap", "954e11a9f519ac6cc49f8e23031cfa9a", 1934517, (512, 0, 0));
-    ("graph-coloring", "kona", "22ae90d172921b5ad46e24b9d351f797", 354814, (512, 0, 0));
+    ("graph-coloring", "kona", "a7f788e57cd3b08abf3c51b715e84135", 354814, (512, 0, 0));
     ("graph-coloring", "kona-vm", "375acd69c229c465091023296d1be5fd", 798014, (512, 0, 0));
     ("graph-coloring", "legoos", "d3e2c1cf84396744a1c983c0335447de", 748027, (512, 0, 0));
     ("graph-coloring", "infiniswap", "efd0097e6e1cf20bfc5d78c4536fe64d", 1858027, (512, 0, 0));
-    ("connected-components", "kona", "85fd66b3f99076528766d1e870676f50", 417889, (512, 0, 0));
+    ("connected-components", "kona", "0c906bf0daf4224b71f84eb6a383047e", 417889, (512, 0, 0));
     ("connected-components", "kona-vm", "37f36533b2d0dc527a6c8e6a21050b41", 861089, (512, 0, 0));
     ("connected-components", "legoos", "3a959b788e4bc14422db349b3b643151", 811102, (512, 0, 0));
     ("connected-components", "infiniswap", "f7813c6ce8ffe7499d0845d697f4ca42", 1921102, (512, 0, 0));
-    ("label-propagation", "kona", "5c916f8d9c0552d7aee0dba67f6887b1", 557213, (512, 0, 0));
+    ("label-propagation", "kona", "33a02b6422e0912b538691e5b1384f97", 557213, (512, 0, 0));
     ("label-propagation", "kona-vm", "f7c243b980e61604fed05b50d5f16b21", 1121913, (512, 0, 0));
     ("label-propagation", "legoos", "0acf42d0c7a30f73b8e4d570a036538f", 1059767, (512, 0, 0));
     ("label-propagation", "infiniswap", "7263dc569cb447078ab071db7030a033", 2439767, (512, 0, 0));
-    ("voltdb", "kona", "dddc993bd6211789abcd11f56585ddcc", 954367, (1024, 0, 0));
+    ("voltdb", "kona", "b1e7decfc8c29f192da387e3267a0889", 954367, (1024, 0, 0));
     ("voltdb", "kona-vm", "b7268e1bcaa9d009efd3d03696e0f2ad", 1600417, (1024, 0, 0));
     ("voltdb", "legoos", "102e0b31478587f19a4c7265277d329e", 1518006, (1024, 0, 0));
     ("voltdb", "infiniswap", "5c2f321ddf72548b8a50681c265228a3", 3348006, (1024, 0, 0));
-    ("redis-zipf", "kona", "4c5754fe0a479e6d175393d7697f171e", 1476916, (1024, 0, 0));
+    ("redis-zipf", "kona", "c533f5fbd77f0ead9895e31fea87ec57", 1476916, (1024, 0, 0));
     ("redis-zipf", "kona-vm", "57fa953744597549eaca8271df10164f", 2322116, (1024, 0, 0));
     ("redis-zipf", "legoos", "ab2d5343d597cd46a503d1ea6ca981a6", 2220791, (1024, 0, 0));
     ("redis-zipf", "infiniswap", "bfae74e401bbce7cb6ab54b1f7f37ac0", 4470791, (1024, 0, 0));
