@@ -154,7 +154,6 @@ type t = {
   (* Rack broadcast hook: a membership failover's fencing epoch is pushed
      through here so every tenant's sender adopts it. *)
   on_fence : (epoch:int -> unit) ref;
-  mutable node_crashes : int;
   mutable recovery_bytes : int;
   mutable heap_pages_restored : int;
   mutable heap_pages_lost : int;
@@ -914,7 +913,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       deferred_deliveries = 0;
       deferred_flushed = 0;
       on_fence = ref (fun ~epoch:_ -> ());
-      node_crashes = 0;
       recovery_bytes = 0;
       heap_pages_restored = 0;
       heap_pages_lost = 0;
@@ -1009,17 +1007,18 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   register_metrics t registry;
   t
 
-(* A node crash fired (a due fault-plan clause or a scenario op).  [id]
-   resolves one way for both failure detectors: a logical id whose
-   current backing is alive crashes that backing; any other id names a
-   physical store — a displaced former backing or a mirror.  Failover
+(* A node crash fired (a due fault-plan clause or a scenario op), counted
+   once either way in the injector's [node_crashes].  [id] resolves one
+   way for both failure detectors: a logical id whose current backing is
+   alive crashes that backing; any other id names a physical store — a
+   displaced former backing or a mirror.  Failover
    then runs on the recovery queue in both modes.  With membership, the
    lease detector schedules it once the lease expires: it cannot tell a
    crash from a partition.  Without, the crash is detected instantly:
    the failover is scheduled here and the queue pumped to idle.  Mirrors
    hold no leases, so a mirror crash queues re-replication directly. *)
 let crash_node t ~id =
-  t.node_crashes <- t.node_crashes + 1;
+  Injector.count_crash t.injector;
   let emit name args =
     match t.tracer with Some tr -> Tracer.instant tr ~args name | None -> ()
   in
@@ -1260,7 +1259,7 @@ let stats_view =
     alias "slabs" "rm.slabs";
     alias "controller.round_trips" "rm.controller_round_trips";
     same "faults.injected";
-    ("faults.node_crashes", fun t -> t.node_crashes);
+    same "faults.node_crashes";
     alias "failover.count" "replication.failovers";
     alias "log.lost_writes" "cllog.lost_writes";
     alias "faults.partitions" "partition.started";
@@ -1372,7 +1371,6 @@ let arm_fault t clause =
   Injector.arm t.injector clause
 
 let controller t = t.controller
-let node_crashes t = t.node_crashes
 
 (* Membership / partition / recovery surface (PR 9). *)
 let membership t = t.membership

@@ -210,9 +210,6 @@ val degraded : t -> string option
     retries, or — with replication off — CL-log writes were lost to a
     crashed node.  [None] means every injected fault was absorbed. *)
 
-val node_crashes : t -> int
-(** Node-crash faults handled (primaries and mirrors). *)
-
 (** {2 Partition-tolerant membership (PR 9)}
 
     With [heartbeat_ns] set, failover is triggered by lease expiry — the
@@ -356,7 +353,9 @@ val crash_node : t -> id:int -> unit
     Without membership the crash is detected instantly: failover and
     re-replication are queued and the recovery queue is pumped to idle
     before this returns.  With membership, failover waits for the lease
-    to expire.  A mirror crash queues re-replication in both modes. *)
+    to expire.  A mirror crash queues re-replication in both modes.
+    Counted like a plan crash, in [faults.node_crashes] and
+    [faults.injected]. *)
 
 val force_scrub : t -> unit
 (** Run one complete scrub sweep immediately (no-op when the runtime has

@@ -210,8 +210,9 @@ let due_node_crashes t ~now =
   | _ ->
       let due, pending = List.partition (fun (at, _) -> at <= now) t.crashes in
       t.crashes <- pending;
-      t.node_crashes <- t.node_crashes + List.length due;
       List.map snd due
+
+let count_crash t = t.node_crashes <- t.node_crashes + 1
 
 let partitions_pending t = List.length t.partitions
 

@@ -67,7 +67,13 @@ val link_flaps : t -> (int * int) list
 
 val due_node_crashes : t -> now:int -> int list
 (** Node ids whose crash time has been reached; each id is returned once.
-    O(1) when nothing is pending. *)
+    O(1) when nothing is pending.  A due crash is counted when its runtime
+    handles it ({!count_crash}), not here. *)
+
+val count_crash : t -> unit
+(** Count one node crash the runtime handled, whether a plan clause came
+    due or a scenario op crashed the node directly: the one crash count,
+    [node_crashes] in {!counters}. *)
 
 val crashes_pending : t -> int
 

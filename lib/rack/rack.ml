@@ -1124,7 +1124,7 @@ let finish e =
           r_coh_invalidations = Directory.invalidations e.mw_dir;
           r_node_crashes =
             Array.fold_left
-              (fun a rt -> a + Runtime.node_crashes rt)
+              (fun a rt -> a + Runtime.count rt "faults.node_crashes")
               0 e.runtimes;
           r_policy = e.placement.Placement_policy.name;
           r_migrations = total_moves e;

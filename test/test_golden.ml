@@ -54,8 +54,8 @@ let corpus =
     ( "lease crash",
       "setup:tenants=1,cap=33554432,fmem=64,hb=10us,lease=50us;run:n=1000;\
        crash:id=1;run:n=3000",
-      "050da1c77718a1e13d68a76ce5f6a404",
-      "1820e9cb99ab7921aea66d031d352fb7" );
+      "a67b4c3cee61f9dc3a529600fd33ecc8",
+      "5ca7f3e45375daeb73e037ca062e70aa" );
     ( "multi-writer + shm-rpc",
       "setup:tenants=2,cap=33554432,fmem=64,scrub=0ns,writers=2;run:n=1000;\
        publish:pages=4;mwrite:rounds=8;shmrpc:calls=8;run:n=1000",
@@ -64,18 +64,18 @@ let corpus =
     ( "no-lease crash, replicas=0",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=0;run:n=1000;\
        crash:id=1;run:n=2000",
-      "52b3bf25b8e26868577a2353a524ab2e",
-      "823f4e8f52c6f8da7703c310ac22f0d5" );
+      "b98b88d62978c67443c0fcc2ecc0e2ab",
+      "c8adf8478c4d7ee28e6e0fd2e7989c09" );
     ( "no-lease crash, replicas=1",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=1;run:n=1000;\
        crash:id=1;run:n=2000",
-      "54983ab1ac1dd14036861cfaf68ef3de",
-      "52720ede70cccfa615146ce1a4f7e842" );
+      "e25ba67e27cc1a2d9da9538d7e3b32c0",
+      "e59aae4fd5a1ec7aa3954cd689866cb0" );
     ( "no-lease double crash, replicas=2",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=2;run:n=1000;\
        crash:id=1;run:n=1000;crash:id=1;run:n=1000",
-      "898c27f4b3e080e8aa30ec21df3b379b",
-      "12e1f2215fe2af2aab166ea30d3ce294" );
+      "358acfc33f93ca9cea4814af1a497dfd",
+      "e7e32754b105fe686a5e6533ddd5d519" );
     ( "tiered rack ops: add, drain, rebalance",
       "setup:tenants=2,nodes=3,cap=33554432,fmem=64,scrub=0ns,verify=0,\
        workloads=kv-zipf|kv-uniform,policy=heat,fast=1,slowns=2us;\

@@ -396,6 +396,44 @@ let test_timed_clause_fires_by_time () =
   let last = run (setup ^ ";run:n=1000;run:n=1000;node-crash@1ms:id=1") in
   check_string "same fingerprint first or last" first last
 
+(* One crash count: a crash op and a due plan clause both reach the
+   runtime's one counter, so every surface reads the same number — tenant
+   0's [stats], its registry ([faults.node_crashes], inside
+   [faults.injected]) and the rack result. *)
+let test_one_crash_count () =
+  let surfaces line =
+    let engine = ref None in
+    let o =
+      Episode.execute
+        ~plant:(fun _ _ e -> engine := Some e)
+        (Spec.parse_exn line)
+    in
+    match (o.Episode.oc_result, !engine) with
+    | Some r, Some e ->
+        let rt = Rack.runtime e ~tenant:0 in
+        let snap name =
+          Option.get
+            (Kona_telemetry.Snapshot.counter_value r.Rack.r_snapshot name)
+        in
+        [
+          ("stats", List.assoc "faults.node_crashes" (Kona.Runtime.stats rt));
+          ("registry", snap "tenant.0.faults.node_crashes");
+          ("injected", snap "tenant.0.faults.injected");
+          ("rack", r.Rack.r_node_crashes);
+        ]
+    | _ -> Alcotest.failf "%s: episode did not finish" line
+  in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun (surface, n) -> check_int (line ^ ": " ^ surface) 1 n)
+        (surfaces line))
+    [
+      "setup:tenants=2,nodes=3,replicas=1;run:n=512;crash:id=1;run:n=512";
+      "setup:tenants=2,nodes=3,replicas=1;node-crash@1ms:id=1;run:n=512;\
+       run:n=512";
+    ]
+
 (* An exhausted retry budget is a resource abort, like a quota overrun:
    the episode reports it instead of raising. *)
 let test_retry_budget_aborts () =
@@ -605,6 +643,7 @@ let () =
             test_partition_mid_drain;
           Alcotest.test_case "timed clause fires by time" `Quick
             test_timed_clause_fires_by_time;
+          Alcotest.test_case "one crash count" `Quick test_one_crash_count;
           Alcotest.test_case "rack rejects a bad config" `Quick
             test_rack_rejects_config;
           Alcotest.test_case "exhausted retry budget aborts" `Quick
