@@ -1011,12 +1011,12 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
    once either way in the injector's [node_crashes].  [id] resolves one
    way for both failure detectors: a logical id whose current backing is
    alive crashes that backing; any other id names a physical store — a
-   displaced former backing or a mirror.  Failover
-   then runs on the recovery queue in both modes.  With membership, the
-   lease detector schedules it once the lease expires: it cannot tell a
-   crash from a partition.  Without, the crash is detected instantly:
-   the failover is scheduled here and the queue pumped to idle.  Mirrors
-   hold no leases, so a mirror crash queues re-replication directly. *)
+   displaced former backing or a mirror.  Failover then runs on the
+   recovery queue in both modes.  With membership, the lease detector
+   schedules it once the lease expires: it cannot tell a crash from a
+   partition.  Without, the crash is detected instantly: the failover is
+   scheduled here and the queue pumped to idle.  Mirrors hold no leases,
+   so a mirror crash queues re-replication directly. *)
 let crash_node t ~id =
   Injector.count_crash t.injector;
   let emit name args =

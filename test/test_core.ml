@@ -844,6 +844,13 @@ let test_hub_never_changes_stats () =
     (view bare = view traced);
   check_bool "the hub's registry is the runtime's" true
     (Runtime.registry traced == Kona_telemetry.Hub.registry hub);
+  (* Every registered metric, the two clock gauges included. *)
+  let metrics rt =
+    Kona_telemetry.(
+      Json.to_string
+        (Snapshot.to_json (Registry.snapshot (Runtime.registry rt))))
+  in
+  check_bool "same registry snapshot" true (metrics bare = metrics traced);
   (* The run exercised what it configured. *)
   List.iter
     (fun (metric, floor) ->

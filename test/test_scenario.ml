@@ -396,10 +396,10 @@ let test_timed_clause_fires_by_time () =
   let last = run (setup ^ ";run:n=1000;run:n=1000;node-crash@1ms:id=1") in
   check_string "same fingerprint first or last" first last
 
-(* One crash count: a crash op and a due plan clause both reach the
-   runtime's one counter, so every surface reads the same number — tenant
-   0's [stats], its registry ([faults.node_crashes], inside
-   [faults.injected]) and the rack result. *)
+(* One crash count: a crash op and a due plan clause both reach the one
+   crash counter, so every surface reads the same number — tenant 0's
+   [stats], its registry ([faults.node_crashes], inside [faults.injected])
+   and the rack result. *)
 let test_one_crash_count () =
   let surfaces line =
     let engine = ref None in
