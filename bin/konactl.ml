@@ -9,16 +9,16 @@
                                        runtimes and report time, traffic
                                        and integrity
      konactl stats -w NAME [...]       same runs, telemetry table output
-     konactl rack [--tenants N] [-w SLUGS] [...]
-                                       multi-tenant rack: the flags lower to
-                                       one scenario spec, run under the
-                                       invariant registry
-     konactl fuzz [--episodes N] [--ops K] [--seed S] [--replay SPEC]
+     konactl rack SPEC [--metrics-json PATH] [--repro-check]
+                                       multi-tenant rack: run one scenario
+                                       spec line under the invariant
+                                       registry
+     konactl fuzz [--episodes N] [--ops K] [--seed S]
                   [--repro-out PATH] [--metrics-json PATH]
                                        seeded whole-surface scenario fuzzing
                                        against the cross-subsystem invariant
                                        registry; failures shrink to minimal
-                                       replayable repro specs (exit 5)
+                                       rerunnable repro specs (exit 5)
      konactl soak [same flags as fuzz] fuzz over the corruption family only *)
 
 open Kona
@@ -276,13 +276,12 @@ let print_stats ~(spec : Workloads.spec) ~full ~seed (r : System.result) =
    clauses, quota changes, shared-segment publish/map traffic, scrub
    sweeps, node adds/drains, rebalances and migration epochs — checked
    against the cross-subsystem invariant registry at every op boundary
-   and at episode end.  Every episode is one replayable spec line;
-   failures are delta-debugged to minimal repro specs.  Exit 5 = a named
-   invariant was violated; exit 1 = replay fingerprint mismatch.  The
+   and at episode end.  Every episode is one spec line that
+   [konactl rack --repro-check] reruns; failures are delta-debugged to
+   minimal repro specs.  Exit 5 = a named invariant was violated.  The
    chaos soak is this loop over the generator's corruption family. *)
 
 module Rng = Kona_util.Rng
-module Fault_spec = Kona_faults.Fault_spec
 module Scn = Kona_scenario.Spec
 module Scn_gen = Kona_scenario.Gen
 module Episode = Kona_scenario.Episode
@@ -301,170 +300,126 @@ let print_violations (o : Episode.outcome) =
 
 (* [generate] draws episode [seed]'s spec: [Gen.generate] for fuzz, its
    corruption family for soak. *)
-let cmd_fuzz generate episodes ops master_seed replay repro_out metrics_json =
-  match replay with
-  | Some line -> (
-      match Scn.parse line with
-      | Error msg ->
-          Fmt.epr "bad scenario spec: %s@." msg;
-          1
-      | Ok spec -> (
-          match Episode.execute spec with
-          | exception Invalid_argument msg ->
-              Fmt.epr "%s@." msg;
-              1
-          | o ->
-              let o2 = Episode.execute spec in
-              print_violations o;
-              (match o.Episode.oc_aborted with
-              | Some a -> Fmt.pr "aborted: %s@." a
-              | None -> ());
-              if
-                o.Episode.oc_fingerprint <> o2.Episode.oc_fingerprint
-                || o.Episode.oc_integrity <> o2.Episode.oc_integrity
-              then begin
-                Fmt.pr
-                  "replay: FAILED — two runs of the same spec diverged \
-                   (broken determinism)@.";
-                1
-              end
-              else if o.Episode.oc_violations <> [] then begin
-                Fmt.pr "replay: reproduced the invariant violation@.";
-                5
-              end
-              else begin
-                Fmt.pr "replay: PASS fingerprint %s@." o.Episode.oc_fingerprint;
-                0
-              end))
-  | None ->
-      let rng = Rng.create ~seed:master_seed in
-      let failed = ref false in
-      let docs = ref [] in
-      let repro_chan = ref None in
-      let write_repro m =
-        match repro_out with
-        | None -> ()
-        | Some path ->
-            let oc =
-              match !repro_chan with
-              | Some oc -> oc
-              | None ->
-                  let oc = open_out path in
-                  repro_chan := Some oc;
-                  oc
-            in
-            output_string oc (m ^ "\n")
-      in
-      for episode = 0 to episodes - 1 do
-        let ep_seed = Rng.int rng 1_000_000 in
-        let spec = generate ~seed:ep_seed ~ops in
-        let line = Scn.to_string spec in
-        Fmt.pr "episode %d: seed %d@.  %s@." episode ep_seed line;
-        let o = Episode.execute spec in
-        (match o.Episode.oc_aborted with
-        | Some a -> Fmt.pr "  aborted: %s@." a
-        | None -> ());
-        let repro =
-          match o.Episode.oc_violations with
-          | [] ->
-              Fmt.pr "  PASS fingerprint %s@."
-                (match o.Episode.oc_fingerprint with "" -> "-" | f -> f);
-              ""
-          | vs ->
-              failed := true;
-              List.iter
-                (fun v ->
-                  Fmt.pr "  FAIL [%s] %s@." v.Invariants.inv v.Invariants.detail)
-                vs;
-              (* Boundary-scoped failures shrink against the cheap
-                 boundary-only executor; end-scoped ones need the full
-                 episode per candidate, so spend fewer attempts. *)
-              let boundary_only = o.Episode.oc_result = None in
-              let oracle s =
-                first_violation_name s ~check_end:(not boundary_only)
-              in
-              let max_attempts = if boundary_only then 400 else 48 in
-              let r = Shrink.run ~max_attempts ~oracle spec in
-              let m = Scn.to_string r.Shrink.minimal in
-              Fmt.pr "  shrunk to %d op(s) in %d attempt(s):@.  %s@."
-                (List.length r.Shrink.minimal.Scn.ops)
-                r.Shrink.attempts m;
-              write_repro m;
-              m
+let cmd_fuzz generate episodes ops master_seed repro_out metrics_json =
+  let rng = Rng.create ~seed:master_seed in
+  let failed = ref false in
+  let docs = ref [] in
+  let repro_chan = ref None in
+  let write_repro m =
+    match repro_out with
+    | None -> ()
+    | Some path ->
+        let oc =
+          match !repro_chan with
+          | Some oc -> oc
+          | None ->
+              let oc = open_out path in
+              repro_chan := Some oc;
+              oc
         in
-        docs :=
-          Json.Obj
-            [
-              ("episode", Json.Int episode);
-              ("seed", Json.Int ep_seed);
-              ("spec", Json.String line);
-              ("fingerprint", Json.String o.Episode.oc_fingerprint);
-              ("passed", Json.Bool (o.Episode.oc_violations = []));
-              ( "aborted",
-                Json.String (Option.value ~default:"" o.Episode.oc_aborted) );
-              ( "violations",
-                Json.List
-                  (List.map
-                     (fun v ->
-                       Json.Obj
-                         [
-                           ("invariant", Json.String v.Invariants.inv);
-                           ("detail", Json.String v.Invariants.detail);
-                         ])
-                     o.Episode.oc_violations) );
-              ("repro", Json.String repro);
-            ]
-          :: !docs
-      done;
-      (match !repro_chan with
-      | Some oc ->
-          close_out oc;
-          Fmt.pr "fuzz: wrote minimal repro spec(s) to %s@."
-            (Option.get repro_out)
-      | None -> ());
-      (match metrics_json with
-      | None -> ()
-      | Some path ->
-          let doc =
-            Json.Obj
-              [
-                ("schema", Json.String "kona.fuzz.v1");
-                ("master_seed", Json.Int master_seed);
-                ("ops_per_episode", Json.Int ops);
-                ( "invariants",
-                  Json.List (List.map (fun n -> Json.String n) Invariants.names)
-                );
-                ("passed", Json.Bool (not !failed));
-                ("episodes", Json.List (List.rev !docs));
-              ]
+        output_string oc (m ^ "\n")
+  in
+  for episode = 0 to episodes - 1 do
+    let ep_seed = Rng.int rng 1_000_000 in
+    let spec = generate ~seed:ep_seed ~ops in
+    let line = Scn.to_string spec in
+    Fmt.pr "episode %d: seed %d@.  %s@." episode ep_seed line;
+    let o = Episode.execute spec in
+    (match o.Episode.oc_aborted with
+    | Some a -> Fmt.pr "  aborted: %s@." a
+    | None -> ());
+    let repro =
+      match o.Episode.oc_violations with
+      | [] ->
+          Fmt.pr "  PASS fingerprint %s@."
+            (match o.Episode.oc_fingerprint with "" -> "-" | f -> f);
+          ""
+      | vs ->
+          failed := true;
+          List.iter
+            (fun v ->
+              Fmt.pr "  FAIL [%s] %s@." v.Invariants.inv v.Invariants.detail)
+            vs;
+          (* Boundary-scoped failures shrink against the cheap
+             boundary-only executor; end-scoped ones need the full
+             episode per candidate, so spend fewer attempts. *)
+          let boundary_only = o.Episode.oc_result = None in
+          let oracle s =
+            first_violation_name s ~check_end:(not boundary_only)
           in
-          write_json ~verb:"fuzz" path doc);
-      if !failed then begin
-        Fmt.pr "fuzz: FAILED (invariant violation)@.";
-        5
-      end
-      else begin
-        Fmt.pr "fuzz: %d episode(s), zero invariant violations@." episodes;
-        0
-      end
+          let max_attempts = if boundary_only then 400 else 48 in
+          let r = Shrink.run ~max_attempts ~oracle spec in
+          let m = Scn.to_string r.Shrink.minimal in
+          Fmt.pr "  shrunk to %d op(s) in %d attempt(s):@.  %s@."
+            (List.length r.Shrink.minimal.Scn.ops)
+            r.Shrink.attempts m;
+          write_repro m;
+          m
+    in
+    docs :=
+      Json.Obj
+        [
+          ("episode", Json.Int episode);
+          ("seed", Json.Int ep_seed);
+          ("spec", Json.String line);
+          ("fingerprint", Json.String o.Episode.oc_fingerprint);
+          ("passed", Json.Bool (o.Episode.oc_violations = []));
+          ( "aborted",
+            Json.String (Option.value ~default:"" o.Episode.oc_aborted) );
+          ( "violations",
+            Json.List
+              (List.map
+                 (fun v ->
+                   Json.Obj
+                     [
+                       ("invariant", Json.String v.Invariants.inv);
+                       ("detail", Json.String v.Invariants.detail);
+                     ])
+                 o.Episode.oc_violations) );
+          ("repro", Json.String repro);
+        ]
+      :: !docs
+  done;
+  (match !repro_chan with
+  | Some oc ->
+      close_out oc;
+      Fmt.pr "fuzz: wrote minimal repro spec(s) to %s@."
+        (Option.get repro_out)
+  | None -> ());
+  (match metrics_json with
+  | None -> ()
+  | Some path ->
+      let doc =
+        Json.Obj
+          [
+            ("schema", Json.String "kona.fuzz.v1");
+            ("master_seed", Json.Int master_seed);
+            ("ops_per_episode", Json.Int ops);
+            ( "invariants",
+              Json.List (List.map (fun n -> Json.String n) Invariants.names)
+            );
+            ("passed", Json.Bool (not !failed));
+            ("episodes", Json.List (List.rev !docs));
+          ]
+      in
+      write_json ~verb:"fuzz" path doc);
+  if !failed then begin
+    Fmt.pr "fuzz: FAILED (invariant violation)@.";
+    5
+  end
+  else begin
+    Fmt.pr "fuzz: %d episode(s), zero invariant violations@." episodes;
+    0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant rack: N tenant runtimes interleaved over shared memory
    nodes with WFQ'd ingress bandwidth, per-tenant quotas and a
-   cross-tenant shared segment (see lib/rack).  The flags lower to one
-   scenario spec, which Episode runs under the invariant registry. *)
+   cross-tenant shared segment (see lib/rack).  The rack is one scenario
+   spec line, which Episode runs under the invariant registry. *)
 
 module Rack = Kona_rack.Rack
 module Shm_rpc = Kona_shmem.Shm_rpc
-
-let parse_list ~what ~parse s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-  |> List.map (fun x ->
-         try parse x
-         with _ ->
-           Fmt.epr "bad %s element %S@." what x;
-           exit 1)
 
 let print_rack_report (setup : Scn.setup) (r : Rack.result) rpc =
   Fmt.pr "rack: %d tenant(s), %d node(s) @ %.2f Gbit/s ingress, smoke, %a@."
@@ -599,143 +554,74 @@ let rack_json (setup : Scn.setup) (r : Rack.result) rpc =
       ("metrics", Snapshot.to_json r.Rack.r_snapshot);
     ]
 
-(* Exit precedence: 3 abort, 1 divergence or repro mismatch, 5 invariant
-   violation, 4 drain incomplete, 2 degraded, 0. *)
-let cmd_rack tenants_n workloads bw_shares mem_quotas nodes node_cap node_gbps
-    shared_pages shared_ops shared_writers shm_rpc_calls quantum policy
-    fast_nodes slow_extra_ns rack_ops rack_fmem_pages replicas fault_spec
-    fault_seed heartbeat_ns lease_ns seed metrics_json repro_check =
-  if tenants_n < 1 then begin
-    Fmt.epr "--tenants must be >= 1@.";
-    exit 1
-  end;
-  let slugs = parse_list ~what:"workload" ~parse:(fun x -> x) workloads in
-  let shares = parse_list ~what:"--bw-share" ~parse:int_of_string bw_shares in
-  let quotas =
-    match mem_quotas with
-    | None -> [ 0 ]
-    | Some s -> parse_list ~what:"--mem-quota" ~parse:int_of_string s
+(* [--repro-check]: run the spec again and compare everything a re-run
+   must reproduce — every tenant's fingerprint, tenant 0's integrity
+   counters and the shm-RPC ring's stats.  Prints the verdict. *)
+let reproduces spec (o : Episode.outcome) =
+  let o2 = Episode.execute spec in
+  let same =
+    o2.Episode.oc_fingerprint = o.Episode.oc_fingerprint
+    && o2.Episode.oc_integrity = o.Episode.oc_integrity
+    && o2.Episode.oc_shm_rpc = o.Episode.oc_shm_rpc
   in
-  let calendar =
-    match Kona_rack.Rack_ops.parse rack_ops with
-    | Ok ops -> ops
-    | Error msg ->
-        Fmt.epr "bad --rack-ops: %s@." msg;
-        exit 1
-  in
-  (* A probabilistic fault clause arms as an op right after start; a
-     scheduled one joins the rack ops on the start-time calendar. *)
-  let scheduled, armed =
-    List.partition
-      (function
-        | Fault_spec.Node_crash _ | Fault_spec.Link_flap _ | Fault_spec.Partition _ ->
-            true
-        | _ -> false)
-      (parse_fault_spec fault_spec)
-  in
-  let workloads = if slugs = [] then [ "kv-uniform" ] else slugs in
-  let setup =
-    {
-      Scn.tenants = tenants_n;
-      nodes;
-      node_cap =
-        (if node_cap > 0 then node_cap
-         else Rack.default_config.Rack.node_capacity);
-      gbps = node_gbps;
-      replicas;
-      fmem =
-        (if rack_fmem_pages > 0 then rack_fmem_pages
-         else Runtime.default_config.Runtime.fmem_pages);
-      quantum;
-      seed;
-      fault_seed;
-      scrub_ns = 0;
-      verify = false;
-      workloads;
-      shares;
-      quotas;
-      policy;
-      fast_nodes;
-      slow_extra_ns;
-      heartbeat_ns = Option.value heartbeat_ns ~default:0;
-      lease_ns;
-      writers = shared_writers;
-      shared_pages;
-      shared_ops;
-    }
-  in
-  let spec =
-    {
-      Scn.setup;
-      ops =
-        List.map (fun c -> Scn.Corrupt c) armed
-        @ List.map (fun c -> Scn.Fault_at c) scheduled
-        @ List.map (fun c -> Scn.Rack_at c) calendar
-        (* the ring runs after the whole replay, on the drained-but-live
-           fabric, so its traffic folds into the fingerprints *)
-        @
-        if shm_rpc_calls > 0 && tenants_n >= 2 then
-          [ Scn.Run { n = max_int }; Scn.Shm_rpc { calls = shm_rpc_calls } ]
-        else [];
-    }
-  in
-  (* unknown slugs exit here with the 'konactl workloads' hint; any other
-     configuration error surfaces below as its own message.  Tenant i
-     runs slug i mod |slugs|, so the first [tenants_n] are the ones used. *)
-  List.iteri
-    (fun i slug -> if i < tenants_n then ignore (specs_of (Some slug)))
-    workloads;
-  match Episode.execute spec with
-  | exception Invalid_argument msg ->
-      Fmt.epr "%s@." msg;
+  if same then
+    Fmt.pr "repro: per-tenant counters bit-identical across re-run, \
+            fingerprint %s@."
+      (match o.Episode.oc_fingerprint with "" -> "-" | f -> f)
+  else Fmt.pr "repro: FAIL: re-run changed per-tenant counters@.";
+  same
+
+(* Exit precedence: 3 abort, 1 divergence, repro mismatch or a spec that
+   does not parse or that the rack rejects, 5 invariant violation, 4
+   drain incomplete, 2 degraded, 0. *)
+let cmd_rack line metrics_json repro_check =
+  match Scn.parse line with
+  | Error msg ->
+      Fmt.epr "bad scenario spec: %s@." msg;
       1
-  | { Episode.oc_aborted = Some why; _ } ->
-      Fmt.epr "aborted: %s@." why;
-      3
-  | { Episode.oc_result = None; _ } as o ->
-      (* a boundary invariant stopped the run before its end *)
-      print_violations o;
-      5
-  | { Episode.oc_result = Some r; _ } as o ->
-      let rpc = o.Episode.oc_shm_rpc in
-      print_rack_report setup r rpc;
-      let diverged =
-        Array.exists (fun (t : Rack.tenant_result) -> t.Rack.t_mismatches > 0)
-          r.Rack.r_tenants
-      in
-      if not diverged then
-        Fmt.pr "integrity: remote memory matches every tenant's view@.";
-      print_violations o;
-      let repro_failed =
-        repro_check
-        &&
-        let o2 = Episode.execute spec in
-        let same =
-          o2.Episode.oc_fingerprint = o.Episode.oc_fingerprint
-          && o2.Episode.oc_shm_rpc = rpc
-        in
-        if same then
-          Fmt.pr "repro: per-tenant counters bit-identical across re-run@."
-        else Fmt.pr "repro: FAIL: re-run changed per-tenant counters@.";
-        not same
-      in
-      (match metrics_json with
-      | None -> ()
-      | Some path ->
-          write_json ~verb:"metrics" path (rack_json setup r rpc));
-      if diverged || repro_failed then 1
-      else if o.Episode.oc_violations <> [] then 5
-      else if r.Rack.r_drain_failures > 0 then begin
-        Fmt.pr "ops: DRAIN INCOMPLETE: %d page(s) not re-homed@."
-          r.Rack.r_drain_failures;
-        4
-      end
-      else if
-        Array.exists
-          (fun (t : Rack.tenant_result) -> t.Rack.t_degraded <> None)
-          r.Rack.r_tenants
-      then 2
-      else 0
+  | Ok spec -> (
+      let repro_failed o = repro_check && not (reproduces spec o) in
+      match Episode.execute spec with
+      | exception Invalid_argument msg ->
+          Fmt.epr "%s@." msg;
+          1
+      | { Episode.oc_aborted = Some why; _ } as o ->
+          Fmt.epr "aborted: %s@." why;
+          ignore (repro_failed o : bool);
+          3
+      | { Episode.oc_result = None; _ } as o ->
+          (* a boundary invariant stopped the run before its end *)
+          print_violations o;
+          if repro_failed o then 1 else 5
+      | { Episode.oc_result = Some r; _ } as o ->
+          let rpc = o.Episode.oc_shm_rpc in
+          print_rack_report spec.Scn.setup r rpc;
+          let diverged =
+            Array.exists
+              (fun (t : Rack.tenant_result) -> t.Rack.t_mismatches > 0)
+              r.Rack.r_tenants
+          in
+          if not diverged then
+            Fmt.pr "integrity: remote memory matches every tenant's view@.";
+          print_violations o;
+          let repro_failed = repro_failed o in
+          (match metrics_json with
+          | None -> ()
+          | Some path ->
+              write_json ~verb:"metrics" path (rack_json spec.Scn.setup r rpc));
+          if diverged || repro_failed then 1
+          else if o.Episode.oc_violations <> [] then 5
+          else if r.Rack.r_drain_failures > 0 then begin
+            Fmt.pr "ops: DRAIN INCOMPLETE: %d page(s) not re-homed@."
+              r.Rack.r_drain_failures;
+            4
+          end
+          else if
+            Array.exists
+              (fun (t : Rack.tenant_result) -> t.Rack.t_degraded <> None)
+              r.Rack.r_tenants
+          then 2
+          else 0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -920,16 +806,6 @@ let fuzz_ops =
     value & opt int 12
     & info [ "ops" ] ~doc:"ops per generated episode (before shrinking)")
 
-let fuzz_replay =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "replay" ] ~docv:"SPEC"
-        ~doc:
-          "instead of generating, execute this scenario spec twice and fail \
-           (exit 1) unless both runs produce bit-identical telemetry \
-           fingerprints; a reproduced invariant violation exits 5")
-
 let fuzz_repro_out =
   Arg.(
     value
@@ -964,143 +840,28 @@ let in_path =
 let quantum =
   Arg.(value & opt int 20_000 & info [ "quantum" ] ~doc:"window size in accesses")
 
-let rack_tenants =
-  Arg.(value & opt int 2 & info [ "tenants" ] ~doc:"number of tenant runtimes")
-
-let rack_workloads =
+let rack_spec =
   Arg.(
-    value
-    & opt string "kv-uniform,page-rank"
-    & info [ "w"; "workloads" ]
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"SPEC"
         ~doc:
-          "comma-separated workload slugs, assigned round-robin to tenants \
-           (see 'konactl workloads')")
-
-let rack_bw_shares =
-  Arg.(
-    value & opt string "1"
-    & info [ "bw-share" ]
-        ~doc:
-          "comma-separated WFQ weights, assigned round-robin: tenant i gets \
-           share_i of every saturated node's ingress bandwidth")
-
-let rack_mem_quotas =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "mem-quota" ]
-        ~doc:
-          "comma-separated per-tenant slab-allocation caps in bytes (0 = \
-           unmetered); exceeding a cap aborts the run (exit 3)")
-
-let rack_nodes =
-  Arg.(value & opt int 2 & info [ "nodes" ] ~doc:"memory nodes in the rack")
-
-let rack_node_cap =
-  Arg.(
-    value & opt int 0
-    & info [ "node-cap" ]
-        ~doc:
-          "per-node capacity in bytes (0 = 128 MiB default); small values \
-           create the capacity pressure that spreads allocations across \
-           tiers")
-
-let rack_node_gbps =
-  Arg.(
-    value & opt float 1.0
-    & info [ "node-gbps" ]
-        ~doc:"per-node ingress link rate in Gbit/s (WFQ wire time)")
-
-let rack_shared_pages =
-  Arg.(
-    value & opt int 64
-    & info [ "shared-pages" ]
-        ~doc:"pages in tenant 0's published read-mostly segment (0 = off)")
-
-let rack_shared_ops =
-  Arg.(
-    value & opt int 256
-    & info [ "shared-ops" ]
-        ~doc:
-          "synthetic shared-segment ops woven into each tenant's replay \
-           (tenant 0 writes, the rest read)")
-
-let rack_shared_writers =
-  Arg.(
-    value & opt int 1
-    & info [ "shared-writers" ]
-        ~doc:
-          "tenants allowed to write the shared segment (woven op k's \
-           writer is tenant k mod N); > 1 routes shared traffic through \
-           the per-line MSI directory with writer handoff and RFO \
-           invalidations priced through the contended links")
-
-let rack_shm_rpc =
-  Arg.(
-    value
-    & opt ~vopt:64 int 0
-    & info [ "shm-rpc" ]
-        ~doc:
-          "after replay, run $(docv) shared-memory RPC calls between \
-           tenant 1 (client) and tenant 0 (server) over coherent lines of \
-           the shared segment (head/tail doorbell lines ping-pong \
-           ownership); 0 = off, bare flag = 64 calls"
-        ~docv:"CALLS")
-
-let rack_quantum =
-  Arg.(
-    value & opt int 256
-    & info [ "quantum" ] ~doc:"accesses per tenant scheduling slice")
+          "one scenario spec line: a $(b,setup:) clause (tenants, nodes, \
+           workloads, shares, quotas, policy, shared segment, seeds, ...) \
+           followed by ';'-separated ops and timed fault and rack-op \
+           clauses, e.g. \
+           'setup:tenants=2,nodes=3,fmem=64,seed=7,scrub=0ns,verify=0,workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256' \
+           (the grammar is lib/scenario/spec.mli's; $(b,konactl fuzz) \
+           prints one per episode)")
 
 let rack_repro_check =
   Arg.(
     value & flag
     & info [ "repro-check" ]
         ~doc:
-          "run the rack twice with the same seeds and fail unless every \
-           tenant's counter snapshot is bit-identical")
-
-let rack_policy =
-  Arg.(
-    value & opt string "first-fit"
-    & info [ "policy" ]
-        ~doc:
-          "placement policy: first-fit (static round-robin, no migration) | \
-           heat (hot pages migrate to the fast tier) | centralized \
-           (MIND-style directory: least-loaded placement + capacity \
-           rebalancing)")
-
-let rack_fast_nodes =
-  Arg.(
-    value & opt int 1
-    & info [ "fast-nodes" ]
-        ~doc:"nodes 0..N-1 form the low-latency tier the heat policy targets")
-
-let rack_slow_extra_ns =
-  Arg.(
-    value & opt int 2000
-    & info [ "slow-extra-ns" ]
-        ~doc:
-          "fixed fabric penalty (ns) added to every message bound for a \
-           slow-tier node; 0 disables tiering")
-
-let rack_ops_spec =
-  Arg.(
-    value & opt string ""
-    & info [ "rack-ops" ]
-        ~doc:
-          "scheduled rack operations, e.g. \
-           'add@3ms:cap=67108864;drain@5ms:id=1;rebalance@7ms'; drain \
-           failures exit 4")
-
-let rack_fmem_pages =
-  Arg.(
-    value & opt int 0
-    & info [ "fmem-pages" ]
-        ~doc:
-          "per-tenant local cache frames (0 = runtime default); small \
-           values thrash FMem and generate the fetch traffic placement \
-           feeds on")
+          "run the spec twice and fail (exit 1) unless every tenant's \
+           telemetry fingerprint, tenant 0's integrity counters and the \
+           shm-RPC stats are bit-identical")
 
 let run_term print =
   Term.(
@@ -1112,7 +873,7 @@ let run_term print =
 
 let fuzz_term generate =
   Term.(
-    const (cmd_fuzz generate) $ fuzz_episodes $ fuzz_ops $ seed $ fuzz_replay
+    const (cmd_fuzz generate) $ fuzz_episodes $ fuzz_ops $ seed
     $ fuzz_repro_out $ metrics_json)
 
 let cmds =
@@ -1134,19 +895,13 @@ let cmds =
     Cmd.v
       (Cmd.info "rack"
          ~doc:
-           "multi-tenant rack simulation: interleave N tenant runtimes over \
-            shared memory nodes with weighted-fair ingress bandwidth, \
-            per-tenant memory quotas and a cross-tenant shared segment; the \
-            flags lower to one scenario spec, run under the invariant \
-            registry (exit 5 on a violation)")
-      Term.(
-        const cmd_rack $ rack_tenants $ rack_workloads $ rack_bw_shares
-        $ rack_mem_quotas $ rack_nodes $ rack_node_cap $ rack_node_gbps
-        $ rack_shared_pages $ rack_shared_ops $ rack_shared_writers
-        $ rack_shm_rpc $ rack_quantum $ rack_policy $ rack_fast_nodes
-        $ rack_slow_extra_ns $ rack_ops_spec $ rack_fmem_pages $ replicas
-        $ fault_spec $ fault_seed $ heartbeat_ns_opt $ lease_ns_opt $ seed
-        $ metrics_json $ rack_repro_check);
+           "multi-tenant rack simulation: run one scenario spec — N tenant \
+            runtimes interleaved over shared memory nodes with \
+            weighted-fair ingress bandwidth, per-tenant memory quotas and a \
+            cross-tenant shared segment — under the invariant registry \
+            (exit 3 abort, 1 divergence, repro mismatch or a rejected \
+            spec, 5 invariant violation, 4 drain incomplete, 2 degraded)")
+      Term.(const cmd_rack $ rack_spec $ metrics_json $ rack_repro_check);
     Cmd.v
       (Cmd.info "soak"
          ~doc:
@@ -1163,8 +918,8 @@ let cmds =
             public surface (run slices, crashes, flaps, corruption, quotas, \
             shared segments, scrubs, rack ops), checked against the \
             cross-subsystem invariant registry; failing episodes are \
-            delta-debugged to minimal replayable repro specs (exit 5 on \
-            violation, exit 1 on replay mismatch)")
+            delta-debugged to minimal repro specs that $(b,konactl rack \
+            --repro-check) reruns (exit 5 on violation)")
       (fuzz_term Scn_gen.generate);
   ]
 
