@@ -327,7 +327,19 @@ let create_runtime e i =
       Runtime.tenant = Some e.tenants.(i).name;
       stream_base = i * 1024;
       replicas = cfg.replicas;
-      faults = (if i = 0 then cfg.faults else []);
+      (* A partition or link flap cuts the whole rack, so every tenant
+         opens its window; crashes stay on tenant 0, which runs the
+         rack's only failover (the shared controller tells the rest). *)
+      faults =
+        (if i = 0 then cfg.faults
+         else
+           List.filter
+             (function
+               | Kona_faults.Fault_spec.Partition _
+               | Kona_faults.Fault_spec.Link_flap _ ->
+                   true
+               | _ -> false)
+             cfg.faults);
       fault_seed = cfg.fault_seed;
       (* Exactly one membership authority per rack: tenant 0 leases the
          nodes and triggers failover; the others learn of it through the

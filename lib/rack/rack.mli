@@ -42,8 +42,11 @@ type config = {
           tenants' CL-log shipments target the same mirrors, so a
           node failover is whole — it preserves every tenant's data *)
   faults : Kona_faults.Fault_spec.t;
-      (** injected via tenant 0's runtime; a scenario spec's timed
-          [node-crash@T], [link-flap@T] and [partition@T] clauses *)
+      (** a scenario spec's timed [node-crash@T], [link-flap@T] and
+          [partition@T] clauses.  Tenant 0's runtime takes the whole
+          plan; every other tenant takes its partitions and link flaps,
+          which cut the whole rack.  A crash reaches the other tenants
+          through the shared controller *)
   fault_seed : int;
   shared_pages : int;
       (** pages in tenant 0's published segment; 0 disables sharing

@@ -47,8 +47,10 @@
     Timed clauses are a start-time calendar, not ops in sequence: they
     fire at virtual time [T] wherever they sit in the list.
     [node-crash@T:id=N], [link-flap@T:dur=D] and
-    [partition@T:dur=D,nodes=A|B] join tenant 0's fault plan
-    ({!Kona_rack.Rack.config.faults}); [add@T[:cap=B]], [drain@T:id=N]
+    [partition@T:dur=D,nodes=A|B] join the rack's fault plan
+    ({!Kona_rack.Rack.config.faults}): like the [flap:] and
+    [partition:] ops, a timed flap or partition reaches every tenant,
+    and tenant 0 fires a timed crash; [add@T[:cap=B]], [drain@T:id=N]
     and [rebalance@T] join the rack's op calendar
     ({!Kona_rack.Rack.config.ops}).  Only these kinds take an [@T], and
     [node-crash]/[link-flap] need one.

@@ -396,6 +396,28 @@ let test_timed_clause_fires_by_time () =
   let last = run (setup ^ ";run:n=1000;run:n=1000;node-crash@1ms:id=1") in
   check_string "same fingerprint first or last" first last
 
+(* A timed partition or link flap cuts the whole rack, like its
+   positional op: every tenant opens the window and counts it, not only
+   tenant 0. *)
+let test_timed_faults_reach_every_tenant () =
+  List.iter
+    (fun (clause, name) ->
+      let line = "setup:tenants=2,cap=33554432,fmem=64;" ^ clause in
+      match (Episode.execute (Spec.parse_exn line)).Episode.oc_result with
+      | None -> Alcotest.failf "%s: episode did not finish" line
+      | Some r ->
+          let count i =
+            Option.get
+              (Kona_telemetry.Snapshot.counter_value r.Rack.r_snapshot
+                 (Printf.sprintf "tenant.%d.%s" i name))
+          in
+          check_bool (line ^ ": tenant 1 counts it") true (count 1 > 0);
+          check_int (line ^ ": tenant 1 = tenant 0") (count 0) (count 1))
+    [
+      ("partition@1ms:dur=2ms,nodes=1", "partition.started");
+      ("link-flap@1ms:dur=2ms", "faults.link_flaps");
+    ]
+
 (* One crash count: a crash op and a due plan clause both reach the one
    crash counter, so every surface reads the same number — tenant 0's
    [stats], its registry ([faults.node_crashes], inside [faults.injected])
@@ -643,6 +665,8 @@ let () =
             test_partition_mid_drain;
           Alcotest.test_case "timed clause fires by time" `Quick
             test_timed_clause_fires_by_time;
+          Alcotest.test_case "timed faults reach every tenant" `Quick
+            test_timed_faults_reach_every_tenant;
           Alcotest.test_case "one crash count" `Quick test_one_crash_count;
           Alcotest.test_case "rack rejects a bad config" `Quick
             test_rack_rejects_config;
