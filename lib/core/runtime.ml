@@ -1213,7 +1213,7 @@ let count t metric =
     when t.replication = None
          && String.starts_with ~prefix:"replication." metric ->
       0
-  | Some (Snapshot.Hist _ | Snapshot.Summary _) | None ->
+  | Some (Snapshot.Hist _) | None ->
       invalid_arg ("Runtime: no count registered as " ^ metric)
 
 let histogram t metric =

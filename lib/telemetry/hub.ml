@@ -13,5 +13,4 @@ let scoped t ~prefix =
   { registry = Registry.scoped t.registry ~prefix; tracer = t.tracer }
 let snapshot t = Registry.snapshot t.registry
 
-let write_metrics_json ~path ?meta t = Snapshot.write_json ~path ?meta (snapshot t)
 let write_trace ~path t = Tracer.write_jsonl ~path t.tracer

@@ -17,8 +17,5 @@ val scoped : t -> prefix:string -> t
 
 val snapshot : t -> Snapshot.t
 
-val write_metrics_json :
-  path:string -> ?meta:(string * Json.t) list -> t -> unit
-
 val write_trace : path:string -> t -> int
 (** Returns the number of trace events written. *)

@@ -6,30 +6,12 @@
     name twice raises [Invalid_argument] — silent double-counting is the
     failure mode this subsystem exists to prevent.
 
-    Two publication styles:
-    - {e push}: [counter]/[gauge]/[histogram]/[summary] return live handles
-      the hot path mutates directly (a counter bump is one store);
-    - {e pull}: [counter_fn]/[gauge_fn] register a closure read only at
-      [snapshot]/[read] time, for components that already keep their own
-      tallies.
+    Metrics are pulled: [counter_fn]/[gauge_fn] register a closure read
+    only at [snapshot]/[read] time, and [histogram_ref] registers a
+    histogram a component already keeps.  Components keep their own
+    tallies; the registry only names them.
 
     Not thread-safe; the simulator is single-threaded by design. *)
-
-module Counter : sig
-  type t
-
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-end
-
-module Gauge : sig
-  type t
-
-  val set : t -> int -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-end
 
 type t
 
@@ -43,21 +25,13 @@ val scoped : t -> prefix:string -> t
     Prefixes compose ([scoped (scoped r "a.") "b."] registers under
     ["a.b."]). *)
 
-val counter : t -> ?labels:(string * string) list -> string -> Counter.t
 val counter_fn : t -> ?labels:(string * string) list -> string -> (unit -> int) -> unit
-val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
 val gauge_fn : t -> ?labels:(string * string) list -> string -> (unit -> int) -> unit
-
-val histogram : t -> ?labels:(string * string) list -> string -> Kona_util.Histogram.t
-(** A fresh log2-bucketed histogram owned by the registry; record with
-    [Histogram.add]. *)
 
 val histogram_ref :
   t -> ?labels:(string * string) list -> string -> Kona_util.Histogram.t -> unit
 (** Register an existing histogram (a component's private one) under a
     name; snapshots copy it. *)
-
-val summary : t -> ?labels:(string * string) list -> string -> Kona_util.Stats.t
 
 val size : t -> int
 
@@ -68,5 +42,4 @@ val read : t -> string -> Snapshot.value option
     metric.  [None] when [t] holds no such metric. *)
 
 val snapshot : t -> Snapshot.t
-(** Immutable view: pull closures are evaluated, histograms and summaries
-    copied. *)
+(** Immutable view: pull closures are evaluated, histograms copied. *)

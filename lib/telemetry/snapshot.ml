@@ -4,7 +4,6 @@ type value =
   | Counter of int
   | Gauge of int
   | Hist of Histogram.t
-  | Summary of Stats.t
 
 type t = (string * value) list
 
@@ -13,47 +12,7 @@ let find t name = List.assoc_opt name t
 let counter_value t name =
   match find t name with
   | Some (Counter v) | Some (Gauge v) -> Some v
-  | Some (Hist _) | Some (Summary _) | None -> None
-
-(* ------------------------------------------------------------------ *)
-(* Phase deltas and cross-run aggregation *)
-
-let diff ~before ~after =
-  List.map
-    (fun (name, v) ->
-      let v' =
-        match (v, find before name) with
-        | Counter a, Some (Counter b) -> Counter (a - b)
-        | Hist a, Some (Hist b) -> (
-            (* A component reset between snapshots makes [b] no longer a
-               prefix; fall back to the absolute view rather than raising. *)
-            match Histogram.diff ~after:a ~before:b with
-            | d -> Hist d
-            | exception Invalid_argument _ -> Hist (Histogram.copy a))
-        (* Gauges and summaries are level quantities: the delta of a level
-           is the level at the end of the phase. *)
-        | v, _ -> v
-      in
-      (name, v'))
-    after
-
-let merge a b =
-  let merged_from_a =
-    List.map
-      (fun (name, va) ->
-        let v =
-          match (va, find b name) with
-          | Counter x, Some (Counter y) -> Counter (x + y)
-          | Gauge x, Some (Gauge y) -> Gauge (max x y)
-          | Hist x, Some (Hist y) -> Hist (Histogram.merge x y)
-          | Summary x, Some (Summary y) -> Summary (Stats.merge x y)
-          | v, _ -> v
-        in
-        (name, v))
-      a
-  in
-  let only_b = List.filter (fun (name, _) -> find a name = None) b in
-  List.sort (fun (x, _) (y, _) -> String.compare x y) (merged_from_a @ only_b)
+  | Some (Hist _) | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
@@ -79,16 +38,6 @@ let value_to_json = function
                (fun (lo, n) -> Json.List [ Json.Int lo; Json.Int n ])
                (Histogram.buckets h)) );
       ]
-  | Summary s ->
-      [
-        ("type", Json.String "summary");
-        ("n", Json.Int (Stats.count s));
-        ("sum", Json.Float (Stats.sum s));
-        ("mean", float_or_null (Stats.mean s));
-        ("stddev", float_or_null (Stats.stddev s));
-        ("min", float_or_null (Stats.min s));
-        ("max", float_or_null (Stats.max s));
-      ]
 
 let to_json t =
   Json.List
@@ -98,19 +47,10 @@ let document ?(meta = []) t =
   Json.Obj
     ((("schema", Json.String "kona.telemetry.v1") :: meta) @ [ ("metrics", to_json t) ])
 
-let write_json ~path ?meta t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (document ?meta t));
-      output_char oc '\n')
-
 let pp_value fmt = function
   | Counter v -> Format.fprintf fmt "%d" v
   | Gauge v -> Format.fprintf fmt "%d (gauge)" v
   | Hist h -> Histogram.pp fmt h
-  | Summary s -> Stats.pp fmt s
 
 let pp_table fmt t =
   let width =

@@ -1,15 +1,12 @@
 (** Immutable point-in-time view of a metrics registry.
 
-    Snapshots are plain data: taking one copies every histogram and summary,
-    so later mutation of the live registry cannot leak in.  Benches take a
-    snapshot per phase and export [diff]s; multi-run aggregation uses
-    [merge]. *)
+    Snapshots are plain data: taking one copies every histogram, so later
+    mutation of the live registry cannot leak in. *)
 
 type value =
   | Counter of int  (** Monotonic event count. *)
   | Gauge of int  (** Instantaneous level (resident pages, queue depth). *)
   | Hist of Kona_util.Histogram.t  (** Log2-bucketed latency distribution. *)
-  | Summary of Kona_util.Stats.t  (** Welford mean/variance/min/max. *)
 
 type t = (string * value) list
 (** Sorted by metric name. *)
@@ -19,23 +16,12 @@ val find : t -> string -> value option
 val counter_value : t -> string -> int option
 (** Integer value of a counter or gauge by name. *)
 
-val diff : before:t -> after:t -> t
-(** Per-phase delta: counters subtract, histograms subtract bucket-wise,
-    gauges and summaries report the [after] level.  Metrics absent from
-    [before] pass through unchanged. *)
-
-val merge : t -> t -> t
-(** Cross-stream union: counters add, histograms and summaries merge,
-    gauges take the max. *)
-
 val to_json : t -> Json.t
 (** The metrics array: one object per metric with a ["type"] tag. *)
 
 val document : ?meta:(string * Json.t) list -> t -> Json.t
 (** Self-describing export document: schema tag, caller metadata (system,
     workload, seed, ...), then ["metrics"]. *)
-
-val write_json : path:string -> ?meta:(string * Json.t) list -> t -> unit
 
 val pp_table : Format.formatter -> t -> unit
 (** Human-readable aligned table, one metric per line. *)

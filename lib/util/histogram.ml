@@ -27,19 +27,6 @@ let upper_bound b = if b = 0 then 0 else 1 lsl b
 
 let copy t = { counts = Array.copy t.counts; n = t.n; total = t.total }
 
-let merge a b =
-  {
-    counts = Array.init nbuckets (fun i -> a.counts.(i) + b.counts.(i));
-    n = a.n + b.n;
-    total = a.total +. b.total;
-  }
-
-let diff ~after ~before =
-  let counts = Array.init nbuckets (fun i -> after.counts.(i) - before.counts.(i)) in
-  if Array.exists (fun c -> c < 0) counts then
-    invalid_arg "Histogram.diff: before is not a prefix of after";
-  { counts; n = after.n - before.n; total = after.total -. before.total }
-
 let percentile t p =
   if p <= 0. || p > 100. then invalid_arg "Histogram.percentile: p outside (0,100]";
   if t.n = 0 then 0

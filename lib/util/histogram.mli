@@ -20,14 +20,6 @@ val mean : t -> float
 val copy : t -> t
 (** Independent copy; mutating either side leaves the other unchanged. *)
 
-val merge : t -> t -> t
-(** Bucket-wise sum: statistics of the two streams concatenated. *)
-
-val diff : after:t -> before:t -> t
-(** Bucket-wise subtraction, for per-phase deltas when [before] is an
-    earlier snapshot of the same stream.  Raises [Invalid_argument] if any
-    bucket would go negative ([before] not a prefix of [after]). *)
-
 val percentile : t -> float -> int
 (** [percentile t p] (0 < p <= 100) returns the upper bound of the bucket
     containing the p-th percentile — an upward-rounded estimate.  0 when

@@ -1,5 +1,5 @@
 (* Tests for kona_telemetry: registry semantics, tracer ring behavior,
-   snapshot diff/merge, and exporter output validity. *)
+   snapshot immutability, and exporter output validity. *)
 
 open Kona_telemetry
 module Histogram = Kona_util.Histogram
@@ -11,52 +11,58 @@ let check_string = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
+(* The registry holds a handle on each component tally — a closure or a
+   histogram — and every registration reports its own kind. *)
 let test_registry_handles () =
   let reg = Registry.create () in
-  let c = Registry.counter reg "a.count" in
-  let g = Registry.gauge reg "a.level" in
-  Registry.Counter.incr c;
-  Registry.Counter.add c 4;
-  Registry.Gauge.set g 7;
-  Registry.Gauge.add g (-2);
-  check_int "counter" 5 (Registry.Counter.value c);
-  check_int "gauge" 5 (Registry.Gauge.value g);
+  let count = ref 0 and level = ref 0 in
+  let h = Histogram.create () in
+  Registry.counter_fn reg "a.count" (fun () -> !count);
+  Registry.gauge_fn reg "a.level" (fun () -> !level);
+  Registry.histogram_ref reg "a.lat" h;
+  count := 5;
+  level := 7;
+  Histogram.add h 100;
   let snap = Registry.snapshot reg in
-  Alcotest.(check (option int)) "snapshot counter" (Some 5)
-    (Snapshot.counter_value snap "a.count");
-  Alcotest.(check (option int)) "snapshot gauge" (Some 5)
-    (Snapshot.counter_value snap "a.level")
+  check_bool "counter kind" true
+    (Snapshot.find snap "a.count" = Some (Snapshot.Counter 5));
+  check_bool "gauge kind" true
+    (Snapshot.find snap "a.level" = Some (Snapshot.Gauge 7));
+  match Snapshot.find snap "a.lat" with
+  | Some (Snapshot.Hist sh) -> check_int "histogram kind" 1 (Histogram.count sh)
+  | _ -> Alcotest.fail "expected a histogram"
+
+let zero () = 0
 
 let test_registry_collision () =
   let reg = Registry.create () in
-  ignore (Registry.counter reg "x.y" : Registry.Counter.t);
+  Registry.counter_fn reg "x.y" zero;
   Alcotest.check_raises "duplicate rejected"
     (Invalid_argument "Registry: duplicate metric \"x.y\"") (fun () ->
-      ignore (Registry.counter reg "x.y" : Registry.Counter.t));
+      Registry.counter_fn reg "x.y" zero);
   (* A different metric kind under the same name is also a collision. *)
   Alcotest.check_raises "cross-kind duplicate rejected"
     (Invalid_argument "Registry: duplicate metric \"x.y\"") (fun () ->
-      ignore (Registry.gauge reg "x.y" : Registry.Gauge.t));
+      Registry.gauge_fn reg "x.y" zero);
   (* Same base name with distinct labels is a distinct metric. *)
-  ignore (Registry.counter reg ~labels:[ ("k", "v") ] "x.y" : Registry.Counter.t);
+  Registry.counter_fn reg ~labels:[ ("k", "v") ] "x.y" zero;
   Alcotest.check_raises "label duplicate rejected"
     (Invalid_argument "Registry: duplicate metric \"x.y{k=v}\"") (fun () ->
-      ignore (Registry.counter reg ~labels:[ ("k", "v") ] "x.y" : Registry.Counter.t));
+      Registry.counter_fn reg ~labels:[ ("k", "v") ] "x.y" zero);
   check_int "two metrics" 2 (Registry.size reg)
 
 let test_registry_invalid_name () =
   let reg = Registry.create () in
   Alcotest.check_raises "empty name"
     (Invalid_argument "Registry: invalid metric name \"\"") (fun () ->
-      ignore (Registry.counter reg "" : Registry.Counter.t));
+      Registry.counter_fn reg "" zero);
   Alcotest.check_raises "bad char"
     (Invalid_argument "Registry: invalid metric name \"a b\"") (fun () ->
-      ignore (Registry.counter reg "a b" : Registry.Counter.t))
+      Registry.counter_fn reg "a b" zero)
 
 let test_registry_labels_sorted () =
   let reg = Registry.create () in
-  ignore
-    (Registry.counter reg ~labels:[ ("z", "1"); ("a", "2") ] "m" : Registry.Counter.t);
+  Registry.counter_fn reg ~labels:[ ("z", "1"); ("a", "2") ] "m" zero;
   let snap = Registry.snapshot reg in
   match snap with
   | [ (name, _) ] -> check_string "labels sorted by key" "m{a=2,z=1}" name
@@ -79,8 +85,9 @@ let test_registry_read () =
   let reg = Registry.create () in
   let v = ref 3 in
   Registry.counter_fn reg ~labels:[ ("qp", "fetch") ] "qp.posts" (fun () -> !v);
-  Registry.Gauge.set (Registry.gauge reg "level") 7;
-  let h = Registry.histogram reg "lat_ns" in
+  Registry.gauge_fn reg "level" (fun () -> 7);
+  let h = Histogram.create () in
+  Registry.histogram_ref reg "lat_ns" h;
   Histogram.add h 100;
   v := 5;
   let read name = Registry.read reg name in
@@ -170,41 +177,12 @@ let test_tracer_jsonl () =
     !lines
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot diff/merge *)
-
-let test_snapshot_diff_roundtrip () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg "work.done" in
-  let g = Registry.gauge reg "depth" in
-  let h = Registry.histogram reg "lat" in
-  Registry.Counter.add c 10;
-  Registry.Gauge.set g 3;
-  Histogram.add h 100;
-  let before = Registry.snapshot reg in
-  Registry.Counter.add c 7;
-  Registry.Gauge.set g 9;
-  Histogram.add h 200;
-  Histogram.add h 300;
-  let after = Registry.snapshot reg in
-  let d = Snapshot.diff ~before ~after in
-  Alcotest.(check (option int)) "counter delta" (Some 7)
-    (Snapshot.counter_value d "work.done");
-  Alcotest.(check (option int)) "gauge reports after level" (Some 9)
-    (Snapshot.counter_value d "depth");
-  (match Snapshot.find d "lat" with
-  | Some (Snapshot.Hist dh) -> check_int "hist delta count" 2 (Histogram.count dh)
-  | _ -> Alcotest.fail "lat missing from diff");
-  (* diff then merge with before reconstructs after for counters/hists *)
-  let back = Snapshot.merge before d in
-  Alcotest.(check (option int)) "merge undoes diff" (Some 17)
-    (Snapshot.counter_value back "work.done");
-  match Snapshot.find back "lat" with
-  | Some (Snapshot.Hist bh) -> check_int "hist count restored" 3 (Histogram.count bh)
-  | _ -> Alcotest.fail "lat missing from merge"
+(* Snapshot *)
 
 let test_snapshot_immutable () =
   let reg = Registry.create () in
-  let h = Registry.histogram reg "lat" in
+  let h = Histogram.create () in
+  Registry.histogram_ref reg "lat" h;
   Histogram.add h 5;
   let snap = Registry.snapshot reg in
   Histogram.add h 6;
@@ -218,12 +196,11 @@ let test_snapshot_immutable () =
 
 let test_export_json_valid () =
   let reg = Registry.create () in
-  let c = Registry.counter reg "n" in
-  Registry.Counter.add c 3;
-  let h = Registry.histogram reg "lat_ns" in
+  Registry.counter_fn reg "n" (fun () -> 3);
+  Registry.gauge_fn reg "level" (fun () -> 12);
+  let h = Histogram.create () in
+  Registry.histogram_ref reg "lat_ns" h;
   List.iter (Histogram.add h) [ 10; 20; 40_000 ];
-  let s = Registry.summary reg "sz" in
-  Kona_util.Stats.add_int s 12;
   let snap = Registry.snapshot reg in
   let doc = Snapshot.document ~meta:[ ("system", Json.String "test") ] snap in
   let text = Json.to_string doc in
@@ -253,6 +230,9 @@ let test_export_json_valid () =
       (match Json.member "value" (find "n") with
       | Some (Json.Int 3) -> ()
       | _ -> Alcotest.fail "counter value wrong");
+      (match Json.member "type" (find "level") with
+      | Some (Json.String "gauge") -> ()
+      | _ -> Alcotest.fail "gauge type wrong");
       match Json.member "count" (find "lat_ns") with
       | Some (Json.Int 3) -> ()
       | _ -> Alcotest.fail "histogram count wrong"
@@ -275,19 +255,16 @@ let test_export_table () =
 
 let test_hub_roundtrip () =
   let hub = Hub.create ~trace_capacity:16 () in
-  let c = Registry.counter (Hub.registry hub) "events" in
-  Registry.Counter.add c 2;
+  Registry.counter_fn (Hub.registry hub) "events" (fun () -> 2);
   Tracer.instant (Hub.tracer hub) "e";
-  let path = Filename.temp_file "kona_metrics" ".json" in
-  Hub.write_metrics_json ~path hub;
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  Sys.remove path;
-  match Json.of_string (String.trim text) with
-  | Ok doc ->
-      check_bool "metrics present" true (Json.member "metrics" doc <> None)
+  let text = Json.to_string (Snapshot.document (Hub.snapshot hub)) in
+  match Json.of_string text with
+  | Ok doc -> (
+      match Option.bind (Json.member "metrics" doc) Json.to_list_opt with
+      | Some [ m ] ->
+          check_bool "counter exported" true
+            (Json.member "value" m = Some (Json.Int 2))
+      | _ -> Alcotest.fail "expected one metric")
   | Error e -> Alcotest.failf "hub export does not parse: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -346,11 +323,7 @@ let () =
           Alcotest.test_case "clock stamping" `Quick test_tracer_clock_stamping;
           Alcotest.test_case "jsonl export" `Quick test_tracer_jsonl;
         ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "diff/merge round-trip" `Quick test_snapshot_diff_roundtrip;
-          Alcotest.test_case "immutability" `Quick test_snapshot_immutable;
-        ] );
+      ("snapshot", [ Alcotest.test_case "immutability" `Quick test_snapshot_immutable ]);
       ( "export",
         [
           Alcotest.test_case "json document valid" `Quick test_export_json_valid;

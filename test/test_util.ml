@@ -276,60 +276,6 @@ let prop_ring_fifo_order =
       Ring_buffer.pop_n r (List.length xs) = xs)
 
 (* ------------------------------------------------------------------ *)
-(* Stats *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add_int s) [ 1; 2; 3; 4 ];
-  check_int "count" 4 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.max s);
-  Alcotest.(check (float 1e-9)) "variance" (5. /. 3.) (Stats.variance s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-  let xs = [ 1.; 5.; 2.; 8.; 3. ] and ys = [ 10.; 0.; 4. ] in
-  List.iter (Stats.add a) xs;
-  List.iter (Stats.add b) ys;
-  List.iter (Stats.add whole) (xs @ ys);
-  let m = Stats.merge a b in
-  check_int "count" (Stats.count whole) (Stats.count m);
-  Alcotest.(check (float 1e-9)) "mean" (Stats.mean whole) (Stats.mean m);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.variance whole) (Stats.variance m)
-
-(* Two-stream merge must agree with single-stream stats on the
-   concatenated input — the invariant telemetry aggregation relies on. *)
-let prop_stats_merge_concat =
-  let close a b = abs_float (a -. b) <= 1e-6 *. (1. +. abs_float a +. abs_float b) in
-  QCheck.Test.make ~name:"stats merge = stats of concatenated streams" ~count:300
-    QCheck.(pair (small_list (int_bound 10_000)) (small_list (int_bound 10_000)))
-    (fun (xs, ys) ->
-      let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-      List.iter (Stats.add_int a) xs;
-      List.iter (Stats.add_int b) ys;
-      List.iter (Stats.add_int whole) (xs @ ys);
-      let m = Stats.merge a b in
-      Stats.count m = Stats.count whole
-      && (Stats.count whole = 0
-         || close (Stats.mean m) (Stats.mean whole)
-            && close (Stats.min m) (Stats.min whole)
-            && close (Stats.max m) (Stats.max whole))
-      && (Stats.count whole < 2
-         || close (Stats.variance m) (Stats.variance whole)))
-
-let test_counters () =
-  let c = Stats.Counters.create () in
-  Stats.Counters.incr c "faults";
-  Stats.Counters.add c "faults" 2;
-  Stats.Counters.add c "bytes" 100;
-  check_int "faults" 3 (Stats.Counters.get c "faults");
-  check_int "bytes" 100 (Stats.Counters.get c "bytes");
-  check_int "missing" 0 (Stats.Counters.get c "nope");
-  Alcotest.(check (list (pair string int)))
-    "sorted" [ ("bytes", 100); ("faults", 3) ] (Stats.Counters.to_list c)
-
-(* ------------------------------------------------------------------ *)
 (* Cdf *)
 
 let test_cdf_basic () =
@@ -436,34 +382,6 @@ let prop_histogram_percentile_bounds =
       let below = List.length (List.filter (fun s -> s <= p90) samples) in
       10 * below >= 9 * List.length samples)
 
-let prop_histogram_merge_concat =
-  QCheck.Test.make ~name:"histogram merge = histogram of concatenated streams"
-    ~count:300
-    QCheck.(pair (small_list (int_bound 1_000_000)) (small_list (int_bound 1_000_000)))
-    (fun (xs, ys) ->
-      let a = Histogram.create ()
-      and b = Histogram.create ()
-      and whole = Histogram.create () in
-      List.iter (Histogram.add a) xs;
-      List.iter (Histogram.add b) ys;
-      List.iter (Histogram.add whole) (xs @ ys);
-      let m = Histogram.merge a b in
-      Histogram.count m = Histogram.count whole
-      && abs_float (Histogram.sum m -. Histogram.sum whole) < 1e-6
-      && Histogram.buckets m = Histogram.buckets whole
-      && Histogram.percentile m 99. = Histogram.percentile whole 99.)
-
-let prop_histogram_diff_inverts_merge =
-  QCheck.Test.make ~name:"histogram diff inverts merge" ~count:300
-    QCheck.(pair (small_list (int_bound 1_000_000)) (small_list (int_bound 1_000_000)))
-    (fun (xs, ys) ->
-      let a = Histogram.create () and b = Histogram.create () in
-      List.iter (Histogram.add a) xs;
-      List.iter (Histogram.add b) ys;
-      let m = Histogram.merge a b in
-      let back = Histogram.diff ~after:m ~before:a in
-      Histogram.buckets back = Histogram.buckets b)
-
 let qsuite name props = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) props)
 
 let () =
@@ -507,13 +425,6 @@ let () =
           Alcotest.test_case "iter/clear" `Quick test_ring_iter_and_clear;
         ] );
       qsuite "ring-props" [ prop_ring_fifo_order ];
-      ( "stats",
-        [
-          Alcotest.test_case "basic" `Quick test_stats_basic;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
-          Alcotest.test_case "counters" `Quick test_counters;
-        ] );
-      qsuite "stats-props" [ prop_stats_merge_concat ];
       ( "cdf",
         [
           Alcotest.test_case "basic" `Quick test_cdf_basic;
@@ -531,10 +442,5 @@ let () =
           Alcotest.test_case "basic" `Quick test_histogram_basic;
           Alcotest.test_case "buckets" `Quick test_histogram_buckets;
         ] );
-      qsuite "histogram-props"
-        [
-          prop_histogram_percentile_bounds;
-          prop_histogram_merge_concat;
-          prop_histogram_diff_inverts_merge;
-        ];
+      qsuite "histogram-props" [ prop_histogram_percentile_bounds ];
     ]
