@@ -813,7 +813,7 @@ let fuzz_repro_out =
     & info [ "repro-out" ] ~docv:"PATH"
         ~doc:
           "write each failing episode's minimal repro spec (one per line, \
-           shrunk by delta debugging) for 'konactl fuzz --replay'")
+           shrunk by delta debugging) for 'konactl rack --repro-check'")
 
 let metrics_json =
   Arg.(

@@ -24,9 +24,9 @@
     Its users are the rack's: the shared-segment sharer directory
     ([on_fill ~sharer], [snoop_sharers]) and the multi-writer MSI home
     ([acquire]).  The single-tenant runtime keeps no instance, since
-    nothing there reads per-line state: its [directory.*] counters are the
-    hierarchy's LLC fills and writebacks and the evictor's snooped dirty
-    lines. *)
+    nothing there reads per-line state; it counts LLC fills and
+    writebacks as [hierarchy.memory_accesses] and [hierarchy.writebacks],
+    and snooped dirty lines as [evict.snooped_lines]. *)
 
 type state =
   | Invalid  (** not at the CPU, as far as the agent knows *)

@@ -1200,10 +1200,10 @@ let degraded t =
 (* ------------------------------------------------------------------ *)
 (* Report views over the registry: fixed lists of names, each read from
    one registered metric.  Names and order are a contract — perf's
-   sim_digest hashes [stats @ integrity_counters] and [fuzz --replay]
-   compares [integrity_counters] — so [stats] keeps its own spellings
-   ([log.lines] is [cllog.lines]).  A name the registry does not hold
-   raises: a misspelt entry never reads as 0. *)
+   sim_digest hashes [stats @ integrity_counters] and [konactl rack
+   --repro-check] compares [integrity_counters] — so [stats] keeps its
+   own spellings ([log.lines] is [cllog.lines]).  A name the registry
+   does not hold raises: a misspelt entry never reads as 0. *)
 
 let count t metric =
   match Registry.read t.registry metric with

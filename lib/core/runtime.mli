@@ -279,8 +279,8 @@ val integrity_counters : t -> (string * int) list
     [scrub.*] count, then the partition, membership, fencing and recovery
     counts, each under its registered name.  Names and order are a
     contract: two runs of the same (plan, seed) must produce identical
-    lists — the soak harness's reproducibility check and [fuzz --replay]
-    compare these bit-for-bit. *)
+    lists — [konactl rack --repro-check] compares tenant 0's bit for
+    bit. *)
 
 val unrepairable_pages : t -> int list
 (** Virtual pages declared unrepairable (sorted, deduplicated): a corrupt

@@ -175,8 +175,8 @@ val run : config -> tenant_cfg list -> result
     The same simulation as {!run}, paused between scheduling slices so a
     caller can interleave rack operations, fault arming and invariant
     checks with replay.  Outside the benchmarks the only caller is
-    [Kona_scenario.Episode], which runs one scenario spec; [konactl
-    rack] lowers its flags to such a spec.  All adapters are deterministic:
+    [Kona_scenario.Episode], which runs one scenario spec ([konactl rack
+    SPEC] runs it there).  All adapters are deterministic:
     the same [config], tenant list and op sequence reproduce the same
     telemetry bit for bit. *)
 

@@ -1,12 +1,13 @@
 (** Episode executor: run one {!Spec.t} through the stepwise rack engine,
     evaluating the {!Invariants} registry at every op boundary and (by
     default) at the end of the episode.  Outside the benchmarks it is the
-    only code that steps the rack engine: [konactl rack] lowers its flags
-    to a spec and runs it here.
+    only code that steps the rack engine: [konactl rack SPEC] runs its
+    spec here.
 
     Execution is deterministic: the same spec yields the same telemetry,
     the same fingerprint and the same violations, bit for bit — which is
-    what makes {!Shrink} sound and [konactl fuzz --replay] meaningful. *)
+    what makes {!Shrink} sound and [konactl rack --repro-check]
+    meaningful. *)
 
 type outcome = {
   oc_fingerprint : string;

@@ -1,6 +1,6 @@
 (** Scenario grammar: one line describes one whole episode, and the one
-    surface that configures a rack ([konactl rack] lowers its flags to a
-    spec, and {!Episode} runs it).
+    surface that configures a rack ([konactl rack SPEC] takes the line,
+    and {!Episode} runs it).
 
     A spec is a [';']-separated clause list.  The first clause is the
     setup (rack shape, workloads, seeds); every following clause is one
@@ -40,8 +40,8 @@
     - [scrub] — force one full scrub sweep on every runtime;
     - [add[:cap=B]] / [drain:id=N] / [rebalance] — a
       {!Kona_rack.Rack_ops} op, read and rendered by the same functions
-      as [konactl rack --rack-ops] but without the [@T]: it applies
-      immediately;
+      as the timed [add@T] / [drain@T] / [rebalance@T] clauses below, but
+      without the [@T]: it applies immediately;
     - [migrate-epoch] — force one placement-migrator epoch.
 
     Timed clauses are a start-time calendar, not ops in sequence: they
