@@ -585,9 +585,9 @@ let cmd_rack line metrics_json repro_check =
       | exception Invalid_argument msg ->
           Fmt.epr "%s@." msg;
           1
-      | { Episode.oc_aborted = Some why; _ } as o ->
+      | { Episode.oc_aborted = Some why; _ } ->
+          (* an abort stops the run: nothing softer is reported *)
           Fmt.epr "aborted: %s@." why;
-          ignore (repro_failed o : bool);
           3
       | { Episode.oc_result = None; _ } as o ->
           (* a boundary invariant stopped the run before its end *)
@@ -820,7 +820,10 @@ let metrics_json =
     value
     & opt (some string) None
     & info [ "metrics-json" ] ~docv:"PATH"
-        ~doc:"export the telemetry snapshot of every system run as one JSON document")
+        ~doc:
+          "export the results as one JSON document: every system's \
+           telemetry snapshot ($(b,run), $(b,stats)), the rack report \
+           ($(b,rack)) or the episode report ($(b,fuzz), $(b,soak))")
 
 let trace_out =
   Arg.(
@@ -850,7 +853,7 @@ let rack_spec =
            workloads, shares, quotas, policy, shared segment, seeds, ...) \
            followed by ';'-separated ops and timed fault and rack-op \
            clauses, e.g. \
-           'setup:tenants=2,nodes=3,fmem=64,seed=7,scrub=0ns,verify=0,workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256' \
+           'setup:tenants=2,nodes=3,fmem=64,replicas=0,seed=7,scrub=0ns,verify=0,workloads=kv-zipf|kv-uniform,policy=heat,slowns=2us,seg=64,segops=256' \
            (the grammar is lib/scenario/spec.mli's; $(b,konactl fuzz) \
            prints one per episode)")
 
