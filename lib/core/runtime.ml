@@ -280,7 +280,9 @@ let register_metrics t reg =
   c "rpc.calls" (fun () -> Rpc.calls t.rpc);
   c "rpc.timeouts" (fun () -> Rpc.timeouts t.rpc);
   c "rpc.retries" (fun () -> Rpc.retries t.rpc);
-  (* Fault injection, failover and recovery (§4.5) *)
+  (* Fault injection, failover and recovery (§4.5).  The injector's
+     partition count is [partition.started] below: every partition it
+     hands out opens one window. *)
   c "faults.injected" (fun () -> Injector.injected t.injector);
   List.iter
     (fun category ->
@@ -289,7 +291,7 @@ let register_metrics t reg =
             (List.assoc_opt category (Injector.counters t.injector))))
     [
       "node_crashes"; "link_flaps"; "rpc_timeouts"; "wqe_drops"; "wqe_delays";
-      "bit_flips"; "torn_writes"; "stale_reads"; "dup_delivers"; "partitions";
+      "bit_flips"; "torn_writes"; "stale_reads"; "dup_delivers";
     ];
   (* Membership, fencing, partitions, interruptible recovery (PR 9) *)
   let mem f = match t.membership with Some m -> f m | None -> 0 in
