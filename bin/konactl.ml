@@ -422,7 +422,7 @@ module Rack = Kona_rack.Rack
 module Shm_rpc = Kona_shmem.Shm_rpc
 
 let print_rack_report (setup : Scn.setup) (r : Rack.result) rpc =
-  Fmt.pr "rack: %d tenant(s), %d node(s) @ %.2f Gbit/s ingress, smoke, %a@."
+  Fmt.pr "rack: %d tenant(s), %d node(s) @@ %.2f Gbit/s ingress, smoke, %a@."
     setup.Scn.tenants setup.Scn.nodes setup.Scn.gbps Units.pp_ns
     r.Rack.r_elapsed_ns;
   Array.iter

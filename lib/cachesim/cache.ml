@@ -53,14 +53,21 @@ let set_of t block_addr = (block_addr lsr t.block_bits) mod t.nsets
 type evicted = { block_addr : int; dirty : bool }
 type outcome = Hit | Miss of evicted option
 
-let find_way t set block_addr =
+(* The slot of [block_addr] among [tags.(i)] .. [tags.(limit - 1)], or -1.
+   A top-level function over an annotated [int array]: no closure, no
+   [Some], and [=] is the integer compare, not polymorphic compare. *)
+let rec scan (tags : int array) block_addr i limit =
+  if i = limit then -1
+  else if tags.(i) = block_addr then i
+  else scan tags block_addr (i + 1) limit
+
+let find_slot t set block_addr =
   let base = set * t.assoc in
-  let rec loop way =
-    if way = t.assoc then None
-    else if t.tags.(base + way) = block_addr then Some (base + way)
-    else loop (way + 1)
-  in
-  loop 0
+  scan t.tags block_addr base (base + t.assoc)
+
+let slot_of t ~addr =
+  let block_addr = block_addr_of t addr in
+  find_slot t (set_of t block_addr) block_addr
 
 let victim_way t set =
   (* Prefer an invalid way; otherwise least-recent stamp. *)
@@ -86,56 +93,51 @@ let access t ~addr ~write =
   let block_addr = block_addr_of t addr in
   let set = set_of t block_addr in
   if write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
-  match find_way t set block_addr with
-  | Some i ->
-      touch t i;
-      if write then t.dirty.(i) <- true;
-      Hit
-  | None ->
-      if write then t.write_misses <- t.write_misses + 1
-      else t.read_misses <- t.read_misses + 1;
-      let i = victim_way t set in
-      let victim =
-        if t.tags.(i) = -1 then None
-        else begin
-          t.evictions <- t.evictions + 1;
-          if t.dirty.(i) then t.dirty_evictions <- t.dirty_evictions + 1;
-          Some { block_addr = t.tags.(i); dirty = t.dirty.(i) }
-        end
-      in
-      t.tags.(i) <- block_addr;
-      t.dirty.(i) <- write;
-      touch t i;
-      Miss victim
+  let i = find_slot t set block_addr in
+  if i >= 0 then begin
+    touch t i;
+    if write then t.dirty.(i) <- true;
+    Hit
+  end
+  else begin
+    if write then t.write_misses <- t.write_misses + 1
+    else t.read_misses <- t.read_misses + 1;
+    let i = victim_way t set in
+    let victim =
+      if t.tags.(i) = -1 then None
+      else begin
+        t.evictions <- t.evictions + 1;
+        if t.dirty.(i) then t.dirty_evictions <- t.dirty_evictions + 1;
+        Some { block_addr = t.tags.(i); dirty = t.dirty.(i) }
+      end
+    in
+    t.tags.(i) <- block_addr;
+    t.dirty.(i) <- write;
+    touch t i;
+    Miss victim
+  end
 
-let probe t ~addr =
-  let block_addr = block_addr_of t addr in
-  find_way t (set_of t block_addr) block_addr <> None
+let probe t ~addr = slot_of t ~addr >= 0
 
 let is_dirty t ~addr =
-  let block_addr = block_addr_of t addr in
-  match find_way t (set_of t block_addr) block_addr with
-  | Some i -> t.dirty.(i)
-  | None -> false
+  let i = slot_of t ~addr in
+  i >= 0 && t.dirty.(i)
 
 let flush_block t ~addr =
-  let block_addr = block_addr_of t addr in
-  match find_way t (set_of t block_addr) block_addr with
-  | None -> None
-  | Some i ->
-      let victim = { block_addr = t.tags.(i); dirty = t.dirty.(i) } in
-      t.tags.(i) <- -1;
-      t.dirty.(i) <- false;
-      t.stamp.(i) <- 0;
-      Some victim
+  let i = slot_of t ~addr in
+  if i < 0 then None
+  else begin
+    let victim = { block_addr = t.tags.(i); dirty = t.dirty.(i) } in
+    t.tags.(i) <- -1;
+    t.dirty.(i) <- false;
+    t.stamp.(i) <- 0;
+    Some victim
+  end
 
 let set_dirty t ~addr =
-  let block_addr = block_addr_of t addr in
-  match find_way t (set_of t block_addr) block_addr with
-  | Some i ->
-      t.dirty.(i) <- true;
-      true
-  | None -> false
+  let i = slot_of t ~addr in
+  if i >= 0 then t.dirty.(i) <- true;
+  i >= 0
 
 let iter_resident t f =
   for i = 0 to Array.length t.tags - 1 do

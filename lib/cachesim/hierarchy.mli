@@ -11,7 +11,10 @@
     L2 victim is chosen, merging their dirty bits into the victim, so no
     modified line can escape unobserved.  [flush_page] models the snoop the
     FPGA must perform before evicting a page (§4.4 "Tracking dirty
-    data"). *)
+    data").  An exact snoop filter, kept on every LLC fill and victim,
+    lists for each half page the lines the LLC holds, so the snoop visits
+    only those lines, as a coherent cache's snoop filter spares it a
+    broadcast. *)
 
 type level_config = { size : int; assoc : int }
 
@@ -44,18 +47,24 @@ val access_line : t -> addr:int -> write:bool -> int
 val flush_page : t -> page:int -> int list
 (** Invalidate every line of 4KB page index [page] from all levels; returns
     the (64B-aligned) addresses of lines that were dirty anywhere in the
-    hierarchy, in ascending order.  Each line is probed in the LLC first
-    and L1/L2 are searched only when the LLC held it: by inclusion a line
-    absent from the LLC is absent everywhere.  Does NOT invoke
-    [on_writeback]: the caller receives the dirty data directly, as a
-    snoop does. *)
+    hierarchy, in ascending order.  Only the lines the snoop filter lists
+    for the page are visited: each is flushed from the LLC, then searched
+    in L2 and L1; by inclusion a line absent from the LLC is absent
+    everywhere.  Raises [Failure] if the filter lists a line the LLC does
+    not hold (a broken invariant).  Does NOT invoke [on_writeback]: the
+    caller receives the dirty data directly, as a snoop does. *)
 
 val resident_dirty_lines : t -> page:int -> int list
 (** Dirty lines of [page] without invalidating (diagnostics/tests). *)
 
 val l1 : t -> Cache.t
 val l2 : t -> Cache.t
+
 val llc : t -> Cache.t
+(** The levels, for reading only (statistics, {!Cache.probe},
+    {!Cache.iter_resident}).  Accessing or flushing a level behind the
+    hierarchy's back can break inclusion, and doing so to the LLC breaks
+    the snoop filter that [flush_page] relies on. *)
 
 val memory_accesses : t -> int
 (** Number of line fills from memory (= LLC misses). *)

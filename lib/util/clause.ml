@@ -49,7 +49,15 @@ let of_string s =
     | Some i -> cut p i
     | None -> bad "bad parameter %S (expected key=value)" p
   in
-  { kind; at_ns; params = List.map kv (List.filter (fun p -> p <> "") params) }
+  let params = List.map kv (List.filter (fun p -> p <> "") params) in
+  let rec distinct = function
+    | [] -> ()
+    | (k, _) :: rest ->
+        if List.mem_assoc k rest then bad "repeated parameter %s for %s" k kind;
+        distinct rest
+  in
+  distinct params;
+  { kind; at_ns; params }
 
 let trigger c =
   match c.at_ns with

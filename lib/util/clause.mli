@@ -29,12 +29,12 @@ val split : string -> string list
 type t = {
   kind : string;
   at_ns : int option;  (** the [@T] trigger time, if any *)
-  params : (string * string) list;  (** in order; the first of a key wins *)
+  params : (string * string) list;  (** in order; each key at most once *)
 }
 
 val of_string : string -> t
-(** Lex one clause.  A parameter without ['='] or a malformed [@T] is
-    rejected. *)
+(** Lex one clause.  A parameter without ['='], a key given twice or a
+    malformed [@T] is rejected. *)
 
 val trigger : t -> int
 (** The clause's trigger time; rejects a clause without one. *)

@@ -189,13 +189,23 @@ let odd_sets_config =
 
 type hierarchy_op = Line of int * bool | Flush of int
 
+(* Lines and flushes come from the first four pages and from the four pages
+   at the rack's shared-segment base (1 GiB), so the hierarchy's snoop
+   filter spans two distant chunks. *)
 let arb_hierarchy_ops =
+  let region = QCheck.Gen.oneofl [ 0; 1 lsl 30 ] in
   let op =
     QCheck.Gen.(
       frequency
         [
-          (8, map2 (fun addr write -> Line (addr, write)) (int_bound 16_383) bool);
-          (1, map (fun page -> Flush page) (int_bound 3));
+          ( 8,
+            map3
+              (fun base addr write -> Line (base + addr, write))
+              region (int_bound 16_383) bool );
+          ( 1,
+            map2
+              (fun base page -> Flush ((base / Kona_util.Units.page_size) + page))
+              region (int_bound 3) );
         ])
   in
   let print = function
@@ -215,10 +225,11 @@ let contained upper lower =
   !ok
 
 let prop_inclusion_and_snoop =
-  (* [flush_page] only searches L1/L2 for lines the LLC holds, which is
-     exact only while L1 ⊆ L2 ⊆ LLC: check inclusion after every op, and
-     that each flush returns the dirty lines resident just before it and
-     leaves none of the page anywhere. *)
+  (* [flush_page] visits only the lines its snoop filter lists and searches
+     L1/L2 only for lines the LLC holds, which is exact only while the
+     filter matches the LLC and L1 ⊆ L2 ⊆ LLC: check inclusion after every
+     op, and that each flush returns the dirty lines a full probe finds
+     just before it and leaves none of the page anywhere. *)
   QCheck.Test.make ~name:"inclusive, flush = resident dirty" ~count:100
     arb_hierarchy_ops (fun ops ->
       List.for_all
@@ -244,7 +255,7 @@ let prop_inclusion_and_snoop =
               && contained (Hierarchy.l1 h) (Hierarchy.l2 h)
               && contained (Hierarchy.l2 h) (Hierarchy.llc h))
             ops)
-        [ tiny_config; odd_sets_config ])
+        [ tiny_config; odd_sets_config; Hierarchy.default_config ])
 
 (* A reference model: fully-associative LRU as a plain list.  A Cache
    configured with a single set must agree with it exactly. *)

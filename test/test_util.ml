@@ -61,6 +61,26 @@ let test_clause_lex () =
   check_bool "missing trigger" true
     (rejects (fun () -> Clause.trigger (Clause.of_string "drain:id=1")))
 
+(* A key given twice is an error naming the key and the clause kind, not a
+   silent first-wins: every grammar lexes through [Clause.of_string]. *)
+let test_clause_repeated_key () =
+  let message s =
+    match Clause.of_string s with
+    | _ -> Alcotest.failf "%S was accepted" s
+    | exception Clause.Bad msg -> msg
+  in
+  Alcotest.(check string)
+    "setup" "repeated parameter fmem for setup"
+    (message "setup:tenants=1,cap=33554432,fmem=64,fmem=2048");
+  Alcotest.(check string)
+    "probabilistic fault" "repeated parameter p for bit-flip"
+    (message "bit-flip:p=0.1,p=0.9");
+  Alcotest.(check string)
+    "timed op" "repeated parameter id for drain" (message "drain@5ms:id=1,cap=2,id=1");
+  check_bool "distinct keys accepted" true
+    ((Clause.of_string "setup:fmem=64,tenants=2").Clause.params
+    = [ ("fmem", "64"); ("tenants", "2") ])
+
 let test_clause_duration () =
   check_int "bare ns" 7 (Clause.duration "7");
   check_int "us" 200_000 (Clause.duration "200us");
@@ -397,6 +417,7 @@ let () =
       ( "clause",
         [
           Alcotest.test_case "lexing" `Quick test_clause_lex;
+          Alcotest.test_case "repeated parameter" `Quick test_clause_repeated_key;
           Alcotest.test_case "durations" `Quick test_clause_duration;
         ] );
       qsuite "clause-props" [ prop_clause_duration_roundtrip ];
