@@ -745,18 +745,18 @@ let test_kcachesim_amat_ordering () =
   check_bool "legoos worse than kona" true (legoos > kona);
   check_bool "kona-main best" true (kona > kona_main)
 
+(* CPU caches small enough that the DRAM-cache stage sees real traffic at
+   Smoke scale (at Full scale the footprint dwarfs the LLC naturally). *)
+let small_cpu_caches =
+  {
+    Kona_cachesim.Hierarchy.l1 = { Kona_cachesim.Hierarchy.size = Units.kib 4; assoc = 2 };
+    l2 = { Kona_cachesim.Hierarchy.size = Units.kib 8; assoc = 2 };
+    llc = { Kona_cachesim.Hierarchy.size = Units.kib 16; assoc = 4 };
+  }
+
 let test_kcachesim_cache_size_effect () =
-  (* Shrink the CPU caches so the DRAM-cache stage sees real traffic at
-     Smoke scale (at Full scale the footprint dwarfs the LLC naturally). *)
-  let cache_config =
-    {
-      Kona_cachesim.Hierarchy.l1 = { Kona_cachesim.Hierarchy.size = Units.kib 4; assoc = 2 };
-      l2 = { Kona_cachesim.Hierarchy.size = Units.kib 8; assoc = 2 };
-      llc = { Kona_cachesim.Hierarchy.size = Units.kib 16; assoc = 4 };
-    }
-  in
   let at frac =
-    Kcachesim.simulate ~cache_config ~spec:Workloads.redis_rand ~scale:Workloads.Smoke
+    Kcachesim.simulate ~cache_config:small_cpu_caches ~spec:Workloads.redis_rand ~scale:Workloads.Smoke
       ~seed:11 ~cache_frac:frac ()
   in
   let small = at 0.1 and big = at 1.0 in
@@ -770,15 +770,8 @@ let test_kcachesim_cache_size_effect () =
 let test_kcachesim_block_size_tradeoff () =
   (* Fig. 8d's mechanism: at a fixed cache size, tiny blocks miss spatial
      locality (more remote fetches); block size can't exceed the benefit. *)
-  let cache_config =
-    {
-      Kona_cachesim.Hierarchy.l1 = { Kona_cachesim.Hierarchy.size = Units.kib 4; assoc = 2 };
-      l2 = { Kona_cachesim.Hierarchy.size = Units.kib 8; assoc = 2 };
-      llc = { Kona_cachesim.Hierarchy.size = Units.kib 16; assoc = 4 };
-    }
-  in
   let at block =
-    Kcachesim.simulate ~cache_config ~block ~spec:Workloads.redis_rand
+    Kcachesim.simulate ~cache_config:small_cpu_caches ~block ~spec:Workloads.redis_rand
       ~scale:Workloads.Smoke ~seed:11 ~cache_frac:0.5 ()
   in
   let tiny = at 64 and page = at 4096 in
@@ -789,6 +782,54 @@ let test_kcachesim_block_size_tradeoff () =
        ignore (at 100);
        false
      with Invalid_argument _ -> true)
+
+(* Every count of [simulate] at smoke scale, seed 11, under the default
+   and the small CPU caches.  The DRAM-cache stage is the one 4 KiB-block
+   [Cache] outside the tests, and its set count (1, 3, 5, 10 or 19 here)
+   is not a power of two; these pin its LRU and the hierarchy's. *)
+let test_kcachesim_pinned_counts () =
+  let rand = Workloads.redis_rand and coloring = Workloads.graph_coloring in
+  let caches = [ ("default", Kona_cachesim.Hierarchy.default_config); ("small", small_cpu_caches) ] in
+  let pins =
+    [
+      (rand, "default", 0.05, (104537, 61464, 17355, 20956, 4687, 75, 304768, 16384));
+      (rand, "default", 0.25, (104537, 61464, 17355, 20956, 4687, 75, 304768, 81920));
+      (rand, "default", 1.0, (104537, 61464, 17355, 20956, 4687, 75, 304768, 311296));
+      (coloring, "default", 0.05, (17401, 14540, 1735, 0, 1088, 38, 148864, 16384));
+      (coloring, "default", 0.25, (17401, 14540, 1735, 0, 1089, 37, 148864, 49152));
+      (coloring, "default", 1.0, (17401, 14540, 1735, 0, 1089, 37, 148864, 163840));
+      (rand, "small", 0.05, (104537, 55481, 812, 1714, 25552, 20978, 304768, 16384));
+      (rand, "small", 0.25, (104537, 55481, 812, 1714, 34333, 12197, 304768, 81920));
+      (rand, "small", 1.0, (104537, 55481, 812, 1714, 46455, 75, 304768, 311296));
+      (coloring, "small", 0.05, (17401, 12045, 438, 767, 1562, 2589, 148864, 16384));
+      (coloring, "small", 0.25, (17401, 12045, 438, 767, 2653, 1498, 148864, 49152));
+      (coloring, "small", 1.0, (17401, 12045, 438, 767, 4114, 37, 148864, 163840));
+    ]
+  in
+  List.iter
+    (fun ((spec : Workloads.spec), caches_name, frac, expected) ->
+      let c =
+        Kcachesim.simulate ~cache_config:(List.assoc caches_name caches) ~spec ~scale:Workloads.Smoke ~seed:11
+          ~cache_frac:frac ()
+      in
+      let actual =
+        Kcachesim.
+          ( c.line_accesses,
+            c.l1_hits,
+            c.l2_hits,
+            c.llc_hits,
+            c.dram_hits,
+            c.remote_fetches,
+            c.rss_bytes,
+            c.dram_cache_bytes )
+      in
+      let show (a, b, c, d, e, f, g, h) =
+        Printf.sprintf "(%d, %d, %d, %d, %d, %d, %d, %d)" a b c d e f g h
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %s caches, at %g" spec.name caches_name frac)
+        (show expected) (show actual))
+    pins
 
 let test_runtime_fetch_latency_stats () =
   let runtime, heap = make_runtime () in
@@ -1047,6 +1088,7 @@ let () =
           Alcotest.test_case "amat ordering" `Quick test_kcachesim_amat_ordering;
           Alcotest.test_case "cache size effect" `Quick test_kcachesim_cache_size_effect;
           Alcotest.test_case "block size tradeoff" `Quick test_kcachesim_block_size_tradeoff;
+          Alcotest.test_case "pinned counts" `Quick test_kcachesim_pinned_counts;
           Alcotest.test_case "fetch latency stats" `Quick test_runtime_fetch_latency_stats;
         ] );
       ( "ktracker",
