@@ -29,7 +29,7 @@ let test_cache_access =
   let rng = Rng.create ~seed:2 in
   Test.make ~name:"cache.access (32KB/8-way)"
     (Staged.stage (fun () ->
-         ignore (Cache.access cache ~addr:(Rng.int rng 1_000_000) ~write:false)))
+         ignore (Cache.access cache ~addr:(Rng.int rng 1_000_000) ~write:false : bool)))
 
 (* The eviction snoop on a page with 4 of its 64 lines in the LLC (about
    what an evicted Redis-Rand page holds): each run writes the 4 lines back

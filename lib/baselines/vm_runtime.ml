@@ -340,9 +340,9 @@ let sink t event =
       page_access t ~page ~write
     done
   end;
-  Access.iter_lines event (fun line ->
-      let level = Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write in
-      charge_level t level)
+  for line = Access.first_line event to Access.last_line event do
+    charge_level t (Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write)
+  done
 
 let drain t =
   let resident = ref [] in

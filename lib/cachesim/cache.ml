@@ -1,16 +1,20 @@
 open Kona_util
 
+(* Each set is [assoc] consecutive slots of [slots], kept in recency order:
+   the most recent block first, invalid slots ([empty]) at the tail.  A
+   valid slot holds the block number shifted left by one with the dirty
+   bit in bit 0.  A hit moves its slot to the front, a miss evicts the
+   last slot (an invalid one while the set is not full), and a flush
+   closes its gap, so the position is the whole LRU state. *)
+let empty = -1
+
 type t = {
   cache_name : string;
-  block : int;
   block_bits : int;
   nsets : int;
   assoc : int;
-  (* way-major state, indexed [set * assoc + way] *)
-  tags : int array; (* block address; -1 = invalid *)
-  dirty : bool array;
-  stamp : int array; (* LRU timestamp *)
-  mutable tick : int;
+  slots : int array;
+  mutable victim : int; (* the last access's victim slot, or [empty] *)
   mutable reads : int;
   mutable writes : int;
   mutable read_misses : int;
@@ -27,17 +31,13 @@ let create ~name ~size ~assoc ~block =
   if size mod (assoc * block) <> 0 then
     invalid_arg "Cache.create: size must be a multiple of assoc * block";
   let nsets = size / (assoc * block) in
-  let n = nsets * assoc in
   {
     cache_name = name;
-    block;
     block_bits = Units.log2 block;
     nsets;
     assoc;
-    tags = Array.make n (-1);
-    dirty = Array.make n false;
-    stamp = Array.make n 0;
-    tick = 0;
+    slots = Array.make (nsets * assoc) empty;
+    victim = empty;
     reads = 0;
     writes = 0;
     read_misses = 0;
@@ -46,103 +46,104 @@ let create ~name ~size ~assoc ~block =
     dirty_evictions = 0;
   }
 
-(* lsl/lsr are right-associative in OCaml: parenthesize the align-down. *)
-let block_addr_of t addr = (addr lsr t.block_bits) lsl t.block_bits
-let set_of t block_addr = (block_addr lsr t.block_bits) mod t.nsets
+let addr_of_slot t slot = (slot lsr 1) lsl t.block_bits
 
-type evicted = { block_addr : int; dirty : bool }
-type outcome = Hit | Miss of evicted option
+(* The first slot of [slots.(i)] .. [slots.(last)] that holds [key] (a block
+   number shifted left by one) or is invalid, else [last + 1].  Invalid
+   slots are at the tail, so the block is resident iff the slot found is
+   in the set and valid.  [int array] keeps [=] the integer compare. *)
+let rec scan (slots : int array) key i last =
+  if i > last then i
+  else
+    let s = slots.(i) in
+    if s = empty || s land lnot 1 = key then i else scan slots key (i + 1) last
 
-(* The slot of [block_addr] among [tags.(i)] .. [tags.(limit - 1)], or -1.
-   A top-level function over an annotated [int array]: no closure, no
-   [Some], and [=] is the integer compare, not polymorphic compare. *)
-let rec scan (tags : int array) block_addr i limit =
-  if i = limit then -1
-  else if tags.(i) = block_addr then i
-  else scan tags block_addr (i + 1) limit
+(* Move [slots.(first)] .. [slots.(hole - 1)] up one slot, over [hole]. *)
+let shift_down (slots : int array) first hole =
+  for j = hole downto first + 1 do
+    slots.(j) <- slots.(j - 1)
+  done
 
-let find_slot t set block_addr =
-  let base = set * t.assoc in
-  scan t.tags block_addr base (base + t.assoc)
-
-let slot_of t ~addr =
-  let block_addr = block_addr_of t addr in
-  find_slot t (set_of t block_addr) block_addr
-
-let victim_way t set =
-  (* Prefer an invalid way; otherwise least-recent stamp. *)
-  let base = set * t.assoc in
-  let best = ref base in
-  let found_invalid = ref (t.tags.(base) = -1) in
-  for way = 1 to t.assoc - 1 do
-    let i = base + way in
-    if not !found_invalid then
-      if t.tags.(i) = -1 then begin
-        best := i;
-        found_invalid := true
-      end
-      else if t.stamp.(i) < t.stamp.(!best) then best := i
-  done;
-  !best
-
-let touch t i =
-  t.tick <- t.tick + 1;
-  t.stamp.(i) <- t.tick
+(* The slot of the block holding [addr], or -1. *)
+let find t addr =
+  let number = addr lsr t.block_bits in
+  let first = number mod t.nsets * t.assoc in
+  let last = first + t.assoc - 1 in
+  let i = scan t.slots (number lsl 1) first last in
+  if i <= last && t.slots.(i) <> empty then i else -1
 
 let access t ~addr ~write =
-  let block_addr = block_addr_of t addr in
-  let set = set_of t block_addr in
+  let number = addr lsr t.block_bits in
+  let first = number mod t.nsets * t.assoc in
+  let last = first + t.assoc - 1 in
+  let slots = t.slots in
+  let dirty_bit = if write then 1 else 0 in
   if write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
-  let i = find_slot t set block_addr in
-  if i >= 0 then begin
-    touch t i;
-    if write then t.dirty.(i) <- true;
-    Hit
+  let i = scan slots (number lsl 1) first last in
+  if i <= last && slots.(i) <> empty then begin
+    let slot = slots.(i) lor dirty_bit in
+    shift_down slots first i;
+    slots.(first) <- slot;
+    t.victim <- empty;
+    true
   end
   else begin
     if write then t.write_misses <- t.write_misses + 1
     else t.read_misses <- t.read_misses + 1;
-    let i = victim_way t set in
-    let victim =
-      if t.tags.(i) = -1 then None
+    (* [i] is the set's first invalid slot, or past a full set. *)
+    let hole =
+      if i <= last then begin
+        t.victim <- empty;
+        i
+      end
       else begin
+        let victim = slots.(last) in
+        t.victim <- victim;
         t.evictions <- t.evictions + 1;
-        if t.dirty.(i) then t.dirty_evictions <- t.dirty_evictions + 1;
-        Some { block_addr = t.tags.(i); dirty = t.dirty.(i) }
+        t.dirty_evictions <- t.dirty_evictions + (victim land 1);
+        last
       end
     in
-    t.tags.(i) <- block_addr;
-    t.dirty.(i) <- write;
-    touch t i;
-    Miss victim
+    shift_down slots first hole;
+    slots.(first) <- (number lsl 1) lor dirty_bit;
+    false
   end
 
-let probe t ~addr = slot_of t ~addr >= 0
+let victim t = if t.victim = empty then -1 else addr_of_slot t t.victim
+let victim_dirty t = t.victim <> empty && t.victim land 1 = 1
+let probe t ~addr = find t addr >= 0
 
 let is_dirty t ~addr =
-  let i = slot_of t ~addr in
-  i >= 0 && t.dirty.(i)
+  let i = find t addr in
+  i >= 0 && t.slots.(i) land 1 = 1
+
+type flushed = Absent | Clean | Dirty
 
 let flush_block t ~addr =
-  let i = slot_of t ~addr in
-  if i < 0 then None
+  let i = find t addr in
+  if i < 0 then Absent
   else begin
-    let victim = { block_addr = t.tags.(i); dirty = t.dirty.(i) } in
-    t.tags.(i) <- -1;
-    t.dirty.(i) <- false;
-    t.stamp.(i) <- 0;
-    Some victim
+    let slots = t.slots in
+    let bit = slots.(i) land 1 in
+    (* Close the gap: later slots move up one, the set's tail goes invalid. *)
+    let last = (i / t.assoc * t.assoc) + t.assoc - 1 in
+    for j = i to last - 1 do
+      slots.(j) <- slots.(j + 1)
+    done;
+    slots.(last) <- empty;
+    if bit = 1 then Dirty else Clean
   end
 
 let set_dirty t ~addr =
-  let i = slot_of t ~addr in
-  if i >= 0 then t.dirty.(i) <- true;
+  let i = find t addr in
+  if i >= 0 then t.slots.(i) <- t.slots.(i) lor 1;
   i >= 0
 
 let iter_resident t f =
-  for i = 0 to Array.length t.tags - 1 do
-    if t.tags.(i) <> -1 then f ~block_addr:t.tags.(i) ~dirty:t.dirty.(i)
-  done
+  Array.iter
+    (fun slot ->
+      if slot <> empty then f ~block_addr:(addr_of_slot t slot) ~dirty:(slot land 1 = 1))
+    t.slots
 
 type stats = {
   reads : int;

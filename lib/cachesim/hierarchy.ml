@@ -82,87 +82,96 @@ let take_mask t half =
     mask
   end
 
-(* Evicting a victim from [level]: upper levels may hold the line (inclusion
-   violation about to happen) — flush them and fold their dirty bits in. *)
-let back_invalidate uppers (victim : Cache.evicted) =
-  List.fold_left
-    (fun (v : Cache.evicted) upper ->
-      match Cache.flush_block upper ~addr:v.Cache.block_addr with
-      | Some { Cache.dirty = true; _ } -> { v with Cache.dirty = true }
-      | Some _ | None -> v)
-    victim uppers
+(* Flush the line at [addr] from [upper], a level above one the line is
+   leaving (inclusion would break otherwise), and say whether that copy was
+   dirty. *)
+let flush_dirty upper ~addr =
+  match Cache.flush_block upper ~addr with
+  | Cache.Dirty -> true
+  | Cache.Absent | Cache.Clean -> false
 
-let handle_l2_victim t = function
-  | None -> ()
-  | Some victim ->
-      let victim = back_invalidate [ t.l1 ] victim in
-      if victim.Cache.dirty then
-        ignore (Cache.set_dirty t.llc ~addr:victim.Cache.block_addr : bool)
+(* An L2 victim leaves L1 too; its dirt, or L1's, sinks into the LLC. *)
+let handle_l2_victim t =
+  let addr = Cache.victim t.l2 in
+  if addr >= 0 then begin
+    let l1_dirty = flush_dirty t.l1 ~addr in
+    if Cache.victim_dirty t.l2 || l1_dirty then ignore (Cache.set_dirty t.llc ~addr : bool)
+  end
 
-let handle_llc_victim t = function
-  | None -> ()
-  | Some victim ->
-      note_victim t (Units.line_of_addr victim.Cache.block_addr);
-      let victim = back_invalidate [ t.l2; t.l1 ] victim in
-      if victim.Cache.dirty then begin
-        t.writebacks <- t.writebacks + 1;
-        t.on_writeback ~addr:victim.Cache.block_addr
-      end
+(* An LLC victim leaves L2 and L1 too; if any copy was dirty it goes to
+   memory. *)
+let handle_llc_victim t =
+  let addr = Cache.victim t.llc in
+  if addr >= 0 then begin
+    note_victim t (Units.line_of_addr addr);
+    let l2_dirty = flush_dirty t.l2 ~addr in
+    let l1_dirty = flush_dirty t.l1 ~addr in
+    if Cache.victim_dirty t.llc || l2_dirty || l1_dirty then begin
+      t.writebacks <- t.writebacks + 1;
+      t.on_writeback ~addr
+    end
+  end
 
 let access_line t ~addr ~write =
-  match Cache.access t.l1 ~addr ~write with
-  | Cache.Hit -> 1
-  | Cache.Miss l1_victim ->
-      (* An L1 victim is present in L2 by inclusion; sink its dirt there. *)
-      (match l1_victim with
-      | Some { Cache.block_addr; dirty = true } ->
-          ignore (Cache.set_dirty t.l2 ~addr:block_addr : bool)
-      | Some _ | None -> ());
-      (match Cache.access t.l2 ~addr ~write:false with
-      | Cache.Hit -> 2
-      | Cache.Miss l2_victim -> (
-          handle_l2_victim t l2_victim;
-          match Cache.access t.llc ~addr ~write:false with
-          | Cache.Hit -> 3
-          | Cache.Miss llc_victim ->
-              handle_llc_victim t llc_victim;
-              note_fill t (Units.line_of_addr addr);
-              t.memory_accesses <- t.memory_accesses + 1;
-              t.on_fill ~addr:(Units.align_down addr ~alignment:Units.cache_line) ~write;
-              4))
+  if Cache.access t.l1 ~addr ~write then 1
+  else begin
+    (* An L1 victim is present in L2 by inclusion; sink its dirt there. *)
+    if Cache.victim_dirty t.l1 then
+      ignore (Cache.set_dirty t.l2 ~addr:(Cache.victim t.l1) : bool);
+    if Cache.access t.l2 ~addr ~write:false then 2
+    else begin
+      handle_l2_victim t;
+      if Cache.access t.llc ~addr ~write:false then 3
+      else begin
+        handle_llc_victim t;
+        note_fill t (Units.line_of_addr addr);
+        t.memory_accesses <- t.memory_accesses + 1;
+        t.on_fill ~addr:(Units.align_down addr ~alignment:Units.cache_line) ~write;
+        4
+      end
+    end
+  end
 
 let access t event =
   let write = Access.is_write event in
-  Access.iter_lines event (fun line ->
-      ignore (access_line t ~addr:(line * Units.cache_line) ~write : int))
+  for line = Access.first_line event to Access.last_line event do
+    ignore (access_line t ~addr:(line * Units.cache_line) ~write : int)
+  done
 
-(* By inclusion a line the LLC does not hold is in no upper level either, so
-   only the lines the filter lists need flushing: from the LLC, then L2 and
-   L1.  Walking the upper half page first and each mask downwards leaves the
-   consed list ascending. *)
-let flush_page t ~page =
-  let dirty = ref [] in
-  let flush_half half =
-    let mask = take_mask t half in
-    if mask <> 0 then
-      for b = half_len - 1 downto 0 do
-        if mask land (1 lsl b) <> 0 then begin
-          let addr = ((half lsl half_bits) lor b) * Units.cache_line in
+(* Flush the lines of half page [half] that the filter lists, from the LLC,
+   then L2 and L1, and cons each line some level held dirty onto [dirty],
+   walking the mask downwards. *)
+let flush_half t half dirty =
+  let mask = take_mask t half in
+  if mask <> 0 then
+    for b = half_len - 1 downto 0 do
+      if mask land (1 lsl b) <> 0 then begin
+        let addr = ((half lsl half_bits) lor b) * Units.cache_line in
+        let llc_dirty =
           match Cache.flush_block t.llc ~addr with
-          | None ->
+          | Cache.Dirty -> true
+          | Cache.Clean -> false
+          | Cache.Absent ->
               failwith
                 (Printf.sprintf
                    "Hierarchy.flush_page: the snoop filter lists the line at %#x, which \
                     the LLC does not hold"
                    addr)
-          | Some v ->
-              if (back_invalidate [ t.l2; t.l1 ] v).Cache.dirty then dirty := addr :: !dirty
-        end
-      done
-  in
+        in
+        let l2_dirty = flush_dirty t.l2 ~addr in
+        let l1_dirty = flush_dirty t.l1 ~addr in
+        if llc_dirty || l2_dirty || l1_dirty then dirty := addr :: !dirty
+      end
+    done
+
+(* By inclusion a line the LLC does not hold is in no upper level either, so
+   only the lines the filter lists need flushing.  Walking the upper half
+   page first leaves the consed list ascending. *)
+let flush_page t ~page =
+  let dirty = ref [] in
   let first = half_of (page * Units.lines_per_page) in
-  flush_half (first + 1);
-  flush_half first;
+  flush_half t (first + 1) dirty;
+  flush_half t first dirty;
   !dirty
 
 let resident_dirty_lines t ~page =

@@ -43,16 +43,20 @@ let create ?(assoc = 4) ?(policy = Lru) ~pages () =
 let resident t =
   Array.fold_left (fun acc f -> if f.vpage >= 0 then acc + 1 else acc) 0 t.frames
 
-let base t vpage = vpage mod t.nsets * t.assoc
+let set_of t vpage = vpage mod t.nsets
 
-let find t vpage =
-  let b = base t vpage in
-  let rec loop way =
-    if way = t.assoc then None
-    else if t.frames.(b + way).vpage = vpage then Some t.frames.(b + way)
-    else loop (way + 1)
-  in
-  loop 0
+(* The index in [frames] of [vpage]'s frame among [frames.(i)] ..
+   [frames.(last)], or -1: one scan, with no closure and no [Some]. *)
+let rec scan (frames : frame array) vpage i last =
+  if i > last then -1
+  else if frames.(i).vpage = vpage then i
+  else scan frames vpage (i + 1) last
+
+let find_in t ~set vpage =
+  let first = set * t.assoc in
+  scan t.frames vpage first (first + t.assoc - 1)
+
+let find t vpage = find_in t ~set:(set_of t vpage) vpage
 
 type victim = { vpage : int; dirty_lines : Bitmap.t }
 
@@ -60,38 +64,35 @@ let touch t (frame : frame) =
   t.tick <- t.tick + 1;
   frame.stamp <- t.tick
 
-let set_of t vpage = vpage mod t.nsets
-
 let lookup t ~vpage =
-  match find t vpage with
-  | Some frame ->
-      (* FIFO keeps the insertion stamp; LRU refreshes on every touch. *)
-      (match t.policy with Lru -> touch t frame | Fifo | Random _ -> ());
-      t.set_hits.(set_of t vpage) <- t.set_hits.(set_of t vpage) + 1;
-      true
-  | None ->
-      t.set_misses.(set_of t vpage) <- t.set_misses.(set_of t vpage) + 1;
-      false
+  let set = set_of t vpage in
+  let i = find_in t ~set vpage in
+  if i >= 0 then begin
+    (* FIFO keeps the insertion stamp; LRU refreshes on every touch. *)
+    (match t.policy with Lru -> touch t t.frames.(i) | Fifo | Random _ -> ());
+    t.set_hits.(set) <- t.set_hits.(set) + 1;
+    true
+  end
+  else begin
+    t.set_misses.(set) <- t.set_misses.(set) + 1;
+    false
+  end
 
-(* The set's next victim: a free frame if any, else per policy. *)
-let lru_frame t vpage : frame =
-  let b = base t vpage in
-  let free = ref None in
-  for way = 0 to t.assoc - 1 do
-    if t.frames.(b + way).vpage = -1 && !free = None then free := Some t.frames.(b + way)
-  done;
-  match !free with
-  | Some f -> f
-  | None -> (
-      match t.policy with
-      | Lru | Fifo ->
-          let best = ref t.frames.(b) in
-          for way = 1 to t.assoc - 1 do
-            let f = t.frames.(b + way) in
-            if f.stamp < !best.stamp then best := f
-          done;
-          !best
-      | Random _ -> t.frames.(b + Rng.int t.rng t.assoc))
+(* The set's next victim: its first free frame if any, else per policy. *)
+let victim_frame t ~set : frame =
+  let first = set * t.assoc in
+  let free = scan t.frames (-1) first (first + t.assoc - 1) in
+  if free >= 0 then t.frames.(free)
+  else
+    match t.policy with
+    | Lru | Fifo ->
+        let best = ref t.frames.(first) in
+        for way = 1 to t.assoc - 1 do
+          let f = t.frames.(first + way) in
+          if f.stamp < !best.stamp then best := f
+        done;
+        !best
+    | Random _ -> t.frames.(first + Rng.int t.rng t.assoc)
 
 let take_victim (frame : frame) =
   let v = { vpage = frame.vpage; dirty_lines = Bitmap.copy frame.dirty } in
@@ -101,42 +102,52 @@ let take_victim (frame : frame) =
   v
 
 let insert t ~vpage =
-  match find t vpage with
-  | Some frame ->
-      touch t frame;
-      None
-  | None ->
-      let frame = lru_frame t vpage in
-      let victim = if frame.vpage = -1 then None else Some (take_victim frame) in
-      if victim <> None then
-        t.set_evictions.(set_of t vpage) <- t.set_evictions.(set_of t vpage) + 1;
-      frame.vpage <- vpage;
-      Bitmap.clear_all frame.dirty;
-      touch t frame;
-      victim
+  let set = set_of t vpage in
+  let i = find_in t ~set vpage in
+  if i >= 0 then begin
+    touch t t.frames.(i);
+    None
+  end
+  else begin
+    let frame = victim_frame t ~set in
+    let victim =
+      if frame.vpage = -1 then None
+      else begin
+        t.set_evictions.(set) <- t.set_evictions.(set) + 1;
+        Some (take_victim frame)
+      end
+    in
+    frame.vpage <- vpage;
+    Bitmap.clear_all frame.dirty;
+    touch t frame;
+    victim
+  end
 
 let mark_dirty t ~vpage ~line =
   assert (line >= 0 && line < Units.lines_per_page);
-  match find t vpage with
-  | Some frame ->
-      Bitmap.set frame.dirty line;
-      true
-  | None -> false
+  let i = find t vpage in
+  if i >= 0 then Bitmap.set t.frames.(i).dirty line;
+  i >= 0
 
-let dirty_lines t ~vpage = Option.map (fun f -> Bitmap.copy f.dirty) (find t vpage)
+let dirty_lines t ~vpage =
+  let i = find t vpage in
+  if i < 0 then None else Some (Bitmap.copy t.frames.(i).dirty)
 
 let clear_dirty t ~vpage =
-  match find t vpage with Some f -> Bitmap.clear_all f.dirty | None -> ()
+  let i = find t vpage in
+  if i >= 0 then Bitmap.clear_all t.frames.(i).dirty
 
 let evict t ~vpage =
-  match find t vpage with
-  | None -> None
-  | Some frame ->
-      t.set_evictions.(set_of t vpage) <- t.set_evictions.(set_of t vpage) + 1;
-      Some (take_victim frame)
+  let set = set_of t vpage in
+  let i = find_in t ~set vpage in
+  if i < 0 then None
+  else begin
+    t.set_evictions.(set) <- t.set_evictions.(set) + 1;
+    Some (take_victim t.frames.(i))
+  end
 
 let victim_candidate t ~vpage =
-  let frame = lru_frame t vpage in
+  let frame = victim_frame t ~set:(set_of t vpage) in
   if frame.vpage = -1 then None else Some frame.vpage
 
 let nsets t = t.nsets

@@ -38,9 +38,7 @@ let simulate ?cache_config ?(block = Units.page_size) ?(assoc = 4) ?rss ~spec ~s
   let hierarchy =
     Hierarchy.create ?config:cache_config
       ~on_fill:(fun ~addr ~write ->
-        match Cache.access dram ~addr ~write with
-        | Cache.Hit -> incr dram_hits
-        | Cache.Miss _ -> incr remote)
+        if Cache.access dram ~addr ~write then incr dram_hits else incr remote)
       ()
   in
   let heap =

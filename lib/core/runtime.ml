@@ -389,7 +389,7 @@ let check_replicas_now t =
 
 let app_ns t = Clock.now t.app_clock
 let bg_ns t = Clock.now t.bg_clock
-let elapsed_ns t = max (app_ns t) (bg_ns t)
+let elapsed_ns t = Int.max (app_ns t) (bg_ns t)
 
 let note_degraded t reason =
   if t.degraded_reason = None then t.degraded_reason <- Some reason
@@ -1088,9 +1088,9 @@ let sink t event =
   poll_faults t;
   t.accesses <- t.accesses + 1;
   let write = Access.is_write event in
-  Access.iter_lines event (fun line ->
-      let level = Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write in
-      charge_level t level)
+  for line = Access.first_line event to Access.last_line event do
+    charge_level t (Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write)
+  done
 
 let drain t =
   poll_faults t;

@@ -52,12 +52,13 @@ let record t ~store ~addr ~len =
     done
   end
 
+let crc_matches t ~store line =
+  t.crcs.(line)
+  = Crc32c.digest_bytes store ~pos:(line * Units.cache_line) ~len:Units.cache_line
+
 let line_ok t ~store ~line =
   if line < 0 || line >= t.lines then invalid_arg "Checksums.line_ok";
-  (not (is_recorded t line))
-  || t.crcs.(line)
-     = Crc32c.digest_bytes store ~pos:(line * Units.cache_line)
-         ~len:Units.cache_line
+  (not (is_recorded t line)) || crc_matches t ~store line
 
 let corrupt_lines t ~store ~addr ~len =
   if len <= 0 then []
@@ -67,7 +68,7 @@ let corrupt_lines t ~store ~addr ~len =
     if addr < 0 || last >= t.lines then invalid_arg "Checksums.corrupt_lines";
     let acc = ref [] in
     for line = last downto first do
-      if is_recorded t line && not (line_ok t ~store ~line) then
+      if is_recorded t line && not (crc_matches t ~store line) then
         acc := (line * Units.cache_line) :: !acc
     done;
     !acc

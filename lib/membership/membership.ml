@@ -30,6 +30,7 @@ type t = {
   on_dead : id:int -> at:int -> unit;
   charge : ns:int -> unit;
   mutable nodes : entry list; (* tracking order; racks track a handful *)
+  mutable next_due : int; (* the least [next_beat] of [nodes]; max_int if none *)
   detect_latency : Histogram.t;
   mutable heartbeats : int;
   mutable suspicions : int;
@@ -52,6 +53,7 @@ let create ~heartbeat_ns ~lease_ns ~reachable ~on_dead ~charge () =
     on_dead;
     charge;
     nodes = [];
+    next_due = max_int;
     detect_latency = Histogram.create ();
     heartbeats = 0;
     suspicions = 0;
@@ -61,19 +63,13 @@ let create ~heartbeat_ns ~lease_ns ~reachable ~on_dead ~charge () =
   }
 
 let track t ~id ~now =
-  if not (List.exists (fun e -> e.id = id) t.nodes) then
+  if not (List.exists (fun e -> e.id = id) t.nodes) then begin
+    (* First owed beat is the next quantized instant. *)
+    let next_beat = ((now / t.heartbeat_ns) + 1) * t.heartbeat_ns in
     t.nodes <-
-      t.nodes
-      @ [
-          {
-            id;
-            st = Alive;
-            last_heartbeat = now;
-            (* First owed beat is the next quantized instant. *)
-            next_beat = ((now / t.heartbeat_ns) + 1) * t.heartbeat_ns;
-            fp_counted = false;
-          };
-        ]
+      t.nodes @ [ { id; st = Alive; last_heartbeat = now; next_beat; fp_counted = false } ];
+    if next_beat < t.next_due then t.next_due <- next_beat
+  end
 
 let tracked t = List.map (fun e -> e.id) t.nodes
 
@@ -119,7 +115,14 @@ let tick_entry t e ~now =
     end
   done
 
-let tick t ~now = List.iter (fun e -> tick_entry t e ~now) t.nodes
+(* The owner ticks on every access; until the earliest owed beat is
+   reached there is nothing to evaluate, so skip the walk. *)
+let tick t ~now =
+  if now >= t.next_due then begin
+    List.iter (fun e -> tick_entry t e ~now) t.nodes;
+    t.next_due <-
+      List.fold_left (fun due e -> if e.next_beat < due then e.next_beat else due) max_int t.nodes
+  end
 
 let detect_latency t = t.detect_latency
 let heartbeats t = t.heartbeats

@@ -40,7 +40,8 @@ val tracked : t -> int list
 val tick : t -> now:int -> unit
 (** Evaluate every heartbeat instant that has elapsed up to [now] for
     every tracked node, advancing suspicion state machines and firing
-    [on_dead] for freshly declared deaths. *)
+    [on_dead] for freshly declared deaths.  One integer compare while no
+    tracked node owes a heartbeat by [now]. *)
 
 val state : t -> id:int -> state option
 

@@ -13,10 +13,11 @@ let write = make Write
 let is_write t = t.kind = Write
 let end_addr t = t.addr + t.len
 
+let first_line t = Units.line_of_addr t.addr
+let last_line t = Units.line_of_addr (end_addr t - 1)
+
 let iter_lines t f =
-  let first = Units.line_of_addr t.addr in
-  let last = Units.line_of_addr (end_addr t - 1) in
-  for line = first to last do
+  for line = first_line t to last_line t do
     f line
   done
 

@@ -23,8 +23,13 @@ val is_write : t -> bool
 val end_addr : t -> int
 (** One past the last byte touched. *)
 
+val first_line : t -> int
+val last_line : t -> int
+(** The global cache-line indices of the first and last byte touched. *)
+
 val iter_lines : t -> (int -> unit) -> unit
-(** Apply to each global cache-line index touched by the access. *)
+(** Apply to each global cache-line index touched by the access, from
+    {!first_line} to {!last_line}. *)
 
 val iter_pages : t -> (int -> unit) -> unit
 (** Apply to each base-page index touched by the access. *)

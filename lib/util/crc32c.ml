@@ -23,30 +23,38 @@ let table =
   done;
   t
 
-(* Callers have bounds-checked [pos, pos+len) against [buf]. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Both entry points check [pos, pos+len) against [buf] once, so the word
+   and byte reads below stay in range; every table index is a slice offset
+   plus a byte (masked, or the top byte of a 32-bit value), below 2048.  So
+   the reads go unchecked, which takes one word and eight table bounds
+   checks off every 8 bytes. *)
 let kernel buf ~pos ~len =
   let t = table in
   let crc = ref mask32 and i = ref pos in
   let words_end = pos + (len land lnot 7) in
   while !i < words_end do
-    let w = Bytes.get_int64_le buf !i in
+    let w = get64u buf !i in
+    let w = if Sys.big_endian then swap64 w else w in
     let lo = !crc lxor (Int64.to_int w land mask32) in
     let hi = Int64.to_int (Int64.shift_right_logical w 32) in
     crc :=
-      t.(0x700 + (lo land 0xFF))
-      lxor t.(0x600 + ((lo lsr 8) land 0xFF))
-      lxor t.(0x500 + ((lo lsr 16) land 0xFF))
-      lxor t.(0x400 + (lo lsr 24))
-      lxor t.(0x300 + (hi land 0xFF))
-      lxor t.(0x200 + ((hi lsr 8) land 0xFF))
-      lxor t.(0x100 + ((hi lsr 16) land 0xFF))
-      lxor t.(hi lsr 24);
+      Array.unsafe_get t (0x700 + (lo land 0xFF))
+      lxor Array.unsafe_get t (0x600 + ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x500 + ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (0x400 + (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 + (hi land 0xFF))
+      lxor Array.unsafe_get t (0x200 + ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x100 + ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
     i := !i + 8
   done;
   for j = !i to pos + len - 1 do
     crc :=
       (!crc lsr 8)
-      lxor t.((!crc lxor Char.code (Bytes.unsafe_get buf j)) land 0xFF)
+      lxor Array.unsafe_get t ((!crc lxor Char.code (Bytes.unsafe_get buf j)) land 0xFF)
   done;
   !crc lxor mask32
 

@@ -88,6 +88,30 @@ let test_lease_lifecycle () =
   Membership.tick m ~now:400_000;
   check_int "death fires once" 1 (Membership.declared_dead m)
 
+(* [tick] skips its walk while no node owes a beat, yet every instant owed
+   by [now] is evaluated on the first tick that reaches it, for a node
+   tracked between two ticks too.  Each evaluated instant charges 100 ns. *)
+let test_tick_evaluates_every_owed_beat () =
+  let m, cut, deaths, charged = make_detector () in
+  let beats () = !charged / 100 in
+  Membership.track m ~id:0 ~now:5_000;
+  Membership.tick m ~now:9_999;
+  check_int "no beat owed before 10us" 0 (beats ());
+  Membership.tick m ~now:10_000;
+  check_int "node 0's first beat" 1 (beats ());
+  Membership.track m ~id:1 ~now:12_000;
+  Membership.tick m ~now:19_999;
+  check_int "nothing owed until 20us" 1 (beats ());
+  Membership.tick m ~now:20_000;
+  check_int "both nodes' 20us beats" 3 (beats ());
+  Hashtbl.replace cut 1 ();
+  Membership.tick m ~now:150_000;
+  check_int "every instant up to 150us" (15 + 14) (beats ());
+  Alcotest.(check (list (pair int int)))
+    "node 1 dead at its first instant past twice the lease" [ (1, 130_000) ] !deaths;
+  Membership.tick m ~now:150_000;
+  check_int "a repeated instant evaluates nothing" 29 (beats ())
+
 let test_suspicion_clears_on_comeback () =
   let m, cut, deaths, _ = make_detector () in
   Membership.track m ~id:0 ~now:0;
@@ -377,6 +401,8 @@ let () =
         [
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "lifecycle" `Quick test_lease_lifecycle;
+          Alcotest.test_case "every owed beat evaluated" `Quick
+            test_tick_evaluates_every_owed_beat;
           Alcotest.test_case "suspicion clears on comeback" `Quick
             test_suspicion_clears_on_comeback;
           Alcotest.test_case "false positive counted once" `Quick
