@@ -297,14 +297,15 @@ type cache_op =
   | Probe of int
   | Is_dirty of int
 
-(* A cache of 1, 3 or 4 sets of 1 to 4 ways, with 64 B or 4 KiB blocks,
-   and ops over three times as many blocks as it holds. *)
+(* A cache of 1, 3 or 4 sets of 1 to 4 ways, with 1 B blocks (the VM
+   TLB's: a block number is a page number), 64 B or 4 KiB blocks, and ops
+   over three times as many blocks as it holds. *)
 let arb_cache_case =
   let open QCheck.Gen in
   let case =
     oneofl [ 1; 3; 4 ] >>= fun nsets ->
     int_range 1 4 >>= fun assoc ->
-    oneofl [ 64; 4096 ] >>= fun block ->
+    oneofl [ 1; 64; 4096 ] >>= fun block ->
     let addr = int_bound ((3 * nsets * assoc * block) - 1) in
     let op =
       frequency
