@@ -1,9 +1,9 @@
 open Kona_util
 module Access = Kona_trace.Access
+module Cache = Kona_cachesim.Cache
 module Hierarchy = Kona_cachesim.Hierarchy
 module Fmem = Kona_coherence.Fmem
 module Page_table = Kona_vm.Page_table
-module Tlb = Kona_vm.Tlb
 module Nic = Kona_rdma.Nic
 module Qp = Kona_rdma.Qp
 module Hub = Kona_telemetry.Hub
@@ -78,7 +78,12 @@ type t = {
   hierarchy : Hierarchy.t;
   page_cache : Fmem.t; (* same structure/policy as Kona's FMem *)
   pt : Page_table.t;
-  tlb : Tlb.t;
+  (* The TLB: a 64-entry, 4-way cache whose 1-byte blocks are page
+     numbers.  Much of the cost §2.1 attributes to VM-based remote memory
+     is here: unmapping a page invalidates its translation (a shootdown
+     IPI on a real multicore, counted in [vm.shootdowns]), and the next
+     access to the page pays a page-table walk ([vm.tlb_misses]). *)
+  tlb : Cache.t;
   rm : Resource_manager.t;
   controller : Rack_controller.t;
   nic : Nic.t;
@@ -116,7 +121,7 @@ let register_metrics t reg =
   c "vm.remote_faults" (fun () -> t.remote_faults);
   c "vm.wp_faults" (fun () -> t.wp_faults);
   c "vm.shootdowns" (fun () -> t.shootdowns);
-  c "vm.tlb_misses" (fun () -> Tlb.misses t.tlb);
+  c "vm.tlb_misses" (fun () -> (Cache.stats t.tlb).Cache.read_misses);
   c "evict.pages" (fun () -> t.pages_evicted);
   c "wb.pages" (fun () -> t.dirty_pages_written);
   c "wb.bytes" (fun () -> t.dirty_pages_written * t.config.page_bytes);
@@ -124,11 +129,11 @@ let register_metrics t reg =
     (fun (lvl, cache) ->
       let labels = [ ("level", lvl) ] in
       c ~labels "cache.accesses" (fun () ->
-          let s = Kona_cachesim.Cache.stats cache in
-          s.Kona_cachesim.Cache.reads + s.Kona_cachesim.Cache.writes);
+          let s = Cache.stats cache in
+          s.Cache.reads + s.Cache.writes);
       c ~labels "cache.misses" (fun () ->
-          let s = Kona_cachesim.Cache.stats cache in
-          s.Kona_cachesim.Cache.read_misses + s.Kona_cachesim.Cache.write_misses))
+          let s = Cache.stats cache in
+          s.Cache.read_misses + s.Cache.write_misses))
     [
       ("l1", Hierarchy.l1 t.hierarchy);
       ("l2", Hierarchy.l2 t.hierarchy);
@@ -177,7 +182,7 @@ let create ?(config = default_config) ?nic ?hub ~profile ~controller ~read_local
           ();
       page_cache = Fmem.create ~pages:config.cache_pages ();
       pt = Page_table.create ();
-      tlb = Tlb.create ();
+      tlb = Cache.create ~name:"tlb" ~size:64 ~assoc:4 ~block:1;
       rm =
         Resource_manager.create
           ~rpc:
@@ -245,7 +250,7 @@ let evict_victim t ~vpage =
   (match Page_table.lookup t.pt ~page:vpage with
   | Some pte -> pte.Page_table.dirty <- false
   | None -> ());
-  Tlb.invalidate_page t.tlb ~page:vpage;
+  ignore (Cache.flush_block t.tlb ~addr:vpage : Cache.flushed);
   t.shootdowns <- t.shootdowns + 1;
   charge_app t t.config.cost.Cost_model.tlb_invalidate_ns;
   ignore (Fmem.evict t.page_cache ~vpage : Fmem.victim option);
@@ -291,9 +296,8 @@ let note_wp_fault t ~page =
   | None -> ()
 
 let page_access t ~page ~write =
-  (match Tlb.access t.tlb ~page with
-  | `Hit -> ()
-  | `Miss -> charge_app t t.config.cost.Cost_model.tlb_walk_ns);
+  if not (Cache.access t.tlb ~addr:page ~write:false) then
+    charge_app t t.config.cost.Cost_model.tlb_walk_ns;
   match Page_table.fault_kind t.pt ~page ~write with
   | `None -> t.page_hits <- t.page_hits + 1
   | `Not_present -> (
@@ -331,15 +335,10 @@ let charge_level t level =
 let sink t event =
   t.accesses <- t.accesses + 1;
   let write = Access.is_write event in
-  if page_bytes t = Units.page_size then
-    Access.iter_pages event (fun page -> page_access t ~page ~write)
-  else begin
-    let first = event.Access.addr / page_bytes t in
-    let last = (Access.end_addr event - 1) / page_bytes t in
-    for page = first to last do
-      page_access t ~page ~write
-    done
-  end;
+  let bytes = page_bytes t in
+  for page = event.Access.addr / bytes to (Access.end_addr event - 1) / bytes do
+    page_access t ~page ~write
+  done;
   for line = Access.first_line event to Access.last_line event do
     charge_level t (Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write)
   done

@@ -2,6 +2,12 @@ open Kona_util
 
 type policy = Lru | Fifo | Random of int
 
+(* Frames keep per-way stamps instead of the recency-ordered slots of
+   [Kona_cachesim.Cache], because a frame's position is observable:
+   [iter_resident] walks the frames in array order, which is the order in
+   which both runtimes drain FMem at the end of a run (and so a digest
+   contract), and the FIFO and random ablation policies pick a victim by
+   way.  Moving a frame on every touch would change both. *)
 type frame = {
   mutable vpage : int; (* -1 = free *)
   mutable stamp : int; (* LRU: last touch; FIFO: insertion time *)

@@ -25,13 +25,9 @@ type t = {
   fetch_latency : Histogram.t;
 }
 
-(* A page leaving FMem must also leave the prefetch bookkeeping, or the
-   prefetcher would never re-request it and [prefetched] would grow without
-   bound. *)
+(* A page leaving FMem must also leave [prefetched], or that table would
+   grow without bound. *)
 let note_victim t (victim : Fmem.victim) =
-  (match t.prefetcher with
-  | Some p -> Prefetcher.forget p ~vpage:victim.Fmem.vpage
-  | None -> ());
   Hashtbl.remove t.prefetched victim.Fmem.vpage;
   t.on_victim ~vpage:victim.Fmem.vpage ~dirty:victim.Fmem.dirty_lines
 
@@ -80,7 +76,7 @@ let create ~cost ?mce_threshold_ns ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp ~on_
           | Some victim -> note_victim t victim
         end
       in
-      t.prefetcher <- Some (Prefetcher.create ~on_prefetch ())
+      t.prefetcher <- Some (Prefetcher.create ~on_prefetch)
   | None -> ());
   t
 

@@ -148,7 +148,6 @@ type t = {
      CL-log deliveries are deferred (below) instead of lost. *)
   partition_until : (int, int) Hashtbl.t;
   mutable deferred : (int * (unit -> unit)) list; (* (heal_ns, fire), FIFO *)
-  mutable partitions_started : int;
   mutable deferred_deliveries : int;
   mutable deferred_flushed : int;
   (* Rack broadcast hook: a membership failover's fencing epoch is pushed
@@ -281,14 +280,14 @@ let register_metrics t reg =
   c "rpc.timeouts" (fun () -> Rpc.timeouts t.rpc);
   c "rpc.retries" (fun () -> Rpc.retries t.rpc);
   (* Fault injection, failover and recovery (§4.5).  The injector's
-     partition count is [partition.started] below: every partition it
-     hands out opens one window. *)
+     partition count is registered as [partition.started] below: every
+     partition it hands out opens one window in [start_partition]. *)
+  let fault category () =
+    Option.value ~default:0 (List.assoc_opt category (Injector.counters t.injector))
+  in
   c "faults.injected" (fun () -> Injector.injected t.injector);
   List.iter
-    (fun category ->
-      c ("faults." ^ category) (fun () ->
-          Option.value ~default:0
-            (List.assoc_opt category (Injector.counters t.injector))))
+    (fun category -> c ("faults." ^ category) (fault category))
     [
       "node_crashes"; "link_flaps"; "rpc_timeouts"; "wqe_drops"; "wqe_delays";
       "bit_flips"; "torn_writes"; "stale_reads"; "dup_delivers";
@@ -317,7 +316,7 @@ let register_metrics t reg =
   in
   c "fencing.rejects" (stores Memory_node.fenced_rejects);
   c "fencing.post_fence_writes" (stores Memory_node.post_fence_writes);
-  c "partition.started" (fun () -> t.partitions_started);
+  c "partition.started" (fault "partitions");
   c "partition.deferred" (fun () -> t.deferred_deliveries);
   c "partition.flushed" (fun () -> t.deferred_flushed);
   g "partition.active" (fun () ->
@@ -570,7 +569,6 @@ let partitioned t ~id ~at =
 
 let start_partition t ~dur_ns ~ids =
   let now = elapsed_ns t in
-  t.partitions_started <- t.partitions_started + 1;
   (match t.tracer with
   | Some tr ->
       Tracer.instant tr "faults.partition"
@@ -911,7 +909,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       recovery = Recovery.create ();
       partition_until = Hashtbl.create 4;
       deferred = [];
-      partitions_started = 0;
       deferred_deliveries = 0;
       deferred_flushed = 0;
       on_fence = ref (fun ~epoch:_ -> ());

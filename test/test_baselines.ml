@@ -82,6 +82,52 @@ let test_vm_refault_after_eviction () =
   check_bool "refault" true (List.assoc "remote_faults" (Vm_runtime.stats vm) >= 6)
 
 (* ------------------------------------------------------------------ *)
+(* TLB: 64 entries, 4-way, one page each, so pages 16 apart share a set *)
+
+let tlb_misses vm = List.assoc "tlb_misses" (Vm_runtime.stats vm)
+
+let touch vm page =
+  Vm_runtime.sink vm (Kona_trace.Access.read ~addr:(page * Units.page_size) ~len:8)
+
+let test_tlb_basic () =
+  let vm, _ = make_vm () in
+  touch vm 1;
+  check_int "cold miss walks" 1 (tlb_misses vm);
+  touch vm 1;
+  check_int "warm hit" 1 (tlb_misses vm)
+
+let test_tlb_lru_within_set () =
+  (* 1,024 frames: no page leaves the page cache. *)
+  let vm, _ = make_vm ~cache_pages:1024 () in
+  List.iter (touch vm) [ 0; 16; 32; 48; 0; 64 ] (* 64 evicts 16 *);
+  check_int "five walks" 5 (tlb_misses vm);
+  touch vm 0;
+  check_int "0 still cached" 5 (tlb_misses vm);
+  touch vm 16;
+  check_int "16 evicted" 6 (tlb_misses vm)
+
+let test_tlb_invalidations () =
+  (* One set of 4 frames: page 4 evicts page 0, whose unmap shoots its
+     translation down, so page 0's next touch walks again. *)
+  let vm, _ = make_vm ~cache_pages:4 () in
+  List.iter (touch vm) [ 0; 1; 2; 3; 4 ];
+  check_int "one shootdown" 1 (List.assoc "shootdowns" (Vm_runtime.stats vm));
+  check_int "five cold walks" 5 (tlb_misses vm);
+  touch vm 4;
+  check_int "mapped page hits" 5 (tlb_misses vm);
+  touch vm 0;
+  check_int "shot-down page walks" 6 (tlb_misses vm)
+
+let prop_tlb_hit_after_access =
+  QCheck.Test.make ~name:"tlb access then access hits" ~count:200
+    QCheck.(int_bound 100_000)
+    (fun page ->
+      let vm, _ = make_vm () in
+      touch vm page;
+      touch vm page;
+      tlb_misses vm = 1)
+
+(* ------------------------------------------------------------------ *)
 (* Integrity *)
 
 let vm_integrity vm heap =
@@ -330,6 +376,13 @@ let () =
           Alcotest.test_case "NoWP mode" `Quick test_vm_no_write_protect_mode;
           Alcotest.test_case "refault after eviction" `Quick test_vm_refault_after_eviction;
         ] );
+      ( "tlb",
+        [
+          Alcotest.test_case "basic" `Quick test_tlb_basic;
+          Alcotest.test_case "LRU within set" `Quick test_tlb_lru_within_set;
+          Alcotest.test_case "invalidations" `Quick test_tlb_invalidations;
+        ] );
+      ("tlb-props", [ QCheck_alcotest.to_alcotest ~long:false prop_tlb_hit_after_access ]);
       ( "integrity",
         [
           Alcotest.test_case "random writes under pressure" `Quick

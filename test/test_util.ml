@@ -334,43 +334,6 @@ let prop_cdf_monotone =
       mono probs && abs_float (List.nth probs 30 -. 1.0) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Lru *)
-
-let test_lru_order () =
-  let l = Lru.create () in
-  List.iter (Lru.touch l) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "lru first" [ 1; 2; 3 ] (Lru.to_list l);
-  Lru.touch l 1;
-  Alcotest.(check (list int)) "touch moves to MRU" [ 2; 3; 1 ] (Lru.to_list l);
-  Alcotest.(check (option int)) "peek" (Some 2) (Lru.peek_lru l);
-  Alcotest.(check (option int)) "evict" (Some 2) (Lru.evict_lru l);
-  Alcotest.(check (option int)) "evict" (Some 3) (Lru.evict_lru l);
-  Alcotest.(check (option int)) "evict" (Some 1) (Lru.evict_lru l);
-  Alcotest.(check (option int)) "empty" None (Lru.evict_lru l)
-
-let test_lru_remove () =
-  let l = Lru.create () in
-  List.iter (Lru.touch l) [ 1; 2; 3 ];
-  Lru.remove l 2;
-  check_bool "removed" false (Lru.mem l 2);
-  Alcotest.(check (list int)) "order kept" [ 1; 3 ] (Lru.to_list l);
-  Lru.remove l 99 (* absent: no-op *);
-  check_int "length" 2 (Lru.length l)
-
-let prop_lru_eviction_order =
-  QCheck.Test.make ~name:"lru eviction = order of last touch" ~count:200
-    QCheck.(small_list (int_bound 20))
-    (fun keys ->
-      let l = Lru.create () in
-      List.iter (Lru.touch l) keys;
-      (* expected order: de-dup keeping last occurrence *)
-      let expected =
-        List.rev keys
-        |> List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) []
-      in
-      Lru.to_list l = expected)
-
-(* ------------------------------------------------------------------ *)
 (* Histogram *)
 
 let test_histogram_basic () =
@@ -452,12 +415,6 @@ let () =
           Alcotest.test_case "series" `Quick test_cdf_series;
         ] );
       qsuite "cdf-props" [ prop_cdf_monotone ];
-      ( "lru",
-        [
-          Alcotest.test_case "order" `Quick test_lru_order;
-          Alcotest.test_case "remove" `Quick test_lru_remove;
-        ] );
-      qsuite "lru-props" [ prop_lru_eviction_order ];
       ( "histogram",
         [
           Alcotest.test_case "basic" `Quick test_histogram_basic;

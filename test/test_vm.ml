@@ -1,4 +1,4 @@
-(* Tests for Kona_vm: page-table fault semantics and the TLB model. *)
+(* Tests for Kona_vm: page-table fault semantics. *)
 
 open Kona_vm
 
@@ -57,51 +57,6 @@ let test_pt_faults_dont_set_flags () =
   let pte = Option.get (Page_table.lookup pt ~page:3) in
   check_bool "faulting write does not dirty" false pte.Page_table.dirty
 
-(* ------------------------------------------------------------------ *)
-(* Tlb *)
-
-let hit_t = Alcotest.of_pp (fun fmt -> function
-  | `Hit -> Format.pp_print_string fmt "hit"
-  | `Miss -> Format.pp_print_string fmt "miss")
-
-let test_tlb_basic () =
-  let tlb = Tlb.create ~entries:8 ~assoc:2 () in
-  Alcotest.check hit_t "cold miss" `Miss (Tlb.access tlb ~page:1);
-  Alcotest.check hit_t "warm hit" `Hit (Tlb.access tlb ~page:1);
-  check_int "hits" 1 (Tlb.hits tlb);
-  check_int "misses" 1 (Tlb.misses tlb)
-
-let test_tlb_lru_within_set () =
-  (* 8 entries 2-way -> 4 sets; pages 0, 4, 8 share set 0. *)
-  let tlb = Tlb.create ~entries:8 ~assoc:2 () in
-  ignore (Tlb.access tlb ~page:0);
-  ignore (Tlb.access tlb ~page:4);
-  ignore (Tlb.access tlb ~page:0);
-  ignore (Tlb.access tlb ~page:8) (* evicts 4 *);
-  Alcotest.check hit_t "0 still cached" `Hit (Tlb.access tlb ~page:0);
-  Alcotest.check hit_t "4 evicted" `Miss (Tlb.access tlb ~page:4)
-
-let test_tlb_invalidations () =
-  let tlb = Tlb.create () in
-  ignore (Tlb.access tlb ~page:7);
-  Tlb.invalidate_page tlb ~page:7;
-  Alcotest.check hit_t "invalidated" `Miss (Tlb.access tlb ~page:7);
-  check_int "single invalidations" 1 (Tlb.single_invalidations tlb);
-  ignore (Tlb.access tlb ~page:9);
-  Tlb.flush_all tlb;
-  Alcotest.check hit_t "flushed" `Miss (Tlb.access tlb ~page:9);
-  check_int "full flushes" 1 (Tlb.full_flushes tlb)
-
-let prop_tlb_hit_after_access =
-  QCheck.Test.make ~name:"tlb access then access hits" ~count:200
-    QCheck.(int_bound 100_000)
-    (fun page ->
-      let tlb = Tlb.create () in
-      ignore (Tlb.access tlb ~page);
-      Tlb.access tlb ~page = `Hit)
-
-let qsuite name props = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) props)
-
 let () =
   Alcotest.run "kona_vm"
     [
@@ -113,11 +68,4 @@ let () =
           Alcotest.test_case "faults leave flags clean" `Quick
             test_pt_faults_dont_set_flags;
         ] );
-      ( "tlb",
-        [
-          Alcotest.test_case "basic" `Quick test_tlb_basic;
-          Alcotest.test_case "LRU within set" `Quick test_tlb_lru_within_set;
-          Alcotest.test_case "invalidations" `Quick test_tlb_invalidations;
-        ] );
-      qsuite "tlb-props" [ prop_tlb_hit_after_access ];
     ]
