@@ -257,6 +257,31 @@ let prefetch_config =
 let prefetch_run =
   ("page-rank", "kona", "3aa3ac2b4b70d784aa9f652c5fc9053b", 365586, (512, 0, 0))
 
+(* Kona with CPU caches small enough that the LLC writes dirty lines back
+   (test_core's [small_cpu_caches]: L1 4 KiB 2-way, L2 8 KiB 2-way, LLC
+   16 KiB 4-way) over 64 frames, smoke, seed 7.  Every smoke footprint
+   fits the default 1 MiB LLC, so only these pins run the write-back
+   path: [hierarchy.writebacks] reads 7,435 for voltdb and 16,974 for
+   redis-rand, every one landing on a page resident in FMem. *)
+let small_caches_config =
+  {
+    Kona.Runtime.default_config with
+    cache_config =
+      {
+        Kona_cachesim.Hierarchy.l1 =
+          { Kona_cachesim.Hierarchy.size = Kona_util.Units.kib 4; assoc = 2 };
+        l2 = { Kona_cachesim.Hierarchy.size = Kona_util.Units.kib 8; assoc = 2 };
+        llc = { Kona_cachesim.Hierarchy.size = Kona_util.Units.kib 16; assoc = 4 };
+      };
+    fmem_pages = 64;
+  }
+
+let small_caches_runs =
+  [
+    ("voltdb", "kona", "cbb0ce8bce18f894a981093e8a1f6d16", 1628512, (1024, 0, 0));
+    ("redis-rand", "kona", "6452d2db72c88f0e8b0516921440d799", 15325788, (1024, 0, 0));
+  ]
+
 let render_run (workload, system, hub, elapsed_ns, (checked, mismatches, lost)) =
   Printf.sprintf "(%S, %S, %S, %d, (%d, %d, %d))" workload system hub elapsed_ns
     checked mismatches lost
@@ -307,5 +332,13 @@ let () =
         @ [
             Alcotest.test_case "page-rank on kona, prefetch, 64 frames" `Quick
               (check_run ~kona:prefetch_config prefetch_run);
-          ] );
+          ]
+        @ List.map
+            (fun ((workload, system, _, _, _) as entry) ->
+              Alcotest.test_case
+                (Printf.sprintf "%s on %s, small CPU caches, 64 frames"
+                   workload system)
+                `Quick
+                (check_run ~kona:small_caches_config entry))
+            small_caches_runs );
     ]

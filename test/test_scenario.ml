@@ -418,6 +418,44 @@ let test_timed_faults_reach_every_tenant () =
       ("link-flap@1ms:dur=2ms", "faults.link_flaps");
     ]
 
+(* The positional partition: and flap: ops reach every tenant like their
+   timed twins, and a corruption op stays on tenant 0, the corruption
+   target: one partition and one flap counted on each tenant, torn
+   shipments drawn on tenant 0 only, and the run exits clean. *)
+let test_positional_faults_reach_every_tenant () =
+  let line =
+    "setup:tenants=2,cap=33554432,fmem=64;partition:dur=2ms,nodes=1;\
+     flap:dur=2ms;torn-write:p=0.2"
+  in
+  let o = Episode.execute (Spec.parse_exn line) in
+  check_bool "not aborted" true (o.Episode.oc_aborted = None);
+  List.iter
+    (fun v -> Alcotest.failf "violation [%s] %s" v.Invariants.inv v.Invariants.detail)
+    o.Episode.oc_violations;
+  match o.Episode.oc_result with
+  | None -> Alcotest.fail "episode did not finish"
+  | Some r ->
+      check_int "drain failures" 0 r.Rack.r_drain_failures;
+      Array.iter
+        (fun (t : Rack.tenant_result) ->
+          check_int "mismatches" 0 t.Rack.t_mismatches;
+          check_bool "not degraded" true (t.Rack.t_degraded = None))
+        r.Rack.r_tenants;
+      let count i name =
+        Option.get
+          (Kona_telemetry.Snapshot.counter_value r.Rack.r_snapshot
+             (Printf.sprintf "tenant.%d.%s" i name))
+      in
+      List.iter
+        (fun (name, t0, t1) ->
+          check_int ("tenant 0 " ^ name) t0 (count 0 name);
+          check_int ("tenant 1 " ^ name) t1 (count 1 name))
+        [
+          ("partition.started", 1, 1);
+          ("faults.link_flaps", 1, 1);
+          ("faults.torn_writes", 4, 0);
+        ]
+
 (* One crash count: a crash op and a due plan clause both reach the one
    crash counter, so every surface reads the same number — tenant 0's
    [stats], its registry ([faults.node_crashes], inside [faults.injected])
@@ -667,6 +705,8 @@ let () =
             test_timed_clause_fires_by_time;
           Alcotest.test_case "timed faults reach every tenant" `Quick
             test_timed_faults_reach_every_tenant;
+          Alcotest.test_case "positional faults reach every tenant" `Quick
+            test_positional_faults_reach_every_tenant;
           Alcotest.test_case "one crash count" `Quick test_one_crash_count;
           Alcotest.test_case "rack rejects a bad config" `Quick
             test_rack_rejects_config;
