@@ -71,7 +71,7 @@ let row ~label ~scale ~policy ~ops =
     [
       ("kind", Json.String "placement-policy");
       ("label", Json.String label);
-      ("policy", Json.String r.Rack.r_policy);
+      ("policy", Json.String policy);
       ("ops", Json.String (Rack_ops.to_string ops));
       ("migrations", Json.Int r.Rack.r_migrations);
       ("bytes_moved", Json.Int r.Rack.r_bytes_moved);

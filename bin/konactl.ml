@@ -457,7 +457,7 @@ let print_rack_report (setup : Scn.setup) (r : Rack.result) rpc =
   Fmt.pr
     "placement: policy %s  %d migration(s) (%a moved, %d declined)  \
      remote-hit %d.%d%%  hot-hit %d.%d%%@."
-    r.Rack.r_policy r.Rack.r_migrations Units.pp_bytes r.Rack.r_bytes_moved
+    setup.Scn.policy r.Rack.r_migrations Units.pp_bytes r.Rack.r_bytes_moved
     r.Rack.r_failed_moves
     (r.Rack.r_remote_hit_pml / 10)
     (r.Rack.r_remote_hit_pml mod 10)
@@ -537,7 +537,7 @@ let rack_json (setup : Scn.setup) (r : Rack.result) rpc =
                 ("handoffs", Json.Int s.Shm_rpc.s_handoffs);
                 ("invalidations", Json.Int s.Shm_rpc.s_invalidations);
               ] );
-      ("policy", Json.String r.Rack.r_policy);
+      ("policy", Json.String setup.Scn.policy);
       ("migrations", Json.Int r.Rack.r_migrations);
       ("bytes_moved", Json.Int r.Rack.r_bytes_moved);
       ("failed_moves", Json.Int r.Rack.r_failed_moves);

@@ -45,10 +45,11 @@ let infiniswap_profile cost =
     eviction_extra_ns = cost.Cost_model.eviction_infiniswap_ns - 3_000;
   }
 
+(* Constants, like the CPU caches: no configuration varies them. *)
+let cost = Cost_model.default
+let rdma = Kona_rdma.Cost.default
+
 type config = {
-  cost : Cost_model.t;
-  rdma : Kona_rdma.Cost.t;
-  cache_config : Hierarchy.config;
   cache_pages : int;
   write_protect : bool;
   page_bytes : int;
@@ -59,9 +60,6 @@ type config = {
 
 let default_config =
   {
-    cost = Cost_model.default;
-    rdma = Kona_rdma.Cost.default;
-    cache_config = Hierarchy.default_config;
     cache_pages = 1024;
     write_protect = true;
     page_bytes = Units.page_size;
@@ -177,22 +175,20 @@ let create ?(config = default_config) ?nic ?hub ~profile ~controller ~read_local
       app_clock;
       bg_clock;
       hierarchy =
-        Hierarchy.create ~config:config.cache_config
-          ~on_fill:(fun ~addr:_ ~write:_ -> ())
-          ();
+        Hierarchy.create ();
       page_cache = Fmem.create ~pages:config.cache_pages ();
       pt = Page_table.create ();
       tlb = Cache.create ~name:"tlb" ~size:64 ~assoc:4 ~block:1;
       rm =
         Resource_manager.create
           ~rpc:
-            (Kona_rdma.Rpc.create ~cost:config.rdma ~backoff:config.backoff
+            (Kona_rdma.Rpc.create ~cost:rdma ~backoff:config.backoff
                ~clock:app_clock ~nic ())
           ~controller ();
       controller;
       nic;
       evict_qp =
-        Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth
+        Qp.create ~cost:rdma ~nic ?sq_depth:config.sq_depth
           ~retry:(Qp.retry_of config.backoff)
           ~signal_interval:config.signal_interval ~clock:bg_clock ();
       registry =
@@ -225,7 +221,7 @@ let writeback_page t ~vpage =
   | Some (node, raddr) ->
       let data = t.read_local ~addr:(vpage * page_bytes t) ~len:(page_bytes t) in
       let target = Rack_controller.node t.controller ~id:node in
-      charge_bg t (Kona_rdma.Cost.memcpy_ns t.config.rdma ~bytes:(page_bytes t));
+      charge_bg t (Kona_rdma.Cost.memcpy_ns rdma ~bytes:(page_bytes t));
       charge_bg t t.profile.eviction_extra_ns;
       Qp.post t.evict_qp
         [
@@ -252,7 +248,7 @@ let evict_victim t ~vpage =
   | None -> ());
   ignore (Cache.flush_block t.tlb ~addr:vpage : Cache.flushed);
   t.shootdowns <- t.shootdowns + 1;
-  charge_app t t.config.cost.Cost_model.tlb_invalidate_ns;
+  charge_app t cost.Cost_model.tlb_invalidate_ns;
   ignore (Fmem.evict t.page_cache ~vpage : Fmem.victim option);
   match t.tracer with
   | Some tr ->
@@ -269,8 +265,8 @@ let fetch_page t ~vpage =
   charge_app t t.profile.remote_fetch_ns;
   if page_bytes t > Units.page_size then
     charge_app t
-      (Kona_rdma.Cost.batch_ns t.config.rdma ~sizes:[ page_bytes t ]
-      - Kona_rdma.Cost.batch_ns t.config.rdma ~sizes:[ Units.page_size ]);
+      (Kona_rdma.Cost.batch_ns rdma ~sizes:[ page_bytes t ]
+      - Kona_rdma.Cost.batch_ns rdma ~sizes:[ Units.page_size ]);
   Resource_manager.ensure_backed t.rm ~addr:(vpage * page_bytes t)
     ~len:(page_bytes t);
   (* Pre-evict the set's LRU page if the set is full, so page-table state
@@ -297,7 +293,7 @@ let note_wp_fault t ~page =
 
 let page_access t ~page ~write =
   if not (Cache.access t.tlb ~addr:page ~write:false) then
-    charge_app t t.config.cost.Cost_model.tlb_walk_ns;
+    charge_app t cost.Cost_model.tlb_walk_ns;
   match Page_table.fault_kind t.pt ~page ~write with
   | `None -> t.page_hits <- t.page_hits + 1
   | `Not_present -> (
@@ -308,19 +304,19 @@ let page_access t ~page ~write =
       | `None -> ()
       | `Protection ->
           note_wp_fault t ~page;
-          charge_app t t.config.cost.Cost_model.minor_fault_ns;
+          charge_app t cost.Cost_model.minor_fault_ns;
           Page_table.make_writable t.pt ~page;
           ignore (Page_table.fault_kind t.pt ~page ~write : [ `None | `Not_present | `Protection ])
       | `Not_present -> assert false)
   | `Protection ->
       t.page_hits <- t.page_hits + 1;
       note_wp_fault t ~page;
-      charge_app t t.config.cost.Cost_model.minor_fault_ns;
+      charge_app t cost.Cost_model.minor_fault_ns;
       Page_table.make_writable t.pt ~page;
       ignore (Page_table.fault_kind t.pt ~page ~write : [ `None | `Not_present | `Protection ])
 
 let charge_level t level =
-  let c = t.config.cost in
+  let c = cost in
   let ns =
     match level with
     | 1 -> c.Cost_model.l1_ns

@@ -26,10 +26,10 @@ val kona_vm_profile : Kona.Cost_model.t -> Kona_rdma.Cost.t -> profile
 val legoos_profile : Kona.Cost_model.t -> profile
 val infiniswap_profile : Kona.Cost_model.t -> profile
 
+(** Latencies are {!Kona.Cost_model.default}, RDMA costs
+    {!Kona_rdma.Cost.default} and the CPU caches
+    {!Kona_cachesim.Hierarchy.default_config}: constants, not settings. *)
 type config = {
-  cost : Kona.Cost_model.t;
-  rdma : Kona_rdma.Cost.t;
-  cache_config : Kona_cachesim.Hierarchy.config;
   cache_pages : int;
       (** local DRAM page-cache capacity (in [page_bytes] units), 4-way
           set-associative like Kona's FMem *)

@@ -35,14 +35,16 @@ let default =
 
 type system_profile = { system : string; dram_cache_ns : float; remote_ns : float }
 
-let rdma_page_read_ns rdma =
-  float_of_int (Kona_rdma.Cost.batch_ns rdma ~sizes:[ Kona_util.Units.page_size ])
+let rdma_page_read_ns =
+  float_of_int
+    (Kona_rdma.Cost.batch_ns Kona_rdma.Cost.default
+       ~sizes:[ Kona_util.Units.page_size ])
 
-let kona ?(rdma = Kona_rdma.Cost.default) t =
-  { system = "Kona"; dram_cache_ns = t.fmem_ns; remote_ns = rdma_page_read_ns rdma }
+let kona t =
+  { system = "Kona"; dram_cache_ns = t.fmem_ns; remote_ns = rdma_page_read_ns }
 
-let kona_main ?(rdma = Kona_rdma.Cost.default) t =
-  { system = "Kona-main"; dram_cache_ns = t.cmem_ns; remote_ns = rdma_page_read_ns rdma }
+let kona_main t =
+  { system = "Kona-main"; dram_cache_ns = t.cmem_ns; remote_ns = rdma_page_read_ns }
 
 let legoos t =
   {

@@ -39,10 +39,11 @@ type system_profile = {
   remote_ns : float;  (** one remote fetch, software stack included *)
 }
 
-val kona : ?rdma:Kona_rdma.Cost.t -> t -> system_profile
-(** Remote = RDMA page read, no faults; cache in FMem. *)
+val kona : t -> system_profile
+(** Remote = one RDMA page read at {!Kona_rdma.Cost.default}, no faults;
+    cache in FMem. *)
 
-val kona_main : ?rdma:Kona_rdma.Cost.t -> t -> system_profile
+val kona_main : t -> system_profile
 (** Kona if it could track CMem (no NUMA penalty) — upper bound (§6.2). *)
 
 val legoos : t -> system_profile

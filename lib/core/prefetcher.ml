@@ -30,25 +30,36 @@ let request t stream upto =
   done;
   if upto > stream.ahead then stream.ahead <- upto
 
+(* The slot of the stream [vpage] continues (its last page, or the one
+   after it) from slot [i] on, or -1: a scan that returns an index, with
+   no closure and no [Some], as [Fmem.scan] does. *)
+let rec find (streams : stream array) vpage i =
+  if i = Array.length streams then -1
+  else
+    let last = streams.(i).last in
+    if last = vpage - 1 || last = vpage then i else find streams vpage (i + 1)
+
+(* The least recently advanced slot, the first one on a tie. *)
+let rec oldest (streams : stream array) i best =
+  if i = Array.length streams then best
+  else
+    oldest streams (i + 1)
+      (if streams.(i).stamp < streams.(best).stamp then i else best)
+
 let observe_miss t ~vpage =
   t.tick <- t.tick + 1;
-  let rec find i =
-    if i = Array.length t.streams then None
-    else if t.streams.(i).last = vpage - 1 || t.streams.(i).last = vpage then Some t.streams.(i)
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some stream ->
+  match find t.streams vpage 0 with
+  | -1 ->
+      (* New stream: steal the least recently advanced slot. *)
+      let victim = t.streams.(oldest t.streams 1 0) in
+      victim.last <- vpage;
+      victim.ahead <- vpage;
+      victim.stamp <- t.tick
+  | i ->
       (* Sequential continuation: run ahead of the demand stream. *)
-      stream.last <- max stream.last vpage;
+      let stream = t.streams.(i) in
+      stream.last <- Int.max stream.last vpage;
       stream.stamp <- t.tick;
       request t stream (vpage + depth)
-  | None ->
-      (* New stream: steal the least recently advanced slot. *)
-      let victim = ref t.streams.(0) in
-      Array.iter (fun s -> if s.stamp < !victim.stamp then victim := s) t.streams;
-      !victim.last <- vpage;
-      !victim.ahead <- vpage;
-      !victim.stamp <- t.tick
 
 let issued t = t.issued

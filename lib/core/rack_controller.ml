@@ -32,7 +32,7 @@ let () =
 
 type t = {
   slab_size : int;
-  slots : slot Dynarray.t; (* registration order *)
+  mutable slots : slot array; (* registration order; grows one node at a time *)
   index : (int, int) Hashtbl.t; (* logical id -> slot position *)
   quotas : (string, int) Hashtbl.t; (* tenant -> byte cap *)
   used : (string, int) Hashtbl.t; (* tenant -> bytes allocated *)
@@ -58,7 +58,7 @@ let create ?(slab_size = Units.mib 1) () =
   assert (slab_size > 0 && slab_size mod Units.page_size = 0);
   {
     slab_size;
-    slots = Dynarray.create ();
+    slots = [||];
     index = Hashtbl.create 8;
     quotas = Hashtbl.create 8;
     used = Hashtbl.create 8;
@@ -83,9 +83,10 @@ let register_node t node =
           (mint_backing_id); registering it as a logical node would alias two \
           physical stores"
          id);
-  Hashtbl.add t.index id (Dynarray.length t.slots);
-  Dynarray.add_last t.slots
-    { logical_id = id; backing = node; draining = false; former = [] }
+  Hashtbl.add t.index id (Array.length t.slots);
+  t.slots <-
+    Array.append t.slots
+      [| { logical_id = id; backing = node; draining = false; former = [] } |]
 
 (* Physical ids for replica/mirror stores: skip every registered logical
    id so a rack-op [add@T] and a re-replication can never mint the same
@@ -100,11 +101,11 @@ let mint_backing_id t =
   t.next_backing_id <- t.next_backing_id + 1;
   id
 
-let nodes t = List.map (fun s -> s.backing) (Dynarray.to_list t.slots)
+let nodes t = List.map (fun s -> s.backing) (Array.to_list t.slots)
 
 let slot t ~id =
   match Hashtbl.find_opt t.index id with
-  | Some pos -> Dynarray.get t.slots pos
+  | Some pos -> t.slots.(pos)
   | None ->
       invalid_arg (Printf.sprintf "Rack_controller.node: unknown memory node id %d" id)
 
@@ -116,13 +117,13 @@ let replace_node t ~id ~node =
   s.backing <- node
 
 let former_backings t ~id = (slot t ~id).former
-let logical_ids t = List.map (fun s -> s.logical_id) (Dynarray.to_list t.slots)
+let logical_ids t = List.map (fun s -> s.logical_id) (Array.to_list t.slots)
 
 (* Physical-store lookups: membership leases and fencing follow the
    store, not the logical slot — a displaced ex-backing keeps its
    physical id while the slot's backing moves on. *)
 let find_physical t ~id =
-  Dynarray.fold_left
+  Array.fold_left
     (fun acc s ->
       match acc with
       | Some _ -> acc
@@ -132,7 +133,7 @@ let find_physical t ~id =
     None t.slots
 
 let logical_backed_by t ~physical =
-  Dynarray.fold_left
+  Array.fold_left
     (fun acc s ->
       match acc with
       | Some _ -> acc
@@ -144,7 +145,7 @@ let logical_backed_by t ~physical =
 let all_physical t =
   List.concat_map
     (fun s -> s.backing :: s.former)
-    (Dynarray.to_list t.slots)
+    (Array.to_list t.slots)
 let bump_fencing_epoch t =
   t.fencing_epoch <- t.fencing_epoch + 1;
   t.fencing_epoch
@@ -205,7 +206,7 @@ let grant t ~tenant ~vaddr s =
   slab
 
 let allocate_slab ?tenant t ~vaddr =
-  let n = Dynarray.length t.slots in
+  let n = Array.length t.slots in
   if n = 0 then failwith "Rack_controller: no memory nodes registered";
   admit t ~tenant;
   let preferred =
@@ -217,7 +218,7 @@ let allocate_slab ?tenant t ~vaddr =
         | Some id -> (
             match Hashtbl.find_opt t.index id with
             | Some pos ->
-                let s = Dynarray.get t.slots pos in
+                let s = t.slots.(pos) in
                 if usable t s then Some s else None
             | None -> None))
   in
@@ -227,7 +228,7 @@ let allocate_slab ?tenant t ~vaddr =
       let rec try_node attempts =
         if attempts = n then raise Out_of_memory
         else begin
-          let candidate = Dynarray.get t.slots (t.next_node mod n) in
+          let candidate = t.slots.(t.next_node mod n) in
           t.next_node <- t.next_node + 1;
           if usable t candidate then grant t ~tenant ~vaddr candidate
           else try_node (attempts + 1)

@@ -17,9 +17,11 @@ module Scrubber = Kona_integrity.Scrubber
 module Membership = Kona_membership.Membership
 module Recovery = Kona_membership.Recovery
 
+(* Constants: no configuration varies them. *)
+let cost = Cost_model.default
+let rdma = Kona_rdma.Cost.default
+
 type config = {
-  cost : Cost_model.t;
-  rdma : Kona_rdma.Cost.t;
   cache_config : Hierarchy.config;
   fmem_pages : int;
   fmem_policy : Fmem.policy;
@@ -43,8 +45,6 @@ type config = {
 
 let default_config =
   {
-    cost = Cost_model.default;
-    rdma = Kona_rdma.Cost.default;
     cache_config = Hierarchy.default_config;
     fmem_pages = 1024;
     fmem_policy = Fmem.Lru;
@@ -538,8 +538,7 @@ let verify_and_repair_page t ~vpage =
                        ist.repaired_lines <- ist.repaired_lines + 1;
                        ist.repair_bytes <- ist.repair_bytes + Units.cache_line;
                        Clock.advance t.bg_clock
-                         (Kona_rdma.Cost.memcpy_ns t.config.rdma
-                            ~bytes:Units.cache_line)
+                         (Kona_rdma.Cost.memcpy_ns rdma ~bytes:Units.cache_line)
                      with Memory_node.Crashed _ | Memory_node.Fenced _ -> ())
                 | None ->
                     incr unrepairable;
@@ -594,18 +593,6 @@ let flush_healed_deferred t ~now =
           t.deferred_flushed <- t.deferred_flushed + 1;
           fire ())
         due
-
-(* End-of-run msync: every partition heals eventually, so [drain] lands
-   all deferred deliveries regardless of their heal time — fenced targets
-   reject theirs as stale. *)
-let flush_deferred_all t =
-  let all = t.deferred in
-  t.deferred <- [];
-  List.iter
-    (fun (_, fire) ->
-      t.deferred_flushed <- t.deferred_flushed + 1;
-      fire ())
-    all
 
 (* Restore the replication degree as a resumable task: one 1 MiB chunk
    posted per [Recovery.step].  The source is re-read from the controller
@@ -761,12 +748,8 @@ let schedule_failover t ~phys =
                    else `Again))
       end
 
-(* Drive the recovery queue to idle: the instant detector's crash path
-   and [drain]'s final msync. *)
-let rec pump_recovery t =
-  match Recovery.step t.recovery ~now:(elapsed_ns t) with
-  | `Idle -> ()
-  | `Stepped _ | `Finished _ -> pump_recovery t
+(* The instant detector's crash path and [drain]'s final msync. *)
+let pump_recovery t = Recovery.run_to_idle t.recovery ~now:(fun () -> elapsed_ns t)
 
 let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
     ~controller ~read_local () =
@@ -796,18 +779,18 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
      signaling. *)
   let retry = Qp.retry_of config.backoff in
   let fetch_qp =
-    Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ~inject
+    Qp.create ~cost:rdma ~nic ?sq_depth:config.sq_depth ~inject
       ?arbitrate ~retry ~clock:app_clock ()
   in
   let evict_qp =
-    Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ~inject
+    Qp.create ~cost:rdma ~nic ?sq_depth:config.sq_depth ~inject
       ?arbitrate ~retry ~signal_interval:config.signal_interval ~clock:bg_clock ()
   in
   let rpc =
     (* The control path's SENDs ride the same loss/delay hook as the
        data QPs, so wqe-drop plans can kill a control exchange outright
        (surfaced as the underlying transport error, not a timeout). *)
-    Kona_rdma.Rpc.create ~cost:config.rdma ~backoff:config.backoff
+    Kona_rdma.Rpc.create ~cost:rdma ~backoff:config.backoff
       ~fail:(Injector.rpc_timeout injector)
       ~inject ~clock:app_clock ~nic ()
   in
@@ -828,7 +811,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   in
   let log =
     Cl_log.create ~capacity:config.log_capacity ~stream_base:config.stream_base
-      ~extra_targets ?tracer ~qp:evict_qp ~cost:config.rdma
+      ~extra_targets ?tracer ~qp:evict_qp ~cost:rdma
       ~resolve:(fun ~node -> Rack_controller.node controller ~id:node)
       ()
   in
@@ -856,7 +839,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   let prefetch_qp =
     if config.prefetch then
       Some
-        (Qp.create ~cost:config.rdma ~nic ?sq_depth:config.sq_depth ~inject
+        (Qp.create ~cost:rdma ~nic ?sq_depth:config.sq_depth ~inject
            ~retry ~signal_interval:config.signal_interval ~clock:bg_clock ())
     else None
   in
@@ -869,7 +852,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
     ref (fun ~vpage:_ ~dirty:_ -> ())
   in
   let caching =
-    Caching_handler.create ~cost:config.cost ?mce_threshold_ns:config.mce_threshold_ns
+    Caching_handler.create ~cost ?mce_threshold_ns:config.mce_threshold_ns
       ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp
       ~on_victim:(fun ~vpage ~dirty ->
         let shipped = Eviction_handler.evict evictor ~vpage ~dirty in
@@ -949,7 +932,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
         end;
         (* The CRC pass over the fetched page is demand-path CPU work. *)
         Clock.advance app_clock
-          (Kona_rdma.Cost.memcpy_ns config.rdma ~bytes:Units.page_size);
+          (Kona_rdma.Cost.memcpy_ns rdma ~bytes:Units.page_size);
         ignore (verify_and_repair_page t ~vpage : Scrubber.outcome));
   (* Background scrubber: budgeted sweeps over the backed pages, driven
      off the virtual clock from [poll_faults]. *)
@@ -964,7 +947,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       let check ~page =
         (* Per-page verify cost: one CRC pass over the page, background. *)
         Clock.advance bg_clock
-          (Kona_rdma.Cost.memcpy_ns config.rdma ~bytes:Units.page_size);
+          (Kona_rdma.Cost.memcpy_ns rdma ~bytes:Units.page_size);
         verify_and_repair_page t ~vpage:page
       in
       t.scrubber <-
@@ -1072,7 +1055,7 @@ let poll_faults t =
   | None -> ()
 
 let charge_level t level =
-  let c = t.config.cost in
+  let c = cost in
   let ns =
     match level with
     | 1 -> c.Cost_model.l1_ns
@@ -1118,9 +1101,10 @@ let drain t =
   (match t.membership with Some m -> Membership.tick m ~now:(elapsed_ns t) | None -> ());
   pump_recovery t;
   Qp.wait_idle t.evict_qp;
-  (* Every partition heals by msync: land all deferred deliveries —
-     fenced targets reject theirs as stale (the split-brain writes). *)
-  flush_deferred_all t;
+  (* Every partition heals by msync: land all deferred deliveries, in
+     defer order — fenced targets reject theirs as stale (the split-brain
+     writes). *)
+  flush_healed_deferred t ~now:max_int;
   (* Close the integrity loop before any end-of-run oracle looks at the
      rack: a forced full sweep verifies (and repairs) every backed page,
      including quarantined lines whose torn delivery was rejected. *)
@@ -1329,7 +1313,7 @@ let invalidate_page t ~vpage =
     | None -> Bitmap.create Units.lines_per_page
   in
   let (_ : bool) = Eviction_handler.evict t.evictor ~vpage ~dirty in
-  Clock.advance t.bg_clock (int_of_float t.config.cost.Cost_model.fmem_ns)
+  Clock.advance t.bg_clock (int_of_float cost.Cost_model.fmem_ns)
 
 (* Multi-writer coherence: the rack installs the home-side judgment of
    which delivered writeback lines are stale (ownership revoked, newer
@@ -1337,13 +1321,8 @@ let invalidate_page t ~vpage =
 let set_writeback_filter t f = Cl_log.set_stale_filter t.log f
 
 (* Page migration support.  Staged CL-log entries resolve (node, raddr)
-   at append time, so the migrator flushes before any remap; the remap
-   itself is just a translation update — the caller has already copied
-   the bytes (and replicas) to the new home. *)
+   at append time, so the migrator flushes before any remap. *)
 let flush_log t = Cl_log.flush t.log
-
-let remap_page t ~vpage ~node ~remote_addr =
-  Resource_manager.remap_page t.rm ~vpage ~node ~remote_addr
 
 (* Post one background control message (e.g. a shared-segment invalidation)
    to [node]: rides the eviction QP, so it pays wire time, contends at the
@@ -1360,14 +1339,18 @@ let injector t = t.injector
 let force_scrub t =
   match t.scrubber with Some s -> Scrubber.force_sweep s | None -> ()
 
+(* A flap or partition armed mid-run starts now on this runtime's clock,
+   whatever its [at_ns] says: a flap as an outage of this runtime's NIC
+   port. *)
 let arm_fault t clause =
-  (match clause with
-  | Fault_spec.Link_flap { dur_ns; _ } ->
-      (* The [at_ns] in the clause is relative spec text; a mid-run flap
-         starts now on this runtime's NIC. *)
-      Nic.inject_outage t.nic ~at:(elapsed_ns t) ~duration:dur_ns
-  | _ -> ());
-  Injector.arm t.injector clause
+  let at_ns = elapsed_ns t in
+  Injector.arm t.injector
+    (match clause with
+    | Fault_spec.Link_flap { dur_ns; _ } ->
+        Nic.inject_outage t.nic ~at:at_ns ~duration:dur_ns;
+        clause
+    | Fault_spec.Partition p -> Fault_spec.Partition { p with at_ns }
+    | c -> c)
 
 let controller t = t.controller
 

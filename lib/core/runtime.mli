@@ -16,11 +16,12 @@
     instrumentation-based emulation, §5); the runtime moves real bytes only
     outward, into the memory nodes, which lets tests verify the end-to-end
     invariant: after [drain], remote memory equals the application's
-    heap for every backed page. *)
+    heap for every backed page.
+
+    Latencies are {!Cost_model.default} and RDMA costs
+    {!Kona_rdma.Cost.default}: both are constants, not settings. *)
 
 type config = {
-  cost : Cost_model.t;
-  rdma : Kona_rdma.Cost.t;
   cache_config : Kona_cachesim.Hierarchy.config;
   fmem_pages : int;
       (** local DRAM cache capacity, in 4KB frames; FMem is 4-way
@@ -313,14 +314,9 @@ val set_writeback_filter : t -> (node:int -> addr:int -> data:string -> bool) ->
     value, and the home drops exactly those lines. *)
 
 val flush_log : t -> unit
-(** Flush the CL log's staged buffers.  The migrator calls this before
-    remapping: staged entries resolve (node, raddr) at append time and
+(** Flush the CL log's staged buffers.  The rack calls this before it
+    moves a page: staged entries resolve (node, raddr) at append time and
     must land at the pre-move address. *)
-
-val remap_page : t -> vpage:int -> node:int -> remote_addr:int -> unit
-(** Retarget [vpage]'s translation at its new home ([remote_addr] is the
-    page base on logical node [node]).  The caller must have copied the
-    page bytes and replicas first and called {!flush_log}. *)
 
 val post_bg_message :
   t -> node:int -> len:int -> deliver:(unit -> unit) -> unit
@@ -363,8 +359,10 @@ val force_scrub : t -> unit
 
 val arm_fault : t -> Kona_faults.Fault_spec.clause -> unit
 (** Arm one more fault clause mid-run.  Probabilistic kinds combine with
-    already-armed probabilities; [Link_flap] starts a NIC outage of the
-    clause's duration now; [Node_crash] joins the crash calendar. *)
+    already-armed probabilities.  [Link_flap] and [Partition] start now,
+    whatever their [at_ns]: a NIC outage of the clause's duration, a
+    window opened at the next poll.  [Node_crash] joins the crash
+    calendar. *)
 
 val controller : t -> Rack_controller.t
 (** The rack controller passed at [create] (failover retargets logical

@@ -60,6 +60,13 @@ let step t ~now =
           t.completed <- t.completed + 1;
           `Finished task.name)
 
+(* A runtime's clock moves while its tasks post work; a rack's final pump
+   holds one time. *)
+let rec run_to_idle t ~now =
+  match step t ~now:(now ()) with
+  | `Idle -> ()
+  | `Stepped _ | `Finished _ -> run_to_idle t ~now
+
 let pending t = List.map (fun task -> task.name) t.queue
 let idle t = t.queue = []
 let enqueued t = t.enqueued

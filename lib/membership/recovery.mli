@@ -25,6 +25,10 @@ val step : t -> now:int -> [ `Idle | `Stepped of string | `Finished of string ]
     [`Stepped name] when it made progress and remains in flight;
     [`Finished name] when it completed and was dequeued. *)
 
+val run_to_idle : t -> now:(unit -> int) -> unit
+(** {!step} until {!idle}, reading [now ()] before each step, so work a
+    task enqueues (failover queues re-replication) runs too. *)
+
 val pending : t -> string list
 (** Names of queued tasks, head first. *)
 

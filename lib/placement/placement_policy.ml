@@ -18,7 +18,7 @@ type move = { mv_tenant : int; mv_vpage : int; mv_dst : int }
 
 type t = {
   name : string;
-  choose_node : nodes:node_info list -> tenant:int -> int option;
+  choose_node : (nodes:node_info list -> tenant:int -> int option) option;
   plan : nodes:node_info list -> pages:view -> budget:int -> move list;
 }
 
@@ -32,7 +32,7 @@ let page = 4096
 let first_fit () =
   {
     name = "first-fit";
-    choose_node = (fun ~nodes:_ ~tenant:_ -> None);
+    choose_node = None;
     plan = (fun ~nodes:_ ~pages:_ ~budget:_ -> []);
   }
 
@@ -116,7 +116,7 @@ let heat_aware ?(hot_threshold = hot_threshold) () =
     (* Allocation stays the controller's round-robin (placement is not
        clairvoyant about future access patterns); only observed heat
        moves pages, so first-fit vs heat isolates what migration buys. *)
-    choose_node = (fun ~nodes:_ ~tenant:_ -> None);
+    choose_node = None;
     plan;
   }
 
@@ -170,14 +170,15 @@ let centralized () =
   {
     name = "centralized";
     choose_node =
-      (fun ~nodes ~tenant:_ ->
-        match
-          best_dst
-            (List.map (fun info -> { info; free = info.ni_free }) nodes)
-            ~pred:(fun _ -> true)
-        with
-        | Some s -> Some s.info.ni_node
-        | None -> None);
+      Some
+        (fun ~nodes ~tenant:_ ->
+          match
+            best_dst
+              (List.map (fun info -> { info; free = info.ni_free }) nodes)
+              ~pred:(fun _ -> true)
+          with
+          | Some s -> Some s.info.ni_node
+          | None -> None);
     plan;
   }
 

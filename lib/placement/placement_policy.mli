@@ -2,14 +2,14 @@
 
     A policy answers two questions for the rack controller:
 
-    - {e where does a fresh slab go?} ([choose_node], consulted before the
-      controller's round-robin fallback), and
+    - {e where does a fresh slab go?} ([choose_node], if the policy has
+      one, consulted before the controller's round-robin fallback), and
     - {e which pages should move this epoch?} ([plan], consulted by the
       background migrator with the epoch's page {!view}).
 
     Three implementations ship with the runtime:
 
-    - [first_fit] — today's behavior: no opinion on allocation (the
+    - [first_fit] — the pre-placement allocator: no [choose_node] (the
       controller round-robins) and never migrates;
     - [heat_aware] — ships hot pages toward fast (low-latency) nodes and
       evicts cold pages off them to make room;
@@ -55,9 +55,10 @@ type move = {
 
 type t = {
   name : string;
-  choose_node : nodes:node_info list -> tenant:int -> int option;
-      (** Pick a node for a fresh slab; [None] defers to the
-          controller's round-robin. Never returns a draining node. *)
+  choose_node : (nodes:node_info list -> tenant:int -> int option) option;
+      (** Pick a node for a fresh slab, or answer [None] to defer to the
+          controller's round-robin; never a draining node.  First-fit
+          and heat have none: every slab takes the round-robin. *)
   plan : nodes:node_info list -> pages:view -> budget:int -> move list;
       (** Up to [budget] moves for this epoch.  Returned moves must
           target live, non-draining nodes. *)

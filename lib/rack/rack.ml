@@ -12,6 +12,7 @@ module Heat = Kona_placement.Heat
 module Placement_policy = Kona_placement.Placement_policy
 module Migrator = Kona_placement.Migrator
 module Recovery = Kona_membership.Recovery
+module Fault_spec = Kona_faults.Fault_spec
 open Kona
 
 type tenant_cfg = {
@@ -28,7 +29,7 @@ type config = {
   node_capacity : int;
   node_gbps : float;
   replicas : int;
-  faults : Kona_faults.Fault_spec.t;
+  faults : Fault_spec.t;
   fault_seed : int;
   shared_pages : int;
   shared_ops : int;
@@ -65,7 +66,6 @@ type tenant_result = {
   t_cfg : tenant_cfg;
   t_accesses : int;
   t_app_ns : int;
-  t_bg_ns : int;
   t_elapsed_ns : int;
   t_admitted_bytes : int;
   t_contended_bytes : int;
@@ -92,7 +92,6 @@ type result = {
   r_owner_changes : int;
   r_coh_invalidations : int;
   r_node_crashes : int;
-  r_policy : string;
   r_migrations : int;
   r_bytes_moved : int;
   r_failed_moves : int;
@@ -299,11 +298,12 @@ let node_infos e =
                ni_draining = Rack_controller.draining e.controller ~id;
              })
 
-(* An allocation with no known tenant is placed as tenant 0's. *)
-let choose_node e ~tenant =
+(* A policy's slab choice over the live nodes; an allocation with no
+   known tenant is placed as tenant 0's. *)
+let choose_node e choose ~vaddr:_ ~tenant =
   let named tc = Some tc.name = tenant in
   let ti = Option.value (Array.find_index named e.tenants) ~default:0 in
-  e.placement.Placement_policy.choose_node ~nodes:(node_infos e) ~tenant:ti
+  choose ~nodes:(node_infos e) ~tenant:ti
 
 (* Two latency tiers: nodes past [fast_nodes] pay a fixed fabric penalty
    on top of WFQ queueing — what the heat policy optimizes against. *)
@@ -319,6 +319,15 @@ let read_local e i ~addr ~len =
     Bytes.sub_string e.seg (addr - shared_base) len
   else Heap.peek_bytes e.heaps.(i) addr len
 
+(* Which tenants a fault clause reaches, for the start-time plan and
+   [inject] alike: a partition or link flap cuts the whole rack, so every
+   tenant opens its window; any other clause reaches tenant 0 — it runs
+   the rack's only failover (the shared controller tells the rest of a
+   crash) and is the corruption target. *)
+let reaches i = function
+  | Fault_spec.Partition _ | Fault_spec.Link_flap _ -> true
+  | _ -> i = 0
+
 let create_runtime e i =
   let cfg = e.cfg in
   let config =
@@ -327,19 +336,7 @@ let create_runtime e i =
       Runtime.tenant = Some e.tenants.(i).name;
       stream_base = i * 1024;
       replicas = cfg.replicas;
-      (* A partition or link flap cuts the whole rack, so every tenant
-         opens its window; crashes stay on tenant 0, which runs the
-         rack's only failover (the shared controller tells the rest). *)
-      faults =
-        (if i = 0 then cfg.faults
-         else
-           List.filter
-             (function
-               | Kona_faults.Fault_spec.Partition _
-               | Kona_faults.Fault_spec.Link_flap _ ->
-                   true
-               | _ -> false)
-             cfg.faults);
+      faults = List.filter (reaches i) cfg.faults;
       fault_seed = cfg.fault_seed;
       (* Exactly one membership authority per rack: tenant 0 leases the
          nodes and triggers failover; the others learn of it through the
@@ -534,26 +531,6 @@ let read_page_bytes e ~node ~addr =
           List.find_map try_store
             (Replication.live_copies r ~controller:e.controller ~node))
 
-(* Land the page at its new home: primary plus the home's mirrors (at the
-   same offset), so post-move CL-log replication stays coherent.
-   Reserves bypass the controller's quota path on purpose — migration
-   relocates a tenant's bytes, it doesn't grant more. *)
-let place_page e ~dst ~data =
-  let store = Rack_controller.node e.controller ~id:dst in
-  if (not (Memory_node.alive store)) || Memory_node.free_bytes store < page
-  then None
-  else begin
-    let addr = Memory_node.reserve store ~size:page in
-    Memory_node.write store ~addr ~data;
-    (match e.replication with
-    | Some r ->
-        List.iter
-          (fun m -> if Memory_node.alive m then Memory_node.write m ~addr ~data)
-          (Replication.targets r ~node:dst)
-    | None -> ());
-    Some addr
-  end
-
 (* A heat counter is born only from a fetch or an eviction of a page its
    tenant backs, and a backed page stays backed, so every counter outside
    the shared segment belongs to a backed page: folding over the counters
@@ -615,28 +592,61 @@ let epoch_pages e ~now =
 let charge e ~node ~bytes ~now =
   Wfq.admit e.wfq.(node) ~tenant:(tenant_count e) ~bytes ~now
 
-let move_page e mv =
-  let { Placement_policy.mv_tenant = ti; mv_vpage = vpage; mv_dst = dst } =
-    mv
-  in
+let homed_at rt ~vpage ~id ~addr =
+  match
+    Resource_manager.translate (Runtime.resource_manager rt)
+      ~vaddr:(vpage * page)
+  with
+  | Some (node', addr') -> node' = id && addr' = addr
+  | None -> false
+
+(* The one page mover, for migration and drain alike: read a clean copy
+   of [vpage] from its home [addr] on node [src], land it on [dst] and
+   that node's mirrors (at the same offset, so post-move CL-log
+   replication stays coherent), and retarget every tenant mapping still
+   homed at the old copy — the owner's, and a shared page's foreign
+   mappings.  The reserve bypasses the controller's quota path on
+   purpose: a move relocates a tenant's bytes, it grants none.  [false]
+   when no clean copy is readable or [dst] cannot take the page. *)
+let relocate e ~vpage ~src ~addr ~dst =
+  let store = Rack_controller.node e.controller ~id:dst in
+  match read_page_bytes e ~node:src ~addr with
+  | Some data
+    when Memory_node.alive store && Memory_node.free_bytes store >= page ->
+      let dst_addr = Memory_node.reserve store ~size:page in
+      Memory_node.write store ~addr:dst_addr ~data;
+      (match e.replication with
+      | Some r ->
+          List.iter
+            (fun m ->
+              if Memory_node.alive m then
+                Memory_node.write m ~addr:dst_addr ~data)
+            (Replication.targets r ~node:dst)
+      | None -> ());
+      Array.iter
+        (fun rt ->
+          if homed_at rt ~vpage ~id:src ~addr then
+            Resource_manager.remap_page
+              (Runtime.resource_manager rt)
+              ~vpage ~node:dst ~remote_addr:dst_addr)
+        e.runtimes;
+      true
+  | Some _ | None -> false
+
+(* A planned move of a page outside the shared segment; [Some src] names
+   the node it left. *)
+let move_page e
+    { Placement_policy.mv_tenant = ti; mv_vpage = vpage; mv_dst = dst } =
   if in_seg_range e vpage then None
   else
-    let rt = e.runtimes.(ti) in
     match
-      Resource_manager.translate (Runtime.resource_manager rt)
+      Resource_manager.translate
+        (Runtime.resource_manager e.runtimes.(ti))
         ~vaddr:(vpage * page)
     with
-    | None -> None
-    | Some (src, _) when src = dst -> None
-    | Some (src, src_addr) -> (
-        match read_page_bytes e ~node:src ~addr:src_addr with
-        | None -> None
-        | Some data -> (
-            match place_page e ~dst ~data with
-            | None -> None
-            | Some dst_addr ->
-                Runtime.remap_page rt ~vpage ~node:dst ~remote_addr:dst_addr;
-                Some src))
+    | Some (src, addr) when src <> dst && relocate e ~vpage ~src ~addr ~dst ->
+        Some src
+    | Some _ | None -> None
 
 let create_migrator e =
   Migrator.create ~policy:e.placement ~epoch_ns:migrate_epoch_ns
@@ -666,42 +676,18 @@ let choose_rehome e =
         | _ -> Some ni)
     None (node_infos e)
 
-let homed_at rt ~vpage ~id ~addr =
-  match
-    Resource_manager.translate (Runtime.resource_manager rt)
-      ~vaddr:(vpage * page)
-  with
-  | Some (node', addr') -> node' = id && addr' = addr
-  | None -> false
-
 (* Re-home one drain victim now.  A victim already moved out from under
    us (migration or an earlier overlapping drain) is neither a drained
    page nor a failure. *)
 let drain_one e ~now id (_, vpage, addr) =
   if Array.exists (homed_at ~vpage ~id ~addr) e.runtimes then
-    let fail () = e.drain_failures <- e.drain_failures + 1 in
-    match read_page_bytes e ~node:id ~addr with
-    | None -> fail ()
-    | Some data -> (
-        match choose_rehome e with
-        | None -> fail ()
-        | Some ni -> (
-            let dst = ni.Placement_policy.ni_node in
-            match place_page e ~dst ~data with
-            | None -> fail ()
-            | Some dst_addr ->
-                (* retarget the owner and every foreign mapping that
-                   still points at the drained copy *)
-                Array.iter
-                  (fun rt ->
-                    if homed_at rt ~vpage ~id ~addr then
-                      Resource_manager.remap_page
-                        (Runtime.resource_manager rt)
-                        ~vpage ~node:dst ~remote_addr:dst_addr)
-                  e.runtimes;
-                e.drained_pages <- e.drained_pages + 1;
-                ignore (charge e ~node:id ~bytes:page ~now);
-                ignore (charge e ~node:dst ~bytes:page ~now)))
+    match choose_rehome e with
+    | Some { Placement_policy.ni_node = dst; _ }
+      when relocate e ~vpage ~src:id ~addr ~dst ->
+        e.drained_pages <- e.drained_pages + 1;
+        ignore (charge e ~node:id ~bytes:page ~now);
+        ignore (charge e ~node:dst ~bytes:page ~now)
+    | Some _ | None -> e.drain_failures <- e.drain_failures + 1
 
 let drain_pages_per_step = 16
 
@@ -956,11 +942,9 @@ let start cfg tenant_list =
   for _ = 1 to cfg.nodes do
     add_scheduler e
   done;
-  (* first-fit must reproduce the pre-placement allocator exactly, so
-     only the other policies install the controller hook. *)
-  if e.placement.Placement_policy.name <> "first-fit" then
-    Rack_controller.set_placement controller (fun ~vaddr:_ ~tenant ->
-        choose_node e ~tenant);
+  Option.iter
+    (fun choose -> Rack_controller.set_placement controller (choose_node e choose))
+    e.placement.Placement_policy.choose_node;
   e.runtimes <- Array.init n (create_runtime e);
   (* A fencing epoch minted by any tenant's failover is rack-global: every
      tenant's CL-log sender must restamp at the new epoch, or its next
@@ -1081,7 +1065,6 @@ let tenant_result e i =
     t_cfg = e.tenants.(i);
     t_accesses = Array.length e.steps.(i);
     t_app_ns = Runtime.app_ns rt;
-    t_bg_ns = Runtime.bg_ns rt;
     t_elapsed_ns = Runtime.elapsed_ns rt;
     t_admitted_bytes = stats_sum (fun s -> s.Wfq.bytes);
     t_contended_bytes = contended_bytes;
@@ -1109,15 +1092,11 @@ let finish e =
       (* ops scheduled past the last replayed access still run (a drain
          must re-home its pages no matter how short the workload was) *)
       fire_ops e ~now:max_int;
-      (* pump the rack recovery queue dry: a drain interrupted by a crash
-         or partition mid-run completes here, after the fault *)
+      (* pump the rack recovery queue dry at the rack's final time: a
+         drain interrupted by a crash or partition mid-run completes
+         here, after the fault *)
       let final_now = now_ns e in
-      let rec pump () =
-        match Recovery.step e.recovery ~now:final_now with
-        | `Idle -> ()
-        | `Stepped _ | `Finished _ -> pump ()
-      in
-      pump ();
+      Recovery.run_to_idle e.recovery ~now:(fun () -> final_now);
       let r_tenants = Array.init (tenant_count e) (tenant_result e) in
       let m = migrator e in
       let r =
@@ -1138,7 +1117,6 @@ let finish e =
             Array.fold_left
               (fun a rt -> a + Runtime.count rt "faults.node_crashes")
               0 e.runtimes;
-          r_policy = e.placement.Placement_policy.name;
           r_migrations = total_moves e;
           r_bytes_moved = bytes_moved e;
           r_failed_moves = failed_moves e;
@@ -1252,30 +1230,13 @@ let crash_node e ~id =
      lazily through the controller's promoted backing. *)
   if id >= 0 && id < node_count e then Runtime.crash_node e.runtimes.(0) ~id
 
-let arm_fault e clause = Runtime.arm_fault e.runtimes.(0) clause
-
-let flap_links e ~dur_ns =
-  (* Every tenant owns a NIC port; a rack-level flap outages them all. *)
-  Array.iter
-    (fun rt ->
-      Runtime.arm_fault rt
-        (Kona_faults.Fault_spec.Link_flap
-           { at_ns = Runtime.elapsed_ns rt; dur_ns }))
+(* Arm [clause] now on every tenant it reaches, each on its own clock:
+   every tenant owns a NIC port for a flap to take down, and opens its
+   own deferral window for a partition. *)
+let inject e clause =
+  Array.iteri
+    (fun i rt -> if reaches i clause then Runtime.arm_fault rt clause)
     e.runtimes
-
-let partition_nodes e ~dur_ns ~ids =
-  (* An asymmetric partition cuts the listed nodes' links to the whole
-     rack: every tenant opens its own deferral window (CL-log deliveries
-     to those nodes park with their stamps intact), and tenant 0's
-     membership detector stops hearing their heartbeats — the nodes stay
-     healthy throughout, unlike a crash. *)
-  if dur_ns > 0 && ids <> [] then
-    Array.iter
-      (fun rt ->
-        Runtime.arm_fault rt
-          (Kona_faults.Fault_spec.Partition
-             { at_ns = Runtime.elapsed_ns rt; dur_ns; ids }))
-      e.runtimes
 
 let recovery_pending e =
   Recovery.pending e.recovery

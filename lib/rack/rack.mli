@@ -43,10 +43,10 @@ type config = {
           node failover is whole — it preserves every tenant's data *)
   faults : Kona_faults.Fault_spec.t;
       (** a scenario spec's timed [node-crash@T], [link-flap@T] and
-          [partition@T] clauses.  Tenant 0's runtime takes the whole
-          plan; every other tenant takes its partitions and link flaps,
-          which cut the whole rack.  A crash reaches the other tenants
-          through the shared controller *)
+          [partition@T] clauses.  Each tenant's runtime takes the clauses
+          that reach it, by the rule {!inject} follows: tenant 0 takes
+          the whole plan, every other tenant its partitions and link
+          flaps *)
   fault_seed : int;
   shared_pages : int;
       (** pages in tenant 0's published segment; 0 disables sharing
@@ -98,7 +98,6 @@ type tenant_result = {
   t_cfg : tenant_cfg;
   t_accesses : int;  (** replayed application accesses (woven ops included) *)
   t_app_ns : int;
-  t_bg_ns : int;
   t_elapsed_ns : int;
   t_admitted_bytes : int;  (** payload admitted across all node schedulers *)
   t_contended_bytes : int;
@@ -132,7 +131,6 @@ type result = {
   r_coh_invalidations : int;
       (** copies killed by RFOs and handoffs at the MSI home *)
   r_node_crashes : int;
-  r_policy : string;
   r_migrations : int;  (** pages moved (migrator epochs + rebalance ops) *)
   r_bytes_moved : int;  (** migration + drain bytes across the fabric *)
   r_failed_moves : int;  (** planned moves declined (full/dead/unclean) *)
@@ -204,30 +202,29 @@ val apply_op : engine -> Rack_ops.op -> unit
 (** Apply an add/drain/rebalance now.  An added node gets its WFQ
     scheduler and [rack.node.*] series at registration.  Only a drain of
     an unknown node id is refused, quietly, so generated op sequences
-    stay total. *)
+    stay total.
+
+    Drain, rebalance and the migrator move a page one way: read a copy
+    whose lines pass their at-rest CRCs (the home, or a live replica of
+    it), place it on the destination with that node's mirrors, and
+    retarget every tenant mapping still homed at the old copy — the
+    owner's, and for a shared-segment page its readers' foreign
+    mappings.  Migration and rebalance leave the shared segment alone;
+    only a drain re-homes it. *)
 
 val crash_node : engine -> id:int -> unit
 (** Fail-stop node [id] now via tenant 0's runtime — the same failover
-    path a scheduled [node-crash] fault clause takes.  Unknown ids are
-    refused. *)
+    path a scheduled [node-crash] fault clause takes, fired at once
+    rather than at the next poll.  Unknown ids are refused. *)
 
-val arm_fault : engine -> Kona_faults.Fault_spec.clause -> unit
-(** Arm a probabilistic fault clause on tenant 0 (the corruption-target
-    tenant, as in fault plans), through {!Kona.Runtime.arm_fault}. *)
-
-val flap_links : engine -> dur_ns:int -> unit
-(** Outage every tenant's NIC port for [dur_ns] starting at each
-    tenant's current virtual time. *)
-
-val partition_nodes : engine -> dur_ns:int -> ids:int list -> unit
-(** Asymmetric partition: cut the listed (healthy) nodes off from the
-    whole rack for [dur_ns].  Every tenant's CL-log deliveries to those
-    nodes are deferred with their stamps intact, and the membership
-    authority (tenant 0, when [runtime.heartbeat_ns] is set) stops
-    hearing their heartbeats — long partitions are declared dead and
-    failed over; the deferred writes then meet the fencing epoch at heal
-    and are rejected as stale.  Requires an injector, like
-    {!arm_fault}.  No-op for [dur_ns <= 0] or an empty node list. *)
+val inject : engine -> Kona_faults.Fault_spec.clause -> unit
+(** Arm [clause] now on every tenant it reaches, a flap or partition
+    starting at each tenant's own clock ({!Kona.Runtime.arm_fault}).
+    One rule decides who a clause reaches, here and for {!config.faults}:
+    a [Partition] or [Link_flap] cuts the whole rack and reaches every
+    tenant; any other clause reaches tenant 0, which runs the rack's
+    only failover and is the corruption target.  A partition's nodes
+    stay healthy: deliveries to them defer, stamps intact, until heal. *)
 
 val step_recovery : engine -> unit
 (** Advance the rack drain queue and every tenant's recovery queue one

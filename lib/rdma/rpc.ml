@@ -2,10 +2,13 @@ open Kona_util
 
 exception Timeout_exhausted of { attempts : int }
 
+(* A lost exchange costs this before its resend, doubling per consecutive
+   loss: a constant, since no caller varies it. *)
+let timeout_ns = 10_000
+
 type t = {
   qp : Qp.t;
   service_ns : int;
-  timeout_ns : int;
   retry_limit : int;
   cap_shift : int;
   fail : (unit -> bool) option;
@@ -16,19 +19,18 @@ type t = {
   mutable retries : int;
 }
 
-let create ?cost ?(service_ns = 1_500) ?(timeout_ns = 10_000) ?retry_limit
-    ?backoff ?fail ?inject ~clock ~nic () =
+let create ?cost ?(service_ns = 1_500) ?retry_limit ?backoff ?fail ?inject
+    ~clock ~nic () =
   (* The stack-wide backoff policy sets the retry budget and backoff
      shape; an explicit [retry_limit] still wins for targeted tests. *)
   let cfg = Option.value backoff ~default:Backoff.default in
   let retry_limit =
     match retry_limit with Some n -> n | None -> cfg.Backoff.rpc_retry_max
   in
-  assert (timeout_ns > 0 && retry_limit >= 0);
+  assert (retry_limit >= 0);
   {
     qp = Qp.create ?cost ?inject ~nic ~clock ();
     service_ns;
-    timeout_ns;
     retry_limit;
     cap_shift = cfg.Backoff.cap_shift;
     fail;
@@ -50,7 +52,7 @@ let call t ~request_bytes ~response_bytes f x =
     match t.fail with
     | Some failing when failing () ->
         t.timeouts <- t.timeouts + 1;
-        Clock.advance t.clock (t.timeout_ns * (1 lsl min k t.cap_shift));
+        Clock.advance t.clock (timeout_ns * (1 lsl min k t.cap_shift));
         if k >= t.retry_limit then raise (Timeout_exhausted { attempts = k + 1 });
         t.retries <- t.retries + 1;
         attempt (k + 1)
@@ -69,7 +71,7 @@ let call t ~request_bytes ~response_bytes f x =
                {e underlying} failure surfaces — a transport death must
                not be masked as [Timeout_exhausted]. *)
             t.timeouts <- t.timeouts + 1;
-            Clock.advance t.clock (t.timeout_ns * (1 lsl min k t.cap_shift));
+            Clock.advance t.clock (timeout_ns * (1 lsl min k t.cap_shift));
             if k >= t.retry_limit then raise e;
             t.retries <- t.retries + 1;
             attempt (k + 1)

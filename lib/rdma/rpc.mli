@@ -17,7 +17,6 @@ exception Timeout_exhausted of { attempts : int }
 val create :
   ?cost:Cost.t ->
   ?service_ns:int ->
-  ?timeout_ns:int ->
   ?retry_limit:int ->
   ?backoff:Kona_util.Backoff.config ->
   ?fail:(unit -> bool) ->
@@ -31,8 +30,8 @@ val create :
     registration handler).
 
     [fail] is the fault-injection hook, consulted once per attempt: [true]
-    loses the exchange, costing [timeout_ns] (doubling per consecutive
-    loss, capped at [2^cap_shift]; default 10 us) before a resend, up to
+    loses the exchange, costing a fixed 10 us timeout (doubling per
+    consecutive loss, capped at [2^cap_shift]) before a resend, up to
     [retry_limit] retries and then {!Timeout_exhausted}.  The retry
     budget and backoff cap come from [backoff] (default
     {!Kona_util.Backoff.default}: 5 resends, cap 16x); an explicit

@@ -9,7 +9,6 @@ type t = {
   slots : int;
   req_lines : int;
   resp_lines : int;
-  base_line : int;
   mutable seq : int;
   mutable calls : int;
   mutable total_ns : int;
@@ -28,18 +27,20 @@ type stats = {
   s_invalidations : int;
 }
 
+(* The ring starts at line 1 of the first shared page: the woven rack
+   traffic only ever writes line 0 of each page, so the data plane stays
+   out of its way. *)
+let base_line = 1
+
 let ring_lines t = 2 + (t.slots * (t.req_lines + t.resp_lines))
 
-let create ?(slots = 4) ?(req_lines = 1) ?(resp_lines = 1) ?(base_line = 1) e
-    ~client ~server () =
-  if slots < 1 || req_lines < 1 || resp_lines < 1 || base_line < 0 then
+let create ?(slots = 4) ?(req_lines = 1) ?(resp_lines = 1) e ~client ~server ()
+    =
+  if slots < 1 || req_lines < 1 || resp_lines < 1 then
     invalid_arg "Shm_rpc.create: ring geometry must be positive";
   let n = Rack.tenant_count e in
   if client < 0 || client >= n || server < 0 || server >= n || client = server
   then invalid_arg "Shm_rpc.create: client and server must be distinct tenants";
-  (* the ring must fit in the first shared page's lines; the woven rack
-     traffic only ever writes line 0 of each page, so [base_line >= 1]
-     keeps the data plane out of its way *)
   let t =
     {
       e;
@@ -48,7 +49,6 @@ let create ?(slots = 4) ?(req_lines = 1) ?(resp_lines = 1) ?(base_line = 1) e
       slots;
       req_lines;
       resp_lines;
-      base_line;
       seq = 0;
       calls = 0;
       total_ns = 0;
@@ -61,6 +61,7 @@ let create ?(slots = 4) ?(req_lines = 1) ?(resp_lines = 1) ?(base_line = 1) e
   (* doorbell lines always have two writers, whatever the engine's
      [shared_writers] says: writeback races need the home-side filter *)
   Rack.enable_multi_writer e;
+  (* the ring must fit in the first shared page's lines *)
   if base_line + ring_lines t > Units.lines_per_page then
     invalid_arg "Shm_rpc.create: ring does not fit in one shared page";
   t
@@ -72,9 +73,9 @@ let now t =
 
 let call t ~payload =
   let slot = t.seq mod t.slots in
-  let head = t.base_line and tail = t.base_line + 1 in
-  let req0 = t.base_line + 2 + (slot * t.req_lines) in
-  let resp0 = t.base_line + 2 + (t.slots * t.req_lines) + (slot * t.resp_lines) in
+  let head = base_line and tail = base_line + 1 in
+  let req0 = base_line + 2 + (slot * t.req_lines) in
+  let resp0 = base_line + 2 + (t.slots * t.req_lines) + (slot * t.resp_lines) in
   let byte k = Char.chr ((payload + k) land 0xff) in
   let t0 = now t in
   (* client stages the request, then rings the doorbell: each write is an

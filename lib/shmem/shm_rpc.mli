@@ -32,7 +32,6 @@ val create :
   ?slots:int ->
   ?req_lines:int ->
   ?resp_lines:int ->
-  ?base_line:int ->
   Kona_rack.Rack.engine ->
   client:int ->
   server:int ->
@@ -40,8 +39,8 @@ val create :
   t
 (** A ring between two distinct tenants on [e]'s shared segment
     (published on demand: one page if none yet).  Defaults: 4 slots, one
-    request and one response line per call, ring based at line 1 (line 0
-    of each page belongs to the woven rack traffic).  Raises
+    request and one response line per call.  The ring always starts at
+    line 1: line 0 of each page belongs to the woven rack traffic.  Raises
     [Invalid_argument] if the tenants are not distinct, the geometry is
     non-positive, or the ring overflows the first page's lines. *)
 

@@ -126,7 +126,7 @@ let test_first_fit_is_inert () =
   let p = Placement_policy.first_fit () in
   let nodes = [ node ~fast:true ~free:mib ~cap:mib 0 ] in
   check_bool "no allocation preference" true
-    (p.Placement_policy.choose_node ~nodes ~tenant:0 = None);
+    (p.Placement_policy.choose_node = None);
   check_int "no moves planned" 0
     (List.length
        (p.Placement_policy.plan ~nodes
