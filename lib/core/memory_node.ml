@@ -4,10 +4,21 @@ open Kona_integrity
 exception Crashed of int
 exception Fenced of int
 
-(* One page of the store and the CRC table of its 64 lines.  A page
-   exists only once a write, a log line or a bit flip has landed in it;
-   an absent page reads as zeros and has no recorded line. *)
-type page = { bytes : Bytes.t; chk : Checksums.t }
+(* One page of the store, the CRC table of its 64 lines, and the mask of
+   the lines [corrupt_bit] flipped since they last matched their CRC: line
+   [l] is bit [l] of [flipped_lo] for [l < 32], bit [l - 32] of
+   [flipped_hi] otherwise (half pages, as in [Hierarchy]'s snoop filter).
+   [write] and [receive_log] record the CRC of the very bytes they store,
+   so only a flipped line can fail its CRC, and the checks below CRC no
+   other line.  A page exists only once a write, a log line or a bit flip
+   has landed in it; an absent page reads as zeros and has no recorded
+   line. *)
+type page = {
+  bytes : Bytes.t;
+  chk : Checksums.t;
+  mutable flipped_lo : int;
+  mutable flipped_hi : int;
+}
 
 type t = {
   node_id : int;
@@ -86,6 +97,36 @@ let check t addr len =
       (Printf.sprintf "Memory_node %d: access [%#x,+%d) out of range" t.node_id addr len)
 
 let page_mask = Units.page_size - 1
+let half_len = Units.lines_per_page / 2
+
+(* The bits of page lines [first..last] that lie in the half page whose
+   first line is [base]. *)
+let span ~base ~first ~last =
+  let lo = Int.max first base and hi = Int.min last (base + half_len - 1) in
+  if lo > hi then 0 else ((1 lsl (hi - lo + 1)) - 1) lsl (lo - base)
+
+let any_flipped p ~first ~last =
+  (p.flipped_lo land span ~base:0 ~first ~last)
+  lor (p.flipped_hi land span ~base:half_len ~first ~last)
+  <> 0
+
+let clear_flipped p ~first ~last =
+  p.flipped_lo <- p.flipped_lo land lnot (span ~base:0 ~first ~last);
+  p.flipped_hi <- p.flipped_hi land lnot (span ~base:half_len ~first ~last)
+
+(* Line [line]'s bit in the mask of its half page. *)
+let bit line = 1 lsl (line land (half_len - 1))
+
+let flipped p line =
+  (if line < half_len then p.flipped_lo else p.flipped_hi) land bit line <> 0
+
+let set_flipped p line =
+  if line < half_len then p.flipped_lo <- p.flipped_lo lor bit line
+  else p.flipped_hi <- p.flipped_hi lor bit line
+
+(* Line [line] of [p] is recorded and no longer matches its CRC. *)
+let line_bad p line =
+  flipped p line && not (Checksums.line_ok p.chk ~store:p.bytes ~line)
 
 (* [f i off pos n] for each page [i] that [addr, addr+len) overlaps: the
    [n] bytes at offset [off] of the page are bytes [pos, pos+n) of the
@@ -111,6 +152,8 @@ let touch t i =
         {
           bytes = Bytes.make Units.page_size '\000';
           chk = Checksums.create ~capacity:Units.page_size;
+          flipped_lo = 0;
+          flipped_hi = 0;
         }
       in
       t.pages.(i) <- Some p;
@@ -123,7 +166,9 @@ let write t ~addr ~data =
   iter_pages ~addr ~len (fun i off pos n ->
       let p = touch t i in
       Bytes.blit_string data pos p.bytes off n;
-      Checksums.record p.chk ~store:p.bytes ~addr:off ~len:n)
+      Checksums.record p.chk ~store:p.bytes ~addr:off ~len:n;
+      clear_flipped p ~first:(off / Units.cache_line)
+        ~last:((off + n - 1) / Units.cache_line))
 
 let read t ~addr ~len =
   check t addr len;
@@ -208,13 +253,11 @@ let receive_log ?delivery t entries =
               let p = touch t (Units.page_of_addr addr) in
               let off = addr land page_mask in
               let line = off / Units.cache_line in
-              if
-                Checksums.recorded p.chk ~line
-                && not (Checksums.line_ok p.chk ~store:p.bytes ~line)
-              then healed := addr :: !healed;
+              if line_bad p line then healed := addr :: !healed;
               Bytes.blit_string e.data (i * Units.cache_line) p.bytes off
                 Units.cache_line;
               Checksums.set_line p.chk ~line ~crc:wire;
+              clear_flipped p ~first:line ~last:line;
               incr applied
             end
           done;
@@ -239,15 +282,26 @@ let verify_range t ~addr ~len =
   else begin
     if addr < 0 || addr + len > t.capacity then
       invalid_arg "Memory_node.verify_range";
+    let per_page = Units.lines_per_page in
+    let first_line = addr / Units.cache_line
+    and last_line = (addr + len - 1) / Units.cache_line in
+    (* Pages and lines in descending order, so [acc] ends ascending; a
+       page with no flipped line in the range costs no CRC. *)
     let acc = ref [] in
-    iter_pages ~addr ~len (fun i off _ n ->
-        match t.pages.(i) with
-        | None -> ()
-        | Some p ->
-            List.iter
-              (fun l -> acc := ((i * Units.page_size) + l) :: !acc)
-              (Checksums.corrupt_lines p.chk ~store:p.bytes ~addr:off ~len:n));
-    List.rev !acc
+    for i = last_line / per_page downto first_line / per_page do
+      match t.pages.(i) with
+      | None -> ()
+      | Some p ->
+          let base = i * per_page in
+          let first = Int.max first_line base - base
+          and last = Int.min last_line (base + per_page - 1) - base in
+          if any_flipped p ~first ~last then
+            for line = last downto first do
+              if line_bad p line then
+                acc := ((base + line) * Units.cache_line) :: !acc
+            done
+    done;
+    !acc
   end
 
 let corrupt_bit t ~addr ~bit =
@@ -258,10 +312,9 @@ let corrupt_bit t ~addr ~bit =
   let p = touch t (Units.page_of_addr addr) in
   let off = addr land page_mask in
   let line = off / Units.cache_line in
-  let was_clean =
-    Checksums.recorded p.chk ~line && Checksums.line_ok p.chk ~store:p.bytes ~line
-  in
+  let was_clean = Checksums.recorded p.chk ~line && not (line_bad p line) in
   let byte = off + (bit / 8) in
   Bytes.set p.bytes byte
     (Char.chr (Char.code (Bytes.get p.bytes byte) lxor (1 lsl (bit land 7))));
+  set_flipped p line;
   if was_clean then `Fresh else `Already_corrupt

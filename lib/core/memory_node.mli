@@ -15,7 +15,16 @@
     4 KiB of bytes and its own 64-line CRC table on the first [write],
     log line or [corrupt_bit] that lands in it, so a node costs host
     memory only for the pages a run writes.  An untouched page reads as
-    zeros and has no recorded line. *)
+    zeros and has no recorded line.
+
+    A store's bytes change only through [write], [receive_log] and
+    [corrupt_bit], and the first two record the CRC of the very bytes
+    they store.  So a recorded line can fail its CRC only if
+    [corrupt_bit] flipped it since it last matched: each page keeps the
+    mask of such lines (two 32-line ints), [corrupt_bit] sets a line's
+    bit, and [write] and every line [receive_log] applies clear theirs.
+    The checks below CRC only masked lines, so a page with no flipped
+    line answers without a CRC and without allocating. *)
 
 type t
 
@@ -135,11 +144,15 @@ val peek : t -> addr:int -> len:int -> string
 
 val verify_range : t -> addr:int -> len:int -> int list
 (** Line addresses in [addr, addr+len) whose store contents no longer
-    match their recorded CRC.  Works on crashed nodes (an offline fsck);
-    never-written lines are skipped. *)
+    match their recorded CRC, ascending.  Works on crashed nodes (an
+    offline fsck); never-written lines are skipped.  Only the lines
+    [corrupt_bit] flipped since they last matched are CRC'd: the answer
+    is the full scan's, and a range with no such line costs no CRC and
+    allocates nothing. *)
 
 val corrupt_bit : t -> addr:int -> bit:int -> [ `Fresh | `Already_corrupt ]
 (** Fault-injection backdoor: flip bit [bit] (0..511) of the cache line
     at line-aligned [addr].  Returns [`Fresh] when the line verified
     clean beforehand (a new detectable corruption was armed),
-    [`Already_corrupt] otherwise. *)
+    [`Already_corrupt] otherwise; a line no flip has touched since it
+    last matched is known clean without a CRC. *)
