@@ -44,8 +44,8 @@ let corpus =
     ( "corruption + scrub",
       "setup:tenants=1,cap=33554432,fmem=64,replicas=1;run:n=512;\
        bit-flip:p=0.2;torn-write:p=0.05;run:n=512;scrub;run:n=512",
-      "23ce7b94aa28a6f50451eae8ebd3dd92",
-      "c16aba5013157bb17a8d4fe67ea3a54d" );
+      "a122c3af5dffc0c95f5c23c9a343182e",
+      "0a924a7087ed900b6205420e642e77e4" );
     ( "lease partition",
       "setup:tenants=1,cap=33554432,fmem=64,hb=10us,lease=50us;run:n=1000;\
        partition:dur=300us,nodes=1;run:n=3000",

@@ -529,6 +529,43 @@ let test_unrepairable_flips_accounted () =
         (r.Rack.r_tenants.(0).Rack.t_degraded <> None)
   | None -> Alcotest.fail "episode did not finish"
 
+(* A flipped line repaired during a link flap: with the flap holding
+   back CL-log deliveries, the primary's and the mirror's copies of a
+   shipment land at different times, so a repair must not copy a line
+   from a copy whose delivery is still in flight.  Each spec must finish
+   with no violation, no diverged or degraded page, and every armed flip
+   found or healed. *)
+let test_repair_waits_for_deliveries () =
+  List.iter
+    (fun line ->
+      let o = Episode.execute (Spec.parse_exn line) in
+      check_bool (line ^ ": not aborted") true (o.Episode.oc_aborted = None);
+      List.iter
+        (fun v ->
+          Alcotest.failf "%s: violation [%s] %s" line v.Invariants.inv
+            v.Invariants.detail)
+        o.Episode.oc_violations;
+      (match o.Episode.oc_result with
+      | None -> Alcotest.failf "%s: episode did not finish" line
+      | Some r ->
+          Array.iter
+            (fun (t : Rack.tenant_result) ->
+              check_int (line ^ ": mismatches") 0 t.Rack.t_mismatches;
+              check_bool (line ^ ": not degraded") true (t.Rack.t_degraded = None))
+            r.Rack.r_tenants);
+      let count name = List.assoc name o.Episode.oc_integrity in
+      check_bool (line ^ ": flips armed") true (count "integrity.flips_armed" > 0);
+      check_int
+        (line ^ ": armed = found + healed")
+        (count "integrity.flips_armed")
+        (count "integrity.flips_found" + count "integrity.healed_overwrite"))
+    [
+      "setup:tenants=1,fmem=64;flap:dur=2ms;bit-flip:p=0.5";
+      "setup:tenants=1,fmem=32;flap:dur=2ms;bit-flip:p=0.5";
+      "setup:tenants=1,fmem=64;flap:dur=500us;bit-flip:p=0.5";
+      "setup:tenants=2,fmem=64;flap:dur=2ms;bit-flip:p=0.5";
+    ]
+
 let raises msg f =
   match f () with
   | _ -> Alcotest.failf "expected Invalid_argument %S" msg
@@ -714,6 +751,8 @@ let () =
             test_retry_budget_aborts;
           Alcotest.test_case "unreplicated flips accounted once" `Quick
             test_unrepairable_flips_accounted;
+          Alcotest.test_case "repair waits for in-flight deliveries" `Quick
+            test_repair_waits_for_deliveries;
           Alcotest.test_case "registry names" `Quick test_registry_names;
         ] );
       ( "shrinker",
