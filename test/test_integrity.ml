@@ -488,6 +488,27 @@ let test_create_allocates_only_the_index () =
   check_string "untouched page reads as zeros" (String.make 16 '\000')
     (Memory_node.read node ~addr:(capacity / 2) ~len:16)
 
+(* Only a line [corrupt_bit] touched can fail its CRC, so verifying pages
+   no flip has touched allocates nothing; a flipped line is still found. *)
+let test_verify_clean_pages_allocates_nothing () =
+  let len = 4 * Units.page_size in
+  let node = Memory_node.create ~id:0 ~capacity:len in
+  Memory_node.write node ~addr:0 ~data:(String.make (2 * Units.page_size) 'x');
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = words (fun () -> ()) in
+  let verify = words (fun () -> ignore (Memory_node.verify_range node ~addr:0 ~len)) in
+  check_bool
+    (Printf.sprintf "verify allocated %.0f words, baseline %.0f" verify baseline)
+    true (verify = baseline);
+  ignore (Memory_node.corrupt_bit node ~addr:Units.page_size ~bit:3);
+  Alcotest.(check (list int))
+    "flipped line found" [ Units.page_size ]
+    (Memory_node.verify_range node ~addr:0 ~len)
+
 let test_create_validates_capacity () =
   List.iter
     (fun capacity ->
@@ -690,6 +711,8 @@ let () =
             test_create_allocates_only_the_index;
           Alcotest.test_case "create validates capacity" `Quick
             test_create_validates_capacity;
+          Alcotest.test_case "verifying clean pages allocates nothing" `Quick
+            test_verify_clean_pages_allocates_nothing;
         ] );
       ( "scrub",
         [
