@@ -158,7 +158,7 @@ let huge_pages () =
   Report.note "Kona keeps cache-line tracking regardless of translation page size"
 
 (* ------------------------------------------------------------------ *)
-(* 4. Replication *)
+(* 4. Eviction replication *)
 
 let replication () =
   Report.section "Ablation: eviction replication (SS4.5)";
@@ -172,19 +172,12 @@ let replication () =
       Heap.write_u64 heap (base + (Rng.int rng (region / 8) * 8)) 1
     done;
     Runtime.drain rt;
-    (match Runtime.replication rt with
-    | Some r ->
-        assert (
-          Replication.divergent_mirrors r ~controller:(Runtime.controller rt)
-          = 0)
-    | None -> ());
+    assert (Runtime.count rt "replication.divergent" = 0);
     let lines = List.assoc "log.lines" (Runtime.stats rt) in
-    let replicated =
-      match Runtime.replication rt with
-      | Some r -> Replication.lines_replicated r
-      | None -> 0
-    in
-    (Runtime.app_ns rt, Runtime.bg_ns rt, lines, replicated)
+    ( Runtime.app_ns rt,
+      Runtime.bg_ns rt,
+      lines,
+      Runtime.count rt "replication.lines" )
   in
   let rows =
     List.map

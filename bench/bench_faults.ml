@@ -32,11 +32,7 @@ let run_one ~replicas ~crash_us =
     Heap.write_u64 heap (base + (Rng.int rng (region / 8) * 8)) 1
   done;
   Runtime.drain rt;
-  (match Runtime.replication rt with
-  | Some r ->
-      assert (
-        Replication.divergent_mirrors r ~controller:(Runtime.controller rt) = 0)
-  | None -> ());
+  assert (Runtime.count rt "replication.divergent" = 0);
   rt
 
 let run () =

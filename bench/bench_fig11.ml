@@ -37,8 +37,9 @@ let kona_cl_log ~layout ~n =
   let node = Memory_node.create ~id:0 ~capacity:(pages * Units.page_size) in
   let clock = Clock.create () in
   let qp = Qp.create ~cost:rdma_cost ~clock () in
-  let log = Cl_log.create ~capacity:512 ~qp ~cost:rdma_cost
-      ~resolve:(fun ~node:_ -> node) () in
+  let controller = Rack_controller.create () in
+  Rack_controller.register_node controller node;
+  let log = Cl_log.create ~capacity:512 ~qp ~cost:rdma_cost ~controller () in
   let runs = runs_of ~layout ~n in
   for page = 0 to pages - 1 do
     Cl_log.note_bitmap_scan log ~lines:Units.lines_per_page;

@@ -50,11 +50,7 @@ let run_one ~heartbeat_ns ~lease_ns ~partition_us =
   in
   spec.Workloads.run Workloads.Smoke ~heap ~seed:42;
   Runtime.drain rt;
-  (match Runtime.replication rt with
-  | Some r ->
-      assert (
-        Replication.divergent_mirrors r ~controller:(Runtime.controller rt) = 0)
-  | None -> ());
+  assert (Runtime.count rt "replication.divergent" = 0);
   rt
 
 let run () =

@@ -22,10 +22,9 @@ let sweep_window_depth () =
         let clock = Kona_util.Clock.create () in
         let qp = Kona_rdma.Qp.create ~cost:rdma ?sq_depth ~signal_interval:4 ~clock () in
         let node = Memory_node.create ~id:0 ~capacity:(Units.mib 64) in
-        let log =
-          Kona.Cl_log.create ~capacity:64 ~qp ~cost:rdma
-            ~resolve:(fun ~node:_ -> node) ()
-        in
+        let controller = Kona.Rack_controller.create () in
+        Kona.Rack_controller.register_node controller node;
+        let log = Kona.Cl_log.create ~capacity:64 ~qp ~cost:rdma ~controller () in
         let run = String.make (8 * Units.cache_line) 'd' in
         for page = 0 to 2047 do
           Kona.Cl_log.note_bitmap_scan log ~lines:Units.lines_per_page;

@@ -12,8 +12,7 @@ type t = {
   qp : Qp.t;
   cost : Cost.t;
   stream_base : int; (* tenant offset for sequencer streams (stream_base + node) *)
-  resolve : node:int -> Memory_node.t;
-  extra_targets : node:int -> Memory_node.t list;
+  controller : Rack_controller.t; (* node ids -> backing and mirrors; the epoch *)
   tracer : Tracer.t option;
   buffers : (int, Memory_node.log_entry list ref) Hashtbl.t; (* node -> staged, newest first *)
   staged : (int, int) Hashtbl.t; (* node -> count *)
@@ -49,8 +48,8 @@ type t = {
   mutable ack_ns : int;
 }
 
-let create ?(capacity = 512) ?(stream_base = 0)
-    ?(extra_targets = fun ~node:_ -> []) ?tracer ~qp ~cost ~resolve () =
+let create ?(capacity = 512) ?(stream_base = 0) ?tracer ~qp ~cost ~controller
+    () =
   assert (capacity > 0);
   assert (stream_base >= 0);
   {
@@ -58,8 +57,7 @@ let create ?(capacity = 512) ?(stream_base = 0)
     qp;
     cost;
     stream_base;
-    resolve;
-    extra_targets;
+    controller;
     tracer;
     buffers = Hashtbl.create 4;
     staged = Hashtbl.create 4;
@@ -107,7 +105,6 @@ let set_on_flip t f = t.on_flip <- Some f
 let set_gate t f = t.gate <- Some f
 let set_stale_filter t f = t.stale_filter <- Some f
 let stale_lines t = t.stale_lines
-let advance_epoch t ~to_ = Sequencer.Tx.advance_epoch t.seq_tx ~to_
 
 let wire_of entries =
   List.fold_left
@@ -219,7 +216,10 @@ let take_node_wqes t node =
         entries_ref := [];
         Hashtbl.replace t.staged node 0;
         let wire = wire_of entries in
-        let targets = t.resolve ~node :: t.extra_targets ~node in
+        let targets =
+          Rack_controller.node t.controller ~id:node
+          :: Rack_controller.mirrors t.controller ~id:node
+        in
         let ntargets = List.length targets in
         t.wire_bytes <- t.wire_bytes + (wire * ntargets);
         t.flushes <- t.flushes + 1;
@@ -239,13 +239,16 @@ let take_node_wqes t node =
         (* Streams are namespaced per tenant (stream_base + node): two
            tenants shipping to one node must not interleave one sequence
            space, or the receiver's gap/duplicate verdicts would fire on
-           perfectly ordered cross-tenant traffic. *)
+           perfectly ordered cross-tenant traffic.  The epoch is the
+           controller's, read at shipment: a failover by any sender
+           sharing the controller restamps this one too. *)
         let stream = t.stream_base + node in
+        let epoch = Rack_controller.fencing_epoch t.controller in
         let delivery =
           {
             Memory_node.stream;
-            epoch = Sequencer.Tx.epoch t.seq_tx;
-            seq = Sequencer.Tx.next t.seq_tx ~stream;
+            epoch;
+            seq = Sequencer.Tx.next t.seq_tx ~epoch ~stream;
           }
         in
         let fault =
@@ -307,7 +310,7 @@ let take_node_wqes t node =
             let wire = wire_of entries in
             t.wire_bytes <- t.wire_bytes + wire;
             t.unfenced_flushes <- t.unfenced_flushes + 1;
-            let target = t.resolve ~node in
+            let target = Rack_controller.node t.controller ~id:node in
             Qp.wqe ~signaled:true
               ~deliver:
                 (deliver t ~node ~target ~entries ~delivery

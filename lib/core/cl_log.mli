@@ -20,19 +20,19 @@ val entry_bytes : int
 val create :
   ?capacity:int ->
   ?stream_base:int ->
-  ?extra_targets:(node:int -> Memory_node.t list) ->
   ?tracer:Kona_telemetry.Tracer.t ->
   qp:Kona_rdma.Qp.t ->
   cost:Kona_rdma.Cost.t ->
-  resolve:(node:int -> Memory_node.t) ->
+  controller:Rack_controller.t ->
   unit ->
   t
 (** [capacity] in cache-lines per node buffer (default 512; ~36KB logs).
-    [resolve] maps node ids to their (simulated) hosts; [extra_targets]
-    supplies replica mirrors — each flush is posted to the primary and all
-    mirrors in one linked batch, and the (parallel) acknowledgments are
-    awaited together (§4.5).  [tracer] receives a [cllog.flush_node] event
-    per shipped batch and a [cllog.fence] span per synchronous flush.
+    Destination node ids are logical ids of [controller]: each shipment
+    is posted to the node's current backing and all of its
+    {!Rack_controller.mirrors} in one linked batch, and the (parallel)
+    acknowledgments are awaited together (§4.5).  [tracer] receives a
+    [cllog.flush_node] event per shipped batch and a [cllog.fence] span
+    per synchronous flush.
 
     [stream_base] (default 0) offsets the sequencer stream ids this log
     stamps shipments with ([stream_base + node]): in a multi-tenant rack
@@ -45,12 +45,15 @@ val clock : t -> Kona_util.Clock.t
 
 (** {2 Integrity wiring (PR 4)}
 
-    Every shipment carries a [(stream, epoch, seq)] stamp (stream = the
-    destination's logical node id) and per-line CRC32C values computed
-    when the lines were staged; the receiving {!Memory_node} classifies
-    the stamp and verifies every line before applying.  The CRC pass is
-    folded into the copy-into-log memcpy charge — it touches the same
-    bytes in the same loop. *)
+    Every shipment carries a [(stream, epoch, seq)] stamp and per-line
+    CRC32C values computed when the lines were staged; the receiving
+    {!Memory_node} classifies the stamp and verifies every line before
+    applying.  The stream is the destination's logical node id (plus
+    [stream_base]).  The epoch is the controller's
+    {!Rack_controller.fencing_epoch} when the shipment leaves, so every
+    sender sharing the controller stamps a failover's new epoch from its
+    next shipment on.  The CRC pass is folded into the copy-into-log
+    memcpy charge — it touches the same bytes in the same loop. *)
 
 val set_inject :
   t -> (targets:int -> Kona_faults.Injector.delivery_fault option) -> unit
@@ -86,11 +89,6 @@ val set_stale_filter : t -> (node:int -> addr:int -> data:string -> bool) -> uni
 
 val stale_lines : t -> int
 (** Cache-lines dropped by the stale-writeback filter. *)
-
-val advance_epoch : t -> to_:int -> unit
-(** Adopt the rack-global fencing epoch (monotone no-op when already at
-    or past it): a membership-triggered failover anywhere in the rack
-    broadcasts its epoch to every tenant's sender. *)
 
 val append_run : t -> node:int -> raddr:int -> data:string -> unit
 (** Stage one run of contiguous dirty cache-lines ([data] length must be a

@@ -15,6 +15,10 @@ type slot = {
      live behind a partition — fencing and the at-most-one-primary
      invariant need to find it. *)
   mutable former : Memory_node.t list;
+  (* Replica stores at backing offsets: every CL-log shipment to this
+     slot lands on each of them too, and a failover promotes the first
+     live one. *)
+  mutable mirrors : Memory_node.t list;
 }
 
 exception
@@ -45,9 +49,12 @@ type t = {
   mutable next_backing_id : int;
   minted : (int, unit) Hashtbl.t;
   (* Rack-global fencing epoch, monotone: bumped on every membership-
-     triggered failover and stamped through every tenant's sequencer so
-     a fenced store can reject stale cross-tenant writes uniformly. *)
+     triggered failover and stamped by every CL-log sender sharing this
+     controller, so a fenced store can reject stale cross-tenant writes
+     uniformly. *)
   mutable fencing_epoch : int;
+  mutable replicas : int; (* mirrors per slot; 0 = unreplicated *)
+  mutable failovers : int; (* promotions performed *)
   (* placement hook: consulted before the round-robin for every slab;
      returning a logical id steers the slab there if that node can take
      it. *)
@@ -67,6 +74,8 @@ let create ?(slab_size = Units.mib 1) () =
     next_backing_id = 1_000;
     minted = Hashtbl.create 8;
     fencing_epoch = 0;
+    replicas = 0;
+    failovers = 0;
     placement = None;
   }
 
@@ -86,7 +95,10 @@ let register_node t node =
   Hashtbl.add t.index id (Array.length t.slots);
   t.slots <-
     Array.append t.slots
-      [| { logical_id = id; backing = node; draining = false; former = [] } |]
+      [|
+        { logical_id = id; backing = node; draining = false; former = [];
+          mirrors = [] };
+      |]
 
 (* Physical ids for replica/mirror stores: skip every registered logical
    id so a rack-op [add@T] and a re-replication can never mint the same
@@ -146,6 +158,103 @@ let all_physical t =
   List.concat_map
     (fun s -> s.backing :: s.former)
     (Array.to_list t.slots)
+
+(* -------- mirrors (§4.5) -------- *)
+
+let mint_mirrors t backing =
+  List.init t.replicas (fun _ ->
+      Memory_node.create ~id:(mint_backing_id t)
+        ~capacity:(Memory_node.capacity backing))
+
+let replicate t ~degree =
+  if degree < 0 then invalid_arg "Rack_controller.replicate: negative degree";
+  if degree <> t.replicas then begin
+    if t.replicas > 0 then
+      invalid_arg
+        (Printf.sprintf
+           "Rack_controller.replicate: already %d replica(s), asked for %d"
+           t.replicas degree);
+    t.replicas <- degree;
+    Array.iter (fun s -> s.mirrors <- mint_mirrors t s.backing) t.slots
+  end
+
+let replicas t = t.replicas
+
+let mirrors t ~id =
+  match Hashtbl.find_opt t.index id with
+  | Some pos -> t.slots.(pos).mirrors
+  | None -> []
+
+let live_copies t ~id =
+  match Hashtbl.find_opt t.index id with
+  | None -> []
+  | Some pos ->
+      let s = t.slots.(pos) in
+      let mirrors = List.filter Memory_node.alive s.mirrors in
+      if Memory_node.alive s.backing then s.backing :: mirrors else mirrors
+
+(* Promote the first live mirror: it inherits the crashed backing's
+   reservation mark (so existing slab translations stay valid) and takes
+   over the slot.  Mirrors store data at backing offsets, so the
+   promotion itself moves no bytes — only the re-replication that
+   restores the degree does.  Dead mirrors leave the set with it. *)
+let promote t ~id =
+  let s = slot t ~id in
+  match List.filter Memory_node.alive s.mirrors with
+  | [] -> None
+  | promoted :: rest ->
+      Memory_node.adopt_reservations promoted ~brk:(Memory_node.used s.backing);
+      replace_node t ~id ~node:promoted;
+      s.mirrors <- rest;
+      t.failovers <- t.failovers + 1;
+      Some promoted
+
+let add_mirror t ~id mirror =
+  let s = slot t ~id in
+  s.mirrors <- s.mirrors @ [ mirror ]
+
+(* Scrap a half-cloned mirror: when the re-replication source dies before
+   the clone completes, the incomplete copy must not stay promotable — a
+   later failover onto it would serve partial data. *)
+let remove_mirror t ~id ~physical =
+  let s = slot t ~id in
+  s.mirrors <- List.filter (fun m -> Memory_node.id m <> physical) s.mirrors
+
+let crash_mirror t ~physical =
+  Array.find_map
+    (fun s ->
+      match List.partition (fun m -> Memory_node.id m = physical) s.mirrors with
+      | [], _ -> None
+      | crashed, kept ->
+          List.iter Memory_node.crash crashed;
+          s.mirrors <- kept;
+          Some s.logical_id)
+    t.slots
+
+let failovers t = t.failovers
+
+let lines_replicated t =
+  Array.fold_left
+    (fun acc s ->
+      List.fold_left (fun a m -> a + Memory_node.lines_received m) acc s.mirrors)
+    0 t.slots
+
+(* A crashed mirror is a lost replica, not a divergent one; the mirrors
+   of a crashed, not yet promoted backing have no reference to differ
+   from. *)
+let divergent_mirrors t =
+  Array.fold_left
+    (fun acc s ->
+      if s.mirrors = [] || not (Memory_node.alive s.backing) then acc
+      else
+        let used = Memory_node.used s.backing in
+        let image n = if used = 0 then "" else Memory_node.peek n ~addr:0 ~len:used in
+        let reference = image s.backing in
+        List.fold_left
+          (fun a m -> if Memory_node.alive m && image m <> reference then a + 1 else a)
+          acc s.mirrors)
+    0 t.slots
+
 let bump_fencing_epoch t =
   t.fencing_epoch <- t.fencing_epoch + 1;
   t.fencing_epoch

@@ -3,11 +3,15 @@
     Off the application's critical path — the resource manager calls it in
     batches.
 
-    The controller separates a node's {e logical id} (what slabs record)
-    from the store backing it: replica failover swaps the backing via
-    [replace_node] and every existing translation keeps working.  The node
-    table is a dynarray — [register_node] and the per-slab round-robin
-    probe are O(1). *)
+    The controller is the one owner of which stores hold a node's data.
+    It separates a node's {e logical id} (what slabs record) from the
+    store backing it, and each logical slot holds three kinds of store:
+    its {e backing}, its {e mirrors} (replicas written by every CL-log
+    shipment, §4.5) and its {e former backings} (stores a failover
+    displaced).  A failover {!promote}s a mirror into the backing and
+    every existing translation keeps working.  The controller also holds
+    the rack-global fencing epoch that every CL-log sender sharing it
+    stamps on its shipments. *)
 
 exception
   Quota_exceeded of { tenant : string; quota : int; used : int; requested : int }
@@ -71,11 +75,73 @@ val all_physical : t -> Memory_node.t list
     (displaced) backings, in registration order, formers newest first —
     the fencing counters are summed over this list. *)
 
+(** {2 Mirrors and promotion (§4.5)}
+
+    Kona replicates during eviction: each CL-log shipment to a logical
+    node is posted to its backing and to all of its mirrors in one
+    linked batch.  Mirrors are dedicated stores that hold data at the
+    backing's offsets; they are never allocation targets, and their
+    physical ids come from {!mint_backing_id}. *)
+
+val replicate : t -> degree:int -> unit
+(** Give every registered slot [degree] mirrors, each as large as the
+    slot's backing, minted slot by slot in registration order.  Does
+    nothing at the controller's current degree; raises
+    [Invalid_argument] for a negative degree, or for a different one
+    once the controller is replicated. *)
+
+val replicas : t -> int
+(** The replication degree: 0 until {!replicate}. *)
+
+val mirrors : t -> id:int -> Memory_node.t list
+(** Logical node [id]'s mirrors, live or crashed, never its backing;
+    [[]] for an unknown id. *)
+
+val live_copies : t -> id:int -> Memory_node.t list
+(** Every live copy of logical node [id]'s data: the backing when it is
+    alive, then the live mirrors; [[]] for an unknown id.  Any copy
+    whose line verifies clean can repair, or be moved from, the others. *)
+
+val promote : t -> id:int -> Memory_node.t option
+(** The backing of logical node [id] crashed: make its first live mirror
+    the backing (it inherits the crashed store's reservation mark, and
+    the crashed store joins {!former_backings}) and return it.  The
+    promoted store and any crashed mirror leave the mirror set;
+    restoring the degree is the caller's re-replication ({!add_mirror}).
+    [None] when no live mirror exists: the data is lost and the caller
+    reports degradation.  Raises [Invalid_argument] for unknown ids. *)
+
+val add_mirror : t -> id:int -> Memory_node.t -> unit
+(** Append a (re-replicated) mirror to logical node [id]. *)
+
+val remove_mirror : t -> id:int -> physical:int -> unit
+(** Detach the mirror with physical id [physical] from logical node
+    [id].  Scraps a half-cloned mirror whose re-replication source died
+    mid-copy: an incomplete copy must never become promotable. *)
+
+val crash_mirror : t -> physical:int -> int option
+(** If [physical] names a mirror, fail-stop it, drop it from its slot
+    and return the logical id that lost a replica; [None] otherwise. *)
+
+val failovers : t -> int
+(** Promotions performed. *)
+
+val lines_replicated : t -> int
+(** Cache-lines received by the current mirrors. *)
+
+val divergent_mirrors : t -> int
+(** Live mirrors whose reserved range differs from their live backing's:
+    0 means every replica is byte-identical.  Crashed mirrors are lost,
+    not divergent; the mirrors of a crashed, not yet promoted backing
+    have nothing to be checked against and are skipped. *)
+
+(** {2 Fencing} *)
+
 val bump_fencing_epoch : t -> int
 (** Advance the rack-global fencing epoch (monotone) and return the new
     value.  Called once per membership-triggered failover; the new epoch
-    fences the displaced store and is stamped through every tenant's
-    CL-log sequencer. *)
+    fences the displaced store, and every CL-log sender sharing this
+    controller stamps it from its next shipment on. *)
 
 val fencing_epoch : t -> int
 (** Current rack-global fencing epoch (0 until the first failover). *)

@@ -126,7 +126,6 @@ type t = {
   rm : Resource_manager.t;
   rpc : Rpc.t;
   log : Cl_log.t;
-  replication : Replication.t option;
   injector : Injector.t;
   caching : Caching_handler.t;
   tracker : Dirty_tracker.t;
@@ -150,9 +149,6 @@ type t = {
   mutable deferred : (int * (unit -> unit)) list; (* (heal_ns, fire), FIFO *)
   mutable deferred_deliveries : int;
   mutable deferred_flushed : int;
-  (* Rack broadcast hook: a membership failover's fencing epoch is pushed
-     through here so every tenant's sender adopts it. *)
-  on_fence : (epoch:int -> unit) ref;
   mutable recovery_bytes : int;
   mutable heap_pages_restored : int;
   mutable heap_pages_lost : int;
@@ -360,13 +356,12 @@ let register_metrics t reg =
       match t.scrubber with Some s -> Scrubber.repairs s | None -> 0);
   c "scrub.sweeps" (fun () ->
       match t.scrubber with Some s -> Scrubber.sweeps s | None -> 0);
-  match t.replication with
-  | Some r ->
-      c "replication.lines" (fun () -> Replication.lines_replicated r);
-      c "replication.failovers" (fun () -> Replication.failovers r);
-      g "replication.divergent" (fun () ->
-          Replication.divergent_mirrors r ~controller:t.controller)
-  | None -> ()
+  if Rack_controller.replicas t.controller > 0 then begin
+    c "replication.lines" (fun () -> Rack_controller.lines_replicated t.controller);
+    c "replication.failovers" (fun () -> Rack_controller.failovers t.controller);
+    g "replication.divergent" (fun () ->
+        Rack_controller.divergent_mirrors t.controller)
+  end
 
 (* Debug invariant ([config.check_replicas]): fence the eviction QP —
    firing any in-flight (possibly retransmission-delayed) mirror writes —
@@ -374,17 +369,16 @@ let register_metrics t reg =
    in the CL log but not yet flushed is absent from primary and mirrors
    alike, so it cannot produce a false positive. *)
 let check_replicas_now t =
-  match t.replication with
-  | None -> ()
-  | Some r ->
-      Qp.wait_idle t.evict_qp;
-      let divergent = Replication.divergent_mirrors r ~controller:t.controller in
-      if divergent > 0 then
-        failwith
-          (Printf.sprintf
-             "Runtime: replica divergence after eviction: %d mirror(s) differ \
-              from their primary"
-             divergent)
+  if Rack_controller.replicas t.controller > 0 then begin
+    Qp.wait_idle t.evict_qp;
+    let divergent = Rack_controller.divergent_mirrors t.controller in
+    if divergent > 0 then
+      failwith
+        (Printf.sprintf
+           "Runtime: replica divergence after eviction: %d mirror(s) differ \
+            from their primary"
+           divergent)
+  end
 
 let app_ns t = Clock.now t.app_clock
 let bg_ns t = Clock.now t.bg_clock
@@ -482,16 +476,6 @@ let survey t ~raddr copy =
   | _, quarantined ->
       Some (copy, tid, at_rest, List.sort_uniq compare (at_rest @ quarantined))
 
-(* The live copies of the remote pages homed at logical node [node]. *)
-let live_copies t ~node =
-  match t.replication with
-  | Some r -> Replication.live_copies r ~controller:t.controller ~node
-  | None -> (
-      match Rack_controller.node t.controller ~id:node with
-      | p when Memory_node.alive p -> [ p ]
-      | _ -> []
-      | exception Invalid_argument _ -> [])
-
 (* Account for the at-rest mismatches of the [dirty] survey entries of
    [vpage] and repair each bad line from one of [copies] whose line is
    clean.  Corruption with no clean source anywhere is declared
@@ -576,11 +560,12 @@ let verify_and_repair_page t ~vpage =
   match Resource_manager.translate t.rm ~vaddr:(vpage * Units.page_size) with
   | None -> Scrubber.Clean
   | Some (node, raddr) -> (
-      match List.filter_map (survey t ~raddr) (live_copies t ~node) with
+      let copies () = Rack_controller.live_copies t.controller ~id:node in
+      match List.filter_map (survey t ~raddr) (copies ()) with
       | [] -> Scrubber.Clean
       | _ -> (
           Qp.wait_idle t.evict_qp;
-          let copies = live_copies t ~node in
+          let copies = copies () in
           match List.filter_map (survey t ~raddr) copies with
           | [] -> Scrubber.Clean
           | dirty -> repair_page t ~vpage ~copies dirty))
@@ -627,7 +612,7 @@ let flush_healed_deferred t ~now =
    raising; a dead source scraps the half-cloned mirror (an incomplete
    copy must never become promotable) and completes — the next failover
    re-plans from whichever full mirror survives. *)
-let enqueue_re_replication t ~replication ~logical =
+let enqueue_re_replication t ~logical =
   let chunk = 1 lsl 20 in
   let state = ref `Init in
   ignore
@@ -648,11 +633,11 @@ let enqueue_re_replication t ~replication ~logical =
                  let used = Memory_node.used primary in
                  let mirror =
                    Memory_node.create
-                     ~id:(Replication.fresh_replica_id replication)
+                     ~id:(Rack_controller.mint_backing_id t.controller)
                      ~capacity:(Memory_node.capacity primary)
                  in
                  Memory_node.adopt_reservations mirror ~brk:used;
-                 Replication.add_mirror replication ~node:logical mirror;
+                 Rack_controller.add_mirror t.controller ~id:logical mirror;
                  let t0 = Clock.now t.bg_clock in
                  if used = 0 then begin
                    Histogram.add t.recovery_latency 0;
@@ -665,8 +650,8 @@ let enqueue_re_replication t ~replication ~logical =
          | `Copy (mirror, used, next, t0) -> (
              match source () with
              | None ->
-                 Replication.remove_mirror replication ~node:logical
-                   ~id:(Memory_node.id mirror);
+                 Rack_controller.remove_mirror t.controller ~id:logical
+                   ~physical:(Memory_node.id mirror);
                  `Done
              | Some primary ->
                  let off = !next * chunk in
@@ -700,56 +685,54 @@ let enqueue_re_replication t ~replication ~logical =
 
 (* A detector (instant or lease) declared the store with physical id
    [phys] dead: run the failover control exchange with the rack
-   controller, fence the displaced store at a fresh rack-global epoch,
-   broadcast the epoch, and queue re-replication.  One bounded attempt
-   per recovery step —
-   an unreachable controller retries next step instead of burying the
-   engine in a synchronous retry loop. *)
+   controller, fence the displaced store at a fresh rack-global epoch
+   (every sender sharing the controller stamps it from its next
+   shipment on), and queue re-replication.  One bounded attempt per
+   recovery step — an unreachable controller retries next step instead
+   of burying the engine in a synchronous retry loop. *)
 let run_failover_attempt t ~logical ~phys =
   let emit name args =
     match t.tracer with Some tr -> Tracer.instant tr ~args name | None -> ()
   in
-  match t.replication with
-  | None ->
-      note_degraded t
-        (Printf.sprintf
-           "memory node %d declared dead with no replicas configured" logical);
-      `Done
-  | Some r -> (
-      let t0 = Clock.now t.app_clock in
-      match
-        Rpc.call t.rpc ~request_bytes:64 ~response_bytes:64
-          (fun () -> Replication.failover r ~controller:t.controller ~node:logical)
-          ()
-      with
-      | exception (Rpc.Timeout_exhausted _ | Qp.Retry_exhausted _) -> `Retry
-      | None ->
-          Histogram.add t.failover_latency (Clock.now t.app_clock - t0);
-          note_degraded t
-            (Printf.sprintf
-               "memory node %d declared dead with no live mirror to promote"
-               logical);
-          `Done
-      | Some promoted ->
-          Histogram.add t.failover_latency (Clock.now t.app_clock - t0);
-          emit "faults.failover"
-            [ ("node", logical); ("promoted", Memory_node.id promoted) ];
-          (* Fence the displaced store: it may be alive behind a
-             partition (false positive), and its epoch comparison is what
-             rejects the split-brain writes when the partition heals. *)
-          let epoch = Rack_controller.bump_fencing_epoch t.controller in
-          (match Rack_controller.find_physical t.controller ~id:phys with
-          | Some displaced -> Memory_node.set_fence displaced ~epoch
-          | None -> ());
-          Cl_log.advance_epoch t.log ~to_:epoch;
-          !(t.on_fence) ~epoch;
-          (* The promoted store owes heartbeats now. *)
-          (match t.membership with
-          | Some m ->
-              Membership.track m ~id:(Memory_node.id promoted) ~now:(elapsed_ns t)
-          | None -> ());
-          enqueue_re_replication t ~replication:r ~logical;
-          `Done)
+  if Rack_controller.replicas t.controller = 0 then begin
+    note_degraded t
+      (Printf.sprintf
+         "memory node %d declared dead with no replicas configured" logical);
+    `Done
+  end
+  else
+    let t0 = Clock.now t.app_clock in
+    match
+      Rpc.call t.rpc ~request_bytes:64 ~response_bytes:64
+        (fun () -> Rack_controller.promote t.controller ~id:logical)
+        ()
+    with
+    | exception (Rpc.Timeout_exhausted _ | Qp.Retry_exhausted _) -> `Retry
+    | None ->
+        Histogram.add t.failover_latency (Clock.now t.app_clock - t0);
+        note_degraded t
+          (Printf.sprintf
+             "memory node %d declared dead with no live mirror to promote"
+             logical);
+        `Done
+    | Some promoted ->
+        Histogram.add t.failover_latency (Clock.now t.app_clock - t0);
+        emit "faults.failover"
+          [ ("node", logical); ("promoted", Memory_node.id promoted) ];
+        (* Fence the displaced store: it may be alive behind a
+           partition (false positive), and its epoch comparison is what
+           rejects the split-brain writes when the partition heals. *)
+        let epoch = Rack_controller.bump_fencing_epoch t.controller in
+        (match Rack_controller.find_physical t.controller ~id:phys with
+        | Some displaced -> Memory_node.set_fence displaced ~epoch
+        | None -> ());
+        (* The promoted store owes heartbeats now. *)
+        (match t.membership with
+        | Some m ->
+            Membership.track m ~id:(Memory_node.id promoted) ~now:(elapsed_ns t)
+        | None -> ());
+        enqueue_re_replication t ~logical;
+        `Done
 
 let schedule_failover t ~phys =
   match Rack_controller.logical_backed_by t.controller ~physical:phys with
@@ -778,8 +761,8 @@ let schedule_failover t ~phys =
 (* The instant detector's crash path and [drain]'s final msync. *)
 let pump_recovery t = Recovery.run_to_idle t.recovery ~now:(fun () -> elapsed_ns t)
 
-let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
-    ~controller ~read_local () =
+let create ?(config = default_config) ?nic ?hub ?arbitrate ~controller
+    ~read_local () =
   let app_clock = Clock.create () in
   let bg_clock = Clock.create () in
   let tracer = Option.map Hub.tracer hub in
@@ -823,24 +806,13 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
   in
   let rm = Resource_manager.create ~rpc ?tenant:config.tenant ~controller () in
   let fmem = Fmem.create ~policy:config.fmem_policy ~pages:config.fmem_pages () in
-  let replication =
-    (* A shared instance (multi-tenant rack) takes precedence: mirrors must
-       hold every tenant's writes for a failover to be whole-node. *)
-    match replication with
-    | Some _ as shared -> shared
-    | None ->
-        if config.replicas > 0 then
-          Some (Replication.create ~degree:config.replicas ~controller)
-        else None
-  in
-  let extra_targets ~node =
-    match replication with Some r -> Replication.targets r ~node | None -> []
-  in
+  (* Runtimes sharing a controller (a multi-tenant rack) share its
+     mirrors: the first mints them, so a failover is whole-node. *)
+  if config.replicas > 0 then
+    Rack_controller.replicate controller ~degree:config.replicas;
   let log =
     Cl_log.create ~capacity:config.log_capacity ~stream_base:config.stream_base
-      ~extra_targets ?tracer ~qp:evict_qp ~cost:rdma
-      ~resolve:(fun ~node -> Rack_controller.node controller ~id:node)
-      ()
+      ?tracer ~qp:evict_qp ~cost:rdma ~controller ()
   in
   (* The hierarchy is created first without hooks, then hooks close over the
      record; OCaml needs the recursive knot tied by a forward reference. *)
@@ -900,7 +872,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       rm;
       rpc;
       log;
-      replication;
       injector;
       caching;
       tracker;
@@ -921,7 +892,6 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ?replication
       deferred = [];
       deferred_deliveries = 0;
       deferred_flushed = 0;
-      on_fence = ref (fun ~epoch:_ -> ());
       recovery_bytes = 0;
       heap_pages_restored = 0;
       heap_pages_lost = 0;
@@ -1044,15 +1014,10 @@ let crash_node t ~id =
       if t.membership = None then
         schedule_failover t ~phys:(Memory_node.id store)
   | None -> (
-      match t.replication with
-      | Some r -> (
-          match Replication.crash_mirror r ~id with
-          | Some primary_id ->
-              emit "faults.mirror_crash" [ ("node", id); ("primary", primary_id) ];
-              enqueue_re_replication t ~replication:r ~logical:primary_id
-          | None ->
-              note_degraded t
-                (Printf.sprintf "fault plan crashed unknown memory node %d" id))
+      match Rack_controller.crash_mirror t.controller ~physical:id with
+      | Some primary_id ->
+          emit "faults.mirror_crash" [ ("node", id); ("primary", primary_id) ];
+          enqueue_re_replication t ~logical:primary_id
       | None ->
           note_degraded t
             (Printf.sprintf "fault plan crashed unknown memory node %d" id)));
@@ -1194,18 +1159,16 @@ let recover_heap t ~restore =
 let degraded t =
   match t.degraded_reason with
   | Some _ as r -> r
-  | None -> (
-      match t.replication with
-      | Some _ -> None (* lost primary deliveries are covered by mirrors *)
-      | None ->
-          let lost = Cl_log.lost_deliveries t.log in
-          if lost > 0 then
-            Some
-              (Printf.sprintf
-                 "%d cache-line log write(s) (%d lines) lost to crashed \
-                  memory nodes"
-                 lost (Cl_log.lost_lines t.log))
-          else None)
+  | None ->
+      (* With replicas, lost primary deliveries are covered by mirrors. *)
+      let lost = Cl_log.lost_deliveries t.log in
+      if Rack_controller.replicas t.controller = 0 && lost > 0 then
+        Some
+          (Printf.sprintf
+             "%d cache-line log write(s) (%d lines) lost to crashed memory \
+              nodes"
+             lost (Cl_log.lost_lines t.log))
+      else None
 
 (* ------------------------------------------------------------------ *)
 (* Report views over the registry: fixed lists of names, each read from
@@ -1220,7 +1183,7 @@ let count t metric =
   | Some (Snapshot.Counter v | Snapshot.Gauge v) -> v
   (* [replication.*] is registered only with replicas *)
   | None
-    when t.replication = None
+    when Rack_controller.replicas t.controller = 0
          && String.starts_with ~prefix:"replication." metric ->
       0
   | Some (Snapshot.Hist _) | None ->
@@ -1358,7 +1321,6 @@ let flush_log t = Cl_log.flush t.log
 let post_bg_message t ~node ~len ~deliver =
   Qp.post t.evict_qp [ Qp.wqe ~signaled:true ~deliver ~node Qp.Write ~len ]
 
-let replication t = t.replication
 let injector t = t.injector
 
 (* Scenario-engine adapters: on-demand scrub sweep and mid-run fault
@@ -1388,8 +1350,6 @@ let deferred_pending t = List.length t.deferred
 let recovery_pending t = Recovery.pending t.recovery
 let recovery_idle t = Recovery.idle t.recovery
 let step_recovery t = Recovery.step t.recovery ~now:(elapsed_ns t)
-let set_on_fence t f = t.on_fence := f
-let adopt_fencing_epoch t ~epoch = Cl_log.advance_epoch t.log ~to_:epoch
 
 let track_node t ~id =
   match t.membership with

@@ -111,7 +111,6 @@ val create :
   ?hub:Kona_telemetry.Hub.t ->
   ?arbitrate:
     (node:int option -> op:Kona_rdma.Qp.op -> len:int -> now:int -> int) ->
-  ?replication:Replication.t ->
   controller:Rack_controller.t ->
   read_local:(addr:int -> len:int -> string) ->
   unit ->
@@ -134,10 +133,13 @@ val create :
     {!Kona_rdma.Qp.create}): the rack's per-memory-node ingress schedulers
     use it to queue this tenant's traffic behind other tenants'.
 
-    [replication] shares an externally created replication instance
-    (multi-tenant rack): every tenant's CL-log shipments then target the
-    same mirrors, so one node's failover is whole — it preserves all
-    tenants' data.  Takes precedence over [config.replicas]. *)
+    With [config.replicas > 0], [create] calls
+    {!Rack_controller.replicate} on [controller] (a no-op once it holds
+    that degree).  Runtimes sharing a controller (a multi-tenant rack)
+    thus ship to the same mirrors, so one node's failover is whole: it
+    preserves every tenant's data.  They also stamp the controller's
+    fencing epoch, so a failover by any of them fences the others'
+    shipments too. *)
 
 val sink : t -> Kona_trace.Access.t -> unit
 (** Feed one application access: runs the cache hierarchy, triggers
@@ -163,7 +165,9 @@ val registry : t -> Kona_telemetry.Registry.t
 val count : t -> string -> int
 (** [count t name] reads the counter or gauge registered as [name] (full
     name, e.g. ["qp.wire_bytes{qp=fetch}"]) in {!registry}.
-    [replication.*] reads 0 on a runtime without replicas.
+    [replication.*] reads 0 when the controller holds no replicas, so
+    [count t "replication.divergent" = 0] checks the mirrors after
+    {!drain} with or without them.
     @raise Invalid_argument for any other name the registry does not
     hold as a count: a misspelt name never reads as 0. *)
 
@@ -245,16 +249,6 @@ val step_recovery :
 (** Advance the in-flight recovery task one bounded unit — the rack
     engine's step loop drives recovery through this between ops. *)
 
-val set_on_fence : t -> (epoch:int -> unit) -> unit
-(** Observe every fencing epoch this runtime mints (one per failover,
-    with or without membership): the rack broadcasts it to all tenants via
-    {!adopt_fencing_epoch}. *)
-
-val adopt_fencing_epoch : t -> epoch:int -> unit
-(** Adopt a rack-global fencing epoch minted elsewhere (monotone no-op
-    when already at or past it): this tenant's CL-log sender restamps
-    subsequent shipments at the new epoch. *)
-
 val track_node : t -> id:int -> unit
 (** Start leasing physical node [id] (no-op without membership) — rack
     node-add ops register fresh nodes here. *)
@@ -327,10 +321,6 @@ val post_bg_message :
 
 (** {2 Component access (examples, tests, benches)} *)
 
-val replication : t -> Replication.t option
-(** Present when [config.replicas > 0]; mirrors can then be checked for
-    divergence after [drain]. *)
-
 val injector : t -> Kona_faults.Injector.t
 (** The fault injector, created from [config.faults] and
     [config.fault_seed]; its counters report every fault injected. *)
@@ -365,8 +355,9 @@ val arm_fault : t -> Kona_faults.Fault_spec.clause -> unit
     calendar. *)
 
 val controller : t -> Rack_controller.t
-(** The rack controller passed at [create] (failover retargets logical
-    node ids inside it). *)
+(** The rack controller passed at [create]: it holds every node's
+    backing and mirrors, and failover retargets logical node ids inside
+    it. *)
 
 val resource_manager : t -> Resource_manager.t
 val cl_log : t -> Cl_log.t

@@ -4,22 +4,14 @@ module Tx = struct
   let create () = { epoch = 0; next_seq = Hashtbl.create 8 }
   let epoch t = t.epoch
 
-  let bump_epoch t =
-    t.epoch <- t.epoch + 1;
-    Hashtbl.reset t.next_seq
-
-  (* Adopt a rack-global fencing epoch: a failover anywhere advances
-     every tenant's sender to the same epoch so a fenced store can
-     compare any shipment against one number.  Monotone — an epoch at or
-     below the current one is a no-op (the local sender is already
-     ahead or level, and its seq spaces must not reset twice). *)
-  let advance_epoch t ~to_ =
-    if to_ > t.epoch then begin
-      t.epoch <- to_;
+  (* A rising epoch restarts every stream: a failover anywhere moves
+     every tenant's sender to the same epoch, so a fenced store can
+     compare any shipment against one number. *)
+  let next t ~epoch ~stream =
+    if epoch > t.epoch then begin
+      t.epoch <- epoch;
       Hashtbl.reset t.next_seq
-    end
-
-  let next t ~stream =
+    end;
     let seq = Option.value (Hashtbl.find_opt t.next_seq stream) ~default:0 in
     Hashtbl.replace t.next_seq stream (seq + 1);
     seq

@@ -3,28 +3,27 @@
     Every CL-log shipment to a destination node carries a
     [(stream, epoch, seq)] stamp: [stream] identifies the sender's
     per-destination ordering domain (one per logical node id), [seq]
-    increments by one per shipment on that stream, and [epoch] bumps on
-    reconfiguration (failover), invalidating any stragglers from the
-    previous epoch.  The receiver tracks the last stamp seen per stream
-    and classifies each delivery instead of applying blindly. *)
+    increments by one per shipment on that stream, and [epoch] is the
+    rack-global fencing epoch, which rises on reconfiguration (failover)
+    and invalidates any stragglers from the previous epoch.  The receiver
+    tracks the last stamp seen per stream and classifies each delivery
+    instead of applying blindly. *)
 
 module Tx : sig
   type t
 
   val create : unit -> t
+
   val epoch : t -> int
+  (** The newest epoch handed to {!next} (0 before the first). *)
 
-  val bump_epoch : t -> unit
-  (** Start a new epoch; all per-stream sequence counters restart at 0. *)
-
-  val advance_epoch : t -> to_:int -> unit
-  (** Adopt a rack-global fencing epoch (monotone): jump directly to
-      [to_] and restart the per-stream counters, or do nothing when the
-      sender is already at or past it.  Used to broadcast a failover's
-      fencing epoch to every tenant's sender in one step. *)
-
-  val next : t -> stream:int -> int
-  (** Allocate the next sequence number on [stream] (0, 1, 2, ...). *)
+  val next : t -> epoch:int -> stream:int -> int
+  (** Allocate the next sequence number on [stream] (0, 1, 2, ...) for a
+      shipment stamped [epoch].  An epoch above {!epoch} first restarts
+      every stream's counter at 0; the sender reads the epoch from its
+      rack controller at each shipment, so a failover anywhere in the
+      rack reaches every sender without a broadcast.  An epoch at or
+      below {!epoch} restarts nothing. *)
 end
 
 module Rx : sig

@@ -131,7 +131,6 @@ type engine = {
   cfg : config;
   tenants : tenant_cfg array;
   controller : Rack_controller.t;
-  replication : Replication.t option;
   placement : Placement_policy.t;
   hub : Hub.t;
   (* Tenant WFQ weights plus the migrator's slot at index [n]. *)
@@ -339,16 +338,16 @@ let create_runtime e i =
       faults = List.filter (reaches i) cfg.faults;
       fault_seed = cfg.fault_seed;
       (* Exactly one membership authority per rack: tenant 0 leases the
-         nodes and triggers failover; the others learn of it through the
-         fencing-epoch broadcast.  Two detectors would race to promote
+         nodes and triggers failover; the others stamp its fencing epoch
+         from the shared controller.  Two detectors would race to promote
          different mirrors for one slot. *)
       heartbeat_ns = (if i = 0 then cfg.runtime.Runtime.heartbeat_ns else None);
     }
   in
   Runtime.create ~config
     ~hub:(Hub.scoped e.hub ~prefix:(Printf.sprintf "tenant.%d." i))
-    ~arbitrate:(arbitrate e i) ?replication:e.replication
-    ~controller:e.controller ~read_local:(read_local e i) ()
+    ~arbitrate:(arbitrate e i) ~controller:e.controller
+    ~read_local:(read_local e i) ()
 
 (* -------- shared segment: tenant 0 publishes, the rest map -------- *)
 
@@ -510,26 +509,15 @@ let on_evict e i ~vpage ~dirty =
 
 (* -------- migration machinery -------- *)
 
-(* Read one page, preferring the (possibly failed-over) primary and
-   falling back to any live replica; a copy whose lines fail their
-   at-rest CRCs is not a migration source — the scrubber owns it. *)
+(* Read one page from the first live copy, the (possibly failed-over)
+   backing before its mirrors; a copy whose lines fail their at-rest CRCs
+   is not a migration source — the scrubber owns it. *)
 let read_page_bytes e ~node ~addr =
-  let try_store s =
-    if not (Memory_node.alive s) then None
-    else if Memory_node.verify_range s ~addr ~len:page <> [] then None
-    else
-      match Memory_node.peek s ~addr ~len:page with
-      | data -> Some data
-      | exception Memory_node.Crashed _ -> None
-  in
-  match try_store (Rack_controller.node e.controller ~id:node) with
-  | Some data -> Some data
-  | None -> (
-      match e.replication with
-      | None -> None
-      | Some r ->
-          List.find_map try_store
-            (Replication.live_copies r ~controller:e.controller ~node))
+  List.find_map
+    (fun s ->
+      if Memory_node.verify_range s ~addr ~len:page <> [] then None
+      else Some (Memory_node.peek s ~addr ~len:page))
+    (Rack_controller.live_copies e.controller ~id:node)
 
 (* A heat counter is born only from a fetch or an eviction of a page its
    tenant backs, and a backed page stays backed, so every counter outside
@@ -615,14 +603,10 @@ let relocate e ~vpage ~src ~addr ~dst =
     when Memory_node.alive store && Memory_node.free_bytes store >= page ->
       let dst_addr = Memory_node.reserve store ~size:page in
       Memory_node.write store ~addr:dst_addr ~data;
-      (match e.replication with
-      | Some r ->
-          List.iter
-            (fun m ->
-              if Memory_node.alive m then
-                Memory_node.write m ~addr:dst_addr ~data)
-            (Replication.targets r ~node:dst)
-      | None -> ());
+      List.iter
+        (fun m ->
+          if Memory_node.alive m then Memory_node.write m ~addr:dst_addr ~data)
+        (Rack_controller.mirrors e.controller ~id:dst);
       Array.iter
         (fun rt ->
           if homed_at rt ~vpage ~id:src ~addr then
@@ -896,17 +880,11 @@ let start cfg tenant_list =
   let recorded = Array.map (record cfg) tenants in
   let mw_w = max 1 (min n cfg.shared_writers) in
   let steps = Array.mapi (weave cfg ~n ~mw_w) (Array.map snd recorded) in
-  let replication =
-    if cfg.replicas > 0 then
-      Some (Replication.create ~degree:cfg.replicas ~controller)
-    else None
-  in
   let rec e =
     {
       cfg;
       tenants;
       controller;
-      replication;
       placement = Placement_policy.find cfg.policy;
       hub = Hub.create ();
       weights =
@@ -946,16 +924,6 @@ let start cfg tenant_list =
     (fun choose -> Rack_controller.set_placement controller (choose_node e choose))
     e.placement.Placement_policy.choose_node;
   e.runtimes <- Array.init n (create_runtime e);
-  (* A fencing epoch minted by any tenant's failover is rack-global: every
-     tenant's CL-log sender must restamp at the new epoch, or its next
-     flush to the displaced store would be applied rather than rejected.
-     Adoption is a monotone no-op on the minter itself. *)
-  Array.iter
-    (fun rt ->
-      Runtime.set_on_fence rt (fun ~epoch ->
-          Array.iter (fun rt' -> Runtime.adopt_fencing_epoch rt' ~epoch)
-            e.runtimes))
-    e.runtimes;
   if cfg.shared_pages > 0 then publish e ~pages:cfg.shared_pages;
   if mw_w > 1 then enable_multi_writer e;
   Array.iteri

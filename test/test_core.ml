@@ -193,12 +193,19 @@ let test_memory_node_log_receiver () =
   check_int "lines received" 2 (Memory_node.lines_received node);
   check_int "logs received" 1 (Memory_node.logs_received node)
 
+(* A CL log ships to the logical node ids of a rack controller: a
+   standalone log registers its stores on a fresh one. *)
+let controller_of nodes =
+  let controller = Rack_controller.create () in
+  List.iter (Rack_controller.register_node controller) nodes;
+  controller
+
 let test_cl_log_roundtrip () =
   let node = Memory_node.create ~id:0 ~capacity:(Units.kib 64) in
   let clock = Clock.create () in
   let qp = Qp.create ~clock () in
   let log = Cl_log.create ~capacity:8 ~qp ~cost:Kona_rdma.Cost.default
-      ~resolve:(fun ~node:_ -> node) () in
+      ~controller:(controller_of [ node ]) () in
   let line c = String.make 64 c in
   Cl_log.append_run log ~node:0 ~raddr:0 ~data:(line 'x');
   Cl_log.append_run log ~node:0 ~raddr:64 ~data:(line 'y');
@@ -216,7 +223,7 @@ let test_cl_log_autoflush () =
   let node = Memory_node.create ~id:0 ~capacity:(Units.kib 64) in
   let qp = Qp.create ~clock:(Clock.create ()) () in
   let log = Cl_log.create ~capacity:2 ~qp ~cost:Kona_rdma.Cost.default
-      ~resolve:(fun ~node:_ -> node) () in
+      ~controller:(controller_of [ node ]) () in
   let line = String.make 64 'z' in
   Cl_log.append_run log ~node:0 ~raddr:0 ~data:line;
   Cl_log.append_run log ~node:0 ~raddr:64 ~data:line;
@@ -245,8 +252,7 @@ let test_cl_log_empty_flush_and_split () =
   let qp = Qp.create ~clock:(Clock.create ()) () in
   let log =
     Cl_log.create ~capacity:64 ~qp ~cost:Kona_rdma.Cost.default
-      ~resolve:(fun ~node -> if node = 0 then n0 else n1)
-      ()
+      ~controller:(controller_of [ n0; n1 ]) ()
   in
   Cl_log.flush log;
   check_int "empty flush ships nothing" 0 (Cl_log.flushes log);
@@ -270,7 +276,7 @@ let test_cl_log_empty_fence_costs_nothing () =
   let clock = Clock.create () in
   let qp = Qp.create ~clock () in
   let log = Cl_log.create ~capacity:8 ~qp ~cost:Kona_rdma.Cost.default
-      ~resolve:(fun ~node:_ -> node) () in
+      ~controller:(controller_of [ node ]) () in
   Cl_log.flush log;
   check_int "fence before any traffic is free" 0 (Clock.now clock);
   Cl_log.append_run log ~node:0 ~raddr:0 ~data:(String.make 64 'a');
@@ -300,8 +306,7 @@ let prop_cl_log_breakdown_sums_to_clock =
       let qp = Qp.create ~clock () in
       let log =
         Cl_log.create ~capacity ~qp ~cost:Kona_rdma.Cost.default
-          ~resolve:(fun ~node:_ -> node)
-          ()
+          ~controller:(controller_of [ node ]) ()
       in
       List.iteri
         (fun i (slot, lines) ->
@@ -326,8 +331,7 @@ let test_dirty_tracker_orphan_path () =
   let rm = Resource_manager.create ~controller () in
   Resource_manager.ensure_backed rm ~addr:0 ~len:(Units.kib 64);
   let qp = Qp.create ~clock:(Clock.create ()) () in
-  let log = Cl_log.create ~qp ~cost:Kona_rdma.Cost.default
-      ~resolve:(fun ~node:_ -> node) () in
+  let log = Cl_log.create ~qp ~cost:Kona_rdma.Cost.default ~controller () in
   let evictor =
     Eviction_handler.create ~log ~rm
       ~read_local:(fun ~addr:_ ~len -> String.make len 'o')
@@ -540,7 +544,7 @@ let test_runtime_multi_node_distribution () =
   check_integrity runtime heap
 
 (* ------------------------------------------------------------------ *)
-(* Replication *)
+(* Eviction replication: mirrors *)
 
 let test_replication_mirrors_identical () =
   let controller = fabric 2 in
@@ -555,21 +559,22 @@ let test_replication_mirrors_identical () =
   done;
   Runtime.drain runtime;
   check_integrity runtime heap;
-  match Runtime.replication runtime with
-  | None -> Alcotest.fail "replication must be active"
-  | Some r ->
-      check_int "degree" 2 (Replication.degree r);
-      check_int "no divergent mirrors" 0 (Replication.divergent_mirrors r ~controller);
-      let lines = List.assoc "log.lines" (Runtime.stats runtime) in
-      check_int "each line on both mirrors" (2 * lines) (Replication.lines_replicated r)
+  check_bool "replication must be active" true (Rack_controller.replicas controller > 0);
+  check_int "degree" 2 (Rack_controller.replicas controller);
+  check_int "no divergent mirrors" 0 (Rack_controller.divergent_mirrors controller);
+  let lines = List.assoc "log.lines" (Runtime.stats runtime) in
+  check_int "each line on both mirrors" (2 * lines)
+    (Rack_controller.lines_replicated controller)
 
 let test_replication_targets () =
   let controller = Rack_controller.create () in
   Rack_controller.register_node controller
     (Memory_node.create ~id:3 ~capacity:(Units.mib 1));
-  let r = Replication.create ~degree:2 ~controller in
-  check_int "two mirrors for node 3" 2 (List.length (Replication.targets r ~node:3));
-  check_int "no mirrors for unknown node" 0 (List.length (Replication.targets r ~node:9))
+  Rack_controller.replicate controller ~degree:2;
+  check_int "two mirrors for node 3" 2
+    (List.length (Rack_controller.mirrors controller ~id:3));
+  check_int "no mirrors for unknown node" 0
+    (List.length (Rack_controller.mirrors controller ~id:9))
 
 (* ------------------------------------------------------------------ *)
 (* Failure injection: outages and MCEs *)

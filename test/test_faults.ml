@@ -437,25 +437,25 @@ let test_controller_skips_crashed_nodes () =
   check_int "still skipped" 1 s2.Slab.node
 
 (* ------------------------------------------------------------------ *)
-(* Replication failover *)
+(* Mirror promotion (failover) *)
 
 let replicated_pair () =
   let c = Rack_controller.create ~slab_size:(Units.kib 64) () in
   Rack_controller.register_node c (Memory_node.create ~id:0 ~capacity:(Units.kib 64));
   Rack_controller.register_node c (Memory_node.create ~id:1 ~capacity:(Units.kib 64));
-  let r = Replication.create ~degree:1 ~controller:c in
-  (c, r)
+  Rack_controller.replicate c ~degree:1;
+  c
 
 let test_failover_promotes_mirror () =
-  let c, r = replicated_pair () in
+  let c = replicated_pair () in
   let primary = Rack_controller.node c ~id:1 in
   ignore (Memory_node.reserve primary ~size:Units.page_size : int);
   let data = String.make 64 'k' in
   Memory_node.write primary ~addr:128 ~data;
-  let mirror = List.hd (Replication.targets r ~node:1) in
+  let mirror = List.hd (Rack_controller.mirrors c ~id:1) in
   Memory_node.write mirror ~addr:128 ~data;
   Memory_node.crash primary;
-  (match Replication.failover r ~controller:c ~node:1 with
+  (match Rack_controller.promote c ~id:1 with
   | None -> Alcotest.fail "expected promotion"
   | Some promoted ->
       check_int "mirror took over" (Memory_node.id mirror) (Memory_node.id promoted);
@@ -463,39 +463,39 @@ let test_failover_promotes_mirror () =
         (Memory_node.used promoted));
   check_string "data survives at the logical id" data
     (Memory_node.read (Rack_controller.node c ~id:1) ~addr:128 ~len:64);
-  check_int "failover counted" 1 (Replication.failovers r);
-  check_bool "mirror left the mirror set" true (Replication.targets r ~node:1 = [])
+  check_int "failover counted" 1 (Rack_controller.failovers c);
+  check_bool "mirror left the mirror set" true (Rack_controller.mirrors c ~id:1 = [])
 
 let test_failover_without_live_mirror () =
-  let c, r = replicated_pair () in
-  Memory_node.crash (List.hd (Replication.targets r ~node:1));
+  let c = replicated_pair () in
+  Memory_node.crash (List.hd (Rack_controller.mirrors c ~id:1));
   Memory_node.crash (Rack_controller.node c ~id:1);
   check_bool "no live mirror to promote" true
-    (Replication.failover r ~controller:c ~node:1 = None);
-  check_int "no failover counted" 0 (Replication.failovers r)
+    (Rack_controller.promote c ~id:1 = None);
+  check_int "no failover counted" 0 (Rack_controller.failovers c)
 
 let test_crash_mirror () =
-  let c, r = replicated_pair () in
-  let m = List.hd (Replication.targets r ~node:0) in
+  let c = replicated_pair () in
+  let m = List.hd (Rack_controller.mirrors c ~id:0) in
   check_bool "mirror crash names its primary" true
-    (Replication.crash_mirror r ~id:(Memory_node.id m) = Some 0);
-  check_bool "mirror removed" true (Replication.targets r ~node:0 = []);
-  check_bool "unknown id is not a mirror" true (Replication.crash_mirror r ~id:4242 = None);
-  ignore c
+    (Rack_controller.crash_mirror c ~physical:(Memory_node.id m) = Some 0);
+  check_bool "mirror removed" true (Rack_controller.mirrors c ~id:0 = []);
+  check_bool "unknown id is not a mirror" true
+    (Rack_controller.crash_mirror c ~physical:4242 = None)
 
 let test_divergent_mirrors () =
-  let c, r = replicated_pair () in
+  let c = replicated_pair () in
   let primary = Rack_controller.node c ~id:0 in
   ignore (Memory_node.reserve primary ~size:Units.page_size : int);
-  let mirror = List.hd (Replication.targets r ~node:0) in
+  let mirror = List.hd (Rack_controller.mirrors c ~id:0) in
   Memory_node.write primary ~addr:0 ~data:"same";
   Memory_node.write mirror ~addr:0 ~data:"same";
-  check_int "in sync" 0 (Replication.divergent_mirrors r ~controller:c);
+  check_int "in sync" 0 (Rack_controller.divergent_mirrors c);
   Memory_node.write mirror ~addr:0 ~data:"DIFF";
-  check_int "divergence detected" 1 (Replication.divergent_mirrors r ~controller:c);
+  check_int "divergence detected" 1 (Rack_controller.divergent_mirrors c);
   Memory_node.crash mirror;
   check_int "a crashed mirror is lost, not divergent" 0
-    (Replication.divergent_mirrors r ~controller:c)
+    (Rack_controller.divergent_mirrors c)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-level recovery *)
@@ -545,13 +545,10 @@ let test_runtime_crash_failover_end_to_end () =
   check_bool "not degraded" true (Runtime.degraded runtime = None);
   check_bool "remote equals heap after failover" true
     (integrity_ok runtime heap);
-  match Runtime.replication runtime with
-  | Some r ->
-      check_int "no divergent mirror" 0
-        (Replication.divergent_mirrors r ~controller);
-      check_int "degree restored by re-replication" 1
-        (List.length (Replication.targets r ~node:1))
-  | None -> Alcotest.fail "replication expected"
+  check_bool "replication expected" true (Rack_controller.replicas controller > 0);
+  check_int "no divergent mirror" 0 (Rack_controller.divergent_mirrors controller);
+  check_int "degree restored by re-replication" 1
+    (List.length (Rack_controller.mirrors controller ~id:1))
 
 let test_runtime_crash_without_replicas_degrades () =
   let faults = Fault_spec.parse_exn "node-crash@50us:id=1" in

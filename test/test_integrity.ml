@@ -169,25 +169,27 @@ let test_sequencer_verdicts () =
   let tx = Sequencer.Tx.create () in
   let rx = Sequencer.Rx.create () in
   let obs seq = Sequencer.Rx.observe rx ~stream:7 ~epoch:(Sequencer.Tx.epoch tx) ~seq in
-  let s1 = Sequencer.Tx.next tx ~stream:7 in
+  let next ?(epoch = 0) stream = Sequencer.Tx.next tx ~epoch ~stream in
+  let s1 = next 7 in
   check_bool "first stamp adopted" true (obs s1 = Sequencer.Rx.Ok);
-  let s2 = Sequencer.Tx.next tx ~stream:7 in
+  let s2 = next 7 in
   check_bool "in order" true (obs s2 = Sequencer.Rx.Ok);
   check_bool "replay is duplicate" true (obs s2 = Sequencer.Rx.Duplicate);
   check_bool "older is duplicate" true (obs s1 = Sequencer.Rx.Duplicate);
-  let _s3 = Sequencer.Tx.next tx ~stream:7 in
-  let s4 = Sequencer.Tx.next tx ~stream:7 in
+  let _s3 = next 7 in
+  let s4 = next 7 in
   check_bool "gap of one" true (obs s4 = Sequencer.Rx.Gap 1);
   (* Streams are independent: another stream adopts its own first stamp. *)
-  let t1 = Sequencer.Tx.next tx ~stream:9 in
+  let t1 = next 9 in
   check_bool "independent stream" true
     (Sequencer.Rx.observe rx ~stream:9 ~epoch:(Sequencer.Tx.epoch tx) ~seq:t1
     = Sequencer.Rx.Ok);
-  (* Epoch bump (failover) resets the counters; stragglers from the old
-     epoch are stale. *)
-  Sequencer.Tx.bump_epoch tx;
+  (* A rising epoch (failover) resets the counters; stragglers from the
+     old epoch are stale. *)
+  let n1 = next ~epoch:1 7 in
   let old_epoch = Sequencer.Tx.epoch tx - 1 in
-  let n1 = Sequencer.Tx.next tx ~stream:7 in
+  check_int "a rising epoch restarts the stream" 0 n1;
+  check_int "an older epoch restarts nothing" 1 (next ~epoch:0 7);
   check_bool "new epoch accepted" true (obs n1 = Sequencer.Rx.Ok);
   check_bool "old epoch stale" true
     (Sequencer.Rx.observe rx ~stream:7 ~epoch:old_epoch ~seq:99

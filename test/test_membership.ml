@@ -286,9 +286,8 @@ let test_false_positive_fencing_end_to_end () =
   check_bool "run not degraded" true (Runtime.degraded rt = None);
   check_bool "recovery converged" true (Runtime.recovery_idle rt);
   check_bool "remote memory matches the heap" true (integrity_ok rt heap);
-  match Runtime.replication rt with
-  | Some r -> check_int "zero divergence" 0 (Replication.divergent_mirrors r ~controller)
-  | None -> Alcotest.fail "replication expected"
+  check_bool "replication expected" true (Rack_controller.replicas controller > 0);
+  check_int "zero divergence" 0 (Rack_controller.divergent_mirrors controller)
 
 let test_short_partition_is_tolerated () =
   (* A window shorter than the lease never reaches suspicion expiry:
@@ -386,11 +385,9 @@ let test_crash_promoted_mirror_mid_re_replication () =
   Runtime.drain rt;
   check_bool "run survived both faults" true (Runtime.degraded rt = None);
   check_bool "remote memory matches the heap" true (integrity_ok rt heap);
-  match Runtime.replication rt with
-  | Some r ->
-      check_int "zero divergence after overlapping faults" 0
-        (Replication.divergent_mirrors r ~controller)
-  | None -> Alcotest.fail "replication expected"
+  check_bool "replication expected" true (Rack_controller.replicas controller > 0);
+  check_int "zero divergence after overlapping faults" 0
+    (Rack_controller.divergent_mirrors controller)
 
 (* ------------------------------------------------------------------ *)
 
