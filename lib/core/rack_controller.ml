@@ -81,6 +81,26 @@ let create ?(slab_size = Units.mib 1) () =
 
 let slab_size t = t.slab_size
 
+(* Physical ids for replica/mirror stores: skip every registered logical
+   id so a rack-op [add@T] and a re-replication can never mint the same
+   id, whatever order they land in. *)
+let mint_backing_id t =
+  while Hashtbl.mem t.index t.next_backing_id || Hashtbl.mem t.minted t.next_backing_id
+  do
+    t.next_backing_id <- t.next_backing_id + 1
+  done;
+  let id = t.next_backing_id in
+  Hashtbl.add t.minted id ();
+  t.next_backing_id <- t.next_backing_id + 1;
+  id
+
+(* A slot registered on a replicated controller gets its mirrors at
+   once: a node added mid-run is as replicated as the first ones. *)
+let mint_mirrors t backing =
+  List.init t.replicas (fun _ ->
+      Memory_node.create ~id:(mint_backing_id t)
+        ~capacity:(Memory_node.capacity backing))
+
 let register_node t node =
   let id = Memory_node.id node in
   if Hashtbl.mem t.index id then
@@ -97,21 +117,8 @@ let register_node t node =
     Array.append t.slots
       [|
         { logical_id = id; backing = node; draining = false; former = [];
-          mirrors = [] };
+          mirrors = mint_mirrors t node };
       |]
-
-(* Physical ids for replica/mirror stores: skip every registered logical
-   id so a rack-op [add@T] and a re-replication can never mint the same
-   id, whatever order they land in. *)
-let mint_backing_id t =
-  while Hashtbl.mem t.index t.next_backing_id || Hashtbl.mem t.minted t.next_backing_id
-  do
-    t.next_backing_id <- t.next_backing_id + 1
-  done;
-  let id = t.next_backing_id in
-  Hashtbl.add t.minted id ();
-  t.next_backing_id <- t.next_backing_id + 1;
-  id
 
 let nodes t = List.map (fun s -> s.backing) (Array.to_list t.slots)
 
@@ -160,11 +167,6 @@ let all_physical t =
     (Array.to_list t.slots)
 
 (* -------- mirrors (§4.5) -------- *)
-
-let mint_mirrors t backing =
-  List.init t.replicas (fun _ ->
-      Memory_node.create ~id:(mint_backing_id t)
-        ~capacity:(Memory_node.capacity backing))
 
 let replicate t ~degree =
   if degree < 0 then invalid_arg "Rack_controller.replicate: negative degree";

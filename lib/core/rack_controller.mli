@@ -28,9 +28,12 @@ val create : ?slab_size:int -> unit -> t
 val slab_size : t -> int
 
 val register_node : t -> Memory_node.t -> unit
-(** Raises [Invalid_argument] if the node's id is already registered, or
-    was minted for a replica backing store by {!mint_backing_id} (the two
-    id spaces must never alias a store). *)
+(** Add a slot backed by the node, under the node's id.  On a replicated
+    controller the slot gets {!replicas} fresh mirrors at once, so a node
+    added mid-run is as replicated as the first ones.  Raises
+    [Invalid_argument] if the node's id is already registered, or was
+    minted for a replica backing store by {!mint_backing_id} (the two id
+    spaces must never alias a store). *)
 
 val mint_backing_id : t -> int
 (** Allocate a physical id for a replica/mirror backing store.  Ids are

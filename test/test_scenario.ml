@@ -566,6 +566,45 @@ let test_repair_waits_for_deliveries () =
       "setup:tenants=2,fmem=64;flap:dur=2ms;bit-flip:p=0.5";
     ]
 
+(* A node added to a replicated rack gets its mirrors when it registers:
+   crashing it mid-run promotes one, so no page stays homed on the dead
+   node and nothing is lost.  The same spec crashing node 1 instead (a
+   node from setup) always passed. *)
+let test_added_node_is_mirrored () =
+  List.iter
+    (fun line ->
+      let o = Episode.execute (Spec.parse_exn line) in
+      check_bool (line ^ ": not aborted") true (o.Episode.oc_aborted = None);
+      List.iter
+        (fun v ->
+          Alcotest.failf "%s: violation [%s] %s" line v.Invariants.inv
+            v.Invariants.detail)
+        o.Episode.oc_violations;
+      match o.Episode.oc_result with
+      | None -> Alcotest.failf "%s: episode did not finish" line
+      | Some r ->
+          Array.iter
+            (fun (t : Rack.tenant_result) ->
+              check_int (line ^ ": mismatches") 0 t.Rack.t_mismatches;
+              check_int (line ^ ": lost pages") 0 t.Rack.t_lost_pages;
+              check_bool (line ^ ": not degraded") true (t.Rack.t_degraded = None))
+            r.Rack.r_tenants;
+          check_bool (line ^ ": the added node failed over") true
+            (Kona_telemetry.Snapshot.counter_value
+               r.Rack.r_tenants.(0).Rack.t_snapshot
+               "tenant.0.replication.failovers"
+            = Some 1))
+    [
+      "setup:tenants=1,nodes=2,replicas=1,fmem=64,workloads=kv-uniform;\
+       add:cap=134217728;run:n=200000;crash:id=2;run:n=1000000000";
+      "setup:tenants=2,nodes=2,replicas=1,fmem=64,workloads=kv-uniform;\
+       add:cap=134217728;run:n=200000;crash:id=2;run:n=1000000000";
+      "setup:tenants=1,nodes=2,replicas=2,fmem=64,workloads=kv-uniform;\
+       add:cap=134217728;run:n=200000;crash:id=2;run:n=1000000000";
+      "setup:tenants=1,nodes=2,replicas=1,fmem=64,workloads=kv-uniform;\
+       add@1ms:cap=134217728;node-crash@20ms:id=2";
+    ]
+
 let raises msg f =
   match f () with
   | _ -> Alcotest.failf "expected Invalid_argument %S" msg
@@ -753,6 +792,8 @@ let () =
             test_unrepairable_flips_accounted;
           Alcotest.test_case "repair waits for in-flight deliveries" `Quick
             test_repair_waits_for_deliveries;
+          Alcotest.test_case "a node added mid-run is mirrored" `Quick
+            test_added_node_is_mirrored;
           Alcotest.test_case "registry names" `Quick test_registry_names;
         ] );
       ( "shrinker",
