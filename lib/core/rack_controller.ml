@@ -94,8 +94,9 @@ let mint_backing_id t =
   t.next_backing_id <- t.next_backing_id + 1;
   id
 
-(* A slot registered on a replicated controller gets its mirrors at
-   once: a node added mid-run is as replicated as the first ones. *)
+(* [replicas] fresh mirrors as large as [backing]: [replicate] gives
+   them to every slot registered so far and [register_node] to each slot
+   after, so a node added mid-run is as replicated as the first ones. *)
 let mint_mirrors t backing =
   List.init t.replicas (fun _ ->
       Memory_node.create ~id:(mint_backing_id t)
@@ -189,11 +190,10 @@ let mirrors t ~id =
 
 let live_copies t ~id =
   match Hashtbl.find_opt t.index id with
-  | None -> []
   | Some pos ->
       let s = t.slots.(pos) in
-      let mirrors = List.filter Memory_node.alive s.mirrors in
-      if Memory_node.alive s.backing then s.backing :: mirrors else mirrors
+      List.filter Memory_node.alive (s.backing :: s.mirrors)
+  | None -> []
 
 (* Promote the first live mirror: it inherits the crashed backing's
    reservation mark (so existing slab translations stay valid) and takes
@@ -247,14 +247,16 @@ let lines_replicated t =
 let divergent_mirrors t =
   Array.fold_left
     (fun acc s ->
-      if s.mirrors = [] || not (Memory_node.alive s.backing) then acc
-      else
-        let used = Memory_node.used s.backing in
-        let image n = if used = 0 then "" else Memory_node.peek n ~addr:0 ~len:used in
-        let reference = image s.backing in
-        List.fold_left
-          (fun a m -> if Memory_node.alive m && image m <> reference then a + 1 else a)
-          acc s.mirrors)
+      match s.mirrors with
+      | [] -> acc
+      | _ when not (Memory_node.alive s.backing) -> acc
+      | mirrors ->
+          let used = Memory_node.used s.backing in
+          let image n = if used = 0 then "" else Memory_node.peek n ~addr:0 ~len:used in
+          let reference = image s.backing in
+          List.fold_left
+            (fun a m -> if Memory_node.alive m && image m <> reference then a + 1 else a)
+            acc mirrors)
     0 t.slots
 
 let bump_fencing_epoch t =

@@ -84,7 +84,8 @@ type config = {
           [replicas], [faults] and [fault_seed] per tenant.
           [heartbeat_ns] is honoured on tenant 0 only: one membership
           authority leases the rack's nodes and triggers failover, and
-          its fencing epochs broadcast to every tenant's sender *)
+          every tenant's sender stamps the fencing epoch it bumps at
+          the shared controller *)
 }
 
 val default_config : config
