@@ -22,7 +22,7 @@ module Tx : sig
       shipment stamped [epoch].  An epoch above {!epoch} first restarts
       every stream's counter at 0; the sender reads the epoch from its
       rack controller at each shipment, so a failover anywhere in the
-      rack reaches every sender without a broadcast.  An epoch at or
+      rack reaches every sender at its next shipment.  An epoch at or
       below {!epoch} restarts nothing. *)
 end
 

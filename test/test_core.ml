@@ -559,7 +559,6 @@ let test_replication_mirrors_identical () =
   done;
   Runtime.drain runtime;
   check_integrity runtime heap;
-  check_bool "replication must be active" true (Rack_controller.replicas controller > 0);
   check_int "degree" 2 (Rack_controller.replicas controller);
   check_int "no divergent mirrors" 0 (Rack_controller.divergent_mirrors controller);
   let lines = List.assoc "log.lines" (Runtime.stats runtime) in
@@ -574,7 +573,19 @@ let test_replication_targets () =
   check_int "two mirrors for node 3" 2
     (List.length (Rack_controller.mirrors controller ~id:3));
   check_int "no mirrors for unknown node" 0
-    (List.length (Rack_controller.mirrors controller ~id:9))
+    (List.length (Rack_controller.mirrors controller ~id:9));
+  let before = Rack_controller.mirrors controller ~id:3 in
+  Rack_controller.replicate controller ~degree:2;
+  check_bool "the same degree again mints nothing" true
+    (Rack_controller.mirrors controller ~id:3 == before);
+  check_bool "a different degree is refused" true
+    (match Rack_controller.replicate controller ~degree:1 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Rack_controller.register_node controller
+    (Memory_node.create ~id:4 ~capacity:(Units.mib 1));
+  check_int "a node registered later gets its mirrors" 2
+    (List.length (Rack_controller.mirrors controller ~id:4))
 
 (* ------------------------------------------------------------------ *)
 (* Failure injection: outages and MCEs *)
