@@ -9,7 +9,6 @@ open Toolkit
 module Units = Kona_util.Units
 module Bitmap = Kona_util.Bitmap
 module Crc32c = Kona_util.Crc32c
-module Checksums = Kona_integrity.Checksums
 module Rng = Kona_util.Rng
 module Cache = Kona_cachesim.Cache
 module Hierarchy = Kona_cachesim.Hierarchy
@@ -73,8 +72,8 @@ let test_fmem_lookup =
 
 (* The integrity CRC on its two paths: every CL-log wire CRC and line
    check digests one 64B line, and a verified fetch or scrub checks a
-   page with [Checksums.corrupt_lines] (64 line digests when every line
-   of the page is recorded). *)
+   page with [Memory_node.verify_range], which digests only the lines a
+   bit flip touched since they last matched (4 of 64 here). *)
 let page_store =
   Bytes.init Units.page_size (fun i -> Char.chr ((i * 31) land 0xff))
 
@@ -85,14 +84,19 @@ let test_crc32c_line =
            (Crc32c.digest_bytes page_store ~pos:0 ~len:Units.cache_line
              : int)))
 
-let test_corrupt_lines =
-  let sums = Checksums.create ~capacity:Units.page_size in
-  Checksums.record sums ~store:page_store ~addr:0 ~len:Units.page_size;
-  Test.make ~name:"checksums.corrupt_lines (4KiB page)"
+let test_verify_range =
+  let node = Kona.Memory_node.create ~id:0 ~capacity:Units.page_size in
+  Kona.Memory_node.write node ~addr:0 ~data:(Bytes.to_string page_store);
+  List.iter
+    (fun line ->
+      ignore
+        (Kona.Memory_node.corrupt_bit node ~addr:(line * Units.cache_line) ~bit:0
+          : [ `Fresh | `Already_corrupt ]))
+    [ 3; 17; 40; 63 ];
+  Test.make ~name:"memory_node.verify_range (4KiB page, 4 flipped lines)"
     (Staged.stage (fun () ->
          ignore
-           (Checksums.corrupt_lines sums ~store:page_store ~addr:0
-              ~len:Units.page_size
+           (Kona.Memory_node.verify_range node ~addr:0 ~len:Units.page_size
              : int list)))
 
 (* A memory node's set-up cost: the page index only, since pages arrive
@@ -135,7 +139,7 @@ let test_migrate_epoch () =
 
 let tests =
   [ test_bitmap_segments; test_cache_access; test_flush_page; test_heap_write;
-    test_kv_set; test_fmem_lookup; test_crc32c_line; test_corrupt_lines;
+    test_kv_set; test_fmem_lookup; test_crc32c_line; test_verify_range;
     test_node_create; test_receive_log ]
 
 let run () =

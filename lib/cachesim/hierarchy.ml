@@ -174,15 +174,6 @@ let flush_page t ~page =
   flush_half t first dirty;
   !dirty
 
-let resident_dirty_lines t ~page =
-  let dirty = ref [] in
-  for i = 0 to Units.lines_per_page - 1 do
-    let addr = (page * Units.page_size) + (i * Units.cache_line) in
-    if Cache.is_dirty t.l1 ~addr || Cache.is_dirty t.l2 ~addr || Cache.is_dirty t.llc ~addr
-    then dirty := addr :: !dirty
-  done;
-  List.rev !dirty
-
 let l1 t = t.l1
 let l2 t = t.l2
 let llc t = t.llc

@@ -54,9 +54,6 @@ val flush_page : t -> page:int -> int list
     not hold (a broken invariant).  Does NOT invoke [on_writeback]: the
     caller receives the dirty data directly, as a snoop does. *)
 
-val resident_dirty_lines : t -> page:int -> int list
-(** Dirty lines of [page] without invalidating (diagnostics/tests). *)
-
 val l1 : t -> Cache.t
 val l2 : t -> Cache.t
 

@@ -5,7 +5,6 @@ type t = {
   sharers : (int, int list) Hashtbl.t; (* absent = no tracked sharers *)
   owners : (int, int) Hashtbl.t; (* absent = no exclusive owner *)
   mutable fills : int;
-  mutable writebacks : int;
   mutable snoops : int;
   mutable handoffs : int;
   mutable owner_changes : int;
@@ -26,7 +25,6 @@ let create () =
     sharers = Hashtbl.create 64;
     owners = Hashtbl.create 64;
     fills = 0;
-    writebacks = 0;
     snoops = 0;
     handoffs = 0;
     owner_changes = 0;
@@ -49,7 +47,7 @@ let add_sharer t ~line s =
   in
   if not (List.mem s cur) then Hashtbl.replace t.sharers line (s :: cur)
 
-let on_fill ?sharer t ~line ~write =
+let on_fill ~sharer t ~line ~write =
   t.fills <- t.fills + 1;
   let next =
     match (state t ~line, write) with
@@ -58,25 +56,9 @@ let on_fill ?sharer t ~line ~write =
     | (Invalid | Shared), false -> Shared
   in
   Hashtbl.replace t.lines line next;
-  (if write then
-     (* record who took the writable copy so [owner]/[audit] stay coherent
-        even for callers that predate [acquire] *)
-     Hashtbl.replace t.owners line (Option.value sharer ~default:0));
-  match sharer with None -> () | Some s -> add_sharer t ~line s
-
-let on_writeback t ~line =
-  t.writebacks <- t.writebacks + 1;
-  Hashtbl.remove t.lines line;
-  Hashtbl.remove t.sharers line;
-  Hashtbl.remove t.owners line
-
-let snoop t ~line =
-  t.snoops <- t.snoops + 1;
-  let result = match state t ~line with Modified -> `Dirty | Shared | Invalid -> `Clean in
-  Hashtbl.remove t.lines line;
-  Hashtbl.remove t.sharers line;
-  Hashtbl.remove t.owners line;
-  result
+  (* record who took the writable copy so [owner]/[audit] stay coherent *)
+  if write then Hashtbl.replace t.owners line sharer;
+  add_sharer t ~line sharer
 
 let snoop_sharers t ~line =
   let who = sharers t ~line in
@@ -106,7 +88,6 @@ let acquire t ~line ~tenant ~write =
            ownership to the requester *)
         t.snoops <- t.snoops + 1;
         t.invalidations <- t.invalidations + 1;
-        t.writebacks <- t.writebacks + 1;
         t.handoffs <- t.handoffs + 1;
         grant_exclusive ~peer:o ~dirty:true ()
     | (Invalid | Shared), _ | Modified, None ->
@@ -122,7 +103,6 @@ let acquire t ~line ~tenant ~write =
     | Modified, Some o ->
         (* dirty downgrade: the owner's copy comes home; both end Shared *)
         t.snoops <- t.snoops + 1;
-        t.writebacks <- t.writebacks + 1;
         t.fills <- t.fills + 1;
         Hashtbl.remove t.owners line;
         Hashtbl.replace t.lines line Shared;
@@ -155,7 +135,7 @@ let audit t =
           | None -> ())
       | Modified -> (
           match ow with
-          | None -> () (* single-agent legacy use records no owner *)
+          | None -> add "line %d: Modified with no owner" line
           | Some o ->
               List.iter
                 (fun s ->
@@ -171,9 +151,7 @@ let audit t =
     t.owners;
   List.sort compare !bad
 
-let granted_lines t = Hashtbl.length t.lines
 let fills t = t.fills
-let writebacks t = t.writebacks
 let snoops t = t.snoops
 let handoffs t = t.handoffs
 let owner_changes t = t.owner_changes

@@ -1,32 +1,23 @@
 (** The VFMem coherence directory maintained by the FPGA memory agent
-    (§4.3): tracks, per cache-line, what the interconnect protocol lets the
-    agent know about the CPU's copy.
+    (§4.3): tracks, per cache-line, which tenants hold a copy of a
+    rack-level shared segment and which one may write it.
 
-    The protocol view is deliberately the weak one the paper's design
-    depends on: a fill tells the agent the CPU {e has} the line (and
-    whether it was requested for writing), a writeback tells it the line
-    was modified and has left the CPU, and a snoop forcibly recalls it.
-    The agent learns nothing when a shared line is silently dropped — which
-    is why eviction must snoop rather than trust the directory
-    (§4.4, "Snooping is necessary").
+    It has two users, both the rack's.  The shared-segment sharer
+    directory records each demand fill ([on_fill ~sharer]) and recalls
+    every remote reader when the publisher evicts ([snoop_sharers]).  The
+    multi-writer MSI home answers every access with [acquire]: a write
+    miss is an RFO that recalls the current owner's (possibly dirty) copy
+    and invalidates every other sharer; a read miss on a Modified line
+    forces a dirty downgrade.  Because the home answers every read miss
+    with a Shared grant, a per-agent MESI machine driven through it never
+    reaches Exclusive, and the directory is the home-side MSI projection
+    of that machine ([test_coherence] checks this against a MESI
+    reference model).
 
-    When the directory mediates a rack-level shared segment the same table
-    doubles as a full per-line MSI home directory over multiple writers:
-    [acquire] is the home side of {!Protocol.on_processor} — a write miss
-    is an RFO that recalls the current owner's (possibly dirty) copy and
-    invalidates every other sharer; a read miss on a Modified line forces a
-    dirty downgrade.  Because the home always answers read misses with a
-    Shared grant, the Exclusive state of the per-agent MESI reference is
-    unreachable here and the directory is exactly the home-side projection
-    of {!Protocol} onto MSI (checked by the qcheck property in
-    [test_coherence]).
-
-    Its users are the rack's: the shared-segment sharer directory
-    ([on_fill ~sharer], [snoop_sharers]) and the multi-writer MSI home
-    ([acquire]).  The single-tenant runtime keeps no instance, since
-    nothing there reads per-line state; it counts LLC fills and
-    writebacks as [hierarchy.memory_accesses] and [hierarchy.writebacks],
-    and snooped dirty lines as [evict.snooped_lines]. *)
+    The single-tenant runtime keeps no instance, since nothing there
+    reads per-line state; it counts LLC fills and writebacks as
+    [hierarchy.memory_accesses] and [hierarchy.writebacks], and snooped
+    dirty lines as [evict.snooped_lines]. *)
 
 type state =
   | Invalid  (** not at the CPU, as far as the agent knows *)
@@ -68,23 +59,15 @@ val owner : t -> line:int -> int option
 (** The single tenant holding [line] in Modified, if any. *)
 
 val audit : t -> string list
-(** Internal MSI consistency check, sorted: an owned line must be Modified
-    with no other tracked copy; a Shared line must have no owner; owner
-    entries must not outlive their grant.  Empty = coherent. *)
+(** Internal MSI consistency check, sorted: a Modified line must have an
+    owner and no other tracked copy; a Shared line must have no owner;
+    owner entries must not outlive their grant.  Empty = coherent. *)
 
-val on_fill : ?sharer:int -> t -> line:int -> write:bool -> unit
-(** The CPU requested the line from VFMem.  When the directory mediates a
-    rack-level shared segment, [sharer] identifies which tenant took the
-    copy; the set of sharers per line is tracked so a writer's eviction can
+val on_fill : sharer:int -> t -> line:int -> write:bool -> unit
+(** Tenant [sharer] requested the line from VFMem: a read fill makes an
+    Invalid or Shared line Shared, a write fill makes [sharer] its owner.
+    The set of sharers per line is tracked so a writer's eviction can
     recall every remote reader ([snoop_sharers]). *)
-
-val on_writeback : t -> line:int -> unit
-(** A modified line reached the agent; the CPU no longer holds it. *)
-
-val snoop : t -> line:int -> [ `Clean | `Dirty ]
-(** Recall the line: afterwards it is [Invalid].  [`Dirty] if the agent had
-    granted write permission (the CPU's copy may contain new data that the
-    snoop response carries). *)
 
 val sharers : t -> line:int -> int list
 (** Tenants currently holding a tracked copy of [line], sorted ascending.
@@ -96,14 +79,10 @@ val snoop_sharers : t -> line:int -> int list
     snoop (and one invalidation) per recalled sharer, so invalidating a
     wide reader set is charged proportionally. *)
 
-val granted_lines : t -> int
-(** Lines currently believed to be at the CPU. *)
-
 val fills : t -> int
-val writebacks : t -> int
 
 val snoops : t -> int
-(** Recalls issued ([snoop] + per-sharer [snoop_sharers] + [acquire]
+(** Recalls issued (per-sharer [snoop_sharers] + [acquire]
     recalls/invalidations). *)
 
 val handoffs : t -> int

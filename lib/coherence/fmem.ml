@@ -135,14 +135,6 @@ let mark_dirty t ~vpage ~line =
   if i >= 0 then Bitmap.set t.frames.(i).dirty line;
   i >= 0
 
-let dirty_lines t ~vpage =
-  let i = find t vpage in
-  if i < 0 then None else Some (Bitmap.copy t.frames.(i).dirty)
-
-let clear_dirty t ~vpage =
-  let i = find t vpage in
-  if i >= 0 then Bitmap.clear_all t.frames.(i).dirty
-
 let evict t ~vpage =
   let set = set_of t vpage in
   let i = find_in t ~set vpage in

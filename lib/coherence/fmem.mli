@@ -38,11 +38,6 @@ val mark_dirty : t -> vpage:int -> line:int -> bool
     in [0, 63].  Returns [false] if the page is not resident (the writeback
     raced with an eviction — caller must handle it). *)
 
-val dirty_lines : t -> vpage:int -> Kona_util.Bitmap.t option
-(** Copy of the resident page's dirty mask. *)
-
-val clear_dirty : t -> vpage:int -> unit
-
 val evict : t -> vpage:int -> victim option
 (** Force out a specific resident page. *)
 

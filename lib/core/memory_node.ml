@@ -36,7 +36,6 @@ type t = {
   mutable fenced_rejects : int;
   mutable post_fence_writes : int;
   mutable lines_received : int;
-  mutable logs_received : int;
 }
 
 let create ~id ~capacity =
@@ -53,7 +52,6 @@ let create ~id ~capacity =
     fenced_rejects = 0;
     post_fence_writes = 0;
     lines_received = 0;
-    logs_received = 0;
   }
 
 let id t = t.node_id
@@ -170,7 +168,7 @@ let write t ~addr ~data =
       clear_flipped p ~first:(off / Units.cache_line)
         ~last:((off + n - 1) / Units.cache_line))
 
-let read t ~addr ~len =
+let peek t ~addr ~len =
   check t addr len;
   let out = Bytes.create len in
   iter_pages ~addr ~len (fun i off pos n ->
@@ -202,7 +200,6 @@ type report = {
 
 let receive_log ?delivery t entries =
   check_alive t;
-  t.logs_received <- t.logs_received + 1;
   (* The fence check comes before sequence observation: a rejected stale
      shipment must not perturb the receiver's per-stream cursors.  An
      unstamped shipment carries no epoch proof, so a fenced store rejects
@@ -274,8 +271,6 @@ let receive_log ?delivery t entries =
   end
 
 let lines_received t = t.lines_received
-let logs_received t = t.logs_received
-let peek = read
 
 let verify_range t ~addr ~len =
   if len <= 0 then []

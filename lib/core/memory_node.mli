@@ -96,7 +96,10 @@ val write : t -> addr:int -> data:string -> unit
     line the write overlaps.  This is also the repair primitive — a
     scrub repair is a [write] of a clean replica's line. *)
 
-val read : t -> addr:int -> len:int -> string
+val peek : t -> addr:int -> len:int -> string
+(** Read the store uninstrumented: the integrity checks' view of remote
+    memory.  An untouched page reads as zeros; a crashed node raises
+    {!Crashed}. *)
 
 (** {2 Cache-line log receiver} *)
 
@@ -135,10 +138,6 @@ val receive_log : ?delivery:delivery -> t -> log_entry list -> report
     line). *)
 
 val lines_received : t -> int
-val logs_received : t -> int
-
-val peek : t -> addr:int -> len:int -> string
-(** Uninstrumented inspection for integrity checks. *)
 
 (** {2 Integrity inspection and fault backdoors} *)
 

@@ -131,11 +131,6 @@ let slot t ~id =
 
 let node t ~id = (slot t ~id).backing
 
-let replace_node t ~id ~node =
-  let s = slot t ~id in
-  s.former <- s.backing :: s.former;
-  s.backing <- node
-
 let former_backings t ~id = (slot t ~id).former
 let logical_ids t = List.map (fun s -> s.logical_id) (Array.to_list t.slots)
 
@@ -206,7 +201,8 @@ let promote t ~id =
   | [] -> None
   | promoted :: rest ->
       Memory_node.adopt_reservations promoted ~brk:(Memory_node.used s.backing);
-      replace_node t ~id ~node:promoted;
+      s.former <- s.backing :: s.former;
+      s.backing <- promoted;
       s.mirrors <- rest;
       t.failovers <- t.failovers + 1;
       Some promoted
@@ -267,8 +263,6 @@ let fencing_epoch t = t.fencing_epoch
 let set_draining t ~id draining = (slot t ~id).draining <- draining
 let draining t ~id = (slot t ~id).draining
 let set_placement t choose = t.placement <- Some choose
-let free_bytes t ~id = Memory_node.free_bytes (slot t ~id).backing
-let used_bytes t ~id = Memory_node.used (slot t ~id).backing
 
 let set_quota t ~tenant ~bytes =
   if bytes < 0 then invalid_arg "Rack_controller.set_quota: negative quota";

@@ -49,12 +49,6 @@ val node : t -> id:int -> Memory_node.t
 (** The store currently backing logical node [id].  Raises
     [Invalid_argument] naming the id when it is unknown. *)
 
-val replace_node : t -> id:int -> node:Memory_node.t -> unit
-(** Failover: make [node] the backing of logical id [id] (the promoted
-    mirror takes over the crashed primary's identity).  The displaced
-    store is remembered in the slot's former-backing list (see
-    {!former_backings}).  Raises [Invalid_argument] for unknown ids. *)
-
 val former_backings : t -> id:int -> Memory_node.t list
 (** Stores that previously backed logical node [id], newest first.  A
     falsely-declared-dead predecessor may still be live behind a
@@ -165,13 +159,6 @@ val set_placement :
     if it is live, not draining, and has room; [None] (or an unusable
     choice) falls back to the round-robin.  Quota admission happens
     before the hook either way. *)
-
-val free_bytes : t -> id:int -> int
-(** Free bytes on the store currently backing logical node [id].  Raises
-    [Invalid_argument] for unknown ids. *)
-
-val used_bytes : t -> id:int -> int
-(** Bytes reserved on the store currently backing logical node [id]. *)
 
 val set_quota : t -> tenant:string -> bytes:int -> unit
 (** Cap [tenant]'s total slab allocation at [bytes] (rounded up only by

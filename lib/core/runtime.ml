@@ -1348,7 +1348,6 @@ let membership t = t.membership
 let partition_active t ~id = partitioned t ~id ~at:(elapsed_ns t)
 let deferred_pending t = List.length t.deferred
 let recovery_pending t = Recovery.pending t.recovery
-let recovery_idle t = Recovery.idle t.recovery
 let step_recovery t = Recovery.step t.recovery ~now:(elapsed_ns t)
 
 let track_node t ~id =
@@ -1358,4 +1357,3 @@ let track_node t ~id =
 
 let registry t = t.registry
 let resource_manager t = t.rm
-let cl_log t = t.log

@@ -242,8 +242,6 @@ val deferred_pending : t -> int
 val recovery_pending : t -> string list
 (** Names of queued recovery tasks, in-flight head first. *)
 
-val recovery_idle : t -> bool
-
 val step_recovery :
   t -> [ `Idle | `Stepped of string | `Finished of string ]
 (** Advance the in-flight recovery task one bounded unit — the rack
@@ -360,4 +358,3 @@ val controller : t -> Rack_controller.t
     it. *)
 
 val resource_manager : t -> Resource_manager.t
-val cl_log : t -> Cl_log.t

@@ -11,8 +11,6 @@ type t = {
   size : int;  (** bytes; page-aligned *)
 }
 
-val contains : t -> addr:int -> bool
-
 val remote_of_vaddr : t -> vaddr:int -> int
 (** Translate an application address inside this slab to the node-local
     offset.  Raises [Invalid_argument] if outside the slab. *)

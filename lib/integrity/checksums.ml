@@ -4,7 +4,6 @@ type t = {
   crcs : int array; (* per-line CRC32C; meaningful only when recorded *)
   recorded : Bytes.t; (* bitmap, one bit per line *)
   lines : int;
-  mutable nrecorded : int;
 }
 
 let create ~capacity =
@@ -15,19 +14,15 @@ let create ~capacity =
     crcs = Array.make lines 0;
     recorded = Bytes.make ((lines + 7) / 8) '\000';
     lines;
-    nrecorded = 0;
   }
 
 let is_recorded t line =
   Char.code (Bytes.get t.recorded (line lsr 3)) land (1 lsl (line land 7)) <> 0
 
 let mark_recorded t line =
-  if not (is_recorded t line) then begin
-    let byte = line lsr 3 in
-    Bytes.set t.recorded byte
-      (Char.chr (Char.code (Bytes.get t.recorded byte) lor (1 lsl (line land 7))));
-    t.nrecorded <- t.nrecorded + 1
-  end
+  let byte = line lsr 3 in
+  Bytes.set t.recorded byte
+    (Char.chr (Char.code (Bytes.get t.recorded byte) lor (1 lsl (line land 7))))
 
 let recorded t ~line =
   if line < 0 || line >= t.lines then invalid_arg "Checksums.recorded";
@@ -59,19 +54,3 @@ let crc_matches t ~store line =
 let line_ok t ~store ~line =
   if line < 0 || line >= t.lines then invalid_arg "Checksums.line_ok";
   (not (is_recorded t line)) || crc_matches t ~store line
-
-let corrupt_lines t ~store ~addr ~len =
-  if len <= 0 then []
-  else begin
-    let first = addr / Units.cache_line in
-    let last = (addr + len - 1) / Units.cache_line in
-    if addr < 0 || last >= t.lines then invalid_arg "Checksums.corrupt_lines";
-    let acc = ref [] in
-    for line = last downto first do
-      if is_recorded t line && not (crc_matches t ~store line) then
-        acc := (line * Units.cache_line) :: !acc
-    done;
-    !acc
-  end
-
-let recorded_count t = t.nrecorded

@@ -31,11 +31,3 @@ val recorded : t -> line:int -> bool
 val line_ok : t -> store:Bytes.t -> line:int -> bool
 (** [true] when the line is unrecorded or its stored CRC matches the
     store contents. *)
-
-val corrupt_lines : t -> store:Bytes.t -> addr:int -> len:int -> int list
-(** Absolute byte addresses (line-aligned, ascending) of recorded lines
-    in [addr, addr+len) whose current store contents no longer match
-    their recorded CRC. *)
-
-val recorded_count : t -> int
-(** Number of recorded lines (for metrics/tests). *)

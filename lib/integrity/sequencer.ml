@@ -2,7 +2,6 @@ module Tx = struct
   type t = { mutable epoch : int; next_seq : (int, int) Hashtbl.t }
 
   let create () = { epoch = 0; next_seq = Hashtbl.create 8 }
-  let epoch t = t.epoch
 
   (* A rising epoch restarts every stream: a failover anywhere moves
      every tenant's sender to the same epoch, so a fenced store can
@@ -47,9 +46,4 @@ module Rx = struct
           if missed = 0 then Ok else Gap missed
         end
 
-  let pp_verdict fmt = function
-    | Ok -> Format.pp_print_string fmt "ok"
-    | Gap n -> Format.fprintf fmt "gap:%d" n
-    | Duplicate -> Format.pp_print_string fmt "duplicate"
-    | Stale_epoch -> Format.pp_print_string fmt "stale-epoch"
 end

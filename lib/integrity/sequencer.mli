@@ -14,9 +14,6 @@ module Tx : sig
 
   val create : unit -> t
 
-  val epoch : t -> int
-  (** The newest epoch handed to {!next} (0 before the first). *)
-
   val next : t -> epoch:int -> stream:int -> int
   (** Allocate the next sequence number on [stream] (0, 1, 2, ...) for a
       shipment stamped [epoch].  An epoch above {!epoch} first restarts
@@ -44,6 +41,4 @@ module Rx : sig
       it first sees, so a freshly re-replicated mirror joining
       mid-stream does not report a spurious gap.  [Gap] advances the
       cursor past the missing range (the gap is reported exactly once). *)
-
-  val pp_verdict : Format.formatter -> verdict -> unit
 end

@@ -71,8 +71,6 @@ let track t ~id ~now =
     if next_beat < t.next_due then t.next_due <- next_beat
   end
 
-let tracked t = List.map (fun e -> e.id) t.nodes
-
 let state t ~id =
   List.find_opt (fun e -> e.id = id) t.nodes |> Option.map (fun e -> e.st)
 
@@ -130,12 +128,3 @@ let suspicions t = t.suspicions
 let suspicions_cleared t = t.suspicions_cleared
 let declared_dead t = t.declared_dead
 let false_positives t = t.false_positives
-
-let counters t =
-  [
-    ("heartbeats", t.heartbeats);
-    ("suspicions", t.suspicions);
-    ("suspicions_cleared", t.suspicions_cleared);
-    ("declared_dead", t.declared_dead);
-    ("false_positives", t.false_positives);
-  ]

@@ -34,9 +34,6 @@ val create :
 val track : t -> id:int -> now:int -> unit
 (** Start monitoring [id]; its lease begins at [now].  Idempotent. *)
 
-val tracked : t -> int list
-(** Ids under monitoring, in tracking order. *)
-
 val tick : t -> now:int -> unit
 (** Evaluate every heartbeat instant that has elapsed up to [now] for
     every tracked node, advancing suspicion state machines and firing
@@ -56,6 +53,3 @@ val declared_dead : t -> int
 val false_positives : t -> int
 (** Nodes declared dead that later heartbeated again (counted once per
     node). *)
-
-val counters : t -> (string * int) list
-(** Stable-order counter list for fingerprints and metrics. *)

@@ -3,12 +3,11 @@ type cell = { mutable value : int; mutable epoch : int }
 type t = {
   epoch_ns : int;
   cells : (int, cell) Hashtbl.t; (* vpage -> decaying counter *)
-  mutable touches : int;
 }
 
 let create ~epoch_ns =
   if epoch_ns <= 0 then invalid_arg "Heat.create: non-positive epoch";
-  { epoch_ns; cells = Hashtbl.create 256; touches = 0 }
+  { epoch_ns; cells = Hashtbl.create 256 }
 
 (* Lazy decay: halve once per epoch elapsed since the cell was last
    brought current.  A shift by >= 63 would be undefined; past that the
@@ -23,7 +22,6 @@ let settle t cell ~now =
 
 let touch t ~vpage ~weight ~now =
   if weight < 0 then invalid_arg "Heat.touch: negative weight";
-  t.touches <- t.touches + 1;
   match Hashtbl.find_opt t.cells vpage with
   | Some cell ->
       settle t cell ~now;
@@ -48,4 +46,3 @@ let fold t ~now ~only f init =
       else acc)
     t.cells init
 
-let touches t = t.touches

@@ -38,5 +38,3 @@ val fold :
     neither read nor settled.  No allocation per counter beyond what [f]
     does. *)
 
-val touches : t -> int
-(** Total events folded in. *)

@@ -13,7 +13,6 @@ type t = {
   page_bytes : int;
   env : env;
   mutable last_epoch : int;
-  mutable epochs : int;
   mutable migrations : int;
   mutable bytes_moved : int;
   mutable failed : int;
@@ -26,7 +25,7 @@ let create ~policy ~epoch_ns ~budget ~page_bytes env =
   if page_bytes <= 0 then invalid_arg "Migrator.create: non-positive page size";
   {
     policy; epoch_ns; budget; page_bytes; env;
-    last_epoch = 0; epochs = 0;
+    last_epoch = 0;
     migrations = 0; bytes_moved = 0; failed = 0; charged_ns = 0;
   }
 
@@ -59,7 +58,6 @@ let tick t ~now =
   let epoch = now / t.epoch_ns in
   if epoch > t.last_epoch then begin
     t.last_epoch <- epoch;
-    t.epochs <- t.epochs + 1;
     run_epoch t ~now
   end
 
@@ -68,11 +66,9 @@ let force t ~now =
      [tick] in the same epoch stays a no-op, so forcing never doubles
      the migration rate. *)
   t.last_epoch <- max t.last_epoch (now / t.epoch_ns);
-  t.epochs <- t.epochs + 1;
   run_epoch t ~now
 
 let migrations t = t.migrations
 let bytes_moved t = t.bytes_moved
 let failed t = t.failed
 let charged_ns t = t.charged_ns
-let epochs t = t.epochs

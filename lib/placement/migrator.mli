@@ -62,6 +62,3 @@ val failed : t -> int
 
 val charged_ns : t -> int
 (** Total WFQ queueing delay absorbed by migration traffic. *)
-
-val epochs : t -> int
-(** Epoch boundaries at which the migrator actually ran. *)

@@ -113,13 +113,6 @@ let tenant_stats t ~tenant =
     contended_ns = c.contended_ns;
   }
 
-let achieved_gbps t ~tenant =
-  let c = t.cells.(tenant) in
-  if c.contended_ns = 0 then 0.0
-  else 8.0 *. float_of_int c.contended_bytes /. float_of_int c.contended_ns
-
 let total_admits t = t.total_admits
 let saturated_admits t = t.saturated_admits
-let busy_until t = t.busy_until
-let backlog_ns t ~now = max 0 (t.busy_until - now)
 let peak_backlog_ns t = t.peak_backlog_ns

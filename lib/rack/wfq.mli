@@ -26,14 +26,12 @@ val create : gbps:float -> weights:int array -> t
     [Invalid_argument] on an empty weight vector, a non-positive weight
     or rate. *)
 
-val wire_ns : t -> bytes:int -> int
-(** Serialization time of [bytes] on this link (>= 1 ns for a non-empty
-    message). *)
-
 val admit : t -> tenant:int -> bytes:int -> now:int -> int
 (** Admit one [bytes]-sized message from [tenant] arriving at virtual
     time [now]: returns the queueing delay (ns, >= 0) to add to its
-    completion, 0 when the link was idle. *)
+    completion, 0 when the link was idle.  A message occupies the link
+    for its wire time, [bytes] at the link rate (>= 1 ns when
+    non-empty). *)
 
 (** {2 Accounting} *)
 
@@ -55,18 +53,7 @@ type tenant_stats = {
 
 val tenant_stats : t -> tenant:int -> tenant_stats
 
-val achieved_gbps : t -> tenant:int -> float
-(** [8 * contended_bytes / contended_ns]: the tenant's achieved ingress
-    bandwidth (Gbit/s) over its contended intervals; 0.0 when this
-    tenant never contended here. *)
-
 val total_admits : t -> int
 val saturated_admits : t -> int
-val busy_until : t -> int
-(** Virtual time at which the link drains the work admitted so far. *)
-
-val backlog_ns : t -> now:int -> int
-(** Undrained wire time at [now] (>= 0). *)
-
 val peak_backlog_ns : t -> int
 (** Largest backlog observed at any admit. *)

@@ -46,7 +46,7 @@ type t = {
   arbitrate : (node:int option -> op:op -> len:int -> now:int -> int) option;
   retry : retry;
   sq : pending Queue.t; (* posted, not yet completed (clock-ordered) *)
-  cq : int Queue.t; (* completion times of signaled WQEs, ready to reap *)
+  mutable reapable : int; (* CQEs of completed signaled WQEs, not yet reaped *)
   mutable since_signal : int;
   mutable nic_free_at : int; (* this QP's wire busy until *)
   mutable last_completion : int;
@@ -79,7 +79,7 @@ let create ?(cost = Cost.default) ?nic ?sq_depth ?(signal_interval = 1) ?inject
     arbitrate;
     retry;
     sq = Queue.create ();
-    cq = Queue.create ();
+    reapable = 0;
     since_signal = 0;
     nic_free_at = 0;
     last_completion = 0;
@@ -108,7 +108,7 @@ let retire_due t =
     | Some p when p.finish <= Clock.now t.clock ->
         ignore (Queue.pop t.sq : pending);
         p.p_deliver ();
-        if p.p_signaled then Queue.push p.finish t.cq;
+        if p.p_signaled then t.reapable <- t.reapable + 1;
         loop ()
     | Some _ | None -> ()
   in
@@ -226,27 +226,12 @@ let post t wqes =
       t.outstanding_peak <- Queue.length t.sq
   end
 
-let poll t ~max:n =
-  retire_due t;
-  let rec loop acc n =
-    if n = 0 then List.rev acc
-    else
-      match Queue.take_opt t.cq with
-      | Some finish ->
-          t.completed <- t.completed + 1;
-          Clock.advance t.clock (int_of_float t.cost.Cost.cqe_ns);
-          loop (finish :: acc) (n - 1)
-      | None -> List.rev acc
-  in
-  loop [] n
-
 let wait_idle t =
   Clock.advance_to t.clock t.last_completion;
   retire_due t;
-  let n = Queue.length t.cq in
-  t.completed <- t.completed + n;
-  Clock.advance t.clock (n * int_of_float t.cost.Cost.cqe_ns);
-  Queue.clear t.cq
+  t.completed <- t.completed + t.reapable;
+  Clock.advance t.clock (t.reapable * int_of_float t.cost.Cost.cqe_ns);
+  t.reapable <- 0
 
 (* Posted-but-not-completed WQEs relative to the clock, unsignaled ones
    included: CQ depth alone under-reports in-flight work, and wire

@@ -9,9 +9,11 @@
 
     {b Completion-driven delivery.}  [post] never executes delivery
     thunks: a WQE's side-effect fires only once the virtual clock reaches
-    the WQE's completion timestamp, when due completions are drained by
-    [post], [poll] or [wait_idle].  A reader polling remote state between
-    post and completion therefore never observes bytes "from the future".
+    the WQE's completion timestamp, when due completions are retired by
+    [post] or [wait_idle].  A reader polling remote state between post and
+    completion therefore never observes bytes "from the future".  The
+    completion queue is a count of reapable CQEs: [wait_idle] reaps them
+    all, charging [Cost.cqe_ns] each.
 
     {b Windowed flow control.}  With [sq_depth] set, the modeled send
     queue exerts backpressure: posting into a full window advances the
@@ -47,13 +49,10 @@ type retry = {
   backoff_cap : int;  (** Backoff doubles at most this many times. *)
 }
 
-val default_retry : retry
-(** 8 us timer, 7 retries, backoff capped at 16x. *)
-
 val retry_of : Kona_util.Backoff.config -> retry
 (** Derive the transport's retransmission parameters from the
-    stack-wide backoff policy ([retry_of Backoff.default] equals
-    {!default_retry}). *)
+    stack-wide backoff policy.  [retry_of Backoff.default] is the
+    default: an 8 us timer, 7 retries, backoff capped at 16x. *)
 
 exception Retry_exhausted of { attempts : int }
 (** A WQE exhausted its retransmission budget: the QP enters the error
@@ -84,7 +83,7 @@ val create :
 
     [inject] is consulted once per transmission attempt (so a dropped
     attempt draws again for its retransmission); [retry] tunes the
-    retransmission state machine (default {!default_retry}).
+    retransmission state machine (default [retry_of Backoff.default]).
 
     [arbitrate] is consulted once per WQE with its destination [node] tag
     and nominal completion time [now]; a positive return value defers the
@@ -100,16 +99,10 @@ val post : t -> wqe list -> unit
     already-due delivery thunks from earlier posts.  The new batch's own
     deliveries fire later, when the clock reaches their completion time. *)
 
-val poll : t -> max:int -> int list
-(** Drain due completions: fires delivery thunks of WQEs whose completion
-    time has passed the posting clock, then reaps up to [max] CQEs,
-    returning their completion times (non-blocking; charges
-    [Cost.cqe_ns] per reaped CQE). *)
-
 val wait_idle : t -> unit
 (** Block (advance the clock) until every posted verb has completed, fire
-    all pending deliveries, and drain the CQ.  This is how a synchronous
-    caller waits for a fence. *)
+    all pending deliveries, and reap every CQE (charging [Cost.cqe_ns]
+    each).  This is how a synchronous caller waits for a fence. *)
 
 val in_flight : t -> int
 (** Posted-but-not-completed WQEs relative to the current clock —
@@ -126,8 +119,7 @@ val signaled : t -> int
 (** WQEs that actually carried a CQE (after selective signaling). *)
 
 val completed : t -> int
-(** CQEs drained by [poll] or [wait_idle]; [signaled - completed -
-    outstanding = 0] always holds. *)
+(** CQEs reaped by [wait_idle]; after it, [completed = signaled]. *)
 
 val window_stalls : t -> int
 (** Posts that blocked on a full send-queue window. *)

@@ -188,4 +188,3 @@ let execute ?plant ?(check_end = true) (spec : Spec.t) =
     oc_result = !result;
   }
 
-let passed o = o.oc_violations = []

@@ -56,6 +56,3 @@ val execute :
     [?check_end:false] skips the drive-to-exhaustion, the finish and the
     end invariants: boundary-scoped checking only, for fast shrinking of
     failures that fire at an op boundary. *)
-
-val passed : outcome -> bool
-(** No invariant violations (aborts still count as passed). *)

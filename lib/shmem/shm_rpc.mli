@@ -53,8 +53,6 @@ val call : t -> payload:int -> int
     the call's latency in virtual ns (the max of client and server
     clocks, before vs after). *)
 
-val stats : t -> stats
-
 val mean_ns : stats -> int
 (** Mean ns per call; 0 before any call. *)
 

@@ -49,9 +49,6 @@ let histogram_ref t ?(labels = []) name h = register t name labels (S_hist h)
 
 let in_scope t name = t.prefix = "" || String.starts_with ~prefix:t.prefix name
 
-let size t =
-  Hashtbl.fold (fun name _ n -> if in_scope t name then n + 1 else n) t.tbl 0
-
 let value = function
   | S_counter_fn f -> Snapshot.Counter (f ())
   | S_gauge_fn f -> Snapshot.Gauge (f ())

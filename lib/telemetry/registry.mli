@@ -19,7 +19,7 @@ val create : unit -> t
 
 val scoped : t -> prefix:string -> t
 (** A view onto the same table that prepends [prefix] to every name it
-    registers or reads and restricts [size]/[snapshot] to names under that
+    registers or reads and restricts [snapshot] to names under that
     prefix.  Used for per-tenant scoping ([tenant.0.] etc.): components
     keep registering their usual names, the rack hands them a scoped view.
     Prefixes compose ([scoped (scoped r "a.") "b."] registers under
@@ -32,8 +32,6 @@ val histogram_ref :
   t -> ?labels:(string * string) list -> string -> Kona_util.Histogram.t -> unit
 (** Register an existing histogram (a component's private one) under a
     name; snapshots copy it. *)
-
-val size : t -> int
 
 val read : t -> string -> Snapshot.value option
 (** [read t name] is what {!snapshot} would report for the one metric

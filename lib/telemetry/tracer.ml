@@ -17,7 +17,6 @@ type t = {
   mutable now : unit -> int * int;
   mutable offered : int; (* events presented, pre-sampling *)
   mutable accepted : int; (* events that entered the ring *)
-  mutable overwritten : int; (* accepted events later displaced *)
 }
 
 let create ?(capacity = 4096) ?(sample = 1) () =
@@ -29,7 +28,6 @@ let create ?(capacity = 4096) ?(sample = 1) () =
     now = (fun () -> (0, 0));
     offered = 0;
     accepted = 0;
-    overwritten = 0;
   }
 
 let set_clock t f = t.now <- f
@@ -42,9 +40,7 @@ let record t name kind args =
     let app_ns, bg_ns = t.now () in
     let e = { seq = t.accepted; name; kind; app_ns; bg_ns; args } in
     t.accepted <- t.accepted + 1;
-    match Ring_buffer.force_push t.ring e with
-    | Some _ -> t.overwritten <- t.overwritten + 1
-    | None -> ()
+    ignore (Ring_buffer.force_push t.ring e : event option)
   end
 
 let instant t ?(args = []) name = record t name Instant args
@@ -58,7 +54,6 @@ let events t =
 let length t = Ring_buffer.length t.ring
 let offered t = t.offered
 let accepted t = t.accepted
-let overwritten t = t.overwritten
 
 let event_to_json e =
   let base =

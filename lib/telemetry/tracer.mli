@@ -41,8 +41,5 @@ val offered : t -> int
 val accepted : t -> int
 (** Events that entered the ring (post-sampling). *)
 
-val overwritten : t -> int
-(** Accepted events later displaced by newer ones. *)
-
 val write_jsonl : path:string -> t -> int
 (** One JSON object per line, oldest first; returns the number written. *)

@@ -28,22 +28,7 @@ let iter_pages t f =
     f page
   done
 
-let split_at_lines t =
-  let rec loop acc addr remaining =
-    if remaining = 0 then List.rev acc
-    else
-      let line_end = Units.align_down addr ~alignment:Units.cache_line + Units.cache_line in
-      let len = min remaining (line_end - addr) in
-      loop ({ t with addr; len } :: acc) (addr + len) (remaining - len)
-  in
-  loop [] t.addr t.len
-
 module Tap = struct
   let tee sinks event = List.iter (fun sink -> sink event) sinks
-  let filter pred sink event = if pred event then sink event
   let ignore (_ : t) = ()
-
-  let counting () =
-    let n = ref 0 in
-    ((fun (_ : t) -> incr n), fun () -> !n)
 end

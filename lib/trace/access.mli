@@ -34,16 +34,8 @@ val iter_lines : t -> (int -> unit) -> unit
 val iter_pages : t -> (int -> unit) -> unit
 (** Apply to each base-page index touched by the access. *)
 
-val split_at_lines : t -> t list
-(** Split into per-cache-line sub-accesses (used when feeding line-grain
-    consumers such as the cache simulator). *)
-
 (** Sink combinators. *)
 module Tap : sig
   val tee : sink list -> sink
-  val filter : (t -> bool) -> sink -> sink
   val ignore : sink
-
-  val counting : unit -> sink * (unit -> int)
-  (** A sink plus a getter for how many events it absorbed. *)
 end

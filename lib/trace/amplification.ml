@@ -11,10 +11,6 @@ type window_stats = {
 let ratio granule_bytes written =
   if written = 0 then 0. else float_of_int granule_bytes /. float_of_int written
 
-let amp_line w = ratio w.dirty_line_bytes w.written_bytes
-let amp_page w = ratio w.dirty_page_bytes w.written_bytes
-let amp_huge w = ratio w.dirty_huge_bytes w.written_bytes
-
 type t = {
   (* page index -> byte-exact write mask for the current window *)
   pages : (int, Bitmap.t) Hashtbl.t;

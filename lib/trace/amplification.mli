@@ -15,10 +15,6 @@ type window_stats = {
   dirty_huge_bytes : int;  (** 2MB-granule dirty footprint *)
 }
 
-val amp_line : window_stats -> float
-val amp_page : window_stats -> float
-val amp_huge : window_stats -> float
-
 type t
 
 val create : unit -> t

@@ -48,11 +48,3 @@ let iter ~path sink =
      done
    with End_of_file -> close_in ic);
   !events
-
-let count ~path =
-  let ic = open_checked path in
-  let len = in_channel_length ic - String.length magic in
-  close_in ic;
-  if len mod record_bytes <> 0 then
-    failwith (Printf.sprintf "Trace_file: %s is truncated" path);
-  len / record_bytes

@@ -18,6 +18,3 @@ val writer : path:string -> Access.sink * (unit -> int)
 val iter : path:string -> Access.sink -> int
 (** Replay every event of the file into the sink, in order; returns the
     event count.  Raises [Failure] on a malformed file. *)
-
-val count : path:string -> int
-(** Events in the file (header-validated, no replay). *)

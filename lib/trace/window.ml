@@ -21,4 +21,3 @@ let sink t event =
   if t.in_window = t.quantum then close t
 
 let flush t = if t.in_window > 0 then close t
-let windows_closed t = t.closed

@@ -19,4 +19,3 @@ val flush : t -> unit
 (** Close the current (possibly partial) window, if it contains at least one
     access.  Call once at end of workload. *)
 
-val windows_closed : t -> int

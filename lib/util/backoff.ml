@@ -6,8 +6,8 @@
 
    The delay for attempt [k] (0-based) is [base * 2^min(k, cap_shift)] —
    capped exponential backoff.  The base differs per layer (the QP uses
-   its retransmission timer, the RPC its response timeout), so [delay_ns]
-   takes the base as an argument and the config only fixes the shape. *)
+   its retransmission timer, the RPC its response timeout); the config
+   fixes the shape. *)
 
 type config = {
   base_ns : int;  (** QP retransmission timer / first backoff step *)
@@ -18,10 +18,6 @@ type config = {
 
 let default =
   { base_ns = 8_000; qp_retry_max = 7; rpc_retry_max = 5; cap_shift = 4 }
-
-let delay_ns t ~base ~attempt =
-  assert (base > 0 && attempt >= 0);
-  base * (1 lsl min attempt t.cap_shift)
 
 (* The single-knob override: [--retry-max n] caps every layer's retry
    budget at once without touching the timers. *)

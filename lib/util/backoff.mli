@@ -14,10 +14,6 @@ val default : config
 (** [{ base_ns = 8_000; qp_retry_max = 7; rpc_retry_max = 5; cap_shift = 4 }] —
     bit-identical to the previously hardcoded per-layer values. *)
 
-val delay_ns : config -> base:int -> attempt:int -> int
-(** Backoff before resend number [attempt] (0-based):
-    [base * 2^min(attempt, cap_shift)]. *)
-
 val with_retry_max : config -> int -> config
 (** Override both layers' retry budgets at once ([--retry-max]). *)
 

@@ -19,11 +19,6 @@ let set t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl b)
 
-let clear t i =
-  check t i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl b)
-
 let get t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
@@ -35,7 +30,6 @@ let set_range t pos len =
   done
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let popcount w =
   let rec loop acc w = if w = 0 then acc else loop (acc + 1) (w land (w - 1)) in
@@ -67,11 +61,5 @@ let segments t =
       prev := i);
   flush ();
   List.rev !segs
-
-let union_into ~dst ~src =
-  if dst.length <> src.length then invalid_arg "Bitmap.union_into: capacity mismatch";
-  for w = 0 to Array.length dst.words - 1 do
-    dst.words.(w) <- dst.words.(w) lor src.words.(w)
-  done
 
 let copy t = { words = Array.copy t.words; length = t.length }

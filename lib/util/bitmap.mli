@@ -10,14 +10,12 @@ val create : int -> t
 (** [create n] is an all-zeros bitmap of capacity [n] bits. *)
 
 val set : t -> int -> unit
-val clear : t -> int -> unit
 val get : t -> int -> bool
 
 val set_range : t -> int -> int -> unit
 (** [set_range t pos len] sets bits [pos .. pos+len-1]. *)
 
 val clear_all : t -> unit
-val is_empty : t -> bool
 
 val count : t -> int
 (** Number of set bits (popcount). *)
@@ -28,9 +26,5 @@ val iter_set : t -> (int -> unit) -> unit
 val segments : t -> (int * int) list
 (** Maximal runs of consecutive set bits as [(start, length)] pairs in
     increasing order of [start]. *)
-
-val union_into : dst:t -> src:t -> unit
-(** [union_into ~dst ~src] sets every bit of [src] in [dst]; capacities must
-    match. *)
 
 val copy : t -> t

@@ -8,4 +8,3 @@ let advance t ns =
   t.now <- t.now + ns
 
 let advance_to t ns = if ns > t.now then t.now <- ns
-let reset t = t.now <- 0

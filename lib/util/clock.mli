@@ -16,5 +16,3 @@ val advance : t -> int -> unit
 
 val advance_to : t -> int -> unit
 (** [advance_to t ns] sets the clock to [max (now t) ns]. *)
-
-val reset : t -> unit

@@ -67,5 +67,3 @@ let digest_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Crc32c.digest_sub";
   kernel (Bytes.unsafe_of_string s) ~pos ~len
-
-let digest s = digest_sub s ~pos:0 ~len:(String.length s)

@@ -9,13 +9,10 @@
     (16 KiB, built at module initialisation); a bytewise tail handles
     the last [len mod 8] bytes.  Pure OCaml, no external dependencies. *)
 
-val digest : string -> int
-(** CRC32C of a whole string (initial value 0xFFFFFFFF, final xor
-    0xFFFFFFFF, i.e. the standard reflected CRC32C of RFC 3720).
-    Result fits in 32 bits. *)
-
 val digest_sub : string -> pos:int -> len:int -> int
-(** CRC32C of a substring. Raises [Invalid_argument] when out of range. *)
+(** CRC32C of a substring (initial value 0xFFFFFFFF, final xor
+    0xFFFFFFFF, i.e. the standard reflected CRC32C of RFC 3720).  Result
+    fits in 32 bits.  Raises [Invalid_argument] when out of range. *)
 
 val digest_bytes : Bytes.t -> pos:int -> len:int -> int
 (** CRC32C of a byte-buffer slice, without copying. Raises

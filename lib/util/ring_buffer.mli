@@ -1,8 +1,6 @@
-(** Bounded FIFO ring buffer.
+(** Bounded ring buffer that keeps the newest elements.
 
-    The CL-log eviction path (§4.4 of the paper, "a software log based on a
-    ring buffer design similar to FaRM") and the RDMA completion queues are
-    built on this. *)
+    The telemetry tracer's keep-latest event ring is built on it. *)
 
 type 'a t
 
@@ -11,21 +9,9 @@ val create : capacity:int -> 'a t
 
 val length : 'a t -> int
 
-val push : 'a t -> 'a -> bool
-(** [push t x] enqueues [x]; returns [false] (and does nothing) if full. *)
-
 val force_push : 'a t -> 'a -> 'a option
 (** [force_push t x] enqueues [x], displacing (and returning) the oldest
-    element when full — the newest element is never lost.  Used by the
-    telemetry tracer's keep-latest ring. *)
-
-val pop : 'a t -> 'a option
-val peek : 'a t -> 'a option
-
-val pop_n : 'a t -> int -> 'a list
-(** Pop up to [n] elements, oldest first. *)
+    element when full — the newest element is never lost. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Iterate oldest-to-newest without consuming. *)
-
-val clear : 'a t -> unit

@@ -11,9 +11,6 @@ val create : seed:int -> t
 val split : t -> t
 (** A new generator whose stream is independent of the parent's. *)
 
-val next : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound-1].  [bound] must be
     positive. *)

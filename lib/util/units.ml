@@ -4,13 +4,10 @@ let huge_page_size = 2 * 1024 * 1024
 let lines_per_page = page_size / cache_line
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 let us n = n * 1_000
 let ms n = n * 1_000_000
-let sec n = n * 1_000_000_000
 let line_of_addr a = a lsr 6
 let page_of_addr a = a lsr 12
-let huge_of_addr a = a lsr 21
 let line_in_page a = (a lsr 6) land (lines_per_page - 1)
 
 let align_down a ~alignment =

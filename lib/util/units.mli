@@ -17,7 +17,6 @@ val lines_per_page : int
 
 val kib : int -> int
 val mib : int -> int
-val gib : int -> int
 
 val us : int -> int
 (** Microseconds to nanoseconds. *)
@@ -25,17 +24,11 @@ val us : int -> int
 val ms : int -> int
 (** Milliseconds to nanoseconds. *)
 
-val sec : int -> int
-(** Seconds to nanoseconds. *)
-
 val line_of_addr : int -> int
 (** Cache-line index of a byte address (address / 64). *)
 
 val page_of_addr : int -> int
 (** Base-page index of a byte address. *)
-
-val huge_of_addr : int -> int
-(** Huge-page index of a byte address. *)
 
 val line_in_page : int -> int
 (** Cache-line offset within its page, in [0, 63]. *)

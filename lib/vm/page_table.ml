@@ -24,11 +24,6 @@ let unmap t ~page =
 
 let lookup t ~page = Hashtbl.find_opt t page
 
-let write_protect t ~page =
-  match Hashtbl.find_opt t page with
-  | Some pte -> pte.protection <- Read_only
-  | None -> ()
-
 let make_writable t ~page =
   match Hashtbl.find_opt t page with
   | Some pte -> pte.protection <- Read_write
@@ -45,8 +40,3 @@ let fault_kind t ~page ~write =
         if write then pte.dirty <- true;
         `None
       end
-
-let mapped_count t = Hashtbl.length t
-
-let present_count t =
-  Hashtbl.fold (fun _ pte acc -> if pte.present then acc + 1 else acc) t 0

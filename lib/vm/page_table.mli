@@ -27,10 +27,6 @@ val unmap : t -> page:int -> unit
 val lookup : t -> page:int -> pte option
 (** The entry, present or not; [None] if never mapped. *)
 
-val write_protect : t -> page:int -> unit
-(** Downgrade to read-only (no-op if unmapped).  The caller is responsible
-    for the corresponding TLB invalidation. *)
-
 val make_writable : t -> page:int -> unit
 
 val fault_kind :
@@ -38,6 +34,3 @@ val fault_kind :
 (** What a hardware access would raise: [`Not_present] (major/remote
     fault), [`Protection] (write to a read-only page), or [`None].  Updates
     accessed/dirty bits exactly when the access would succeed. *)
-
-val mapped_count : t -> int
-val present_count : t -> int

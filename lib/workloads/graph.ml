@@ -3,7 +3,6 @@ open Kona_util
 type t = {
   heap : Heap.t;
   vertices : int;
-  edges : int; (* directed entries *)
   offsets : int; (* addr of (vertices+1) u64 offsets *)
   adjacency : int; (* addr of [edges] u64 neighbour ids *)
 }
@@ -46,10 +45,9 @@ let generate heap ~rng ~vertices ~avg_degree =
   done;
   Heap.write_u64 heap (offsets + (8 * vertices)) !cursor;
   assert (!cursor = edges);
-  { heap; vertices; edges; offsets; adjacency }
+  { heap; vertices; offsets; adjacency }
 
 let vertex_count t = t.vertices
-let edge_count t = t.edges
 
 let offset t v = Heap.read_u64 t.heap (t.offsets + (8 * v))
 

@@ -15,8 +15,6 @@ val generate :
     distribution), built and then written into the arena. *)
 
 val vertex_count : t -> int
-val edge_count : t -> int
-(** Directed edge entries (twice the undirected edge count). *)
 
 val degree : t -> int -> int
 (** Reads the offsets array (instrumented). *)

@@ -7,7 +7,7 @@ type t = {
   mutable brk : int;
   free_lists : (int, int list ref) Hashtbl.t; (* block size -> addresses *)
   poked_pages : (int, unit) Hashtbl.t; (* file-backed (uninstrumented) data *)
-  mutable sink : Access.sink;
+  sink : Access.sink;
 }
 
 let create ?(capacity = Units.mib 64) ~sink () =
@@ -23,7 +23,6 @@ let create ?(capacity = Units.mib 64) ~sink () =
 
 let capacity t = Bytes.length t.mem
 let used t = t.brk - t.base
-let set_sink t sink = t.sink <- sink
 
 let check t addr len =
   if addr < t.base || addr + len > Bytes.length t.mem then
@@ -56,14 +55,6 @@ let emit t kind addr len =
     (match kind with
     | Access.Read -> Access.read ~addr ~len
     | Access.Write -> Access.write ~addr ~len)
-
-let read_u8 t addr =
-  emit t Access.Read addr 1;
-  Char.code (Bytes.get t.mem addr)
-
-let write_u8 t addr v =
-  emit t Access.Write addr 1;
-  Bytes.set t.mem addr (Char.chr (v land 0xff))
 
 let read_u32 t addr =
   emit t Access.Read addr 4;
@@ -107,11 +98,6 @@ let note_poked t addr len =
   for page = Units.page_of_addr addr to Units.page_of_addr (addr + len - 1) do
     Hashtbl.replace t.poked_pages page ()
   done
-
-let poke_u64 t addr v =
-  check t addr 8;
-  note_poked t addr 8;
-  Bytes.set_int64_le t.mem addr (Int64.of_int v)
 
 let poke_f64 t addr v =
   check t addr 8;

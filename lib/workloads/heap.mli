@@ -18,9 +18,6 @@ val capacity : t -> int
 val used : t -> int
 (** High-water mark of allocated bytes (brk - base). *)
 
-val set_sink : t -> Kona_trace.Access.sink -> unit
-(** Swap the consumer; used to splice analyses in and out around phases. *)
-
 val alloc : t -> ?align:int -> int -> int
 (** Allocate [n] bytes ([n > 0]), default 8-byte aligned.  Reuses freed
     blocks of the exact same size.  Raises [Out_of_memory] when the arena is
@@ -34,8 +31,6 @@ val free : t -> addr:int -> len:int -> unit
     Each call performs the real memory operation on the backing store and
     emits exactly one access event covering the touched byte range. *)
 
-val read_u8 : t -> int -> int
-val write_u8 : t -> int -> int -> unit
 val read_u32 : t -> int -> int
 val write_u32 : t -> int -> int -> unit
 val read_u64 : t -> int -> int
@@ -65,7 +60,6 @@ val snapshot : t -> Bytes.t
     events; subsequent instrumented reads of the data are observed
     normally. *)
 
-val poke_u64 : t -> int -> int -> unit
 val poke_f64 : t -> int -> float -> unit
 
 val page_poked : t -> page:int -> bool

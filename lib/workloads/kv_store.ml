@@ -102,26 +102,6 @@ let get t key =
       let vallen = Heap.read_u32 t.heap (addr + 12) in
       Some (Heap.read_bytes t.heap (addr + header_len + keylen) vallen)
 
-let remove t key =
-  let heap = t.heap in
-  match find_entry t key with
-  | None -> false
-  | Some addr ->
-      let keylen = Heap.read_u32 heap (addr + 8) in
-      let vallen = Heap.read_u32 heap (addr + 12) in
-      let next = Heap.read_u64 heap addr in
-      (* Unlink: walk from the bucket head to the predecessor slot. *)
-      let bucket = bucket_addr t key in
-      let rec relink prev_slot cursor =
-        if cursor = addr then Heap.write_u64 heap prev_slot next
-        else if cursor = 0 then ()
-        else relink cursor (Heap.read_u64 heap cursor)
-      in
-      relink bucket (Heap.read_u64 heap bucket);
-      Heap.free heap ~addr ~len:(entry_size ~keylen ~vallen);
-      t.entries <- t.entries - 1;
-      true
-
 let entries t = t.entries
 
 type pattern = Rand | Seq | Zipf of float

@@ -29,9 +29,6 @@ val table_addr : t -> int
 val set : t -> string -> string -> unit
 val get : t -> string -> string option
 
-val remove : t -> string -> bool
-(** Unlink and free the entry; [false] if the key was absent. *)
-
 val entries : t -> int
 
 type pattern =

@@ -305,7 +305,7 @@ let test_system_check_skips () =
   let all = System.check heap rm in
   check_int "remote equals the heap" 0 all.System.mismatches;
   (* a poke lands bytes the runtime never saw: mmap'd input, skipped *)
-  Heap.poke_u64 heap base 0xdead;
+  Heap.poke_f64 heap base 1.5;
   let poked = System.check heap rm in
   check_int "poked page skipped" (all.System.checked - 1) poked.System.checked;
   check_int "poked page not a mismatch" 0 poked.System.mismatches;

@@ -38,13 +38,11 @@ let test_fmem_dirty_bitmap () =
   check_bool "mark resident" true (Fmem.mark_dirty f ~vpage:5 ~line:7);
   check_bool "mark resident again" true (Fmem.mark_dirty f ~vpage:5 ~line:63);
   check_bool "mark absent fails" false (Fmem.mark_dirty f ~vpage:9 ~line:0);
-  (match Fmem.dirty_lines f ~vpage:5 with
-  | Some mask ->
-      check_int "two lines" 2 (Bitmap.count mask);
-      check_bool "line 7" true (Bitmap.get mask 7)
-  | None -> Alcotest.fail "resident page must report dirty lines");
-  Fmem.clear_dirty f ~vpage:5;
-  check_int "cleared" 0 (Bitmap.count (Option.get (Fmem.dirty_lines f ~vpage:5)))
+  match Fmem.evict f ~vpage:5 with
+  | Some v ->
+      check_int "two lines" 2 (Bitmap.count v.Fmem.dirty_lines);
+      check_bool "line 7" true (Bitmap.get v.Fmem.dirty_lines 7)
+  | None -> Alcotest.fail "resident page must evict with its dirty lines"
 
 let test_fmem_victim_carries_dirt () =
   let f = Fmem.create ~assoc:1 ~pages:2 () in
@@ -56,7 +54,9 @@ let test_fmem_victim_carries_dirt () =
       check_bool "victim dirty mask" true (Bitmap.get victim.Fmem.dirty_lines 3)
   | None -> Alcotest.fail "expected victim");
   (* new tenant's mask starts clean *)
-  check_int "fresh mask" 0 (Bitmap.count (Option.get (Fmem.dirty_lines f ~vpage:2)))
+  match Fmem.evict f ~vpage:2 with
+  | Some v -> check_int "fresh mask" 0 (Bitmap.count v.Fmem.dirty_lines)
+  | None -> Alcotest.fail "resident page must evict"
 
 let test_fmem_explicit_evict () =
   let f = Fmem.create ~pages:8 () in
@@ -186,36 +186,28 @@ let state_t = Alcotest.of_pp (fun fmt -> function
 let test_directory_transitions () =
   let d = Directory.create () in
   Alcotest.check state_t "initial" Directory.Invalid (Directory.state d ~line:1);
-  Directory.on_fill d ~line:1 ~write:false;
+  Directory.on_fill ~sharer:0 d ~line:1 ~write:false;
   Alcotest.check state_t "read fill -> S" Directory.Shared (Directory.state d ~line:1);
-  Directory.on_fill d ~line:1 ~write:true;
+  Directory.on_fill ~sharer:0 d ~line:1 ~write:true;
   Alcotest.check state_t "write fill -> M" Directory.Modified (Directory.state d ~line:1);
-  Directory.on_fill d ~line:1 ~write:false;
+  Directory.on_fill ~sharer:0 d ~line:1 ~write:false;
   Alcotest.check state_t "read refill keeps M" Directory.Modified
     (Directory.state d ~line:1);
-  Directory.on_writeback d ~line:1;
-  Alcotest.check state_t "writeback -> I" Directory.Invalid (Directory.state d ~line:1)
-
-let test_directory_snoop () =
-  let d = Directory.create () in
-  Directory.on_fill d ~line:2 ~write:true;
-  (match Directory.snoop d ~line:2 with
-  | `Dirty -> ()
-  | `Clean -> Alcotest.fail "modified line must snoop dirty");
-  Alcotest.check state_t "invalid after snoop" Directory.Invalid (Directory.state d ~line:2);
-  Directory.on_fill d ~line:3 ~write:false;
-  (match Directory.snoop d ~line:3 with
-  | `Clean -> ()
-  | `Dirty -> Alcotest.fail "shared line snoops clean")
+  Alcotest.(check (list int)) "recall" [ 0 ] (Directory.snoop_sharers d ~line:1);
+  Alcotest.check state_t "recall -> I" Directory.Invalid (Directory.state d ~line:1)
 
 let test_directory_counters () =
+  (* The five counts the rack publishes as rack.dir.* and coherence.*. *)
   let d = Directory.create () in
-  Directory.on_fill d ~line:1 ~write:false;
-  Directory.on_fill d ~line:2 ~write:true;
-  Directory.on_writeback d ~line:2;
-  check_int "fills" 2 (Directory.fills d);
-  check_int "writebacks" 1 (Directory.writebacks d);
-  check_int "granted" 1 (Directory.granted_lines d)
+  Directory.on_fill ~sharer:1 d ~line:1 ~write:false;
+  ignore (Directory.acquire d ~line:2 ~tenant:0 ~write:true);
+  ignore (Directory.acquire d ~line:2 ~tenant:1 ~write:true);
+  ignore (Directory.acquire d ~line:1 ~tenant:0 ~write:true);
+  check_int "fills" 4 (Directory.fills d);
+  check_int "snoops: one handoff recall, one sharer killed" 2 (Directory.snoops d);
+  check_int "handoffs" 1 (Directory.handoffs d);
+  check_int "owner changes" 3 (Directory.owner_changes d);
+  check_int "invalidations" 2 (Directory.invalidations d)
 
 let test_directory_sharers () =
   let d = Directory.create () in
@@ -234,20 +226,19 @@ let test_directory_sharers () =
   check_int "recall counts one invalidation per sharer" 2
     (Directory.invalidations d)
 
-(* Model-based property: replay random fill/writeback/snoop sequences
-   against a reference I/S/M map.  After every op [granted_lines] must
-   match the model's population, and a snoop verdict is [`Dirty] exactly
-   when the model holds the line Modified — in particular a line never
-   filled for writing always snoops [`Clean]. *)
+(* Model-based property: replay random fill/recall sequences against a
+   reference I/S/M map.  After every op each line's state must match the
+   model: a write fill makes a line Modified, a read fill keeps Modified
+   and makes anything else Shared, and a recall returns the line to
+   Invalid with exactly the tenants that filled it since. *)
 let prop_directory_matches_model =
   let lines = 8 in
   let op_gen =
     QCheck.Gen.(
       oneof
         [
-          map2 (fun l w -> `Fill (l, w)) (int_bound (lines - 1)) bool;
-          map (fun l -> `Writeback l) (int_bound (lines - 1));
-          map (fun l -> `Snoop l) (int_bound (lines - 1));
+          map3 (fun s l w -> `Fill (s, l, w)) (int_bound 2) (int_bound (lines - 1)) bool;
+          map (fun l -> `Recall l) (int_bound (lines - 1));
         ])
   in
   QCheck.Test.make ~name:"directory tracks the I/S/M model" ~count:300
@@ -255,66 +246,29 @@ let prop_directory_matches_model =
     (fun ops ->
       let d = Directory.create () in
       let model = Array.make lines Directory.Invalid in
-      let granted_ok () =
-        let pop =
-          Array.fold_left
-            (fun acc s -> if s = Directory.Invalid then acc else acc + 1)
-            0 model
-        in
-        Directory.granted_lines d = pop
+      let holders = Array.make lines [] in
+      let states_ok () =
+        Array.for_all Fun.id (Array.mapi (fun l s -> Directory.state d ~line:l = s) model)
       in
       List.for_all
         (fun op ->
           match op with
-          | `Fill (l, w) ->
-              Directory.on_fill d ~line:l ~write:w;
+          | `Fill (s, l, w) ->
+              Directory.on_fill ~sharer:s d ~line:l ~write:w;
               model.(l) <-
                 (if w then Directory.Modified
                  else
                    match model.(l) with
                    | Directory.Modified -> Directory.Modified
                    | _ -> Directory.Shared);
-              granted_ok ()
-          | `Writeback l ->
-              Directory.on_writeback d ~line:l;
+              if not (List.mem s holders.(l)) then holders.(l) <- s :: holders.(l);
+              states_ok ()
+          | `Recall l ->
+              let who = Directory.snoop_sharers d ~line:l in
+              let expected = List.sort compare holders.(l) in
               model.(l) <- Directory.Invalid;
-              granted_ok ()
-          | `Snoop l ->
-              let verdict = Directory.snoop d ~line:l in
-              let expected =
-                if model.(l) = Directory.Modified then `Dirty else `Clean
-              in
-              model.(l) <- Directory.Invalid;
-              verdict = expected && granted_ok ())
-        ops)
-
-(* A line the CPU never requested for writing can never snoop dirty, no
-   matter how reads, writebacks, and recalls interleave. *)
-let prop_directory_unwritten_snoops_clean =
-  let lines = 4 in
-  let op_gen =
-    QCheck.Gen.(
-      oneof
-        [
-          map (fun l -> `Read_fill l) (int_bound (lines - 1));
-          map (fun l -> `Writeback l) (int_bound (lines - 1));
-          map (fun l -> `Snoop l) (int_bound (lines - 1));
-        ])
-  in
-  QCheck.Test.make ~name:"never-written lines always snoop clean" ~count:300
-    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) op_gen))
-    (fun ops ->
-      let d = Directory.create () in
-      List.for_all
-        (fun op ->
-          match op with
-          | `Read_fill l ->
-              Directory.on_fill d ~line:l ~write:false;
-              true
-          | `Writeback l ->
-              Directory.on_writeback d ~line:l;
-              true
-          | `Snoop l -> Directory.snoop d ~line:l = `Clean)
+              holders.(l) <- [];
+              who = expected && states_ok ())
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -364,10 +318,10 @@ let test_directory_acquire_downgrade_and_rfo () =
 
 (* The tentpole's model-checking property: drive random (agent, line,
    Read/Write/Evict) traces through [Protocol]'s per-agent MESI machine
-   and, in lock-step, through [Directory.acquire]/[on_writeback] as the
-   home side.  Because the home answers every read miss with a Shared
-   grant, Exclusive is unreachable, and the directory must be exactly
-   the home-side MSI projection of the agents' states:
+   and, in lock-step, through [Directory.acquire] as the home side.
+   Because the home answers every read miss with a Shared grant,
+   Exclusive is unreachable, and the directory must be exactly the
+   home-side MSI projection of the agents' states:
 
    - the directory's owner is the unique agent in Modified (both ways);
    - a directory-Shared line has no Modified agent, and every
@@ -376,7 +330,11 @@ let test_directory_acquire_downgrade_and_rfo () =
    - a directory-Invalid line means every agent holds Invalid;
    - an RFO's recalled peer is exactly the Modified agent, and its
      invalidation list covers the model-Shared holders;
-   - [audit] stays empty throughout. *)
+   - [audit] stays empty throughout.
+
+   The home has no writeback path: the rack's writers evict through their
+   CL logs and keep ownership at the home, so an Evict of a Modified line
+   is skipped. *)
 let prop_directory_projects_protocol =
   let agents = 3 and lines = 4 in
   let op_gen =
@@ -427,6 +385,8 @@ let prop_directory_projects_protocol =
             match k with 0 -> Protocol.Read | 1 -> Protocol.Write | _ -> Protocol.Evict
           in
           let st', action = Protocol.on_processor model.(a).(l) ev in
+          action = Protocol.Writeback
+          ||
           let grant_ok =
             match action with
             | Protocol.Issue_read ->
@@ -454,11 +414,7 @@ let prop_directory_projects_protocol =
                 && List.for_all
                      (fun o -> List.mem o g.Directory.g_invalidated)
                      expected_dead
-            | Protocol.Writeback ->
-                (* Modified evict: the home sees the data come back *)
-                Directory.on_writeback d ~line:l;
-                model.(a).(l) <- st';
-                true
+            | Protocol.Writeback -> false (* skipped above *)
             | Protocol.No_bus_action ->
                 (* hits and silent clean drops: the home learns nothing;
                    write hits still route through acquire (as the rack
@@ -505,7 +461,6 @@ let () =
       ( "directory",
         [
           Alcotest.test_case "transitions" `Quick test_directory_transitions;
-          Alcotest.test_case "snoop" `Quick test_directory_snoop;
           Alcotest.test_case "counters" `Quick test_directory_counters;
           Alcotest.test_case "sharers" `Quick test_directory_sharers;
           Alcotest.test_case "acquire handoff" `Quick test_directory_acquire_handoff;
@@ -515,7 +470,6 @@ let () =
       qsuite "directory-props"
         [
           prop_directory_matches_model;
-          prop_directory_unwritten_snoops_clean;
           prop_directory_projects_protocol;
         ];
     ]

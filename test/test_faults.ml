@@ -282,7 +282,7 @@ let test_qp_retry_exhausted () =
   let inject () = Some `Drop in
   let qp =
     Qp.create ~inject
-      ~retry:{ Qp.default_retry with retry_limit = 3 }
+      ~retry:{ (Qp.retry_of Kona_util.Backoff.default) with retry_limit = 3 }
       ~clock:(Clock.create ()) ()
   in
   match Qp.post qp [ Qp.wqe Qp.Write ~len:64 ] with
@@ -301,7 +301,7 @@ let prop_qp_exactly_once =
       let inject () = if p > 0. && Rng.float rng 1.0 < p then Some `Drop else None in
       let qp =
         Qp.create ~inject
-          ~retry:{ Qp.default_retry with retry_limit = max_int }
+          ~retry:{ (Qp.retry_of Kona_util.Backoff.default) with retry_limit = max_int }
           ~clock:(Clock.create ()) ()
       in
       let n = 40 in
@@ -398,7 +398,7 @@ let test_memory_node_crash () =
   check_int "id" 9 (Memory_node.id n);
   check_int "used" Units.page_size (Memory_node.used n);
   let crashed f = try ignore (f ()); false with Memory_node.Crashed 9 -> true in
-  check_bool "read raises" true (crashed (fun () -> Memory_node.read n ~addr:0 ~len:5));
+  check_bool "read raises" true (crashed (fun () -> Memory_node.peek n ~addr:0 ~len:5));
   check_bool "write raises" true
     (crashed (fun () -> Memory_node.write n ~addr:0 ~data:"x"));
   check_bool "reserve raises" true
@@ -422,9 +422,14 @@ let test_controller_replace_node () =
   let c = Rack_controller.create ~slab_size:(Units.kib 64) () in
   Rack_controller.register_node c (Memory_node.create ~id:0 ~capacity:(Units.kib 64));
   let stand_in = Memory_node.create ~id:500 ~capacity:(Units.kib 64) in
-  Rack_controller.replace_node c ~id:0 ~node:stand_in;
+  Rack_controller.add_mirror c ~id:0 stand_in;
+  Memory_node.crash (Rack_controller.node c ~id:0);
+  check_bool "the mirror is promoted" true
+    (match Rack_controller.promote c ~id:0 with Some n -> n == stand_in | None -> false);
   check_int "logical id 0 now backed by 500" 500
-    (Memory_node.id (Rack_controller.node c ~id:0))
+    (Memory_node.id (Rack_controller.node c ~id:0));
+  check_int "the crashed store is a former backing" 1
+    (List.length (Rack_controller.former_backings c ~id:0))
 
 let test_controller_skips_crashed_nodes () =
   let c = Rack_controller.create ~slab_size:(Units.kib 64) () in
@@ -462,7 +467,7 @@ let test_failover_promotes_mirror () =
       check_int "promotion inherited the brk" (Memory_node.used primary)
         (Memory_node.used promoted));
   check_string "data survives at the logical id" data
-    (Memory_node.read (Rack_controller.node c ~id:1) ~addr:128 ~len:64);
+    (Memory_node.peek (Rack_controller.node c ~id:1) ~addr:128 ~len:64);
   check_int "failover counted" 1 (Rack_controller.failovers c);
   check_bool "mirror left the mirror set" true (Rack_controller.mirrors c ~id:1 = [])
 
@@ -565,7 +570,7 @@ let test_runtime_instant_detector () =
   let runtime, heap, controller = make_runtime ~replicas:1 () in
   scribble heap;
   Runtime.crash_node runtime ~id:1;
-  check_bool "recovery queue idle on return" true (Runtime.recovery_idle runtime);
+  check_bool "recovery queue idle on return" true (Runtime.recovery_pending runtime = []);
   check_int "failover + re-replication completed" 2
     (Runtime.count runtime "recovery.tasks_completed");
   check_int "rack-global fencing epoch" 1
@@ -582,7 +587,7 @@ let test_runtime_failover_rpc_exhausted () =
   scribble heap;
   Runtime.arm_fault runtime (Fault_spec.Rpc_timeout { p = 1.0 });
   Runtime.crash_node runtime ~id:1;
-  check_bool "recovery queue idle" true (Runtime.recovery_idle runtime);
+  check_bool "recovery queue idle" true (Runtime.recovery_pending runtime = []);
   let expected = "unreachable after 3 recovery steps" in
   match Runtime.degraded runtime with
   | Some reason ->

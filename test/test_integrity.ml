@@ -21,28 +21,30 @@ let check_string = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 (* CRC32C *)
 
+let digest s = Crc32c.digest_sub s ~pos:0 ~len:(String.length s)
+
 (* Reference vectors: RFC 3720 (iSCSI) appendix B.4 test patterns. *)
 let test_crc32c_vectors () =
-  check_int "empty" 0 (Crc32c.digest "");
-  check_int "'123456789'" 0xE3069283 (Crc32c.digest "123456789");
-  check_int "32 zero bytes" 0x8A9136AA (Crc32c.digest (String.make 32 '\000'));
-  check_int "32 0xFF bytes" 0x62A8AB43 (Crc32c.digest (String.make 32 '\xff'));
+  check_int "empty" 0 (digest "");
+  check_int "'123456789'" 0xE3069283 (digest "123456789");
+  check_int "32 zero bytes" 0x8A9136AA (digest (String.make 32 '\000'));
+  check_int "32 0xFF bytes" 0x62A8AB43 (digest (String.make 32 '\xff'));
   let inc = String.init 32 Char.chr in
-  check_int "32 incrementing bytes" 0x46DD794E (Crc32c.digest inc);
+  check_int "32 incrementing bytes" 0x46DD794E (digest inc);
   (* digest_sub agrees with digest of the slice. *)
   let s = "abcdefghijklmnop" in
-  check_int "digest_sub" (Crc32c.digest "defgh") (Crc32c.digest_sub s ~pos:3 ~len:5)
+  check_int "digest_sub" (digest "defgh") (Crc32c.digest_sub s ~pos:3 ~len:5)
 
 let test_crc32c_bit_sensitivity () =
   (* Any single-bit flip must change the digest — the guarantee the
      bit-flip fault relies on for detectability. *)
   let base = String.init 64 (fun i -> Char.chr ((i * 7) land 0xff)) in
-  let d0 = Crc32c.digest base in
+  let d0 = digest base in
   for bit = 0 to (64 * 8) - 1 do
     let b = Bytes.of_string base in
     Bytes.set b (bit / 8)
       (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
-    if Crc32c.digest (Bytes.to_string b) = d0 then
+    if digest (Bytes.to_string b) = d0 then
       Alcotest.failf "bit %d flip left the CRC unchanged" bit
   done
 
@@ -99,30 +101,54 @@ let test_crc32c_out_of_range () =
 (* ------------------------------------------------------------------ *)
 (* Checksums *)
 
+(* The flat reference [Memory_node.verify_range] is checked against (see
+   [Flat] below): the absolute addresses, line-aligned and ascending, of
+   the recorded lines in [addr, addr+len) whose store bytes no longer
+   match their recorded CRC. *)
+let corrupt_lines chk ~store ~addr ~len =
+  if len <= 0 then []
+  else begin
+    let first = addr / Units.cache_line in
+    let last = (addr + len - 1) / Units.cache_line in
+    if addr < 0 || addr + len > Bytes.length store then invalid_arg "corrupt_lines";
+    let acc = ref [] in
+    for line = last downto first do
+      if Checksums.recorded chk ~line && not (Checksums.line_ok chk ~store ~line) then
+        acc := (line * Units.cache_line) :: !acc
+    done;
+    !acc
+  end
+
+let recorded_count chk ~capacity =
+  List.length
+    (List.filter
+       (fun line -> Checksums.recorded chk ~line)
+       (List.init (capacity / Units.cache_line) Fun.id))
+
 let test_checksums_record_verify () =
   let store = Bytes.make 512 '\000' in
   let chk = Checksums.create ~capacity:512 in
-  check_int "nothing recorded" 0 (Checksums.recorded_count chk);
+  check_int "nothing recorded" 0 (recorded_count chk ~capacity:512);
   (* Unrecorded lines never report corruption. *)
   check_bool "unrecorded is ok" true (Checksums.line_ok chk ~store ~line:0);
   check_int "no corrupt lines" 0
-    (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512));
+    (List.length (corrupt_lines chk ~store ~addr:0 ~len:512));
   Bytes.blit_string (String.make 128 'x') 0 store 64 128;
   Checksums.record chk ~store ~addr:64 ~len:128;
-  check_int "two lines recorded" 2 (Checksums.recorded_count chk);
+  check_int "two lines recorded" 2 (recorded_count chk ~capacity:512);
   check_bool "recorded" true (Checksums.recorded chk ~line:1);
   check_bool "clean" true (Checksums.line_ok chk ~store ~line:1);
   (* Corrupt one byte of line 2: only that line reports. *)
   Bytes.set store 130 'y';
   check_int "line 2 corrupt" 1
-    (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512));
-  (match Checksums.corrupt_lines chk ~store ~addr:0 ~len:512 with
+    (List.length (corrupt_lines chk ~store ~addr:0 ~len:512));
+  (match corrupt_lines chk ~store ~addr:0 ~len:512 with
   | [ addr ] -> check_int "corrupt addr is line-aligned" 128 addr
   | _ -> Alcotest.fail "expected one corrupt line");
   (* Re-recording over the corruption accepts the new bytes as truth. *)
   Checksums.record chk ~store ~addr:128 ~len:64;
   check_int "re-record clears" 0
-    (List.length (Checksums.corrupt_lines chk ~store ~addr:0 ~len:512))
+    (List.length (corrupt_lines chk ~store ~addr:0 ~len:512))
 
 (* corrupt_lines against a per-line oracle on a 64-line store, with
    sparse recorded sets and query ranges at arbitrary byte offsets (so
@@ -160,7 +186,7 @@ let prop_corrupt_lines_matches_oracle =
                && not (Checksums.line_ok chk ~store ~line))
         |> List.map (fun line -> line * Units.cache_line)
       in
-      Checksums.corrupt_lines chk ~store ~addr ~len = oracle)
+      corrupt_lines chk ~store ~addr ~len = oracle)
 
 (* ------------------------------------------------------------------ *)
 (* Sequencer *)
@@ -168,7 +194,8 @@ let prop_corrupt_lines_matches_oracle =
 let test_sequencer_verdicts () =
   let tx = Sequencer.Tx.create () in
   let rx = Sequencer.Rx.create () in
-  let obs seq = Sequencer.Rx.observe rx ~stream:7 ~epoch:(Sequencer.Tx.epoch tx) ~seq in
+  let epoch = ref 0 (* the newest epoch handed to [next] *) in
+  let obs seq = Sequencer.Rx.observe rx ~stream:7 ~epoch:!epoch ~seq in
   let next ?(epoch = 0) stream = Sequencer.Tx.next tx ~epoch ~stream in
   let s1 = next 7 in
   check_bool "first stamp adopted" true (obs s1 = Sequencer.Rx.Ok);
@@ -182,12 +209,13 @@ let test_sequencer_verdicts () =
   (* Streams are independent: another stream adopts its own first stamp. *)
   let t1 = next 9 in
   check_bool "independent stream" true
-    (Sequencer.Rx.observe rx ~stream:9 ~epoch:(Sequencer.Tx.epoch tx) ~seq:t1
+    (Sequencer.Rx.observe rx ~stream:9 ~epoch:!epoch ~seq:t1
     = Sequencer.Rx.Ok);
   (* A rising epoch (failover) resets the counters; stragglers from the
      old epoch are stale. *)
   let n1 = next ~epoch:1 7 in
-  let old_epoch = Sequencer.Tx.epoch tx - 1 in
+  epoch := 1;
+  let old_epoch = 0 in
   check_int "a rising epoch restarts the stream" 0 n1;
   check_int "an older epoch restarts nothing" 1 (next ~epoch:0 7);
   check_bool "new epoch accepted" true (obs n1 = Sequencer.Rx.Ok);
@@ -214,9 +242,9 @@ let test_receive_log_rejects_torn_lines () =
   | _ -> Alcotest.fail "expected one rejected line");
   (* The store kept its old, consistent bytes for the rejected line. *)
   check_string "rejected line untouched" (String.make 1 '\000')
-    (String.sub (Memory_node.read node ~addr:Units.cache_line ~len:1) 0 1);
+    (String.sub (Memory_node.peek node ~addr:Units.cache_line ~len:1) 0 1);
   check_string "clean line applied" "b"
-    (String.sub (Memory_node.read node ~addr:0 ~len:1) 0 1)
+    (String.sub (Memory_node.peek node ~addr:0 ~len:1) 0 1)
 
 let test_receive_log_duplicate_and_reorder () =
   let node = Memory_node.create ~id:0 ~capacity:(Units.kib 4) in
@@ -233,13 +261,13 @@ let test_receive_log_duplicate_and_reorder () =
   check_bool "replay detected" true (r3.Memory_node.verdict = Sequencer.Rx.Duplicate);
   check_int "replay applied nothing" 0 r3.Memory_node.applied_lines;
   check_string "store kept newest" "2"
-    (String.sub (Memory_node.read node ~addr:0 ~len:1) 0 1);
+    (String.sub (Memory_node.peek node ~addr:0 ~len:1) 0 1);
   (* A gap (lost shipment 3) is reported but the newer data applies. *)
   let e4 = Memory_node.entry ~addr:0 ~data:(line '4') in
   let r4 = Memory_node.receive_log ~delivery:(d 4) node [ e4 ] in
   check_bool "gap reported" true (r4.Memory_node.verdict = Sequencer.Rx.Gap 1);
   check_string "gap still applies" "4"
-    (String.sub (Memory_node.read node ~addr:0 ~len:1) 0 1)
+    (String.sub (Memory_node.peek node ~addr:0 ~len:1) 0 1)
 
 let test_corrupt_bit_fresh_and_cancel () =
   let node = Memory_node.create ~id:0 ~capacity:(Units.kib 4) in
@@ -304,7 +332,7 @@ module Flat = struct
     (!applied, List.rev !rejected, List.rev !healed)
 
   let verify_range t ~addr ~len =
-    Checksums.corrupt_lines t.chk ~store:t.store ~addr ~len
+    corrupt_lines t.chk ~store:t.store ~addr ~len
 
   let corrupt_bit t ~addr ~bit =
     if addr mod Units.cache_line <> 0 then invalid_arg "Flat.corrupt_bit";
@@ -443,7 +471,7 @@ let prop_sparse_node_matches_flat =
                   let applied, rejected, healed = Flat.receive_log flat es in
                   Applied (applied, rejected, healed)) )
         | Read (addr, len) ->
-            ( outcome (fun () -> Bytes_of (Memory_node.read node ~addr ~len)),
+            ( outcome (fun () -> Bytes_of (Memory_node.peek node ~addr ~len)),
               outcome (fun () -> Bytes_of (Flat.read flat ~addr ~len)) )
         | Peek (addr, len) ->
             ( outcome (fun () -> Bytes_of (Memory_node.peek node ~addr ~len)),
@@ -460,8 +488,8 @@ let prop_sparse_node_matches_flat =
           let a, b = step op in
           a = b || QCheck.Test.fail_reportf "%s disagrees" (pp_node_op op))
         ops
-      && Memory_node.read node ~addr:capacity ~len:0 = ""
-      && Memory_node.read node ~addr:0 ~len:capacity = Bytes.to_string flat.Flat.store
+      && Memory_node.peek node ~addr:capacity ~len:0 = ""
+      && Memory_node.peek node ~addr:0 ~len:capacity = Bytes.to_string flat.Flat.store
       && Memory_node.verify_range node ~addr:0 ~len:capacity
          = Flat.verify_range flat ~addr:0 ~len:capacity
       (* a flip's verdict exposes every line's recorded state *)
@@ -475,7 +503,7 @@ let prop_sparse_node_matches_flat =
 (* [create] allocates the page index and nothing else, so a node's
    capacity costs no host memory up front. *)
 let test_create_allocates_only_the_index () =
-  let capacity = Units.gib 1 in
+  let capacity = Units.mib 1024 in
   let before = Gc.allocated_bytes () in
   let node = Memory_node.create ~id:0 ~capacity in
   let allocated = Gc.allocated_bytes () -. before in
@@ -486,9 +514,9 @@ let test_create_allocates_only_the_index () =
   let last = capacity - Units.cache_line in
   Memory_node.write node ~addr:last ~data:(line 'z');
   check_string "last line round-trips" (line 'z')
-    (Memory_node.read node ~addr:last ~len:Units.cache_line);
+    (Memory_node.peek node ~addr:last ~len:Units.cache_line);
   check_string "untouched page reads as zeros" (String.make 16 '\000')
-    (Memory_node.read node ~addr:(capacity / 2) ~len:16)
+    (Memory_node.peek node ~addr:(capacity / 2) ~len:16)
 
 (* Only a line [corrupt_bit] touched can fail its CRC, so verifying pages
    no flip has touched allocates nothing; a flipped line is still found. *)

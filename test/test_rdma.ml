@@ -58,18 +58,20 @@ let test_qp_delivery_and_completion () =
   (* Completion-driven: the bytes land when the clock reaches the WQE's
      completion time, not at post. *)
   check_bool "not delivered at post" false !delivered;
-  Alcotest.(check (list int)) "not complete yet (wire time pending)" []
-    (Qp.poll qp ~max:8);
-  check_bool "poll before completion does not deliver" false !delivered;
+  (* A second post retires what is due, and the first is not yet. *)
+  Qp.post qp [ Qp.wqe Qp.Write ~len:64 ];
+  check_bool "post before completion does not deliver" false !delivered;
+  check_int "nothing reaped yet" 0 (Qp.completed qp);
   Qp.wait_idle qp;
   check_bool "delivered at completion" true !delivered;
   check_bool "clock advanced past wire time" true (Clock.now clock > 2_500);
-  check_int "verbs" 1 (Qp.verbs qp);
-  check_int "posts" 1 (Qp.posts qp)
+  check_int "one CQE reaped" 1 (Qp.completed qp);
+  check_int "verbs" 2 (Qp.verbs qp);
+  check_int "posts" 2 (Qp.posts qp)
 
 let test_qp_completion_ordered_delivery () =
   (* Deliveries fire in completion order as the clock crosses each finish
-     time, whichever call (post/poll/wait_idle) moves the clock there. *)
+     time, whichever call (post/wait_idle) retires them. *)
   let clock = Clock.create () in
   let qp = Qp.create ~clock () in
   let order = ref [] in
@@ -79,8 +81,11 @@ let test_qp_completion_ordered_delivery () =
   check_int "nothing delivered at post" 0 (List.length !order);
   Clock.advance clock 1_000_000;
   check_int "clock alone delivers nothing" 0 (List.length !order);
-  ignore (Qp.poll qp ~max:8 : int list);
-  Alcotest.(check (list string)) "poll retires in post order" [ "a"; "b" ]
+  Qp.post qp [ Qp.wqe ~deliver:(mark "c") Qp.Write ~len:64 ];
+  Alcotest.(check (list string)) "post retires in post order" [ "a"; "b" ]
+    (List.rev !order);
+  Qp.wait_idle qp;
+  Alcotest.(check (list string)) "wait_idle retires the rest" [ "a"; "b"; "c" ]
     (List.rev !order)
 
 let test_qp_window_backpressure () =
@@ -112,9 +117,8 @@ let test_qp_selective_signaling () =
   for _ = 1 to 8 do
     Qp.post qp [ Qp.wqe ~signaled:true Qp.Write ~len:64 ]
   done;
-  Clock.advance clock 1_000_000_000;
-  check_int "8 requested, every 4th raises a CQE" 2
-    (List.length (Qp.poll qp ~max:100));
+  Qp.wait_idle qp;
+  check_int "8 requested, every 4th raises a CQE" 2 (Qp.completed qp);
   check_int "signaled counter matches CQEs" 2 (Qp.signaled qp)
 
 let test_qp_in_flight () =
@@ -130,23 +134,33 @@ let test_qp_in_flight () =
   check_int "all posted WQEs in flight" 3 (Qp.in_flight qp);
   Clock.advance clock 1_000_000;
   check_int "none in flight past completion time" 0 (Qp.in_flight qp);
-  check_int "signaled one reapable" 1 (List.length (Qp.poll qp ~max:8));
+  Qp.wait_idle qp;
+  check_int "signaled one reaped" 1 (Qp.completed qp);
   check_int "still none in flight" 0 (Qp.in_flight qp)
 
-let test_qp_poll_after_time () =
+let test_qp_reap_after_time () =
+  (* Past the completion time, reaping costs one [cqe_ns] per CQE and
+     nothing more; a second reap finds the CQ empty. *)
   let clock = Clock.create () in
   let qp = Qp.create ~clock () in
   Qp.post qp [ Qp.wqe ~signaled:true Qp.Write ~len:64 ];
   Clock.advance clock 1_000_000;
-  check_int "one completion" 1 (List.length (Qp.poll qp ~max:8));
-  check_int "cq drained" 0 (List.length (Qp.poll qp ~max:8))
+  let before = Clock.now clock in
+  Qp.wait_idle qp;
+  check_int "one completion" 1 (Qp.completed qp);
+  check_int "one cqe_ns charged" (int_of_float Cost.default.Cost.cqe_ns)
+    (Clock.now clock - before);
+  let drained = Clock.now clock in
+  Qp.wait_idle qp;
+  check_int "cq drained" 1 (Qp.completed qp);
+  check_int "empty reap charges nothing" drained (Clock.now clock)
 
 let test_qp_unsignaled () =
   let clock = Clock.create () in
   let qp = Qp.create ~clock () in
   Qp.post qp [ Qp.wqe Qp.Write ~len:64; Qp.wqe ~signaled:true Qp.Write ~len:64 ];
-  Clock.advance clock 1_000_000;
-  check_int "only last signaled" 1 (List.length (Qp.poll qp ~max:8))
+  Qp.wait_idle qp;
+  check_int "only last signaled" 1 (Qp.completed qp)
 
 let test_qp_accounting () =
   let clock = Clock.create () in
@@ -182,8 +196,12 @@ let prop_qp_completions_conserved =
       let qp = Qp.create ~clock () in
       List.iter (fun s -> Qp.post qp [ Qp.wqe ~signaled:s Qp.Write ~len:64 ]) signals;
       Clock.advance clock 1_000_000_000;
+      let before = Clock.now clock in
+      Qp.wait_idle qp;
       let expected = List.length (List.filter Fun.id signals) in
-      List.length (Qp.poll qp ~max:1000) = expected)
+      Qp.completed qp = expected
+      && Qp.signaled qp = expected
+      && Clock.now clock - before = expected * int_of_float Cost.default.Cost.cqe_ns)
 
 (* ------------------------------------------------------------------ *)
 (* Rpc *)
@@ -228,7 +246,7 @@ let () =
           Alcotest.test_case "window backpressure" `Quick test_qp_window_backpressure;
           Alcotest.test_case "selective signaling" `Quick test_qp_selective_signaling;
           Alcotest.test_case "in-flight accounting" `Quick test_qp_in_flight;
-          Alcotest.test_case "poll after time" `Quick test_qp_poll_after_time;
+          Alcotest.test_case "reap after time" `Quick test_qp_reap_after_time;
           Alcotest.test_case "unsignaled" `Quick test_qp_unsignaled;
           Alcotest.test_case "accounting" `Quick test_qp_accounting;
           Alcotest.test_case "nic contention" `Quick test_nic_contention;

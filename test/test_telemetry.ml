@@ -49,7 +49,7 @@ let test_registry_collision () =
   Alcotest.check_raises "label duplicate rejected"
     (Invalid_argument "Registry: duplicate metric \"x.y{k=v}\"") (fun () ->
       Registry.counter_fn reg ~labels:[ ("k", "v") ] "x.y" zero);
-  check_int "two metrics" 2 (Registry.size reg)
+  check_int "two metrics" 2 (List.length (Registry.snapshot reg))
 
 let test_registry_invalid_name () =
   let reg = Registry.create () in
@@ -123,7 +123,7 @@ let test_tracer_wraps_keeping_newest () =
   check_int "length = capacity" 8 (Tracer.length tr);
   check_int "offered" 20 (Tracer.offered tr);
   check_int "accepted" 20 (Tracer.accepted tr);
-  check_int "overwritten" 12 (Tracer.overwritten tr);
+  check_int "overwritten" 12 (Tracer.accepted tr - Tracer.length tr);
   let seqs = List.map (fun e -> e.Tracer.seq) (Tracer.events tr) in
   Alcotest.(check (list int)) "newest events retained, in order"
     [ 12; 13; 14; 15; 16; 17; 18; 19 ] seqs

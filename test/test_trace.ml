@@ -25,40 +25,31 @@ let test_access_pages () =
   Access.iter_pages a (fun p -> pages := p :: !pages);
   Alcotest.(check (list int)) "spans two pages" [ 0; 1 ] (List.rev !pages)
 
-let test_access_split () =
-  let a = Access.write ~addr:100 ~len:100 in
-  let parts = Access.split_at_lines a in
-  check_int "pieces" 3 (List.length parts);
-  let total = List.fold_left (fun acc (p : Access.t) -> acc + p.len) 0 parts in
-  check_int "length preserved" 100 total;
-  List.iter
-    (fun (p : Access.t) ->
-      check_int "each piece within one line"
-        (Kona_util.Units.line_of_addr p.addr)
-        (Kona_util.Units.line_of_addr (Access.end_addr p - 1)))
-    parts
-
-let prop_split_covers =
-  QCheck.Test.make ~name:"split_at_lines covers the exact byte range" ~count:300
+let prop_iter_lines_covers =
+  QCheck.Test.make ~name:"iter_lines visits each line of the range once" ~count:300
     QCheck.(pair (int_bound 10_000) (int_range 1 500))
     (fun (addr, len) ->
       let a = Access.write ~addr ~len in
-      let parts = Access.split_at_lines a in
-      let rec contiguous cursor = function
-        | [] -> cursor = Access.end_addr a
-        | (p : Access.t) :: rest -> p.addr = cursor && contiguous (Access.end_addr p) rest
-      in
-      contiguous addr parts)
+      let lines = ref [] in
+      Access.iter_lines a (fun l -> lines := l :: !lines);
+      let first = Kona_util.Units.line_of_addr addr in
+      let last = Kona_util.Units.line_of_addr (Access.end_addr a - 1) in
+      List.rev !lines = List.init (last - first + 1) (fun i -> first + i))
+
+(* A sink plus a getter for how many events it absorbed. *)
+let counting () =
+  let n = ref 0 in
+  ((fun (_ : Access.t) -> incr n), fun () -> !n)
 
 let test_tap () =
-  let n1, get1 = Access.Tap.counting () in
-  let n2, get2 = Access.Tap.counting () in
-  let sink = Access.Tap.tee [ n1; Access.Tap.filter Access.is_write n2 ] in
+  let n1, get1 = counting () in
+  let n2, get2 = counting () in
+  let sink = Access.Tap.tee [ n1; (fun e -> if Access.is_write e then n2 e) ] in
   sink (Access.read ~addr:0 ~len:8);
   sink (Access.write ~addr:8 ~len:8);
   sink (Access.write ~addr:16 ~len:8);
   check_int "tee sees all" 3 (get1 ());
-  check_int "filter sees writes" 2 (get2 ())
+  check_int "the writes sink sees writes" 2 (get2 ())
 
 (* ------------------------------------------------------------------ *)
 (* Window *)
@@ -76,13 +67,22 @@ let test_window_boundaries () =
   Window.flush w;
   Alcotest.(check (list int)) "partial window flushed" [ 2; 1; 0 ] !boundaries;
   Window.flush w;
-  Alcotest.(check (list int)) "empty flush is no-op" [ 2; 1; 0 ] !boundaries;
-  check_int "windows_closed" 3 (Window.windows_closed w)
+  Alcotest.(check (list int)) "empty flush is no-op" [ 2; 1; 0 ] !boundaries
 
 (* ------------------------------------------------------------------ *)
 (* Amplification *)
 
 let page = Kona_util.Units.page_size
+
+(* Per-window amplification at each tracking granularity: dirty-footprint
+   bytes over the unique bytes written. *)
+let amp granule_bytes (w : Amplification.window_stats) =
+  if w.written_bytes = 0 then 0.
+  else float_of_int granule_bytes /. float_of_int w.written_bytes
+
+let amp_line w = amp w.Amplification.dirty_line_bytes w
+let amp_page w = amp w.Amplification.dirty_page_bytes w
+let amp_huge w = amp w.Amplification.dirty_huge_bytes w
 
 let amp_of accesses =
   let t = Amplification.create () in
@@ -94,21 +94,21 @@ let test_amp_single_small_write () =
   (* Write 1 KB within one page: paper's worked example gives 4x at 4KB. *)
   let w = amp_of [ Access.write ~addr:(page * 7) ~len:1024 ] in
   check_int "written" 1024 w.Amplification.written_bytes;
-  Alcotest.(check (float 1e-9)) "4KB amp = 4" 4.0 (Amplification.amp_page w);
-  Alcotest.(check (float 1e-9)) "CL amp = 1" 1.0 (Amplification.amp_line w);
-  Alcotest.(check (float 1e-9)) "2MB amp" (2097152. /. 1024.) (Amplification.amp_huge w)
+  Alcotest.(check (float 1e-9)) "4KB amp = 4" 4.0 (amp_page w);
+  Alcotest.(check (float 1e-9)) "CL amp = 1" 1.0 (amp_line w);
+  Alcotest.(check (float 1e-9)) "2MB amp" (2097152. /. 1024.) (amp_huge w)
 
 let test_amp_dedup_within_window () =
   (* Same byte written twice counts once. *)
   let w = amp_of [ Access.write ~addr:0 ~len:64; Access.write ~addr:0 ~len:64 ] in
   check_int "written deduped" 64 w.Amplification.written_bytes;
-  Alcotest.(check (float 1e-9)) "CL amp" 1.0 (Amplification.amp_line w)
+  Alcotest.(check (float 1e-9)) "CL amp" 1.0 (amp_line w)
 
 let test_amp_sub_line_write () =
   (* An 8-byte write dirties a whole cache-line: CL amp = 8. *)
   let w = amp_of [ Access.write ~addr:32 ~len:8 ] in
-  Alcotest.(check (float 1e-9)) "CL amp" 8.0 (Amplification.amp_line w);
-  Alcotest.(check (float 1e-9)) "4KB amp" 512.0 (Amplification.amp_page w)
+  Alcotest.(check (float 1e-9)) "CL amp" 8.0 (amp_line w);
+  Alcotest.(check (float 1e-9)) "4KB amp" 512.0 (amp_page w)
 
 let test_amp_reads_ignored () =
   let t = Amplification.create () in
@@ -121,8 +121,8 @@ let test_amp_reads_ignored () =
 let test_amp_cross_page_write () =
   let w = amp_of [ Access.write ~addr:(page - 8) ~len:16 ] in
   check_int "written" 16 w.Amplification.written_bytes;
-  Alcotest.(check (float 1e-9)) "two pages dirty" (8192. /. 16.) (Amplification.amp_page w);
-  Alcotest.(check (float 1e-9)) "two lines dirty" (128. /. 16.) (Amplification.amp_line w)
+  Alcotest.(check (float 1e-9)) "two pages dirty" (8192. /. 16.) (amp_page w);
+  Alcotest.(check (float 1e-9)) "two lines dirty" (128. /. 16.) (amp_line w)
 
 let test_amp_aggregate_drop_last () =
   let t = Amplification.create () in
@@ -144,9 +144,9 @@ let prop_amp_ordering =
       writes = []
       ||
       let w = amp_of (List.map (fun (addr, len) -> Access.write ~addr ~len) writes) in
-      let a_l = Amplification.amp_line w
-      and a_p = Amplification.amp_page w
-      and a_h = Amplification.amp_huge w in
+      let a_l = amp_line w
+      and a_p = amp_page w
+      and a_h = amp_huge w in
       a_l >= 1.0 && a_p >= a_l && a_h >= a_p)
 
 let test_amp_page_redirtied_across_windows () =
@@ -215,7 +215,6 @@ let test_trace_file_roundtrip () =
   in
   List.iter sink events;
   check_int "written count" 3 (close ());
-  check_int "count" 3 (Trace_file.count ~path);
   let replayed = ref [] in
   check_int "replayed count" 3 (Trace_file.iter ~path (fun e -> replayed := e :: !replayed));
   check_bool "identical stream" true (List.rev !replayed = events);
@@ -228,7 +227,7 @@ let test_trace_file_rejects_garbage () =
   close_out oc;
   check_bool "bad magic" true
     (try
-       ignore (Trace_file.count ~path);
+       ignore (Trace_file.iter ~path ignore : int);
        false
      with Failure _ -> true);
   Sys.remove path
@@ -261,10 +260,9 @@ let () =
         [
           Alcotest.test_case "iter_lines" `Quick test_access_lines;
           Alcotest.test_case "iter_pages" `Quick test_access_pages;
-          Alcotest.test_case "split_at_lines" `Quick test_access_split;
           Alcotest.test_case "taps" `Quick test_tap;
         ] );
-      qsuite "access-props" [ prop_split_covers ];
+      qsuite "access-props" [ prop_iter_lines_covers ];
       ("window", [ Alcotest.test_case "boundaries" `Quick test_window_boundaries ]);
       ( "amplification",
         [

@@ -2,7 +2,6 @@
 
 open Kona_vm
 
-let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let fault = Alcotest.of_pp (fun fmt k ->
@@ -44,11 +43,13 @@ let test_pt_write_protect_again () =
   let pt = Page_table.create () in
   Page_table.map pt ~page:2 ~protection:Page_table.Read_write;
   ignore (Page_table.fault_kind pt ~page:2 ~write:true);
-  Page_table.write_protect pt ~page:2;
+  (* a re-fetch maps the page read-only again, as the runtime does *)
+  Page_table.map pt ~page:2 ~protection:Page_table.Read_only;
   Alcotest.check fault "re-protected" `Protection
     (Page_table.fault_kind pt ~page:2 ~write:true);
-  check_int "counts" 1 (Page_table.mapped_count pt);
-  check_int "present" 1 (Page_table.present_count pt)
+  let pte = Option.get (Page_table.lookup pt ~page:2) in
+  check_bool "still present" true pte.Page_table.present;
+  check_bool "dirty bit kept" true pte.Page_table.dirty
 
 let test_pt_faults_dont_set_flags () =
   let pt = Page_table.create () in

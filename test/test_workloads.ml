@@ -9,6 +9,11 @@ module Units = Kona_util.Units
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* A sink plus a getter for how many events it absorbed. *)
+let counting () =
+  let n = ref 0 in
+  ((fun (_ : Access.t) -> incr n), fun () -> !n)
+
 let quiet_heap ?capacity () = Heap.create ?capacity ~sink:Access.Tap.ignore ()
 
 (* ------------------------------------------------------------------ *)
@@ -21,8 +26,6 @@ let test_heap_rw_roundtrip () =
   check_int "u64" 0x1122334455 (Heap.read_u64 h a);
   Heap.write_u32 h (a + 8) 0xdeadbeef;
   check_int "u32" 0xdeadbeef (Heap.read_u32 h (a + 8));
-  Heap.write_u8 h (a + 12) 200;
-  check_int "u8" 200 (Heap.read_u8 h (a + 12));
   Heap.write_f64 h (a + 16) 3.25;
   Alcotest.(check (float 0.)) "f64" 3.25 (Heap.read_f64 h (a + 16));
   Heap.write_string h (a + 24) "hello";
@@ -79,19 +82,14 @@ let test_heap_bounds () =
        false
      with Out_of_memory -> true)
 
-let test_heap_sink_swap_and_restore () =
-  let count1, get1 = Access.Tap.counting () in
-  let h = Heap.create ~capacity:(Units.mib 1) ~sink:count1 () in
+let test_heap_restore_page () =
+  (* restore_page: uninstrumented, byte-exact, validated *)
+  let count, get = counting () in
+  let h = Heap.create ~capacity:(Units.mib 1) ~sink:count () in
   let a = Heap.alloc h Units.page_size in
   Heap.write_u64 h a 1;
-  let count2, get2 = Access.Tap.counting () in
-  Heap.set_sink h count2;
-  Heap.write_u64 h a 2;
-  check_int "old sink stopped" 1 (get1 ());
-  check_int "new sink sees" 1 (get2 ());
-  (* restore_page: uninstrumented, byte-exact, validated *)
   Heap.restore_page h ~addr:a ~data:(String.make Units.page_size 'z');
-  check_int "no events from restore" 1 (get2 ());
+  check_int "no events from restore" 1 (get ());
   Alcotest.(check string) "restored" (String.make 8 'z') (Heap.peek_bytes h a 8);
   check_bool "unaligned restore rejected" true
     (try
@@ -165,28 +163,10 @@ let test_kv_driver () =
   check_int "ops accounted" 2_000 (r.Kv_store.sets - 500 + r.Kv_store.gets);
   check_int "all gets hit" r.Kv_store.gets r.Kv_store.hits
 
-let test_kv_remove () =
-  let h = quiet_heap () in
-  let kv = Kv_store.create h ~nbuckets:4 in
-  for i = 0 to 20 do
-    Kv_store.set kv (Kv_store.key_of_int i) (string_of_int i)
-  done;
-  check_bool "remove present" true (Kv_store.remove kv (Kv_store.key_of_int 10));
-  check_bool "remove again fails" false (Kv_store.remove kv (Kv_store.key_of_int 10));
-  Alcotest.(check (option string)) "gone" None (Kv_store.get kv (Kv_store.key_of_int 10));
-  check_int "entries decremented" 20 (Kv_store.entries kv);
-  (* neighbours in the chain survive the unlink *)
-  for i = 0 to 20 do
-    if i <> 10 then
-      Alcotest.(check (option string))
-        "chain intact" (Some (string_of_int i))
-        (Kv_store.get kv (Kv_store.key_of_int i))
-  done
-
 let prop_kv_model =
-  (* Against a Hashtbl model: arbitrary set/get/del interleavings agree. *)
+  (* Against a Hashtbl model: arbitrary set/get interleavings agree. *)
   QCheck.Test.make ~name:"kv_store agrees with Hashtbl model" ~count:60
-    QCheck.(small_list (pair (int_bound 30) (option (option (int_bound 1000)))))
+    QCheck.(small_list (pair (int_bound 30) (option (int_bound 1000))))
     (fun ops ->
       let h = quiet_heap () in
       let kv = Kv_store.create h ~nbuckets:8 in
@@ -195,15 +175,11 @@ let prop_kv_model =
         (fun (k, op) ->
           let key = "k" ^ string_of_int k in
           match op with
-          | Some (Some v) ->
+          | Some v ->
               let value = String.make (1 + (v mod 20)) 'x' ^ string_of_int v in
               Kv_store.set kv key value;
               Hashtbl.replace model key value;
-              true
-          | Some None ->
-              let expected = Hashtbl.mem model key in
-              Hashtbl.remove model key;
-              Kv_store.remove kv key = expected
+              Kv_store.entries kv = Hashtbl.length model
           | None -> Kv_store.get kv key = Hashtbl.find_opt model key)
         ops)
 
@@ -217,12 +193,11 @@ let small_graph ?(vertices = 300) ?(avg_degree = 6) ?(seed = 11) () =
 let test_graph_structure () =
   let g = small_graph () in
   check_int "vertices" 300 (Graph.vertex_count g);
-  check_int "edges even (undirected)" 0 (Graph.edge_count g mod 2);
   let total_degree = ref 0 in
   for v = 0 to 299 do
     total_degree := !total_degree + Graph.degree g v
   done;
-  check_int "sum of degrees = edge entries" (Graph.edge_count g) !total_degree;
+  check_int "sum of degrees even (undirected)" 0 (!total_degree mod 2);
   (* neighbours are valid vertex ids and no self-loops *)
   for v = 0 to 299 do
     Graph.iter_neighbors g v (fun u ->
@@ -291,9 +266,9 @@ let test_column_store_mix () =
 
 let registry_case (spec : Workloads.spec) =
   Alcotest.test_case spec.Workloads.name `Quick (fun () ->
-      let count, get = Access.Tap.counting () in
-      let writes, get_writes = Access.Tap.counting () in
-      let sink = Access.Tap.tee [ count; Access.Tap.filter Access.is_write writes ] in
+      let count, get = counting () in
+      let writes, get_writes = counting () in
+      let sink = Access.Tap.tee [ count; (fun e -> if Access.is_write e then writes e) ] in
       let heap =
         Heap.create ~capacity:(spec.Workloads.heap_capacity Workloads.Smoke) ~sink ()
       in
@@ -304,7 +279,7 @@ let registry_case (spec : Workloads.spec) =
 
 let test_extensions () =
   let zipf = Workloads.find "Redis-Zipf" in
-  let count, get = Access.Tap.counting () in
+  let count, get = counting () in
   let heap =
     Heap.create ~capacity:(zipf.Workloads.heap_capacity Workloads.Smoke) ~sink:count ()
   in
@@ -382,7 +357,7 @@ let () =
           Alcotest.test_case "free reuse" `Quick test_heap_free_reuse;
           Alcotest.test_case "event emission" `Quick test_heap_events;
           Alcotest.test_case "bounds" `Quick test_heap_bounds;
-          Alcotest.test_case "sink swap + restore" `Quick test_heap_sink_swap_and_restore;
+          Alcotest.test_case "restore_page" `Quick test_heap_restore_page;
           Alcotest.test_case "poked pages" `Quick test_heap_poked_pages;
         ] );
       qsuite "heap-props" [ prop_heap_alloc_aligned ];
@@ -391,7 +366,6 @@ let () =
           Alcotest.test_case "set/get" `Quick test_kv_set_get;
           Alcotest.test_case "collisions & resize" `Quick test_kv_many_collisions;
           Alcotest.test_case "driver" `Quick test_kv_driver;
-          Alcotest.test_case "remove" `Quick test_kv_remove;
         ] );
       qsuite "kv-props" [ prop_kv_model ];
       ( "graph",
