@@ -70,7 +70,6 @@ val hot_threshold : int
     when it was fetched again within the current epoch.  [heat_aware]'s
     default and the rack's hot-hit accounting both read it. *)
 
-val first_fit : unit -> t
 val heat_aware : ?hot_threshold:int -> unit -> t
 val centralized : unit -> t
 

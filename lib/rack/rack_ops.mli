@@ -31,7 +31,6 @@ val op_to_string : ?at_ns:int -> op -> string
 (** [add:cap=N], [drain:id=N] or [rebalance], with [@T] after the kind
     when [at_ns] is given. *)
 
-val parse : string -> (t, string) result
 val parse_exn : string -> t
 (** Raises [Invalid_argument] with the parse error. *)
 
