@@ -4,8 +4,6 @@ type t = {
   lines : (int, state) Hashtbl.t; (* absent = Invalid *)
   sharers : (int, int list) Hashtbl.t; (* absent = no tracked sharers *)
   owners : (int, int) Hashtbl.t; (* absent = no exclusive owner *)
-  mutable fills : int;
-  mutable snoops : int;
   mutable handoffs : int;
   mutable owner_changes : int;
   mutable invalidations : int;
@@ -24,8 +22,6 @@ let create () =
     lines = Hashtbl.create 4096;
     sharers = Hashtbl.create 64;
     owners = Hashtbl.create 64;
-    fills = 0;
-    snoops = 0;
     handoffs = 0;
     owner_changes = 0;
     invalidations = 0;
@@ -41,39 +37,8 @@ let sharers t ~line =
 
 let owner t ~line = Hashtbl.find_opt t.owners line
 
-let add_sharer t ~line s =
-  let cur =
-    match Hashtbl.find_opt t.sharers line with Some l -> l | None -> []
-  in
-  if not (List.mem s cur) then Hashtbl.replace t.sharers line (s :: cur)
-
-let on_fill ~sharer t ~line ~write =
-  t.fills <- t.fills + 1;
-  let next =
-    match (state t ~line, write) with
-    | _, true -> Modified
-    | Modified, false -> Modified (* already writable; read refill keeps it *)
-    | (Invalid | Shared), false -> Shared
-  in
-  Hashtbl.replace t.lines line next;
-  (* record who took the writable copy so [owner]/[audit] stay coherent *)
-  if write then Hashtbl.replace t.owners line sharer;
-  add_sharer t ~line sharer
-
-let snoop_sharers t ~line =
-  let who = sharers t ~line in
-  (* one recall message per tracked sharer: invalidating a wide reader set
-     costs proportionally, not a flat single snoop *)
-  t.snoops <- t.snoops + List.length who;
-  t.invalidations <- t.invalidations + List.length who;
-  Hashtbl.remove t.lines line;
-  Hashtbl.remove t.sharers line;
-  Hashtbl.remove t.owners line;
-  who
-
 let acquire t ~line ~tenant ~write =
   let grant_exclusive ?(inv = []) ?peer ?(dirty = false) () =
-    t.fills <- t.fills + 1;
     t.owner_changes <- t.owner_changes + 1;
     Hashtbl.replace t.lines line Modified;
     Hashtbl.replace t.owners line tenant;
@@ -86,7 +51,6 @@ let acquire t ~line ~tenant ~write =
     | Modified, Some o ->
         (* writer handoff: recall the dirty owner's copy, transfer
            ownership to the requester *)
-        t.snoops <- t.snoops + 1;
         t.invalidations <- t.invalidations + 1;
         t.handoffs <- t.handoffs + 1;
         grant_exclusive ~peer:o ~dirty:true ()
@@ -94,7 +58,6 @@ let acquire t ~line ~tenant ~write =
         (* RFO over a (possibly empty) reader set: every other sharer's
            copy dies before the requester may write *)
         let inv = List.filter (fun s -> s <> tenant) (sharers t ~line) in
-        t.snoops <- t.snoops + List.length inv;
         t.invalidations <- t.invalidations + List.length inv;
         grant_exclusive ~inv ()
   else
@@ -102,21 +65,16 @@ let acquire t ~line ~tenant ~write =
     | Modified, Some o when o = tenant -> no_grant (* owner reads own line *)
     | Modified, Some o ->
         (* dirty downgrade: the owner's copy comes home; both end Shared *)
-        t.snoops <- t.snoops + 1;
-        t.fills <- t.fills + 1;
         Hashtbl.remove t.owners line;
         Hashtbl.replace t.lines line Shared;
-        Hashtbl.replace t.sharers line
-          (if o = tenant then [ tenant ] else [ tenant; o ]);
+        Hashtbl.replace t.sharers line [ tenant; o ];
         { g_peer = Some o; g_peer_dirty = true; g_invalidated = [] }
     | (Invalid | Shared), _ | Modified, None ->
         let cur =
           match Hashtbl.find_opt t.sharers line with Some l -> l | None -> []
         in
-        if not (List.mem tenant cur) then begin
-          t.fills <- t.fills + 1;
-          add_sharer t ~line tenant
-        end;
+        if not (List.mem tenant cur) then
+          Hashtbl.replace t.sharers line (tenant :: cur);
         Hashtbl.replace t.lines line Shared;
         no_grant
 
@@ -151,8 +109,6 @@ let audit t =
     t.owners;
   List.sort compare !bad
 
-let fills t = t.fills
-let snoops t = t.snoops
 let handoffs t = t.handoffs
 let owner_changes t = t.owner_changes
 let invalidations t = t.invalidations

@@ -2,22 +2,21 @@
     (§4.3): tracks, per cache-line, which tenants hold a copy of a
     rack-level shared segment and which one may write it.
 
-    It has two users, both the rack's.  The shared-segment sharer
-    directory records each demand fill ([on_fill ~sharer]) and recalls
-    every remote reader when the publisher evicts ([snoop_sharers]).  The
-    multi-writer MSI home answers every access with [acquire]: a write
-    miss is an RFO that recalls the current owner's (possibly dirty) copy
-    and invalidates every other sharer; a read miss on a Modified line
-    forces a dirty downgrade.  Because the home answers every read miss
-    with a Shared grant, a per-agent MESI machine driven through it never
-    reaches Exclusive, and the directory is the home-side MSI projection
-    of that machine ([test_coherence] checks this against a MESI
-    reference model).
+    Its one user is the rack's multi-writer MSI home, which answers every
+    access with [acquire]: a write miss is an RFO that recalls the
+    current owner's (possibly dirty) copy and invalidates every other
+    sharer; a read miss on a Modified line forces a dirty downgrade.
+    Because the home answers every read miss with a Shared grant, a
+    per-agent MESI machine driven through it never reaches Exclusive, and
+    the directory is the home-side MSI projection of that machine
+    ([test_coherence] checks this against a MESI reference model).
 
-    The single-tenant runtime keeps no instance, since nothing there
-    reads per-line state; it counts LLC fills and writebacks as
-    [hierarchy.memory_accesses] and [hierarchy.writebacks], and snooped
-    dirty lines as [evict.snooped_lines]. *)
+    The rack's read-mostly segment path keeps its own per-page sharer set
+    (the tenants that fetched the page since the publisher last evicted
+    it dirty), and the single-tenant runtime keeps no instance, since
+    nothing there reads per-line state; it counts LLC fills and
+    writebacks as [hierarchy.memory_accesses] and [hierarchy.writebacks],
+    and snooped dirty lines as [evict.snooped_lines]. *)
 
 type state =
   | Invalid  (** not at the CPU, as far as the agent knows *)
@@ -63,27 +62,9 @@ val audit : t -> string list
     owner and no other tracked copy; a Shared line must have no owner;
     owner entries must not outlive their grant.  Empty = coherent. *)
 
-val on_fill : sharer:int -> t -> line:int -> write:bool -> unit
-(** Tenant [sharer] requested the line from VFMem: a read fill makes an
-    Invalid or Shared line Shared, a write fill makes [sharer] its owner.
-    The set of sharers per line is tracked so a writer's eviction can
-    recall every remote reader ([snoop_sharers]). *)
-
 val sharers : t -> line:int -> int list
 (** Tenants currently holding a tracked copy of [line], sorted ascending.
     Non-destructive. *)
-
-val snoop_sharers : t -> line:int -> int list
-(** Recall the line from every tracked sharer: returns the sorted sharer
-    list, then forgets both the line state and its sharers.  Counts one
-    snoop (and one invalidation) per recalled sharer, so invalidating a
-    wide reader set is charged proportionally. *)
-
-val fills : t -> int
-
-val snoops : t -> int
-(** Recalls issued (per-sharer [snoop_sharers] + [acquire]
-    recalls/invalidations). *)
 
 val handoffs : t -> int
 (** Writer handoffs: RFOs that recalled another tenant's dirty copy. *)
@@ -92,4 +73,4 @@ val owner_changes : t -> int
 (** Exclusive grants handed out by [acquire] (first grant included). *)
 
 val invalidations : t -> int
-(** Copies killed by RFOs, writer handoffs and [snoop_sharers] recalls. *)
+(** Copies killed by RFOs and writer handoffs. *)

@@ -27,10 +27,6 @@ let config_of (spec : Spec.t) =
     nodes = s.Spec.nodes;
     node_capacity = s.Spec.node_cap;
     node_gbps = s.Spec.gbps;
-    replicas = s.Spec.replicas;
-    faults =
-      List.filter_map (function Spec.Fault_at c -> Some c | _ -> None) spec.Spec.ops;
-    fault_seed = s.Spec.fault_seed;
     shared_pages = s.Spec.shared_pages;
     shared_ops = s.Spec.shared_ops;
     shared_writers = s.Spec.writers;
@@ -44,6 +40,12 @@ let config_of (spec : Spec.t) =
       {
         Runtime.default_config with
         fmem_pages = s.Spec.fmem;
+        replicas = s.Spec.replicas;
+        faults =
+          List.filter_map
+            (function Spec.Fault_at c -> Some c | _ -> None)
+            spec.Spec.ops;
+        fault_seed = s.Spec.fault_seed;
         scrub_interval_ns =
           (if s.Spec.scrub_ns > 0 then Some s.Spec.scrub_ns else None);
         verify_checksums = s.Spec.verify;

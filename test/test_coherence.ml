@@ -178,98 +178,17 @@ let prop_protocol_dirty_never_escapes_silently =
 (* ------------------------------------------------------------------ *)
 (* Directory *)
 
-let state_t = Alcotest.of_pp (fun fmt -> function
-  | Directory.Invalid -> Format.pp_print_string fmt "I"
-  | Directory.Shared -> Format.pp_print_string fmt "S"
-  | Directory.Modified -> Format.pp_print_string fmt "M")
-
-let test_directory_transitions () =
-  let d = Directory.create () in
-  Alcotest.check state_t "initial" Directory.Invalid (Directory.state d ~line:1);
-  Directory.on_fill ~sharer:0 d ~line:1 ~write:false;
-  Alcotest.check state_t "read fill -> S" Directory.Shared (Directory.state d ~line:1);
-  Directory.on_fill ~sharer:0 d ~line:1 ~write:true;
-  Alcotest.check state_t "write fill -> M" Directory.Modified (Directory.state d ~line:1);
-  Directory.on_fill ~sharer:0 d ~line:1 ~write:false;
-  Alcotest.check state_t "read refill keeps M" Directory.Modified
-    (Directory.state d ~line:1);
-  Alcotest.(check (list int)) "recall" [ 0 ] (Directory.snoop_sharers d ~line:1);
-  Alcotest.check state_t "recall -> I" Directory.Invalid (Directory.state d ~line:1)
-
 let test_directory_counters () =
-  (* The five counts the rack publishes as rack.dir.* and coherence.*. *)
+  (* The three counts the rack publishes as coherence.*. *)
   let d = Directory.create () in
-  Directory.on_fill ~sharer:1 d ~line:1 ~write:false;
+  ignore (Directory.acquire d ~line:1 ~tenant:1 ~write:false);
   ignore (Directory.acquire d ~line:2 ~tenant:0 ~write:true);
   ignore (Directory.acquire d ~line:2 ~tenant:1 ~write:true);
   ignore (Directory.acquire d ~line:1 ~tenant:0 ~write:true);
-  check_int "fills" 4 (Directory.fills d);
-  check_int "snoops: one handoff recall, one sharer killed" 2 (Directory.snoops d);
   check_int "handoffs" 1 (Directory.handoffs d);
   check_int "owner changes" 3 (Directory.owner_changes d);
-  check_int "invalidations" 2 (Directory.invalidations d)
-
-let test_directory_sharers () =
-  let d = Directory.create () in
-  Directory.on_fill ~sharer:2 d ~line:5 ~write:false;
-  Directory.on_fill ~sharer:0 d ~line:5 ~write:false;
-  Directory.on_fill ~sharer:2 d ~line:5 ~write:false (* dedup *);
-  Alcotest.(check (list int)) "sorted, deduped" [ 0; 2 ] (Directory.sharers d ~line:5);
-  Alcotest.(check (list int)) "recall returns all sharers" [ 0; 2 ]
-    (Directory.snoop_sharers d ~line:5);
-  Alcotest.(check (list int)) "forgotten after recall" []
-    (Directory.sharers d ~line:5);
-  Alcotest.check state_t "invalid after recall" Directory.Invalid
-    (Directory.state d ~line:5);
-  (* invalidating a wide reader set is charged per sharer recalled *)
-  check_int "recall counts one snoop per sharer" 2 (Directory.snoops d);
-  check_int "recall counts one invalidation per sharer" 2
+  check_int "invalidations: one handoff recall, one sharer killed" 2
     (Directory.invalidations d)
-
-(* Model-based property: replay random fill/recall sequences against a
-   reference I/S/M map.  After every op each line's state must match the
-   model: a write fill makes a line Modified, a read fill keeps Modified
-   and makes anything else Shared, and a recall returns the line to
-   Invalid with exactly the tenants that filled it since. *)
-let prop_directory_matches_model =
-  let lines = 8 in
-  let op_gen =
-    QCheck.Gen.(
-      oneof
-        [
-          map3 (fun s l w -> `Fill (s, l, w)) (int_bound 2) (int_bound (lines - 1)) bool;
-          map (fun l -> `Recall l) (int_bound (lines - 1));
-        ])
-  in
-  QCheck.Test.make ~name:"directory tracks the I/S/M model" ~count:300
-    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 60) op_gen))
-    (fun ops ->
-      let d = Directory.create () in
-      let model = Array.make lines Directory.Invalid in
-      let holders = Array.make lines [] in
-      let states_ok () =
-        Array.for_all Fun.id (Array.mapi (fun l s -> Directory.state d ~line:l = s) model)
-      in
-      List.for_all
-        (fun op ->
-          match op with
-          | `Fill (s, l, w) ->
-              Directory.on_fill ~sharer:s d ~line:l ~write:w;
-              model.(l) <-
-                (if w then Directory.Modified
-                 else
-                   match model.(l) with
-                   | Directory.Modified -> Directory.Modified
-                   | _ -> Directory.Shared);
-              if not (List.mem s holders.(l)) then holders.(l) <- s :: holders.(l);
-              states_ok ()
-          | `Recall l ->
-              let who = Directory.snoop_sharers d ~line:l in
-              let expected = List.sort compare holders.(l) in
-              model.(l) <- Directory.Invalid;
-              holders.(l) <- [];
-              who = expected && states_ok ())
-        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-writer home directory ([acquire]) *)
@@ -460,16 +379,10 @@ let () =
       qsuite "protocol-props" [ prop_protocol_dirty_never_escapes_silently ];
       ( "directory",
         [
-          Alcotest.test_case "transitions" `Quick test_directory_transitions;
           Alcotest.test_case "counters" `Quick test_directory_counters;
-          Alcotest.test_case "sharers" `Quick test_directory_sharers;
           Alcotest.test_case "acquire handoff" `Quick test_directory_acquire_handoff;
           Alcotest.test_case "acquire downgrade + rfo" `Quick
             test_directory_acquire_downgrade_and_rfo;
         ] );
-      qsuite "directory-props"
-        [
-          prop_directory_matches_model;
-          prop_directory_projects_protocol;
-        ];
+      qsuite "directory-props" [ prop_directory_projects_protocol ];
     ]

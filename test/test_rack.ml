@@ -121,8 +121,13 @@ let tenants ?(quota0 = None) ?(shares = (2, 1)) () =
       mem_quota = None; seed = 43 };
   ]
 
-let cfg ?(replicas = 0) ?(faults = []) () =
-  { Rack.default_config with Rack.replicas; faults }
+(* The rack's replication degree and fault plan live in the runtime
+   base every tenant starts from. *)
+let runtime ?(replicas = 0) ?(faults = []) () =
+  { Kona.Runtime.default_config with Kona.Runtime.replicas; faults }
+
+let cfg ?replicas ?faults () =
+  { Rack.default_config with Rack.runtime = runtime ?replicas ?faults () }
 
 let test_rack_two_tenants () =
   let r = Rack.run (cfg ()) (tenants ()) in
@@ -147,6 +152,55 @@ let test_rack_two_tenants () =
   check_bool "reader received invalidations" true
     (t1.Rack.t_invalidations > 0);
   check_int "no crashes without faults" 0 r.Rack.r_node_crashes
+
+(* The read-mostly segment's sharer sets: the publisher's dirty eviction
+   of a segment page recalls exactly the tenants that fetched it since
+   the last such eviction, never the publisher, and forgets the page's
+   set.  The recalls go out in ascending tenant order; readers' copies
+   are clean, so their invalidations commute and the order shows only in
+   the pinned fingerprints. *)
+let test_rack_sharer_recall () =
+  let cfg = { Rack.default_config with Rack.shared_pages = 2; shared_ops = 0 } in
+  let e =
+    Rack.start cfg
+      (List.init 3 (fun i ->
+           { Rack.name = Printf.sprintf "t%d" i; workload = "kv-seq";
+             bw_share = 1; mem_quota = None; seed = 42 + i }))
+  in
+  let rt i = Rack.runtime e ~tenant:i in
+  let recalled () =
+    List.init 3 (fun i -> Kona.Runtime.count (rt i) "coherence.invalidations")
+  in
+  (* Page 0: the publisher fetches and writes it, tenants 1 and 2 fetch
+     it — three demand fetches and one shared write, four fills. *)
+  Rack.shared_round e;
+  Kona.Runtime.drain (rt 0);
+  Alcotest.(check (list int))
+    "the dirty eviction recalled both readers once, the publisher never"
+    [ 0; 1; 1 ] (recalled ());
+  (* The publisher alone fetches and dirties page 0 again. *)
+  Rack.shared_line_write e ~tenant:0 ~line:0 ~payload:'x';
+  Kona.Runtime.drain (rt 0);
+  Alcotest.(check (list int))
+    "the page's set was forgotten: no reader recalled again" [ 0; 1; 1 ]
+    (recalled ());
+  let r = Rack.finish e in
+  let count name =
+    Option.value ~default:(-1)
+      (Kona_telemetry.Snapshot.counter_value r.Rack.r_snapshot name)
+  in
+  check_int "four demand fetches of segment pages" 4
+    (count "rack.sharer_fills");
+  check_int "fills: the fetches and the one shared write" 5
+    (count "rack.dir.fills");
+  check_int "snoops: three sharers, then the publisher alone" 4
+    (count "rack.dir.snoops");
+  check_int "r_snoops reads the same count" 4 r.Rack.r_snoops;
+  check_int "one recall message per remote reader" 2
+    (count "rack.invalidations_sent");
+  Array.iter
+    (fun t -> check_int "converged" 0 t.Rack.t_mismatches)
+    r.Rack.r_tenants
 
 let test_rack_determinism () =
   let fingerprints () =
@@ -185,8 +239,12 @@ let test_rack_fault_failover () =
 (* Multi-writer shared segment: both tenants RFO-write the same lines,
    so the MSI home must recall dirty copies and hand ownership back and
    forth; the per-line last-writer-wins oracle still has to converge. *)
-let mw_cfg ?(replicas = 0) ?(faults = []) () =
-  { Rack.default_config with Rack.shared_writers = 2; replicas; faults }
+let mw_cfg ?replicas ?faults () =
+  {
+    Rack.default_config with
+    Rack.shared_writers = 2;
+    runtime = runtime ?replicas ?faults ();
+  }
 
 let test_rack_multi_writer () =
   let r = Rack.run (mw_cfg ()) (tenants ()) in
@@ -206,7 +264,8 @@ let test_rack_multi_writer () =
    a doorbell-style ping-pong directly and crash a node mid-stream. *)
 let test_rack_writer_handoff_under_fault () =
   let cfg =
-    { Rack.default_config with Rack.replicas = 1; shared_pages = 0 }
+    { Rack.default_config with Rack.runtime = runtime ~replicas:1 ();
+      shared_pages = 0 }
   in
   let e = Rack.start cfg (tenants ()) in
   Rack.publish e ~pages:1;
@@ -272,19 +331,16 @@ let test_rack_multi_writer_determinism () =
 
 (* A tiered rack where placement matters: 3 nodes, only node 0 fast,
    FMem squeezed so the zipf tenant's hot set thrashes through fetches. *)
-let placement_cfg ?(policy = "heat") ?(replicas = 0) ?(faults = []) ?(ops = [])
-    () =
+let placement_cfg ?(policy = "heat") ?replicas ?faults ?(ops = []) () =
   {
     Rack.default_config with
     Rack.nodes = 3;
     fast_nodes = 1;
     slow_extra_ns = 2000;
     policy;
-    replicas;
-    faults;
     ops;
     runtime =
-      { Rack.default_config.Rack.runtime with Kona.Runtime.fmem_pages = 64 };
+      { (runtime ?replicas ?faults ()) with Kona.Runtime.fmem_pages = 64 };
   }
 
 let placement_tenants =
@@ -465,6 +521,7 @@ let () =
       ( "rack",
         [
           Alcotest.test_case "two tenants" `Quick test_rack_two_tenants;
+          Alcotest.test_case "sharer recall" `Quick test_rack_sharer_recall;
           Alcotest.test_case "determinism" `Quick test_rack_determinism;
           Alcotest.test_case "quota rejection" `Quick test_rack_quota_rejection;
           Alcotest.test_case "fault failover" `Quick test_rack_fault_failover;
