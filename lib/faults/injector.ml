@@ -12,9 +12,10 @@ type t = {
   dlv_rng : Rng.t;
   read_rng : Rng.t;
   (* Probabilities are mutable so clauses can be armed mid-run (scenario
-     engine); combining rules match [create].  The RNG streams are carved
-     off at [create] independent of the plan, so arming later never
-     perturbs the draw sequence of already-armed categories. *)
+     engine) by the same rule [create] arms its plan with.  The RNG
+     streams are carved off at [create] independent of the plan, so
+     arming later never perturbs the draw sequence of already-armed
+     categories. *)
   mutable p_drop : float;
   mutable p_delay : float;
   mutable delay_ns : int;
@@ -24,7 +25,6 @@ type t = {
   mutable p_stale : float;
   mutable p_dup : float;
   mutable crashes : (int * int) list; (* (at_ns, id), sorted by time *)
-  flaps : (int * int) list;
   (* (at_ns, dur_ns, ids), sorted by time: scheduled asymmetric
      partitions, handed out as they come due like crashes. *)
   mutable partitions : (int * int * int list) list;
@@ -43,72 +43,12 @@ type t = {
 (* Independent clauses of the same kind compose as independent events. *)
 let combine p q = 1. -. ((1. -. p) *. (1. -. q))
 
-let create ~seed ~plan =
-  let root = Rng.create ~seed in
-  (* Split order is ABI: streams must be carved off in the same order
-     forever, and new streams appended after the existing ones, so an
-     old (plan, seed) pair keeps reproducing the exact same faults. *)
-  let qp_rng = Rng.split root in
-  let rpc_rng = Rng.split root in
-  let dlv_rng = Rng.split root in
-  let read_rng = Rng.split root in
-  (* Independent clauses of the same kind compose: probabilities are
-     combined as independent events, crash/flap schedules concatenate. *)
-  let p_drop = ref 0. and p_delay = ref 0. and delay_ns = ref 0 and p_rpc = ref 0. in
-  let p_flip = ref 0. and p_torn = ref 0. and p_stale = ref 0. and p_dup = ref 0. in
-  let crashes = ref [] and flaps = ref [] and partitions = ref [] in
-  List.iter
-    (fun clause ->
-      match clause with
-      | Fault_spec.Node_crash { at_ns; id } -> crashes := (at_ns, id) :: !crashes
-      | Fault_spec.Link_flap { at_ns; dur_ns } -> flaps := (at_ns, dur_ns) :: !flaps
-      | Fault_spec.Partition { at_ns; dur_ns; ids } ->
-          partitions := (at_ns, dur_ns, ids) :: !partitions
-      | Fault_spec.Rpc_timeout { p } -> p_rpc := combine !p_rpc p
-      | Fault_spec.Wqe_drop { p } -> p_drop := combine !p_drop p
-      | Fault_spec.Wqe_delay { p; delay_ns = d } ->
-          p_delay := combine !p_delay p;
-          delay_ns := max !delay_ns d
-      | Fault_spec.Bit_flip { p } -> p_flip := combine !p_flip p
-      | Fault_spec.Torn_write { p } -> p_torn := combine !p_torn p
-      | Fault_spec.Stale_read { p } -> p_stale := combine !p_stale p
-      | Fault_spec.Dup_deliver { p } -> p_dup := combine !p_dup p)
-    plan;
-  {
-    qp_rng;
-    rpc_rng;
-    dlv_rng;
-    read_rng;
-    p_drop = !p_drop;
-    p_delay = !p_delay;
-    delay_ns = !delay_ns;
-    p_rpc = !p_rpc;
-    p_flip = !p_flip;
-    p_torn = !p_torn;
-    p_stale = !p_stale;
-    p_dup = !p_dup;
-    crashes = List.sort compare !crashes;
-    flaps = List.rev !flaps;
-    partitions = List.sort compare !partitions;
-    node_crashes = 0;
-    link_flaps_applied = 0;
-    rpc_timeouts = 0;
-    wqe_drops = 0;
-    wqe_delays = 0;
-    bit_flips = 0;
-    torn_writes = 0;
-    stale_reads = 0;
-    dup_delivers = 0;
-    partitions_applied = 0;
-  }
-
 let arm t clause =
   match clause with
   | Fault_spec.Node_crash { at_ns; id } ->
       t.crashes <- List.sort compare ((at_ns, id) :: t.crashes)
   | Fault_spec.Link_flap _ ->
-      (* The NIC outage calendar is installed by the caller (the injector
-         only hands flaps out once, at wiring); record it as injected. *)
+      (* The NIC owns the outage window; the caller installs it. *)
       t.link_flaps_applied <- t.link_flaps_applied + 1
   | Fault_spec.Partition { at_ns; dur_ns; ids } ->
       t.partitions <- List.sort compare ((at_ns, dur_ns, ids) :: t.partitions)
@@ -121,6 +61,46 @@ let arm t clause =
   | Fault_spec.Torn_write { p } -> t.p_torn <- combine t.p_torn p
   | Fault_spec.Stale_read { p } -> t.p_stale <- combine t.p_stale p
   | Fault_spec.Dup_deliver { p } -> t.p_dup <- combine t.p_dup p
+
+let create ~seed ~plan =
+  let root = Rng.create ~seed in
+  (* Split order is ABI: streams must be carved off in the same order
+     forever, and new streams appended after the existing ones, so an
+     old (plan, seed) pair keeps reproducing the exact same faults. *)
+  let qp_rng = Rng.split root in
+  let rpc_rng = Rng.split root in
+  let dlv_rng = Rng.split root in
+  let read_rng = Rng.split root in
+  let t =
+    {
+      qp_rng;
+      rpc_rng;
+      dlv_rng;
+      read_rng;
+      p_drop = 0.;
+      p_delay = 0.;
+      delay_ns = 0;
+      p_rpc = 0.;
+      p_flip = 0.;
+      p_torn = 0.;
+      p_stale = 0.;
+      p_dup = 0.;
+      crashes = [];
+      partitions = [];
+      node_crashes = 0;
+      link_flaps_applied = 0;
+      rpc_timeouts = 0;
+      wqe_drops = 0;
+      wqe_delays = 0;
+      bit_flips = 0;
+      torn_writes = 0;
+      stale_reads = 0;
+      dup_delivers = 0;
+      partitions_applied = 0;
+    }
+  in
+  List.iter (arm t) plan;
+  t
 
 let qp_inject t () =
   if t.p_drop = 0. && t.p_delay = 0. then None
@@ -197,10 +177,6 @@ let rpc_timeout t () =
        t.rpc_timeouts <- t.rpc_timeouts + 1;
        true
      end
-
-let link_flaps t =
-  t.link_flaps_applied <- List.length t.flaps;
-  t.flaps
 
 let crashes_pending t = List.length t.crashes
 

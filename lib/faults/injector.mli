@@ -4,9 +4,10 @@
     independent seeded splitmix streams, one per decision point, so the
     same seed and plan reproduce the same faults regardless of how the
     surrounding simulation interleaves its draws.  Scheduled faults (node
-    crashes) are virtual-clock triggered: the runtime polls
-    [due_node_crashes] as its clocks advance.  Link flaps are returned
-    once, at wiring time, for the NIC's outage calendar.
+    crashes, partitions) are virtual-clock triggered: the runtime polls
+    [due_node_crashes] and [due_partitions] as its clocks advance.  Link
+    flaps are the NIC's: the runtime installs each flap clause's outage
+    window itself, and the injector only counts it.
 
     The injector is pure decision-making plus counters; the components it
     hooks into (QP retransmission, RPC retry, node crash state, failover)
@@ -15,14 +16,15 @@
 type t
 
 val create : seed:int -> plan:Fault_spec.t -> t
+(** Carve the decision streams off [seed], then {!arm} each clause of
+    [plan] in order. *)
 
 val arm : t -> Fault_spec.clause -> unit
-(** Arm one more clause mid-run.  Probabilistic kinds combine with any
-    already-armed probability as independent events (same rule as
-    [create]); [Node_crash] is inserted into the pending-crash calendar.
-    [Link_flap] only bumps the injected counter — installing the outage
-    window on the NIC is the caller's job, since flap wiring happens via
-    {!link_flaps} exactly once at create.  The decision streams are
+(** Arm one more clause, at [create] or mid-run.  Probabilistic kinds
+    combine with any already-armed probability as independent events;
+    [Node_crash] and [Partition] join their pending calendars.
+    [Link_flap] only bumps the injected counter: installing the outage
+    window on the NIC is the caller's job.  The decision streams are
     carved off at [create] independent of the plan, so arming never
     perturbs draws already made. *)
 
@@ -60,10 +62,6 @@ val read_inject : t -> unit -> bool
     consulted (and only draws) when checksum verification is on. *)
 
 val stale_reads_armed : t -> bool
-
-val link_flaps : t -> (int * int) list
-(** [(at_ns, dur_ns)] outage windows to install on the NIC.  Calling this
-    counts the flaps as injected (call it once, when wiring). *)
 
 val due_node_crashes : t -> now:int -> int list
 (** Node ids whose crash time has been reached; each id is returned once.

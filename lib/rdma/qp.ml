@@ -14,20 +14,6 @@ let wqe ?(signaled = false) ?(deliver = fun () -> ()) ?node op ~len =
   assert (len >= 0);
   { op; len; signaled; deliver; node }
 
-type retry = { rx_timeout_ns : int; retry_limit : int; backoff_cap : int }
-
-(* Defaults mirror RNR-retry practice: a short retransmission timer,
-   seven retries, backoff doubling capped at 16x. *)
-let default_retry = { rx_timeout_ns = 8_000; retry_limit = 7; backoff_cap = 4 }
-
-(* The transport's view of the stack-wide backoff policy. *)
-let retry_of (b : Backoff.config) =
-  {
-    rx_timeout_ns = b.Backoff.base_ns;
-    retry_limit = b.Backoff.qp_retry_max;
-    backoff_cap = b.Backoff.cap_shift;
-  }
-
 exception Retry_exhausted of { attempts : int }
 
 (* A posted WQE awaiting its completion time.  Batches occupy the wire in
@@ -44,7 +30,7 @@ type t = {
   signal_interval : int; (* raise a CQE every Nth signal-requested WQE *)
   inject : (unit -> [ `Drop | `Delay of int ] option) option;
   arbitrate : (node:int option -> op:op -> len:int -> now:int -> int) option;
-  retry : retry;
+  backoff : Backoff.config;
   sq : pending Queue.t; (* posted, not yet completed (clock-ordered) *)
   mutable reapable : int; (* CQEs of completed signaled WQEs, not yet reaped *)
   mutable since_signal : int;
@@ -65,9 +51,12 @@ type t = {
 }
 
 let create ?(cost = Cost.default) ?nic ?sq_depth ?(signal_interval = 1) ?inject
-    ?arbitrate ?(retry = default_retry) ~clock () =
+    ?arbitrate ?(backoff = Backoff.default) ~clock () =
   assert (signal_interval > 0);
-  assert (retry.rx_timeout_ns > 0 && retry.retry_limit >= 0 && retry.backoff_cap >= 0);
+  assert (
+    backoff.Backoff.base_ns > 0
+    && backoff.Backoff.qp_retry_max >= 0
+    && backoff.Backoff.cap_shift >= 0);
   (match sq_depth with Some d -> assert (d > 0) | None -> ());
   {
     cost;
@@ -77,7 +66,7 @@ let create ?(cost = Cost.default) ?nic ?sq_depth ?(signal_interval = 1) ?inject
     signal_interval;
     inject;
     arbitrate;
-    retry;
+    backoff;
     sq = Queue.create ();
     reapable = 0;
     since_signal = 0;
@@ -194,11 +183,11 @@ let post t wqes =
                   fin := !fin + d;
                   sending := false
               | Some `Drop ->
-                  if !attempt >= t.retry.retry_limit then
+                  let b = t.backoff in
+                  if !attempt >= b.Backoff.qp_retry_max then
                     raise (Retry_exhausted { attempts = !attempt + 1 });
                   let backoff =
-                    t.retry.rx_timeout_ns
-                    * (1 lsl min !attempt t.retry.backoff_cap)
+                    b.Backoff.base_ns * (1 lsl min !attempt b.Backoff.cap_shift)
                   in
                   t.retransmits <- t.retransmits + 1;
                   t.fault_delay_ns <- t.fault_delay_ns + backoff;

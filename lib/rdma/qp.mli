@@ -25,8 +25,11 @@
     retransmitted after the retransmission timer with capped exponential
     backoff (RNR-retry semantics); the WQE's completion — and therefore
     its single delivery — moves later by the accumulated backoff, clamped
-    monotone so the reliable connection stays in-order.  Exceeding
-    [retry_limit] raises {!Retry_exhausted} (the QP's error state). *)
+    monotone so the reliable connection stays in-order.  The timer, the
+    retry budget and the doubling cap are the stack-wide
+    {!Kona_util.Backoff.config}'s [base_ns], [qp_retry_max] and
+    [cap_shift]; exceeding the budget raises {!Retry_exhausted} (the
+    QP's error state). *)
 
 type op = Read | Write
 
@@ -43,17 +46,6 @@ val wqe :
   ?signaled:bool -> ?deliver:(unit -> unit) -> ?node:int -> op -> len:int -> wqe
 (** Defaults: unsignaled, no-op delivery, no destination tag. *)
 
-type retry = {
-  rx_timeout_ns : int;  (** Retransmission timer for a lost attempt. *)
-  retry_limit : int;  (** Attempts beyond the first before the QP errors. *)
-  backoff_cap : int;  (** Backoff doubles at most this many times. *)
-}
-
-val retry_of : Kona_util.Backoff.config -> retry
-(** Derive the transport's retransmission parameters from the
-    stack-wide backoff policy.  [retry_of Backoff.default] is the
-    default: an 8 us timer, 7 retries, backoff capped at 16x. *)
-
 exception Retry_exhausted of { attempts : int }
 (** A WQE exhausted its retransmission budget: the QP enters the error
     state (callers surface this as a failed operation, not a hang). *)
@@ -67,7 +59,7 @@ val create :
   ?signal_interval:int ->
   ?inject:(unit -> [ `Drop | `Delay of int ] option) ->
   ?arbitrate:(node:int option -> op:op -> len:int -> now:int -> int) ->
-  ?retry:retry ->
+  ?backoff:Kona_util.Backoff.config ->
   clock:Kona_util.Clock.t ->
   unit ->
   t
@@ -82,8 +74,9 @@ val create :
     (default 1 = every requested one).
 
     [inject] is consulted once per transmission attempt (so a dropped
-    attempt draws again for its retransmission); [retry] tunes the
-    retransmission state machine (default [retry_of Backoff.default]).
+    attempt draws again for its retransmission); [backoff] tunes the
+    retransmission state machine (default {!Kona_util.Backoff.default}:
+    an 8 us timer, 7 retries, backoff capped at 16x).
 
     [arbitrate] is consulted once per WQE with its destination [node] tag
     and nominal completion time [now]; a positive return value defers the

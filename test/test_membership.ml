@@ -193,11 +193,21 @@ let test_recovery_cancel () =
 
 let test_backoff_shape () =
   let c = Backoff.default in
-  let r = Kona_rdma.Qp.retry_of c in
-  check_bool "the QP's timer, budget and doubling cap are the policy's" true
-    (r.Kona_rdma.Qp.rx_timeout_ns = c.Backoff.base_ns
-    && r.Kona_rdma.Qp.retry_limit = c.Backoff.qp_retry_max
-    && r.Kona_rdma.Qp.backoff_cap = c.Backoff.cap_shift);
+  (* A QP that loses every attempt waits base * 2^min(k, cap_shift) after
+     attempt k and gives up after qp_retry_max retries. *)
+  let p = { c with Backoff.base_ns = 500; qp_retry_max = 3; cap_shift = 1 } in
+  let qp =
+    Kona_rdma.Qp.create ~backoff:p
+      ~inject:(fun () -> Some `Drop)
+      ~clock:(Kona_util.Clock.create ()) ()
+  in
+  (match Kona_rdma.Qp.post qp [ Kona_rdma.Qp.wqe Kona_rdma.Qp.Write ~len:64 ] with
+  | () -> Alcotest.fail "expected Retry_exhausted"
+  | exception Kona_rdma.Qp.Retry_exhausted { attempts } ->
+      check_int "the QP's budget is the policy's" 4 attempts);
+  check_int "the QP's timer and doubling cap are the policy's"
+    (500 + 1_000 + 1_000)
+    (Kona_rdma.Qp.fault_delay_ns qp);
   let c' = Backoff.with_retry_max c 3 in
   check_bool "retry-max overrides both layers" true
     (c'.Backoff.qp_retry_max = 3 && c'.Backoff.rpc_retry_max = 3);
