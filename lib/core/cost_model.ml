@@ -33,6 +33,13 @@ let default =
     pml_drain_ns = 8_000;
   }
 
+let hit_ns t ~level =
+  match level with
+  | 1 -> t.l1_ns
+  | 2 -> t.l1_ns +. t.l2_ns
+  | 3 -> t.l1_ns +. t.l2_ns +. t.llc_ns
+  | _ -> invalid_arg "Cost_model.hit_ns: level must be 1, 2 or 3"
+
 type system_profile = { system : string; dram_cache_ns : float; remote_ns : float }
 
 let rdma_page_read_ns =

@@ -31,6 +31,13 @@ type t = {
 
 val default : t
 
+val hit_ns : t -> level:int -> float
+(** The latency of a hit at CPU-cache [level] (1 = L1, 2 = L2, 3 = LLC):
+    the cumulative latency of every level down to it, summed from L1.
+    The runtimes charge [int_of_float] of it per line access, and
+    KCacheSim's AMAT reads it unrounded.  Raises [Invalid_argument] on
+    any other level. *)
+
 (** Per-system remote-access profiles used by KCacheSim (Fig. 8): the DRAM
     cache level's latency and the remote-miss latency. *)
 type system_profile = {

@@ -65,10 +65,9 @@ let simulate ?cache_config ?(block = Units.page_size) ?(assoc = 4) ?rss ~spec ~s
   }
 
 let amat_ns ~cost ~profile counts =
-  let c = cost in
-  let lat_l1 = c.Cost_model.l1_ns in
-  let lat_l2 = lat_l1 +. c.Cost_model.l2_ns in
-  let lat_llc = lat_l2 +. c.Cost_model.llc_ns in
+  let lat_l1 = Cost_model.hit_ns cost ~level:1 in
+  let lat_l2 = Cost_model.hit_ns cost ~level:2 in
+  let lat_llc = Cost_model.hit_ns cost ~level:3 in
   let lat_dram = lat_llc +. profile.Cost_model.dram_cache_ns in
   let lat_remote = lat_dram +. profile.Cost_model.remote_ns in
   let f = float_of_int in

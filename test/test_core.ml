@@ -992,7 +992,11 @@ let test_cost_model_profiles () =
   check_bool "legoos 10us" true (p_legoos.Cost_model.remote_ns = 10_000.);
   check_bool "infiniswap 40us" true (p_inf.Cost_model.remote_ns = 40_000.);
   check_bool "fmem slower than cmem" true
-    (p_kona.Cost_model.dram_cache_ns > (Cost_model.kona_main cost).Cost_model.dram_cache_ns)
+    (p_kona.Cost_model.dram_cache_ns > (Cost_model.kona_main cost).Cost_model.dram_cache_ns);
+  (* A hit pays every level's latency down to it. *)
+  Alcotest.(check (list (float 0.)))
+    "cumulative L1/L2/LLC hit latencies" [ 1.5; 6.5; 26.5 ]
+    (List.map (fun level -> Cost_model.hit_ns cost ~level) [ 1; 2; 3 ])
 
 let () =
   Alcotest.run "kona_core"
