@@ -60,9 +60,7 @@ let best_dst slots ~pred =
 
 let hot_threshold = 2
 
-let heat_aware ?(hot_threshold = hot_threshold) () =
-  if hot_threshold <= 0 then
-    invalid_arg "Placement_policy.heat_aware: non-positive threshold";
+let heat_aware () =
   let plan ~nodes ~pages ~budget =
     let slots = List.map (fun info -> { info; free = info.ni_free }) nodes in
     let is_fast id =

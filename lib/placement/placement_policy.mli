@@ -7,13 +7,13 @@
     - {e which pages should move this epoch?} ([plan], consulted by the
       background migrator with the epoch's page {!view}).
 
-    Three implementations ship with the runtime:
+    Three implementations ship with the runtime, by {!find} name:
 
-    - [first_fit] — the pre-placement allocator: no [choose_node] (the
+    - ["first-fit"] — the pre-placement allocator: no [choose_node] (the
       controller round-robins) and never migrates;
-    - [heat_aware] — ships hot pages toward fast (low-latency) nodes and
+    - ["heat"] — ships hot pages toward fast (low-latency) nodes and
       evicts cold pages off them to make room;
-    - [centralized] — a MIND-style central directory: every placement
+    - ["centralized"] — a MIND-style central directory: every placement
       decision goes through one stateful allocator that tracks per-node
       load and plans capacity-balancing moves.
 
@@ -67,10 +67,9 @@ type t = {
 val hot_threshold : int
 (** Decayed heat at or above which a page counts hot: 2.  Fetches add 2,
     evictions 1, and heat halves every migrator epoch, so a page is hot
-    when it was fetched again within the current epoch.  [heat_aware]'s
-    default and the rack's hot-hit accounting both read it. *)
+    when it was fetched again within the current epoch.  The "heat"
+    policy and the rack's hot-hit accounting both read it. *)
 
-val heat_aware : ?hot_threshold:int -> unit -> t
 val centralized : unit -> t
 
 val names : string list

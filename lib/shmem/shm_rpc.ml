@@ -6,7 +6,6 @@ type t = {
   e : Rack.engine;
   client : int;
   server : int;
-  slots : int;
   req_lines : int;
   resp_lines : int;
   mutable seq : int;
@@ -32,11 +31,13 @@ type stats = {
    out of its way. *)
 let base_line = 1
 
-let ring_lines t = 2 + (t.slots * (t.req_lines + t.resp_lines))
+(* Calls in flight around the ring before a slot is reused. *)
+let slots = 4
 
-let create ?(slots = 4) ?(req_lines = 1) ?(resp_lines = 1) e ~client ~server ()
-    =
-  if slots < 1 || req_lines < 1 || resp_lines < 1 then
+let ring_lines t = 2 + (slots * (t.req_lines + t.resp_lines))
+
+let create ?(req_lines = 1) ?(resp_lines = 1) e ~client ~server () =
+  if req_lines < 1 || resp_lines < 1 then
     invalid_arg "Shm_rpc.create: ring geometry must be positive";
   let n = Rack.tenant_count e in
   if client < 0 || client >= n || server < 0 || server >= n || client = server
@@ -46,7 +47,6 @@ let create ?(slots = 4) ?(req_lines = 1) ?(resp_lines = 1) e ~client ~server ()
       e;
       client;
       server;
-      slots;
       req_lines;
       resp_lines;
       seq = 0;
@@ -72,10 +72,10 @@ let now t =
     (Runtime.elapsed_ns (Rack.runtime t.e ~tenant:t.server))
 
 let call t ~payload =
-  let slot = t.seq mod t.slots in
+  let slot = t.seq mod slots in
   let head = base_line and tail = base_line + 1 in
   let req0 = base_line + 2 + (slot * t.req_lines) in
-  let resp0 = base_line + 2 + (t.slots * t.req_lines) + (slot * t.resp_lines) in
+  let resp0 = base_line + 2 + (slots * t.req_lines) + (slot * t.resp_lines) in
   let byte k = Char.chr ((payload + k) land 0xff) in
   let t0 = now t in
   (* client stages the request, then rings the doorbell: each write is an
@@ -127,8 +127,8 @@ let stats t =
 
 let mean_ns s = if s.s_calls = 0 then 0 else s.s_total_ns / s.s_calls
 
-let run ?slots ?req_lines ?resp_lines e ~client ~server ~calls () =
-  let t = create ?slots ?req_lines ?resp_lines e ~client ~server () in
+let run ?req_lines ?resp_lines e ~client ~server ~calls () =
+  let t = create ?req_lines ?resp_lines e ~client ~server () in
   for k = 0 to calls - 1 do
     ignore (call t ~payload:k)
   done;

@@ -133,7 +133,7 @@ let test_first_fit_is_inert () =
           ~budget:8))
 
 let test_heat_promotes_hot_slow_pages () =
-  let p = Placement_policy.heat_aware ~hot_threshold:4 () in
+  let p = Placement_policy.find "heat" in
   let nodes =
     [ node ~fast:true ~free:mib ~cap:(2 * mib) 0;
       node ~free:mib ~cap:(2 * mib) 1 ]
@@ -150,7 +150,7 @@ let test_heat_promotes_hot_slow_pages () =
   | l -> Alcotest.failf "expected exactly 1 move, got %d" (List.length l)
 
 let test_heat_demotes_only_under_pressure () =
-  let p = Placement_policy.heat_aware ~hot_threshold:4 () in
+  let p = Placement_policy.find "heat" in
   let pages = view [ page ~vpage:5 ~node:0 ~heat:1 () ] in
   (* Plenty of fast headroom: the cold resident stays put. *)
   let roomy =
@@ -169,7 +169,7 @@ let test_heat_demotes_only_under_pressure () =
   | l -> Alcotest.failf "expected exactly 1 demotion, got %d" (List.length l)
 
 let test_heat_respects_budget_and_draining () =
-  let p = Placement_policy.heat_aware ~hot_threshold:2 () in
+  let p = Placement_policy.find "heat" in
   let nodes =
     [ node ~fast:true ~free:mib ~cap:(2 * mib) 0;
       node ~free:mib ~cap:(2 * mib) 1 ]
@@ -238,7 +238,7 @@ let test_migrator_epoch_gating () =
   let env, moves, flushes, charges = stub_env ~nodes ~pages () in
   let m =
     Migrator.create
-      ~policy:(Placement_policy.heat_aware ~hot_threshold:4 ())
+      ~policy:(Placement_policy.find "heat")
       ~epoch_ns:1000 ~budget:8 ~page_bytes:4096 env
   in
   Migrator.tick m ~now:500;
@@ -262,7 +262,7 @@ let test_migrator_counts_failures () =
   let env, _, _, charges = stub_env ~move_result:None ~nodes ~pages () in
   let m =
     Migrator.create
-      ~policy:(Placement_policy.heat_aware ~hot_threshold:4 ())
+      ~policy:(Placement_policy.find "heat")
       ~epoch_ns:1000 ~budget:8 ~page_bytes:4096 env
   in
   Migrator.tick m ~now:1500;

@@ -75,11 +75,10 @@ let test_validation () =
   check_bool "tenant out of range" true
     (raises (fun () -> Shm_rpc.create e ~client:2 ~server:0 ()));
   check_bool "non-positive geometry" true
-    (raises (fun () -> Shm_rpc.create e ~slots:0 ~client:1 ~server:0 ()));
+    (raises (fun () -> Shm_rpc.create e ~req_lines:0 ~client:1 ~server:0 ()));
   check_bool "ring larger than the shared page" true
     (raises (fun () ->
-         Shm_rpc.create e ~slots:4 ~req_lines:8 ~resp_lines:8 ~client:1
-           ~server:0 ()))
+         Shm_rpc.create e ~req_lines:8 ~resp_lines:8 ~client:1 ~server:0 ()))
 
 let () =
   Alcotest.run "kona_shmem"
