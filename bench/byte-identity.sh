@@ -9,14 +9,18 @@
 # change).  Each side runs in its own directory, DIR/a and DIR/b (default
 # DIR: byte-identity/), one command at a time:
 #
-#   - `konactl run` on kv-uniform over the four systems and `konactl stats`
-#     on kv-zipf;
-#   - three `konactl rack` specs: a three-tenant heat rack with shm-RPC
-#     calls, the add/drain/rebalance calendar and positional partition,
-#     flap and torn-write faults;
+#   - `konactl run` on kv-uniform over the four systems, and on Kona alone
+#     with a fault plan of every kind armed at create (a crash, two link
+#     flaps, a partition and all seven probabilistic kinds) under
+#     replicas, verified fetches and scrubbing; `konactl stats` on kv-zipf;
+#   - four `konactl rack` specs: a three-tenant heat rack with shm-RPC
+#     calls, the add/drain/rebalance calendar, positional partition, flap
+#     and torn-write faults, and a leased two-tenant rack with a timed
+#     crash, link flap and partition;
 #   - `konactl soak` and `konactl fuzz`;
-#   - `bench/main.exe --quick system faults integrity recovery ablate fig7`
-#     and `--quick rack placement shmrpc`, each in its own directory.
+#   - `bench/main.exe --quick system faults integrity recovery ablate fig7
+#     fig8` and `--quick rack placement shmrpc`, each in its own
+#     directory.
 #
 # Every command's stdout, stderr and exit code are kept, with every JSON it
 # writes.  Before comparing, the bench's `done in` lines (host time) and
@@ -56,6 +60,10 @@ recipe() { # SIDE BUILD
     cd "$dir"
     step run "$k" run -w kv-uniform --system kona,kona-vm,legoos,infiniswap \
       --seed 7 --metrics-json run.json
+    step faults "$k" run -w kv-uniform --system kona --replicas 1 \
+      --verify-checksums --scrub-interval 200000 --fault-seed 7 \
+      --fault-spec 'node-crash@2ms:id=1;link-flap@1ms:dur=50us;link-flap@3ms:dur=20us;partition@4ms:dur=200us,nodes=0;rpc-timeout:p=0.5;wqe-drop:p=0.05;wqe-delay:p=0.05,ns=2us;bit-flip:p=0.3;torn-write:p=0.3;stale-read:p=0.05;dup-deliver:p=0.3' \
+      --metrics-json faults.json
     step stats "$k" stats -w kv-zipf --system kona --seed 3
     step rack "$k" rack \
       'setup:tenants=3,nodes=3,replicas=0,fmem=1024,scrub=0ns,verify=0,workloads=kv-zipf|kv-uniform|voltdb,policy=heat,slowns=2us,writers=2,seg=64,segops=256;run:n=1000000000;shmrpc:calls=64' \
@@ -66,12 +74,15 @@ recipe() { # SIDE BUILD
     step positional "$k" rack \
       'setup:tenants=2,cap=33554432,fmem=64;partition:dur=2ms,nodes=1;flap:dur=2ms;torn-write:p=0.2' \
       --repro-check --metrics-json positional.json
+    step timed "$k" rack \
+      'setup:tenants=2,nodes=3,replicas=1,fmem=64,hb=10us,lease=50us,workloads=kv-zipf|kv-uniform,seg=64,segops=256;node-crash@2ms:id=1;link-flap@1ms:dur=100us;partition@3ms:dur=300us,nodes=2;run:n=1000000000' \
+      --repro-check --metrics-json timed.json
     step soak "$k" soak --episodes 3 --ops 10 --seed 7 --metrics-json soak.json
     step fuzz "$k" fuzz --episodes 8 --ops 10 --seed 7 --metrics-json fuzz.json
   )
   (
     cd "$dir/bench"
-    step bench "$b" --quick system faults integrity recovery ablate fig7
+    step bench "$b" --quick system faults integrity recovery ablate fig7 fig8
   )
   (
     cd "$dir/bench-rack"
