@@ -47,8 +47,8 @@
     Timed clauses are a start-time calendar, not ops in sequence: they
     fire at virtual time [T] wherever they sit in the list.
     [node-crash@T:id=N], [link-flap@T:dur=D] and
-    [partition@T:dur=D,nodes=A|B] join the rack's fault plan
-    ({!Kona_rack.Rack.config.faults}): like the [flap:] and
+    [partition@T:dur=D,nodes=A|B] join the rack's fault plan (the
+    [faults] of {!Kona_rack.Rack.config.runtime}): like the [flap:] and
     [partition:] ops, a timed flap or partition reaches every tenant,
     and tenant 0 fires a timed crash; [add@T[:cap=B]], [drain@T:id=N]
     and [rebalance@T] join the rack's op calendar
