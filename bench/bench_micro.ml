@@ -42,7 +42,8 @@ let test_flush_page =
            let addr = (page * Units.page_size) + (i * Units.cache_line) in
            ignore (Hierarchy.access_line h ~addr ~write:true : int)
          done;
-         ignore (Hierarchy.flush_page h ~page : int list)))
+         ignore (Hierarchy.flush_page h ~page ~half:0 : int);
+         ignore (Hierarchy.flush_page h ~page ~half:1 : int)))
 
 let test_heap_write =
   let heap = Heap.create ~capacity:(Units.mib 1) ~sink:Kona_trace.Access.Tap.ignore () in

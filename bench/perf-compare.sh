@@ -1,6 +1,6 @@
 #!/bin/sh
 # The host-speed regression gate: alternating base/head pairs of the
-# benchmark on four workloads, each pair judged by `perf.exe compare`.
+# benchmark on all five workloads, each pair judged by `perf.exe compare`.
 #
 #   bench/perf-compare.sh BASE_PERF_EXE HEAD_PERF_EXE [OUT_DIR]
 #
@@ -9,6 +9,7 @@
 # rep).  For each of 3 pairs, one seed per pair, the script runs
 # `--workload W --seed S --seconds 15 --trace 0` on both sides for
 # kv-uniform-miss (the miss path), kv-zipf-hit (the per-access path),
+# voltdb-write (the write-miss path: dirty tracking and line shipping),
 # integrity-scrub (replicas, verified fetches, leases and scrubbing) and
 # rack-heat (the rack: WFQ, the migrator and the rack scheduler), one
 # process at a time; the side that goes first alternates from pair to
@@ -27,7 +28,7 @@ base=$1
 head=$2
 out=${3:-perf-compare}
 seeds="701 702 703"
-workloads="kv-uniform-miss kv-zipf-hit integrity-scrub rack-heat"
+workloads="kv-uniform-miss kv-zipf-hit voltdb-write integrity-scrub rack-heat"
 mkdir -p "$out"
 
 run() { # side exe workload seed

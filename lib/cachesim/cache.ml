@@ -58,12 +58,6 @@ let rec scan (slots : int array) key i last =
     let s = slots.(i) in
     if s = empty || s land lnot 1 = key then i else scan slots key (i + 1) last
 
-(* Move [slots.(first)] .. [slots.(hole - 1)] up one slot, over [hole]. *)
-let shift_down (slots : int array) first hole =
-  for j = hole downto first + 1 do
-    slots.(j) <- slots.(j - 1)
-  done
-
 (* The slot of the block holding [addr], or -1. *)
 let find t addr =
   let number = addr lsr t.block_bits in
@@ -72,41 +66,50 @@ let find t addr =
   let i = scan t.slots (number lsl 1) first last in
   if i <= last && t.slots.(i) <> empty then i else -1
 
+(* Carry [prev] into [slots.(j)] and each slot from there down one place,
+   until the pass reaches a slot that holds [key] or is invalid, or runs
+   off the set: return that slot's old contents, or the carried-out last
+   slot, which is then neither [empty] nor [key]'s. *)
+let rec carry (slots : int array) key prev j last =
+  if j > last then prev
+  else begin
+    let s = slots.(j) in
+    slots.(j) <- prev;
+    if s = empty || s land lnot 1 = key then s else carry slots key s (j + 1) last
+  end
+
 let access t ~addr ~write =
   let number = addr lsr t.block_bits in
   let first = number mod t.nsets * t.assoc in
-  let last = first + t.assoc - 1 in
   let slots = t.slots in
+  let key = number lsl 1 in
   let dirty_bit = if write then 1 else 0 in
   if write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
-  let i = scan slots (number lsl 1) first last in
-  if i <= last && slots.(i) <> empty then begin
-    let slot = slots.(i) lor dirty_bit in
-    shift_down slots first i;
-    slots.(first) <- slot;
+  let head = slots.(first) in
+  (* [empty land lnot 1] is negative, so an invalid slot never matches. *)
+  if head land lnot 1 = key then begin
+    slots.(first) <- head lor dirty_bit;
     t.victim <- empty;
     true
   end
   else begin
-    if write then t.write_misses <- t.write_misses + 1
-    else t.read_misses <- t.read_misses + 1;
-    (* [i] is the set's first invalid slot, or past a full set. *)
-    let hole =
-      if i <= last then begin
-        t.victim <- empty;
-        i
-      end
-      else begin
-        let victim = slots.(last) in
-        t.victim <- victim;
+    let out = carry slots key head (first + 1) (first + t.assoc - 1) in
+    if out land lnot 1 = key then begin
+      slots.(first) <- out lor dirty_bit;
+      t.victim <- empty;
+      true
+    end
+    else begin
+      if write then t.write_misses <- t.write_misses + 1
+      else t.read_misses <- t.read_misses + 1;
+      t.victim <- out;
+      if out <> empty then begin
         t.evictions <- t.evictions + 1;
-        t.dirty_evictions <- t.dirty_evictions + (victim land 1);
-        last
-      end
-    in
-    shift_down slots first hole;
-    slots.(first) <- (number lsl 1) lor dirty_bit;
-    false
+        t.dirty_evictions <- t.dirty_evictions + (out land 1)
+      end;
+      slots.(first) <- key lor dirty_bit;
+      false
+    end
   end
 
 let victim t = if t.victim = empty then -1 else addr_of_slot t t.victim

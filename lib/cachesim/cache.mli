@@ -11,7 +11,13 @@
     to the front, a miss evicts the set's last slot (an invalid one while
     the set is not full), and {!flush_block} closes the gap it leaves.
     The position is the whole LRU state: there are no timestamps, and no
-    lookup, access or flush allocates. *)
+    lookup, access or flush allocates.
+
+    {!access} walks its set once.  It reads the most recent slot first,
+    and a hit there moves nothing; otherwise it carries each slot down
+    one place until the pass reaches the block, an invalid slot or the
+    end of the set, and puts the block in front.  Sets are indexed by
+    [mod], so the number of sets need not be a power of two. *)
 
 type t
 

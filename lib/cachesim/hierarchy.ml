@@ -90,6 +90,16 @@ let flush_dirty upper ~addr =
   | Cache.Dirty -> true
   | Cache.Absent | Cache.Clean -> false
 
+(* Flush the line at [addr] from L2 and L1, and say whether either copy was
+   dirty.  L1 is a subset of L2, so a line L2 lacks is not searched in L1. *)
+let flush_upper t ~addr =
+  match Cache.flush_block t.l2 ~addr with
+  | Cache.Absent -> false
+  | Cache.Clean -> flush_dirty t.l1 ~addr
+  | Cache.Dirty ->
+      ignore (Cache.flush_block t.l1 ~addr : Cache.flushed);
+      true
+
 (* An L2 victim leaves L1 too; its dirt, or L1's, sinks into the LLC. *)
 let handle_l2_victim t =
   let addr = Cache.victim t.l2 in
@@ -104,9 +114,8 @@ let handle_llc_victim t =
   let addr = Cache.victim t.llc in
   if addr >= 0 then begin
     note_victim t (Units.line_of_addr addr);
-    let l2_dirty = flush_dirty t.l2 ~addr in
-    let l1_dirty = flush_dirty t.l1 ~addr in
-    if Cache.victim_dirty t.llc || l2_dirty || l1_dirty then begin
+    let upper_dirty = flush_upper t ~addr in
+    if Cache.victim_dirty t.llc || upper_dirty then begin
       t.writebacks <- t.writebacks + 1;
       t.on_writeback ~addr
     end
@@ -138,41 +147,35 @@ let access t event =
     ignore (access_line t ~addr:(line * Units.cache_line) ~write : int)
   done
 
-(* Flush the lines of half page [half] that the filter lists, from the LLC,
-   then L2 and L1, and cons each line some level held dirty onto [dirty],
-   walking the mask downwards. *)
-let flush_half t half dirty =
-  let mask = take_mask t half in
-  if mask <> 0 then
-    for b = half_len - 1 downto 0 do
-      if mask land (1 lsl b) <> 0 then begin
-        let addr = ((half lsl half_bits) lor b) * Units.cache_line in
-        let llc_dirty =
-          match Cache.flush_block t.llc ~addr with
-          | Cache.Dirty -> true
-          | Cache.Clean -> false
-          | Cache.Absent ->
-              failwith
-                (Printf.sprintf
-                   "Hierarchy.flush_page: the snoop filter lists the line at %#x, which \
-                    the LLC does not hold"
-                   addr)
-        in
-        let l2_dirty = flush_dirty t.l2 ~addr in
-        let l1_dirty = flush_dirty t.l1 ~addr in
-        if llc_dirty || l2_dirty || l1_dirty then dirty := addr :: !dirty
-      end
-    done
+(* Flush the lines of half page [half] that [mask] lists from the LLC, then
+   L2 and L1, lowest first, and add each one some level held dirty to
+   [dirty]. *)
+let rec flush_lines t half mask dirty =
+  if mask = 0 then dirty
+  else begin
+    let b = Bitmap.lowest_bit mask in
+    let addr = ((half lsl half_bits) lor b) * Units.cache_line in
+    let llc_dirty =
+      match Cache.flush_block t.llc ~addr with
+      | Cache.Dirty -> true
+      | Cache.Clean -> false
+      | Cache.Absent ->
+          failwith
+            (Printf.sprintf
+               "Hierarchy.flush_page: the snoop filter lists the line at %#x, which \
+                the LLC does not hold"
+               addr)
+    in
+    let upper_dirty = flush_upper t ~addr in
+    flush_lines t half (mask land (mask - 1))
+      (if llc_dirty || upper_dirty then dirty lor (1 lsl b) else dirty)
+  end
 
 (* By inclusion a line the LLC does not hold is in no upper level either, so
-   only the lines the filter lists need flushing.  Walking the upper half
-   page first leaves the consed list ascending. *)
-let flush_page t ~page =
-  let dirty = ref [] in
-  let first = half_of (page * Units.lines_per_page) in
-  flush_half t (first + 1) dirty;
-  flush_half t first dirty;
-  !dirty
+   only the lines the filter lists need flushing. *)
+let flush_page t ~page ~half =
+  let h = half_of (page * Units.lines_per_page) + half in
+  flush_lines t h (take_mask t h) 0
 
 let l1 t = t.l1
 let l2 t = t.l2

@@ -9,12 +9,15 @@
 
     Inclusion is enforced by back-invalidating upper levels when an LLC or
     L2 victim is chosen, merging their dirty bits into the victim, so no
-    modified line can escape unobserved.  [flush_page] models the snoop the
+    modified line can escape unobserved.  So L1 is a subset of L2 and L2
+    of the LLC, and a line leaving the LLC that L2 does not hold is not
+    searched in L1.  [flush_page] models the snoop the
     FPGA must perform before evicting a page (§4.4 "Tracking dirty
     data").  An exact snoop filter, kept on every LLC fill and victim,
     lists for each half page the lines the LLC holds, so the snoop visits
     only those lines, as a coherent cache's snoop filter spares it a
-    broadcast. *)
+    broadcast; it answers with a 32-line dirty mask per half page, the
+    layout of FMem's per-frame dirty bitmap. *)
 
 type level_config = { size : int; assoc : int }
 
@@ -44,15 +47,18 @@ val access_line : t -> addr:int -> write:bool -> int
 (** Single-line access; returns the level that hit (1, 2, 3) or 4 for
     memory. *)
 
-val flush_page : t -> page:int -> int list
-(** Invalidate every line of 4KB page index [page] from all levels; returns
-    the (64B-aligned) addresses of lines that were dirty anywhere in the
-    hierarchy, in ascending order.  Only the lines the snoop filter lists
-    for the page are visited: each is flushed from the LLC, then searched
-    in L2 and L1; by inclusion a line absent from the LLC is absent
-    everywhere.  Raises [Failure] if the filter lists a line the LLC does
-    not hold (a broken invariant).  Does NOT invoke [on_writeback]: the
-    caller receives the dirty data directly, as a snoop does. *)
+val flush_page : t -> page:int -> half:int -> int
+(** Invalidate from all levels every line of half [half] (0 or 1) of 4KB
+    page index [page]: lines [32 * half] to [32 * half + 31].  Returns the
+    mask of those that were dirty anywhere in the hierarchy, bit [i] for
+    line [32 * half + i] of the page; the snoop of a page is the two
+    calls, and neither allocates.  Only the lines the snoop filter lists
+    for the half are visited: each is flushed from the LLC, then from L2,
+    and from L1 only if L2 held it (L1 is a subset of L2); by inclusion a
+    line absent from the LLC is absent everywhere.  Raises [Failure] if
+    the filter lists a line the LLC does not hold (a broken invariant).
+    Does NOT invoke [on_writeback]: the caller receives the dirty data
+    directly, as a snoop does. *)
 
 val l1 : t -> Cache.t
 val l2 : t -> Cache.t

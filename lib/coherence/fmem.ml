@@ -11,7 +11,8 @@ type policy = Lru | Fifo | Random of int
 type frame = {
   mutable vpage : int; (* -1 = free *)
   mutable stamp : int; (* LRU: last touch; FIFO: insertion time *)
-  dirty : Bitmap.t;
+  mutable dirty_lo : int; (* dirty lines 0-31: line l is bit l *)
+  mutable dirty_hi : int; (* dirty lines 32-63: line l is bit l - 32 *)
 }
 
 type t = {
@@ -34,8 +35,7 @@ let create ?(assoc = 4) ?(policy = Lru) ~pages () =
   let nsets = pages / assoc in
   {
     frames =
-      Array.init pages (fun _ ->
-          { vpage = -1; stamp = 0; dirty = Bitmap.create Units.lines_per_page });
+      Array.init pages (fun _ -> { vpage = -1; stamp = 0; dirty_lo = 0; dirty_hi = 0 });
     nsets;
     assoc;
     policy;
@@ -64,7 +64,7 @@ let find_in t ~set vpage =
 
 let find t vpage = find_in t ~set:(set_of t vpage) vpage
 
-type victim = { vpage : int; dirty_lines : Bitmap.t }
+type victim = { vpage : int; dirty_lo : int; dirty_hi : int }
 
 let touch t (frame : frame) =
   t.tick <- t.tick + 1;
@@ -101,10 +101,13 @@ let victim_frame t ~set : frame =
     | Random _ -> t.frames.(first + Rng.int t.rng t.assoc)
 
 let take_victim (frame : frame) =
-  let v = { vpage = frame.vpage; dirty_lines = Bitmap.copy frame.dirty } in
+  let v =
+    { vpage = frame.vpage; dirty_lo = frame.dirty_lo; dirty_hi = frame.dirty_hi }
+  in
   frame.vpage <- -1;
   frame.stamp <- 0;
-  Bitmap.clear_all frame.dirty;
+  frame.dirty_lo <- 0;
+  frame.dirty_hi <- 0;
   v
 
 let insert t ~vpage =
@@ -124,15 +127,22 @@ let insert t ~vpage =
       end
     in
     frame.vpage <- vpage;
-    Bitmap.clear_all frame.dirty;
+    frame.dirty_lo <- 0;
+    frame.dirty_hi <- 0;
     touch t frame;
     victim
   end
 
+let half_len = Units.lines_per_page / 2
+
 let mark_dirty t ~vpage ~line =
   assert (line >= 0 && line < Units.lines_per_page);
   let i = find t vpage in
-  if i >= 0 then Bitmap.set t.frames.(i).dirty line;
+  if i >= 0 then begin
+    let frame = t.frames.(i) in
+    if line < half_len then frame.dirty_lo <- frame.dirty_lo lor (1 lsl line)
+    else frame.dirty_hi <- frame.dirty_hi lor (1 lsl (line - half_len))
+  end;
   i >= 0
 
 let evict t ~vpage =
@@ -161,5 +171,7 @@ let set_counters t ~set =
 let iter_resident t f =
   Array.iter
     (fun (frame : frame) ->
-      if frame.vpage >= 0 then f ~vpage:frame.vpage ~dirty:(Bitmap.count frame.dirty))
+      if frame.vpage >= 0 then
+        f ~vpage:frame.vpage
+          ~dirty:(Bitmap.popcount frame.dirty_lo + Bitmap.popcount frame.dirty_hi))
     t.frames

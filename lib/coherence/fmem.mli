@@ -5,7 +5,10 @@
     whole pages so applications keep spatial locality, while the CPU's own
     caches provide temporal locality.  Each frame carries a 64-bit dirty
     cache-line bitmap — the hardware primitive (track-local-data) that
-    enables cache-line granularity eviction. *)
+    enables cache-line granularity eviction.  An OCaml [int] holds 63
+    bits, so the bitmap is two ints of 32 lines each, the half-page
+    layout the CPU caches' snoop filter answers in: setting a bit, taking
+    a victim and clearing a frame allocate nothing. *)
 
 type t
 
@@ -22,7 +25,8 @@ val resident : t -> int
 
 type victim = {
   vpage : int;  (** VFMem page index being evicted *)
-  dirty_lines : Kona_util.Bitmap.t;  (** its dirty-line mask at eviction *)
+  dirty_lo : int;  (** its dirty lines 0-31 at eviction: line [l] is bit [l] *)
+  dirty_hi : int;  (** its dirty lines 32-63: line [l] is bit [l - 32] *)
 }
 
 val lookup : t -> vpage:int -> bool

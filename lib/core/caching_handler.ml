@@ -13,7 +13,7 @@ type t = {
   tracer : Tracer.t option;
   mutable prefetcher : Prefetcher.t option;
   prefetched : (int, unit) Hashtbl.t; (* prefetched, not yet demanded *)
-  on_victim : vpage:int -> dirty:Bitmap.t -> unit;
+  on_victim : vpage:int -> dirty_lo:int -> dirty_hi:int -> unit;
   mutable on_fetch_verify : (vpage:int -> unit) option;
   mutable on_fetch : (vpage:int -> unit) option;
   mutable fmem_hits : int;
@@ -26,10 +26,14 @@ type t = {
 }
 
 (* A page leaving FMem must also leave [prefetched], or that table would
-   grow without bound. *)
+   grow without bound.  Only a prefetcher fills the table, so without one
+   it is empty and goes unasked. *)
 let note_victim t (victim : Fmem.victim) =
-  Hashtbl.remove t.prefetched victim.Fmem.vpage;
-  t.on_victim ~vpage:victim.Fmem.vpage ~dirty:victim.Fmem.dirty_lines
+  (match t.prefetcher with
+  | Some _ -> Hashtbl.remove t.prefetched victim.Fmem.vpage
+  | None -> ());
+  t.on_victim ~vpage:victim.Fmem.vpage ~dirty_lo:victim.Fmem.dirty_lo
+    ~dirty_hi:victim.Fmem.dirty_hi
 
 let create ~cost ?mce_threshold_ns ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp ~on_victim
     () =
@@ -129,10 +133,11 @@ let on_fill t ~addr =
   let vpage = Units.page_of_addr addr in
   if Fmem.lookup t.fmem ~vpage then begin
     t.fmem_hits <- t.fmem_hits + 1;
-    if Hashtbl.mem t.prefetched vpage then begin
-      t.prefetch_useful <- t.prefetch_useful + 1;
-      Hashtbl.remove t.prefetched vpage
-    end;
+    (match t.prefetcher with
+    | Some _ when Hashtbl.mem t.prefetched vpage ->
+        t.prefetch_useful <- t.prefetch_useful + 1;
+        Hashtbl.remove t.prefetched vpage
+    | Some _ | None -> ());
     Clock.advance (app_clock t) (int_of_float t.cost.Cost_model.fmem_ns)
   end
   else begin

@@ -27,7 +27,7 @@ val create :
   fmem:Kona_coherence.Fmem.t ->
   rm:Resource_manager.t ->
   fetch_qp:Kona_rdma.Qp.t ->
-  on_victim:(vpage:int -> dirty:Kona_util.Bitmap.t -> unit) ->
+  on_victim:(vpage:int -> dirty_lo:int -> dirty_hi:int -> unit) ->
   unit ->
   t
 (** [fetch_qp] must be clocked by the application thread.

@@ -7,6 +7,10 @@ module Tracer = Kona_telemetry.Tracer
 let header_bytes = 8
 let entry_bytes = header_bytes + Units.cache_line
 
+(* One destination node's staged run entries, newest first, and their
+   line count. *)
+type staging = { mutable entries : Memory_node.log_entry list; mutable lines : int }
+
 type t = {
   capacity : int;
   qp : Qp.t;
@@ -14,8 +18,10 @@ type t = {
   stream_base : int; (* tenant offset for sequencer streams (stream_base + node) *)
   controller : Rack_controller.t; (* node ids -> backing and mirrors; the epoch *)
   tracer : Tracer.t option;
-  buffers : (int, Memory_node.log_entry list ref) Hashtbl.t; (* node -> staged, newest first *)
-  staged : (int, int) Hashtbl.t; (* node -> count *)
+  (* node -> its staging record, added when the node stages its first run:
+     [flush] folds the table, so the order nodes were added in fixes the
+     order it ships them in. *)
+  staging : (int, staging) Hashtbl.t;
   seq_tx : Sequencer.Tx.t; (* per-destination-node shipment stamps *)
   pending_dups :
     (int, (Memory_node.log_entry list * Memory_node.delivery) list ref) Hashtbl.t;
@@ -59,8 +65,7 @@ let create ?(capacity = 512) ?(stream_base = 0) ?tracer ~qp ~cost ~controller
     stream_base;
     controller;
     tracer;
-    buffers = Hashtbl.create 4;
-    staged = Hashtbl.create 4;
+    staging = Hashtbl.create 4;
     seq_tx = Sequencer.Tx.create ();
     pending_dups = Hashtbl.create 4;
     inject = None;
@@ -98,7 +103,6 @@ let charge t phase ns =
 
 let note_bitmap_scan t ~lines = charge t `Bitmap (Cost.bitmap_scan_ns t.cost ~lines)
 
-let staged_count t node = Option.value ~default:0 (Hashtbl.find_opt t.staged node)
 let set_inject t f = t.inject <- Some f
 let set_on_report t f = t.on_report <- Some f
 let set_on_flip t f = t.on_flip <- Some f
@@ -209,12 +213,12 @@ let deliver t ~node ~target ~entries ~delivery ~lines ~flip () =
    (primary only, original stamp), exercising duplicate rejection. *)
 let take_node_wqes t node =
   let fresh_wqes =
-    match Hashtbl.find_opt t.buffers node with
-    | None | Some { contents = [] } -> []
-    | Some entries_ref ->
-        let entries = List.rev !entries_ref in
-        entries_ref := [];
-        Hashtbl.replace t.staged node 0;
+    match Hashtbl.find_opt t.staging node with
+    | None | Some { entries = []; _ } -> []
+    | Some staged ->
+        let entries = List.rev staged.entries in
+        staged.entries <- [];
+        staged.lines <- 0;
         let wire = wire_of entries in
         let targets =
           Rack_controller.node t.controller ~id:node
@@ -344,26 +348,26 @@ let append_run t ~node ~raddr ~data =
     invalid_arg "Cl_log.append_run: data must be whole cache-lines";
   let lines = len / Units.cache_line in
   charge t `Copy (Cost.memcpy_ns t.cost ~bytes:(header_bytes + len));
-  let entries_ref =
-    match Hashtbl.find_opt t.buffers node with
-    | Some r -> r
+  let staged =
+    match Hashtbl.find_opt t.staging node with
+    | Some staged -> staged
     | None ->
-        let r = ref [] in
-        Hashtbl.add t.buffers node r;
-        r
+        let staged = { entries = []; lines = 0 } in
+        Hashtbl.add t.staging node staged;
+        staged
   in
   (* Per-line CRCs are computed during the same pass that copies lines
      into the log buffer, so they ride the memcpy charge above. *)
-  entries_ref := Memory_node.entry ~addr:raddr ~data :: !entries_ref;
-  Hashtbl.replace t.staged node (staged_count t node + lines);
+  staged.entries <- Memory_node.entry ~addr:raddr ~data :: staged.entries;
+  staged.lines <- staged.lines + lines;
   t.lines_logged <- t.lines_logged + lines;
   t.appends <- t.appends + 1;
   t.payload_bytes <- t.payload_bytes + len;
-  if staged_count t node >= t.capacity then flush_node t node
+  if staged.lines >= t.capacity then flush_node t node
 
 let flush t =
   let began = Clock.now (clock t) in
-  let nodes = Hashtbl.fold (fun node _ acc -> node :: acc) t.buffers [] in
+  let nodes = Hashtbl.fold (fun node _ acc -> node :: acc) t.staging [] in
   (* Nodes with only a pending dup redelivery still need a shipment. *)
   let nodes =
     Hashtbl.fold

@@ -94,7 +94,10 @@ val append_run : t -> node:int -> raddr:int -> data:string -> unit
 (** Stage one run of contiguous dirty cache-lines ([data] length must be a
     positive multiple of 64) bound for [node]/[raddr]; charges the
     copy-into-log cost (one memcpy per run) and auto-flushes the node's
-    buffer when full. *)
+    buffer when full.  Each node's buffer is one staging record, its
+    entries and their line count, found with one table lookup per run;
+    {!flush} ships the nodes in the order of that table, which the order
+    nodes first staged a run in fixes. *)
 
 val note_bitmap_scan : t -> lines:int -> unit
 (** Charge (and attribute) the dirty-bitmap scan the eviction handler just

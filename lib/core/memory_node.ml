@@ -183,10 +183,10 @@ let entry ~addr ~data =
   let len = String.length data in
   assert (len > 0 && len mod Units.cache_line = 0);
   assert (addr mod Units.cache_line = 0);
-  let crcs =
-    Array.init (len / Units.cache_line) (fun i ->
-        Crc32c.digest_sub data ~pos:(i * Units.cache_line) ~len:Units.cache_line)
-  in
+  let crcs = Array.make (len / Units.cache_line) 0 in
+  for i = 0 to Array.length crcs - 1 do
+    crcs.(i) <- Crc32c.digest_sub data ~pos:(i * Units.cache_line) ~len:Units.cache_line
+  done;
   { addr; data; crcs }
 
 type delivery = { stream : int; epoch : int; seq : int }

@@ -154,6 +154,11 @@ type t = {
   mutable heap_pages_lost : int;
   mutable degraded_reason : string option;
   mutable accesses : int;
+  (* The earliest virtual time at which a source of [poll_faults] can act
+     (its [poll_due]), or lower: [sink] polls only once the clocks reach
+     it.  Each poll recomputes it; work scheduled outside a poll lowers it
+     with [poll_by]. *)
+  mutable next_poll : int;
   on_evict : (vpage:int -> dirty:bool -> unit) ref;
   mutable invalidations_received : int;
 }
@@ -387,6 +392,14 @@ let elapsed_ns t = Int.max (app_ns t) (bg_ns t)
 let note_degraded t reason =
   if t.degraded_reason = None then t.degraded_reason <- Some reason
 
+(* Something outside a poll scheduled work due at [due]. *)
+let poll_by t due = if due < t.next_poll then t.next_poll <- due
+
+(* Start leasing [id] now; its first owed beat may be the earliest due. *)
+let track t m ~id =
+  Membership.track m ~id ~now:(elapsed_ns t);
+  poll_by t (Membership.next_due m)
+
 (* ------------------------------------------------------------------ *)
 (* Integrity: delivery-report accounting and scrub-and-repair (PR 4) *)
 
@@ -615,6 +628,7 @@ let flush_healed_deferred t ~now =
 let enqueue_re_replication t ~logical =
   let chunk = 1 lsl 20 in
   let state = ref `Init in
+  poll_by t 0;
   ignore
     (Recovery.enqueue t.recovery
        ~name:(Printf.sprintf "re-replicate:%d" logical)
@@ -728,8 +742,7 @@ let run_failover_attempt t ~logical ~phys =
         | None -> ());
         (* The promoted store owes heartbeats now. *)
         (match t.membership with
-        | Some m ->
-            Membership.track m ~id:(Memory_node.id promoted) ~now:(elapsed_ns t)
+        | Some m -> track t m ~id:(Memory_node.id promoted)
         | None -> ());
         enqueue_re_replication t ~logical;
         `Done
@@ -741,6 +754,7 @@ let schedule_failover t ~phys =
       let name = Printf.sprintf "failover:%d" logical in
       if not (List.mem name (Recovery.pending t.recovery)) then begin
         let attempts = ref 0 in
+        poll_by t 0;
         ignore
           (Recovery.enqueue t.recovery ~name (fun ~now:_ ->
                match run_failover_attempt t ~logical ~phys with
@@ -856,8 +870,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ~controller
   let caching =
     Caching_handler.create ~cost ?mce_threshold_ns:config.mce_threshold_ns
       ?prefetch_qp ?tracer ~fmem ~rm ~fetch_qp
-      ~on_victim:(fun ~vpage ~dirty ->
-        let shipped = Eviction_handler.evict evictor ~vpage ~dirty in
+      ~on_victim:(fun ~vpage ~dirty_lo ~dirty_hi ->
+        let shipped = Eviction_handler.evict evictor ~vpage ~dirty_lo ~dirty_hi in
         !on_evict ~vpage ~dirty:shipped;
         !post_evict_ref ())
       ()
@@ -900,6 +914,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ~controller
       heap_pages_lost = 0;
       degraded_reason = None;
       accesses = 0;
+      next_poll = 0;
       on_evict;
       invalidations_received = 0;
     }
@@ -960,6 +975,7 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ~controller
         let heal = Hashtbl.find t.partition_until node in
         t.deferred_deliveries <- t.deferred_deliveries + 1;
         t.deferred <- t.deferred @ [ (heal, fire) ];
+        poll_by t heal;
         true
       end
       else false);
@@ -998,7 +1014,8 @@ let create ?(config = default_config) ?nic ?hub ?arbitrate ~controller
    schedules it once the lease expires: it cannot tell a crash from a
    partition.  Without, the crash is detected instantly: the failover is
    scheduled here and the queue pumped to idle.  Mirrors hold no leases,
-   so a mirror crash queues re-replication directly. *)
+   so a mirror crash queues re-replication directly.  A queued task lowers
+   [next_poll] as it is enqueued. *)
 let crash_node t ~id =
   Injector.count_crash t.injector;
   let emit name args =
@@ -1026,28 +1043,41 @@ let crash_node t ~id =
             (Printf.sprintf "fault plan crashed unknown memory node %d" id)));
   if t.membership = None then pump_recovery t
 
-(* Polled as the clocks advance (every access sink and drain): fire node
-   crashes and partitions whose scheduled virtual time has been reached,
-   replay deliveries whose partition healed, evaluate heartbeat leases,
-   and advance the in-flight recovery task one bounded step.  O(1) when
-   nothing is pending. *)
+(* The earliest virtual time at which a step of [poll_faults] acts: a
+   pending crash or partition starts, a deferred delivery's partition
+   heals, a tracked node owes a heartbeat, or — at any time, so 0 — the
+   recovery queue holds a task or a scrub sweep is in flight.  Before it
+   a poll changes nothing. *)
+let poll_due t =
+  let due = Injector.next_due t.injector in
+  let due = List.fold_left (fun due (heal, _) -> Int.min due heal) due t.deferred in
+  let due =
+    match t.membership with Some m -> Int.min due (Membership.next_due m) | None -> due
+  in
+  let due = Int.min due (Recovery.next_due t.recovery) in
+  match t.scrubber with Some s -> Int.min due (Scrubber.next_due s) | None -> due
+
+(* Polled as the clocks advance (access sinks once [next_poll] is reached,
+   and drain): fire node crashes and partitions whose scheduled virtual
+   time has been reached, replay deliveries whose partition healed,
+   evaluate heartbeat leases, advance the in-flight recovery task one
+   bounded step and the scrubber one budget, then recompute [next_poll]. *)
 let poll_faults t =
   let now = elapsed_ns t in
   let inj = t.injector in
-  if Injector.crashes_pending inj > 0 then
-    List.iter (fun id -> crash_node t ~id) (Injector.due_node_crashes inj ~now);
-  if Injector.partitions_pending inj > 0 then
-    List.iter
-      (fun (dur_ns, ids) -> start_partition t ~dur_ns ~ids)
-      (Injector.due_partitions inj ~now);
+  List.iter (fun id -> crash_node t ~id) (Injector.due_node_crashes inj ~now);
+  List.iter
+    (fun (dur_ns, ids) -> start_partition t ~dur_ns ~ids)
+    (Injector.due_partitions inj ~now);
   flush_healed_deferred t ~now;
   (match t.membership with Some m -> Membership.tick m ~now | None -> ());
   (match Recovery.step t.recovery ~now with
   | `Idle | `Stepped _ | `Finished _ -> ());
   (* The scrubber shares the poll: cheap when no sweep is due. *)
-  match t.scrubber with
+  (match t.scrubber with
   | Some s -> Scrubber.tick s ~now:(elapsed_ns t)
-  | None -> ()
+  | None -> ());
+  t.next_poll <- poll_due t
 
 (* The charge per line access, indexed by the level
    [Hierarchy.access_line] returns minus one: a memory access (level 4)
@@ -1059,12 +1089,22 @@ let level_ns =
 let charge_level t level = Clock.advance t.app_clock level_ns.(level - 1)
 
 let sink t event =
-  poll_faults t;
+  if elapsed_ns t >= t.next_poll then poll_faults t;
   t.accesses <- t.accesses + 1;
   let write = Access.is_write event in
   for line = Access.first_line event to Access.last_line event do
     charge_level t (Hierarchy.access_line t.hierarchy ~addr:(line * Units.cache_line) ~write)
   done
+
+(* Take [vpage] out of FMem, if resident, and through the eviction path:
+   its frame's dirty lines and any the snoop finds ship.  Whether any
+   did. *)
+let evict_page t ~vpage =
+  match Fmem.evict t.fmem ~vpage with
+  | Some victim ->
+      Eviction_handler.evict t.evictor ~vpage ~dirty_lo:victim.Fmem.dirty_lo
+        ~dirty_hi:victim.Fmem.dirty_hi
+  | None -> Eviction_handler.evict t.evictor ~vpage ~dirty_lo:0 ~dirty_hi:0
 
 let drain t =
   poll_faults t;
@@ -1080,12 +1120,7 @@ let drain t =
   Cache.iter_resident (Hierarchy.llc t.hierarchy) note_dirty;
   Hashtbl.iter
     (fun vpage () ->
-      let dirty =
-        match Fmem.evict t.fmem ~vpage with
-        | Some victim -> victim.Fmem.dirty_lines
-        | None -> Bitmap.create Units.lines_per_page
-      in
-      let shipped = Eviction_handler.evict t.evictor ~vpage ~dirty in
+      let shipped = evict_page t ~vpage in
       !(t.on_evict) ~vpage ~dirty:shipped)
     pages;
   Cl_log.flush t.log;
@@ -1299,12 +1334,7 @@ let set_on_fetch t f = Caching_handler.set_on_fetch t.caching f
    FMem invalidation access. *)
 let invalidate_page t ~vpage =
   t.invalidations_received <- t.invalidations_received + 1;
-  let dirty =
-    match Fmem.evict t.fmem ~vpage with
-    | Some victim -> victim.Fmem.dirty_lines
-    | None -> Bitmap.create Units.lines_per_page
-  in
-  let (_ : bool) = Eviction_handler.evict t.evictor ~vpage ~dirty in
+  let (_ : bool) = evict_page t ~vpage in
   Clock.advance t.bg_clock (int_of_float cost.Cost_model.fmem_ns)
 
 (* Multi-writer coherence: the rack installs the home-side judgment of
@@ -1341,7 +1371,8 @@ let arm_fault t clause =
         Nic.inject_outage t.nic ~at:at_ns ~duration:dur_ns;
         clause
     | Fault_spec.Partition p -> Fault_spec.Partition { p with at_ns }
-    | c -> c)
+    | c -> c);
+  poll_by t (Injector.next_due t.injector)
 
 let controller t = t.controller
 
@@ -1350,12 +1381,12 @@ let membership t = t.membership
 let partition_active t ~id = partitioned t ~id ~at:(elapsed_ns t)
 let deferred_pending t = List.length t.deferred
 let recovery_pending t = Recovery.pending t.recovery
+(* A step outside a poll lowers [next_poll] through what its task
+   schedules (a failover's lease and re-replication). *)
 let step_recovery t = Recovery.step t.recovery ~now:(elapsed_ns t)
 
 let track_node t ~id =
-  match t.membership with
-  | Some m -> Membership.track m ~id ~now:(elapsed_ns t)
-  | None -> ()
+  match t.membership with Some m -> track t m ~id | None -> ()
 
 let registry t = t.registry
 let resource_manager t = t.rm

@@ -143,7 +143,14 @@ val create :
 
 val sink : t -> Kona_trace.Access.t -> unit
 (** Feed one application access: runs the cache hierarchy, triggers
-    fetches/tracking/eviction, and advances the clocks. *)
+    fetches/tracking/eviction, and advances the clocks.  First it polls
+    faults, leases, deferred deliveries, recovery and the scrubber, but
+    only once the clocks reach the earliest virtual time one of them can
+    act: the runtime keeps that time, each poll recomputes it, and work
+    scheduled between accesses ({!arm_fault}, {!crash_node},
+    {!track_node}, {!step_recovery}, a partition's deferral of a
+    delivery) lowers it.  A poll before that time would change nothing,
+    so when nothing is due the poll costs one integer compare. *)
 
 val drain : t -> unit
 (** Write back every remaining dirty cache-line (CPU caches and FMem) and
@@ -187,10 +194,11 @@ val stats : t -> (string * int) list
 
 (** {2 Failure recovery (§4.5)}
 
-    Fault handling is driven by the virtual clocks: [sink] and [drain]
-    poll the injector for due node crashes.  A crashed primary is failed
-    over to its first live mirror through a rack-controller RPC exchange
-    (latency recorded in [failover.latency_ns]), which fences the
+    Fault handling is driven by the virtual clocks: [sink] (once a
+    poll is due) and [drain] poll the injector for due node crashes.  A
+    crashed primary is failed over to its first live mirror through a
+    rack-controller RPC exchange (latency recorded in
+    [failover.latency_ns]), which fences the
     displaced store at a fresh rack-global epoch; the replication degree
     is then restored by a background copy onto a fresh mirror
     ([recovery.latency_ns], [recovery.bytes]).  Both run as tasks on one

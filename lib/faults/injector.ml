@@ -178,7 +178,10 @@ let rpc_timeout t () =
        true
      end
 
-let crashes_pending t = List.length t.crashes
+(* Both calendars are kept sorted by start time. *)
+let next_due t =
+  let crash = match t.crashes with (at, _) :: _ -> at | [] -> max_int in
+  match t.partitions with (at, _, _) :: _ -> Int.min crash at | [] -> crash
 
 let due_node_crashes t ~now =
   match t.crashes with
@@ -190,7 +193,6 @@ let due_node_crashes t ~now =
 
 let count_crash t = t.node_crashes <- t.node_crashes + 1
 
-let partitions_pending t = List.length t.partitions
 
 let due_partitions t ~now =
   match t.partitions with

@@ -73,15 +73,16 @@ val count_crash : t -> unit
     due or a scenario op crashed the node directly: the one crash count,
     [node_crashes] in {!counters}. *)
 
-val crashes_pending : t -> int
-
 val due_partitions : t -> now:int -> (int * int list) list
 (** [(dur_ns, ids)] partitions whose start time has been reached; each is
     returned once.  The caller (the runtime) owns the partition windows —
     deferring deliveries, blocking heartbeats — like the NIC owns flap
     outages. *)
 
-val partitions_pending : t -> int
+val next_due : t -> int
+(** The earliest start time of a pending crash or partition; [max_int]
+    when none is pending: before it {!due_node_crashes} and
+    {!due_partitions} return [[]]. *)
 
 (** {2 Accounting} *)
 

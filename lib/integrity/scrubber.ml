@@ -66,6 +66,7 @@ let force_sweep t =
     check_one t
   done
 
+let next_due t = if sweep_in_flight t then 0 else t.next_due
 let pages_scrubbed t = t.pages_scrubbed
 let repairs t = t.repairs
 let sweeps t = t.sweeps

@@ -26,6 +26,10 @@ val tick : t -> now:int -> unit
 (** Advance the scrubber to virtual time [now]: start a sweep if one is
     due and none is in flight, then check up to 8 pages. *)
 
+val next_due : t -> int
+(** The earliest virtual time at which {!tick} does anything: 0 while a
+    sweep is in flight, else the time the next sweep may start. *)
+
 val force_sweep : t -> unit
 (** Run one complete fresh sweep to the end immediately, ignoring
     interval and the per-tick budget.  Any in-flight sweep is abandoned — its cursor

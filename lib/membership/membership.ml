@@ -122,6 +122,7 @@ let tick t ~now =
       List.fold_left (fun due e -> if e.next_beat < due then e.next_beat else due) max_int t.nodes
   end
 
+let next_due t = t.next_due
 let detect_latency t = t.detect_latency
 let heartbeats t = t.heartbeats
 let suspicions t = t.suspicions

@@ -40,6 +40,10 @@ val tick : t -> now:int -> unit
     [on_dead] for freshly declared deaths.  One integer compare while no
     tracked node owes a heartbeat by [now]. *)
 
+val next_due : t -> int
+(** The earliest heartbeat instant a tracked node owes, [max_int] while
+    none is tracked: {!tick} does nothing before it. *)
+
 val state : t -> id:int -> state option
 
 val detect_latency : t -> Kona_util.Histogram.t

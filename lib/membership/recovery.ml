@@ -68,6 +68,7 @@ let rec run_to_idle t ~now =
   | `Idle -> ()
   | `Stepped _ | `Finished _ -> run_to_idle t ~now
 
+let next_due t = match t.queue with [] -> max_int | _ :: _ -> 0
 let pending t = List.map (fun task -> task.name) t.queue
 let enqueued t = t.enqueued
 let completed t = t.completed

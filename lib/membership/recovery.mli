@@ -29,6 +29,10 @@ val run_to_idle : t -> now:(unit -> int) -> unit
 (** {!step} until {!idle}, reading [now ()] before each step, so work a
     task enqueues (failover queues re-replication) runs too. *)
 
+val next_due : t -> int
+(** 0 while a task is queued, so {!step} has work at any time; [max_int]
+    when the queue is empty. *)
+
 val pending : t -> string list
 (** Names of queued tasks, head first. *)
 

@@ -31,20 +31,21 @@ let default =
     cqe_ns = 150.;
   }
 
+let wire_bytes t ~wqes ~payload = payload + (wqes * t.header_bytes)
+
+let linked_ns t ~wqes ~wire_bytes =
+  int_of_float
+    (t.base_ns +. t.doorbell_ns
+    +. (t.wqe_ns *. float_of_int wqes)
+    +. (t.byte_ns *. float_of_int wire_bytes))
+
 let batch_ns t ~sizes =
   match sizes with
   | [] -> 0
   | _ ->
       let n = List.length sizes in
       let payload = List.fold_left ( + ) 0 sizes in
-      let wire = payload + (n * t.header_bytes) in
-      int_of_float
-        (t.base_ns +. t.doorbell_ns
-        +. (t.wqe_ns *. float_of_int n)
-        +. (t.byte_ns *. float_of_int wire))
-
-let wire_bytes t ~sizes =
-  List.fold_left (fun acc s -> acc + s + t.header_bytes) 0 sizes
+      linked_ns t ~wqes:n ~wire_bytes:(wire_bytes t ~wqes:n ~payload)
 
 let memcpy_ns t ~bytes =
   int_of_float (t.memcpy_base_ns +. (t.memcpy_byte_ns *. float_of_int bytes))

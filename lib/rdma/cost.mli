@@ -26,8 +26,14 @@ val batch_ns : t -> sizes:int list -> int
 (** Completion time of one posted batch (one doorbell, linked WQEs, shared
     latency floor, pipelined payloads). *)
 
-val wire_bytes : t -> sizes:int list -> int
-(** Bytes on the wire including per-WQE headers. *)
+val wire_bytes : t -> wqes:int -> payload:int -> int
+(** Bytes on the wire of [wqes] WQEs carrying [payload] bytes between
+    them, per-WQE headers included. *)
+
+val linked_ns : t -> wqes:int -> wire_bytes:int -> int
+(** {!batch_ns} of a non-empty batch of [wqes] WQEs with [wire_bytes]
+    bytes on the wire: a poster that has counted its batch need not list
+    its sizes. *)
 
 val memcpy_ns : t -> bytes:int -> int
 val bitmap_scan_ns : t -> lines:int -> int

@@ -103,10 +103,14 @@ let retire_due t =
   in
   loop ()
 
+(* A batch's WQE count and payload bytes, in one pass. *)
+let rec shape wqes n payload =
+  match wqes with [] -> (n, payload) | w :: rest -> shape rest (n + 1) (payload + w.len)
+
 let post t wqes =
   if wqes <> [] then begin
     retire_due t;
-    let n = List.length wqes in
+    let n, payload = shape wqes 0 0 in
     (* Windowed flow control: the send queue holds at most [sq_depth]
        WQEs, so a full window blocks the posting thread — its clock
        advances to the oldest in-flight completion — until the batch
@@ -127,7 +131,7 @@ let post t wqes =
         done;
         if !stalled then t.window_stalls <- t.window_stalls + 1
     | None -> ());
-    let sizes = List.map (fun w -> w.len) wqes in
+    let wire_bytes = Cost.wire_bytes t.cost ~wqes:n ~payload in
     (* The posting thread pays only the doorbell; the NIC pipeline starts
        when it is free and the batch occupies it for the remainder. *)
     Clock.advance t.clock (int_of_float t.cost.Cost.doorbell_ns);
@@ -137,9 +141,9 @@ let post t wqes =
     let wire =
       int_of_float
         ((t.cost.Cost.wqe_ns *. float_of_int n)
-        +. (t.cost.Cost.byte_ns *. float_of_int (Cost.wire_bytes t.cost ~sizes)))
+        +. (t.cost.Cost.byte_ns *. float_of_int wire_bytes))
     in
-    let latency = Cost.batch_ns t.cost ~sizes - wire in
+    let latency = Cost.linked_ns t.cost ~wqes:n ~wire_bytes - wire in
     let start =
       Nic.occupy t.nic ~start:(max (Clock.now t.clock) t.nic_free_at) ~duration:wire
     in
@@ -147,8 +151,8 @@ let post t wqes =
     t.nic_free_at <- start + wire;
     t.posts <- t.posts + 1;
     t.verbs <- t.verbs + n;
-    t.payload_bytes <- t.payload_bytes + List.fold_left ( + ) 0 sizes;
-    t.wire_bytes <- t.wire_bytes + Cost.wire_bytes t.cost ~sizes;
+    t.payload_bytes <- t.payload_bytes + payload;
+    t.wire_bytes <- t.wire_bytes + wire_bytes;
     List.iter
       (fun (w : wqe) ->
         (* Fault injection: each transmission attempt may be dropped (the

@@ -35,16 +35,26 @@ let popcount w =
   let rec loop acc w = if w = 0 then acc else loop (acc + 1) (w land (w - 1)) in
   loop 0 w
 
+(* Halve the window the lowest set bit can lie in, six times: the bit is
+   in the low [2 * width] bits of [w], and [n] bits were shifted out. *)
+let lowest_bit w =
+  if w = 0 then invalid_arg "Bitmap.lowest_bit: no bit set";
+  let rec halve w n width =
+    if width = 0 then n
+    else if w land ((1 lsl width) - 1) = 0 then
+      halve (w lsr width) (n + width) (width / 2)
+    else halve w n (width / 2)
+  in
+  halve w 0 32
+
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let iter_set t f =
   for w = 0 to Array.length t.words - 1 do
     let word = ref t.words.(w) in
     while !word <> 0 do
-      let low = !word land - !word in
-      let b = Units.log2 low in
-      f ((w * bits_per_word) + b);
-      word := !word land lnot low
+      f ((w * bits_per_word) + lowest_bit !word);
+      word := !word land (!word - 1)
     done
   done
 

@@ -1,8 +1,11 @@
 (** Fixed-capacity bitsets.
 
-    Used pervasively: per-page dirty cache-line masks (64 bits), per-page
-    byte-exact write masks (4096 bits), FMem frame occupancy, ...  Backed by
-    an [int array] of 62-bit words for cheap popcount and segment scans. *)
+    Used for per-page cache-line footprint masks (64 bits), per-page
+    byte-exact write masks (4096 bits) and the rack's per-page sharer sets.
+    Backed by an [int array] of 62-bit words for cheap popcount and segment
+    scans.  A set that fits one word on every hot path, such as FMem's
+    per-frame dirty lines, is kept in plain [int]s instead, with the
+    word-level helpers at the end. *)
 
 type t
 
@@ -28,3 +31,14 @@ val segments : t -> (int * int) list
     increasing order of [start]. *)
 
 val copy : t -> t
+
+(** {2 Masks in one [int]}
+
+    Sets of at most 63 bits kept in a plain [int], such as the 32-line
+    half-page masks of FMem frames and the CPU caches' snoop filter. *)
+
+val popcount : int -> int
+(** Number of set bits. *)
+
+val lowest_bit : int -> int
+(** Index of the lowest set bit; raises [Invalid_argument] on 0. *)

@@ -16,7 +16,8 @@ let bucket_of sample =
 
 let add t sample =
   if sample < 0 then invalid_arg "Histogram.add: negative sample";
-  t.counts.(bucket_of sample) <- t.counts.(bucket_of sample) + 1;
+  let b = bucket_of sample in
+  t.counts.(b) <- t.counts.(b) + 1;
   t.n <- t.n + 1;
   t.total <- t.total +. float_of_int sample
 

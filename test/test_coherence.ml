@@ -2,10 +2,17 @@
    bitmaps and the VFMem directory. *)
 
 open Kona_coherence
-module Bitmap = Kona_util.Bitmap
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* A victim's dirty lines, ascending, read off its two half-page masks. *)
+let dirty_lines (v : Fmem.victim) =
+  List.filter
+    (fun l ->
+      if l < 32 then v.Fmem.dirty_lo land (1 lsl l) <> 0
+      else v.Fmem.dirty_hi land (1 lsl (l - 32)) <> 0)
+    (List.init 64 Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Fmem *)
@@ -40,8 +47,7 @@ let test_fmem_dirty_bitmap () =
   check_bool "mark absent fails" false (Fmem.mark_dirty f ~vpage:9 ~line:0);
   match Fmem.evict f ~vpage:5 with
   | Some v ->
-      check_int "two lines" 2 (Bitmap.count v.Fmem.dirty_lines);
-      check_bool "line 7" true (Bitmap.get v.Fmem.dirty_lines 7)
+      Alcotest.(check (list int)) "lines 7 and 63" [ 7; 63 ] (dirty_lines v)
   | None -> Alcotest.fail "resident page must evict with its dirty lines"
 
 let test_fmem_victim_carries_dirt () =
@@ -51,11 +57,11 @@ let test_fmem_victim_carries_dirt () =
   (match Fmem.insert f ~vpage:2 (* same set, assoc 1 *) with
   | Some victim ->
       check_int "victim page" 0 victim.Fmem.vpage;
-      check_bool "victim dirty mask" true (Bitmap.get victim.Fmem.dirty_lines 3)
+      Alcotest.(check (list int)) "victim dirty mask" [ 3 ] (dirty_lines victim)
   | None -> Alcotest.fail "expected victim");
   (* new tenant's mask starts clean *)
   match Fmem.evict f ~vpage:2 with
-  | Some v -> check_int "fresh mask" 0 (Bitmap.count v.Fmem.dirty_lines)
+  | Some v -> Alcotest.(check (list int)) "fresh mask" [] (dirty_lines v)
   | None -> Alcotest.fail "resident page must evict"
 
 let test_fmem_explicit_evict () =
@@ -63,10 +69,33 @@ let test_fmem_explicit_evict () =
   ignore (Fmem.insert f ~vpage:1);
   ignore (Fmem.mark_dirty f ~vpage:1 ~line:0);
   (match Fmem.evict f ~vpage:1 with
-  | Some v -> check_bool "dirt carried" true (Bitmap.get v.Fmem.dirty_lines 0)
+  | Some v -> Alcotest.(check (list int)) "dirt carried" [ 0 ] (dirty_lines v)
   | None -> Alcotest.fail "resident page must evict");
   Alcotest.(check (option reject)) "absent evict" None (Fmem.evict f ~vpage:1);
   check_int "empty" 0 (Fmem.resident f)
+
+(* The lines at both ends of both half-page masks: each lands in the right
+   bit of the right int, is counted by [iter_resident], leaves with the
+   victim and is cleared for the frame's next page. *)
+let test_fmem_mask_edges () =
+  let f = Fmem.create ~assoc:1 ~pages:2 () in
+  ignore (Fmem.insert f ~vpage:0);
+  List.iter
+    (fun line -> check_bool "resident" true (Fmem.mark_dirty f ~vpage:0 ~line))
+    [ 63; 0; 32; 31 ];
+  let counts () =
+    let acc = ref [] in
+    Fmem.iter_resident f (fun ~vpage ~dirty -> acc := (vpage, dirty) :: !acc);
+    List.sort compare !acc
+  in
+  Alcotest.(check (list (pair int int))) "four dirty lines" [ (0, 4) ] (counts ());
+  (match Fmem.insert f ~vpage:2 (* same set, assoc 1 *) with
+  | Some v ->
+      Alcotest.(check (list int)) "victim lines" [ 0; 31; 32; 63 ] (dirty_lines v);
+      check_int "lower half" ((1 lsl 31) lor 1) v.Fmem.dirty_lo;
+      check_int "upper half" ((1 lsl 31) lor 1) v.Fmem.dirty_hi
+  | None -> Alcotest.fail "expected victim");
+  Alcotest.(check (list (pair int int))) "next page clean" [ (2, 0) ] (counts ())
 
 let prop_fmem_resident_bound =
   QCheck.Test.make ~name:"fmem residency never exceeds capacity" ~count:100
@@ -363,6 +392,7 @@ let () =
           Alcotest.test_case "dirty bitmap" `Quick test_fmem_dirty_bitmap;
           Alcotest.test_case "victim carries dirt" `Quick test_fmem_victim_carries_dirt;
           Alcotest.test_case "explicit evict" `Quick test_fmem_explicit_evict;
+          Alcotest.test_case "mask edges" `Quick test_fmem_mask_edges;
         ] );
       qsuite "fmem-props" [ prop_fmem_resident_bound; prop_fmem_insert_hits ];
       ( "fmem-policies",

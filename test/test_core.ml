@@ -334,7 +334,7 @@ let test_dirty_tracker_orphan_path () =
   let evictor =
     Eviction_handler.create ~log ~rm
       ~read_local:(fun ~addr:_ ~len -> String.make len 'o')
-      ~snoop:(fun ~page:_ -> [])
+      ~snoop:(fun ~page:_ ~half:_ -> 0)
       ()
   in
   let fmem = Kona_coherence.Fmem.create ~pages:4 () in
@@ -349,6 +349,93 @@ let test_dirty_tracker_orphan_path () =
   check_int "orphan shipped immediately" 1 (Memory_node.lines_received node);
   Alcotest.(check string) "orphan data landed" (String.make 64 'o')
     (Memory_node.peek node ~addr:(3 * Units.page_size) ~len:64)
+
+(* An eviction handler over one 1 MiB node, 64 KiB backed at address 0,
+   whose application bytes are [byte addr], and whose snoop answers
+   [snooped] for each half page. *)
+let byte addr = Char.chr (1 + (addr land 0x7f))
+
+let evictor_fabric ?(snooped = fun ~half:_ -> 0) () =
+  let node = Memory_node.create ~id:0 ~capacity:(Units.mib 1) in
+  let controller = Rack_controller.create ~slab_size:(Units.kib 64) () in
+  Rack_controller.register_node controller node;
+  let rm = Resource_manager.create ~controller () in
+  Resource_manager.ensure_backed rm ~addr:0 ~len:(Units.kib 64);
+  let qp = Qp.create ~clock:(Clock.create ()) () in
+  let log = Cl_log.create ~qp ~cost:Kona_rdma.Cost.default ~controller () in
+  let evictor =
+    Eviction_handler.create ~log ~rm
+      ~read_local:(fun ~addr ~len -> String.init len (fun i -> byte (addr + i)))
+      ~snoop:(fun ~page:_ ~half -> snooped ~half)
+      ()
+  in
+  (node, log, evictor)
+
+(* The two half-page masks of a list of page lines. *)
+let masks lines =
+  List.fold_left
+    (fun (lo, hi) l ->
+      if l < 32 then (lo lor (1 lsl l), hi) else (lo, hi lor (1 lsl (l - 32))))
+    (0, 0) lines
+
+(* The lines of page [vpage] that hold their application bytes on [node]
+   (a line never written reads as zeros). *)
+let landed_lines node ~vpage =
+  List.filter
+    (fun l ->
+      let addr = (vpage * Units.page_size) + (l * Units.cache_line) in
+      Memory_node.peek node ~addr ~len:Units.cache_line
+      = String.init Units.cache_line (fun i -> byte (addr + i)))
+    (List.init Units.lines_per_page Fun.id)
+
+let test_eviction_runs_cross_halves () =
+  (* Lines 30 and 31 are dirty in the frame, 32 and 33 only in the CPU
+     caches: the merged run crosses the half-page boundary and ships as one
+     log entry. *)
+  let node, log, evictor =
+    evictor_fabric ~snooped:(fun ~half -> if half = 1 then 0b11 else 0) ()
+  in
+  let lo, hi = masks [ 30; 31 ] in
+  check_bool "shipped" true
+    (Eviction_handler.evict evictor ~vpage:1 ~dirty_lo:lo ~dirty_hi:hi);
+  check_int "one run" 1 (Cl_log.appends log);
+  check_int "four lines" 4 (Cl_log.lines_logged log);
+  check_int "two snooped" 2 (Eviction_handler.snooped_dirty_lines evictor);
+  (* 31 and 33 are not contiguous: two runs. *)
+  let node', log', evictor' = evictor_fabric () in
+  let lo, hi = masks [ 31; 33 ] in
+  ignore (Eviction_handler.evict evictor' ~vpage:1 ~dirty_lo:lo ~dirty_hi:hi : bool);
+  check_int "two runs" 2 (Cl_log.appends log');
+  Cl_log.flush log;
+  Cl_log.flush log';
+  Alcotest.(check (list int))
+    "merged run landed" [ 30; 31; 32; 33 ] (landed_lines node ~vpage:1);
+  Alcotest.(check (list int)) "split runs landed" [ 31; 33 ]
+    (landed_lines node' ~vpage:1)
+
+let prop_eviction_runs =
+  (* Any 64-line mask, split between the frame and the snoop at random,
+     ships one log entry per maximal run of the merged mask, exactly its
+     lines, each to its own remote address. *)
+  QCheck.Test.make ~name:"eviction ships one entry per run" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 64) (int_bound 63))
+        (list_of_size Gen.(0 -- 8) (int_bound 63)))
+    (fun (frame, snooped) ->
+      let s_lo, s_hi = masks snooped in
+      let node, log, evictor =
+        evictor_fabric ~snooped:(fun ~half -> if half = 0 then s_lo else s_hi) ()
+      in
+      let lo, hi = masks frame in
+      let shipped = Eviction_handler.evict evictor ~vpage:3 ~dirty_lo:lo ~dirty_hi:hi in
+      Cl_log.flush log;
+      let lines = List.sort_uniq compare (frame @ snooped) in
+      let reference = Bitmap.create Units.lines_per_page in
+      List.iter (Bitmap.set reference) lines;
+      shipped = (lines <> [])
+      && Cl_log.appends log = List.length (Bitmap.segments reference)
+      && landed_lines node ~vpage:3 = lines)
 
 let test_memory_node_validation () =
   let node = Memory_node.create ~id:0 ~capacity:(Units.kib 8) in
@@ -1029,10 +1116,15 @@ let () =
           Alcotest.test_case "empty fence costs nothing" `Quick
             test_cl_log_empty_fence_costs_nothing;
           Alcotest.test_case "orphan write-through" `Quick test_dirty_tracker_orphan_path;
+          Alcotest.test_case "runs cross half pages" `Quick
+            test_eviction_runs_cross_halves;
           Alcotest.test_case "memory node validation" `Quick test_memory_node_validation;
         ] );
       ( "cl_log-props",
-        [ QCheck_alcotest.to_alcotest ~long:false prop_cl_log_breakdown_sums_to_clock ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_cl_log_breakdown_sums_to_clock;
+          QCheck_alcotest.to_alcotest ~long:false prop_eviction_runs;
+        ] );
       ( "runtime-props",
         [ QCheck_alcotest.to_alcotest ~long:false prop_runtime_integrity_random_ops ] );
       ( "runtime",

@@ -226,14 +226,21 @@ let test_injector_deterministic () =
   check_bool "different seed, different decisions" true (a <> c)
 
 let test_injector_crash_schedule () =
-  let plan = Fault_spec.parse_exn "node-crash@1us:id=3;node-crash@2us:id=5" in
+  let plan =
+    Fault_spec.parse_exn
+      "node-crash@2us:id=5;partition@1500ns:dur=1us,nodes=0;node-crash@1us:id=3"
+  in
   let inj = Injector.create ~seed:1 ~plan in
-  check_int "both pending" 2 (Injector.crashes_pending inj);
+  check_int "earliest of both calendars" 1_000 (Injector.next_due inj);
   check_bool "nothing due early" true (Injector.due_node_crashes inj ~now:500 = []);
   check_bool "first due at 1us" true (Injector.due_node_crashes inj ~now:1_000 = [ 3 ]);
   check_bool "each id returned once" true (Injector.due_node_crashes inj ~now:1_000 = []);
+  check_int "the partition next" 1_500 (Injector.next_due inj);
+  check_bool "partition due at 1.5us" true
+    (Injector.due_partitions inj ~now:1_500 = [ (1_000, [ 0 ]) ]);
+  check_int "then the second crash" 2_000 (Injector.next_due inj);
   check_bool "rest due later" true (Injector.due_node_crashes inj ~now:9_999 = [ 5 ]);
-  check_int "none pending" 0 (Injector.crashes_pending inj);
+  check_int "none pending" max_int (Injector.next_due inj);
   (* A due crash is counted by the runtime that handles it. *)
   check_int "not counted when due" 0
     (List.assoc "node_crashes" (Injector.counters inj));

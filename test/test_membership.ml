@@ -396,6 +396,106 @@ let test_crash_promoted_mirror_mid_re_replication () =
     (Rack_controller.divergent_mirrors controller)
 
 (* ------------------------------------------------------------------ *)
+(* The poll guard: [sink] polls only once the clocks reach the earliest
+   time a fault, lease, deferred delivery, recovery task or scrub sweep
+   can act.  Work scheduled between accesses lowers that time, so each
+   effect below lands on the same access as when every access polled;
+   the pinned indices are those of an every-access poll. *)
+
+(* Replay 12,000 seeded 8-byte writes over 2 MiB on a fresh runtime built
+   from [config], fencing the CL log before every 100th write (as the
+   rack's migrator does, so deliveries land while the replay runs) and
+   calling [before rt i] ahead of write [i].  Returns for each probe the
+   first write after which it holds, or -1. *)
+let first_writes ~config ?(before = fun _ _ -> ()) probes =
+  let rt, heap = System.kona ~config ~heap_capacity:(Units.mib 4) () in
+  let region = Units.mib 2 in
+  let base = Heap.alloc heap region in
+  let rng = Rng.create ~seed:3 in
+  let found = Array.make (List.length probes) (-1) in
+  for i = 0 to 11_999 do
+    if i mod 100 = 0 then Runtime.flush_log rt;
+    before rt i;
+    Heap.write_u64 heap (base + (Rng.int rng (region / 8) * 8)) i;
+    List.iteri (fun k probe -> if found.(k) < 0 && probe rt then found.(k) <- i) probes
+  done;
+  Runtime.drain rt;
+  check_bool "remote memory matches the heap" true (integrity_ok rt heap);
+  Array.to_list found
+
+let at_least name n rt = Runtime.count rt name >= n
+let pinned = Alcotest.(check (list int))
+
+let test_poll_armed_partition () =
+  (* A partition armed ahead of write 2,000 starts on that write, and the
+     deliveries it defers land on the first write past its heal. *)
+  let config = { Runtime.default_config with fmem_pages = 64 } in
+  let before rt i =
+    if i = 2_000 then
+      Runtime.arm_fault rt
+        (Fault_spec.Partition { at_ns = 0; dur_ns = 1_000_000; ids = [ 0 ] })
+  in
+  pinned "started, deferred, flushed" [ 2_000; 2_100; 2_297 ]
+    (first_writes ~config ~before
+       [
+         at_least "partition.started" 1;
+         at_least "partition.deferred" 1;
+         at_least "partition.flushed" 1;
+       ])
+
+let test_poll_crash_on_leased_runtime () =
+  (* A crash between writes on a leased runtime: the lease declares the
+     store dead, failover promotes its mirror and re-replication runs.  A
+     mirror holds no lease, so its crash queues re-replication at once,
+     outside any poll. *)
+  let config =
+    {
+      Runtime.default_config with
+      fmem_pages = 64;
+      replicas = 1;
+      heartbeat_ns = Some 100_000;
+      lease_ns = 500_000;
+    }
+  in
+  let before rt i =
+    if i = 3_000 then Runtime.crash_node rt ~id:1;
+    if i = 6_000 then
+      List.iter
+        (fun m -> Runtime.crash_node rt ~id:(Memory_node.id m))
+        (Rack_controller.mirrors (Runtime.controller rt) ~id:0)
+  in
+  pinned "declared, failed over, re-replicated, mirror replaced"
+    [ 3_322; 3_322; 3_327; 6_004 ]
+    (first_writes ~config ~before
+       [
+         at_least "membership.declared_dead" 1;
+         at_least "replication.failovers" 1;
+         at_least "recovery.tasks_completed" 2;
+         at_least "recovery.tasks_completed" 3;
+       ])
+
+let test_poll_deferred_delivery () =
+  (* A partition from the create-time plan on a scrubbed runtime: its
+     deferred deliveries land on the first write past the heal, and the
+     scrubber's second sweep starts on the first write past its due time. *)
+  let config =
+    {
+      Runtime.default_config with
+      fmem_pages = 64;
+      faults = Fault_spec.parse_exn "partition@5ms:dur=1ms,nodes=0";
+      scrub_interval_ns = Some 2_000_000;
+    }
+  in
+  pinned "started, deferred, flushed, two sweeps" [ 1_469; 1_500; 1_754; 1_177 ]
+    (first_writes ~config
+       [
+         at_least "partition.started" 1;
+         at_least "partition.deferred" 1;
+         at_least "partition.flushed" 1;
+         at_least "scrub.sweeps" 2;
+       ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "kona_membership"
@@ -430,6 +530,13 @@ let () =
             test_short_partition_is_tolerated;
           Alcotest.test_case "partitioned run reproducible" `Quick
             test_partitioned_run_reproducible;
+        ] );
+      ( "poll-guard",
+        [
+          Alcotest.test_case "armed partition" `Quick test_poll_armed_partition;
+          Alcotest.test_case "crash on a leased runtime" `Quick
+            test_poll_crash_on_leased_runtime;
+          Alcotest.test_case "deferred delivery" `Quick test_poll_deferred_delivery;
         ] );
       ( "double-fault",
         [

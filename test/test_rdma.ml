@@ -30,7 +30,7 @@ let test_cost_wire_bytes () =
   let c = Cost.default in
   check_int "headers counted per WQE"
     ((2 * c.Cost.header_bytes) + 128)
-    (Cost.wire_bytes c ~sizes:[ 64; 64 ])
+    (Cost.wire_bytes c ~wqes:2 ~payload:128)
 
 let test_cost_memcpy_and_bitmap () =
   let c = Cost.default in

@@ -242,6 +242,21 @@ let prop_bitmap_iter_sorted =
       Bitmap.iter_set b (fun i -> visited := i :: !visited);
       List.rev !visited = List.sort_uniq compare idxs)
 
+let prop_int_masks =
+  QCheck.Test.make ~name:"int masks: popcount and lowest_bit" ~count:200
+    QCheck.(small_list (int_bound 62))
+    (fun idxs ->
+      let idxs = List.sort_uniq compare idxs in
+      let mask = List.fold_left (fun m i -> m lor (1 lsl i)) 0 idxs in
+      Bitmap.popcount mask = List.length idxs
+      &&
+      match idxs with
+      | [] -> (
+          match Bitmap.lowest_bit 0 with
+          | _ -> false
+          | exception Invalid_argument _ -> true)
+      | lowest :: _ -> Bitmap.lowest_bit mask = lowest)
+
 (* ------------------------------------------------------------------ *)
 (* Ring_buffer *)
 
@@ -381,7 +396,12 @@ let () =
           Alcotest.test_case "set_range" `Quick test_bitmap_set_range;
         ] );
       qsuite "bitmap-props"
-        [ prop_bitmap_count; prop_bitmap_segments_cover; prop_bitmap_iter_sorted ];
+        [
+          prop_bitmap_count;
+          prop_bitmap_segments_cover;
+          prop_bitmap_iter_sorted;
+          prop_int_masks;
+        ];
       ( "ring_buffer",
         [
           Alcotest.test_case "fifo" `Quick test_ring_fifo;
